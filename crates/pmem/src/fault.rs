@@ -41,19 +41,72 @@ pub fn mix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Reflected IEEE 802.3 CRC32 generator polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC32_TABLES[0][b]` is the classic
+/// byte-at-a-time table, and `CRC32_TABLES[k][b]` is that entry pushed
+/// through `k` further zero bytes, so eight input bytes fold in with
+/// eight independent lookups. Built at compile time (8 KiB).
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Extends the finished CRC32 `crc` of some byte string with `bytes`:
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)`, and
+/// `crc32_update(0, b) == crc32(b)`. Lets callers checksum several
+/// fields in place without concatenating them first.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = !crc;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    !crc
+}
+
 /// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) over `bytes`.
 /// This is the checksum stored in every durable log record and commit
 /// marker tag; recovery recomputes it to classify records.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+    crc32_update(0, bytes)
 }
 
 /// A deterministic, replayable media-fault plan.
@@ -135,7 +188,8 @@ impl FromStr for FaultPlan {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut plan = FaultPlan::NONE;
         for field in s.split(':') {
-            let (tag, num) = field.split_at(field.len().min(1));
+            let tag_len = field.chars().next().map_or(0, char::len_utf8);
+            let (tag, num) = field.split_at(tag_len);
             let parse = |what: &str| {
                 num.parse::<u64>()
                     .map_err(|e| format!("bad {what} in fault plan field {field:?}: {e}"))
@@ -176,6 +230,39 @@ mod tests {
         // The canonical IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bit-at-a-time definition the tables are derived from: the
+    /// reference every table-driven value must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_equals_bitwise_reference() {
+        let bytes: Vec<u8> = (0..=96u64).map(|i| mix64(i) as u8).collect();
+        for len in 0..=bytes.len() {
+            let data = &bytes[..len];
+            let want = crc32_bitwise(data);
+            assert_eq!(crc32(data), want, "len {len}");
+            // Streaming: every single cut point, plus a seeded second
+            // cut, must give the one-shot value.
+            for cut in 0..=len {
+                let (a, b) = data.split_at(cut);
+                assert_eq!(crc32_update(crc32(a), b), want, "len {len} cut {cut}");
+                let cut2 = cut + (mix64((len * 97 + cut) as u64) as usize) % (len - cut + 1);
+                let (b1, b2) = data[cut..].split_at(cut2 - cut);
+                let three = crc32_update(crc32_update(crc32(a), b1), b2);
+                assert_eq!(three, want, "len {len} cuts {cut}/{cut2}");
+            }
+        }
     }
 
     #[test]
@@ -233,5 +320,8 @@ mod tests {
         assert!("s7:q1".parse::<FaultPlan>().is_err());
         assert!("sx".parse::<FaultPlan>().is_err());
         assert!("s1:t2".parse::<FaultPlan>().is_err());
+        // A multi-byte first character is an unknown tag, not a panic.
+        assert!("s7:é1".parse::<FaultPlan>().is_err());
+        assert!("é".parse::<FaultPlan>().is_err());
     }
 }

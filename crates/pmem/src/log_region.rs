@@ -23,7 +23,7 @@
 //! is counted.
 
 use crate::addr::PmAddr;
-use crate::fault::crc32;
+use crate::fault::{crc32, crc32_update};
 use crate::payload::PayloadBuf;
 use std::collections::BTreeMap;
 
@@ -76,14 +76,13 @@ pub struct PersistedRecord {
 }
 
 /// Computes the checksum a record's tag word stores: CRC32 over the
-/// append sequence, owning transaction, address and payload bytes.
+/// append sequence, owning transaction, address and payload bytes (in
+/// that order, integers little-endian), streamed without a copy.
 pub fn record_crc(seq: u64, txn: u64, addr: PmAddr, payload: &[u8]) -> u32 {
-    let mut bytes = Vec::with_capacity(24 + payload.len());
-    bytes.extend_from_slice(&seq.to_le_bytes());
-    bytes.extend_from_slice(&txn.to_le_bytes());
-    bytes.extend_from_slice(&addr.raw().to_le_bytes());
-    bytes.extend_from_slice(payload);
-    crc32(&bytes)
+    let tag = [seq, txn, addr.raw()]
+        .iter()
+        .fold(0, |crc, word| crc32_update(crc, &word.to_le_bytes()));
+    crc32_update(tag, payload)
 }
 
 /// Computes the checksum of a commit marker's second word: CRC32 over
@@ -440,6 +439,38 @@ mod tests {
             seq: 0,
             crc: record_crc(0, 0, PmAddr::new(0), &vec![0u8; payload_len]),
             torn_words: None,
+        }
+    }
+
+    /// Pins the durable checksum format: these values are stored in
+    /// every hardware log record and in the software-PTM arenas of the
+    /// PM image, so any change to how they are computed must leave
+    /// them bit-identical.
+    #[test]
+    fn record_crc_golden_values() {
+        let payload: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        let addr = PmAddr::new(0x1040);
+        for (len, want) in [
+            (8, 0x3FCA_52A4),
+            (16, 0x1D4F_B451),
+            (32, 0xF371_9D25),
+            (64, 0x1E45_7A6C),
+        ] {
+            assert_eq!(record_crc(7, 42, addr, &payload[..len]), want, "len {len}");
+        }
+    }
+
+    #[test]
+    fn marker_crc_golden_values() {
+        for (seq, want) in [
+            (0, 0x6522_DF69),
+            (1, 0xA988_DFF7),
+            (2, 0x2707_D814),
+            (255, 0x4369_D98F),
+            (1 << 32, 0xDD9E_B80C),
+            (u64::MAX, 0x2144_DF1C),
+        ] {
+            assert_eq!(marker_crc(seq), want, "seq {seq}");
         }
     }
 

@@ -5,8 +5,8 @@
 # multi-core, 16-way sharded scaling, YCSB mixes, the KV serve front
 # end, the software-PTM baselines, per-op microbenches; wall-clock
 # columns best-of-N), writes the
-# snapshot to BENCH_<n>.json — the next
-# free index, so the repo accumulates a perf trajectory — and compares
+# snapshot to BENCH_<n>.json — one past the
+# newest index, so the repo accumulates a perf trajectory — and compares
 # the host sim-throughput numbers against the newest committed
 # BENCH_*.json. Fails if matrix or mc sim-ops/s regressed more than
 # the allowed loss.
@@ -33,9 +33,10 @@ fi
 
 out="${BENCH_OUT:-}"
 if [ -z "$out" ]; then
-  n=1
-  while [ -e "BENCH_${n}.json" ]; do n=$((n + 1)); done
-  out="BENCH_${n}.json"
+  # One past the highest committed index (BENCH_1..5 never existed,
+  # so the first gap is not the next entry).
+  last=$(ls BENCH_*.json 2>/dev/null | sort -V | tail -n 1 | tr -dc '0-9')
+  out="BENCH_$((${last:-0} + 1)).json"
 fi
 
 ./target/release/slpmt bench --ops "$OPS" --reps "$RUNS" --json > "$out"
