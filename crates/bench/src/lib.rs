@@ -30,13 +30,11 @@ use slpmt_core::{MachineConfig, Scheme};
 use slpmt_workloads::runner::{run_inserts_with, IndexKind, RunResult};
 use slpmt_workloads::{ycsb_load, AnnotationSource, YcsbOp};
 
-pub mod chaos;
-pub mod crashsweep;
-pub mod faultsweep;
 pub mod micro;
 pub mod runner;
 pub mod serve;
 pub mod sharded;
+pub mod sweep;
 pub mod ycsb;
 
 /// Default operation count (the paper's YCSB-load size).

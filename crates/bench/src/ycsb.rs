@@ -6,8 +6,8 @@
 //! `--json`), `slpmt bench`'s `ycsb` section (regression-gated
 //! sim-throughput), and the crash/fault gates in `tests/`, which turn
 //! the same cells into [`SweepCase`]s and drive the sampled
-//! streaming-oracle sweeps of [`crate::crashsweep`] /
-//! [`crate::faultsweep`]. Everything reported is simulated cycles, so
+//! streaming-oracle crash and media-fault sweeps of [`crate::sweep`].
+//! Everything reported is simulated cycles, so
 //! output is bit-identical across reruns and worker counts.
 
 use crate::runner::par_map;
@@ -113,8 +113,7 @@ pub fn run_ycsb_matrix(cells: &[YcsbCell], cfg: &YcsbConfig, verify: bool) -> Ve
 }
 
 /// The crash-sweep case of one cell under a config — feed these to
-/// [`crate::crashsweep::run_sweep_sampled`] or
-/// [`crate::faultsweep::fault_cases_mixed`].
+/// [`crate::sweep::run_sweep`] with the engine target.
 pub fn sweep_case_of(cell: &YcsbCell, cfg: &YcsbConfig) -> SweepCase {
     let mut case = SweepCase::with_mix(
         cell.scheme,

@@ -20,6 +20,9 @@
 //!   seeded deterministic scheduler, plus the interleaving and
 //!   multi-core crash-sweep oracles.
 //! * [`recovery`] — post-crash undo/redo replay.
+//! * [`sweep`] — the [`CrashTarget`] contract every crash battery
+//!   implements, plus the rules they share (committed prefix, fault
+//!   attribution, point sampling).
 //! * [`stats`] — cycle and event accounting.
 //! * [`overhead`] — the §III-D hardware budget arithmetic.
 //!
@@ -51,12 +54,14 @@ pub mod recovery;
 pub mod scheme;
 pub mod signature;
 pub mod stats;
+pub mod sweep;
 pub mod txreg;
 
 pub use instr::{BitEffects, StoreKind};
 pub use machine::{CommitPhase, Machine, MachineConfig};
 pub use multi::{
-    McEvent, McOutcome, McSweepCase, MultiMachine, ProgramSpec, SchedPolicy, Schedule, TraceOp,
+    McEvent, McOutcome, McSweepCase, McTarget, MultiMachine, ProgramSpec, SchedPolicy, Schedule,
+    TraceOp,
 };
 pub use overhead::HardwareOverhead;
 pub use recovery::RecoveryReport;
@@ -64,4 +69,5 @@ pub use scheme::{Discipline, Granularity, PtmFlavor, Scheme, SchemeFeatures, Sch
 pub use signature::{Signature, SIGNATURE_BITS};
 pub use slpmt_trace::{Event as TraceEvent, Metrics as TraceMetrics, TraceHandle, TraceRecord};
 pub use stats::MachineStats;
+pub use sweep::{CrashTarget, SweepFailure, SweepReport};
 pub use txreg::TxnIdRegister;

@@ -28,15 +28,18 @@
 //! schedule and returns an [`McOutcome`] with the commit order, every
 //! executed store, the conflict events, and a digest of the final
 //! image, which [`check_serialized_oracle`] compares against a
-//! serialized `BTreeMap` reference. The `mc_*` functions extend the
-//! persist-event crash sweep (PR 2) to multi-core traces.
+//! serialized `BTreeMap` reference. The `mc_*` functions and
+//! [`McTarget`] extend the persist-event crash sweep to multi-core
+//! traces.
 
 use crate::instr::StoreKind;
 use crate::machine::{Machine, MachineConfig};
 use crate::scheme::Scheme;
 use crate::stats::MachineStats;
-use slpmt_pmem::{PersistEvent, PmAddr};
+use crate::sweep::{guarded, CrashTarget};
+use slpmt_pmem::{FaultPlan, PersistEvent, PmAddr};
 use slpmt_prng::{splitmix64, SimRng, Zipf};
+use slpmt_trace::TraceRecord;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -218,7 +221,7 @@ impl MultiMachine {
     }
 
     /// Drains and returns the trace captured so far.
-    pub fn take_trace(&mut self) -> Vec<slpmt_trace::TraceRecord> {
+    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
         self.m.take_trace()
     }
 
@@ -953,7 +956,7 @@ pub fn mc_count_events(case: &McSweepCase) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns a reproducible description of the first violating word.
+/// Describes the first violating word.
 pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
     let programs = gen_programs(&case.spec());
     let cfg = MachineConfig::for_scheme(case.scheme);
@@ -1005,7 +1008,7 @@ pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
         admissible.dedup();
         if !admissible.contains(&got) {
             return Err(format!(
-                "{case} k={k}: word {word:#x} recovered as {got:#x}, \
+                "word {word:#x} recovered as {got:#x}, \
                  admissible {admissible:x?} ({} durable txns)",
                 durable.len()
             ));
@@ -1020,7 +1023,7 @@ pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
 /// captured records. Recovery panics are swallowed so the trace up to
 /// the failure still comes back; the same `(case, k)` always yields
 /// the same records.
-pub fn mc_trace_crash_at(case: &McSweepCase, k: u64) -> Vec<slpmt_trace::TraceRecord> {
+pub fn mc_trace_crash_at(case: &McSweepCase, k: u64) -> Vec<TraceRecord> {
     let programs = gen_programs(&case.spec());
     let (mut mm, _) = run_programs_traced(
         MachineConfig::for_scheme(case.scheme),
@@ -1034,29 +1037,33 @@ pub fn mc_trace_crash_at(case: &McSweepCase, k: u64) -> Vec<slpmt_trace::TraceRe
     mm.take_trace()
 }
 
-/// [`mc_run_crash_at`] with panics converted into failure strings, so
-/// a sweep reports the reproducible `(case, k)` instead of dying.
-pub fn mc_check_point(case: &McSweepCase, k: u64) -> Result<(), String> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mc_run_crash_at(case, k))) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            Err(format!("{case} k={k}: panic: {msg}"))
-        }
-    }
-}
+/// The multi-core battery as a [`CrashTarget`]: every point checks
+/// the admissible-value oracle of [`mc_run_crash_at`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct McTarget;
 
-/// Sweeps every crash point of one case serially, returning all
-/// failures (empty = crash-consistent at every persist event).
-pub fn mc_sweep_serial(case: &McSweepCase) -> Vec<String> {
-    let n = mc_count_events(case);
-    (0..=n)
-        .filter_map(|k| mc_check_point(case, k).err())
-        .collect()
+impl CrashTarget for McTarget {
+    type Case = McSweepCase;
+    type Outcome = ();
+    const LABEL: &'static str = "mc";
+
+    fn count(&self, case: &McSweepCase) -> u64 {
+        mc_count_events(case)
+    }
+
+    fn seed(&self, case: &McSweepCase, _plan: &FaultPlan) -> u64 {
+        case.seed
+    }
+
+    fn check(&self, case: &McSweepCase, _plan: &FaultPlan, ks: &[u64]) -> Vec<Result<(), String>> {
+        ks.iter()
+            .map(|&k| guarded(|| mc_run_crash_at(case, k)))
+            .collect()
+    }
+
+    fn trace(&self, case: &McSweepCase, _plan: &FaultPlan, k: u64) -> Vec<TraceRecord> {
+        mc_trace_crash_at(case, k)
+    }
 }
 
 #[cfg(test)]

@@ -48,22 +48,25 @@
 //! Everything is driven by the simulated cycle clock — backoff waits,
 //! scrub costs, latencies — so a chaos point is byte-identical for a
 //! `(case, plan, k)` triple no matter how many host threads the sweep
-//! fans across.
+//! fans across. [`ChaosTarget`] runs the battery through the generic
+//! sweep driver (`slpmt_bench::sweep`), and [`ChaosSweepReport::fold`]
+//! folds the point outcomes into the order-sensitive digest alongside
+//! one [`poison_caught`] probe per case.
 
 use crate::codec::{reply, Codec, Request};
-use crate::service::{dispatch, encode_request, take_request, TokenModel};
+use crate::service::{digest64, dispatch, encode_request, take_request, TokenModel};
 use crate::session::{AckJournal, Session};
 use crate::store::{CasOutcome, KvStore};
 use crate::sweep::check_store;
-use slpmt_core::SchemeKind;
+use slpmt_core::sweep::{attribute_faults, committed_prefix, guarded, panic_message};
+use slpmt_core::{CrashTarget, SchemeKind, SweepReport, TraceRecord};
 use slpmt_pmem::FaultPlan;
 use slpmt_trace::Event;
-use slpmt_workloads::crashsweep::{sample_points, StreamingOracle};
+use slpmt_workloads::crashsweep::StreamingOracle;
 use slpmt_workloads::ycsb::MixedOp;
 use slpmt_workloads::{
     inspect, service_trace, session_of, IndexKind, KvRequest, MixSpec, RetryPolicy,
 };
-use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -297,14 +300,6 @@ pub fn dispatch_replay(store: &mut KvStore, req: &Request, out: &mut Vec<u8>) ->
     }
 }
 
-fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "panic with non-string payload".to_string())
-}
-
 /// Deliberately corrupts the recovered state so the oracle check MUST
 /// fail — the battery's non-vacuity probe.
 fn poison_recovered_state(store: &mut KvStore, oracle: &StreamingOracle<'_>) {
@@ -334,8 +329,19 @@ pub fn run_chaos_point(
     k: u64,
     poison_contract: bool,
 ) -> Result<ChaosOutcome, String> {
+    chaos_point(&mut build_store(case), case, plan, k, poison_contract)
+}
+
+/// [`run_chaos_point`] on a caller-built store, so the trace capture
+/// path can take the store's records afterwards.
+fn chaos_point(
+    store: &mut KvStore,
+    case: &ChaosCase,
+    plan: Option<&FaultPlan>,
+    k: u64,
+    poison_contract: bool,
+) -> Result<ChaosOutcome, String> {
     let (ops, reqs) = chaos_ops(case);
-    let mut store = build_store(case);
     let ordered = store.scan(0, 0).is_some();
     let handle = (case.trace_capacity > 0).then(|| store.enable_tracing(case.trace_capacity));
     let tracing = handle.is_some() && store.machine().trace_enabled();
@@ -375,7 +381,7 @@ pub fn run_chaos_point(
             Err(e) => return Err(format!("generated stream truncated: {e}")),
         };
         let mut out = std::mem::take(&mut sess[s].wbuf);
-        dispatch(&mut store, &req, &mut out);
+        dispatch(store, &req, &mut out);
         sess[s].wbuf = out;
         op_seq.push(store.txn_seq());
         if store.machine().crash_tripped() {
@@ -392,7 +398,7 @@ pub fn run_chaos_point(
     // Phase 2: crash, derive the durable prefix, pin the contract.
     store.crash();
     let marker = store.durable_commit_seq();
-    let b = op_seq.iter().take_while(|&&seq| seq <= marker).count();
+    let b = committed_prefix(&op_seq, marker);
     if acked_global as u64 != journal.total() {
         return Err(format!(
             "ack journal total {} disagrees with acked prefix {acked_global}",
@@ -407,45 +413,11 @@ pub fn run_chaos_point(
         ));
     }
     // Log replay must never panic, whatever the media did.
-    let report = match catch_unwind(AssertUnwindSafe(|| store.replay())) {
-        Ok(r) => r,
-        Err(p) => return Err(format!("log replay panicked: {}", panic_msg(p))),
-    };
+    let report = catch_unwind(AssertUnwindSafe(|| store.replay()))
+        .map_err(|p| format!("log replay panicked: {}", panic_message(&*p)))?;
     // Anomalies must not appear out of thin air.
-    let (tear_armed, flips_armed) = plan.map_or((false, 0), |p| (p.tear, p.flip_records));
-    if !tear_armed && report.torn_records + report.torn_markers != 0 {
-        return Err(format!(
-            "{} torn records / {} torn markers without a tear in the plan",
-            report.torn_records, report.torn_markers
-        ));
-    }
-    if flips_armed == 0 && report.corrupt_records != 0 {
-        return Err(format!(
-            "{} corrupt records without a flip in the plan",
-            report.corrupt_records
-        ));
-    }
+    attribute_faults(plan, &report, store.machine().device())?;
     if !report.lost_lines.is_empty() {
-        if plan.is_none() {
-            return Err(format!(
-                "{} lines lost with no fault plan armed",
-                report.lost_lines.len()
-            ));
-        }
-        // Every lost line must trace back to an injected fault.
-        let tainted: BTreeSet<u64> = {
-            let dev = store.machine().device();
-            dev.fault_poisoned_lines()
-                .iter()
-                .chain(dev.fault_flipped_lines())
-                .copied()
-                .collect()
-        };
-        if let Some(stray) = report.lost_lines.iter().find(|l| !tainted.contains(l)) {
-            return Err(format!(
-                "line {stray:#x} reported lost but no injected fault touched it"
-            ));
-        }
         return Ok(ChaosOutcome::Lossy {
             lost: report.lost_lines.len(),
         });
@@ -462,10 +434,7 @@ pub fn run_chaos_point(
         }
         Ok(())
     }));
-    match rebuilt {
-        Ok(r) => r?,
-        Err(p) => return Err(format!("structure recovery panicked: {}", panic_msg(p))),
-    }
+    rebuilt.map_err(|p| format!("structure recovery panicked: {}", panic_message(&*p)))??;
     store.begin_degraded_window(&report);
     if tracing {
         if let Some(h) = &handle {
@@ -480,9 +449,9 @@ pub fn run_chaos_point(
     let mut oracle = StreamingOracle::new(&ops);
     oracle.advance_to(b);
     if poison_contract {
-        poison_recovered_state(&mut store, &oracle);
+        poison_recovered_state(store, &oracle);
     }
-    check_store(&store, &oracle)
+    check_store(store, &oracle)
         .map_err(|e| format!("recovered state: {e} (b={b}, marker seq {marker})"))?;
 
     // Phase 3: rebuild the sessions from the journal, re-feed the
@@ -552,9 +521,9 @@ pub fn run_chaos_point(
         }
         let mut out = std::mem::take(&mut rsess[s].wbuf);
         if replaying {
-            suppressed += dispatch_replay(&mut store, &req, &mut out);
+            suppressed += dispatch_replay(store, &req, &mut out);
         } else {
-            dispatch(&mut store, &req, &mut out);
+            dispatch(store, &req, &mut out);
         }
         rsess[s].wbuf = out;
         rsess[s].ack_response();
@@ -577,7 +546,7 @@ pub fn run_chaos_point(
         }
     }
     oracle.advance_to(ops.len());
-    check_store(&store, &oracle)
+    check_store(store, &oracle)
         .map_err(|e| format!("converged state: {e} (acked={acked_global}, b={b})"))?;
     store
         .check_invariants()
@@ -603,39 +572,209 @@ pub fn run_chaos_point(
     }))
 }
 
-/// [`run_chaos_point`] with a panic guard: any panic anywhere in the
-/// serve/recover/retry path becomes a failure string tagged with the
-/// point's coordinates.
-pub fn check_chaos_point(
-    case: &ChaosCase,
-    plan: Option<&FaultPlan>,
-    k: u64,
-    poison_contract: bool,
-) -> Result<ChaosOutcome, String> {
-    let tag = |e: String| match plan {
-        Some(p) => format!("{case} plan(seed={}) @k={k}: {e}", p.seed),
-        None => format!("{case} @k={k}: {e}"),
-    };
-    match catch_unwind(AssertUnwindSafe(|| {
-        run_chaos_point(case, plan, k, poison_contract)
-    })) {
-        Ok(Ok(outcome)) => Ok(outcome),
-        Ok(Err(e)) => Err(tag(e)),
-        Err(p) => Err(tag(format!("panic: {}", panic_msg(p)))),
+/// The poisoned non-vacuity probe: `true` when a deliberately
+/// corrupted recovered state at crash point `k` is rejected, as it
+/// must be — a checker that cannot reject a corrupted image proves
+/// nothing.
+pub fn poison_caught(case: &ChaosCase, k: u64) -> bool {
+    guarded(|| run_chaos_point(case, None, k, true)).is_err()
+}
+
+/// The chaos battery as a [`CrashTarget`]: an empty plan is a clean
+/// crash, held to the no-fault contract (no loss at all).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ChaosTarget;
+
+impl CrashTarget for ChaosTarget {
+    type Case = ChaosCase;
+    type Outcome = ChaosOutcome;
+    const LABEL: &'static str = "chaos";
+
+    fn count(&self, case: &ChaosCase) -> u64 {
+        count_chaos_events(case)
+    }
+
+    fn seed(&self, case: &ChaosCase, _plan: &FaultPlan) -> u64 {
+        case.seed ^ 0xC4A0_57EE
+    }
+
+    fn check(
+        &self,
+        case: &ChaosCase,
+        plan: &FaultPlan,
+        ks: &[u64],
+    ) -> Vec<Result<ChaosOutcome, String>> {
+        let plan = (!plan.is_empty()).then_some(plan);
+        ks.iter()
+            .map(|&k| guarded(|| run_chaos_point(case, plan, k, false)))
+            .collect()
+    }
+
+    fn trace(&self, case: &ChaosCase, plan: &FaultPlan, k: u64) -> Vec<TraceRecord> {
+        let case = ChaosCase {
+            trace_capacity: 1 << 20,
+            ..*case
+        };
+        let plan = (!plan.is_empty()).then_some(plan);
+        let mut store = build_store(&case);
+        let _ = guarded(|| chaos_point(&mut store, &case, plan, k, false));
+        store.context_mut().take_trace()
     }
 }
 
-/// Seeded sample of `count` distinct crash points in `1..=n`,
-/// ascending.
-pub fn chaos_points(case: &ChaosCase, n: u64, count: usize) -> Vec<u64> {
-    sample_points(case.seed ^ 0xC4A0_57EE, n, count)
+/// The mix × scheme chaos matrix (mix-major, matching the repo's
+/// kind-major matrix convention), all on the same backend.
+pub fn chaos_cases<S: Into<SchemeKind> + Copy>(
+    schemes: &[S],
+    kind: IndexKind,
+    seed: u64,
+    requests: usize,
+    mixes: &[MixSpec],
+) -> Vec<ChaosCase> {
+    let mut cases = Vec::with_capacity(schemes.len() * mixes.len());
+    for &mix in mixes {
+        for &scheme in schemes {
+            cases.push(ChaosCase::new(scheme.into(), kind, seed, requests).with_mix(mix));
+        }
+    }
+    cases
+}
+
+/// Aggregated outcome of a chaos sweep.
+#[derive(Debug, Clone)]
+pub struct ChaosSweepReport {
+    /// Cases swept (mix × scheme cells).
+    pub cases: usize,
+    /// Chaos points checked (crash points × plan variants).
+    pub points: usize,
+    /// Points that recovered loss-free with the full contract held.
+    pub strict: usize,
+    /// Points whose injected faults cost lines, reported honestly.
+    pub lossy: usize,
+    /// Total lines lost across lossy points.
+    pub lost_lines: u64,
+    /// Sums of the strict points' [`ChaosReport`] counters.
+    pub totals: ChaosReport,
+    /// Poisoned (non-vacuity) probes run, one per case.
+    pub poison_checked: usize,
+    /// Poisoned probes the checker correctly rejected.
+    pub poison_caught: usize,
+    /// Order-sensitive digest of every point's outcome — the
+    /// byte-identity fingerprint CI diffs across worker counts.
+    pub digest: u64,
+    /// Every failing point, in deterministic point order.
+    pub failures: Vec<String>,
+}
+
+impl ChaosSweepReport {
+    /// Folds a driver sweep of `cases` chaos cases and the poison
+    /// probes' `(case, k, caught)` verdicts into the report. Every
+    /// number derives from the simulated clock and the deterministic
+    /// point outcomes, so the report is identical at any worker count.
+    pub fn fold(
+        cases: usize,
+        sweep: &SweepReport<ChaosCase, ChaosOutcome>,
+        poison: &[(ChaosCase, u64, bool)],
+    ) -> Self {
+        let (mut strict, mut lossy, mut lost_lines) = (0usize, 0usize, 0u64);
+        let mut totals = ChaosReport::default();
+        let mut digest_stream = Vec::with_capacity(sweep.points() * 8);
+        for outcome in &sweep.outcomes {
+            match outcome {
+                Some(ChaosOutcome::Strict(rep)) => {
+                    strict += 1;
+                    totals.acked += rep.acked;
+                    totals.durable += rep.durable;
+                    totals.retried += rep.retried;
+                    totals.suppressed += rep.suppressed;
+                    totals.refused_writes += rep.refused_writes;
+                    totals.scrubbed += rep.scrubbed;
+                    digest_stream.push(1u8);
+                    for v in [
+                        rep.acked,
+                        rep.durable,
+                        rep.retried,
+                        rep.suppressed,
+                        rep.refused_writes,
+                        rep.scrubbed,
+                    ] {
+                        digest_stream.extend_from_slice(&v.to_le_bytes());
+                    }
+                }
+                Some(ChaosOutcome::Lossy { lost }) => {
+                    lossy += 1;
+                    lost_lines += *lost as u64;
+                    digest_stream.push(2u8);
+                    digest_stream.extend_from_slice(&(*lost as u64).to_le_bytes());
+                }
+                None => digest_stream.push(0u8),
+            }
+        }
+        let mut failures: Vec<String> = sweep.failures.iter().map(ToString::to_string).collect();
+        for (case, k, _) in poison.iter().filter(|(_, _, caught)| !caught) {
+            failures.push(format!(
+                "{case} @k={k}: poisoned state passed the oracle check (vacuous battery)"
+            ));
+        }
+        ChaosSweepReport {
+            cases,
+            points: sweep.points(),
+            strict,
+            lossy,
+            lost_lines,
+            totals,
+            poison_checked: poison.len(),
+            poison_caught: poison.iter().filter(|(_, _, caught)| *caught).count(),
+            digest: digest64(&digest_stream),
+            failures,
+        }
+    }
+
+    /// `true` when every point held the contract and every poisoned
+    /// probe was caught.
+    pub fn is_clean(&self) -> bool {
+        self.failures.is_empty() && self.poison_caught == self.poison_checked
+    }
+}
+
+impl fmt::Display for ChaosSweepReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "chaos sweep: {} points across {} cases — {} strict, {} lossy ({} lines), \
+             {} failure(s); poison probes {}/{} caught",
+            self.points,
+            self.cases,
+            self.strict,
+            self.lossy,
+            self.lost_lines,
+            self.failures.len(),
+            self.poison_caught,
+            self.poison_checked,
+        )?;
+        writeln!(
+            f,
+            "  acked={} durable={} retried={} suppressed={} refused_writes={} scrubbed={}",
+            self.totals.acked,
+            self.totals.durable,
+            self.totals.retried,
+            self.totals.suppressed,
+            self.totals.refused_writes,
+            self.totals.scrubbed,
+        )?;
+        for fail in &self.failures {
+            writeln!(f, "  {fail}")?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slpmt_core::sweep::sample_points;
     use slpmt_core::Scheme;
-    use slpmt_workloads::faultsweep::default_plans;
+    use slpmt_workloads::crashsweep::default_plans;
 
     fn base(seed: u64, requests: usize) -> ChaosCase {
         ChaosCase::new(Scheme::Slpmt, IndexKind::KvBtree, seed, requests)
@@ -647,12 +786,16 @@ mod tests {
         assert!(n > 0);
     }
 
+    fn chaos_points(case: &ChaosCase, n: u64, count: usize) -> Vec<u64> {
+        sample_points(ChaosTarget.seed(case, &FaultPlan::NONE), n, count)
+    }
+
     #[test]
     fn sampled_chaos_points_hold_the_contract() {
         let case = base(5, 40);
         let n = count_chaos_events(&case);
         for k in chaos_points(&case, n, 6) {
-            match check_chaos_point(&case, None, k, false) {
+            match run_chaos_point(&case, None, k, false) {
                 Ok(ChaosOutcome::Strict(r)) => {
                     assert!(r.acked <= r.durable, "ack-durability inverted");
                     assert_eq!(r.acked + r.retried, (case.load + case.requests) as u64);
@@ -669,7 +812,7 @@ mod tests {
         let n = count_chaos_events(&case);
         let plans = default_plans(77);
         for k in [n / 3, 2 * n / 3] {
-            if let Err(e) = check_chaos_point(&case, Some(&plans[1]), k.max(1), false) {
+            if let Err(e) = run_chaos_point(&case, Some(&plans[1]), k.max(1), false) {
                 panic!("{e}");
             }
         }
@@ -681,7 +824,7 @@ mod tests {
         let n = count_chaos_events(&case);
         let k = n / 2;
         assert!(
-            check_chaos_point(&case, None, k.max(1), true).is_err(),
+            poison_caught(&case, k.max(1)),
             "deliberately corrupted state must fail the oracle check"
         );
     }
@@ -718,15 +861,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_points_are_ascending_and_seeded() {
-        let case = base(5, 40);
-        let pts = chaos_points(&case, 500, 16);
-        assert_eq!(pts.len(), 16);
-        assert!(pts.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(pts, chaos_points(&case, 500, 16));
-    }
-
-    #[test]
     fn chaos_spans_are_traced() {
         let mut case = base(5, 40);
         case.trace_capacity = 1 << 14;
@@ -739,5 +873,9 @@ mod tests {
             matches!(outcome, Ok(ChaosOutcome::Strict(_))),
             "{outcome:?}"
         );
+        let records = ChaosTarget.trace(&case, &FaultPlan::NONE, n / 2);
+        assert!(records
+            .iter()
+            .any(|r| matches!(r.event, Event::ChaosCrashArm { .. })));
     }
 }

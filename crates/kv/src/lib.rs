@@ -46,11 +46,11 @@ pub mod store;
 pub mod sweep;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionStats};
-pub use chaos::{ChaosCase, ChaosOutcome, ChaosReport};
+pub use chaos::{ChaosCase, ChaosOutcome, ChaosReport, ChaosSweepReport, ChaosTarget};
 pub use codec::{Codec, Parse, Request};
 pub use service::{
     run_shard_service, shard_requests, HealthSnapshot, ServeConfig, ServiceError, ShardServeReport,
 };
 pub use session::{AckJournal, Session};
 pub use store::{fingerprint, CasOutcome, CellError, HealthState, KvStore};
-pub use sweep::KvSweepCase;
+pub use sweep::{KvSweepCase, ServiceTarget};

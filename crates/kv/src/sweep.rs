@@ -1,32 +1,33 @@
-//! Crash and media-fault batteries driven *through the service
-//! boundary*.
+//! Crash and media-fault battery driven *through the service
+//! boundary* — the service-level [`CrashTarget`].
 //!
-//! The engine-level sweeps (`slpmt_workloads::crashsweep` /
-//! `faultsweep`) prove committed-prefix durability for a mixed trace
-//! applied directly to a [`DurableIndex`]. This module proves the same
-//! property one layer up: every operation travels the full service
-//! path — abstract request → wire encoding → codec parse → dispatch →
-//! facade transaction — before the crash lands, and recovery goes
-//! through [`KvStore::recover`]'s crash-to-ready sequence. The oracle
-//! is still the engine's [`StreamingOracle`] (the request stream maps
-//! 1:1 onto a mixed trace), but value checks decode the facade's
-//! length-prefixed cells instead of comparing raw index payloads.
+//! The engine-level sweep (`slpmt_workloads::crashsweep`) proves
+//! committed-prefix durability for a mixed trace applied directly to a
+//! [`DurableIndex`](slpmt_workloads::DurableIndex). This module proves
+//! the same property one layer up: every operation travels the full
+//! service path — abstract request → wire encoding → codec parse →
+//! dispatch → facade transaction — before the crash lands, and
+//! recovery goes through the facade's crash-to-ready sequence
+//! ([`KvStore::replay`] then [`KvStore::rebuild`]). The oracle is still
+//! the engine's [`StreamingOracle`] (the request stream maps 1:1 onto a
+//! mixed trace), but value checks decode the facade's length-prefixed
+//! cells instead of comparing raw index payloads.
 //!
-//! The degradation rules of the media-fault battery mirror the
-//! engine-level ones verbatim: log replay never panics; no torn or
-//! corrupt state without a matching plan knob; every lost line traces
-//! to an injected fault; a loss-free recovery must satisfy the strict
-//! oracle.
+//! Under a media [`FaultPlan`] the engine's degradation rules apply
+//! verbatim: log replay never panics; every anomaly is attributed to
+//! an injected fault ([`attribute_faults`]); a loss-free recovery must
+//! satisfy the strict oracle. [`ServiceTarget`] hands the battery to
+//! the generic sweep driver (`slpmt_bench::sweep`).
 
 use crate::codec::{Codec, Parse};
 use crate::service::{dispatch, encode_request, TokenModel};
 use crate::store::KvStore;
-use slpmt_core::SchemeKind;
+use slpmt_core::sweep::{attribute_faults, committed_prefix, guarded, panic_message};
+use slpmt_core::{CrashTarget, SchemeKind, TraceRecord};
 use slpmt_pmem::FaultPlan;
-use slpmt_workloads::crashsweep::{sample_points, StreamingOracle};
+use slpmt_workloads::crashsweep::StreamingOracle;
 use slpmt_workloads::ycsb::MixedOp;
 use slpmt_workloads::{inspect, service_trace, IndexKind, KvRequest, MixSpec};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -150,57 +151,30 @@ pub fn check_store(store: &KvStore, oracle: &StreamingOracle<'_>) -> Result<(), 
     Ok(())
 }
 
-/// Runs the case's request stream crash-free through the service
-/// path, checks the decoded end state against the oracle, and returns
-/// the persist-event count — the sweep domain is `1..=N`.
-///
-/// # Panics
-///
-/// Panics if the crash-free run already disagrees with the oracle.
-pub fn count_service_events(case: &KvSweepCase) -> u64 {
-    let (ops, reqs) = service_ops(case);
-    let mut store = build_store(case);
-    let ordered = store.scan(0, 0).is_some();
-    let codec = Codec::new(case.value_size);
-    let mut model = TokenModel::default();
-    let (mut wire, mut out) = (Vec::new(), Vec::new());
-    for req in &reqs {
-        apply_wire(
-            &mut store, &codec, &mut model, ordered, req, &mut wire, &mut out,
-        );
-    }
-    let mut oracle = StreamingOracle::new(&ops);
-    oracle.advance_to(ops.len());
-    if let Err(e) = check_store(&store, &oracle) {
-        panic!("{case}: crash-free service run disagrees with the oracle: {e}");
-    }
-    store.machine().persist_event_count()
-}
-
-/// Crashes the service at persist event `k`, recovers through the
-/// facade, and checks committed-prefix durability with decoded
-/// values. The caller-owned oracle advances monotonically, so an
-/// ascending sweep pays O(trace) model work total.
-///
-/// # Errors
-///
-/// Returns a human-readable failure description when the recovered
-/// service state violates the committed-prefix contract, an
-/// invariant, or heap-leak accounting.
-pub fn run_service_crash_at(
+/// Replays the request stream through the service path, with the
+/// `arm`ed plan and a crash at its persist event `k`.
+/// Returns the store and each executed request's last transaction
+/// sequence number.
+fn serve(
     case: &KvSweepCase,
-    oracle: &mut StreamingOracle<'_>,
-    k: u64,
-) -> Result<(), String> {
-    let (_ops, reqs) = service_ops(case);
+    reqs: &[KvRequest],
+    arm: Option<(&FaultPlan, u64)>,
+    tracing: bool,
+) -> (KvStore, Vec<u64>) {
     let mut store = build_store(case);
+    if tracing {
+        store.enable_tracing(1 << 20);
+    }
     let ordered = store.scan(0, 0).is_some();
-    store.machine_mut().arm_crash_at_event(k);
+    if let Some((plan, k)) = arm {
+        store.machine_mut().set_fault_plan(*plan);
+        store.machine_mut().arm_crash_at_event(k);
+    }
     let codec = Codec::new(case.value_size);
     let mut model = TokenModel::default();
     let (mut wire, mut out) = (Vec::new(), Vec::new());
     let mut op_seq = Vec::with_capacity(reqs.len());
-    for req in &reqs {
+    for req in reqs {
         apply_wire(
             &mut store, &codec, &mut model, ordered, req, &mut wire, &mut out,
         );
@@ -209,11 +183,62 @@ pub fn run_service_crash_at(
             break;
         }
     }
+    (store, op_seq)
+}
+
+/// Runs the case's request stream crash-free through the service
+/// path, checks the decoded end state against the oracle, and returns
+/// the persist-event count — the sweep domain is `0..=N`.
+///
+/// # Panics
+///
+/// Panics if the crash-free run already disagrees with the oracle.
+pub fn count_service_events(case: &KvSweepCase) -> u64 {
+    let (ops, reqs) = service_ops(case);
+    let (store, _) = serve(case, &reqs, None, false);
+    let mut oracle = StreamingOracle::new(&ops);
+    oracle.advance_to(ops.len());
+    if let Err(e) = check_store(&store, &oracle) {
+        panic!("{case}: crash-free service run disagrees with the oracle: {e}");
+    }
+    store.machine().persist_event_count()
+}
+
+/// Crashes the service at persist event `k` with `plan` armed,
+/// recovers through the facade, and checks the degradation rules and
+/// committed-prefix durability with decoded values. The caller-owned
+/// oracle (over [`service_ops`]) advances monotonically, so an
+/// ascending sweep pays O(trace) model work total.
+///
+/// # Errors
+///
+/// Describes the violation when log replay panics, an anomaly has no
+/// injected cause, or a loss-free recovery breaks the committed-prefix
+/// contract, an invariant, or heap-leak accounting.
+pub fn run_at(
+    case: &KvSweepCase,
+    plan: &FaultPlan,
+    oracle: &mut StreamingOracle<'_>,
+    k: u64,
+) -> Result<(), String> {
+    let (_ops, reqs) = service_ops(case);
+    let (mut store, op_seq) = serve(case, &reqs, Some((plan, k)), false);
     store.crash();
     let marker = store.durable_commit_seq();
-    let b = op_seq.iter().take_while(|&&seq| seq <= marker).count();
+    let b = committed_prefix(&op_seq, marker);
     oracle.advance_to(b);
-    store.recover();
+    // Log replay must never panic, whatever the media did.
+    let report = catch_unwind(AssertUnwindSafe(|| store.replay()))
+        .map_err(|p| format!("log replay panicked: {}", panic_message(&*p)))?;
+    attribute_faults(Some(plan), &report, store.machine().device())?;
+    if !report.lost_lines.is_empty() {
+        // Degraded and detected: the loss was reported honestly and
+        // attributed; the facade surfaces the report to the
+        // application, and structure recovery over a lossy image is
+        // out of contract (same stop as the engine-level battery).
+        return Ok(());
+    }
+    store.rebuild();
     store
         .check_invariants()
         .map_err(|e| format!("invariant violated after service recovery: {e}"))?;
@@ -224,133 +249,46 @@ pub fn run_service_crash_at(
     check_store(&store, oracle).map_err(|e| format!("{e} (b={b}, marker seq {marker})"))
 }
 
-/// [`run_service_crash_at`] with a panic guard: any panic in the
-/// replay/recovery path becomes a failure string.
-pub fn check_service_point(
-    case: &KvSweepCase,
-    oracle: &mut StreamingOracle<'_>,
-    k: u64,
-) -> Option<String> {
-    match catch_unwind(AssertUnwindSafe(|| run_service_crash_at(case, oracle, k))) {
-        Ok(Ok(())) => None,
-        Ok(Err(e)) => Some(format!("{case} @k={k}: {e}")),
-        Err(p) => Some(format!("{case} @k={k}: panic: {}", panic_msg(p))),
-    }
-}
+/// The service battery as a [`CrashTarget`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ServiceTarget;
 
-/// Seeded sample of `count` distinct crash points in `1..=n`,
-/// ascending (so one oracle serves the whole sweep).
-pub fn service_points(case: &KvSweepCase, n: u64, count: usize) -> Vec<u64> {
-    sample_points(case.seed ^ 0x5E7E_CE00, n, count)
-}
+impl CrashTarget for ServiceTarget {
+    type Case = KvSweepCase;
+    type Outcome = ();
+    const LABEL: &'static str = "service";
 
-fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "panic with non-string payload".to_string())
-}
+    fn count(&self, case: &KvSweepCase) -> u64 {
+        count_service_events(case)
+    }
 
-/// Media-fault battery at the service boundary: replays the request
-/// stream with `plan` armed and a crash at persist event `k`, then
-/// checks the engine's degradation rules against the facade's
-/// recovery. Mirrors `slpmt_workloads::faultsweep::run_fault_at`
-/// rule-for-rule, with decoded-value strict checks.
-///
-/// # Errors
-///
-/// Returns a failure description when log replay panics, a fault
-/// appears out of thin air, a lost line has no injected cause, or a
-/// loss-free recovery breaks the strict oracle.
-pub fn run_service_fault_at(case: &KvSweepCase, plan: &FaultPlan, k: u64) -> Result<(), String> {
-    let (ops, reqs) = service_ops(case);
-    let mut store = build_store(case);
-    let ordered = store.scan(0, 0).is_some();
-    store.machine_mut().set_fault_plan(*plan);
-    store.machine_mut().arm_crash_at_event(k);
-    let codec = Codec::new(case.value_size);
-    let mut model = TokenModel::default();
-    let (mut wire, mut out) = (Vec::new(), Vec::new());
-    let mut op_seq = Vec::with_capacity(reqs.len());
-    for req in &reqs {
-        apply_wire(
-            &mut store, &codec, &mut model, ordered, req, &mut wire, &mut out,
-        );
-        op_seq.push(store.txn_seq());
-        if store.machine().crash_tripped() {
-            break;
-        }
+    fn seed(&self, case: &KvSweepCase, _plan: &FaultPlan) -> u64 {
+        case.seed ^ 0x5E7E_CE00
     }
-    store.crash();
-    let marker = store.durable_commit_seq();
-    let b = op_seq.iter().take_while(|&&seq| seq <= marker).count();
-    // Log replay must never panic, whatever the media did.
-    let report = match catch_unwind(AssertUnwindSafe(|| store.replay())) {
-        Ok(r) => r,
-        Err(p) => return Err(format!("log replay panicked: {}", panic_msg(p))),
-    };
-    // Faults must not appear out of thin air.
-    if !plan.tear && report.torn_records + report.torn_markers != 0 {
-        return Err(format!(
-            "{} torn records / {} torn markers without a tear in the plan",
-            report.torn_records, report.torn_markers
-        ));
-    }
-    if plan.flip_records == 0 && report.corrupt_records != 0 {
-        return Err(format!(
-            "{} corrupt records without a flip in the plan",
-            report.corrupt_records
-        ));
-    }
-    // Every lost line must trace back to an injected fault.
-    let tainted: BTreeSet<u64> = {
-        let dev = store.machine().device();
-        dev.fault_poisoned_lines()
-            .iter()
-            .chain(dev.fault_flipped_lines())
-            .copied()
-            .collect()
-    };
-    if let Some(stray) = report.lost_lines.iter().find(|l| !tainted.contains(l)) {
-        return Err(format!(
-            "line {stray:#x} reported lost but no injected fault touched it"
-        ));
-    }
-    if !report.lost_lines.is_empty() {
-        // Degraded and detected: the loss was reported honestly and
-        // attributed; the facade surfaces the report to the
-        // application, and structure recovery over a lossy image is
-        // out of contract (same stop as the engine-level battery).
-        return Ok(());
-    }
-    // Zero lost lines: the faults were fully absorbed, so the strict
-    // decoded-state oracle applies unchanged and any panic is a
-    // failure.
-    let strict = catch_unwind(AssertUnwindSafe(move || -> Result<(), String> {
-        store.rebuild();
-        store
-            .check_invariants()
-            .map_err(|e| format!("invariant violated after recovery: {e}"))?;
-        let reachable = store.reachable();
-        if !inspect(store.context(), &reachable).is_clean() {
-            return Err("allocations still leaked after GC".into());
-        }
+
+    fn check(&self, case: &KvSweepCase, plan: &FaultPlan, ks: &[u64]) -> Vec<Result<(), String>> {
+        let (ops, _) = service_ops(case);
         let mut oracle = StreamingOracle::new(&ops);
-        oracle.advance_to(b);
-        check_store(&store, &oracle).map_err(|e| format!("{e} (marker seq {marker})"))
-    }));
-    match strict {
-        Ok(r) => r,
-        Err(p) => Err(format!("structure recovery panicked: {}", panic_msg(p))),
+        ks.iter()
+            .map(|&k| guarded(|| run_at(case, plan, &mut oracle, k)))
+            .collect()
+    }
+
+    fn trace(&self, case: &KvSweepCase, plan: &FaultPlan, k: u64) -> Vec<TraceRecord> {
+        let (_ops, reqs) = service_ops(case);
+        let (mut store, _) = serve(case, &reqs, Some((plan, k)), true);
+        store.crash();
+        let _ = catch_unwind(AssertUnwindSafe(|| store.replay()));
+        store.context_mut().take_trace()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slpmt_core::sweep::sample_points;
     use slpmt_core::Scheme;
-    use slpmt_workloads::faultsweep::default_plans;
+    use slpmt_workloads::crashsweep::default_plans;
 
     #[test]
     fn crash_free_service_run_matches_oracle() {
@@ -363,12 +301,10 @@ mod tests {
     fn sampled_service_crash_points_recover() {
         let case = KvSweepCase::new(Scheme::Slpmt, IndexKind::KvBtree, 5, 50);
         let n = count_service_events(&case);
-        let (ops, _) = service_ops(&case);
-        let mut oracle = StreamingOracle::new(&ops);
-        for k in service_points(&case, n, 8) {
-            if let Some(fail) = check_service_point(&case, &mut oracle, k) {
-                panic!("{fail}");
-            }
+        let seed = ServiceTarget.seed(&case, &FaultPlan::NONE);
+        let ks = sample_points(seed, n, 8);
+        for v in ServiceTarget.check(&case, &FaultPlan::NONE, &ks) {
+            v.unwrap();
         }
     }
 
@@ -376,21 +312,21 @@ mod tests {
     fn fault_battery_smoke() {
         let case = KvSweepCase::new(Scheme::Slpmt, IndexKind::KvBtree, 9, 40);
         let n = count_service_events(&case);
-        let plans = default_plans(1234);
-        let plan = &plans[0];
-        for k in [n / 3, 2 * n / 3] {
-            if let Err(e) = run_service_fault_at(&case, plan, k.max(1)) {
+        let plan = default_plans(1234)[0];
+        let ks = [n / 3, 2 * n / 3];
+        for (k, v) in ks.iter().zip(ServiceTarget.check(&case, &plan, &ks)) {
+            if let Err(e) = v {
                 panic!("{case} plan[0] @k={k}: {e}");
             }
         }
     }
 
     #[test]
-    fn points_are_ascending_and_seeded() {
-        let case = KvSweepCase::new(Scheme::Slpmt, IndexKind::KvBtree, 5, 50);
-        let pts = service_points(&case, 500, 20);
-        assert_eq!(pts.len(), 20);
-        assert!(pts.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(pts, service_points(&case, 500, 20));
+    fn traced_point_captures_events() {
+        let case = KvSweepCase::new(Scheme::Slpmt, IndexKind::KvBtree, 9, 20);
+        let n = count_service_events(&case);
+        let a = ServiceTarget.trace(&case, &FaultPlan::NONE, n / 2);
+        assert!(!a.is_empty());
+        assert_eq!(a, ServiceTarget.trace(&case, &FaultPlan::NONE, n / 2));
     }
 }

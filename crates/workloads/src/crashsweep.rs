@@ -1,24 +1,26 @@
-//! Exhaustive persist-event crash sweep with oracle-checked recovery.
+//! Persist-event crash and media-fault sweep with oracle-checked
+//! recovery — the engine-level [`CrashTarget`].
 //!
 //! The commit-phase crash matrix (`CommitPhase`) covers four coarse
 //! points of the commit sequence; everything *between* them — the
 //! individual WPQ drains, log-record pack writes, lazy-drain forced
 //! persists, log truncations — is exactly where selective logging and
 //! lazy persistency could silently break recoverability. This module
-//! enumerates those states exhaustively:
+//! enumerates those states:
 //!
 //! 1. [`count_events`] runs a fixed seeded workload trace once and
 //!    returns how many persist events `N` it generates (sanity-checking
 //!    the crash-free end state against a volatile oracle on the way).
-//! 2. [`run_crash_at`] replays the identical trace with the device
-//!    armed to crash at event `k` (see
+//! 2. [`run_at`] replays the identical trace with a [`FaultPlan`] armed
+//!    and the device set to crash at event `k` (see
 //!    `slpmt_core::Machine::arm_crash_at_event`): events `1..=k` are
 //!    durable, every later mutation is dropped. It then crashes, runs
 //!    log replay plus the structure's own recovery, and checks the
-//!    result against the oracle.
-//! 3. [`sweep_serial`] does that for every `k ∈ 1..=N`. The parallel
-//!    fan-out over a scheme × workload matrix lives in
-//!    `slpmt_bench::crashsweep`.
+//!    result against the oracle. A clean power cut is the plan
+//!    [`FaultPlan::NONE`].
+//! 3. [`EngineTarget`] hands both to the generic sweep driver
+//!    (`slpmt_bench::sweep`), which visits every `k ∈ 0..=N` or a
+//!    seeded sample of them, across a scheme × workload × plan matrix.
 //!
 //! ### The oracle check
 //!
@@ -26,13 +28,37 @@
 //! committed transactions always form a prefix of the sequence
 //! numbers. Each trace operation records the sequence number of the
 //! last transaction it ran; `b` = the number of operations whose last
-//! transaction has a durable marker. Auxiliary transactions an
-//! operation runs *before* its main one (a hashtable update closing a
-//! redo window, a resize) are membership-neutral, so the recovered
-//! structure must equal a `BTreeMap` oracle after exactly `b`
-//! operations: same length, every key mapped to its exact value,
-//! structure invariants intact, and the heap clean after the leak GC
-//! ([`inspect`](crate::inspector::inspect)-verified).
+//! transaction has a durable marker ([`committed_prefix`]). Auxiliary
+//! transactions an operation runs *before* its main one (a hashtable
+//! update closing a redo window, a resize) are membership-neutral, so
+//! the recovered structure must equal a `BTreeMap` oracle after
+//! exactly `b` operations: same length, every key mapped to its exact
+//! value, structure invariants intact, and the heap clean after the
+//! leak GC ([`inspect`](crate::inspector::inspect)-verified).
+//!
+//! ### Media faults
+//!
+//! Real media fail messier than a clean cut — the event at the crash
+//! boundary tears at 8-byte granularity, lines poison, stored log bits
+//! flip. Under a plan, recovery must *degrade gracefully*:
+//!
+//! * **No injected faults survive undetected** ([`attribute_faults`]):
+//!   torn records and markers only appear when the plan tears; every
+//!   line recovery reports lost traces back to a line the plan
+//!   poisoned or a record it flipped.
+//! * **Absorbed faults cost nothing.** With zero lost lines — the
+//!   faults hit dead state, or salvage re-materialised every poisoned
+//!   line — the strict oracle above applies unchanged: a torn event is
+//!   indistinguishable from crashing one event earlier, and drain
+//!   jitter never changes durable state under ADR.
+//! * **Unabsorbed faults degrade, deterministically.** With lost
+//!   lines, log replay must still complete without panicking and
+//!   report the loss honestly; the same `(case, plan, k)` always
+//!   produces the same report (checked by `tests/fault_properties.rs`).
+//!
+//! Failures print as `crashsweep FAIL scheme=… workload=… seed=…
+//! ops=… [plan=…] k=…`, replayable via `slpmt crashsweep --at K` or
+//! `slpmt faults --plan P --at K`.
 //!
 //! Battery-backed configurations (§V-E) are *not* swept: with the
 //! caches inside the persistence domain, the state a power failure
@@ -46,10 +72,15 @@ use crate::inspector::inspect;
 use crate::runner::{DurableIndex, IndexKind};
 use crate::ycsb::{ycsb_mix, MixSpec, MixedOp};
 use slpmt_annotate::AnnotationTable;
-use slpmt_core::{Scheme, SchemeKind};
-use slpmt_prng::splitmix64;
+use slpmt_core::sweep::{attribute_faults, committed_prefix, guarded, panic_message};
+use slpmt_core::{CrashTarget, Scheme, SchemeKind, TraceRecord};
+use slpmt_pmem::fault::mix64;
+use slpmt_pmem::FaultPlan;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+pub use slpmt_core::sweep::sample_points;
 
 /// One cell of a crash sweep: a scheme × workload pair plus the trace
 /// parameters that make it reproducible.
@@ -125,26 +156,8 @@ impl fmt::Display for SweepCase {
     }
 }
 
-/// One failed crash point, carrying everything needed to reproduce it.
-#[derive(Debug, Clone)]
-pub struct SweepFailure {
-    /// The failing cell.
-    pub case: SweepCase,
-    /// Persist-event index the crash was armed at.
-    pub k: u64,
-    /// What went wrong.
-    pub detail: String,
-}
-
-impl fmt::Display for SweepFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "crashsweep FAIL {} k={}: {}",
-            self.case, self.k, self.detail
-        )
-    }
-}
+/// One failed engine crash point, carrying its reproducer tuple.
+pub type SweepFailure = slpmt_core::SweepFailure<SweepCase>;
 
 /// The schemes a persist-event sweep covers: every named design,
 /// undo and redo (battery-backed §V-E configurations are excluded —
@@ -162,6 +175,47 @@ pub const SWEEP_SCHEMES: [Scheme; 10] = [
     Scheme::SlpmtRedo,
 ];
 
+/// The default plan battery: each fault class alone, then everything
+/// at once. Seeds are derived from `seed` so two sweeps with different
+/// base seeds inject at different places.
+pub fn default_plans(seed: u64) -> Vec<FaultPlan> {
+    vec![
+        // Torn crash-boundary event, clean media otherwise.
+        FaultPlan {
+            seed: mix64(seed ^ 0xA1),
+            tear: true,
+            ..FaultPlan::NONE
+        },
+        // One poisoned line (uncorrectable ECC), clean cut.
+        FaultPlan {
+            seed: mix64(seed ^ 0xA2),
+            poison_lines: 1,
+            ..FaultPlan::NONE
+        },
+        // One flipped log-record bit, clean cut.
+        FaultPlan {
+            seed: mix64(seed ^ 0xA3),
+            flip_records: 1,
+            ..FaultPlan::NONE
+        },
+        // Drain-order perturbation only: durable state must not move.
+        FaultPlan {
+            seed: mix64(seed ^ 0xA4),
+            jitter: 400,
+            ..FaultPlan::NONE
+        },
+        // Everything at once.
+        FaultPlan {
+            seed: mix64(seed ^ 0xA5),
+            tear: true,
+            poison_lines: 2,
+            flip_records: 1,
+            jitter: 250,
+            ..FaultPlan::NONE
+        },
+    ]
+}
+
 /// The deterministic operation trace of a case: the mix's load-phase
 /// inserts followed by its seeded operation stream, starting from an
 /// empty structure. The default ([`MixSpec::CHURN`], no load) keeps
@@ -177,7 +231,7 @@ pub fn trace_ops(case: &SweepCase) -> Vec<MixedOp> {
     all
 }
 
-pub(crate) fn apply(idx: &mut dyn DurableIndex, ctx: &mut PmContext, op: &MixedOp) {
+fn apply(idx: &mut dyn DurableIndex, ctx: &mut PmContext, op: &MixedOp) {
     match op {
         MixedOp::Insert(o) => idx.insert(ctx, o.key, &o.value),
         MixedOp::Read(k) => {
@@ -348,7 +402,7 @@ impl<'a> StreamingOracle<'a> {
     }
 }
 
-pub(crate) fn build(case: &SweepCase) -> (PmContext, Box<dyn DurableIndex>) {
+fn build(case: &SweepCase) -> (PmContext, Box<dyn DurableIndex>) {
     let mut ctx = PmContext::new(case.scheme, AnnotationTable::new());
     let idx = case
         .kind
@@ -358,7 +412,7 @@ pub(crate) fn build(case: &SweepCase) -> (PmContext, Box<dyn DurableIndex>) {
 
 /// Runs the case's trace crash-free, checks the end state against the
 /// oracle, and returns the number of persist events the trace
-/// generated — the sweep domain is `1..=N`.
+/// generated — the sweep domain is `0..=N`.
 ///
 /// # Panics
 ///
@@ -378,41 +432,23 @@ pub fn count_events(case: &SweepCase) -> u64 {
     ctx.machine().persist_event_count()
 }
 
-/// Replays the case's trace with a crash armed at persist event `k`,
-/// recovers, and checks the recovered structure against the oracle.
-///
-/// # Errors
-///
-/// Returns the reproducible failure tuple when the recovered state
-/// violates committed-prefix durability, value equality, a structure
-/// invariant, or heap-leak accounting.
-pub fn run_crash_at(case: &SweepCase, k: u64) -> Result<(), SweepFailure> {
-    let ops = trace_ops(case);
-    let mut oracle = StreamingOracle::new(&ops);
-    run_crash_at_streaming(case, &mut oracle, k)
-}
-
-/// [`run_crash_at`] against a caller-owned [`StreamingOracle`] over
-/// the case's trace ([`trace_ops`]), so a sweep visiting ascending `k`
-/// advances one model instead of rebuilding it per point. The
-/// committed-prefix length `b` is nondecreasing in `k` (a later crash
-/// point can only commit more transactions), which is exactly the
-/// oracle's monotonicity contract.
-pub fn run_crash_at_streaming(
+/// Replays `ops` with `plan` armed and a crash at persist event `k`,
+/// then cuts the power. Returns the crashed context, the index and
+/// each executed operation's last transaction sequence number.
+fn crash_at(
     case: &SweepCase,
-    oracle: &mut StreamingOracle<'_>,
+    plan: &FaultPlan,
+    ops: &[MixedOp],
     k: u64,
-) -> Result<(), SweepFailure> {
-    let fail = |detail: String| SweepFailure {
-        case: *case,
-        k,
-        detail,
-    };
-    let ops = oracle.ops();
+    tracing: bool,
+) -> (PmContext, Box<dyn DurableIndex>, Vec<u64>) {
     let (mut ctx, mut idx) = build(case);
+    if tracing {
+        ctx.enable_tracing(1 << 20);
+    }
+    ctx.machine_mut().set_fault_plan(*plan);
     ctx.machine_mut().arm_crash_at_event(k);
-    // Sequence number of the last transaction each executed operation
-    // ran (reads re-record the previous value — they commit nothing).
+    // Reads re-record the previous sequence number: they commit nothing.
     let mut op_seq = Vec::with_capacity(ops.len());
     for op in ops {
         apply(idx.as_mut(), &mut ctx, op);
@@ -423,131 +459,127 @@ pub fn run_crash_at_streaming(
     }
     // Power failure: volatile state is lost; events 1..=k survive.
     ctx.crash();
-    // Durably committed transactions form a prefix of the sequence
-    // numbers (markers persist in commit order), so the committed
-    // operation count is a prefix length too.
+    (ctx, idx, op_seq)
+}
+
+/// Replays the case's trace with `plan` armed and a crash at persist
+/// event `k`, recovers, and checks the recovered structure against a
+/// caller-owned [`StreamingOracle`] over [`trace_ops`]. A sweep visiting
+/// ascending `k` advances one model instead of rebuilding it per
+/// point: the committed-prefix length `b` is nondecreasing in `k`.
+///
+/// # Errors
+///
+/// Describes the violation when log replay panics, a fault appears
+/// that the plan cannot explain, or a loss-free recovery breaks
+/// committed-prefix durability, value equality, a structure invariant
+/// or heap-leak accounting.
+pub fn run_at(
+    case: &SweepCase,
+    plan: &FaultPlan,
+    oracle: &mut StreamingOracle<'_>,
+    k: u64,
+) -> Result<(), String> {
+    let (mut ctx, mut idx, op_seq) = crash_at(case, plan, oracle.ops(), k, false);
+    // A torn marker is not Valid, so it does not advance the committed
+    // watermark: the transaction counts as uncommitted, which is the
+    // paper's required reading of a marker that never fully persisted.
     let marker = ctx.durable_commit_seq();
-    let b = op_seq.iter().take_while(|&&seq| seq <= marker).count();
+    let b = committed_prefix(&op_seq, marker);
+    // Faults at a later point may leave a shorter durable prefix than
+    // an earlier point saw; the model then restarts from scratch.
+    if !plan.is_empty() && b < oracle.applied() {
+        *oracle = StreamingOracle::new(oracle.ops());
+    }
     // Advance the model before recovery: if recovery panics, the
     // oracle still holds a valid prefix for the next (larger) k.
     oracle.advance_to(b);
-    ctx.recover();
+    // Log replay itself must never panic, whatever the media did.
+    let report = catch_unwind(AssertUnwindSafe(|| ctx.recover()))
+        .map_err(|p| format!("log replay panicked: {}", panic_message(&*p)))?;
+    attribute_faults(Some(plan), &report, ctx.machine().device())?;
+    if !report.lost_lines.is_empty() {
+        // Degraded and detected: the loss was reported honestly and
+        // every lost line attributed to an injected fault. The
+        // structure-level recovery contract assumes a coherent image —
+        // the application is expected to act on the loss report — and
+        // a half-rolled-back pointer graph can contain cycles that
+        // make a blind structure walk diverge, so the check stops at
+        // the validated log replay.
+        return Ok(());
+    }
     idx.recover(&mut ctx);
     let reachable = idx.reachable(&ctx);
     let leaks = inspect(&ctx, &reachable).leaks.len();
     ctx.gc(&reachable);
-    if let Err(e) = idx.check_invariants(&ctx) {
-        return Err(fail(format!("invariant violated after recovery: {e}")));
-    }
+    idx.check_invariants(&ctx)
+        .map_err(|e| format!("invariant violated after recovery: {e}"))?;
     let after_gc = inspect(&ctx, &reachable);
     if !after_gc.is_clean() {
-        return Err(fail(format!(
+        return Err(format!(
             "{} allocations still leaked after GC reclaimed {leaks}",
             after_gc.leaks.len()
-        )));
+        ));
     }
     oracle
         .check(&ctx, idx.as_ref())
-        .map_err(|e| fail(format!("{e} (marker seq {marker})")))
+        .map_err(|e| format!("{e} (marker seq {marker})"))
 }
 
-/// Replays the machine-level sequence of [`run_crash_at`] — trace,
+/// Replays the machine-level sequence of [`run_at`] — plan armed,
 /// crash at persist event `k`, power failure, log replay — with event
-/// tracing enabled, and returns the captured records. Structure-level
-/// recovery is skipped (it can legitimately panic on the failing
-/// tuples this capture path exists for); panics during log replay are
-/// swallowed so the trace of everything up to the panic still comes
-/// back. Deterministic: the same `(case, k)` always yields the same
-/// records.
-pub fn trace_crash_at(case: &SweepCase, k: u64) -> Vec<slpmt_core::TraceRecord> {
+/// tracing enabled, and returns the captured records.
+/// Structure-level recovery is skipped (it can legitimately panic on
+/// the failing tuples this capture path exists for); panics during log
+/// replay are swallowed so the trace of everything up to the panic
+/// still comes back. Deterministic: the same `(case, plan, k)` always
+/// yields the same records.
+pub fn trace_at(case: &SweepCase, plan: &FaultPlan, k: u64) -> Vec<TraceRecord> {
     let ops = trace_ops(case);
-    let (mut ctx, mut idx) = build(case);
-    ctx.enable_tracing(1 << 20);
-    ctx.machine_mut().arm_crash_at_event(k);
-    for op in &ops {
-        apply(idx.as_mut(), &mut ctx, op);
-        if ctx.machine().crash_tripped() {
-            break;
-        }
-    }
-    ctx.crash();
-    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.recover()));
+    let (mut ctx, _idx, _) = crash_at(case, plan, &ops, k, true);
+    let _ = catch_unwind(AssertUnwindSafe(|| ctx.recover()));
     ctx.take_trace()
 }
 
-/// [`run_crash_at`] with panics converted into failure tuples, so a
-/// sweep over thousands of crash points reports `(scheme, workload,
-/// seed, k)` instead of dying mid-matrix.
-pub fn check_point(case: &SweepCase, k: u64) -> Result<(), SweepFailure> {
-    let ops = trace_ops(case);
-    let mut oracle = StreamingOracle::new(&ops);
-    check_point_streaming(case, &mut oracle, k)
-}
-
-/// [`check_point`] against a caller-owned streaming oracle. The
-/// oracle's prefix is advanced *before* the recovery checks run, so a
-/// panicking point leaves it valid for the next ascending `k`.
-pub fn check_point_streaming(
-    case: &SweepCase,
-    oracle: &mut StreamingOracle<'_>,
-    k: u64,
-) -> Result<(), SweepFailure> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_crash_at_streaming(case, oracle, k)
-    })) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic with non-string payload".to_string());
-            Err(SweepFailure {
-                case: *case,
-                k,
-                detail: format!("panic: {msg}"),
-            })
-        }
-    }
-}
-
-/// Sweeps every crash point of one case serially, returning all
-/// failures (empty = the case is crash-consistent at every persist
-/// event). One streaming oracle serves the whole ascending sweep.
-pub fn sweep_serial(case: &SweepCase) -> Vec<SweepFailure> {
-    let n = count_events(case);
-    let ops = trace_ops(case);
-    let mut oracle = StreamingOracle::new(&ops);
-    (1..=n)
-        .filter_map(|k| check_point_streaming(case, &mut oracle, k).err())
-        .collect()
-}
-
-/// `count` distinct seeded crash points of a case, ascending, drawn
-/// from `1..=N` (`N` = [`count_events`]). The big named-mix traces
-/// generate far more persist events than a sweep can visit
-/// exhaustively; this is the sampled domain the YCSB gates use —
-/// deterministic for a `(case, count)` pair, and ascending so one
-/// streaming oracle covers all of them.
+/// `count` distinct seeded clean-crash points of a case, ascending,
+/// drawn from `1..=N` (`N` = [`count_events`]) — the sampled domain
+/// the driver visits for the case under [`FaultPlan::NONE`].
 pub fn sweep_points(case: &SweepCase, count: usize) -> Vec<u64> {
-    sample_points(case.seed, count_events(case), count)
+    sample_points(
+        EngineTarget.seed(case, &FaultPlan::NONE),
+        count_events(case),
+        count,
+    )
 }
 
-/// [`sweep_points`] with the event count already known (parallel
-/// drivers learn `N` in their crash-free pass and must sample the
-/// identical points).
-pub fn sample_points(seed: u64, n: u64, count: usize) -> Vec<u64> {
-    if n == 0 {
-        return Vec::new();
+/// The engine battery as a [`CrashTarget`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EngineTarget;
+
+impl CrashTarget for EngineTarget {
+    type Case = SweepCase;
+    type Outcome = ();
+    const LABEL: &'static str = "crashsweep";
+
+    fn count(&self, case: &SweepCase) -> u64 {
+        count_events(case)
     }
-    let mut points = std::collections::BTreeSet::new();
-    let mut i = 0u64;
-    while points.len() < count.min(n as usize) {
-        let mut s = seed.rotate_left(23).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i;
-        points.insert(1 + splitmix64(&mut s) % n);
-        i += 1;
+
+    fn seed(&self, case: &SweepCase, plan: &FaultPlan) -> u64 {
+        case.seed ^ plan.seed.rotate_left(17)
     }
-    points.into_iter().collect()
+
+    fn check(&self, case: &SweepCase, plan: &FaultPlan, ks: &[u64]) -> Vec<Result<(), String>> {
+        let ops = trace_ops(case);
+        let mut oracle = StreamingOracle::new(&ops);
+        ks.iter()
+            .map(|&k| guarded(|| run_at(case, plan, &mut oracle, k)))
+            .collect()
+    }
+
+    fn trace(&self, case: &SweepCase, plan: &FaultPlan, k: u64) -> Vec<TraceRecord> {
+        trace_at(case, plan, k)
+    }
 }
 
 #[cfg(test)]
@@ -624,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn sampled_points_are_ascending_and_deterministic() {
+    fn sweep_points_are_ascending_and_deterministic() {
         let case = SweepCase::with_mix(
             Scheme::Slpmt,
             IndexKind::Hashtable,
@@ -665,11 +697,16 @@ mod tests {
         assert_eq!(count_events(&case), count_events(&case));
     }
 
+    fn check_one(case: &SweepCase, plan: &FaultPlan, k: u64) -> Result<(), String> {
+        let ops = trace_ops(case);
+        run_at(case, plan, &mut StreamingOracle::new(&ops), k)
+    }
+
     #[test]
     fn crash_after_all_events_recovers_everything() {
         let case = SweepCase::new(Scheme::Slpmt, IndexKind::Hashtable, 5, 15);
         let n = count_events(&case);
-        run_crash_at(&case, n).unwrap();
+        check_one(&case, &FaultPlan::NONE, n).unwrap();
     }
 
     #[test]
@@ -677,20 +714,89 @@ mod tests {
         // k = 0: the very first durable mutation is dropped, so no
         // transaction ever has a durable marker.
         let case = SweepCase::new(Scheme::Fg, IndexKind::Rbtree, 5, 10);
-        run_crash_at(&case, 0).unwrap();
+        check_one(&case, &FaultPlan::NONE, 0).unwrap();
     }
 
     #[test]
     fn failure_line_is_reproducible() {
         let f = SweepFailure {
+            label: EngineTarget::LABEL,
             case: SweepCase::new(Scheme::Slpmt, IndexKind::Heap, 42, 50),
-            k: 137,
+            plan: FaultPlan::NONE,
+            k: Some(137),
             detail: "boom".into(),
         };
         let line = f.to_string();
+        assert!(line.starts_with("crashsweep FAIL "));
         assert!(line.contains("scheme=SLPMT"));
         assert!(line.contains("workload=heap"));
         assert!(line.contains("seed=42"));
         assert!(line.contains("k=137"));
+        assert!(!line.contains("plan="));
+    }
+
+    // -----------------------------------------------------------------
+    // Media-fault plans
+
+    fn fault_case() -> SweepCase {
+        SweepCase::new(Scheme::Slpmt, IndexKind::Hashtable, 9, 14)
+    }
+
+    fn fault_points(case: &SweepCase, plan: &FaultPlan, count: usize) -> Vec<u64> {
+        sample_points(EngineTarget.seed(case, plan), count_events(case), count)
+    }
+
+    #[test]
+    fn fault_points_move_with_the_plan_seed() {
+        let c = fault_case();
+        let a = fault_points(&c, &default_plans(5)[0], 4);
+        assert_eq!(a.len(), 4);
+        let b = fault_points(&c, &default_plans(6)[0], 4);
+        assert_ne!(a, b, "different plan seeds should pick different ks");
+        // The clean plan samples exactly the crash sweep's points.
+        assert_eq!(fault_points(&c, &FaultPlan::NONE, 4), sweep_points(&c, 4));
+    }
+
+    #[test]
+    fn torn_and_jitter_plans_pass_strict_oracle() {
+        // A tear is indistinguishable from crashing one event earlier,
+        // and jitter never moves durable state.
+        let c = fault_case();
+        for plan in [default_plans(3)[0], default_plans(3)[3]] {
+            assert!(plan.tear != (plan.jitter > 0));
+            for k in fault_points(&c, &plan, 3) {
+                check_one(&c, &plan, k).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn poison_and_flip_plans_degrade_gracefully() {
+        let c = fault_case();
+        for plan in [
+            default_plans(11)[1],
+            default_plans(11)[2],
+            default_plans(11)[4],
+        ] {
+            let ks = fault_points(&c, &plan, 3);
+            for v in EngineTarget.check(&c, &plan, &ks) {
+                v.unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn fault_failure_line_round_trips_through_plan_parser() {
+        let f = SweepFailure {
+            label: EngineTarget::LABEL,
+            case: fault_case(),
+            plan: default_plans(1)[4],
+            k: Some(31),
+            detail: "boom".into(),
+        };
+        let line = f.to_string();
+        let text = line.split("plan=").nth(1).unwrap();
+        let text = text.split_whitespace().next().unwrap();
+        assert_eq!(text.parse::<FaultPlan>().unwrap(), f.plan);
     }
 }

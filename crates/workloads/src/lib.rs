@@ -37,7 +37,6 @@ pub mod avl;
 pub mod client;
 pub mod crashsweep;
 pub mod ctx;
-pub mod faultsweep;
 pub mod hashtable;
 pub mod heap;
 pub mod inspector;
@@ -50,7 +49,6 @@ pub mod ycsb;
 pub use client::{open_loop_arrivals, service_trace, session_of, KvRequest, RetryPolicy};
 pub use crashsweep::{StreamingOracle, SweepCase, SweepFailure};
 pub use ctx::{AnnotationSource, PmContext};
-pub use faultsweep::{FaultCase, FaultFailure};
 pub use inspector::{inspect, HeapReport};
 pub use runner::{
     run_inserts, run_mixed, run_mixed_latencies, DurableIndex, IndexKind, LatencySummary,

@@ -52,7 +52,11 @@
 //! ```
 
 use slpmt::cache::CacheConfig;
-use slpmt::core::{HardwareOverhead, MachineConfig, MachineStats, PtmFlavor, Scheme, SchemeKind};
+use slpmt::core::{
+    CrashTarget, HardwareOverhead, MachineConfig, MachineStats, PtmFlavor, Scheme, SchemeKind,
+    SweepFailure,
+};
+use slpmt::pmem::FaultPlan;
 use slpmt::trace::{export_chrome_trace, JsonWriter, Metrics, TraceRecord};
 use slpmt::workloads::runner::{run_inserts_with, IndexKind};
 use slpmt::workloads::{ycsb_load, AnnotationSource};
@@ -84,6 +88,85 @@ fn dump_trace(records: &[TraceRecord], path: &Path) -> Result<(), String> {
     }
     std::fs::write(path, export_chrome_trace(records))
         .map_err(|e| format!("writing {}: {e}", path.display()))
+}
+
+/// Failing tuples a sweep re-runs with tracing on; the rest stay
+/// replayable one at a time.
+const CAPTURE_CAP: usize = 16;
+
+/// Replays one crash point of a battery — the `--at K` / `--crash-at K`
+/// path. Replays are capture runs: the trace always goes to the same
+/// deterministic path the sweep's auto-capture uses (`name` maps a
+/// tuple to it), so a re-run reproduces the file byte-identically.
+fn replay_point<T: CrashTarget>(
+    target: &T,
+    case: &T::Case,
+    plan: &FaultPlan,
+    k: u64,
+    held: &str,
+    name: impl Fn(&T::Case, &FaultPlan, u64) -> String,
+) -> Result<ExitCode, String> {
+    let verdict = target.check(case, plan, &[k]).remove(0);
+    let path = trace_path(&name(case, plan, k));
+    dump_trace(&target.trace(case, plan, k), &path)?;
+    let fail = SweepFailure {
+        label: T::LABEL,
+        case: *case,
+        plan: *plan,
+        k: Some(k),
+        detail: held.to_string(),
+    };
+    let code = match verdict {
+        Ok(_) => {
+            // The failure line's shape with the verdict swapped in.
+            println!("{}", fail.to_string().replacen(" FAIL ", " OK ", 1));
+            ExitCode::SUCCESS
+        }
+        Err(detail) => {
+            println!("{}", SweepFailure { detail, ..fail });
+            ExitCode::FAILURE
+        }
+    };
+    println!("  trace: {}", path.display());
+    Ok(code)
+}
+
+/// Auto-capture after a sweep: re-runs the first [`CAPTURE_CAP`]
+/// failing tuples with tracing on and dumps each trace to its replay
+/// path (`replay` names the flags that re-run one). Prints the paths
+/// unless `quiet`; returns them in failure order.
+fn capture_failures<T: CrashTarget>(
+    target: &T,
+    failures: &[SweepFailure<T::Case>],
+    replay: &str,
+    quiet: bool,
+    name: impl Fn(&T::Case, &FaultPlan, u64) -> String,
+) -> Result<Vec<PathBuf>, String> {
+    let mut paths = Vec::new();
+    for fail in failures.iter().take(CAPTURE_CAP) {
+        let k = fail.k.unwrap_or(0);
+        let path = trace_path(&name(&fail.case, &fail.plan, k));
+        dump_trace(&target.trace(&fail.case, &fail.plan, k), &path)?;
+        if !quiet {
+            println!("  trace for k={k}: {}", path.display());
+        }
+        paths.push(path);
+    }
+    if !quiet && failures.len() > CAPTURE_CAP {
+        println!(
+            "  ({} more failure(s) not auto-captured; replay with {replay})",
+            failures.len() - CAPTURE_CAP
+        );
+    }
+    Ok(paths)
+}
+
+fn exit_code(clean: bool) -> ExitCode {
+    if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 /// Emits every [`MachineStats`] counter under `key` in the current
@@ -450,10 +533,8 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
 /// `slpmt crashsweep`: the exhaustive persist-event crash sweep, or a
 /// single reproduced `(scheme, workload, seed, k)` point with `--at`.
 fn cmd_crashsweep(args: &[String]) -> Result<ExitCode, String> {
-    use slpmt::bench::crashsweep::{run_sweep, sweep_cases};
-    use slpmt::workloads::crashsweep::{
-        check_point, count_events, trace_crash_at, SweepCase, SWEEP_SCHEMES,
-    };
+    use slpmt::bench::sweep::{run_sweep, sweep_cases, Points, CLEAN};
+    use slpmt::workloads::crashsweep::{count_events, EngineTarget, SweepCase, SWEEP_SCHEMES};
 
     let mut schemes: Vec<SchemeKind> = SWEEP_SCHEMES.iter().map(|&s| s.into()).collect();
     let mut kinds = vec![IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::Heap];
@@ -490,6 +571,9 @@ fn cmd_crashsweep(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
+    let name = |c: &SweepCase, _: &FaultPlan, k: u64| {
+        format!("crashsweep-{}-{}-s{}-k{k}", c.scheme, c.kind, c.seed)
+    };
     if let Some(k) = at {
         // Reproduce one tuple: exactly one scheme and workload.
         let (&scheme, &kind) = match (&schemes[..], &kinds[..]) {
@@ -497,24 +581,14 @@ fn cmd_crashsweep(args: &[String]) -> Result<ExitCode, String> {
             _ => return Err("--at needs exactly one --scheme and one --workload".into()),
         };
         let case = SweepCase::new(scheme, kind, seed, ops);
-        let verdict = check_point(&case, k);
-        // Replays are capture runs: always dump the trace, to the same
-        // deterministic path the sweep's auto-capture uses, so a
-        // re-run reproduces the file byte-identically.
-        let path = trace_path(&format!("crashsweep-{scheme}-{kind}-s{seed}-k{k}"));
-        dump_trace(&trace_crash_at(&case, k), &path)?;
-        return Ok(match verdict {
-            Ok(()) => {
-                println!("crashsweep OK {case} k={k}: recovered to the oracle state");
-                println!("  trace: {}", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(fail) => {
-                println!("{fail}");
-                println!("  trace: {}", path.display());
-                ExitCode::FAILURE
-            }
-        });
+        return replay_point(
+            &EngineTarget,
+            &case,
+            &FaultPlan::NONE,
+            k,
+            "recovered to the oracle state",
+            name,
+        );
     }
 
     let cases = sweep_cases(&schemes, &kinds, seed, ops);
@@ -525,33 +599,11 @@ fn cmd_crashsweep(args: &[String]) -> Result<ExitCode, String> {
         total
     );
     let start = std::time::Instant::now();
-    let report = run_sweep(&cases);
-    print!("{report}");
-    // Auto-capture: re-run each failing tuple with tracing on and dump
-    // the trace next to it (capped — every tuple stays replayable via
-    // `--at K`, which writes the same path).
-    const CAPTURE_CAP: usize = 16;
-    for fail in report.failures.iter().take(CAPTURE_CAP) {
-        let c = &fail.case;
-        let path = trace_path(&format!(
-            "crashsweep-{}-{}-s{}-k{}",
-            c.scheme, c.kind, c.seed, fail.k
-        ));
-        dump_trace(&trace_crash_at(c, fail.k), &path)?;
-        println!("  trace for k={}: {}", fail.k, path.display());
-    }
-    if report.failures.len() > CAPTURE_CAP {
-        println!(
-            "  ({} more failure(s) not auto-captured; replay with --at K)",
-            report.failures.len() - CAPTURE_CAP
-        );
-    }
+    let report = run_sweep(&EngineTarget, &cases, &CLEAN, Points::Exhaustive);
+    print!("crash {report}");
+    capture_failures(&EngineTarget, &report.failures, "--at K", false, name)?;
     println!("({:.2}s)", start.elapsed().as_secs_f64());
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(report.is_clean()))
 }
 
 /// `slpmt faults`: the media-fault sweep — seeded crash points under
@@ -559,10 +611,8 @@ fn cmd_crashsweep(args: &[String]) -> Result<ExitCode, String> {
 /// reproduced `(scheme, workload, seed, k, plan)` point with
 /// `--plan … --at …`.
 fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
-    use slpmt::bench::faultsweep::{fault_cases, run_fault_sweep};
-    use slpmt::pmem::FaultPlan;
-    use slpmt::workloads::crashsweep::{SweepCase, SWEEP_SCHEMES};
-    use slpmt::workloads::faultsweep::{check_fault_point, trace_fault_at, FaultCase};
+    use slpmt::bench::sweep::{run_sweep, sweep_cases, Points};
+    use slpmt::workloads::crashsweep::{default_plans, EngineTarget, SweepCase, SWEEP_SCHEMES};
 
     let mut schemes: Vec<SchemeKind> = SWEEP_SCHEMES.iter().map(|&s| s.into()).collect();
     let mut kinds = vec![IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::Heap];
@@ -608,57 +658,51 @@ fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
+    let name = |c: &SweepCase, plan: &FaultPlan, k: u64| {
+        format!(
+            "faultsweep-{}-{}-s{}-p{plan}-k{k}",
+            c.scheme, c.kind, c.seed
+        )
+    };
     if let Some(k) = at {
         // Reproduce one failure tuple verbatim.
         let (&scheme, &kind, &plan) = match (&schemes[..], &kinds[..], &plans[..]) {
             ([s], [w], [p]) => (s, w, p),
             _ => return Err("--at needs exactly one --scheme, --workload and --plan".into()),
         };
-        let case = FaultCase {
-            base: SweepCase::new(scheme, kind, seed, ops),
-            plan,
-        };
-        let verdict = check_fault_point(&case, k);
-        // Replays are capture runs: dump to the deterministic path the
-        // sweep's auto-capture uses (byte-identical on every re-run).
-        let path = trace_path(&format!("faultsweep-{scheme}-{kind}-s{seed}-p{plan}-k{k}"));
-        dump_trace(&trace_fault_at(&case, k), &path)?;
-        return Ok(match verdict {
-            Ok(()) => {
-                println!("faultsweep OK {case} k={k}: degradation rules held");
-                println!("  trace: {}", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(fail) => {
-                println!("{fail}");
-                println!("  trace: {}", path.display());
-                ExitCode::FAILURE
-            }
-        });
+        let case = SweepCase::new(scheme, kind, seed, ops);
+        return replay_point(
+            &EngineTarget,
+            &case,
+            &plan,
+            k,
+            "degradation rules held",
+            name,
+        );
     }
 
-    let cases = fault_cases(&schemes, &kinds, seed, ops, &plans);
+    if plans.is_empty() {
+        plans = default_plans(seed);
+    }
+    let cases = sweep_cases(&schemes, &kinds, seed, ops);
     if !json {
         println!(
             "fault-sweeping {} cell(s) × {points} crash point(s) (seed {seed}, {ops} ops) ...",
-            cases.len()
+            cases.len() * plans.len()
         );
     }
     let start = std::time::Instant::now();
-    let report = run_fault_sweep(&cases, points);
-    // Auto-capture: re-run each failing tuple with tracing on (capped;
-    // every tuple stays replayable via `--plan P --at K`).
-    const CAPTURE_CAP: usize = 16;
-    let mut captured = Vec::new();
-    for fail in report.failures.iter().take(CAPTURE_CAP) {
-        let b = &fail.case.base;
-        let path = trace_path(&format!(
-            "faultsweep-{}-{}-s{}-p{}-k{}",
-            b.scheme, b.kind, b.seed, fail.case.plan, fail.k
-        ));
-        dump_trace(&trace_fault_at(&fail.case, fail.k), &path)?;
-        captured.push(path);
+    let report = run_sweep(&EngineTarget, &cases, &plans, Points::Sampled(points));
+    if !json {
+        print!("fault {report}");
     }
+    let captured = capture_failures(
+        &EngineTarget,
+        &report.failures,
+        "--plan P --at K",
+        json,
+        name,
+    )?;
     if json {
         let mut w = JsonWriter::new();
         w.begin_obj();
@@ -673,13 +717,13 @@ fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
         w.key("cases");
         w.u64(report.cases as u64);
         w.key("points");
-        w.u64(report.points as u64);
+        w.u64(report.points() as u64);
         w.key("clean");
         w.bool(report.is_clean());
         w.key("failures");
         w.begin_arr();
         for (i, fail) in report.failures.iter().enumerate() {
-            let b = &fail.case.base;
+            let b = &fail.case;
             w.begin_obj();
             w.key("scheme");
             w.string(&b.scheme.to_string());
@@ -690,9 +734,9 @@ fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
             w.key("ops");
             w.u64(b.ops as u64);
             w.key("plan");
-            w.string(&fail.case.plan.to_string());
+            w.string(&fail.plan.to_string());
             w.key("k");
-            w.u64(fail.k);
+            w.u64(fail.k.unwrap_or(0));
             w.key("detail");
             w.string(&fail.detail);
             if let Some(path) = captured.get(i) {
@@ -702,28 +746,12 @@ fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
             w.end_obj();
         }
         w.end_arr();
-        w.key("elapsed_s");
-        w.f64(start.elapsed().as_secs_f64());
         w.end_obj();
         println!("{}", w.finish());
     } else {
-        print!("{report}");
-        for (fail, path) in report.failures.iter().zip(&captured) {
-            println!("  trace for k={}: {}", fail.k, path.display());
-        }
-        if report.failures.len() > CAPTURE_CAP {
-            println!(
-                "  ({} more failure(s) not auto-captured; replay with --plan P --at K)",
-                report.failures.len() - CAPTURE_CAP
-            );
-        }
         println!("({:.2}s)", start.elapsed().as_secs_f64());
     }
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(report.is_clean()))
 }
 
 /// `rr:SEED` or `weighted:SEED`, the format sweep reports print.
@@ -743,10 +771,8 @@ fn parse_sched(v: &str) -> Result<slpmt::core::Schedule, String> {
 /// `slpmt mc`: one deterministic multi-core run — the replay side of
 /// the interleaving and multi-core crash sweeps.
 fn cmd_mc(args: &[String]) -> Result<ExitCode, String> {
-    use slpmt::core::multi::{
-        check_serialized_oracle, gen_programs, mc_check_point, mc_trace_crash_at, run_programs,
-    };
-    use slpmt::core::{McEvent, McSweepCase, ProgramSpec, Schedule};
+    use slpmt::core::multi::{check_serialized_oracle, gen_programs, run_programs};
+    use slpmt::core::{McEvent, McSweepCase, McTarget, ProgramSpec, Schedule};
 
     let mut case = McSweepCase::new(Scheme::Slpmt, 2, 42, Schedule::round_robin(42));
     let mut crash_at: Option<u64> = None;
@@ -785,26 +811,16 @@ fn cmd_mc(args: &[String]) -> Result<ExitCode, String> {
     }
 
     if let Some(k) = crash_at {
-        let verdict = mc_check_point(&case, k);
-        // Replays are capture runs: dump the interleaving's trace to a
-        // deterministic path (byte-identical on every re-run).
-        let path = trace_path(&format!(
-            "mc-{}-c{}-s{}-{}-k{k}",
-            case.scheme, case.cores, case.seed, case.sched
-        ));
-        dump_trace(&mc_trace_crash_at(&case, k), &path)?;
-        return Ok(match verdict {
-            Ok(()) => {
-                println!("mc OK {case} k={k}: recovered within the admissible set");
-                println!("  trace: {}", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(fail) => {
-                println!("{fail}");
-                println!("  trace: {}", path.display());
-                ExitCode::FAILURE
-            }
-        });
+        return replay_point(
+            &McTarget,
+            &case,
+            &FaultPlan::NONE,
+            k,
+            "recovered within the admissible set",
+            |c: &McSweepCase, _: &FaultPlan, k: u64| {
+                format!("mc-{}-c{}-s{}-{}-k{k}", c.scheme, c.cores, c.seed, c.sched)
+            },
+        );
     }
 
     let mut spec = ProgramSpec::small(case.cores, case.seed);
@@ -859,11 +875,7 @@ fn cmd_mc(args: &[String]) -> Result<ExitCode, String> {
         json_stats(&mut w, "stats", &outcome.stats);
         w.end_obj();
         println!("{}", w.finish());
-        return Ok(if oracle.is_ok() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        });
+        return Ok(exit_code(oracle.is_ok()));
     }
     println!(
         "{case}: {} txns/core × {} stores",
@@ -1220,7 +1232,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
     // sweep digest, point counts and contract counters are
     // deterministic — bench.sh hard-gates them — while wall time
     // tracks host throughput of the full serve/recover/retry path.
-    let chaos_cases_v = slpmt::bench::chaos::chaos_cases(
+    let chaos_cases_v = slpmt::kv::chaos::chaos_cases(
         &[Scheme::Slpmt, Scheme::SlpmtRedo],
         IndexKind::KvBtree,
         42,
@@ -1234,10 +1246,10 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
     let mut chaos_report = None;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let r = slpmt::bench::chaos::run_chaos_sweep(&chaos_cases_v, &[], 4);
+        let r = slpmt::bench::sweep::run_chaos_sweep(&chaos_cases_v, &[], 4);
         chaos_wall = chaos_wall.min(t0.elapsed().as_secs_f64());
         if let Some(prev) = &chaos_report {
-            let prev: &slpmt::bench::chaos::ChaosSweepReport = prev;
+            let prev: &slpmt::kv::ChaosSweepReport = prev;
             if prev.digest != r.digest {
                 return Err(format!(
                     "chaos sweep diverged across reps: digest {:016x} vs {:016x}",
@@ -1691,10 +1703,10 @@ fn cmd_ptm(args: &[String]) -> Result<ExitCode, String> {
 /// wall-clock, so output — including `--json` — is bit-identical
 /// across reruns and `SLPMT_THREADS` settings.
 fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
-    use slpmt::bench::crashsweep::run_sweep_sampled;
-    use slpmt::bench::faultsweep::{fault_cases_mixed, run_fault_sweep};
     use slpmt::bench::sharded::run_sharded_mixed;
+    use slpmt::bench::sweep::{run_sweep, Points, CLEAN};
     use slpmt::bench::ycsb::{run_ycsb_matrix, sweep_case_of, ycsb_cells, YcsbConfig};
+    use slpmt::workloads::crashsweep::{default_plans, EngineTarget};
     use slpmt::workloads::ycsb::{ycsb_mix, MixSpec};
 
     let mut mixes: Vec<MixSpec> = MixSpec::NAMED.iter().map(|&(_, m)| m).collect();
@@ -1798,8 +1810,12 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
     // Optional durability gates over the same cells: sampled
     // persist-event crash sweep, then the media-fault battery.
     let cases: Vec<_> = cells.iter().map(|c| sweep_case_of(c, &cfg)).collect();
-    let sweep_report = sweep.then(|| run_sweep_sampled(&cases, points));
-    let fault_report = faults.then(|| run_fault_sweep(&fault_cases_mixed(&cases, &[]), points));
+    let points = Points::Sampled(points);
+    let sweep_report = sweep.then(|| run_sweep(&EngineTarget, &cases, &CLEAN, points));
+    let fault_report = faults.then(|| {
+        let plans = default_plans(cases.first().map_or(0, |c| c.seed));
+        run_sweep(&EngineTarget, &cases, &plans, points)
+    });
 
     if json {
         let mut w = JsonWriter::new();
@@ -1909,7 +1925,7 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
             let fails: Vec<String> = report.failures.iter().map(|f| f.to_string()).collect();
             sweep_json(
                 "crash_sweep",
-                report.points,
+                report.points(),
                 report.cases as u64,
                 report.is_clean(),
                 &fails,
@@ -1919,7 +1935,7 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
             let fails: Vec<String> = report.failures.iter().map(|f| f.to_string()).collect();
             sweep_json(
                 "fault_sweep",
-                report.points,
+                report.points(),
                 report.cases as u64,
                 report.is_clean(),
                 &fails,
@@ -1963,16 +1979,12 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
             print!("crash {report}");
         }
         if let Some(report) = &fault_report {
-            print!("{report}");
+            print!("fault {report}");
         }
     }
     let clean = sweep_report.as_ref().is_none_or(|r| r.is_clean())
         && fault_report.as_ref().is_none_or(|r| r.is_clean());
-    Ok(if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(clean))
 }
 
 /// `slpmt serve`: the deterministic KV request-serving front end — the
@@ -2219,9 +2231,9 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
-    use slpmt::bench::chaos::{chaos_cases, run_chaos_sweep};
-    use slpmt::pmem::FaultPlan;
-    use slpmt::workloads::faultsweep::default_plans;
+    use slpmt::bench::sweep::run_chaos_sweep;
+    use slpmt::kv::chaos::chaos_cases;
+    use slpmt::workloads::crashsweep::default_plans;
     use slpmt::workloads::ycsb::MixSpec;
 
     let mut mixes = vec![MixSpec::YCSB_A, MixSpec::YCSB_B, MixSpec::DELETE_HEAVY];
@@ -2376,11 +2388,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
         print!("{report}");
         println!("  digest {:016x}", report.digest);
     }
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(report.is_clean()))
 }
 
 fn usage() -> ExitCode {

@@ -1,10 +1,10 @@
 //! Exhaustive persist-event crash sweep (oracle-checked recovery).
 //!
-//! Every test enumerates *all* persist events of a fixed seeded trace
-//! and crashes at each one — there is no sampling; see
+//! Every test enumerates *all* persist events `0..=N` of a fixed
+//! seeded trace and crashes at each one — there is no sampling; see
 //! `slpmt::workloads::crashsweep` for the crash-state model and the
-//! oracle. Failures print reproducible `(scheme, workload, seed, k)`
-//! tuples; re-run one with
+//! oracle, and `slpmt::bench::sweep` for the driver. Failures print
+//! reproducible `(scheme, workload, seed, k)` tuples; re-run one with
 //! `slpmt crashsweep --scheme S --ops N --at K`.
 //!
 //! The un-ignored tests are the PR gate: a scheme subset × three
@@ -13,11 +13,10 @@
 //! workers). The `#[ignore]`d test is the nightly exhaustive matrix:
 //! all ten schemes, ≥50-transaction traces.
 
-use slpmt::bench::crashsweep::{run_sweep, sweep_cases};
-use slpmt::bench::runner::par_map;
-use slpmt::core::multi::{mc_count_events, mc_sweep_serial};
-use slpmt::core::{McSweepCase, Schedule, Scheme};
-use slpmt::workloads::crashsweep::{count_events, sweep_serial, SweepCase};
+use slpmt::bench::sweep::{run_sweep, run_sweep_with, sweep_cases, Points, CLEAN};
+use slpmt::core::multi::mc_count_events;
+use slpmt::core::{McSweepCase, McTarget, Schedule, Scheme};
+use slpmt::workloads::crashsweep::{count_events, EngineTarget, SweepCase};
 use slpmt::workloads::runner::IndexKind;
 
 const SEED: u64 = 42;
@@ -41,8 +40,8 @@ const GATE_KINDS: [IndexKind; 3] = [IndexKind::Hashtable, IndexKind::Rbtree, Ind
 #[test]
 fn gate_sweep_every_persist_event() {
     let cases = sweep_cases(&GATE_SCHEMES, &GATE_KINDS, SEED, 12);
-    let report = run_sweep(&cases);
-    assert!(report.points > 0);
+    let report = run_sweep(&EngineTarget, &cases, &CLEAN, Points::Exhaustive);
+    assert!(report.points() > 0);
     assert!(report.is_clean(), "{report}");
 }
 
@@ -52,16 +51,9 @@ fn sweep_covers_lazy_and_selective_features() {
     // (signatures, log-free stores, lazy drains) on the structure with
     // the most auxiliary transactions (hashtable resize + close-window
     // preliminary transactions).
-    let failures = sweep_serial(&SweepCase::new(Scheme::Slpmt, IndexKind::Hashtable, 7, 10));
-    assert!(
-        failures.is_empty(),
-        "{}",
-        failures
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    let case = SweepCase::new(Scheme::Slpmt, IndexKind::Hashtable, 7, 10);
+    let report = run_sweep_with(&EngineTarget, &[case], &CLEAN, Points::Exhaustive, 1);
+    assert!(report.is_clean(), "{report}");
 }
 
 #[test]
@@ -88,11 +80,8 @@ fn gate_mc_sweep_every_persist_event() {
         McSweepCase::new(Scheme::SlpmtRedo, 2, SEED, Schedule::weighted(3)),
         McSweepCase::new(Scheme::Fg, 2, SEED, Schedule::weighted(9)),
     ];
-    let failures: Vec<String> = par_map(&cases, mc_sweep_serial)
-        .into_iter()
-        .flatten()
-        .collect();
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    let report = run_sweep(&McTarget, &cases, &CLEAN, Points::Exhaustive);
+    assert!(report.is_clean(), "{report}");
 }
 
 #[test]
@@ -141,11 +130,8 @@ fn full_mc_sweep_all_schemes() {
             }
         }
     }
-    let failures: Vec<String> = par_map(&cases, mc_sweep_serial)
-        .into_iter()
-        .flatten()
-        .collect();
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    let report = run_sweep(&McTarget, &cases, &CLEAN, Points::Exhaustive);
+    assert!(report.is_clean(), "{report}");
 }
 
 /// Nightly exhaustive matrix: all ten schemes × three workloads, ≥50
@@ -156,7 +142,7 @@ fn full_mc_sweep_all_schemes() {
 fn full_sweep_all_schemes() {
     use slpmt::workloads::crashsweep::SWEEP_SCHEMES;
     let cases = sweep_cases(&SWEEP_SCHEMES, &GATE_KINDS, SEED, 50);
-    let report = run_sweep(&cases);
+    let report = run_sweep(&EngineTarget, &cases, &CLEAN, Points::Exhaustive);
     println!("{report}");
     assert!(report.is_clean(), "{report}");
 }
@@ -170,7 +156,7 @@ fn full_sweep_multiple_seeds() {
     use slpmt::workloads::crashsweep::SWEEP_SCHEMES;
     for seed in [1, 7, 99, 1234] {
         let cases = sweep_cases(&SWEEP_SCHEMES, &GATE_KINDS, seed, 30);
-        let report = run_sweep(&cases);
+        let report = run_sweep(&EngineTarget, &cases, &CLEAN, Points::Exhaustive);
         println!("seed {seed}: {report}");
         assert!(report.is_clean(), "seed {seed}: {report}");
     }

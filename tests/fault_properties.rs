@@ -13,26 +13,35 @@
 //!   oracle intact. The `#[ignore]`d variant widens the matrix for
 //!   nightly runs.
 
-use slpmt::bench::faultsweep::{fault_cases, run_fault_sweep};
-use slpmt::core::RecoveryReport;
+use slpmt::bench::sweep::{run_sweep, sweep_cases, Points};
+use slpmt::core::sweep::sample_points;
+use slpmt::core::{CrashTarget, RecoveryReport};
 use slpmt::pmem::{FaultPlan, PmAddr};
-use slpmt::workloads::crashsweep::{trace_ops, SweepCase, SWEEP_SCHEMES};
-use slpmt::workloads::faultsweep::{fault_points, FaultCase};
+use slpmt::workloads::crashsweep::{
+    count_events, default_plans, trace_ops, EngineTarget, SweepCase, SWEEP_SCHEMES,
+};
 use slpmt::workloads::runner::IndexKind;
 use slpmt::workloads::{AnnotationSource, MixedOp, PmContext};
 use slpmt_prng::{splitmix64, SimRng};
 
+/// A fault cell: a crash-sweep case under one plan.
+type FaultCase = (SweepCase, FaultPlan);
+
+/// The cell's seeded crash points, as the sweep driver samples them.
+fn fault_points((base, plan): &FaultCase, count: usize) -> Vec<u64> {
+    sample_points(EngineTarget.seed(base, plan), count_events(base), count)
+}
+
 /// Runs one `(case, k)` fault point to completion — trace, crash,
 /// log replay — and returns the recovery report, a fold of every
 /// touched word of the recovered image, and the persist-event count.
-fn run_once(case: &FaultCase, k: u64) -> (RecoveryReport, u64, u64) {
-    let ops = trace_ops(&case.base);
-    let mut ctx = PmContext::new(case.base.scheme, slpmt::annotate::AnnotationTable::new());
-    let mut idx = case
-        .base
+fn run_once((base, plan): &FaultCase, k: u64) -> (RecoveryReport, u64, u64) {
+    let ops = trace_ops(base);
+    let mut ctx = PmContext::new(base.scheme, slpmt::annotate::AnnotationTable::new());
+    let mut idx = base
         .kind
-        .build(&mut ctx, case.base.value_size, AnnotationSource::Manual);
-    ctx.machine_mut().set_fault_plan(case.plan);
+        .build(&mut ctx, base.value_size, AnnotationSource::Manual);
+    ctx.machine_mut().set_fault_plan(*plan);
     ctx.machine_mut().arm_crash_at_event(k);
     for op in &ops {
         match op {
@@ -92,16 +101,17 @@ fn fault_replay_is_bit_identical() {
             jitter: if rng.gen_bool(0.5) { 300 } else { 0 },
         };
         let scheme = SWEEP_SCHEMES[(i as usize * 3) % SWEEP_SCHEMES.len()];
-        let case = FaultCase {
-            base: SweepCase::new(scheme, kinds[i as usize % kinds.len()], 7 + i, 12),
+        let case = (
+            SweepCase::new(scheme, kinds[i as usize % kinds.len()], 7 + i, 12),
             plan,
-        };
+        );
+        let tuple = format!("{} plan={plan}", case.0);
         for k in fault_points(&case, 2) {
             let a = run_once(&case, k);
             let b = run_once(&case, k);
-            assert_eq!(a.0, b.0, "{case} k={k}: recovery report must replay");
-            assert_eq!(a.1, b.1, "{case} k={k}: recovered image must replay");
-            assert_eq!(a.2, b.2, "{case} k={k}: event count must replay");
+            assert_eq!(a.0, b.0, "{tuple} k={k}: recovery report must replay");
+            assert_eq!(a.1, b.1, "{tuple} k={k}: recovered image must replay");
+            assert_eq!(a.2, b.2, "{tuple} k={k}: event count must replay");
         }
     }
 }
@@ -110,15 +120,17 @@ fn fault_replay_is_bit_identical() {
 fn plan_seed_changes_where_faults_land() {
     // Two plans differing only in seed must not be the same failure —
     // otherwise the "seeded deterministic" claim is vacuous.
-    let mk = |seed| FaultCase {
-        base: SweepCase::new(slpmt::core::Scheme::Slpmt, IndexKind::Hashtable, 11, 14),
-        plan: FaultPlan {
-            seed,
-            tear: true,
-            poison_lines: 2,
-            flip_records: 1,
-            ..FaultPlan::NONE
-        },
+    let mk = |seed| {
+        (
+            SweepCase::new(slpmt::core::Scheme::Slpmt, IndexKind::Hashtable, 11, 14),
+            FaultPlan {
+                seed,
+                tear: true,
+                poison_lines: 2,
+                flip_records: 1,
+                ..FaultPlan::NONE
+            },
+        )
     };
     let (a, b) = (mk(1), mk(2));
     let k = fault_points(&a, 1)[0];
@@ -134,18 +146,22 @@ fn plan_seed_changes_where_faults_land() {
 /// workloads, the default plan battery, two seeded crash points each.
 #[test]
 fn fault_sweep_gate() {
-    let cases = fault_cases(
+    let cases = sweep_cases(
         &SWEEP_SCHEMES,
         &[IndexKind::Hashtable, IndexKind::Heap],
         42,
         12,
-        &[],
     );
-    let report = run_fault_sweep(&cases, 2);
+    let report = run_sweep(
+        &EngineTarget,
+        &cases,
+        &default_plans(42),
+        Points::Sampled(2),
+    );
     assert!(
-        report.points >= 200,
+        report.points() >= 200,
         "gate must cover ≥200 points, got {}",
-        report.points
+        report.points()
     );
     assert!(report.is_clean(), "{report}");
 }
@@ -155,14 +171,18 @@ fn fault_sweep_gate() {
 #[test]
 #[ignore = "wide fault matrix; run nightly or on demand"]
 fn fault_sweep_nightly() {
-    let cases = fault_cases(
+    let cases = sweep_cases(
         &SWEEP_SCHEMES,
         &[IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::Heap],
         1234,
         30,
-        &[],
     );
-    let report = run_fault_sweep(&cases, 4);
-    assert!(report.points >= 600);
+    let report = run_sweep(
+        &EngineTarget,
+        &cases,
+        &default_plans(1234),
+        Points::Sampled(4),
+    );
+    assert!(report.points() >= 600);
     assert!(report.is_clean(), "{report}");
 }

@@ -18,9 +18,10 @@
 //! * determinism: the whole sweep is byte-identical across worker
 //!   counts (the `SLPMT_THREADS` contract).
 
-use slpmt::bench::chaos::{chaos_cases, run_chaos_sweep_with, ChaosSweepReport};
+use slpmt::bench::sweep::run_chaos_sweep_with;
 use slpmt::core::Scheme;
-use slpmt::workloads::faultsweep::default_plans;
+use slpmt::kv::chaos::{chaos_cases, ChaosSweepReport};
+use slpmt::workloads::crashsweep::default_plans;
 use slpmt::workloads::runner::IndexKind;
 use slpmt::workloads::ycsb::MixSpec;
 

@@ -1,8 +1,9 @@
 //! Crash and media-fault sweeps *through the service facade* (issue 8
 //! satellite): every operation travels request → wire encoding →
 //! codec parse → dispatch → facade transaction before the crash
-//! lands, and recovery goes through `KvStore::recover`'s
-//! crash-to-ready sequence. The oracle is the engine's
+//! lands, and recovery goes through the facade's crash-to-ready
+//! sequence (`KvStore::replay` then `rebuild`), driven by the generic
+//! sweep driver (`slpmt::bench::sweep`). The oracle is the engine's
 //! `StreamingOracle`, advanced monotonically over each case so the
 //! whole sweep pays O(trace) model work.
 //!
@@ -12,13 +13,12 @@
 //! without a matching knob, every lost line traced to an injected
 //! fault, strict oracle when nothing was lost).
 
+use slpmt::bench::sweep::{run_sweep, Points, CLEAN};
+use slpmt::core::sweep::guarded;
 use slpmt::core::Scheme;
-use slpmt::kv::sweep::{
-    check_service_point, count_service_events, run_service_fault_at, service_ops, service_points,
-    KvSweepCase,
-};
-use slpmt::workloads::crashsweep::{sample_points, StreamingOracle};
-use slpmt::workloads::faultsweep::default_plans;
+use slpmt::kv::sweep::{count_service_events, run_at, service_ops, KvSweepCase, ServiceTarget};
+use slpmt::pmem::FaultPlan;
+use slpmt::workloads::crashsweep::{default_plans, StreamingOracle};
 use slpmt::workloads::runner::IndexKind;
 use slpmt::workloads::ycsb::MixSpec;
 
@@ -39,29 +39,24 @@ fn cases() -> Vec<KvSweepCase> {
 fn service_crash_battery_two_hundred_points() {
     const POINTS_PER_CASE: usize = 48;
     let cases = cases();
-    let mut total = 0usize;
-    let mut failures = Vec::new();
-    for case in &cases {
-        let n = count_service_events(case);
-        assert!(n > 0, "{case}: no persist events");
-        let (ops, _) = service_ops(case);
-        let mut oracle = StreamingOracle::new(&ops);
-        for k in service_points(case, n, POINTS_PER_CASE) {
-            total += 1;
-            if let Some(fail) = check_service_point(case, &mut oracle, k) {
-                failures.push(fail);
-            }
-        }
+    let report = run_sweep(
+        &ServiceTarget,
+        &cases,
+        &CLEAN,
+        Points::Sampled(POINTS_PER_CASE),
+    );
+    for (case, n) in cases.iter().zip(&report.events) {
+        assert!(n.is_some_and(|n| n > 0), "{case}: no persist events");
     }
+    let total = report.points();
     assert!(
         total >= 200,
         "battery must sample at least 200 crash points, got {total}"
     );
     assert!(
-        failures.is_empty(),
-        "{} of {total} facade crash points failed:\n{}",
-        failures.len(),
-        failures.join("\n")
+        report.is_clean(),
+        "{} of {total} facade crash points failed:\n{report}",
+        report.failures.len()
     );
 }
 
@@ -76,24 +71,12 @@ fn service_fault_battery_five_plans() {
     ];
     let plans = default_plans(0x8EED_FA17);
     assert_eq!(plans.len(), 5, "the battery is defined as five plans");
-    let mut failures = Vec::new();
-    for case in &fault_cases {
-        let n = count_service_events(case);
-        for (p, plan) in plans.iter().enumerate() {
-            // Fresh seeded points per (case, plan): the fault path
-            // re-replays from scratch, so no shared oracle is needed.
-            for k in sample_points(case.seed ^ (p as u64) << 8, n, 6) {
-                if let Err(e) = run_service_fault_at(case, plan, k) {
-                    failures.push(format!("{case} plan[{p}] @k={k}: {e}"));
-                }
-            }
-        }
-    }
+    let report = run_sweep(&ServiceTarget, &fault_cases, &plans, Points::Sampled(6));
+    assert!(report.points() > 0);
     assert!(
-        failures.is_empty(),
-        "{} fault points failed:\n{}",
-        failures.len(),
-        failures.join("\n")
+        report.is_clean(),
+        "{} fault points failed:\n{report}",
+        report.failures.len()
     );
 }
 
@@ -109,9 +92,9 @@ fn crash_point_failures_would_be_reported() {
     // Advance the model to the full trace, then crash at the very
     // first persist event: the recovered store cannot match.
     poisoned.advance_to(ops.len());
-    let fail = check_service_point(&case, &mut poisoned, 1);
+    let fail = guarded(|| run_at(&case, &FaultPlan::NONE, &mut poisoned, 1));
     assert!(
-        fail.is_some(),
+        fail.is_err(),
         "a maximally advanced oracle must flag an early crash"
     );
 }

@@ -7,10 +7,10 @@
 //! goes through the full stack: `PmContext` dispatch, the bench
 //! matrix/sweep drivers, and the streaming recovery oracle.
 
-use slpmt::bench::crashsweep::{run_sweep, run_sweep_sampled, sweep_cases, sweep_cases_mixed};
-use slpmt::bench::faultsweep::{fault_cases, run_fault_sweep};
 use slpmt::bench::runner::{matrix, run_matrix_with};
+use slpmt::bench::sweep::{run_sweep, sweep_cases, sweep_cases_mixed, Points, CLEAN};
 use slpmt::core::{PtmFlavor, Scheme, SchemeKind};
+use slpmt::workloads::crashsweep::{default_plans, EngineTarget};
 use slpmt::workloads::runner::{run_inserts, IndexKind, RunResult};
 use slpmt::workloads::ycsb::MixSpec;
 use slpmt::workloads::ycsb_load;
@@ -149,8 +149,8 @@ fn undo_and_redo_crash_battery_200_points() {
     for mix in [MixSpec::YCSB_A, MixSpec::DELETE_HEAVY] {
         cases.extend(sweep_cases_mixed(&flavors, &kinds, SEED, 8, 24, mix));
     }
-    let report = run_sweep_sampled(&cases, 26);
-    assert!(report.points >= 200, "only {} points", report.points);
+    let report = run_sweep(&EngineTarget, &cases, &CLEAN, Points::Sampled(26));
+    assert!(report.points() >= 200, "only {} points", report.points());
     assert!(report.is_clean(), "{report}");
 }
 
@@ -160,8 +160,8 @@ fn undo_and_redo_crash_battery_200_points() {
 #[test]
 fn every_flavor_survives_exhaustive_tiny_sweep() {
     let cases = sweep_cases(&SchemeKind::SOFTWARE, &[IndexKind::Hashtable], 7, 8);
-    let report = run_sweep(&cases);
-    assert!(report.points > 0);
+    let report = run_sweep(&EngineTarget, &cases, &CLEAN, Points::Exhaustive);
+    assert!(report.points() > 0);
     assert!(report.is_clean(), "{report}");
 }
 
@@ -183,8 +183,8 @@ fn nightly_software_crash_soak() {
             mix,
         ));
     }
-    let report = run_sweep_sampled(&cases, 40);
-    assert!(report.points >= 1000, "only {} points", report.points);
+    let report = run_sweep(&EngineTarget, &cases, &CLEAN, Points::Sampled(40));
+    assert!(report.points() >= 1000, "only {} points", report.points());
     assert!(report.is_clean(), "{report}");
 }
 
@@ -193,7 +193,7 @@ fn nightly_software_crash_soak() {
 /// (CRC-caught tears, lost lines only under injected faults).
 #[test]
 fn software_fault_battery_degrades_within_rules() {
-    let cases = fault_cases(
+    let cases = sweep_cases(
         &[
             SchemeKind::from(PtmFlavor::UndoLog),
             PtmFlavor::RedoLog.into(),
@@ -201,9 +201,13 @@ fn software_fault_battery_degrades_within_rules() {
         &[IndexKind::Heap],
         11,
         12,
-        &[],
     );
-    let report = run_fault_sweep(&cases, 3);
-    assert!(report.points > 0);
+    let report = run_sweep(
+        &EngineTarget,
+        &cases,
+        &default_plans(11),
+        Points::Sampled(3),
+    );
+    assert!(report.points() > 0);
     assert!(report.is_clean(), "{report}");
 }

@@ -7,24 +7,31 @@
 //! zipfian variants concentrate that churn on a migrating hot set so
 //! the *same* lines are recycled across phases. Every point is checked
 //! by the streaming recovery oracle (`slpmt::workloads::crashsweep::
-//! StreamingOracle`) — one model advanced monotonically through the
-//! sampled crash points, never rebuilt per point.
+//! StreamingOracle`) — one model advanced monotonically through each
+//! chunk of sampled crash points, never rebuilt per point.
 //!
 //! Failures print reproducible `(scheme, workload, seed, k, mix)`
 //! tuples; replay one with `slpmt crashsweep --scheme S --workload W
 //! --seed N --at K` after switching the case to the same mix, or
 //! through `slpmt ycsb --mix M --scheme S --workload W --sweep`.
 
-use slpmt::bench::crashsweep::{run_sweep_sampled, sweep_cases_mixed};
-use slpmt::bench::faultsweep::{fault_cases_mixed, run_fault_sweep};
+use slpmt::bench::sweep::{run_sweep, sweep_cases_mixed, Points, CLEAN};
+use slpmt::core::sweep::SweepReport;
 use slpmt::core::Scheme;
+use slpmt::pmem::FaultPlan;
 use slpmt::workloads::crashsweep::{
-    check_point_streaming, sweep_points, trace_ops, StreamingOracle, SweepCase, SWEEP_SCHEMES,
+    default_plans, run_at, sweep_points, trace_ops, EngineTarget, StreamingOracle, SweepCase,
+    SWEEP_SCHEMES,
 };
 use slpmt::workloads::runner::IndexKind;
 use slpmt::workloads::ycsb::MixSpec;
 
 const SEED: u64 = 42;
+
+/// The sampled clean-crash sweep of a case matrix.
+fn sampled(cases: &[SweepCase], points: usize) -> SweepReport<SweepCase> {
+    run_sweep(&EngineTarget, cases, &CLEAN, Points::Sampled(points))
+}
 
 /// The four in-place kernels of the paper's Figure 8 matrix.
 const KERNELS: [IndexKind; 4] = [
@@ -55,8 +62,8 @@ fn gate_delete_heavy_kernels_all_schemes() {
         30,
         MixSpec::DELETE_HEAVY,
     );
-    let report = run_sweep_sampled(&cases, 6);
-    assert!(report.points >= 200, "only {} points", report.points);
+    let report = sampled(&cases, 6);
+    assert!(report.points() >= 200, "only {} points", report.points());
     assert!(report.is_clean(), "{report}");
 }
 
@@ -72,8 +79,8 @@ fn gate_delete_heavy_kv_trees_all_schemes() {
         30,
         MixSpec::DELETE_HEAVY,
     );
-    let report = run_sweep_sampled(&cases, 6);
-    assert!(report.points >= 200, "only {} points", report.points);
+    let report = sampled(&cases, 6);
+    assert!(report.points() >= 200, "only {} points", report.points());
     assert!(report.is_clean(), "{report}");
 }
 
@@ -93,8 +100,8 @@ fn gate_zipfian_churn_concentrates_recycling() {
     ];
     let kinds = [IndexKind::Hashtable, IndexKind::Rbtree];
     let cases = sweep_cases_mixed(&schemes, &kinds, SEED, 16, 40, MixSpec::DELETE_HEAVY_ZIPF);
-    let report = run_sweep_sampled(&cases, 8);
-    assert!(report.points >= 90, "only {} points", report.points);
+    let report = sampled(&cases, 8);
+    assert!(report.points() >= 90, "only {} points", report.points());
     assert!(report.is_clean(), "{report}");
 }
 
@@ -119,8 +126,8 @@ fn gate_scan_and_rmw_mixes_survive_crashes() {
         40,
         MixSpec::YCSB_F,
     ));
-    let report = run_sweep_sampled(&cases, 6);
-    assert!(report.points >= 40, "only {} points", report.points);
+    let report = sampled(&cases, 6);
+    assert!(report.points() >= 40, "only {} points", report.points());
     assert!(report.is_clean(), "{report}");
 }
 
@@ -138,9 +145,9 @@ fn gate_delete_heavy_media_faults() {
         20,
         MixSpec::DELETE_HEAVY,
     );
-    let cases = fault_cases_mixed(&bases, &[]);
-    let report = run_fault_sweep(&cases, 2);
-    assert!(report.points > 0);
+    let plans = default_plans(SEED);
+    let report = run_sweep(&EngineTarget, &bases, &plans, Points::Sampled(2));
+    assert!(report.points() > 0);
     assert!(report.is_clean(), "{report}");
 }
 
@@ -162,7 +169,7 @@ fn oracle_work_stays_linear_across_a_sweep() {
     assert!(points.len() >= 16);
     let mut oracle = StreamingOracle::new(&ops);
     for &k in &points {
-        check_point_streaming(&case, &mut oracle, k).unwrap();
+        run_at(&case, &FaultPlan::NONE, &mut oracle, k).unwrap();
     }
     assert!(
         oracle.work() <= ops.len() as u64,
@@ -193,7 +200,7 @@ fn nightly_million_op_delete_heavy_sweep() {
     let points = sweep_points(&case, 4);
     let mut oracle = StreamingOracle::new(&ops);
     for &k in &points {
-        check_point_streaming(&case, &mut oracle, k).unwrap();
+        run_at(&case, &FaultPlan::NONE, &mut oracle, k).unwrap();
     }
     assert!(
         oracle.work() <= ops.len() as u64,
@@ -211,7 +218,7 @@ fn nightly_million_op_delete_heavy_sweep() {
 fn nightly_named_mix_matrix() {
     for (name, mix) in MixSpec::NAMED {
         let cases = sweep_cases_mixed(&SWEEP_SCHEMES, &KERNELS, SEED, 30, 120, *mix);
-        let report = run_sweep_sampled(&cases, 8);
+        let report = sampled(&cases, 8);
         println!("mix {name}: {report}");
         assert!(report.is_clean(), "mix {name}: {report}");
     }
