@@ -19,6 +19,9 @@
 //! | `micro`  | microbenches of the core structures |
 //! | `sim_throughput` | wall-clock simulator throughput (self-benchmark) |
 //!
+//! [`snapshot`] records the `BENCH_<n>.json` performance snapshot
+//! behind `slpmt bench`.
+//!
 //! The operation count defaults to the paper's 1,000 inserts; set
 //! `SLPMT_OPS` to shrink runs (e.g. in CI). Set `SLPMT_CSV=<path>` to
 //! append every comparison row as CSV for plotting. Matrix-style
@@ -34,6 +37,7 @@ pub mod micro;
 pub mod runner;
 pub mod serve;
 pub mod sharded;
+pub mod snapshot;
 pub mod sweep;
 pub mod ycsb;
 

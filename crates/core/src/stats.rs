@@ -2,57 +2,83 @@
 
 use std::fmt;
 
-/// Counters accumulated by [`Machine`](crate::Machine) during a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MachineStats {
+/// Declares [`MachineStats`] from one list of `(doc, field)` counters:
+/// the struct, [`MachineStats::counters`] (the `--json` key order) and
+/// [`MachineStats::accumulate`] all expand from it, so adding a counter
+/// is one line here.
+macro_rules! machine_stats {
+    ($($(#[doc = $doc:literal])+ $field:ident,)+) => {
+        /// Counters accumulated by [`Machine`](crate::Machine) during a run.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MachineStats {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        impl MachineStats {
+            /// Every counter as `(field name, value)`, in declaration
+            /// order — the key order of the CLI's `--json` stats objects.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field),)+].into_iter()
+            }
+
+            /// Adds `other`'s counters into `self` (merging per-shard or
+            /// per-worker runs; field-wise, order-independent).
+            pub fn accumulate(&mut self, other: &MachineStats) {
+                $(self.$field += other.$field;)+
+            }
+        }
+    };
+}
+
+machine_stats! {
     /// Load instructions executed.
-    pub loads: u64,
+    loads,
     /// Store-family instructions executed (plain and `storeT`).
-    pub stores: u64,
+    stores,
     /// Stores that executed with `storeT` semantics honoured.
-    pub store_ts: u64,
+    store_ts,
     /// Transactions begun.
-    pub tx_begins: u64,
+    tx_begins,
     /// Transactions committed.
-    pub tx_commits: u64,
+    tx_commits,
     /// Transactions aborted.
-    pub tx_aborts: u64,
+    tx_aborts,
     /// Suspended (switched-out) transactions aborted by conflicts.
-    pub suspended_aborts: u64,
+    suspended_aborts,
     /// Open transactions of *other cores* aborted by a conflicting
     /// access (multi-core execution; requester wins, as in §V-C).
-    pub cross_core_aborts: u64,
+    cross_core_aborts,
     /// Cross-core abort repairs skipped because a victim's durable
     /// record failed validation (torn/corrupt) — the roll-back is left
     /// to post-crash recovery instead of replaying garbage.
-    pub cross_core_repair_aborts: u64,
+    cross_core_repair_aborts,
     /// Undo/redo log records created (before coalescing).
-    pub log_records_created: u64,
+    log_records_created,
     /// Log records discarded at commit because their line was lazy.
-    pub log_records_discarded: u64,
+    log_records_discarded,
     /// Data lines persisted eagerly at commit.
-    pub commit_line_persists: u64,
+    commit_line_persists,
     /// Lines whose persistence was deferred past commit (lazy).
-    pub lazy_lines_deferred: u64,
+    lazy_lines_deferred,
     /// Deferred lines later forced to persist by a conflict or ID
     /// recycling.
-    pub lazy_lines_forced: u64,
+    lazy_lines_forced,
     /// Deferred lines that persisted as a side effect of cache overflow.
-    pub lazy_lines_overflowed: u64,
+    lazy_lines_overflowed,
     /// Signature hits that triggered forced persistence.
-    pub signature_hits: u64,
+    signature_hits,
     /// Cycles spent stalled at commit (log drain + data persists).
-    pub commit_stall_cycles: u64,
-    /// Cycles charged as pure compute by the workload.
-    pub compute_cycles: u64,
+    commit_stall_cycles,
     /// Explicit `sfence` instructions executed (software PTM paths;
     /// hardware schemes order persists in the commit engine instead).
-    pub fences: u64,
+    fences,
     /// Explicit `clwb` flush instructions executed (software PTM
     /// paths).
-    pub flushes: u64,
+    flushes,
     /// Cycles spent stalled in `sfence` waiting for the WPQ to drain.
-    pub fence_stall_cycles: u64,
+    fence_stall_cycles,
+    /// Cycles charged as pure compute by the workload.
+    compute_cycles,
 }
 
 impl MachineStats {
@@ -84,32 +110,6 @@ impl MachineStats {
             self.signature_hits,
             self.commit_stall_cycles
         )
-    }
-
-    /// Adds `other`'s counters into `self` (merging per-shard or
-    /// per-worker runs; field-wise, order-independent).
-    pub fn accumulate(&mut self, other: &MachineStats) {
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.store_ts += other.store_ts;
-        self.tx_begins += other.tx_begins;
-        self.tx_commits += other.tx_commits;
-        self.tx_aborts += other.tx_aborts;
-        self.suspended_aborts += other.suspended_aborts;
-        self.cross_core_aborts += other.cross_core_aborts;
-        self.cross_core_repair_aborts += other.cross_core_repair_aborts;
-        self.log_records_created += other.log_records_created;
-        self.log_records_discarded += other.log_records_discarded;
-        self.commit_line_persists += other.commit_line_persists;
-        self.lazy_lines_deferred += other.lazy_lines_deferred;
-        self.lazy_lines_forced += other.lazy_lines_forced;
-        self.lazy_lines_overflowed += other.lazy_lines_overflowed;
-        self.signature_hits += other.signature_hits;
-        self.commit_stall_cycles += other.commit_stall_cycles;
-        self.compute_cycles += other.compute_cycles;
-        self.fences += other.fences;
-        self.flushes += other.flushes;
-        self.fence_stall_cycles += other.fence_stall_cycles;
     }
 }
 
@@ -171,6 +171,20 @@ mod tests {
         let s = MachineStats::new();
         assert_eq!(s.loads, 0);
         assert_eq!(s.tx_commits, 0);
+    }
+
+    #[test]
+    fn counters_cover_every_field_in_json_order() {
+        let mut s = MachineStats {
+            loads: 1,
+            compute_cycles: 2,
+            ..MachineStats::new()
+        };
+        s.accumulate(&s.clone());
+        let names: Vec<_> = s.counters().map(|(n, _)| n).collect();
+        assert_eq!(names.len(), 21);
+        assert_eq!((names[0], names[20]), ("loads", "compute_cycles"));
+        assert_eq!(s.counters().map(|(_, v)| v).sum::<u64>(), 6);
     }
 
     #[test]

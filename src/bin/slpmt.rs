@@ -1,57 +1,23 @@
 //! `slpmt` — command-line front end for the simulator.
 //!
-//! ```text
-//! slpmt schemes                         list hardware designs
-//! slpmt overhead                        §III-D hardware budget
-//! slpmt run <index> [options]           run YCSB-load inserts
-//! slpmt compare <index> [options]       all schemes side by side
-//! slpmt matrix [options]                full scheme × index matrix (parallel)
-//! slpmt trace [trace options]           capture an event trace (Perfetto JSON)
-//! slpmt crashsweep [sweep options]      exhaustive persist-event crash sweep
-//! slpmt faults [fault options]          media-fault sweep (tear/poison/flip/jitter)
-//! slpmt mc [mc options]                 deterministic multi-core run
-//! slpmt shards <index> [shard options]  keyspace-sharded scaling run
-//! slpmt ycsb [ycsb options]             named-mix matrix (A–F, delete-heavy, …)
-//! slpmt serve [serve options]           KV service front end (memcached-text facade)
-//! slpmt ptm [ptm options]               software-PTM baseline matrix (fences, WAF)
+//! Every subcommand, its flags and its one-line description live in
+//! one table, `COMMANDS`; `slpmt` with no (or an unknown) command
+//! prints it via `usage()`. Each command's synopsis is also its flag
+//! spec for the one parser, `Flags`, so the help text cannot drift
+//! from what is accepted.
 //!
-//! options: --scheme <name> --ops <n> --value <bytes>
-//!          --annotations <manual|compiler|none> --latency <ns>
-//! trace options: --scheme <name> --workload <name> --ops <n>
-//!                --value <bytes> --seed <n> --out <file>
-//! sweep options: --scheme <name|all> --workload <name|all>
-//!                --seed <n> --ops <n> [--at <k>]
-//! fault options: sweep options plus --points <n> and
-//!                --plan s<seed>:t<0|1>[:w<word>]:p<n>:f<n>:j<n>
-//!                (repeatable; `--plan P --at K` replays one point)
-//! mc options: --scheme <name> --cores <2-4> --seed <n>
-//!             --sched <rr:K|weighted:K> --txns <n> --stores <n>
-//!             --skew <theta-milli> [--crash-at <k>]
-//! shard options: --scheme <name> --ops <n> --value <bytes> --shards <n>
-//! ycsb options: --mix <a..f|delete-heavy|delete-heavy-zipf|churn|all>
-//!               --scheme <name|all> --workload <name|all> --load <n>
-//!               --ops <n> --value <bytes> --seed <n> [--sweep] [--faults]
-//!               [--points <n>] [--shards <n>] [--json]
-//! serve options: --mix <m[,m..]|all> --scheme <name|all> --workload <name>
-//!                --shards <n[,n..]> --load <n> --requests <n> --value <bytes>
-//!                --seed <n> --sessions <n> [--open-loop] [--gap <cycles>]
-//!                [--jitter <window>] [--queue-limit <n>] [--json]
-//! ptm options: --scheme <name|all> --workload <name|all> --ops <n>
-//!              --value <bytes> [--json]
-//!
-//! `matrix` and `crashsweep` fan their cells across worker threads
-//! (one per available core; override with SLPMT_THREADS, where 1
-//! forces a serial run); the merged output is identical for any
-//! worker count. `crashsweep --at K` replays exactly one failing
+//! `matrix` and the sweeps fan their cells across worker threads (one
+//! per available core; override with SLPMT_THREADS, where 1 forces a
+//! serial run); the merged output is identical for any worker count.
+//! `crashsweep --at K` replays exactly one failing
 //! `(scheme, workload, seed, k)` tuple from a sweep report; `mc`
 //! replays one `(scheme, cores, seed, schedule)` interleaving tuple
 //! from an interleaving-sweep report (`--crash-at K` additionally arms
 //! a crash at persist event K and oracle-checks recovery). `shards`
 //! runs share-nothing keyspace shards on `SLPMT_THREADS` host workers
 //! and reports *simulated* scaling (ops per kilocycle of makespan).
-//! ```
 
-use slpmt::cache::CacheConfig;
+use slpmt::cache::{CacheConfig, TxnId};
 use slpmt::core::{
     CrashTarget, HardwareOverhead, MachineConfig, MachineStats, PtmFlavor, Scheme, SchemeKind,
     SweepFailure,
@@ -59,9 +25,12 @@ use slpmt::core::{
 use slpmt::pmem::FaultPlan;
 use slpmt::trace::{export_chrome_trace, JsonWriter, Metrics, TraceRecord};
 use slpmt::workloads::runner::{run_inserts_with, IndexKind};
+use slpmt::workloads::ycsb::MixSpec;
 use slpmt::workloads::{ycsb_load, AnnotationSource};
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// The deterministic dump path for a captured trace: a sanitised stem
 /// under `target/traces/`. The same reproducer tuple always maps to
@@ -174,59 +143,256 @@ fn exit_code(clean: bool) -> ExitCode {
 fn json_stats(w: &mut JsonWriter, key: &str, s: &MachineStats) {
     w.key(key);
     w.begin_obj();
-    for (name, v) in [
-        ("loads", s.loads),
-        ("stores", s.stores),
-        ("store_ts", s.store_ts),
-        ("tx_begins", s.tx_begins),
-        ("tx_commits", s.tx_commits),
-        ("tx_aborts", s.tx_aborts),
-        ("suspended_aborts", s.suspended_aborts),
-        ("cross_core_aborts", s.cross_core_aborts),
-        ("cross_core_repair_aborts", s.cross_core_repair_aborts),
-        ("log_records_created", s.log_records_created),
-        ("log_records_discarded", s.log_records_discarded),
-        ("commit_line_persists", s.commit_line_persists),
-        ("lazy_lines_deferred", s.lazy_lines_deferred),
-        ("lazy_lines_forced", s.lazy_lines_forced),
-        ("lazy_lines_overflowed", s.lazy_lines_overflowed),
-        ("signature_hits", s.signature_hits),
-        ("commit_stall_cycles", s.commit_stall_cycles),
-        ("fences", s.fences),
-        ("flushes", s.flushes),
-        ("fence_stall_cycles", s.fence_stall_cycles),
-        ("compute_cycles", s.compute_cycles),
-    ] {
+    for (name, v) in s.counters() {
         w.key(name);
         w.u64(v);
     }
     w.end_obj();
 }
 
-struct Options {
-    scheme: Scheme,
-    ops: usize,
-    value: usize,
-    annotations: AnnotationSource,
-    latency_ns: Option<u64>,
+/// One command's flags, split in a single pass against its synopsis
+/// and read back through typed getters. Errors are collected with
+/// their argument position rather than returned, so [`Flags::finish`]
+/// reports the first one in argument order — the message a
+/// left-to-right parse stops at — whatever order the getters run in.
+struct Flags {
+    /// The `<index>` positional, for commands whose synopsis starts
+    /// with it.
+    index: Option<IndexKind>,
+    /// `(position, flag, value)` per given flag; a getter takes the
+    /// entries it reads, so whatever is left at `finish` is unknown.
+    given: Vec<(usize, String, String)>,
+    /// Every error so far, with the argument position it belongs to.
+    errors: Vec<(usize, String)>,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            scheme: Scheme::Slpmt,
-            ops: 1000,
-            value: 256,
-            annotations: AnnotationSource::Manual,
-            latency_ns: None,
+impl Flags {
+    /// Splits `args` into flags by `synopsis` (a [`Command::synopsis`]):
+    /// `[--flag X]` takes a value, `[--flag]` is a switch, and a leading
+    /// `<index>` is a required index name. `None` when that positional
+    /// is missing or unknown.
+    fn parse(synopsis: &str, args: &[String]) -> Option<Flags> {
+        let mut args = args.iter();
+        let index = if synopsis.starts_with("<index>") {
+            Some(args.next().and_then(|k| parse_kind(k))?)
+        } else {
+            None
+        };
+        let mut flags = Flags {
+            index,
+            given: Vec::new(),
+            errors: Vec::new(),
+        };
+        let tokens: Vec<&str> = synopsis.split_whitespace().collect();
+        let mut args = args.enumerate();
+        while let Some((pos, flag)) = args.next() {
+            let named = flag.starts_with("--");
+            if named && tokens.contains(&format!("[{flag}]").as_str()) {
+                flags.given.push((pos, flag.clone(), String::new()));
+            } else if named
+                && tokens
+                    .iter()
+                    .any(|t| t.strip_prefix('[') == Some(flag.as_str()))
+            {
+                match args.next() {
+                    Some((_, value)) => flags.given.push((pos, flag.clone(), value.clone())),
+                    None => flags.errors.push((pos, format!("{flag} needs a value"))),
+                }
+            } else {
+                flags.errors.push((pos, format!("unknown option {flag}")));
+            }
+        }
+        Some(flags)
+    }
+
+    /// The `<index>` positional.
+    fn index(&self) -> IndexKind {
+        self.index.expect("dispatch parsed the <index> positional")
+    }
+
+    /// Every value given for `flag`, in order, each mapped by `parse`;
+    /// a failure is kept as an error at that flag's position.
+    fn each<T>(&mut self, flag: &str, parse: impl Fn(&str) -> Result<T, String>) -> Vec<T> {
+        let mut out = Vec::new();
+        for (pos, _, value) in self.given.extract_if(.., |(_, f, _)| f == flag) {
+            match parse(&value) {
+                Ok(v) => out.push(v),
+                Err(e) => self.errors.push((pos, e)),
+            }
+        }
+        out
+    }
+
+    /// The last value of `flag` mapped by `parse` (earlier ones are
+    /// still checked), `None` if it is absent.
+    fn last<T>(&mut self, flag: &str, parse: impl Fn(&str) -> Result<T, String>) -> Option<T> {
+        self.each(flag, parse).pop()
+    }
+
+    /// Whether the switch `flag` was given.
+    fn flag(&mut self, flag: &str) -> bool {
+        !self.each(flag, |_| Ok(())).is_empty()
+    }
+
+    /// Every value of the repeatable `flag`, parsed as `T`.
+    fn all<T: FromStr>(&mut self, flag: &str) -> Vec<T>
+    where
+        T::Err: Display,
+    {
+        self.each(flag, |v| v.parse().map_err(|e| format!("{flag}: {e}")))
+    }
+
+    /// The last value of `flag` parsed as `T`, if given.
+    fn opt<T: FromStr>(&mut self, flag: &str) -> Option<T>
+    where
+        T::Err: Display,
+    {
+        self.all(flag).pop()
+    }
+
+    /// `flag` parsed as `T`, or `default`.
+    fn get<T: FromStr>(&mut self, flag: &str, default: T) -> T
+    where
+        T::Err: Display,
+    {
+        self.opt(flag).unwrap_or(default)
+    }
+
+    /// [`get`](Self::get), rejecting a value outside `ok` with
+    /// "`flag` `rule`".
+    fn checked<T: FromStr + Copy>(
+        &mut self,
+        flag: &str,
+        default: T,
+        ok: impl Fn(T) -> bool,
+        rule: &str,
+    ) -> T
+    where
+        T::Err: Display,
+    {
+        self.last(flag, |v| match v.parse() {
+            Ok(n) if ok(n) => Ok(n),
+            Ok(_) => Err(format!("{flag} {rule}")),
+            Err(e) => Err(format!("{flag}: {e}")),
+        })
+        .unwrap_or(default)
+    }
+
+    /// A count that must be at least 1 (`--points`, `--reps`,
+    /// `--shards`): zero would make a sweep vacuous or a run empty.
+    fn positive<T: FromStr + Copy + PartialOrd + From<u8>>(&mut self, flag: &str, default: T) -> T
+    where
+        T::Err: Display,
+    {
+        self.checked(flag, default, |n| n >= T::from(1), "must be at least 1")
+    }
+
+    /// `--value`: payload bytes, in whole 8-byte words (stores are
+    /// issued a word at a time).
+    fn value(&mut self, default: usize) -> usize {
+        self.checked(
+            "--value",
+            default,
+            |b| b % 8 == 0,
+            "must be a multiple of 8",
+        )
+    }
+
+    /// `flag` as one `parse`d name (`unknown <what> X` otherwise), or
+    /// the command's `all` set for `all` where it has one.
+    fn pick<T: Copy>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        default: &[T],
+        all: Option<&[T]>,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Vec<T> {
+        self.last(flag, |v| match all {
+            Some(all) if v.eq_ignore_ascii_case("all") => Ok(all.to_vec()),
+            _ => parse(v)
+                .map(|x| vec![x])
+                .ok_or_else(|| format!("unknown {what} {v}")),
+        })
+        .unwrap_or_else(|| default.to_vec())
+    }
+
+    /// `--scheme`: any registry scheme, or `all`.
+    fn schemes(&mut self, default: &[SchemeKind], all: &[SchemeKind]) -> Vec<SchemeKind> {
+        self.pick("--scheme", "scheme", default, Some(all), SchemeKind::parse)
+    }
+
+    /// `--scheme` for the hardware-only commands (no `all`).
+    fn hw_scheme(&mut self, default: Scheme) -> Scheme {
+        self.pick("--scheme", "scheme", &[default], None, |v| {
+            SchemeKind::parse(v).and_then(SchemeKind::hardware)
+        })[0]
+    }
+
+    /// `--workload`: one index, or `all`.
+    fn kinds(&mut self, default: &[IndexKind], all: &[IndexKind]) -> Vec<IndexKind> {
+        self.pick("--workload", "workload", default, Some(all), parse_kind)
+    }
+
+    /// `--workload` for the single-index commands (no `all`).
+    fn kind(&mut self, default: IndexKind) -> IndexKind {
+        self.pick("--workload", "workload", &[default], None, parse_kind)[0]
+    }
+
+    /// `--mix`: a registry name or `r..u..w..s..d..l..:dist` spec, or
+    /// `all` for every named mix; with `list`, comma-separated mixes.
+    fn mixes(&mut self, default: &[MixSpec], list: bool) -> Vec<MixSpec> {
+        self.last("--mix", |v| {
+            if v.eq_ignore_ascii_case("all") {
+                return Ok(named_mixes());
+            }
+            let parts: Vec<&str> = if list {
+                v.split(',').collect()
+            } else {
+                vec![v]
+            };
+            parts
+                .into_iter()
+                .map(|m| m.parse().map_err(|e| format!("--mix: {e}")))
+                .collect()
+        })
+        .unwrap_or_else(|| default.to_vec())
+    }
+
+    /// `--mix` and `--value` together: updates and read-modify-writes
+    /// write `(key, version)` payloads of two words, so a mix with
+    /// either needs at least 16-byte values; read-only mixes take any
+    /// whole-word size.
+    fn mixes_and_value(
+        &mut self,
+        default: &[MixSpec],
+        list: bool,
+        value: usize,
+    ) -> (Vec<MixSpec>, usize) {
+        let mixes = self.mixes(default, list);
+        let value = self.value(value);
+        if let Some(m) = mixes.iter().find(|m| m.update_pct + m.rmw_pct > 0) {
+            if value < 16 {
+                self.errors.push((
+                    usize::MAX,
+                    format!("--value must be at least 16 for mix {m} (updates write two words)"),
+                ));
+            }
+        }
+        (mixes, value)
+    }
+
+    /// Fails with the first error in argument order, counting any
+    /// flag no getter read as unknown.
+    fn finish(&mut self) -> Result<(), String> {
+        for (pos, flag, _) in self.given.drain(..) {
+            self.errors.push((pos, format!("unknown option {flag}")));
+        }
+        match self.errors.iter().min_by_key(|(pos, _)| *pos) {
+            Some((_, e)) => Err(e.clone()),
+            None => Ok(()),
         }
     }
-}
-
-/// Hardware-only scheme lookup, resolved through the shared
-/// [`SchemeKind::REGISTRY`] (the single source of scheme names).
-fn parse_scheme(name: &str) -> Option<Scheme> {
-    SchemeKind::parse(name).and_then(SchemeKind::hardware)
 }
 
 fn parse_kind(name: &str) -> Option<IndexKind> {
@@ -235,37 +401,54 @@ fn parse_kind(name: &str) -> Option<IndexKind> {
         .find(|k| k.to_string().eq_ignore_ascii_case(name))
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut o = Options::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--scheme" => {
-                let v = value()?;
-                o.scheme = parse_scheme(&v).ok_or_else(|| format!("unknown scheme {v}"))?;
-            }
-            "--ops" => o.ops = value()?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--value" => o.value = value()?.parse().map_err(|e| format!("--value: {e}"))?,
-            "--annotations" => {
-                o.annotations = match value()?.as_str() {
-                    "manual" => AnnotationSource::Manual,
-                    "compiler" => AnnotationSource::Compiler,
-                    "none" => AnnotationSource::None,
-                    other => return Err(format!("unknown annotation source {other}")),
-                }
-            }
-            "--latency" => {
-                o.latency_ns = Some(value()?.parse().map_err(|e| format!("--latency: {e}"))?)
-            }
-            other => return Err(format!("unknown option {other}")),
+fn named_mixes() -> Vec<MixSpec> {
+    MixSpec::NAMED.iter().map(|&(_, m)| m).collect()
+}
+
+/// `rr:SEED` or `weighted:SEED`, the format sweep reports print.
+fn parse_sched(v: &str) -> Result<slpmt::core::Schedule, String> {
+    use slpmt::core::Schedule;
+    let (policy, seed) = v
+        .split_once(':')
+        .ok_or_else(|| format!("schedule {v} is not <rr|weighted>:<seed>"))?;
+    let seed: u64 = seed.parse().map_err(|e| format!("schedule seed: {e}"))?;
+    match policy {
+        "rr" => Ok(Schedule::round_robin(seed)),
+        "weighted" => Ok(Schedule::weighted(seed)),
+        other => Err(format!("unknown schedule policy {other}")),
+    }
+}
+
+fn parse_annotations(v: &str) -> Result<AnnotationSource, String> {
+    match v {
+        "manual" => Ok(AnnotationSource::Manual),
+        "compiler" => Ok(AnnotationSource::Compiler),
+        "none" => Ok(AnnotationSource::None),
+        other => Err(format!("unknown annotation source {other}")),
+    }
+}
+
+/// The flags `run`, `compare` and `matrix` share.
+struct Options {
+    scheme: Scheme,
+    ops: usize,
+    value: usize,
+    annotations: AnnotationSource,
+    latency_ns: Option<u64>,
+}
+
+impl Options {
+    fn parse(f: &mut Flags) -> Options {
+        Options {
+            scheme: f.hw_scheme(Scheme::Slpmt),
+            ops: f.get("--ops", 1000),
+            value: f.value(256),
+            annotations: f
+                .last("--annotations", parse_annotations)
+                .unwrap_or(AnnotationSource::Manual),
+            latency_ns: f.opt("--latency"),
         }
     }
-    Ok(o)
 }
 
 fn config_for(o: &Options, scheme: Scheme) -> MachineConfig {
@@ -276,7 +459,25 @@ fn config_for(o: &Options, scheme: Scheme) -> MachineConfig {
     cfg
 }
 
-fn cmd_schemes() {
+/// The workload set `crashsweep` and `faults` default to; their
+/// `--workload all` keeps it.
+const SWEEP_KINDS: [IndexKind; 3] = [IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::Heap];
+
+/// The flags `crashsweep` and `faults` share: schemes, workloads,
+/// seed and ops.
+fn sweep_flags(f: &mut Flags, ops: usize) -> (Vec<SchemeKind>, Vec<IndexKind>, u64, usize) {
+    use slpmt::workloads::crashsweep::SWEEP_SCHEMES;
+    let schemes: Vec<SchemeKind> = SWEEP_SCHEMES.iter().map(|&s| s.into()).collect();
+    (
+        f.schemes(&schemes, &SchemeKind::REGISTRY),
+        f.kinds(&SWEEP_KINDS, &SWEEP_KINDS),
+        f.get("--seed", 42),
+        f.get("--ops", ops),
+    )
+}
+
+fn cmd_schemes(f: &mut Flags) -> Result<ExitCode, String> {
+    f.finish()?;
     println!(
         "{:<10} {:<6} {:<8} {:<9} {:<6} {:<11}",
         "scheme", "gran.", "buffer", "log-free", "lazy", "discipline"
@@ -314,9 +515,11 @@ fn cmd_schemes() {
             }
         }
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_overhead() {
+fn cmd_overhead(f: &mut Flags) -> Result<ExitCode, String> {
+    f.finish()?;
     let oh = HardwareOverhead::for_config(&CacheConfig::default());
     println!("per-core SLPMT storage (§III-D):");
     println!(
@@ -329,9 +532,13 @@ fn cmd_overhead() {
         "  total          : {:.1} KB (paper: 6.1 KB)",
         oh.total_bytes() as f64 / 1024.0
     );
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_run(kind: IndexKind, o: &Options) {
+fn cmd_run(f: &mut Flags) -> Result<ExitCode, String> {
+    let kind = f.index();
+    let o = &Options::parse(f);
+    f.finish()?;
     let ops = ycsb_load(o.ops, o.value, 42);
     let r = run_inserts_with(
         config_for(o, o.scheme),
@@ -353,9 +560,13 @@ fn cmd_run(kind: IndexKind, o: &Options) {
         r.traffic.log_records
     );
     println!("{}", r.stats);
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_compare(kind: IndexKind, o: &Options) {
+fn cmd_compare(f: &mut Flags) -> Result<ExitCode, String> {
+    let kind = f.index();
+    let o = &Options::parse(f);
+    f.finish()?;
     let ops = ycsb_load(o.ops, o.value, 42);
     let base = run_inserts_with(
         config_for(o, Scheme::Fg),
@@ -387,9 +598,13 @@ fn cmd_compare(kind: IndexKind, o: &Options) {
             -r.traffic_reduction_vs(&base) * 100.0,
         );
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_matrix(o: &Options, json: bool) {
+fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
+    let o = &Options::parse(f);
+    let json = f.flag("--json");
+    f.finish()?;
     use slpmt::bench::runner::{fig08_cells, run_matrix, threads};
     let ops = ycsb_load(o.ops, o.value, 42);
     let cells = fig08_cells(&IndexKind::ALL);
@@ -441,7 +656,7 @@ fn cmd_matrix(o: &Options, json: bool) {
         w.end_arr();
         w.end_obj();
         println!("{}", w.finish());
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
     println!(
         "scheme × index matrix: {} cells, {} × {} B inserts, {} worker(s), {:.2}s",
@@ -470,43 +685,22 @@ fn cmd_matrix(o: &Options, json: bool) {
             );
         }
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `slpmt trace`: run a seeded workload with event tracing on, export
 /// the Chrome/Perfetto trace to `--out`, and print the metrics
 /// snapshot folded from the very same records.
-fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_trace(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::workloads::runner::run_inserts_traced;
 
-    let mut scheme = Scheme::Slpmt;
-    let mut kind = IndexKind::Hashtable;
-    let mut ops = 50usize;
-    let mut value = 64usize;
-    let mut seed = 42u64;
-    let mut out = PathBuf::from("trace.json");
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--scheme" => {
-                let v = val()?;
-                scheme = parse_scheme(&v).ok_or_else(|| format!("unknown scheme {v}"))?;
-            }
-            "--workload" => {
-                let v = val()?;
-                kind = parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?;
-            }
-            "--ops" => ops = val()?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--value" => value = val()?.parse().map_err(|e| format!("--value: {e}"))?,
-            "--seed" => seed = val()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--out" => out = PathBuf::from(val()?),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
+    let scheme = f.hw_scheme(Scheme::Slpmt);
+    let kind = f.kind(IndexKind::Hashtable);
+    let ops = f.get("--ops", 50usize);
+    let value = f.value(64);
+    let seed = f.get("--seed", 42u64);
+    let out = f.get("--out", PathBuf::from("trace.json"));
+    f.finish()?;
 
     let stream = ycsb_load(ops, value, seed);
     let (r, records) = run_inserts_traced(
@@ -532,44 +726,13 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, String> {
 
 /// `slpmt crashsweep`: the exhaustive persist-event crash sweep, or a
 /// single reproduced `(scheme, workload, seed, k)` point with `--at`.
-fn cmd_crashsweep(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_crashsweep(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::bench::sweep::{run_sweep, sweep_cases, Points, CLEAN};
-    use slpmt::workloads::crashsweep::{count_events, EngineTarget, SweepCase, SWEEP_SCHEMES};
+    use slpmt::workloads::crashsweep::{count_events, EngineTarget, SweepCase};
 
-    let mut schemes: Vec<SchemeKind> = SWEEP_SCHEMES.iter().map(|&s| s.into()).collect();
-    let mut kinds = vec![IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::Heap];
-    let mut seed = 42u64;
-    let mut ops = 50usize;
-    let mut at: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--scheme" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = SchemeKind::REGISTRY.to_vec();
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
-            }
-            "--workload" => {
-                let v = value()?;
-                if !v.eq_ignore_ascii_case("all") {
-                    kinds = vec![parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?];
-                }
-            }
-            "--seed" => seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--ops" => ops = value()?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--at" => at = Some(value()?.parse().map_err(|e| format!("--at: {e}"))?),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
+    let (schemes, kinds, seed, ops) = sweep_flags(f, 50);
+    let at: Option<u64> = f.opt("--at");
+    f.finish()?;
 
     let name = |c: &SweepCase, _: &FaultPlan, k: u64| {
         format!("crashsweep-{}-{}-s{}-k{k}", c.scheme, c.kind, c.seed)
@@ -610,53 +773,16 @@ fn cmd_crashsweep(args: &[String]) -> Result<ExitCode, String> {
 /// torn-write / poison / bit-flip / jitter plans — or a single
 /// reproduced `(scheme, workload, seed, k, plan)` point with
 /// `--plan … --at …`.
-fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_faults(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::bench::sweep::{run_sweep, sweep_cases, Points};
-    use slpmt::workloads::crashsweep::{default_plans, EngineTarget, SweepCase, SWEEP_SCHEMES};
+    use slpmt::workloads::crashsweep::{default_plans, EngineTarget, SweepCase};
 
-    let mut schemes: Vec<SchemeKind> = SWEEP_SCHEMES.iter().map(|&s| s.into()).collect();
-    let mut kinds = vec![IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::Heap];
-    let mut seed = 42u64;
-    let mut ops = 20usize;
-    let mut points = 2usize;
-    let mut plans: Vec<FaultPlan> = Vec::new();
-    let mut at: Option<u64> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--json" {
-            json = true;
-            continue;
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--scheme" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = SchemeKind::REGISTRY.to_vec();
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
-            }
-            "--workload" => {
-                let v = value()?;
-                if !v.eq_ignore_ascii_case("all") {
-                    kinds = vec![parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?];
-                }
-            }
-            "--seed" => seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--ops" => ops = value()?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--points" => points = value()?.parse().map_err(|e| format!("--points: {e}"))?,
-            "--plan" => plans.push(value()?.parse().map_err(|e| format!("--plan: {e}"))?),
-            "--at" => at = Some(value()?.parse().map_err(|e| format!("--at: {e}"))?),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
+    let (schemes, kinds, seed, ops) = sweep_flags(f, 20);
+    let points = f.positive("--points", 2);
+    let mut plans: Vec<FaultPlan> = f.all("--plan");
+    let at: Option<u64> = f.opt("--at");
+    let json = f.flag("--json");
+    f.finish()?;
 
     let name = |c: &SweepCase, plan: &FaultPlan, k: u64| {
         format!(
@@ -754,61 +880,30 @@ fn cmd_faults(args: &[String]) -> Result<ExitCode, String> {
     Ok(exit_code(report.is_clean()))
 }
 
-/// `rr:SEED` or `weighted:SEED`, the format sweep reports print.
-fn parse_sched(v: &str) -> Result<slpmt::core::Schedule, String> {
-    use slpmt::core::Schedule;
-    let (policy, seed) = v
-        .split_once(':')
-        .ok_or_else(|| format!("schedule {v} is not <rr|weighted>:<seed>"))?;
-    let seed: u64 = seed.parse().map_err(|e| format!("schedule seed: {e}"))?;
-    match policy {
-        "rr" => Ok(Schedule::round_robin(seed)),
-        "weighted" => Ok(Schedule::weighted(seed)),
-        other => Err(format!("unknown schedule policy {other}")),
-    }
-}
-
 /// `slpmt mc`: one deterministic multi-core run — the replay side of
 /// the interleaving and multi-core crash sweeps.
-fn cmd_mc(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_mc(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::core::multi::{check_serialized_oracle, gen_programs, run_programs};
     use slpmt::core::{McEvent, McSweepCase, McTarget, ProgramSpec, Schedule};
 
     let mut case = McSweepCase::new(Scheme::Slpmt, 2, 42, Schedule::round_robin(42));
-    let mut crash_at: Option<u64> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--json" {
-            json = true;
-            continue;
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--scheme" => {
-                let v = value()?;
-                case.scheme = parse_scheme(&v).ok_or_else(|| format!("unknown scheme {v}"))?;
-            }
-            "--cores" => case.cores = value()?.parse().map_err(|e| format!("--cores: {e}"))?,
-            "--seed" => case.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--sched" => case.sched = parse_sched(&value()?)?,
-            "--txns" => {
-                case.txns_per_core = value()?.parse().map_err(|e| format!("--txns: {e}"))?
-            }
-            "--stores" => {
-                case.stores_per_txn = value()?.parse().map_err(|e| format!("--stores: {e}"))?
-            }
-            "--skew" => case.skew = value()?.parse().map_err(|e| format!("--skew: {e}"))?,
-            "--crash-at" => {
-                crash_at = Some(value()?.parse().map_err(|e| format!("--crash-at: {e}"))?)
-            }
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
+    let max_cores = TxnId::COUNT as usize;
+    case.scheme = f.hw_scheme(case.scheme);
+    case.cores = f.checked(
+        "--cores",
+        case.cores,
+        |c| (1..=max_cores).contains(&c),
+        &format!("must be in 1..={max_cores} (one transaction context per core)"),
+    );
+    case.seed = f.get("--seed", case.seed);
+    case.sched = f.last("--sched", parse_sched).unwrap_or(case.sched);
+    case.txns_per_core = f.get("--txns", case.txns_per_core);
+    case.stores_per_txn = f.get("--stores", case.stores_per_txn);
+    // 0 is uniform; the zipfian sampler needs a skew in (0, 1).
+    case.skew = f.checked("--skew", case.skew, |s| s <= 999, "must be in 0..=999");
+    let crash_at: Option<u64> = f.opt("--crash-at");
+    let json = f.flag("--json");
+    f.finish()?;
 
     if let Some(k) = crash_at {
         return replay_point(
@@ -920,39 +1015,16 @@ fn cmd_mc(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `slpmt shards`: the share-nothing scaling run.
-fn cmd_shards(kind: IndexKind, args: &[String]) -> Result<ExitCode, String> {
+fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::bench::sharded::run_sharded;
 
-    let mut scheme = Scheme::Slpmt;
-    let mut ops = 1000usize;
-    let mut value = 256usize;
-    let mut shards = 4usize;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--json" {
-            json = true;
-            continue;
-        }
-        let mut val = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--scheme" => {
-                let v = val()?;
-                scheme = parse_scheme(&v).ok_or_else(|| format!("unknown scheme {v}"))?;
-            }
-            "--ops" => ops = val()?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--value" => value = val()?.parse().map_err(|e| format!("--value: {e}"))?,
-            "--shards" => shards = val()?.parse().map_err(|e| format!("--shards: {e}"))?,
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
+    let kind = f.index();
+    let scheme = f.hw_scheme(Scheme::Slpmt);
+    let ops = f.get("--ops", 1000usize);
+    let value = f.value(256);
+    let shards = f.positive("--shards", 4);
+    let json = f.flag("--json");
+    f.finish()?;
 
     let stream = ycsb_load(ops, value, 42);
     let run = |n: usize| {
@@ -1033,523 +1105,19 @@ fn cmd_shards(kind: IndexKind, args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Short git revision for tagging benchmark snapshots, `unknown`
-/// outside a work tree.
-fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
 /// `slpmt bench`: the performance snapshot behind `BENCH_<n>.json`
-/// (`scripts/bench.sh`). Times three hot-path drivers — the
-/// scheme×index matrix, the multi-core engine, and the 16-way sharded
-/// driver at 1/4/8/16 workers — plus the per-op microbenches, and
-/// emits one schema-stable JSON object. Simulated columns (cycles,
-/// ops/kcycle) are deterministic; wall-clock columns are best-of
-/// `--reps`, mirroring `scripts/trace_overhead.sh`'s best-of-N
-/// discipline so one noisy run cannot fake a regression.
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    use slpmt::bench::micro;
-    use slpmt::bench::runner::{fig08_cells, run_matrix_with, threads};
-    use slpmt::bench::sharded::run_sharded_with;
-    use slpmt::core::multi::{gen_programs, run_programs};
-    use slpmt::core::{ProgramSpec, Schedule};
-    use std::time::Instant;
-
-    let mut ops = 1000usize;
-    let mut value = 256usize;
-    let mut reps = 3u32;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--json" {
-            json = true;
-            continue;
-        }
-        let mut val = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--ops" => ops = val()?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--value" => value = val()?.parse().map_err(|e| format!("--value: {e}"))?,
-            "--reps" => reps = val()?.parse().map_err(|e| format!("--reps: {e}"))?,
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    if reps == 0 {
-        return Err("--reps must be at least 1".into());
-    }
-
-    let stream = ycsb_load(ops, value, 42);
-    let workers = threads();
-
-    // Matrix: every fig08 cell once, fanned across the default worker
-    // pool. Sim-throughput = simulated inserts retired per host second.
-    let cells = fig08_cells(&IndexKind::ALL);
-    let mut matrix_wall = f64::INFINITY;
-    let mut matrix_cells = 0usize;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let results = run_matrix_with(
-            &cells,
-            workers,
-            &stream,
-            value,
-            AnnotationSource::Manual,
-            None,
-        );
-        matrix_wall = matrix_wall.min(t0.elapsed().as_secs_f64());
-        matrix_cells = results.len();
-    }
-    let matrix_sim_ops = (matrix_cells * ops) as f64;
-    let matrix_ops_per_s = matrix_sim_ops / matrix_wall;
-
-    // Multi-core engine: a fixed 4-core round-robin program mix.
-    let mut spec = ProgramSpec::small(4, 42);
-    spec.txns_per_core = 64;
-    spec.stores_per_txn = 8;
-    let programs = gen_programs(&spec);
-    let mc_ops: u64 = programs.iter().map(|p| p.len() as u64).sum();
-    let mut mc_wall = f64::INFINITY;
-    let mut mc_cycles = 0u64;
-    let mut mc_commits = 0u64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let (mm, _outcome) = run_programs(
-            MachineConfig::for_scheme(Scheme::Slpmt),
-            &programs,
-            Schedule::round_robin(42),
-        );
-        mc_wall = mc_wall.min(t0.elapsed().as_secs_f64());
-        mc_cycles = mm.machine().now();
-        mc_commits = mm.machine().stats().tx_commits;
-    }
-    // Conflict aborts make commit counts schedule-dependent, so the
-    // throughput metric is trace operations executed per host second.
-    let mc_ops_per_s = mc_ops as f64 / mc_wall;
-
-    // Sharded driver: 16 keyspace shards, worker sweep. The simulated
-    // makespan is identical at every worker count (the bit-identity
-    // property the sharded tests pin); only wall-clock moves.
-    const SHARDS: usize = 16;
-    let mut shard_makespan = 0u64;
-    let mut shard_kcycle = 0.0f64;
-    let mut scaling: Vec<(usize, f64)> = Vec::new();
-    for &w in &[1usize, 4, 8, 16] {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let r = run_sharded_with(
-                MachineConfig::for_scheme(Scheme::Slpmt),
-                IndexKind::Hashtable,
-                &stream,
-                value,
-                AnnotationSource::Manual,
-                SHARDS,
-                w,
-                false,
-            );
-            best = best.min(t0.elapsed().as_secs_f64());
-            if shard_makespan != 0 && shard_makespan != r.sim_cycles() {
-                return Err(format!(
-                    "sharded makespan diverged across worker counts: {} vs {}",
-                    shard_makespan,
-                    r.sim_cycles()
-                ));
-            }
-            shard_makespan = r.sim_cycles();
-            shard_kcycle = r.sim_ops_per_kcycle();
-        }
-        scaling.push((w, best));
-    }
-
-    // YCSB mix matrix: the named mixes (A–F + delete-heavy adversaries)
-    // on the reference scheme/index. The summed simulated cycle count
-    // is deterministic — any drift is a semantic change — while
-    // sim-ops/s tracks host throughput of the mixed-op path.
-    let ycsb_mixes: Vec<slpmt::workloads::ycsb::MixSpec> = slpmt::workloads::ycsb::MixSpec::NAMED
-        .iter()
-        .map(|&(_, m)| m)
-        .collect();
-    let ycsb_cfg = slpmt::bench::ycsb::YcsbConfig {
-        load: ops.min(500),
-        ops,
-        value_size: 32,
-        seed: 42,
-    };
-    let ycsb_cells =
-        slpmt::bench::ycsb::ycsb_cells(&ycsb_mixes, &[Scheme::Slpmt], &[IndexKind::Hashtable]);
-    let mut ycsb_wall = f64::INFINITY;
-    let mut ycsb_sim_cycles = 0u64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let rows = slpmt::bench::ycsb::run_ycsb_matrix(&ycsb_cells, &ycsb_cfg, false);
-        ycsb_wall = ycsb_wall.min(t0.elapsed().as_secs_f64());
-        ycsb_sim_cycles = rows.iter().map(|r| r.result.cycles).sum();
-    }
-    let ycsb_sim_ops = (ycsb_cells.len() * ops) as f64;
-    let ycsb_ops_per_s = ycsb_sim_ops / ycsb_wall;
-
-    // KV serve: YCSB-B through the memcached-text facade at 4 shards.
-    // The simulated cycle count and the response digest are
-    // deterministic (bench.sh hard-gates both); wall time tracks host
-    // throughput of the full parse/admit/dispatch service loop.
-    let mut serve_cfg = slpmt::kv::service::ServeConfig::new(
-        Scheme::Slpmt,
-        IndexKind::KvBtree,
-        slpmt::workloads::ycsb::MixSpec::YCSB_B,
-    );
-    serve_cfg.load = ops.min(500);
-    serve_cfg.requests = ops;
-    serve_cfg.value_size = 32;
-    serve_cfg.shards = 4;
-    let mut serve_wall = f64::INFINITY;
-    let mut serve_row = slpmt::bench::serve::run_serve(&serve_cfg);
-    serve_wall = serve_wall.min(serve_row.wall_s);
-    for _ in 1..reps {
-        let row = slpmt::bench::serve::run_serve(&serve_cfg);
-        if row.digest != serve_row.digest || row.total_sim_cycles != serve_row.total_sim_cycles {
-            return Err(format!(
-                "serve run diverged across reps: digest {:016x} vs {:016x}, cycles {} vs {}",
-                serve_row.digest, row.digest, serve_row.total_sim_cycles, row.total_sim_cycles
-            ));
-        }
-        serve_wall = serve_wall.min(row.wall_s);
-        serve_row = row;
-    }
-    let serve_req_per_s = serve_row.served as f64 / serve_wall;
-
-    // Chaos: the crash-during-serve battery at a fixed modest shape
-    // (its cost scales with points × trace length, not --ops). The
-    // sweep digest, point counts and contract counters are
-    // deterministic — bench.sh hard-gates them — while wall time
-    // tracks host throughput of the full serve/recover/retry path.
-    let chaos_cases_v = slpmt::kv::chaos::chaos_cases(
-        &[Scheme::Slpmt, Scheme::SlpmtRedo],
-        IndexKind::KvBtree,
-        42,
-        40,
-        &[
-            slpmt::workloads::ycsb::MixSpec::YCSB_A,
-            slpmt::workloads::ycsb::MixSpec::YCSB_B,
-        ],
-    );
-    let mut chaos_wall = f64::INFINITY;
-    let mut chaos_report = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = slpmt::bench::sweep::run_chaos_sweep(&chaos_cases_v, &[], 4);
-        chaos_wall = chaos_wall.min(t0.elapsed().as_secs_f64());
-        if let Some(prev) = &chaos_report {
-            let prev: &slpmt::kv::ChaosSweepReport = prev;
-            if prev.digest != r.digest {
-                return Err(format!(
-                    "chaos sweep diverged across reps: digest {:016x} vs {:016x}",
-                    prev.digest, r.digest
-                ));
-            }
-        }
-        chaos_report = Some(r);
-    }
-    let chaos_report = chaos_report.expect("reps >= 1");
-    if !chaos_report.is_clean() {
-        return Err(format!("chaos bench sweep failed:\n{chaos_report}"));
-    }
-    let chaos_points_per_s = chaos_report.points as f64 / chaos_wall;
-
-    // Software-PTM baselines: the five flavours on the hashtable at a
-    // fixed shape. Cycles, fence counts and the folded digest are all
-    // simulated and deterministic — bench.sh hard-gates total cycles
-    // and the digest — while wall time tracks host throughput of the
-    // explicit store/flush/fence instruction streams.
-    let ptm_ops = ops.min(500);
-    let ptm_stream = ycsb_load(ptm_ops, 32, 42);
-    let ptm_cells = slpmt::bench::runner::matrix(&SchemeKind::SOFTWARE, &[IndexKind::Hashtable]);
-    let mut ptm_wall = f64::INFINITY;
-    let mut ptm_rows = Vec::new();
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        ptm_rows = run_matrix_with(
-            &ptm_cells,
-            workers,
-            &ptm_stream,
-            32,
-            AnnotationSource::Manual,
-            None,
-        );
-        ptm_wall = ptm_wall.min(t0.elapsed().as_secs_f64());
-    }
-    let ptm_sim_cycles: u64 = ptm_rows.iter().map(|r| r.cycles).sum();
-    let ptm_fences: u64 = ptm_rows.iter().map(|r| r.stats.fences).sum();
-    let ptm_digest = {
-        // FNV-1a over each row's deterministic columns, in cell order.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for r in &ptm_rows {
-            fold(r.cycles);
-            fold(r.stats.fences);
-            fold(r.stats.flushes);
-            fold(r.traffic.log_bytes);
-            fold(r.logical_bytes);
-        }
-        h
-    };
-    let ptm_ops_per_s = (ptm_cells.len() * ptm_ops) as f64 / ptm_wall;
-
-    let micro_rows = micro::run_all(4096, reps);
-
+/// (`scripts/bench.sh`), recorded by [`slpmt::bench::snapshot`].
+fn cmd_bench(f: &mut Flags) -> Result<ExitCode, String> {
+    let ops = f.get("--ops", 1000usize);
+    let value = f.value(256);
+    let reps = f.positive("--reps", 3u32);
+    let json = f.flag("--json");
+    f.finish()?;
+    let snapshot = slpmt::bench::snapshot::run(ops, value, reps)?;
     if json {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.key("command");
-        w.string("bench");
-        w.key("schema");
-        w.u64(1);
-        w.key("git_sha");
-        w.string(&git_sha());
-        w.key("ops");
-        w.u64(ops as u64);
-        w.key("value_bytes");
-        w.u64(value as u64);
-        w.key("reps");
-        w.u64(reps as u64);
-        w.key("host_workers");
-        w.u64(workers as u64);
-        w.key("matrix");
-        w.begin_obj();
-        w.key("cells");
-        w.u64(matrix_cells as u64);
-        w.key("workers");
-        w.u64(workers as u64);
-        w.key("wall_s");
-        w.f64(matrix_wall);
-        w.key("sim_ops");
-        w.u64(matrix_sim_ops as u64);
-        w.key("sim_ops_per_s");
-        w.f64(matrix_ops_per_s);
-        w.end_obj();
-        w.key("mc");
-        w.begin_obj();
-        w.key("cores");
-        w.u64(4);
-        w.key("commits");
-        w.u64(mc_commits);
-        w.key("sim_ops");
-        w.u64(mc_ops);
-        w.key("sim_cycles");
-        w.u64(mc_cycles);
-        w.key("wall_s");
-        w.f64(mc_wall);
-        w.key("sim_ops_per_s");
-        w.f64(mc_ops_per_s);
-        w.end_obj();
-        w.key("shards");
-        w.begin_obj();
-        w.key("shards");
-        w.u64(SHARDS as u64);
-        w.key("makespan_cycles");
-        w.u64(shard_makespan);
-        w.key("sim_ops_per_kcycle");
-        w.f64(shard_kcycle);
-        w.key("scaling");
-        w.begin_arr();
-        for &(wk, wall) in &scaling {
-            w.begin_obj();
-            w.key("workers");
-            w.u64(wk as u64);
-            w.key("wall_s");
-            w.f64(wall);
-            w.key("ops_per_s");
-            w.f64(ops as f64 / wall);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
-        w.key("ycsb");
-        w.begin_obj();
-        w.key("cells");
-        w.u64(ycsb_cells.len() as u64);
-        w.key("load");
-        w.u64(ycsb_cfg.load as u64);
-        w.key("ops");
-        w.u64(ycsb_cfg.ops as u64);
-        w.key("value_bytes");
-        w.u64(ycsb_cfg.value_size as u64);
-        w.key("wall_s");
-        w.f64(ycsb_wall);
-        w.key("sim_ops");
-        w.u64(ycsb_sim_ops as u64);
-        w.key("sim_ops_per_s");
-        w.f64(ycsb_ops_per_s);
-        w.key("total_sim_cycles");
-        w.u64(ycsb_sim_cycles);
-        w.end_obj();
-        w.key("serve");
-        w.begin_obj();
-        w.key("mix");
-        w.string("b");
-        w.key("shards");
-        w.u64(serve_cfg.shards as u64);
-        w.key("load");
-        w.u64(serve_cfg.load as u64);
-        w.key("requests");
-        w.u64(serve_row.requests);
-        w.key("served");
-        w.u64(serve_row.served);
-        w.key("shed");
-        w.u64(serve_row.shed);
-        w.key("total_sim_cycles");
-        w.u64(serve_row.total_sim_cycles);
-        w.key("makespan_cycles");
-        w.u64(serve_row.makespan_cycles);
-        w.key("digest");
-        w.string(&format!("{:016x}", serve_row.digest));
-        w.key("p50");
-        w.u64(serve_row.overall.p50);
-        w.key("p99");
-        w.u64(serve_row.overall.p99);
-        w.key("p999");
-        w.u64(serve_row.overall.p999);
-        w.key("wall_s");
-        w.f64(serve_wall);
-        w.key("req_per_s");
-        w.f64(serve_req_per_s);
-        w.end_obj();
-        w.key("chaos");
-        w.begin_obj();
-        w.key("cases");
-        w.u64(chaos_report.cases as u64);
-        w.key("points");
-        w.u64(chaos_report.points as u64);
-        w.key("strict");
-        w.u64(chaos_report.strict as u64);
-        w.key("lossy");
-        w.u64(chaos_report.lossy as u64);
-        w.key("suppressed");
-        w.u64(chaos_report.totals.suppressed);
-        w.key("refused_writes");
-        w.u64(chaos_report.totals.refused_writes);
-        w.key("scrubbed");
-        w.u64(chaos_report.totals.scrubbed);
-        w.key("digest");
-        w.string(&format!("{:016x}", chaos_report.digest));
-        w.key("wall_s");
-        w.f64(chaos_wall);
-        w.key("points_per_s");
-        w.f64(chaos_points_per_s);
-        w.end_obj();
-        w.key("ptm");
-        w.begin_obj();
-        w.key("cells");
-        w.u64(ptm_cells.len() as u64);
-        w.key("ops");
-        w.u64(ptm_ops as u64);
-        w.key("value_bytes");
-        w.u64(32);
-        w.key("total_sim_cycles");
-        w.u64(ptm_sim_cycles);
-        w.key("fences");
-        w.u64(ptm_fences);
-        w.key("digest");
-        w.string(&format!("{ptm_digest:016x}"));
-        w.key("wall_s");
-        w.f64(ptm_wall);
-        w.key("sim_ops_per_s");
-        w.f64(ptm_ops_per_s);
-        w.end_obj();
-        w.key("micro");
-        w.begin_arr();
-        for row in &micro_rows {
-            w.begin_obj();
-            w.key("name");
-            w.string(row.name);
-            w.key("iters");
-            w.u64(row.iters);
-            w.key("sim_cycles_per_op");
-            w.f64(row.sim_cycles_per_op);
-            w.key("host_ns_per_op");
-            w.f64(row.host_ns_per_op);
-            w.end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
-        println!("{}", w.finish());
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    println!(
-        "bench snapshot @ {} ({} × {} B inserts, best of {} reps)",
-        git_sha(),
-        ops,
-        value,
-        reps
-    );
-    println!(
-        "  matrix : {matrix_cells} cells in {matrix_wall:.3}s @ {workers} workers \
-         → {matrix_ops_per_s:.0} sim-ops/s"
-    );
-    println!(
-        "  mc     : {mc_ops} trace ops ({mc_commits} commits, {mc_cycles} cycles) \
-         in {mc_wall:.3}s → {mc_ops_per_s:.0} sim-ops/s"
-    );
-    println!(
-        "  shards : {SHARDS} shards, makespan {shard_makespan} cycles \
-         ({shard_kcycle:.3} ops/kcycle)"
-    );
-    for &(wk, wall) in &scaling {
-        println!(
-            "    {wk:>2} workers: {wall:.3}s wall ({:.0} ops/s)",
-            ops as f64 / wall
-        );
-    }
-    println!(
-        "  ycsb   : {} mix cells in {ycsb_wall:.3}s → {ycsb_ops_per_s:.0} sim-ops/s \
-         ({ycsb_sim_cycles} total cycles)",
-        ycsb_cells.len()
-    );
-    println!(
-        "  serve  : mix b × {} shards, {} served ({} total cycles, digest {:016x}) \
-         in {serve_wall:.3}s → {serve_req_per_s:.0} req/s \
-         [p50 {} p99 {} p999 {}]",
-        serve_cfg.shards,
-        serve_row.served,
-        serve_row.total_sim_cycles,
-        serve_row.digest,
-        serve_row.overall.p50,
-        serve_row.overall.p99,
-        serve_row.overall.p999
-    );
-    println!(
-        "  chaos  : {} points across {} cases ({} strict / {} lossy, digest {:016x}) \
-         in {chaos_wall:.3}s → {chaos_points_per_s:.0} points/s",
-        chaos_report.points,
-        chaos_report.cases,
-        chaos_report.strict,
-        chaos_report.lossy,
-        chaos_report.digest
-    );
-    println!(
-        "  ptm    : {} flavour cells, {ptm_sim_cycles} total cycles, {ptm_fences} fences \
-         (digest {ptm_digest:016x}) in {ptm_wall:.3}s → {ptm_ops_per_s:.0} sim-ops/s",
-        ptm_cells.len()
-    );
-    println!("  micro  :");
-    for row in &micro_rows {
-        println!(
-            "    {:<8} {:>8} iters  {:>10.1} sim-cycles/op  {:>9.1} host-ns/op",
-            row.name, row.iters, row.sim_cycles_per_op, row.host_ns_per_op
-        );
+        println!("{}", snapshot.json);
+    } else {
+        print!("{}", snapshot.text);
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1561,54 +1129,26 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
 /// the write-amplification factor. Every column is simulated, so
 /// output — including `--json` — is byte-identical across reruns and
 /// `SLPMT_THREADS` settings.
-fn cmd_ptm(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_ptm(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::bench::runner::{matrix, run_matrix};
 
-    let mut schemes: Vec<SchemeKind> = std::iter::once(Scheme::Slpmt.into())
+    let default: Vec<SchemeKind> = std::iter::once(Scheme::Slpmt.into())
         .chain(SchemeKind::SOFTWARE)
         .collect();
-    let mut kinds = vec![IndexKind::Hashtable];
-    let mut ops = 500usize;
-    let mut value = 64usize;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--json" {
-            json = true;
-            continue;
-        }
-        let mut val = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--scheme" => {
-                let v = val()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = SchemeKind::REGISTRY.to_vec();
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
-            }
-            "--workload" => {
-                let v = val()?;
-                if v.eq_ignore_ascii_case("all") {
-                    kinds = IndexKind::ALL.to_vec();
-                } else {
-                    kinds = vec![parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?];
-                }
-            }
-            "--ops" => ops = val()?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--value" => value = val()?.parse().map_err(|e| format!("--value: {e}"))?,
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
+    let schemes = f.schemes(&default, &SchemeKind::REGISTRY);
+    let kinds = f.kinds(&[IndexKind::Hashtable], &IndexKind::ALL);
+    let ops = f.get("--ops", 500usize);
+    let value = f.value(64);
+    let json = f.flag("--json");
+    f.finish()?;
 
     let stream = ycsb_load(ops, value, 42);
     let cells = matrix(&schemes, &kinds);
     let results = run_matrix(&cells, &stream, value, AnnotationSource::Manual, None);
+    let per_txn = |s: &MachineStats| match s.tx_commits {
+        0 => 0.0,
+        txns => s.fences as f64 / txns as f64,
+    };
 
     if json {
         // Deliberately no wall-clock or worker-count field: this object
@@ -1652,11 +1192,7 @@ fn cmd_ptm(args: &[String]) -> Result<ExitCode, String> {
             w.key("waf");
             w.f64(r.waf());
             w.key("fences_per_txn");
-            w.f64(if r.stats.tx_commits == 0 {
-                0.0
-            } else {
-                r.stats.fences as f64 / r.stats.tx_commits as f64
-            });
+            w.f64(per_txn(&r.stats));
             w.end_obj();
         }
         w.end_arr();
@@ -1676,17 +1212,12 @@ fn cmd_ptm(args: &[String]) -> Result<ExitCode, String> {
         "cell", "cycles", "fences", "f/txn", "flushes", "log B", "waf"
     );
     for r in &results {
-        let per_txn = if r.stats.tx_commits == 0 {
-            0.0
-        } else {
-            r.stats.fences as f64 / r.stats.tx_commits as f64
-        };
         println!(
             "{:<22} {:>12} {:>8} {:>7.2} {:>8} {:>10} {:>7.2}",
             format!("{}/{}", r.kind, r.scheme),
             r.cycles,
             r.stats.fences,
-            per_txn,
+            per_txn(&r.stats),
             r.stats.flushes,
             r.traffic.log_bytes,
             r.waf(),
@@ -1702,82 +1233,26 @@ fn cmd_ptm(args: &[String]) -> Result<ExitCode, String> {
 /// run. Every reported number is simulated (cycles, counts), never
 /// wall-clock, so output — including `--json` — is bit-identical
 /// across reruns and `SLPMT_THREADS` settings.
-fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_ycsb(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::bench::sharded::run_sharded_mixed;
     use slpmt::bench::sweep::{run_sweep, Points, CLEAN};
     use slpmt::bench::ycsb::{run_ycsb_matrix, sweep_case_of, ycsb_cells, YcsbConfig};
     use slpmt::workloads::crashsweep::{default_plans, EngineTarget};
-    use slpmt::workloads::ycsb::{ycsb_mix, MixSpec};
+    use slpmt::workloads::ycsb::ycsb_mix;
 
-    let mut mixes: Vec<MixSpec> = MixSpec::NAMED.iter().map(|&(_, m)| m).collect();
-    let mut schemes: Vec<SchemeKind> = vec![Scheme::Slpmt.into()];
-    let mut kinds = vec![IndexKind::Hashtable];
     let mut cfg = YcsbConfig::default();
-    let mut points = 50usize;
-    let mut sweep = false;
-    let mut faults = false;
-    let mut shards = 0usize;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => {
-                json = true;
-                continue;
-            }
-            "--sweep" => {
-                sweep = true;
-                continue;
-            }
-            "--faults" => {
-                faults = true;
-                continue;
-            }
-            _ => {}
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--mix" => {
-                let v = value()?;
-                if !v.eq_ignore_ascii_case("all") {
-                    mixes = vec![v.parse().map_err(|e| format!("--mix: {e}"))?];
-                }
-            }
-            "--scheme" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = SchemeKind::REGISTRY.to_vec();
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
-            }
-            "--workload" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    kinds = IndexKind::ALL.to_vec();
-                } else {
-                    kinds = vec![parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?];
-                }
-            }
-            "--load" => cfg.load = value()?.parse().map_err(|e| format!("--load: {e}"))?,
-            "--ops" => cfg.ops = value()?.parse().map_err(|e| format!("--ops: {e}"))?,
-            "--value" => cfg.value_size = value()?.parse().map_err(|e| format!("--value: {e}"))?,
-            "--seed" => cfg.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--points" => points = value()?.parse().map_err(|e| format!("--points: {e}"))?,
-            "--shards" => shards = value()?.parse().map_err(|e| format!("--shards: {e}"))?,
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    let mix_label = |m: &MixSpec| {
-        m.name()
-            .map(str::to_string)
-            .unwrap_or_else(|| m.to_string())
-    };
+    let (mixes, value) = f.mixes_and_value(&named_mixes(), false, cfg.value_size);
+    cfg.value_size = value;
+    let schemes = f.schemes(&[Scheme::Slpmt.into()], &SchemeKind::REGISTRY);
+    let kinds = f.kinds(&[IndexKind::Hashtable], &IndexKind::ALL);
+    cfg.load = f.get("--load", cfg.load);
+    cfg.ops = f.get("--ops", cfg.ops);
+    cfg.seed = f.get("--seed", cfg.seed);
+    let points = f.positive("--points", 50);
+    let shards = f.get("--shards", 0usize);
+    let (sweep, faults, json) = (f.flag("--sweep"), f.flag("--faults"), f.flag("--json"));
+    f.finish()?;
+
     let cells = ycsb_cells(&mixes, &schemes, &kinds);
     let rows = run_ycsb_matrix(&cells, &cfg, true);
 
@@ -1798,7 +1273,7 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
                 true,
             );
             shard_rows.push((
-                mix_label(&cell.mix),
+                cell.mix.to_string(),
                 cell.scheme.to_string(),
                 cell.kind.to_string(),
                 r.sim_cycles(),
@@ -1837,7 +1312,7 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
         for row in &rows {
             w.begin_obj();
             w.key("mix");
-            w.string(&mix_label(&row.cell.mix));
+            w.string(&row.cell.mix.to_string());
             w.key("spec");
             w.string(&row.cell.mix.to_string());
             w.key("scheme");
@@ -1903,43 +1378,26 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
             w.end_arr();
             w.end_obj();
         }
-        let mut sweep_json =
-            |key: &str, points: usize, cases: u64, clean: bool, fails: &[String]| {
-                w.key(key);
-                w.begin_obj();
-                w.key("points");
-                w.u64(points as u64);
-                w.key("cases");
-                w.u64(cases);
-                w.key("clean");
-                w.bool(clean);
-                w.key("failures");
-                w.begin_arr();
-                for f in fails {
-                    w.string(f);
-                }
-                w.end_arr();
-                w.end_obj();
-            };
-        if let Some(report) = &sweep_report {
-            let fails: Vec<String> = report.failures.iter().map(|f| f.to_string()).collect();
-            sweep_json(
-                "crash_sweep",
-                report.points(),
-                report.cases as u64,
-                report.is_clean(),
-                &fails,
-            );
-        }
-        if let Some(report) = &fault_report {
-            let fails: Vec<String> = report.failures.iter().map(|f| f.to_string()).collect();
-            sweep_json(
-                "fault_sweep",
-                report.points(),
-                report.cases as u64,
-                report.is_clean(),
-                &fails,
-            );
+        for (key, report) in [
+            ("crash_sweep", &sweep_report),
+            ("fault_sweep", &fault_report),
+        ] {
+            let Some(report) = report else { continue };
+            w.key(key);
+            w.begin_obj();
+            w.key("points");
+            w.u64(report.points() as u64);
+            w.key("cases");
+            w.u64(report.cases as u64);
+            w.key("clean");
+            w.bool(report.is_clean());
+            w.key("failures");
+            w.begin_arr();
+            for fail in &report.failures {
+                w.string(&fail.to_string());
+            }
+            w.end_arr();
+            w.end_obj();
         }
         w.end_obj();
         println!("{}", w.finish());
@@ -1955,7 +1413,7 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
         for row in &rows {
             println!(
                 "  {:<18} {:<10} {:<10} {:>9} cycles  {:>7} fences  waf {:.2}",
-                mix_label(&row.cell.mix),
+                row.cell.mix.to_string(),
                 row.cell.scheme.to_string(),
                 row.cell.kind.to_string(),
                 row.result.cycles,
@@ -1995,98 +1453,39 @@ fn cmd_ycsb(args: &[String]) -> Result<ExitCode, String> {
 /// Every reported figure is simulated (cycles, counts, digests), never
 /// wall-clock, so output — including `--json` — is byte-identical at
 /// any host worker count.
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_serve(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::bench::serve::run_serve;
     use slpmt::kv::service::{ServeConfig, VERB_CLASSES};
-    use slpmt::workloads::ycsb::MixSpec;
 
-    let mut mixes = vec![MixSpec::YCSB_A, MixSpec::YCSB_B, MixSpec::YCSB_C];
-    let mut schemes: Vec<SchemeKind> = vec![Scheme::Slpmt.into()];
-    let mut kinds = vec![IndexKind::KvBtree];
-    let mut shard_counts = vec![1usize, 4];
     let mut proto = ServeConfig::new(Scheme::Slpmt, IndexKind::KvBtree, MixSpec::YCSB_A);
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => {
-                json = true;
-                continue;
+    let default_mixes = [MixSpec::YCSB_A, MixSpec::YCSB_B, MixSpec::YCSB_C];
+    let (mixes, value) = f.mixes_and_value(&default_mixes, true, proto.value_size);
+    proto.value_size = value;
+    let schemes = f.schemes(&[Scheme::Slpmt.into()], &SchemeKind::REGISTRY);
+    let kinds = [f.kind(IndexKind::KvBtree)];
+    let shard_counts = f
+        .last("--shards", |v| {
+            let counts = v
+                .split(',')
+                .map(|s| s.parse().map_err(|e| format!("--shards: {e}")))
+                .collect::<Result<Vec<usize>, _>>()?;
+            if counts.contains(&0) {
+                return Err("--shards: shard counts must be at least 1".into());
             }
-            "--open-loop" => {
-                proto.open_loop = true;
-                continue;
-            }
-            _ => {}
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--mix" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    mixes = MixSpec::NAMED.iter().map(|&(_, m)| m).collect();
-                } else {
-                    mixes = v
-                        .split(',')
-                        .map(|s| s.parse().map_err(|e| format!("--mix: {e}")))
-                        .collect::<Result<_, _>>()?;
-                }
-            }
-            "--scheme" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = SchemeKind::REGISTRY.to_vec();
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
-            }
-            "--workload" => {
-                let v = value()?;
-                kinds = vec![parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?];
-            }
-            "--shards" => {
-                shard_counts = value()?
-                    .split(',')
-                    .map(|s| s.parse::<usize>().map_err(|e| format!("--shards: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if shard_counts.contains(&0) {
-                    return Err("--shards: shard counts must be at least 1".into());
-                }
-            }
-            "--load" => proto.load = value()?.parse().map_err(|e| format!("--load: {e}"))?,
-            "--requests" => {
-                proto.requests = value()?.parse().map_err(|e| format!("--requests: {e}"))?
-            }
-            "--value" => {
-                proto.value_size = value()?.parse().map_err(|e| format!("--value: {e}"))?
-            }
-            "--seed" => proto.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--sessions" => {
-                proto.sessions = value()?.parse().map_err(|e| format!("--sessions: {e}"))?
-            }
-            "--gap" => proto.mean_gap = value()?.parse().map_err(|e| format!("--gap: {e}"))?,
-            "--jitter" => {
-                proto.drain_jitter = value()?.parse().map_err(|e| format!("--jitter: {e}"))?
-            }
-            "--queue-limit" => {
-                proto.admission.queue_limit = value()?
-                    .parse()
-                    .map_err(|e| format!("--queue-limit: {e}"))?
-            }
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
+            Ok(counts)
+        })
+        .unwrap_or_else(|| vec![1, 4]);
+    proto.load = f.get("--load", proto.load);
+    proto.requests = f.get("--requests", proto.requests);
+    proto.seed = f.get("--seed", proto.seed);
+    proto.sessions = f.get("--sessions", proto.sessions);
+    proto.open_loop = f.flag("--open-loop");
+    proto.mean_gap = f.get("--gap", proto.mean_gap);
+    proto.drain_jitter = f.get("--jitter", proto.drain_jitter);
+    proto.admission.queue_limit = f.get("--queue-limit", proto.admission.queue_limit);
+    let json = f.flag("--json");
+    f.finish()?;
 
-    let mix_label = |m: &MixSpec| {
-        m.name()
-            .map(str::to_string)
-            .unwrap_or_else(|| m.to_string())
-    };
     let mut rows = Vec::new();
     for scheme in &schemes {
         for kind in &kinds {
@@ -2131,7 +1530,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         for row in &rows {
             w.begin_obj();
             w.key("mix");
-            w.string(&mix_label(&row.cfg.mix));
+            w.string(&row.cfg.mix.to_string());
             w.key("scheme");
             w.string(&row.cfg.scheme.to_string());
             w.key("workload");
@@ -2202,7 +1601,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             println!(
                 "  {:<14} {:<10} {:<10} shards={:<2} served {}/{} (shed {}, queued {}) \
                  makespan {} cycles digest {:016x}",
-                mix_label(&row.cfg.mix),
+                row.cfg.mix.to_string(),
                 row.cfg.scheme.to_string(),
                 row.cfg.kind.to_string(),
                 row.cfg.shards,
@@ -2230,70 +1629,32 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_chaos(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::bench::sweep::run_chaos_sweep;
     use slpmt::kv::chaos::chaos_cases;
     use slpmt::workloads::crashsweep::default_plans;
-    use slpmt::workloads::ycsb::MixSpec;
 
-    let mut mixes = vec![MixSpec::YCSB_A, MixSpec::YCSB_B, MixSpec::DELETE_HEAVY];
-    let mut schemes: Vec<SchemeKind> = vec![Scheme::Slpmt.into(), Scheme::SlpmtRedo.into()];
-    let mut kind = IndexKind::KvBtree;
-    let mut seed = 42u64;
-    let mut requests = 40usize;
-    let mut points = 3usize;
-    let mut faults: Option<usize> = None;
-    let mut plans: Vec<FaultPlan> = Vec::new();
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--json" {
-            json = true;
-            continue;
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--mix" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    mixes = MixSpec::NAMED.iter().map(|&(_, m)| m).collect();
-                } else {
-                    mixes = v
-                        .split(',')
-                        .map(|s| s.parse().map_err(|e| format!("--mix: {e}")))
-                        .collect::<Result<_, _>>()?;
-                }
-            }
-            "--scheme" => {
-                let v = value()?;
-                if v.eq_ignore_ascii_case("all") {
-                    schemes = vec![
-                        Scheme::Slpmt.into(),
-                        Scheme::SlpmtRedo.into(),
-                        PtmFlavor::UndoLog.into(),
-                        PtmFlavor::RedoLog.into(),
-                    ];
-                } else {
-                    schemes =
-                        vec![SchemeKind::parse(&v).ok_or_else(|| format!("unknown scheme {v}"))?];
-                }
-            }
-            "--workload" => {
-                let v = value()?;
-                kind = parse_kind(&v).ok_or_else(|| format!("unknown workload {v}"))?;
-            }
-            "--seed" => seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--requests" => requests = value()?.parse().map_err(|e| format!("--requests: {e}"))?,
-            "--points" => points = value()?.parse().map_err(|e| format!("--points: {e}"))?,
-            "--faults" => faults = Some(value()?.parse().map_err(|e| format!("--faults: {e}"))?),
-            "--plan" => plans.push(value()?.parse().map_err(|e| format!("--plan: {e}"))?),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
+    let mixes = f.mixes(
+        &[MixSpec::YCSB_A, MixSpec::YCSB_B, MixSpec::DELETE_HEAVY],
+        true,
+    );
+    let schemes = f.schemes(
+        &[Scheme::Slpmt.into(), Scheme::SlpmtRedo.into()],
+        &[
+            Scheme::Slpmt.into(),
+            Scheme::SlpmtRedo.into(),
+            PtmFlavor::UndoLog.into(),
+            PtmFlavor::RedoLog.into(),
+        ],
+    );
+    let kind = f.kind(IndexKind::KvBtree);
+    let seed = f.get("--seed", 42u64);
+    let requests = f.get("--requests", 40usize);
+    let points = f.positive("--points", 3);
+    let faults: Option<usize> = f.opt("--faults");
+    let mut plans: Vec<FaultPlan> = f.all("--plan");
+    let json = f.flag("--json");
+    f.finish()?;
     if plans.is_empty() {
         let defaults = default_plans(seed);
         let n = faults.unwrap_or(defaults.len()).min(defaults.len());
@@ -2310,11 +1671,6 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     let report = run_chaos_sweep(&cases, &plans, points);
-    let mix_label = |m: &MixSpec| {
-        m.name()
-            .map(str::to_string)
-            .unwrap_or_else(|| m.to_string())
-    };
     if json {
         // Deliberately no wall-clock field: this object is diffed
         // byte-for-byte across SLPMT_THREADS values in CI.
@@ -2337,7 +1693,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
         w.key("mixes");
         w.begin_arr();
         for m in &mixes {
-            w.string(&mix_label(m));
+            w.string(&m.to_string());
         }
         w.end_arr();
         w.key("schemes");
@@ -2391,27 +1747,136 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
     Ok(exit_code(report.is_clean()))
 }
 
+/// The `--scheme`/`--workload`/`--ops`/`--value` flags of `run`,
+/// `compare` and `matrix` ([`Options`]).
+macro_rules! insert_flags {
+    () => {
+        "[--scheme S] [--ops N] [--value B] [--annotations manual|compiler|none] [--latency NS]"
+    };
+}
+
+/// One `slpmt` subcommand. The synopsis is both the help text and the
+/// flag spec [`Flags::parse`] splits arguments by.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    synopsis: &'static str,
+    run: fn(&mut Flags) -> Result<ExitCode, String>,
+}
+
+/// Every subcommand: `main` dispatches through it and [`usage`] prints
+/// it.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "schemes",
+        about: "list hardware designs",
+        synopsis: "",
+        run: cmd_schemes,
+    },
+    Command {
+        name: "overhead",
+        about: "§III-D hardware budget",
+        synopsis: "",
+        run: cmd_overhead,
+    },
+    Command {
+        name: "run",
+        about: "run YCSB-load inserts",
+        synopsis: concat!("<index> ", insert_flags!()),
+        run: cmd_run,
+    },
+    Command {
+        name: "compare",
+        about: "all schemes side by side",
+        synopsis: concat!("<index> ", insert_flags!()),
+        run: cmd_compare,
+    },
+    Command {
+        name: "matrix",
+        about: "full scheme × index matrix (parallel)",
+        synopsis: concat!(insert_flags!(), " [--json]"),
+        run: cmd_matrix,
+    },
+    Command {
+        name: "trace",
+        about: "capture an event trace (Perfetto JSON)",
+        synopsis: "[--scheme S] [--workload W] [--ops N] [--value B] [--seed N] [--out FILE]",
+        run: cmd_trace,
+    },
+    Command {
+        name: "crashsweep",
+        about: "exhaustive persist-event crash sweep",
+        synopsis: "[--scheme S|all] [--workload W|all] [--seed N] [--ops N] [--at K]",
+        run: cmd_crashsweep,
+    },
+    Command {
+        name: "faults",
+        about: "media-fault sweep (tear/poison/flip/jitter)",
+        synopsis: "[--scheme S|all] [--workload W|all] [--seed N] [--ops N] [--points N] \
+                   [--plan s<seed>:t<0|1>[:w<word>]:p<n>:f<n>:j<n>] [--at K] [--json]",
+        run: cmd_faults,
+    },
+    Command {
+        name: "mc",
+        about: "deterministic multi-core run",
+        synopsis: "[--scheme S] [--cores 1-4] [--seed N] [--sched rr:K|weighted:K] [--txns N] \
+                   [--stores N] [--skew THETA_MILLI] [--crash-at K] [--json]",
+        run: cmd_mc,
+    },
+    Command {
+        name: "shards",
+        about: "keyspace-sharded scaling run",
+        synopsis: "<index> [--scheme S] [--ops N] [--value B] [--shards N] [--json]",
+        run: cmd_shards,
+    },
+    Command {
+        name: "ycsb",
+        about: "named-mix matrix (A–F, delete-heavy, …)",
+        synopsis: "[--mix M|all] [--scheme S|all] [--workload W|all] [--load N] [--ops N] \
+                   [--value B] [--seed N] [--sweep] [--faults] [--points N] [--shards N] [--json]",
+        run: cmd_ycsb,
+    },
+    Command {
+        name: "serve",
+        about: "KV service front end (memcached-text facade)",
+        synopsis: "[--mix M[,M..]|all] [--scheme S|all] [--workload W] [--shards N[,N..]] \
+                   [--load N] [--requests N] [--value B] [--seed N] [--sessions N] \
+                   [--open-loop] [--gap CYCLES] [--jitter WINDOW] [--queue-limit N] [--json]",
+        run: cmd_serve,
+    },
+    Command {
+        name: "chaos",
+        about: "crash-during-serve battery (ack/retry contract)",
+        synopsis: "[--mix M[,M..]|all] [--scheme S|all] [--workload W] [--seed N] \
+                   [--requests N] [--points N] [--faults N] \
+                   [--plan s<seed>:t<0|1>[:w<word>]:p<n>:f<n>:j<n>] [--json]",
+        run: cmd_chaos,
+    },
+    Command {
+        name: "ptm",
+        about: "software-PTM baseline matrix (fences, WAF)",
+        synopsis: "[--scheme S|all] [--workload W|all] [--ops N] [--value B] [--json]",
+        run: cmd_ptm,
+    },
+    Command {
+        name: "bench",
+        about: "performance snapshot behind BENCH_<n>.json",
+        synopsis: "[--ops N] [--value B] [--reps N] [--json]",
+        run: cmd_bench,
+    },
+];
+
 fn usage() -> ExitCode {
+    eprintln!("usage: slpmt <command> [options]");
+    for c in COMMANDS {
+        eprintln!("  {:<10} {}", c.name, c.about);
+        if !c.synopsis.is_empty() {
+            eprintln!("    {} {}", c.name, c.synopsis);
+        }
+    }
     eprintln!(
-        "usage: slpmt <schemes|overhead|run <index>|compare <index>|matrix|trace|crashsweep|faults|mc|shards <index>|ycsb|serve|ptm|chaos|bench> \
-         [--scheme S] [--ops N] [--value B] [--annotations manual|compiler|none] [--latency NS]\n\
-         trace: [--scheme S] [--workload W] [--ops N] [--value B] [--seed N] [--out FILE]\n\
-         crashsweep: [--scheme S|all] [--workload W|all] [--seed N] [--ops N] [--at K]\n\
-         faults: [--scheme S|all] [--workload W|all] [--seed N] [--ops N] \
-         [--points N] [--plan s<seed>:t<0|1>:p<n>:f<n>:j<n>] [--at K] [--json]\n\
-         mc: [--scheme S] [--cores 2-4] [--seed N] [--sched rr:K|weighted:K] \
-         [--txns N] [--stores N] [--skew THETA_MILLI] [--crash-at K] [--json]\n\
-         shards: [--scheme S] [--ops N] [--value B] [--shards N] [--json]\n\
-         ycsb: [--mix M|all] [--scheme S|all] [--workload W|all] [--load N] [--ops N] \
-         [--value B] [--seed N] [--sweep] [--faults] [--points N] [--shards N] [--json]\n\
-         serve: [--mix M[,M..]|all] [--scheme S|all] [--workload W] [--shards N[,N..]] \
-         [--load N] [--requests N] [--value B] [--seed N] [--sessions N] \
-         [--open-loop] [--gap CYCLES] [--jitter WINDOW] [--queue-limit N] [--json]\n\
-         chaos: [--mix M[,M..]|all] [--scheme S|all] [--workload W] [--seed N] \
-         [--requests N] [--points N] [--faults N] [--plan s<seed>:t<0|1>:p<n>:f<n>:j<n>] [--json]\n\
-         ptm: [--scheme S|all] [--workload W|all] [--ops N] [--value B] [--json]\n\
-         bench: [--ops N] [--value B] [--reps N] [--json]\n\
-         matrix also accepts --json; sweep failures auto-dump traces to target/traces/\n\
+        "--plan is repeatable (`--plan P --at K` replays one point); sweep failures\n\
+         auto-dump traces to target/traces/\n\
          indices: {}",
         IndexKind::ALL.map(|k| k.to_string()).join(", ")
     );
@@ -2420,130 +1885,17 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some(cmd) = args
+        .first()
+        .and_then(|name| COMMANDS.iter().find(|c| c.name == name))
+    else {
         return usage();
     };
-    match cmd.as_str() {
-        "schemes" => {
-            cmd_schemes();
-            ExitCode::SUCCESS
-        }
-        "overhead" => {
-            cmd_overhead();
-            ExitCode::SUCCESS
-        }
-        "run" | "compare" => {
-            let Some(kind) = args.get(1).and_then(|k| parse_kind(k)) else {
-                return usage();
-            };
-            match parse_options(&args[2..]) {
-                Ok(o) => {
-                    if cmd == "run" {
-                        cmd_run(kind, &o);
-                    } else {
-                        cmd_compare(kind, &o);
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "matrix" => {
-            let json = args[1..].iter().any(|a| a == "--json");
-            let rest: Vec<String> = args[1..]
-                .iter()
-                .filter(|a| *a != "--json")
-                .cloned()
-                .collect();
-            match parse_options(&rest) {
-                Ok(o) => {
-                    cmd_matrix(&o, json);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "crashsweep" => match cmd_crashsweep(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "faults" => match cmd_faults(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "mc" => match cmd_mc(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "shards" => {
-            let Some(kind) = args.get(1).and_then(|k| parse_kind(k)) else {
-                return usage();
-            };
-            match cmd_shards(kind, &args[2..]) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "ycsb" => match cmd_ycsb(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "ptm" => match cmd_ptm(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "serve" => match cmd_serve(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "chaos" => match cmd_chaos(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "bench" => match cmd_bench(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "trace" => match cmd_trace(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        _ => usage(),
-    }
+    let Some(mut flags) = Flags::parse(cmd.synopsis, &args[1..]) else {
+        return usage();
+    };
+    (cmd.run)(&mut flags).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
