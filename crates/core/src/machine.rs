@@ -162,6 +162,67 @@ enum LogPath {
     Ede(EdeCombiner),
 }
 
+impl LogPath {
+    fn new(kind: BufferKind) -> Self {
+        match kind {
+            BufferKind::Tiered => LogPath::Tiered(TieredLogBuffer::new()),
+            BufferKind::AtomLines => LogPath::Atom(AtomLineBuffer::new()),
+            BufferKind::EdeDirect => LogPath::Ede(EdeCombiner::new()),
+        }
+    }
+
+    /// Buffers one undo/redo record: a word record (tiered, EDE) or a
+    /// whole-line pre-image (tiered, ATOM). Returns the flushes it
+    /// forced.
+    fn log(&mut self, seq: u64, addr: PmAddr, payload: &[u8]) -> Vec<FlushEvent> {
+        match self {
+            LogPath::Tiered(buf) => buf.insert(LogRecord::new(seq, addr, payload)),
+            LogPath::Atom(buf) => {
+                let pre = payload.try_into().expect("ATOM logs at line granularity");
+                buf.insert_line(seq, addr, pre).into_iter().collect()
+            }
+            LogPath::Ede(e) => {
+                let pre = payload.try_into().expect("EDE logs at word granularity");
+                e.log_word(seq, addr, pre).into_iter().collect()
+            }
+        }
+    }
+
+    /// Drains every buffered record into one flush (commit, switch).
+    fn drain(&mut self) -> Option<FlushEvent> {
+        match self {
+            LogPath::Tiered(buf) => buf.drain_all(),
+            LogPath::Atom(buf) => buf.drain_all(),
+            LogPath::Ede(e) => e.drain(),
+        }
+    }
+
+    /// Drops every buffered record without persisting it.
+    fn clear(&mut self) {
+        match self {
+            LogPath::Tiered(buf) => buf.clear(),
+            LogPath::Atom(buf) => buf.clear(),
+            LogPath::Ede(e) => e.clear(),
+        }
+    }
+
+    /// Flushes the records covering `line` before its data leaves the
+    /// private domain (§III-A).
+    fn flush_line(&mut self, line: PmAddr) -> Option<FlushEvent> {
+        match self {
+            LogPath::Tiered(buf) => buf.flush_line(line),
+            LogPath::Atom(buf) => buf.flush_line(line),
+            LogPath::Ede(e) => e.flush_line(line),
+        }
+    }
+
+    fn set_tracer(&mut self, tracer: Option<&TraceHandle>) {
+        if let LogPath::Tiered(buf) = self {
+            buf.set_tracer(tracer.cloned());
+        }
+    }
+}
+
 /// State of the transaction currently executing.
 #[derive(Debug, Clone)]
 struct CurTxn {
@@ -235,6 +296,42 @@ pub(crate) struct CoreCtx {
     redo_shadow: BTreeMap<u64, ([u8; LINE_BYTES], u8, u8)>,
 }
 
+impl CoreCtx {
+    /// A fresh core context; its log buffer joins `tracer` if given.
+    fn new(cfg: &MachineConfig, tracer: Option<&TraceHandle>) -> Box<Self> {
+        let mut log_path = LogPath::new(cfg.features.buffer);
+        log_path.set_tracer(tracer);
+        Box::new(CoreCtx {
+            l1: SetAssocCache::new(cfg.caches.l1),
+            log_path,
+            cur: None,
+            redo_shadow: BTreeMap::new(),
+        })
+    }
+
+    /// Power failure: all of the core's private state is volatile.
+    fn clear(&mut self) {
+        self.l1.clear();
+        self.log_path.clear();
+        self.cur = None;
+        self.redo_shadow.clear();
+    }
+}
+
+/// Whose open transaction [`Machine::abort_txn`] rolls back.
+#[derive(Debug, Clone, Copy)]
+enum Victim {
+    /// The active core's own transaction.
+    Own,
+    /// A thread switched out on the active core (§V-C), by its index
+    /// in [`Machine::suspended`]. It shares the active core's L1, but
+    /// its records were drained at suspension: the log buffer now
+    /// belongs to the running transaction.
+    Suspended(usize),
+    /// The open transaction of the parked core in this slot.
+    Parked(usize),
+}
+
 /// The simulated SLPMT core. See the [crate docs](crate) for an
 /// example.
 #[derive(Debug, Clone)]
@@ -266,6 +363,9 @@ pub struct Machine {
     /// by pointer, never moving the multi-KB context itself.
     #[allow(clippy::vec_box)]
     parked: Vec<Box<CoreCtx>>,
+    /// Parked-core transactions aborted by conflicting accesses, as
+    /// `(slot, seq)`, until the multi-core wrapper takes them.
+    conflict_aborts: Vec<(usize, u64)>,
     /// `true` once [`enable_multi`](Self::enable_multi) ran: L2 is
     /// then shared between cores, which moves the private-domain
     /// duties (record flush, redo spill, deferred-word pre-image
@@ -303,11 +403,6 @@ impl Machine {
             !(cfg.battery_backed && cfg.features.discipline == Discipline::Redo),
             "battery-backed caches and the redo discipline are mutually exclusive"
         );
-        let log_path = match cfg.features.buffer {
-            BufferKind::Tiered => LogPath::Tiered(TieredLogBuffer::new()),
-            BufferKind::AtomLines => LogPath::Atom(AtomLineBuffer::new()),
-            BufferKind::EdeDirect => LogPath::Ede(EdeCombiner::new()),
-        };
         let f = &cfg.features;
         let mut store_actions = [StoreAction::default(); 5];
         for kind in StoreKind::ALL {
@@ -329,12 +424,7 @@ impl Machine {
             l2: SetAssocCache::new(cfg.caches.l2),
             l3: SetAssocCache::new(cfg.caches.l3),
             dev: PmDevice::new(cfg.pm.clone()),
-            core: Box::new(CoreCtx {
-                l1: SetAssocCache::new(cfg.caches.l1),
-                log_path,
-                cur: None,
-                redo_shadow: BTreeMap::new(),
-            }),
+            core: CoreCtx::new(&cfg, None),
             lazy_txns: Vec::new(),
             txreg: TxnIdRegister::new(),
             suspended: Vec::new(),
@@ -342,6 +432,7 @@ impl Machine {
             stats: MachineStats::new(),
             now: 0,
             parked: Vec::new(),
+            conflict_aborts: Vec::new(),
             multi: false,
             commit_crash_point: None,
             scratch_lazy: Vec::new(),
@@ -367,13 +458,8 @@ impl Machine {
         let h = slpmt_trace::tracer(capacity_per_core);
         self.tracer = Some(h.clone());
         self.dev.set_tracer(Some(h.clone()));
-        if let LogPath::Tiered(buf) = &mut self.core.log_path {
-            buf.set_tracer(Some(h.clone()));
-        }
-        for ctx in &mut self.parked {
-            if let LogPath::Tiered(buf) = &mut ctx.log_path {
-                buf.set_tracer(Some(h.clone()));
-            }
+        for ctx in std::iter::once(&mut self.core).chain(&mut self.parked) {
+            ctx.log_path.set_tracer(Some(&h));
         }
         h
     }
@@ -916,12 +1002,7 @@ impl Machine {
             // L2→L3 — record flush (§III-A), redo spill, deferred-word
             // pre-image capture — happen here, before other cores can
             // see (or evict) the line.
-            let ev = match &mut self.core.log_path {
-                LogPath::Tiered(buf) => buf.flush_line(victim.addr),
-                LogPath::Atom(buf) => buf.flush_line(victim.addr),
-                LogPath::Ede(e) => e.flush_line(victim.addr),
-            };
-            if let Some(ev) = ev {
+            if let Some(ev) = self.core.log_path.flush_line(victim.addr) {
                 self.persist_flush(ev, false);
             }
             if self.cfg.features.discipline == Discipline::Redo
@@ -997,12 +1078,7 @@ impl Machine {
         });
         // Before a line's data leaves the private cache, its buffered
         // log records must persist (§III-A).
-        let ev = match &mut self.core.log_path {
-            LogPath::Tiered(buf) => buf.flush_line(victim.addr),
-            LogPath::Atom(buf) => buf.flush_line(victim.addr),
-            LogPath::Ede(e) => e.flush_line(victim.addr),
-        };
-        if let Some(ev) = ev {
+        if let Some(ev) = self.core.log_path.flush_line(victim.addr) {
             self.persist_flush(ev, false);
         }
         // Battery-backed caches: an uncommitted line overflowing to PM
@@ -1187,14 +1263,6 @@ impl Machine {
     /// durable before overwriting, or an abort would drop the line's
     /// only copy of committed data.
     fn lazy_checks(&mut self, addr: PmAddr, is_write: bool, will_log: bool) {
-        // HTM-style conflict with a switched-out thread's transaction:
-        // the requester wins, the suspended transaction aborts (§V-C).
-        // The abort invalidates and repairs the accessed line, so it
-        // must be re-fetched afterwards.
-        if let Some(victim) = self.suspended_owner(addr, is_write) {
-            self.abort_suspended(victim);
-            self.ensure_l1(addr);
-        }
         let tag = self
             .core
             .l1
@@ -1297,13 +1365,7 @@ impl Machine {
                         };
                         if !patched {
                             self.stats.log_records_created += 1;
-                            let events: Vec<FlushEvent> = match &mut self.core.log_path {
-                                LogPath::Tiered(buf) => {
-                                    buf.insert(LogRecord::new(seq, addr.word(), &payload))
-                                }
-                                _ => unreachable!(),
-                            };
-                            for ev in events {
+                            for ev in self.core.log_path.log(seq, addr.word(), &payload) {
                                 self.persist_flush(ev, false);
                             }
                         }
@@ -1311,12 +1373,7 @@ impl Machine {
                     return;
                 }
                 self.stats.log_records_created += 1;
-                let events: Vec<FlushEvent> = match &mut self.core.log_path {
-                    LogPath::Tiered(buf) => buf.insert(LogRecord::new(seq, addr.word(), &payload)),
-                    LogPath::Ede(e) => e.log_word(seq, addr.word(), payload).into_iter().collect(),
-                    LogPath::Atom(_) => unreachable!("ATOM logs at line granularity"),
-                };
-                for ev in events {
+                for ev in self.core.log_path.log(seq, addr.word(), &payload) {
                     self.persist_flush(ev, false);
                 }
                 self.core
@@ -1354,12 +1411,7 @@ impl Machine {
                     }
                 }
                 self.stats.log_records_created += 1;
-                let events: Vec<FlushEvent> = match &mut self.core.log_path {
-                    LogPath::Tiered(buf) => buf.insert(LogRecord::new(seq, line, &pre)),
-                    LogPath::Atom(buf) => buf.insert_line(seq, line, pre).into_iter().collect(),
-                    LogPath::Ede(_) => unreachable!("EDE logs at word granularity"),
-                };
-                for ev in events {
+                for ev in self.core.log_path.log(seq, line, &pre) {
                     self.persist_flush(ev, false);
                 }
                 self.core
@@ -1382,6 +1434,7 @@ impl Machine {
     /// Panics if `addr` is not word-aligned.
     pub fn load_u64(&mut self, addr: PmAddr) -> u64 {
         assert!(addr.is_word_aligned(), "unaligned load at {addr}");
+        self.resolve_conflicts(addr, false);
         self.stats.loads += 1;
         self.now += self.cfg.load_issue_cycles;
         self.ensure_l1(addr);
@@ -1408,6 +1461,7 @@ impl Machine {
 
     fn store_word_bytes(&mut self, addr: PmAddr, bytes: [u8; WORD_BYTES], kind: StoreKind) {
         assert!(addr.is_word_aligned(), "unaligned store at {addr}");
+        self.resolve_conflicts(addr, true);
         // All (scheme, flavour) dispatch — Table I bit effects, degrade
         // rules, honoured-ness, deferral — was resolved into the action
         // table at construction; the hot path is a lookup.
@@ -1576,12 +1630,7 @@ impl Machine {
             // records of overflowed lines, make the marker durable,
             // and clear the transaction's metadata (lines stay dirty;
             // they write back on natural eviction or battery flush).
-            let ev = match &mut self.core.log_path {
-                LogPath::Tiered(buf) => buf.drain_all(),
-                LogPath::Atom(buf) => buf.drain_all(),
-                LogPath::Ede(e) => e.drain(),
-            };
-            if let Some(ev) = ev {
+            if let Some(ev) = self.core.log_path.drain() {
                 self.persist_flush(ev, true);
             }
             if self.commit_crash_point == Some(CommitPhase::AfterRecords) {
@@ -1743,11 +1792,7 @@ impl Machine {
             if self.take_crash_point(cur.seq, CommitPhase::AfterLogFree) {
                 return;
             }
-            let ev = match &mut self.core.log_path {
-                LogPath::Tiered(buf) => buf.drain_all(),
-                _ => unreachable!("redo requires the tiered buffer"),
-            };
-            if let Some(ev) = ev {
+            if let Some(ev) = self.core.log_path.drain() {
                 self.persist_flush(ev, true);
             }
             if self.take_crash_point(cur.seq, CommitPhase::AfterRecords) {
@@ -1784,12 +1829,7 @@ impl Machine {
         } else {
             // Figure 4 (left): records → data (logged and log-free in
             // any order) → marker.
-            let ev = match &mut self.core.log_path {
-                LogPath::Tiered(buf) => buf.drain_all(),
-                LogPath::Atom(buf) => buf.drain_all(),
-                LogPath::Ede(e) => e.drain(),
-            };
-            if let Some(ev) = ev {
+            if let Some(ev) = self.core.log_path.drain() {
                 self.persist_flush(ev, true);
             }
             if self.take_crash_point(cur.seq, CommitPhase::AfterRecords) {
@@ -1989,95 +2029,227 @@ impl Machine {
         }
     }
 
-    /// Aborts the open transaction (§V-B): clears the log buffer,
-    /// invalidates lines updated by the transaction, and applies any
-    /// already-persisted undo records back to the image.
+    /// Aborts the open transaction (§V-B): its buffered records are
+    /// dropped, its cached updates invalidated, and under the undo
+    /// discipline every pre-image it logged is applied back onto the
+    /// line's coherent contents and persisted.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub fn tx_abort(&mut self) {
-        let cur = self
-            .core
-            .cur
-            .take()
-            .expect("abort without an open transaction");
-        self.trace(|t| {
-            t.emit(TraceEvent::Abort { txn: cur.seq });
-            t.emit(TraceEvent::TxnIdRetire {
-                txn: cur.seq,
-                id: cur.id.raw(),
-            });
-        });
-        // (1) Clear the log buffer — the records' lines are still in the
-        // private cache or were flushed already.
-        match &mut self.core.log_path {
-            LogPath::Tiered(buf) => buf.clear(),
-            LogPath::Atom(buf) => buf.clear(),
-            LogPath::Ede(e) => e.clear(),
+        self.abort_txn(Victim::Own);
+    }
+
+    /// Aborts `who`'s open transaction and returns its sequence number:
+    /// the one roll-back routine for the active core's own transaction,
+    /// a switched-out thread's (§V-C) and a parked core's (the
+    /// cross-core conflict path). The victim's buffered records are
+    /// drained, its cached updates invalidated everywhere, and under
+    /// the undo discipline every pre-image it logged — durable or still
+    /// buffered — is applied back onto the line's *coherent* contents
+    /// and persisted. Under redo the image was never touched in place:
+    /// dropping the shadow and the records suffices.
+    fn abort_txn(&mut self, who: Victim) -> u64 {
+        let victim = match who {
+            Victim::Own => self.core.cur.take(),
+            Victim::Suspended(pos) => Some(self.suspended.swap_remove(pos)),
+            Victim::Parked(slot) => self.parked[slot].cur.take(),
         }
-        // Invalidate the transaction's updated lines in every level.
-        let mut doomed: Vec<PmAddr> = Vec::new();
-        for cache in [&self.core.l1, &self.l2] {
-            for e in cache.iter() {
-                if e.meta.txn_id == Some(cur.id) && e.meta.dirty && !e.meta.lazy_pending {
-                    doomed.push(e.addr);
-                }
+        .expect("abort without an open transaction");
+        match who {
+            Victim::Own => self.trace(|t| {
+                t.emit(TraceEvent::Abort { txn: victim.seq });
+                t.emit(TraceEvent::TxnIdRetire {
+                    txn: victim.seq,
+                    id: victim.id.raw(),
+                });
+            }),
+            Victim::Suspended(_) => self.stats.suspended_aborts += 1,
+            Victim::Parked(slot) => {
+                self.stats.cross_core_aborts += 1;
+                self.trace(|t| {
+                    t.emit(TraceEvent::CrossAbort {
+                        victim: slot as u8,
+                        txn: victim.seq,
+                    });
+                });
             }
         }
-        for addr in &doomed {
-            self.core.l1.invalidate(*addr);
-            self.l2.invalidate(*addr);
-            // The L3/image copy may hold stolen (persisted) uncommitted
-            // data; the undo application below repairs the image, so
-            // drop any stale L3 copy too.
-            self.l3.invalidate(*addr);
-            for ctx in &mut self.parked {
-                ctx.l1.invalidate(*addr);
-            }
-        }
-        // (2) Kernel-assisted revocation. Under undo, apply this
-        // transaction's persisted records (pre-images), newest first,
-        // and persist the repaired lines. Under redo the image was
-        // never touched in place: dropping the shadow and the records
-        // suffices.
-        self.now += 2000; // interrupt + syscall entry (§V-B)
-        if self.cfg.features.discipline == Discipline::Redo {
-            self.core.redo_shadow.clear();
-        } else {
-            let recs: Vec<(PmAddr, PayloadBuf)> = self
+        let undo = self.cfg.features.discipline == Discipline::Undo;
+        // Collect the victim's still-buffered records: under undo
+        // they carry pre-images the repair needs (their data may
+        // already sit in the victim's L1 merged with committed sibling
+        // words). Under redo they hold new values and are dropped.
+        let ev = match who {
+            Victim::Suspended(_) => None,
+            _ => self.victim_ctx(who).log_path.drain(),
+        };
+        let buffered: Vec<(PmAddr, PayloadBuf)> = ev
+            .into_iter()
+            .flat_map(|ev| ev.entries)
+            .filter(|e| e.txn == victim.seq)
+            .map(|e| (e.addr, e.payload))
+            .collect();
+        // Validate the victim's durable records before repairing from
+        // them: a torn or corrupt record seen here (the crash tripped
+        // mid-trace with a tearing fault plan armed) must abort the
+        // repair deterministically rather than replay garbage onto the
+        // image. The records stay in the log, so post-crash recovery —
+        // which runs the full validate phase — finishes the roll-back
+        // from whatever is intact.
+        let repair_tainted = undo
+            && self
                 .dev
                 .log()
-                .records_of(cur.seq)
-                .map(|r| (r.addr, r.payload))
-                .collect();
-            let mut touched: BTreeSet<u64> = BTreeSet::new();
-            for (addr, payload) in recs.iter().rev() {
-                self.dev.image_mut().write(*addr, payload);
-                touched.insert(addr.line().raw());
+                .records_of(victim.seq)
+                .any(|r| !r.is_intact());
+        if let Victim::Parked(slot) = who {
+            self.stats.cross_core_repair_aborts += u64::from(repair_tainted);
+            self.trace(|t| {
+                let records = self.dev.log().records_of(victim.seq).count() + buffered.len();
+                t.emit(TraceEvent::CrossRepair {
+                    victim: slot as u8,
+                    records: records.min(u32::MAX as usize) as u32,
+                    deferred: repair_tainted,
+                });
+            });
+        }
+        // Compute the undo repairs *before* invalidating anything: the
+        // pre-images apply onto the line's coherent contents, because
+        // the image can be stale — a sibling word's only up-to-date
+        // copy may be a committed-but-lazy cached value the victim
+        // took over.
+        let repairs: Vec<(PmAddr, [u8; LINE_BYTES])> = if undo && !repair_tainted {
+            let mut per_line: BTreeMap<u64, Vec<(PmAddr, PayloadBuf)>> = BTreeMap::new();
+            for r in self.dev.log().records_of(victim.seq) {
+                per_line
+                    .entry(r.addr.line().raw())
+                    .or_default()
+                    .push((r.addr, r.payload));
             }
-            for line in touched {
-                let la = PmAddr::new(line);
-                // Any cached copy (even a clean one fetched moments ago)
-                // is stale relative to the repaired image.
-                self.core.l1.invalidate(la);
-                self.l2.invalidate(la);
-                self.l3.invalidate(la);
-                for ctx in &mut self.parked {
-                    ctx.l1.invalidate(la);
-                }
-                self.signature_persist_check(la);
-                let data = self.dev.image().read_line(la);
-                self.persist_line_sync(la, &data);
+            for (addr, payload) in &buffered {
+                per_line
+                    .entry(addr.line().raw())
+                    .or_default()
+                    .push((*addr, *payload));
+            }
+            per_line
+                .into_iter()
+                .map(|(line, recs)| {
+                    let la = PmAddr::new(line);
+                    let mut data = [0u8; LINE_BYTES];
+                    self.peek_bytes(la, &mut data);
+                    // Newest-first, so the oldest pre-image of a word
+                    // lands last (a word is logged at most once per
+                    // transaction, but line-granularity records can
+                    // overlap).
+                    for (addr, payload) in recs.iter().rev() {
+                        let off = (addr.raw() - line) as usize;
+                        data[off..off + payload.len()].copy_from_slice(payload);
+                    }
+                    (la, data)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // Invalidate the victim's cached updates: the L1 it ran on plus
+        // the shared levels (lines it evicted while it was active).
+        let l1 = match who {
+            Victim::Parked(slot) => &self.parked[slot].l1,
+            Victim::Own | Victim::Suspended(_) => &self.core.l1,
+        };
+        let doomed: Vec<PmAddr> = l1
+            .iter()
+            .chain(self.l2.iter())
+            .filter(|e| e.meta.txn_id == Some(victim.id) && e.meta.dirty && !e.meta.lazy_pending)
+            .map(|e| e.addr)
+            .collect();
+        for addr in doomed {
+            self.invalidate_everywhere(addr);
+        }
+        self.now += 2000; // interrupt + syscall entry (§V-B)
+        if !undo {
+            self.victim_ctx(who).redo_shadow.clear();
+        }
+        // Repair through the gated device path — the image is never
+        // mutated out of band, so a persist-event crash tripping
+        // mid-abort leaves an exact event-prefix durable state, with
+        // the surviving records still rolling the victim back at
+        // recovery.
+        for (la, data) in repairs {
+            self.invalidate_everywhere(la);
+            self.signature_persist_check(la);
+            self.persist_line_sync(la, &data);
+        }
+        // The revocations are durable: the records must never be
+        // replayed by a later recovery pass (they would clobber newer
+        // committed data with stale pre-images). Keep them when a crash
+        // tripped mid-repair — or when the repair was aborted on a
+        // tainted record: recovery still needs them to finish the
+        // roll-back.
+        if !self.dev.crash_tripped() && !repair_tainted {
+            self.dev.log_mut().drop_txn(victim.seq);
+        }
+        self.txreg.retire_clean(victim.id);
+        self.stats.tx_aborts += 1;
+        victim.seq
+    }
+
+    /// The private context holding `who`'s cached state.
+    fn victim_ctx(&mut self, who: Victim) -> &mut CoreCtx {
+        match who {
+            Victim::Parked(slot) => &mut self.parked[slot],
+            Victim::Own | Victim::Suspended(_) => &mut self.core,
+        }
+    }
+
+    /// Drops every cached copy of `line`, in every core's L1 and the
+    /// shared levels.
+    fn invalidate_everywhere(&mut self, line: PmAddr) {
+        self.core.l1.invalidate(line);
+        self.l2.invalidate(line);
+        self.l3.invalidate(line);
+        for ctx in &mut self.parked {
+            ctx.l1.invalidate(line);
+        }
+    }
+
+    /// Requester-wins conflict resolution before an access to `addr`
+    /// (§V-C): every other open transaction — a thread's switched out
+    /// on this core, or a parked core's — whose write set holds the
+    /// line, or whose read set does when the access writes, aborts.
+    /// Detection uses the read/write sets (the LogTM-SE-style mechanism
+    /// the paper borrows for switched-out threads), which covers lines
+    /// that were stolen to PM and lost their cache tags.
+    fn resolve_conflicts(&mut self, addr: PmAddr, is_write: bool) {
+        let line = addr.line().raw();
+        let hits =
+            |t: &CurTxn| t.write_set.contains(&line) || (is_write && t.read_set.contains(&line));
+        loop {
+            let who = if let Some(pos) = self.suspended.iter().position(hits) {
+                Victim::Suspended(pos)
+            } else if let Some(slot) = self
+                .parked
+                .iter()
+                .position(|c| c.cur.as_ref().is_some_and(hits))
+            {
+                self.trace(|t| {
+                    t.emit(TraceEvent::CrossConflict {
+                        addr: addr.raw(),
+                        holder: slot as u8,
+                    });
+                });
+                Victim::Parked(slot)
+            } else {
+                return;
+            };
+            let seq = self.abort_txn(who);
+            if let Victim::Parked(slot) = who {
+                self.conflict_aborts.push((slot, seq));
             }
         }
-        // The revocations are durable: the aborted transaction's
-        // records must never be replayed by a later recovery pass
-        // (they would clobber newer committed data with stale
-        // pre-images).
-        self.dev.log_mut().drop_txn(cur.seq);
-        self.txreg.retire_clean(cur.id);
-        self.stats.tx_aborts += 1;
     }
 
     /// Thread context switch (§V-C): before switching out, the OS
@@ -2088,12 +2260,7 @@ impl Machine {
     /// across the switch. The open transaction (if any) resumes when
     /// the thread is scheduled back.
     pub fn context_switch(&mut self) {
-        let ev = match &mut self.core.log_path {
-            LogPath::Tiered(buf) => buf.drain_all(),
-            LogPath::Atom(buf) => buf.drain_all(),
-            LogPath::Ede(e) => e.drain(),
-        };
-        if let Some(ev) = ev {
+        if let Some(ev) = self.core.log_path.drain() {
             self.persist_flush(ev, true);
         }
         self.now += 3000; // kernel entry/exit + state save
@@ -2163,64 +2330,7 @@ impl Machine {
             .iter()
             .position(|t| t.seq == seq)
             .unwrap_or_else(|| panic!("no suspended transaction {seq}"));
-        let victim = self.suspended.swap_remove(pos);
-        self.stats.suspended_aborts += 1;
-        // Invalidate the victim's cached updates.
-        let mut doomed: Vec<PmAddr> = Vec::new();
-        for cache in [&self.core.l1, &self.l2] {
-            for e in cache.iter() {
-                if e.meta.txn_id == Some(victim.id) && e.meta.dirty && !e.meta.lazy_pending {
-                    doomed.push(e.addr);
-                }
-            }
-        }
-        for addr in &doomed {
-            self.core.l1.invalidate(*addr);
-            self.l2.invalidate(*addr);
-            self.l3.invalidate(*addr);
-        }
-        // Apply its persisted undo records (they were drained at
-        // suspension), then drop them from the log region.
-        self.now += 2000;
-        let recs: Vec<(PmAddr, PayloadBuf)> = self
-            .dev
-            .log()
-            .records_of(victim.seq)
-            .map(|r| (r.addr, r.payload))
-            .collect();
-        let mut touched: BTreeSet<u64> = BTreeSet::new();
-        for (addr, payload) in recs.iter().rev() {
-            self.dev.image_mut().write(*addr, payload);
-            touched.insert(addr.line().raw());
-        }
-        for line in touched {
-            let la = PmAddr::new(line);
-            // Any cached copy (even a clean one fetched moments ago)
-            // is stale relative to the repaired image.
-            self.core.l1.invalidate(la);
-            self.l2.invalidate(la);
-            self.l3.invalidate(la);
-            self.signature_persist_check(la);
-            let data = self.dev.image().read_line(la);
-            self.persist_line_sync(la, &data);
-        }
-        self.dev.log_mut().drop_txn(victim.seq);
-        self.txreg.retire_clean(victim.id);
-        self.stats.tx_aborts += 1;
-    }
-
-    /// Whether an access to `addr` conflicts with a switched-out
-    /// transaction. Detection uses the suspended transactions'
-    /// read/write sets (the LogTM-SE-style mechanism the paper borrows
-    /// for switched-out threads), which covers lines that were stolen
-    /// to PM and lost their cache tags: a write conflicts with either
-    /// set, a read only with the write set.
-    fn suspended_owner(&self, addr: PmAddr, is_write: bool) -> Option<u64> {
-        let line = addr.line().raw();
-        self.suspended
-            .iter()
-            .find(|t| t.write_set.contains(&line) || (is_write && t.read_set.contains(&line)))
-            .map(|t| t.seq)
+        self.abort_txn(Victim::Suspended(pos));
     }
 
     /// Forces every outstanding lazy transaction's deferred data
@@ -2256,28 +2366,13 @@ impl Machine {
             }
         }
         self.dev.crash();
-        self.core.l1.clear();
         self.l2.clear();
         self.l3.clear();
-        match &mut self.core.log_path {
-            LogPath::Tiered(buf) => buf.clear(),
-            LogPath::Atom(buf) => buf.clear(),
-            LogPath::Ede(e) => e.clear(),
-        }
         self.lazy_txns.clear();
         self.txreg.reset();
-        self.core.redo_shadow.clear();
-        self.core.cur = None;
         self.suspended.clear();
-        for ctx in &mut self.parked {
-            ctx.l1.clear();
-            match &mut ctx.log_path {
-                LogPath::Tiered(buf) => buf.clear(),
-                LogPath::Atom(buf) => buf.clear(),
-                LogPath::Ede(e) => e.clear(),
-            }
-            ctx.cur = None;
-            ctx.redo_shadow.clear();
+        for ctx in std::iter::once(&mut self.core).chain(&mut self.parked) {
+            ctx.clear();
         }
     }
 
@@ -2321,23 +2416,11 @@ impl Machine {
         // leaving the flag off keeps it bit-identical to the plain
         // single-core machine (asserted by the wrapper's tests).
         self.multi = cores > 1;
+        // Tracing enabled before the cores existed: the new private
+        // buffers join the shared tracer too.
         for _ in 1..cores {
-            let mut log_path = match self.cfg.features.buffer {
-                BufferKind::Tiered => LogPath::Tiered(TieredLogBuffer::new()),
-                BufferKind::AtomLines => LogPath::Atom(AtomLineBuffer::new()),
-                BufferKind::EdeDirect => LogPath::Ede(EdeCombiner::new()),
-            };
-            // Tracing enabled before the cores existed: the new private
-            // buffers join the shared tracer too.
-            if let (Some(h), LogPath::Tiered(buf)) = (&self.tracer, &mut log_path) {
-                buf.set_tracer(Some(h.clone()));
-            }
-            self.parked.push(Box::new(CoreCtx {
-                l1: SetAssocCache::new(self.cfg.caches.l1),
-                log_path,
-                cur: None,
-                redo_shadow: BTreeMap::new(),
-            }));
+            self.parked
+                .push(CoreCtx::new(&self.cfg, self.tracer.as_ref()));
         }
     }
 
@@ -2367,176 +2450,10 @@ impl Machine {
         self.core.cur.as_ref().map(|c| c.seq)
     }
 
-    /// LogTM-SE-style conflict check against *parked cores'* open
-    /// transactions (the §V-C mechanism, applied across cores): a
-    /// write conflicts with either set, a read only with the write
-    /// set. Returns the parked slot of the first conflicting owner.
-    pub(crate) fn parked_conflict(&self, addr: PmAddr, is_write: bool) -> Option<usize> {
-        let line = addr.line().raw();
-        let hit = self.parked.iter().position(|c| {
-            c.cur.as_ref().is_some_and(|t| {
-                t.write_set.contains(&line) || (is_write && t.read_set.contains(&line))
-            })
-        });
-        if let Some(slot) = hit {
-            self.trace(|t| {
-                t.emit(TraceEvent::CrossConflict {
-                    addr: addr.raw(),
-                    holder: slot as u8,
-                });
-            });
-        }
-        hit
-    }
-
-    /// Aborts the open transaction of the parked core in `slot` — the
-    /// cross-core conflict-resolution path (requester wins, as for
-    /// switched-out threads in §V-C). Mirrors
-    /// [`abort_suspended`](Self::abort_suspended): the victim's
-    /// buffered records are dropped, its cached updates invalidated
-    /// everywhere, and any records it already persisted (drained on
-    /// eviction or by an earlier switch) are applied back to the image
-    /// under the undo discipline. Returns the aborted sequence number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot has no open transaction.
-    pub(crate) fn abort_parked(&mut self, slot: usize) -> u64 {
-        let victim = self.parked[slot]
-            .cur
-            .take()
-            .expect("no open transaction on parked core");
-        self.stats.cross_core_aborts += 1;
-        self.trace(|t| {
-            t.emit(TraceEvent::CrossAbort {
-                victim: slot as u8,
-                txn: victim.seq,
-            });
-        });
-        let undo = self.cfg.features.discipline == Discipline::Undo;
-        // Collect the victim's still-buffered records: under undo
-        // they carry pre-images the repair needs (their data may
-        // already sit in the victim's L1 merged with committed sibling
-        // words). Under redo they hold new values and are dropped.
-        let buffered: Vec<(PmAddr, PayloadBuf)> = {
-            let ev = match &mut self.parked[slot].log_path {
-                LogPath::Tiered(buf) => buf.drain_all(),
-                LogPath::Atom(buf) => buf.drain_all(),
-                LogPath::Ede(e) => e.drain(),
-            };
-            ev.into_iter()
-                .flat_map(|ev| ev.entries)
-                .filter(|e| e.txn == victim.seq)
-                .map(|e| (e.addr, e.payload))
-                .collect()
-        };
-        // Validate the victim's durable records before repairing from
-        // them: a torn or corrupt record seen here (the crash tripped
-        // mid-trace with a tearing fault plan armed) must abort the
-        // repair deterministically rather than replay garbage onto the
-        // image. The records stay in the log, so post-crash recovery —
-        // which runs the full validate phase — finishes the roll-back
-        // from whatever is intact.
-        let repair_tainted = undo
-            && self
-                .dev
-                .log()
-                .records_of(victim.seq)
-                .any(|r| !r.is_intact());
-        if repair_tainted {
-            self.stats.cross_core_repair_aborts += 1;
-        }
-        self.trace(|t| {
-            let records = self.dev.log().records_of(victim.seq).count() + buffered.len();
-            t.emit(TraceEvent::CrossRepair {
-                victim: slot as u8,
-                records: records.min(u32::MAX as usize) as u32,
-                deferred: repair_tainted,
-            });
-        });
-        // Compute the undo repairs *before* invalidating anything: the
-        // pre-images apply onto the line's coherent contents, because
-        // the image can be stale — a sibling word's only up-to-date
-        // copy may be a committed-but-lazy cached value the victim
-        // took over.
-        let repairs: Vec<(PmAddr, [u8; LINE_BYTES])> = if undo && !repair_tainted {
-            let mut per_line: BTreeMap<u64, Vec<(PmAddr, PayloadBuf)>> = BTreeMap::new();
-            for r in self.dev.log().records_of(victim.seq) {
-                per_line
-                    .entry(r.addr.line().raw())
-                    .or_default()
-                    .push((r.addr, r.payload));
-            }
-            for (addr, payload) in &buffered {
-                per_line
-                    .entry(addr.line().raw())
-                    .or_default()
-                    .push((*addr, *payload));
-            }
-            per_line
-                .into_iter()
-                .map(|(line, recs)| {
-                    let la = PmAddr::new(line);
-                    let mut data = [0u8; LINE_BYTES];
-                    self.peek_bytes(la, &mut data);
-                    // Newest-first, so the oldest pre-image of a word
-                    // lands last (a word is logged at most once per
-                    // transaction, but line-granularity records can
-                    // overlap).
-                    for (addr, payload) in recs.iter().rev() {
-                        let off = (addr.raw() - line) as usize;
-                        data[off..off + payload.len()].copy_from_slice(payload);
-                    }
-                    (la, data)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // Invalidate the victim's cached updates: its private L1 plus
-        // the shared levels (lines it evicted while it was active).
-        let mut doomed: Vec<PmAddr> = Vec::new();
-        for e in self.parked[slot].l1.iter().chain(self.l2.iter()) {
-            if e.meta.txn_id == Some(victim.id) && e.meta.dirty && !e.meta.lazy_pending {
-                doomed.push(e.addr);
-            }
-        }
-        for addr in &doomed {
-            self.core.l1.invalidate(*addr);
-            self.l2.invalidate(*addr);
-            self.l3.invalidate(*addr);
-            for ctx in &mut self.parked {
-                ctx.l1.invalidate(*addr);
-            }
-        }
-        self.now += 2000; // interrupt + syscall entry (§V-B)
-        if !undo {
-            self.parked[slot].redo_shadow.clear();
-        }
-        // Repair through the gated device path — the image is never
-        // mutated out of band, so a persist-event crash tripping
-        // mid-abort leaves an exact event-prefix durable state, with
-        // the surviving records still rolling the victim back at
-        // recovery.
-        for (la, data) in repairs {
-            self.core.l1.invalidate(la);
-            self.l2.invalidate(la);
-            self.l3.invalidate(la);
-            for ctx in &mut self.parked {
-                ctx.l1.invalidate(la);
-            }
-            self.signature_persist_check(la);
-            self.persist_line_sync(la, &data);
-        }
-        // Keep the records when a crash tripped mid-repair — or when
-        // the repair was aborted on a tainted record: recovery still
-        // needs them to finish the roll-back.
-        if !self.dev.crash_tripped() && !repair_tainted {
-            self.dev.log_mut().drop_txn(victim.seq);
-        }
-        self.txreg.retire_clean(victim.id);
-        self.stats.tx_aborts += 1;
-        victim.seq
+    /// Drains the `(slot, seq)` of every parked-core transaction the
+    /// conflict check aborted since the last call.
+    pub(crate) fn take_conflict_aborts(&mut self) -> Vec<(usize, u64)> {
+        std::mem::take(&mut self.conflict_aborts)
     }
 }
 

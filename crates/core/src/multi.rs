@@ -146,10 +146,11 @@ pub enum McEvent {
 /// N simulated SLPMT cores over one shared persistence domain.
 ///
 /// Every public operation takes the issuing core's index; the wrapper
-/// activates that core (context swap), resolves cross-core conflicts
-/// (aborting parked owners — the requester wins), stamps the device's
+/// activates that core (context swap), stamps the device's
 /// persist-event origin, and then executes the operation on the
-/// underlying [`Machine`].
+/// underlying [`Machine`], whose conflict check aborts any parked
+/// owner of the accessed line (the requester wins); the wrapper
+/// records each victim as a [`McEvent::ConflictAborted`].
 #[derive(Debug)]
 pub struct MultiMachine {
     m: Machine,
@@ -248,15 +249,12 @@ impl MultiMachine {
             .expect("every parked slot belongs to a core")
     }
 
-    /// Aborts every *parked* transaction conflicting with the active
-    /// core's access (requester wins). A write conflicts with both
-    /// sets, a read only with the write set.
-    fn resolve_conflicts(&mut self, addr: PmAddr, is_write: bool) {
-        while let Some(slot) = self.m.parked_conflict(addr, is_write) {
-            let core = self.core_of_slot(slot);
-            let seq = self.m.abort_parked(slot);
+    /// Records the parked transactions the active core's access to
+    /// `addr` aborted (the machine's conflict check; requester wins).
+    fn record_conflicts(&mut self, addr: PmAddr, is_write: bool) {
+        for (slot, seq) in self.m.take_conflict_aborts() {
             self.events.push(McEvent::ConflictAborted {
-                core,
+                core: self.core_of_slot(slot),
                 seq,
                 by_core: self.active,
                 line: addr.line().raw(),
@@ -302,15 +300,16 @@ impl MultiMachine {
     /// Executes a load on `core`.
     pub fn load_u64(&mut self, core: usize, addr: PmAddr) -> u64 {
         self.activate(core);
-        self.resolve_conflicts(addr, false);
-        self.m.load_u64(addr)
+        let v = self.m.load_u64(addr);
+        self.record_conflicts(addr, false);
+        v
     }
 
     /// Executes a store on `core`.
     pub fn store_u64(&mut self, core: usize, addr: PmAddr, value: u64, kind: StoreKind) {
         self.activate(core);
-        self.resolve_conflicts(addr, true);
-        self.m.store_u64(addr, value, kind)
+        self.m.store_u64(addr, value, kind);
+        self.record_conflicts(addr, true);
     }
 
     /// Forces every outstanding lazily-persistent line durable

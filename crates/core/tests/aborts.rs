@@ -2,7 +2,7 @@
 //! after mid-transaction steals.
 
 use slpmt_core::{Machine, MachineConfig, Scheme, StoreKind};
-use slpmt_pmem::PmAddr;
+use slpmt_pmem::{PersistEvent, PmAddr};
 
 const WORDS: u64 = 10;
 
@@ -129,4 +129,80 @@ fn crash_after_abort_does_not_replay_stale_records() {
         42,
         "stale abort record replayed: {report:?}"
     );
+}
+
+#[test]
+fn abort_after_takeover_keeps_the_committed_lazy_word() {
+    // Regression: a logged store takes over a line holding an earlier
+    // transaction's committed lazy word (§III-C1). Aborting the new
+    // owner must roll back only its own word: the cached line is the
+    // lazy word's only copy, so invalidating it would lose the word.
+    let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Slpmt));
+    let a = word(0);
+    m.tx_begin();
+    m.store_u64(a, 55, StoreKind::lazy_log_free());
+    m.tx_commit();
+    m.tx_begin();
+    m.store_u64(a.add(8), 66, StoreKind::Store);
+    m.tx_abort();
+    assert_eq!(m.peek_u64(a), 55, "committed lazy word survives");
+    assert_eq!(m.peek_u64(a.add(8)), 0, "aborted word rolled back");
+    m.drain_lazy();
+    assert_eq!(m.device().image().read_u64(a), 55);
+    assert_eq!(m.device().image().read_u64(a.add(8)), 0);
+}
+
+/// Persist-event number (1-based) of `seq`'s commit marker.
+fn marker_event(m: &Machine, seq: u64) -> u64 {
+    let pos = m
+        .device()
+        .events()
+        .iter()
+        .position(|e| matches!(e, PersistEvent::CommitMarker { txn } if *txn == seq))
+        .expect("the later transaction commits");
+    pos as u64 + 1
+}
+
+/// The `crash_after_abort_does_not_replay_stale_records` trace, with
+/// the persist-event crash scheduler armed at `k` when given. Returns
+/// the machine and the later transaction's sequence number.
+fn abort_after_steal(k: Option<u64>) -> (Machine, u64) {
+    let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Fg).with_tiny_caches());
+    m.setup_write(word(0), &7u64.to_le_bytes());
+    if let Some(k) = k {
+        m.arm_crash_at_event(k);
+    }
+    m.tx_begin();
+    m.store_u64(word(0), 999, StoreKind::Store);
+    for i in 0..512u64 {
+        m.store_u64(PmAddr::new(0x80000 + i * 64), i + 1, StoreKind::Store);
+    }
+    m.tx_abort();
+    m.tx_begin();
+    let later = m.txn_seq();
+    m.store_u64(word(0), 42, StoreKind::Store);
+    m.tx_commit();
+    (m, later)
+}
+
+#[test]
+fn abort_after_steal_recovers_at_every_persist_event() {
+    // The abort repairs through the event-gated persist path, so a
+    // crash may cut it anywhere: recovery must still roll the aborted
+    // transaction back, and the later one is committed exactly when
+    // its marker is durable.
+    let (twin, later) = abort_after_steal(None);
+    let marker = marker_event(&twin, later);
+    for k in 0..=twin.persist_event_count() {
+        let (mut m, _) = abort_after_steal(Some(k));
+        m.crash();
+        m.recover();
+        let image = m.device().image();
+        let want = if k >= marker { 42 } else { 7 };
+        assert_eq!(image.read_u64(word(0)), want, "k={k}");
+        for i in 0..512u64 {
+            let v = image.read_u64(PmAddr::new(0x80000 + i * 64));
+            assert_eq!(v, 0, "k={k}: aborted word {i} keeps its pre-image");
+        }
+    }
 }

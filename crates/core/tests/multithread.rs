@@ -4,7 +4,7 @@
 //! suspended transactions as unfinished.
 
 use slpmt_core::{Machine, MachineConfig, Scheme, StoreKind};
-use slpmt_pmem::PmAddr;
+use slpmt_pmem::{PersistEvent, PmAddr};
 
 const A: PmAddr = PmAddr::new(0x10000);
 const B: PmAddr = PmAddr::new(0x20000);
@@ -70,6 +70,80 @@ fn conflict_after_steal_repairs_the_image() {
     assert_eq!(v, 5, "undo applied on conflict abort");
     m.tx_commit();
     assert_eq!(m.device().image().read_u64(A), 5);
+}
+
+#[test]
+fn conflict_abort_after_takeover_keeps_the_committed_lazy_word() {
+    // Regression: the suspended transaction took over a line holding
+    // an earlier transaction's committed lazy word (§III-C1) with a
+    // logged store. The conflict abort must roll back only its own
+    // word: the cached line is the lazy word's only copy.
+    let mut m = machine();
+    m.tx_begin();
+    m.store_u64(A, 55, StoreKind::lazy_log_free());
+    m.tx_commit();
+    m.tx_begin();
+    m.store_u64(A.add(8), 66, StoreKind::Store);
+    let _t2 = m.suspend_txn();
+    m.tx_begin();
+    assert_eq!(m.load_u64(A), 55, "committed lazy word survives");
+    assert_eq!(m.load_u64(A.add(8)), 0, "aborted word rolled back");
+    m.tx_commit();
+    assert_eq!(m.stats().suspended_aborts, 1);
+    assert_eq!(m.peek_u64(A), 55);
+    m.drain_lazy();
+    assert_eq!(m.device().image().read_u64(A), 55);
+    assert_eq!(m.device().image().read_u64(A.add(8)), 0);
+}
+
+/// The `conflict_after_steal_repairs_the_image` trace plus a store to
+/// `B` in the winning transaction, with the persist-event crash
+/// scheduler armed at `k` when given. Returns the machine and the
+/// winner's sequence number.
+fn conflict_after_steal(k: Option<u64>) -> (Machine, u64) {
+    let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Slpmt).with_tiny_caches());
+    m.setup_write(A, &5u64.to_le_bytes());
+    if let Some(k) = k {
+        m.arm_crash_at_event(k);
+    }
+    m.tx_begin();
+    m.store_u64(A, 99, StoreKind::Store);
+    for i in 0..512u64 {
+        m.load_u64(PmAddr::new(0x80000 + i * 64));
+    }
+    let _t1 = m.suspend_txn();
+    m.tx_begin();
+    let winner = m.txn_seq();
+    m.load_u64(A);
+    m.store_u64(B, 2, StoreKind::Store);
+    m.tx_commit();
+    (m, winner)
+}
+
+#[test]
+fn conflict_after_steal_recovers_at_every_persist_event() {
+    // The conflict abort repairs through the event-gated persist path,
+    // so a crash may cut it anywhere: recovery must still roll the
+    // victim back, and the winner is committed exactly when its marker
+    // is durable.
+    let (twin, winner) = conflict_after_steal(None);
+    assert_eq!(twin.stats().suspended_aborts, 1);
+    let marker = twin
+        .device()
+        .events()
+        .iter()
+        .position(|e| matches!(e, PersistEvent::CommitMarker { txn } if *txn == winner))
+        .expect("the winner commits") as u64
+        + 1;
+    for k in 0..=twin.persist_event_count() {
+        let (mut m, _) = conflict_after_steal(Some(k));
+        m.crash();
+        m.recover();
+        let image = m.device().image();
+        assert_eq!(image.read_u64(A), 5, "k={k}: victim rolled back");
+        let want = if k >= marker { 2 } else { 0 };
+        assert_eq!(image.read_u64(B), want, "k={k}: winner's store");
+    }
 }
 
 #[test]

@@ -20,7 +20,11 @@ import sys
 #  [(hard keys, what changed)])
 GATES = [
     ("matrix", "sim_ops_per_s", "sim-ops/s", (), None, []),
-    ("mc", "sim_ops_per_s", "sim-ops/s", (), None, []),
+    ("mc", "sim_ops_per_s", "sim-ops/s", ("cores", "sim_ops"),
+     "mc cycles: baseline {b[sim_cycles]}, current {c[sim_cycles]}; "
+     "commits {b[commits]} vs {c[commits]}",
+     [(("sim_cycles",), "simulated cycle count changed — semantics moved"),
+      (("commits",), "commit count changed — semantics moved")]),
     ("ycsb", "sim_ops_per_s", "sim-ops/s", ("cells", "load", "ops", "value_bytes"),
      "ycsb cycles: baseline {b[total_sim_cycles]}, current {c[total_sim_cycles]}",
      [(("total_sim_cycles",), "simulated cycle count changed — semantics moved")]),

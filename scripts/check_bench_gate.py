@@ -19,7 +19,8 @@ import tempfile
 MAX_LOSS = "0.05"
 GATE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_gate.py")
 
-HARD = [("shards", "makespan_cycles"), ("ycsb", "total_sim_cycles"),
+HARD = [("mc", "sim_cycles"), ("mc", "commits"),
+        ("shards", "makespan_cycles"), ("ycsb", "total_sim_cycles"),
         ("serve", "total_sim_cycles"), ("serve", "digest"), ("chaos", "digest"),
         ("chaos", "strict"), ("chaos", "lossy"), ("ptm", "total_sim_cycles"),
         ("ptm", "digest")]
