@@ -11,11 +11,10 @@
 //! 4. **WPQ drain banks**: how medium parallelism shifts the regime
 //!    from throughput-bound to burst-stall-bound.
 
-use slpmt_bench::runner::par_map;
 use slpmt_bench::{compare, header, workload};
 use slpmt_core::{Machine, MachineConfig, Scheme, StoreKind};
 use slpmt_pmem::PmAddr;
-use slpmt_workloads::runner::{run_inserts_with, IndexKind};
+use slpmt_workloads::runner::{par_map_with, run, threads, IndexKind, RunSpec};
 use slpmt_workloads::AnnotationSource;
 
 fn main() {
@@ -25,14 +24,8 @@ fn main() {
     let run_spec = |on: bool| {
         let mut cfg = MachineConfig::for_scheme(Scheme::Slpmt).with_tiny_caches();
         cfg.features.speculative_logging = on;
-        let r = run_inserts_with(
-            cfg,
-            IndexKind::Rbtree,
-            &ops,
-            256,
-            AnnotationSource::Manual,
-            false,
-        );
+        let spec = RunSpec::inserts(cfg, IndexKind::Rbtree, &ops, 256);
+        let r = run(&spec).single().result;
         (r.stats.log_records_created, r.traffic.log_bytes)
     };
     let (rec_on, bytes_on) = run_spec(true);
@@ -55,15 +48,11 @@ fn main() {
         ("ATOM lines", Scheme::Atom),
         ("EDE direct", Scheme::Ede),
     ];
-    let path_runs = par_map(&paths, |&(_, scheme)| {
-        run_inserts_with(
-            MachineConfig::for_scheme(scheme),
-            IndexKind::Rbtree,
-            &ops,
-            256,
-            AnnotationSource::None,
-            false,
-        )
+    let path_runs = par_map_with(&paths, threads(), |&(_, scheme)| {
+        let cfg = MachineConfig::for_scheme(scheme);
+        let mut spec = RunSpec::inserts(cfg, IndexKind::Rbtree, &ops, 256);
+        spec.source = AnnotationSource::None;
+        run(&spec).single().result
     });
     for ((name, _), r) in paths.iter().zip(&path_runs) {
         println!(
@@ -128,20 +117,14 @@ fn main() {
         .into_iter()
         .flat_map(|banks| [(banks, Scheme::Fg), (banks, Scheme::Slpmt)])
         .collect();
-    let bank_runs = par_map(&bank_cells, |&(banks, scheme)| {
+    let bank_runs = par_map_with(&bank_cells, threads(), |&(banks, scheme)| {
         let mut cfg = MachineConfig::for_scheme(scheme);
         // The WPQ uses DEFAULT_DRAIN_BANKS; emulate bank count by
         // scaling the per-line drain latency.
         let eff_ns = 500 * slpmt_pmem::wpq::DEFAULT_DRAIN_BANKS as u64 / banks as u64;
         cfg.pm = cfg.pm.with_write_latency_ns(eff_ns);
-        run_inserts_with(
-            cfg,
-            IndexKind::Hashtable,
-            &ops,
-            256,
-            AnnotationSource::Manual,
-            false,
-        )
+        let spec = RunSpec::inserts(cfg, IndexKind::Hashtable, &ops, 256);
+        run(&spec).single().result
     });
     for (cells, pair) in bank_cells.chunks_exact(2).zip(bank_runs.chunks_exact(2)) {
         let banks = cells[0].0;

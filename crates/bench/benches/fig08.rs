@@ -8,11 +8,10 @@
 //! log-free and lazy complement each other (hashtable: +24 % and
 //! +17 %, together +52 %).
 
-use slpmt_bench::runner::{fig08_cells, run_matrix};
+use slpmt_bench::runner::fig08_cells;
 use slpmt_bench::{compare, geomean, header, workload};
 use slpmt_core::Scheme;
-use slpmt_workloads::runner::IndexKind;
-use slpmt_workloads::AnnotationSource;
+use slpmt_workloads::runner::{par_map_with, run, threads, IndexKind};
 
 fn main() {
     header(
@@ -31,7 +30,9 @@ fn main() {
     // All 24 cells (FG baseline + 5 schemes × 4 kernels) simulate in
     // parallel; the merge is deterministic, kind-major, FG first.
     let cells = fig08_cells(&IndexKind::KERNELS);
-    let results = run_matrix(&cells, &ops, 256, AnnotationSource::Manual, None);
+    let results = par_map_with(&cells, threads(), |c| {
+        run(&c.spec(&ops, 256)).single().result
+    });
     let row = 1 + schemes.len();
 
     println!(

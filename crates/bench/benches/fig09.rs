@@ -5,10 +5,9 @@
 //! (FG-CL), which itself incurs ~15 % more write traffic than the
 //! word-granularity design.
 
-use slpmt_bench::{compare, geomean, header, run, workload};
-use slpmt_core::Scheme;
-use slpmt_workloads::runner::IndexKind;
-use slpmt_workloads::AnnotationSource;
+use slpmt_bench::{compare, geomean, header, workload};
+use slpmt_core::{MachineConfig, Scheme};
+use slpmt_workloads::runner::{run, IndexKind, RunSpec};
 
 fn main() {
     header(
@@ -23,9 +22,13 @@ fn main() {
     let mut speedups = Vec::new();
     let mut extra = Vec::new();
     for kind in IndexKind::KERNELS {
-        let fg = run(Scheme::Fg, kind, &ops, 256, AnnotationSource::Manual);
-        let fg_cl = run(Scheme::FgCl, kind, &ops, 256, AnnotationSource::Manual);
-        let slpmt_cl = run(Scheme::SlpmtCl, kind, &ops, 256, AnnotationSource::Manual);
+        let cell = |s| {
+            let spec = RunSpec::inserts(MachineConfig::for_scheme(s), kind, &ops, 256);
+            run(&spec).single().result
+        };
+        let fg = cell(Scheme::Fg);
+        let fg_cl = cell(Scheme::FgCl);
+        let slpmt_cl = cell(Scheme::SlpmtCl);
         let sp = slpmt_cl.speedup_vs(&fg_cl);
         let red = slpmt_cl.traffic_reduction_vs(&fg_cl);
         let ex = fg_cl.traffic.media_bytes() as f64 / fg.traffic.media_bytes() as f64 - 1.0;

@@ -4,10 +4,9 @@
 //! 16-byte values, and every benchmark gains more as values grow
 //! (more log-free variables per insert).
 
-use slpmt_bench::{compare, geomean, header, run, workload};
-use slpmt_core::Scheme;
-use slpmt_workloads::runner::IndexKind;
-use slpmt_workloads::AnnotationSource;
+use slpmt_bench::{compare, geomean, header, workload};
+use slpmt_core::{MachineConfig, Scheme};
+use slpmt_workloads::runner::{run, IndexKind, RunSpec};
 
 const SIZES: [usize; 5] = [16, 32, 64, 128, 256];
 
@@ -25,8 +24,12 @@ fn main() {
         let mut monotone = true;
         for vs in SIZES {
             let ops = workload(vs);
-            let base = run(Scheme::Fg, kind, &ops, vs, AnnotationSource::Manual);
-            let r = run(Scheme::Slpmt, kind, &ops, vs, AnnotationSource::Manual);
+            let cell = |s| {
+                let spec = RunSpec::inserts(MachineConfig::for_scheme(s), kind, &ops, vs);
+                run(&spec).single().result
+            };
+            let base = cell(Scheme::Fg);
+            let r = cell(Scheme::Slpmt);
             let sp = r.speedup_vs(&base);
             if vs == 16 {
                 at16.push(sp);

@@ -5,10 +5,9 @@
 //! from 16 to 32 bytes the reduction is mostly flat because pointer
 //! and counter updates dominate small-value inserts.
 
-use slpmt_bench::{compare, header, run, workload};
-use slpmt_core::Scheme;
-use slpmt_workloads::runner::IndexKind;
-use slpmt_workloads::AnnotationSource;
+use slpmt_bench::{compare, header, workload};
+use slpmt_core::{MachineConfig, Scheme};
+use slpmt_workloads::runner::{run, IndexKind, RunSpec};
 
 const SIZES: [usize; 5] = [16, 32, 64, 128, 256];
 
@@ -26,8 +25,12 @@ fn main() {
         let mut series = Vec::new();
         for vs in SIZES {
             let ops = workload(vs);
-            let base = run(Scheme::Fg, kind, &ops, vs, AnnotationSource::Manual);
-            let r = run(Scheme::Slpmt, kind, &ops, vs, AnnotationSource::Manual);
+            let cell = |s| {
+                let spec = RunSpec::inserts(MachineConfig::for_scheme(s), kind, &ops, vs);
+                run(&spec).single().result
+            };
+            let base = cell(Scheme::Fg);
+            let r = cell(Scheme::Slpmt);
             let red = r.traffic_reduction_vs(&base);
             series.push(red);
             print!(" {:>6.1}%", red * 100.0);

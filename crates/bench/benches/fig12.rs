@@ -7,10 +7,9 @@
 //! grows more sensitive because deferral takes data persistence off
 //! the commit critical path.
 
-use slpmt_bench::{compare, header, run_with_latency, workload};
-use slpmt_core::Scheme;
-use slpmt_workloads::runner::IndexKind;
-use slpmt_workloads::AnnotationSource;
+use slpmt_bench::{compare, header, workload};
+use slpmt_core::{MachineConfig, Scheme};
+use slpmt_workloads::runner::{run, IndexKind, RunSpec};
 
 const LATENCIES_NS: [u64; 4] = [500, 1100, 1700, 2300];
 
@@ -28,8 +27,12 @@ fn main() {
         print!("{:<10}", kind.to_string());
         let mut series = Vec::new();
         for ns in LATENCIES_NS {
-            let base = run_with_latency(Scheme::Fg, kind, &ops, 256, AnnotationSource::Manual, ns);
-            let r = run_with_latency(Scheme::Slpmt, kind, &ops, 256, AnnotationSource::Manual, ns);
+            let cell = |s| {
+                let mut cfg = MachineConfig::for_scheme(s);
+                cfg.pm = cfg.pm.with_write_latency_ns(ns);
+                run(&RunSpec::inserts(cfg, kind, &ops, 256)).single().result
+            };
+            let (base, r) = (cell(Scheme::Fg), cell(Scheme::Slpmt));
             let sp = r.speedup_vs(&base);
             series.push(sp);
             print!(" {sp:>7.2}x");

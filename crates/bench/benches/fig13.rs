@@ -8,9 +8,9 @@
 //! Right: the analysis adds marginal compile time (≤ 1.23×, < 0.15 s
 //! absolute).
 
-use slpmt_bench::{compare, geomean, header, run, workload};
-use slpmt_core::Scheme;
-use slpmt_workloads::runner::IndexKind;
+use slpmt_bench::{compare, geomean, header, workload};
+use slpmt_core::{MachineConfig, Scheme};
+use slpmt_workloads::runner::{run, IndexKind, RunSpec};
 use slpmt_workloads::AnnotationSource;
 use std::time::Instant;
 
@@ -47,9 +47,13 @@ fn main() {
     let mut exact = 0;
     let mut total = 0;
     for kind in IndexKind::KERNELS {
-        let base = run(Scheme::Fg, kind, &ops, 256, AnnotationSource::Manual);
-        let m = run(Scheme::Slpmt, kind, &ops, 256, AnnotationSource::Manual);
-        let c = run(Scheme::Slpmt, kind, &ops, 256, AnnotationSource::Compiler);
+        let cell = |s, source| {
+            let spec = RunSpec::inserts(MachineConfig::for_scheme(s), kind, &ops, 256);
+            run(&RunSpec { source, ..spec }).single().result
+        };
+        let base = cell(Scheme::Fg, AnnotationSource::Manual);
+        let m = cell(Scheme::Slpmt, AnnotationSource::Manual);
+        let c = cell(Scheme::Slpmt, AnnotationSource::Compiler);
         manual_sp.push(m.speedup_vs(&base));
         compiler_sp.push(c.speedup_vs(&base));
         println!(

@@ -9,10 +9,10 @@
 //! and ATOM by 1.35× and 1.58× on average, with fine-grain logging
 //! contributing most and log-free + lazy adding ~26 % on top.
 
-use slpmt_bench::runner::{matrix, run_matrix};
+use slpmt_bench::runner::matrix;
 use slpmt_bench::{compare, geomean, header, workload};
 use slpmt_core::Scheme;
-use slpmt_workloads::runner::IndexKind;
+use slpmt_workloads::runner::{par_map_with, run, threads, IndexKind};
 use slpmt_workloads::AnnotationSource;
 
 fn main() {
@@ -46,7 +46,11 @@ fn main() {
         // a deterministic kind-major merge.
         let schemes = [Scheme::Fg, Scheme::Slpmt, Scheme::Atom, Scheme::Ede];
         let cells = matrix(&schemes, &IndexKind::PMKV);
-        let results = run_matrix(&cells, &ops, vs, AnnotationSource::Compiler, None);
+        let results = par_map_with(&cells, threads(), |c| {
+            let mut spec = c.spec(&ops, vs);
+            spec.source = AnnotationSource::Compiler;
+            run(&spec).single().result
+        });
         for (k, kind) in IndexKind::PMKV.into_iter().enumerate() {
             let row = &results[k * schemes.len()..(k + 1) * schemes.len()];
             let (base, s, a, e) = (&row[0], &row[1], &row[2], &row[3]);

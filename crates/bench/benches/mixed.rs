@@ -11,9 +11,8 @@
 
 use slpmt_bench::{compare, geomean, header, ops_count, SEED};
 use slpmt_core::{MachineConfig, Scheme};
-use slpmt_workloads::runner::{run_mixed, IndexKind};
+use slpmt_workloads::runner::{run, IndexKind, RunSpec};
 use slpmt_workloads::ycsb::ycsb_mixed_with_updates;
-use slpmt_workloads::AnnotationSource;
 
 fn main() {
     header(
@@ -41,24 +40,13 @@ fn main() {
         print!("{label:<24}");
         let mut speedups = Vec::new();
         for kind in [IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::KvCtree] {
-            let base = run_mixed(
-                MachineConfig::for_scheme(Scheme::Fg),
-                kind,
-                &load,
-                &ops,
-                64,
-                AnnotationSource::Manual,
-                true,
-            );
-            let r = run_mixed(
-                MachineConfig::for_scheme(Scheme::Slpmt),
-                kind,
-                &load,
-                &ops,
-                64,
-                AnnotationSource::Manual,
-                true,
-            );
+            let cell = |s| {
+                let cfg = MachineConfig::for_scheme(s);
+                let mut spec = RunSpec::mixed(cfg, kind, &load, &ops, 64);
+                spec.verify = true;
+                run(&spec).single().result
+            };
+            let (base, r) = (cell(Scheme::Fg), cell(Scheme::Slpmt));
             let sp = r.speedup_vs(&base);
             speedups.push(sp);
             print!(" {sp:>9.2}x");

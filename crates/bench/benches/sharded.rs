@@ -4,19 +4,27 @@
 //!
 //! Shards run concurrently in *simulated* time, so the scaling metric
 //! is total ops over the slowest shard's cycle count
-//! (`ShardedResult::sim_ops_per_kcycle`); wall-clock speedup is also
+//! (`RunReport::sim_ops_per_kcycle`); wall-clock speedup is also
 //! printed but depends on the host's core count (`SLPMT_THREADS`).
 //! The acceptance bar is >=2x simulated throughput going 1 -> 4 shards
 //! on the hashtable YCSB-load stream.
 //!
 //! `SLPMT_OPS` scales the workload (default 1000).
 
-use slpmt_bench::sharded::run_sharded;
 use slpmt_bench::{compare, header, workload};
 use slpmt_core::{MachineConfig, Scheme};
-use slpmt_workloads::runner::IndexKind;
-use slpmt_workloads::AnnotationSource;
+use slpmt_workloads::runner::{run, threads, IndexKind, RunReport, RunSpec};
+use slpmt_workloads::YcsbOp;
 use std::time::Instant;
+
+/// `ops` split across `shards` keyspace shards on `SLPMT_THREADS`
+/// host workers.
+fn sharded(scheme: Scheme, kind: IndexKind, ops: &[YcsbOp], shards: usize) -> RunReport {
+    let mut spec = RunSpec::inserts(MachineConfig::for_scheme(scheme), kind, ops, 256);
+    spec.shards = shards;
+    spec.workers = threads();
+    run(&spec)
+}
 
 fn main() {
     let ops = workload(256);
@@ -32,15 +40,7 @@ fn main() {
         let mut base = None;
         for shards in [1usize, 2, 4] {
             let start = Instant::now();
-            let res = run_sharded(
-                MachineConfig::for_scheme(scheme),
-                kind,
-                &ops,
-                256,
-                AnnotationSource::Manual,
-                shards,
-                false,
-            );
+            let res = sharded(scheme, kind, &ops, shards);
             let dt = start.elapsed().as_secs_f64();
             let tput = res.sim_ops_per_kcycle();
             let base_tput = *base.get_or_insert(tput);
@@ -54,24 +54,8 @@ fn main() {
     }
 
     // The acceptance measurement: hashtable/SLPMT, 1 vs 4 shards.
-    let one = run_sharded(
-        MachineConfig::for_scheme(Scheme::Slpmt),
-        IndexKind::Hashtable,
-        &ops,
-        256,
-        AnnotationSource::Manual,
-        1,
-        false,
-    );
-    let four = run_sharded(
-        MachineConfig::for_scheme(Scheme::Slpmt),
-        IndexKind::Hashtable,
-        &ops,
-        256,
-        AnnotationSource::Manual,
-        4,
-        false,
-    );
+    let one = sharded(Scheme::Slpmt, IndexKind::Hashtable, &ops, 1);
+    let four = sharded(Scheme::Slpmt, IndexKind::Hashtable, &ops, 4);
     let scaling = four.sim_ops_per_kcycle() / one.sim_ops_per_kcycle();
     compare(
         "1->4 shard sim throughput",

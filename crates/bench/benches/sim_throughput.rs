@@ -13,11 +13,10 @@
 //!
 //! `SLPMT_OPS` scales the workload (default 1000).
 
-use slpmt_bench::runner::{fig08_cells, par_map_with, run_matrix_with, threads};
+use slpmt_bench::runner::fig08_cells;
 use slpmt_bench::{compare, header, ops_count, workload};
 use slpmt_core::{MachineConfig, Scheme};
-use slpmt_workloads::runner::{run_inserts_with, IndexKind};
-use slpmt_workloads::AnnotationSource;
+use slpmt_workloads::runner::{par_map_with, run, threads, IndexKind, RunSpec};
 use std::time::Instant;
 
 fn main() {
@@ -32,16 +31,13 @@ fn main() {
     for scheme in [Scheme::Fg, Scheme::Slpmt, Scheme::Atom, Scheme::Ede] {
         // Warm up once (page-directory materialization, code paths),
         // then time a fresh run.
-        let cell = || {
-            run_inserts_with(
-                MachineConfig::for_scheme(scheme),
-                IndexKind::Hashtable,
-                &ops,
-                256,
-                AnnotationSource::Manual,
-                false,
-            )
-        };
+        let spec = RunSpec::inserts(
+            MachineConfig::for_scheme(scheme),
+            IndexKind::Hashtable,
+            &ops,
+            256,
+        );
+        let cell = || run(&spec).single().result;
         cell();
         let start = Instant::now();
         let r = cell();
@@ -60,7 +56,7 @@ fn main() {
     let cells = fig08_cells(&IndexKind::KERNELS);
     let run_with = |workers: usize| {
         let start = Instant::now();
-        let results = run_matrix_with(&cells, workers, &ops, 256, AnnotationSource::Manual, None);
+        let results = par_map_with(&cells, workers, |c| run(&c.spec(&ops, 256)).single().result);
         (results, start.elapsed().as_secs_f64())
     };
     let (serial, t_serial) = run_with(1);
@@ -92,18 +88,9 @@ fn main() {
         .filter(|&n| n <= workers.max(1))
         .collect();
     for &n in &counts {
-        // par_map_with re-runs the same matrix at a fixed worker count.
+        // Re-runs the same matrix at a fixed worker count.
         let start = Instant::now();
-        let _ = par_map_with(&cells, n, |c| {
-            run_inserts_with(
-                MachineConfig::for_kind(c.scheme),
-                c.kind,
-                &ops,
-                256,
-                AnnotationSource::Manual,
-                false,
-            )
-        });
+        let _ = par_map_with(&cells, n, |c| run(&c.spec(&ops, 256)));
         let dt = start.elapsed().as_secs_f64();
         println!(
             "{n:>2} worker(s): {dt:.2}s  ({:.0} sim-ops/s aggregate)",

@@ -24,19 +24,17 @@
 //!
 //! The operation count defaults to the paper's 1,000 inserts; set
 //! `SLPMT_OPS` to shrink runs (e.g. in CI). Set `SLPMT_CSV=<path>` to
-//! append every comparison row as CSV for plotting. Matrix-style
-//! harnesses run their cells in parallel through [`runner`]
-//! (`SLPMT_THREADS` overrides the worker count; results are merged
-//! deterministically, so any worker count prints identical output).
+//! append every comparison row as CSV for plotting. Every run goes
+//! through [`slpmt_workloads::runner::run`]; matrix-style harnesses
+//! fan their [`runner`] cells across host threads (`SLPMT_THREADS`
+//! overrides the worker count; results are merged deterministically,
+//! so any worker count prints identical output).
 
-use slpmt_core::{MachineConfig, Scheme};
-use slpmt_workloads::runner::{run_inserts_with, IndexKind, RunResult};
-use slpmt_workloads::{ycsb_load, AnnotationSource, YcsbOp};
+use slpmt_workloads::{ycsb_load, YcsbOp};
 
 pub mod micro;
 pub mod runner;
 pub mod serve;
-pub mod sharded;
 pub mod snapshot;
 pub mod sweep;
 pub mod ycsb;
@@ -57,38 +55,6 @@ pub fn ops_count() -> usize {
 /// Generates the standard workload for a value size.
 pub fn workload(value_size: usize) -> Vec<YcsbOp> {
     ycsb_load(ops_count(), value_size, SEED)
-}
-
-/// Runs one scheme on one index with default Table III timing.
-pub fn run(
-    scheme: Scheme,
-    kind: IndexKind,
-    ops: &[YcsbOp],
-    value_size: usize,
-    src: AnnotationSource,
-) -> RunResult {
-    run_inserts_with(
-        MachineConfig::for_scheme(scheme),
-        kind,
-        ops,
-        value_size,
-        src,
-        false,
-    )
-}
-
-/// Runs with a specific PM write latency in nanoseconds.
-pub fn run_with_latency(
-    scheme: Scheme,
-    kind: IndexKind,
-    ops: &[YcsbOp],
-    value_size: usize,
-    src: AnnotationSource,
-    latency_ns: u64,
-) -> RunResult {
-    let mut cfg = MachineConfig::for_scheme(scheme);
-    cfg.pm = cfg.pm.with_write_latency_ns(latency_ns);
-    run_inserts_with(cfg, kind, ops, value_size, src, false)
 }
 
 /// Geometric mean of an iterator of ratios.

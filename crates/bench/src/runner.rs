@@ -1,87 +1,18 @@
-//! Parallel scheme-matrix runner.
+//! Scheme × index matrices.
 //!
 //! Every figure harness evaluates a matrix of independent simulation
-//! cells — (scheme, index, configuration) triples that share nothing
-//! but read-only inputs. Each cell builds its own [`Machine`], so the
-//! cells are embarrassingly parallel; this module fans them across
-//! `std::thread::scope` workers (no external dependencies) and merges
-//! the results back **in cell order**, making a parallel run's output
-//! byte-identical to a serial one.
+//! cells — (scheme, index) pairs that share nothing but a read-only
+//! operation stream. Each cell is one [`run`] of its [`Cell::spec`];
+//! harnesses fan the cells across host threads with
+//! [`par_map_with`], which merges results back **in cell order**, so
+//! a parallel matrix prints byte-identically to a serial one.
 //!
-//! Worker count comes from [`threads`]: the `SLPMT_THREADS` environment
-//! variable when set (a value of `1` forces the serial path — no
-//! threads are spawned at all), otherwise
-//! `std::thread::available_parallelism`.
-//!
-//! [`Machine`]: slpmt_core::Machine
+//! [`run`]: slpmt_workloads::runner::run
+//! [`par_map_with`]: slpmt_workloads::runner::par_map_with
 
-use crate::ops_count;
 use slpmt_core::{MachineConfig, Scheme, SchemeKind};
-use slpmt_workloads::runner::{run_inserts_with, IndexKind, RunResult};
-use slpmt_workloads::{ycsb_load, AnnotationSource, YcsbOp};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Worker count: `SLPMT_THREADS` when set, else the machine's
-/// available parallelism (1 if that cannot be determined).
-pub fn threads() -> usize {
-    std::env::var("SLPMT_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// Applies `f` to every item, fanning the work across [`threads`]
-/// workers, and returns the results **in item order**.
-///
-/// Workers claim items through a shared atomic cursor, so a slow cell
-/// never idles the other workers; each finished result is deposited
-/// with its original index and the merge sorts by that index, making
-/// the output independent of scheduling. With one worker (or one
-/// item) no threads are spawned and the items run serially in place.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_with(items, threads(), f)
-}
-
-/// [`par_map`] with an explicit worker count (used by the
-/// `sim_throughput` self-benchmark to compare serial vs parallel
-/// wall-clock on the same process).
-pub fn par_map_with<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = workers.min(items.len()).max(1);
-    if workers == 1 {
-        return items.iter().map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let r = f(item);
-                done.lock().expect("worker panicked").push((i, r));
-            });
-        }
-    });
-    let mut slots = done.into_inner().expect("worker panicked");
-    slots.sort_by_key(|&(i, _)| i);
-    slots.into_iter().map(|(_, r)| r).collect()
-}
+use slpmt_workloads::runner::{IndexKind, RunSpec};
+use slpmt_workloads::YcsbOp;
 
 /// One independent simulation cell of a scheme × index matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,6 +21,18 @@ pub struct Cell {
     pub scheme: SchemeKind,
     /// Index workload to drive.
     pub kind: IndexKind,
+}
+
+impl Cell {
+    /// The cell's insert run of `ops` under default Table III timing.
+    pub fn spec<'a>(&self, ops: &'a [YcsbOp], value_size: usize) -> RunSpec<'a> {
+        RunSpec::inserts(
+            MachineConfig::for_kind(self.scheme),
+            self.kind,
+            ops,
+            value_size,
+        )
+    }
 }
 
 /// Cartesian product of `schemes` × `kinds` in row-major (kind-major)
@@ -108,36 +51,6 @@ pub fn matrix<S: Into<SchemeKind> + Copy>(schemes: &[S], kinds: &[IndexKind]) ->
     cells
 }
 
-/// Runs every cell (in parallel, results in cell order) on the same
-/// read-only workload.
-pub fn run_matrix(
-    cells: &[Cell],
-    ops: &[YcsbOp],
-    value_size: usize,
-    src: AnnotationSource,
-    latency_ns: Option<u64>,
-) -> Vec<RunResult> {
-    run_matrix_with(cells, threads(), ops, value_size, src, latency_ns)
-}
-
-/// [`run_matrix`] with an explicit worker count.
-pub fn run_matrix_with(
-    cells: &[Cell],
-    workers: usize,
-    ops: &[YcsbOp],
-    value_size: usize,
-    src: AnnotationSource,
-    latency_ns: Option<u64>,
-) -> Vec<RunResult> {
-    par_map_with(cells, workers, |c| {
-        let mut cfg = MachineConfig::for_kind(c.scheme);
-        if let Some(ns) = latency_ns {
-            cfg.pm = cfg.pm.with_write_latency_ns(ns);
-        }
-        run_inserts_with(cfg, c.kind, ops, value_size, src, false)
-    })
-}
-
 /// Convenience for the CLI and self-benchmark: the full Figure-8-style
 /// matrix (FG baseline plus every scheme) over the given kinds.
 pub fn fig08_cells(kinds: &[IndexKind]) -> Vec<Cell> {
@@ -154,24 +67,9 @@ pub fn fig08_cells(kinds: &[IndexKind]) -> Vec<Cell> {
     )
 }
 
-/// Standard workload for the matrix entry points (`SLPMT_OPS`
-/// respected, seed 42).
-pub fn matrix_workload(value_size: usize) -> Vec<YcsbOp> {
-    ycsb_load(ops_count(), value_size, crate::SEED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_preserves_item_order() {
-        let items: Vec<u64> = (0..64).collect();
-        for workers in [1, 2, 7] {
-            let out = par_map_with(&items, workers, |&x| x * x);
-            assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-        }
-    }
 
     #[test]
     fn matrix_is_kind_major() {
@@ -201,11 +99,5 @@ mod tests {
                 kind: IndexKind::Rbtree
             }
         );
-    }
-
-    #[test]
-    fn zero_workers_degrades_to_serial() {
-        let out = par_map_with(&[1, 2, 3], 0, |&x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
     }
 }

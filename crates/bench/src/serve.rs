@@ -1,17 +1,17 @@
 //! Parallel serve fan-out + request-latency aggregation.
 //!
 //! One serve run fans a [`ServeConfig`]'s shards across host workers
-//! with [`par_map_with`](crate::runner::par_map_with) — each shard is
-//! an independent single-threaded simulation, so the merged reports
+//! with [`par_map_with`] — each shard is an independent
+//! single-threaded simulation, so the merged reports
 //! are byte-identical to the serial run at any worker count — and
 //! folds the per-shard latency samples into p50/p99/p999 percentiles
 //! of simulated cycles. Wall time appears only as host throughput
 //! colour, never in any simulated figure.
 
-use crate::runner::{par_map_with, threads};
 use slpmt_kv::service::{
     digest64, run_shard_service, shard_streams, ServeConfig, ShardServeReport, VERB_CLASSES,
 };
+use slpmt_workloads::runner::par_map_with;
 
 /// Simulated-cycle latency percentiles for one request class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,14 +85,13 @@ pub struct ServeRow {
     pub sim_req_per_s: f64,
 }
 
-/// Runs every shard of `cfg` across [`threads`] workers.
-pub fn run_serve(cfg: &ServeConfig) -> ServeRow {
-    run_serve_with(cfg, threads()).0
-}
-
-/// [`run_serve`] with an explicit worker count; also returns the raw
-/// per-shard reports (determinism tests diff their response bytes).
-pub fn run_serve_with(cfg: &ServeConfig, workers: usize) -> (ServeRow, Vec<ShardServeReport>) {
+/// Runs every shard of `cfg` across `workers` host threads (callers
+/// pass [`threads`] for the default pool) and returns the aggregate
+/// row with the raw per-shard reports (determinism tests diff their
+/// response bytes).
+///
+/// [`threads`]: slpmt_workloads::runner::threads
+pub fn run_serve(cfg: &ServeConfig, workers: usize) -> (ServeRow, Vec<ShardServeReport>) {
     let start = std::time::Instant::now();
     let (loads, reqs) = shard_streams(cfg);
     let shards: Vec<usize> = (0..cfg.shards.max(1)).collect();
@@ -173,8 +172,8 @@ mod tests {
     #[test]
     fn worker_count_is_invisible() {
         let c = cfg(4);
-        let (row1, rep1) = run_serve_with(&c, 1);
-        let (row4, rep4) = run_serve_with(&c, 4);
+        let (row1, rep1) = run_serve(&c, 1);
+        let (row4, rep4) = run_serve(&c, 4);
         assert_eq!(row1.digest, row4.digest);
         assert_eq!(row1.overall, row4.overall);
         assert_eq!(row1.total_sim_cycles, row4.total_sim_cycles);
@@ -186,7 +185,7 @@ mod tests {
 
     #[test]
     fn percentiles_are_ordered() {
-        let row = run_serve(&cfg(2));
+        let (row, _) = run_serve(&cfg(2), 2);
         assert_eq!(row.served, row.requests);
         let l = row.overall;
         assert!(l.count > 0);

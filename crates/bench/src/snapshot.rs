@@ -21,14 +21,13 @@ use slpmt_core::{MachineConfig, ProgramSpec, Schedule, Scheme, SchemeKind};
 use slpmt_kv::chaos::chaos_cases;
 use slpmt_kv::service::ServeConfig;
 use slpmt_trace::JsonWriter;
-use slpmt_workloads::runner::IndexKind;
+use slpmt_workloads::runner::{par_map_with, run as run_spec, threads, IndexKind, RunSpec};
 use slpmt_workloads::ycsb::MixSpec;
-use slpmt_workloads::{ycsb_load, AnnotationSource};
+use slpmt_workloads::ycsb_load;
 
 use crate::micro;
-use crate::runner::{fig08_cells, matrix, run_matrix_with, threads};
+use crate::runner::{fig08_cells, matrix};
 use crate::serve::run_serve;
-use crate::sharded::run_sharded_with;
 use crate::sweep::run_chaos_sweep;
 use crate::ycsb::{run_ycsb_matrix, ycsb_cells, YcsbConfig};
 
@@ -133,14 +132,9 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
         "matrix",
         reps,
         || {
-            run_matrix_with(
-                &cells,
-                workers,
-                &stream,
-                value,
-                AnnotationSource::Manual,
-                None,
-            )
+            par_map_with(&cells, workers, |c| {
+                run_spec(&c.spec(&stream, value)).single().result
+            })
         },
         |rows| rows.iter().map(|r| r.cycles).collect::<Vec<_>>(),
     )?;
@@ -207,28 +201,21 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
          in {mc_wall:.3}s → {mc_ops_per_s:.0} sim-ops/s"
     ));
 
-    // Sharded driver: 16 keyspace shards, worker sweep. The simulated
+    // Sharded run: 16 keyspace shards, worker sweep. The simulated
     // makespan is identical at every worker count (the bit-identity
     // property the sharded tests pin); only wall-clock moves.
     let mut scaling = Vec::new();
     let mut makespan = None;
     let mut shard_kcycle = 0.0;
+    let cfg = MachineConfig::for_scheme(Scheme::Slpmt);
+    let mut spec = RunSpec::inserts(cfg, IndexKind::Hashtable, &stream, value);
+    spec.shards = SHARDS;
     for workers in [1usize, 4, 8, 16] {
+        spec.workers = workers;
         let (wall, r) = best_of(
             "sharded makespan",
             reps,
-            || {
-                run_sharded_with(
-                    MachineConfig::for_scheme(Scheme::Slpmt),
-                    IndexKind::Hashtable,
-                    &stream,
-                    value,
-                    AnnotationSource::Manual,
-                    SHARDS,
-                    workers,
-                    false,
-                )
-            },
+            || run_spec(&spec),
             |r| r.sim_cycles(),
         )?;
         if let Some(m) = makespan.filter(|&m| m != r.sim_cycles()) {
@@ -335,7 +322,7 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
         "serve digest/cycles",
         reps,
         || {
-            let row = run_serve(&cfg);
+            let (row, _) = run_serve(&cfg, workers);
             serve_wall = serve_wall.min(row.wall_s);
             row
         },
@@ -448,14 +435,9 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
         "ptm",
         reps,
         || {
-            run_matrix_with(
-                &cells,
-                workers,
-                &ptm_stream,
-                SMALL_VALUE,
-                AnnotationSource::Manual,
-                None,
-            )
+            par_map_with(&cells, workers, |c| {
+                run_spec(&c.spec(&ptm_stream, SMALL_VALUE)).single().result
+            })
         },
         |rows| rows.iter().map(|r| r.cycles).collect::<Vec<_>>(),
     )?;

@@ -23,13 +23,13 @@
 //! 4. Verdicts merge back in point order, so the report is identical
 //!    for any `SLPMT_THREADS`.
 
-use crate::runner::{par_map_with, threads};
 use slpmt_core::sweep::{panic_message, sample_points};
 use slpmt_core::{CrashTarget, SchemeKind, SweepFailure, SweepReport};
 use slpmt_kv::chaos::{poison_caught, ChaosCase, ChaosSweepReport, ChaosTarget};
 use slpmt_pmem::FaultPlan;
 use slpmt_workloads::crashsweep::{default_plans, SweepCase};
 use slpmt_workloads::runner::IndexKind;
+use slpmt_workloads::runner::{par_map_with, threads};
 use slpmt_workloads::ycsb::MixSpec;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;

@@ -10,12 +10,12 @@
 //! Everything reported is simulated cycles, so
 //! output is bit-identical across reruns and worker counts.
 
-use crate::runner::par_map;
 use slpmt_core::{MachineConfig, SchemeKind};
 use slpmt_workloads::crashsweep::SweepCase;
-use slpmt_workloads::runner::{run_mixed_latencies, IndexKind, MixLatencies, RunResult};
+use slpmt_workloads::runner::{
+    par_map_with, run, threads, IndexKind, MixLatencies, RunResult, RunSpec, ShardRun,
+};
 use slpmt_workloads::ycsb::{ycsb_mix, MixSpec};
-use slpmt_workloads::AnnotationSource;
 
 /// One cell of the YCSB matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,17 +93,14 @@ pub fn ycsb_cells<S: Into<SchemeKind> + Copy>(
 /// scans returning exactly the expected key set on ordered indexes)
 /// are always on.
 pub fn run_ycsb_matrix(cells: &[YcsbCell], cfg: &YcsbConfig, verify: bool) -> Vec<YcsbRow> {
-    par_map(cells, |cell| {
+    par_map_with(cells, threads(), |cell| {
         let (load, ops) = ycsb_mix(cfg.load, cfg.ops, cfg.value_size, cfg.seed, &cell.mix);
-        let (result, lat) = run_mixed_latencies(
-            MachineConfig::for_kind(cell.scheme),
-            cell.kind,
-            &load,
-            &ops,
-            cfg.value_size,
-            AnnotationSource::Manual,
+        let machine = MachineConfig::for_kind(cell.scheme);
+        let spec = RunSpec {
             verify,
-        );
+            ..RunSpec::mixed(machine, cell.kind, &load, &ops, cfg.value_size)
+        };
+        let ShardRun { result, lat, .. } = run(&spec).single();
         YcsbRow {
             cell: *cell,
             result,

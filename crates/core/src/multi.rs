@@ -568,16 +568,8 @@ pub struct McOutcome {
 /// Runs per-core `programs` under `sched` on a fresh
 /// `programs.len()`-core machine. When `crash_at` is armed, execution
 /// stops at the first scheduling step after the trip (lazy data is
-/// *not* drained; the crash sweep takes over).
-fn run_programs_inner(
-    cfg: MachineConfig,
-    programs: &[Vec<TraceOp>],
-    sched: Schedule,
-    crash_at: Option<u64>,
-) -> (MultiMachine, McOutcome) {
-    run_programs_opts(cfg, programs, sched, crash_at, None)
-}
-
+/// *not* drained; the crash sweep takes over). `trace_capacity` turns
+/// event tracing on from the first instruction.
 fn run_programs_opts(
     cfg: MachineConfig,
     programs: &[Vec<TraceOp>],
@@ -709,7 +701,7 @@ pub fn run_programs(
     programs: &[Vec<TraceOp>],
     sched: Schedule,
 ) -> (MultiMachine, McOutcome) {
-    run_programs_inner(cfg, programs, sched, None)
+    run_programs_opts(cfg, programs, sched, None, None)
 }
 
 /// [`run_programs`] with event tracing on from the first instruction
@@ -960,7 +952,7 @@ pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
     let programs = gen_programs(&case.spec());
     let cfg = MachineConfig::for_scheme(case.scheme);
     let lazy_enabled = cfg.features.lazy;
-    let (mut mm, outcome) = run_programs_inner(cfg, &programs, case.sched, Some(k));
+    let (mut mm, outcome) = run_programs_opts(cfg, &programs, case.sched, Some(k), None);
     mm.crash();
     // Durable markers decide what counts as committed. Walk the persist
     // trace rather than the live marker map: `truncate_committed`

@@ -24,9 +24,10 @@
 //! require (leak GC, parent/height rebuild, rehash re-execution).
 //!
 //! [`ycsb`] generates the paper's workload (1,000 inserts, 8-byte keys,
-//! configurable value size); [`runner`] drives a full benchmark run and
-//! collects cycles + write traffic; [`sharded`] partitions the keyspace
-//! across independent per-shard machines for scaling runs.
+//! configurable value size); [`runner::run`] drives every measured run
+//! (one machine or many keyspace shards, serial or across host
+//! threads) and collects cycles, write traffic and per-class
+//! latencies; [`sharded`] holds the key partition it shards by.
 //!
 //! [`manual`]: ctx::AnnotationSource::Manual
 
@@ -51,11 +52,8 @@ pub use crashsweep::{StreamingOracle, SweepCase, SweepFailure};
 pub use ctx::{AnnotationSource, PmContext};
 pub use inspector::{inspect, HeapReport};
 pub use runner::{
-    run_inserts, run_mixed, run_mixed_latencies, DurableIndex, IndexKind, LatencySummary,
-    MixLatencies, RangeIndex, RunResult,
+    DurableIndex, IndexKind, LatencySummary, MixLatencies, RangeIndex, RunOps, RunReport,
+    RunResult, RunSpec, ShardRun,
 };
-pub use sharded::{
-    partition_mixed, partition_ops, run_sharded_mixed_serial, run_sharded_serial,
-    run_sharded_serial_traced, shard_of, ShardedResult,
-};
+pub use sharded::{partition_mixed, partition_ops, shard_of};
 pub use ycsb::{ycsb_load, ycsb_mix, ycsb_mixed, KeyDist, MixSpec, MixedOp, YcsbOp};

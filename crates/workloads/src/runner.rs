@@ -1,12 +1,17 @@
-//! Benchmark driver: the [`DurableIndex`] trait and the insert-run
-//! harness used by every figure.
+//! Benchmark driver: the [`DurableIndex`] trait and the one measured
+//! run behind every figure, matrix and sharded run — [`run`] of a
+//! [`RunSpec`] — plus the host worker pool it fans shards over
+//! ([`par_map_with`]).
 
 use crate::ctx::{AnnotationSource, PmContext};
+use crate::sharded::{partition_mixed, partition_ops};
 use crate::ycsb::{MixedOp, YcsbOp};
-use slpmt_core::{MachineConfig, SchemeKind};
+use slpmt_core::{MachineConfig, MachineStats, SchemeKind};
 use slpmt_pmem::{PmAddr, WriteTraffic, LINE_BYTES};
 use slpmt_ptm::PtmTraffic;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A durable key-value index evaluated by the paper.
 ///
@@ -219,26 +224,287 @@ impl RunResult {
     }
 }
 
-/// Runs the YCSB-load insert stream on one index/scheme combination
-/// and returns cycles + traffic. `verify` additionally checks
-/// invariants and membership after the run (used by tests; figures
-/// disable it for speed).
-pub fn run_inserts(
-    scheme: impl Into<SchemeKind>,
+/// The measured operation stream of a [`RunSpec`].
+#[derive(Debug, Clone, Copy)]
+pub enum RunOps<'a> {
+    /// A YCSB-load insert stream; every operation is the `insert`
+    /// latency class.
+    Inserts(&'a [YcsbOp]),
+    /// A mixed stream: inserts and removes are durable transactions,
+    /// reads and scans are timed cache-hierarchy lookups.
+    Mixed(&'a [MixedOp]),
+}
+
+impl RunOps<'_> {
+    fn len(&self) -> usize {
+        match self {
+            RunOps::Inserts(ops) => ops.len(),
+            RunOps::Mixed(ops) => ops.len(),
+        }
+    }
+
+    /// The stream split by key ownership into `shards` mixed streams
+    /// ([`partition_ops`], [`partition_mixed`]).
+    fn partition(&self, shards: usize) -> Vec<Vec<MixedOp>> {
+        match *self {
+            RunOps::Inserts(ops) => partition_ops(ops, shards)
+                .into_iter()
+                .map(|part| part.into_iter().map(MixedOp::Insert).collect())
+                .collect(),
+            RunOps::Mixed(ops) => partition_mixed(ops, shards),
+        }
+    }
+}
+
+/// Everything one measured run depends on. [`run`] splits the keys of
+/// `load` and `ops` across `shards` private machines, builds `kind`
+/// on each under `cfg`, inserts the shard's `load` untimed and then
+/// measures its `ops`. `shards = 1` is the single-machine run;
+/// `workers = 1` runs the shards serially on the calling thread, the
+/// reference every other worker count must match bit for bit.
+#[derive(Debug, Clone)]
+pub struct RunSpec<'a> {
+    /// Machine configuration; every shard gets its own copy.
+    pub cfg: MachineConfig,
+    /// Index evaluated (one instance per shard).
+    pub kind: IndexKind,
+    /// Keys inserted by the untimed load phase.
+    pub load: &'a [YcsbOp],
+    /// The measured stream.
+    pub ops: RunOps<'a>,
+    /// Value payload size in bytes.
+    pub value_size: usize,
+    /// Where the index's annotation table comes from.
+    pub source: AnnotationSource,
+    /// Check structure invariants after the measured phase (and, for
+    /// insert streams, that every key is present).
+    pub verify: bool,
+    /// Capture each shard's measured phase as trace records.
+    pub trace: bool,
+    /// Keyspace shards, each on a private machine.
+    pub shards: usize,
+    /// Host threads the shards are spread over.
+    pub workers: usize,
+}
+
+impl<'a> RunSpec<'a> {
+    /// One machine, one worker, hand annotations, no load phase, no
+    /// verification and no tracing: the YCSB-load run of every figure.
+    pub fn inserts(
+        cfg: MachineConfig,
+        kind: IndexKind,
+        ops: &'a [YcsbOp],
+        value_size: usize,
+    ) -> Self {
+        RunSpec {
+            cfg,
+            kind,
+            load: &[],
+            ops: RunOps::Inserts(ops),
+            value_size,
+            source: AnnotationSource::Manual,
+            verify: false,
+            trace: false,
+            shards: 1,
+            workers: 1,
+        }
+    }
+
+    /// [`RunSpec::inserts`] for a mixed stream measured after the
+    /// untimed `load`.
+    pub fn mixed(
+        cfg: MachineConfig,
+        kind: IndexKind,
+        load: &'a [YcsbOp],
+        ops: &'a [MixedOp],
+        value_size: usize,
+    ) -> Self {
+        RunSpec {
+            load,
+            ops: RunOps::Mixed(ops),
+            ..RunSpec::inserts(cfg, kind, &[], value_size)
+        }
+    }
+}
+
+/// One shard's measured phase.
+#[derive(Debug, Clone)]
+pub struct ShardRun {
+    /// Cycles, traffic and machine counters.
+    pub result: RunResult,
+    /// Per-class simulated-cycle latencies.
+    pub lat: MixLatencies,
+    /// The measured phase's trace records (empty unless
+    /// [`RunSpec::trace`]).
+    pub trace: Vec<slpmt_core::TraceRecord>,
+}
+
+/// Outcome of [`run`]: every shard's run in shard order, plus the
+/// merged view. Shards run concurrently in simulated time, so the
+/// run's makespan is its slowest shard ([`RunReport::sim_cycles`]).
+#[derive(Debug, Clone)]
+pub struct RunReport {
+    /// Per-shard runs, indexed by shard.
+    pub shards: Vec<ShardRun>,
+    /// Measured operations across all shards.
+    pub total_ops: usize,
+}
+
+impl RunReport {
+    /// The run of a single-machine (`shards = 1`) spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run had more than one shard.
+    pub fn single(self) -> ShardRun {
+        let [shard] = <[ShardRun; 1]>::try_from(self.shards).expect("a single-shard run");
+        shard
+    }
+
+    /// Simulated makespan: the slowest shard's cycles.
+    pub fn sim_cycles(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.result.cycles)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Total simulated work (the serial-equivalent cycle count).
+    pub fn total_cycles(&self) -> u64 {
+        self.shards.iter().map(|s| s.result.cycles).sum()
+    }
+
+    /// Simulated throughput: operations per thousand cycles of
+    /// makespan. The scaling metric — doubling shards on a balanced
+    /// partition roughly doubles this.
+    pub fn sim_ops_per_kcycle(&self) -> f64 {
+        let makespan = self.sim_cycles();
+        if makespan == 0 {
+            return 0.0;
+        }
+        self.total_ops as f64 * 1000.0 / makespan as f64
+    }
+
+    /// Machine counters summed over shards (order-independent).
+    pub fn merged_stats(&self) -> MachineStats {
+        let mut out = MachineStats::new();
+        for s in &self.shards {
+            out.accumulate(&s.result.stats);
+        }
+        out
+    }
+
+    /// PM write traffic summed over shards (order-independent).
+    pub fn merged_traffic(&self) -> WriteTraffic {
+        let mut out = WriteTraffic::new();
+        for s in &self.shards {
+            out += s.result.traffic;
+        }
+        out
+    }
+}
+
+/// Runs `spec`: partitions its streams by key ownership, runs each
+/// shard on its own machine across `spec.workers` host threads, and
+/// returns the shards in shard order whatever order they finished in.
+///
+/// # Panics
+///
+/// Panics if `spec.shards` is 0, if an operation of a mixed stream is
+/// illegal at its point in the trace, or if verification fails.
+pub fn run(spec: &RunSpec<'_>) -> RunReport {
+    assert!(spec.shards > 0, "at least one shard");
+    let loads = partition_ops(spec.load, spec.shards);
+    let work: Vec<_> = loads
+        .into_iter()
+        .zip(spec.ops.partition(spec.shards))
+        .collect();
+    RunReport {
+        shards: par_map_with(&work, spec.workers, |(load, ops)| {
+            run_shard(spec, load, ops)
+        }),
+        total_ops: spec.ops.len(),
+    }
+}
+
+/// [`run`] of one insert stream on one machine, serially and
+/// untraced. Kept with this signature for the `perfbench` package's
+/// cross-check.
+pub fn run_inserts_with(
+    cfg: MachineConfig,
     kind: IndexKind,
     ops: &[YcsbOp],
     value_size: usize,
     source: AnnotationSource,
     verify: bool,
 ) -> RunResult {
-    run_inserts_with(
-        MachineConfig::for_kind(scheme),
-        kind,
-        ops,
-        value_size,
+    run(&RunSpec {
         source,
         verify,
-    )
+        ..RunSpec::inserts(cfg, kind, ops, value_size)
+    })
+    .single()
+    .result
+}
+
+/// One shard of [`run`]: build, untimed load, measured phase, then
+/// verification. Tracing turns on after the load, so the records
+/// cover exactly the measured phase.
+fn run_shard(spec: &RunSpec<'_>, load: &[YcsbOp], ops: &[MixedOp]) -> ShardRun {
+    let (kind, scheme) = (spec.kind, spec.cfg.kind());
+    let mut ctx = PmContext::with_config(spec.cfg.clone(), slpmt_annotate::AnnotationTable::new());
+    ctx.prefault_heap(arena_estimate(load.len() + ops.len(), spec.value_size));
+    let mut index = kind.build(&mut ctx, spec.value_size, spec.source);
+    for op in load {
+        index.insert(&mut ctx, op.key, &op.value);
+    }
+    if spec.trace {
+        ctx.enable_tracing(1 << 20);
+    }
+    let start_cycles = ctx.machine().now();
+    let start_traffic = *ctx.machine().device().traffic();
+    let start_soft = soft_traffic(&ctx);
+    let start_logical = ctx.logical_bytes();
+    let mut samples: [Vec<u64>; 6] = Default::default();
+    for op in ops {
+        let t0 = ctx.machine().now();
+        apply_mixed(index.as_mut(), &mut ctx, op, kind, scheme);
+        samples[class_of(op)].push(ctx.machine().now() - t0);
+    }
+    let cycles = ctx.machine().now() - start_cycles;
+    let traffic = measured_traffic(&ctx, &start_traffic, start_soft);
+    let logical_bytes = ctx.logical_bytes() - start_logical;
+    let trace = ctx.take_trace();
+    if spec.verify {
+        index
+            .check_invariants(&ctx)
+            .unwrap_or_else(|e| panic!("{kind}/{scheme}: invariant violated after run: {e}"));
+        if let RunOps::Inserts(_) = spec.ops {
+            let size = load.len() + ops.len();
+            assert_eq!(index.len(&ctx), size, "{kind}/{scheme}: size mismatch");
+            for op in ops {
+                if let MixedOp::Insert(o) = op {
+                    let present = index.contains(&ctx, o.key);
+                    assert!(present, "{kind}/{scheme}: key {} missing", o.key);
+                }
+            }
+        }
+    }
+    ShardRun {
+        result: RunResult {
+            scheme,
+            kind,
+            cycles,
+            traffic,
+            logical_bytes,
+            stats: *ctx.machine().stats(),
+        },
+        lat: MixLatencies {
+            classes: samples.map(LatencySummary::from_samples),
+        },
+        trace,
+    }
 }
 
 /// Up-front heap-arena estimate for an op stream: value payloads plus
@@ -274,95 +540,6 @@ fn measured_traffic(ctx: &PmContext, start: &WriteTraffic, soft_start: PtmTraffi
 
 fn soft_traffic(ctx: &PmContext) -> PtmTraffic {
     ctx.soft().map(|s| s.traffic).unwrap_or_default()
-}
-
-/// [`run_inserts`] with an explicit machine configuration (latency
-/// sweeps, tiny caches).
-pub fn run_inserts_with(
-    cfg: MachineConfig,
-    kind: IndexKind,
-    ops: &[YcsbOp],
-    value_size: usize,
-    source: AnnotationSource,
-    verify: bool,
-) -> RunResult {
-    let scheme = cfg.kind();
-    let mut ctx = PmContext::with_config(cfg, slpmt_annotate::AnnotationTable::new());
-    ctx.prefault_heap(arena_estimate(ops.len(), value_size));
-    let mut index = kind.build(&mut ctx, value_size, source);
-    let start_cycles = ctx.machine().now();
-    let start_traffic = *ctx.machine().device().traffic();
-    let start_soft = soft_traffic(&ctx);
-    let start_logical = ctx.logical_bytes();
-    for op in ops {
-        index.insert(&mut ctx, op.key, &op.value);
-    }
-    let cycles = ctx.machine().now() - start_cycles;
-    let traffic = measured_traffic(&ctx, &start_traffic, start_soft);
-    let logical_bytes = ctx.logical_bytes() - start_logical;
-    if verify {
-        index
-            .check_invariants(&ctx)
-            .unwrap_or_else(|e| panic!("{kind}/{scheme}: invariant violated after run: {e}"));
-        assert_eq!(index.len(&ctx), ops.len(), "{kind}/{scheme}: size mismatch");
-        for op in ops {
-            assert!(
-                index.contains(&ctx, op.key),
-                "{kind}/{scheme}: key {} missing",
-                op.key
-            );
-        }
-    }
-    RunResult {
-        scheme,
-        kind,
-        cycles,
-        traffic,
-        logical_bytes,
-        stats: *ctx.machine().stats(),
-    }
-}
-
-/// [`run_inserts_with`] with event tracing enabled for the measured
-/// phase, returning the captured records alongside the result. Setup
-/// (structure build) happens before tracing turns on, so the records
-/// cover exactly the measured insert stream; verification is skipped
-/// (capture runs exist to be exported, not gated).
-pub fn run_inserts_traced(
-    cfg: MachineConfig,
-    kind: IndexKind,
-    ops: &[YcsbOp],
-    value_size: usize,
-    source: AnnotationSource,
-) -> (RunResult, Vec<slpmt_core::TraceRecord>) {
-    let scheme = cfg.kind();
-    let mut ctx = PmContext::with_config(cfg, slpmt_annotate::AnnotationTable::new());
-    ctx.prefault_heap(arena_estimate(ops.len(), value_size));
-    let mut index = kind.build(&mut ctx, value_size, source);
-    ctx.enable_tracing(1 << 20);
-    let start_cycles = ctx.machine().now();
-    let start_traffic = *ctx.machine().device().traffic();
-    let start_soft = soft_traffic(&ctx);
-    let start_logical = ctx.logical_bytes();
-    for op in ops {
-        index.insert(&mut ctx, op.key, &op.value);
-    }
-    let cycles = ctx.machine().now() - start_cycles;
-    let traffic = measured_traffic(&ctx, &start_traffic, start_soft);
-    let logical_bytes = ctx.logical_bytes() - start_logical;
-    let stats = *ctx.machine().stats();
-    let records = ctx.take_trace();
-    (
-        RunResult {
-            scheme,
-            kind,
-            cycles,
-            traffic,
-            logical_bytes,
-            stats,
-        },
-        records,
-    )
 }
 
 /// Executes one mixed operation, asserting it is legal at this point
@@ -418,22 +595,7 @@ fn apply_mixed(
     }
 }
 
-/// Runs a mixed workload (after an untimed load phase): inserts and
-/// removes are durable transactions, reads are timed cache-hierarchy
-/// lookups. Returns the measured-phase result.
-pub fn run_mixed(
-    cfg: MachineConfig,
-    kind: IndexKind,
-    load: &[YcsbOp],
-    ops: &[MixedOp],
-    value_size: usize,
-    source: AnnotationSource,
-    verify: bool,
-) -> RunResult {
-    run_mixed_latencies(cfg, kind, load, ops, value_size, source, verify).0
-}
-
-/// The operation classes a mixed run distinguishes for latency
+/// The operation classes a run distinguishes for latency
 /// reporting.
 pub const OP_CLASSES: [&str; 6] = ["read", "insert", "update", "remove", "rmw", "scan"];
 
@@ -469,10 +631,10 @@ impl LatencySummary {
     }
 }
 
-/// Per-class latency summaries of one mixed run, in [`OP_CLASSES`]
+/// Per-class latency summaries of one run, in [`OP_CLASSES`]
 /// order. Everything is simulated cycles, so the breakdown is
 /// bit-identical across reruns and host machines.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MixLatencies {
     /// One summary per [`OP_CLASSES`] entry (empty classes are
     /// all-zero).
@@ -501,54 +663,71 @@ fn class_of(op: &MixedOp) -> usize {
     }
 }
 
-/// [`run_mixed`] that also reports per-class p50/p99 simulated-cycle
-/// latencies, taken from the machine clock around each operation.
-pub fn run_mixed_latencies(
-    cfg: MachineConfig,
-    kind: IndexKind,
-    load: &[YcsbOp],
-    ops: &[MixedOp],
-    value_size: usize,
-    source: AnnotationSource,
-    verify: bool,
-) -> (RunResult, MixLatencies) {
-    let scheme = cfg.kind();
-    let mut ctx = PmContext::with_config(cfg, slpmt_annotate::AnnotationTable::new());
-    ctx.prefault_heap(arena_estimate(load.len() + ops.len(), value_size));
-    let mut index = kind.build(&mut ctx, value_size, source);
-    for op in load {
-        index.insert(&mut ctx, op.key, &op.value);
+/// Worker count: `SLPMT_THREADS` when set, else the machine's
+/// available parallelism (1 if that cannot be determined).
+pub fn threads() -> usize {
+    std::env::var("SLPMT_THREADS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+}
+
+/// Applies `f` to every item across `workers` host threads and returns
+/// the results **in item order**.
+///
+/// Workers claim items through a shared atomic cursor, so a slow item
+/// never idles the other workers; each finished result is deposited
+/// with its original index and the merge sorts by that index, making
+/// the output independent of scheduling. With one worker (or one
+/// item) no threads are spawned and the items run serially in place.
+pub fn par_map_with<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = workers.min(items.len()).max(1);
+    if workers == 1 {
+        return items.iter().map(f).collect();
     }
-    let start_cycles = ctx.machine().now();
-    let start_traffic = *ctx.machine().device().traffic();
-    let start_soft = soft_traffic(&ctx);
-    let start_logical = ctx.logical_bytes();
-    let mut samples: [Vec<u64>; 6] = Default::default();
-    for op in ops {
-        let t0 = ctx.machine().now();
-        apply_mixed(index.as_mut(), &mut ctx, op, kind, scheme);
-        samples[class_of(op)].push(ctx.machine().now() - t0);
+    let cursor = AtomicUsize::new(0);
+    let done: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let r = f(item);
+                done.lock().expect("worker panicked").push((i, r));
+            });
+        }
+    });
+    let mut slots = done.into_inner().expect("worker panicked");
+    slots.sort_by_key(|&(i, _)| i);
+    slots.into_iter().map(|(_, r)| r).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn par_map_preserves_item_order() {
+        let items: Vec<u64> = (0..64).collect();
+        for workers in [1, 2, 7] {
+            let out = par_map_with(&items, workers, |&x| x * x);
+            assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
+        }
     }
-    let cycles = ctx.machine().now() - start_cycles;
-    let traffic = measured_traffic(&ctx, &start_traffic, start_soft);
-    let logical_bytes = ctx.logical_bytes() - start_logical;
-    if verify {
-        index
-            .check_invariants(&ctx)
-            .unwrap_or_else(|e| panic!("{kind}/{scheme}: invariant violated after mixed run: {e}"));
+
+    #[test]
+    fn zero_workers_degrades_to_serial() {
+        let out = par_map_with(&[1, 2, 3], 0, |&x| x + 1);
+        assert_eq!(out, vec![2, 3, 4]);
     }
-    let lat = MixLatencies {
-        classes: samples.map(LatencySummary::from_samples),
-    };
-    (
-        RunResult {
-            scheme,
-            kind,
-            cycles,
-            traffic,
-            logical_bytes,
-            stats: *ctx.machine().stats(),
-        },
-        lat,
-    )
 }

@@ -5,21 +5,20 @@
 //! design space — share-nothing scaling, where each shard owns a
 //! private machine (caches + log buffer + device) and the keyspace is
 //! hash-partitioned across shards. Shards never touch each other's
-//! state, so they can execute on real host threads
-//! (`slpmt_bench::sharded`) with bit-identical results to the serial
-//! driver here: determinism comes from the partition function and the
+//! state, so [`runner::run`](crate::runner::run) can execute them on
+//! any number of host threads with bit-identical results:
+//! determinism comes from the partition function here and the
 //! per-shard seeded traces, not from scheduling.
 //!
 //! Throughput is reported in *simulated* terms: shards run
 //! concurrently in simulated time, so a run's makespan is the slowest
-//! shard's cycle count ([`ShardedResult::sim_cycles`]) and scaling is
-//! `total ops / makespan` ([`ShardedResult::sim_ops_per_kcycle`]).
+//! shard's cycle count ([`RunReport::sim_cycles`]) and scaling is
+//! `total ops / makespan` ([`RunReport::sim_ops_per_kcycle`]).
+//!
+//! [`RunReport::sim_cycles`]: crate::runner::RunReport::sim_cycles
+//! [`RunReport::sim_ops_per_kcycle`]: crate::runner::RunReport::sim_ops_per_kcycle
 
-use crate::ctx::AnnotationSource;
-use crate::runner::{run_inserts_traced, run_inserts_with, run_mixed, IndexKind, RunResult};
 use crate::ycsb::{MixedOp, YcsbOp};
-use slpmt_core::{MachineConfig, MachineStats, SchemeKind};
-use slpmt_pmem::WriteTraffic;
 use slpmt_prng::splitmix64;
 
 /// The shard owning `key`: a `splitmix64` hash keeps the partition
@@ -71,202 +70,12 @@ pub fn partition_mixed(ops: &[MixedOp], shards: usize) -> Vec<Vec<MixedOp>> {
     parts
 }
 
-/// Outcome of one sharded run: the per-shard results in shard order
-/// plus the merged view.
-#[derive(Debug, Clone)]
-pub struct ShardedResult {
-    /// Scheme simulated (hardware design or software PTM flavour).
-    pub scheme: SchemeKind,
-    /// Index evaluated (one instance per shard).
-    pub kind: IndexKind,
-    /// Per-shard measured-phase results, indexed by shard.
-    pub shards: Vec<RunResult>,
-    /// Operations executed across all shards.
-    pub total_ops: usize,
-}
-
-impl ShardedResult {
-    /// Simulated makespan: shards run concurrently, so the run takes
-    /// as long as its slowest shard.
-    pub fn sim_cycles(&self) -> u64 {
-        self.shards.iter().map(|r| r.cycles).max().unwrap_or(0)
-    }
-
-    /// Total simulated work (the serial-equivalent cycle count).
-    pub fn total_cycles(&self) -> u64 {
-        self.shards.iter().map(|r| r.cycles).sum()
-    }
-
-    /// Simulated throughput: operations per thousand cycles of
-    /// makespan. The scaling metric — doubling shards on a balanced
-    /// partition roughly doubles this.
-    pub fn sim_ops_per_kcycle(&self) -> f64 {
-        let makespan = self.sim_cycles();
-        if makespan == 0 {
-            return 0.0;
-        }
-        self.total_ops as f64 * 1000.0 / makespan as f64
-    }
-
-    /// Machine counters summed over shards (order-independent).
-    pub fn merged_stats(&self) -> MachineStats {
-        let mut out = MachineStats::new();
-        for r in &self.shards {
-            out.accumulate(&r.stats);
-        }
-        out
-    }
-
-    /// PM write traffic summed over shards (order-independent).
-    pub fn merged_traffic(&self) -> WriteTraffic {
-        let mut out = WriteTraffic::new();
-        for r in &self.shards {
-            out += r.traffic;
-        }
-        out
-    }
-}
-
-/// Runs one shard of a partitioned insert stream on its own private
-/// machine. Shards are independent by construction, so callers may run
-/// this from any thread; results depend only on `(cfg, shard_ops)`.
-pub fn run_shard(
-    cfg: MachineConfig,
-    kind: IndexKind,
-    shard_ops: &[YcsbOp],
-    value_size: usize,
-    source: AnnotationSource,
-    verify: bool,
-) -> RunResult {
-    run_inserts_with(cfg, kind, shard_ops, value_size, source, verify)
-}
-
-/// [`run_shard`] with event tracing enabled: the shard's measured
-/// phase is captured as trace records alongside its result. Shards
-/// stay independent, so any thread may call this; the records depend
-/// only on `(cfg, shard_ops)` — the determinism the sharded trace
-/// tests pin down.
-pub fn run_shard_traced(
-    cfg: MachineConfig,
-    kind: IndexKind,
-    shard_ops: &[YcsbOp],
-    value_size: usize,
-    source: AnnotationSource,
-) -> (RunResult, Vec<slpmt_core::TraceRecord>) {
-    run_inserts_traced(cfg, kind, shard_ops, value_size, source)
-}
-
-/// Serial reference driver for traced sharded runs: partitions `ops`
-/// and captures every shard's trace in shard order. The parallel
-/// driver in `slpmt_bench::sharded` must produce identical per-shard
-/// record sequences for any worker count.
-pub fn run_sharded_serial_traced(
-    cfg: MachineConfig,
-    kind: IndexKind,
-    ops: &[YcsbOp],
-    value_size: usize,
-    source: AnnotationSource,
-    shards: usize,
-) -> (ShardedResult, Vec<Vec<slpmt_core::TraceRecord>>) {
-    let scheme = cfg.kind();
-    let parts = partition_ops(ops, shards);
-    let mut results = Vec::with_capacity(shards);
-    let mut traces = Vec::with_capacity(shards);
-    for part in &parts {
-        let (r, t) = run_shard_traced(cfg.clone(), kind, part, value_size, source);
-        results.push(r);
-        traces.push(t);
-    }
-    (
-        ShardedResult {
-            scheme,
-            kind,
-            shards: results,
-            total_ops: ops.len(),
-        },
-        traces,
-    )
-}
-
-/// Runs one shard of a partitioned mixed stream on its own private
-/// machine: the shard's slice of the load phase is untimed, its slice
-/// of the mixed trace is measured. Independent by construction, like
-/// [`run_shard`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_shard_mixed(
-    cfg: MachineConfig,
-    kind: IndexKind,
-    shard_load: &[YcsbOp],
-    shard_ops: &[MixedOp],
-    value_size: usize,
-    source: AnnotationSource,
-    verify: bool,
-) -> RunResult {
-    run_mixed(cfg, kind, shard_load, shard_ops, value_size, source, verify)
-}
-
-/// Serial reference driver for sharded *mixed* runs: partitions the
-/// load and the mixed trace by key ownership and runs every shard in
-/// shard order. The parallel driver in `slpmt_bench::sharded` must
-/// produce identical results for any worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_mixed_serial(
-    cfg: MachineConfig,
-    kind: IndexKind,
-    load: &[YcsbOp],
-    ops: &[MixedOp],
-    value_size: usize,
-    source: AnnotationSource,
-    shards: usize,
-    verify: bool,
-) -> ShardedResult {
-    let scheme = cfg.kind();
-    let load_parts = partition_ops(load, shards);
-    let parts = partition_mixed(ops, shards);
-    let results: Vec<RunResult> = load_parts
-        .iter()
-        .zip(&parts)
-        .map(|(lp, p)| run_shard_mixed(cfg.clone(), kind, lp, p, value_size, source, verify))
-        .collect();
-    ShardedResult {
-        scheme,
-        kind,
-        shards: results,
-        total_ops: ops.len(),
-    }
-}
-
-/// Serial reference driver: partitions `ops` and runs every shard in
-/// shard order on the calling thread. The parallel driver in
-/// `slpmt_bench::sharded` must produce identical results.
-pub fn run_sharded_serial(
-    cfg: MachineConfig,
-    kind: IndexKind,
-    ops: &[YcsbOp],
-    value_size: usize,
-    source: AnnotationSource,
-    shards: usize,
-    verify: bool,
-) -> ShardedResult {
-    let scheme = cfg.kind();
-    let parts = partition_ops(ops, shards);
-    let results: Vec<RunResult> = parts
-        .iter()
-        .map(|part| run_shard(cfg.clone(), kind, part, value_size, source, verify))
-        .collect();
-    ShardedResult {
-        scheme,
-        kind,
-        shards: results,
-        total_ops: ops.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run, IndexKind, RunSpec};
     use crate::ycsb::ycsb_load;
-    use slpmt_core::Scheme;
+    use slpmt_core::{MachineConfig, Scheme};
 
     #[test]
     fn partition_is_total_and_deterministic() {
@@ -331,20 +140,18 @@ mod tests {
     fn sharded_mixed_run_is_deterministic() {
         use crate::ycsb::{ycsb_mix, MixSpec};
         let (load, ops) = ycsb_mix(40, 120, 16, 9, &MixSpec::DELETE_HEAVY);
-        let run = || {
-            run_sharded_mixed_serial(
+        let spec = RunSpec {
+            verify: true,
+            shards: 3,
+            ..RunSpec::mixed(
                 MachineConfig::for_scheme(Scheme::Slpmt),
                 IndexKind::Hashtable,
                 &load,
                 &ops,
                 16,
-                AnnotationSource::Manual,
-                3,
-                true,
             )
         };
-        let a = run();
-        let b = run();
+        let (a, b) = (run(&spec), run(&spec));
         assert_eq!(a.total_ops, 120);
         assert_eq!(a.sim_cycles(), b.sim_cycles());
         assert_eq!(a.merged_stats(), b.merged_stats());
@@ -353,15 +160,16 @@ mod tests {
     #[test]
     fn sharded_run_inserts_every_key_once() {
         let ops = ycsb_load(48, 16, 3);
-        let res = run_sharded_serial(
-            MachineConfig::for_scheme(Scheme::Slpmt),
-            IndexKind::Hashtable,
-            &ops,
-            16,
-            AnnotationSource::Manual,
-            3,
-            true, // per-shard verify checks membership of its partition
-        );
+        let res = run(&RunSpec {
+            verify: true, // per-shard verify checks membership of its partition
+            shards: 3,
+            ..RunSpec::inserts(
+                MachineConfig::for_scheme(Scheme::Slpmt),
+                IndexKind::Hashtable,
+                &ops,
+                16,
+            )
+        });
         assert_eq!(res.total_ops, 48);
         assert_eq!(res.shards.len(), 3);
         assert!(res.merged_stats().tx_commits >= 48);

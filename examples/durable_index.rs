@@ -5,16 +5,26 @@
 //! cargo run --release --example durable_index
 //! ```
 
-use slpmt::core::Scheme;
-use slpmt::workloads::runner::{run_inserts, IndexKind};
-use slpmt::workloads::{ycsb_load, AnnotationSource};
+use slpmt::core::{MachineConfig, Scheme};
+use slpmt::workloads::runner::{run, IndexKind, RunResult, RunSpec};
+use slpmt::workloads::ycsb_load;
 
 fn main() {
     let ops = ycsb_load(500, 256, 7);
     let kind = IndexKind::KvCtree;
 
+    let verified = |scheme: Scheme| -> RunResult {
+        let spec = RunSpec::inserts(MachineConfig::for_scheme(scheme), kind, &ops, 256);
+        run(&RunSpec {
+            verify: true,
+            ..spec
+        })
+        .single()
+        .result
+    };
+
     println!("{kind}: {} inserts of 256-byte values\n", ops.len());
-    let base = run_inserts(Scheme::Fg, kind, &ops, 256, AnnotationSource::Manual, true);
+    let base = verified(Scheme::Fg);
     println!(
         "{:<8} {:>12} cycles {:>10} media B  (baseline)",
         base.scheme.to_string(),
@@ -22,7 +32,7 @@ fn main() {
         base.traffic.media_bytes()
     );
     for scheme in [Scheme::Slpmt, Scheme::Atom, Scheme::Ede] {
-        let r = run_inserts(scheme, kind, &ops, 256, AnnotationSource::Manual, true);
+        let r = verified(scheme);
         println!(
             "{:<8} {:>12} cycles {:>10} media B  ({:.2}x, traffic {:+.1}%)",
             r.scheme.to_string(),

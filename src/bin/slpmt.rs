@@ -24,7 +24,7 @@ use slpmt::core::{
 };
 use slpmt::pmem::FaultPlan;
 use slpmt::trace::{export_chrome_trace, JsonWriter, Metrics, TraceRecord};
-use slpmt::workloads::runner::{run_inserts_with, IndexKind};
+use slpmt::workloads::runner::{par_map_with, run, threads, IndexKind, RunSpec};
 use slpmt::workloads::ycsb::MixSpec;
 use slpmt::workloads::{ycsb_load, AnnotationSource};
 use std::fmt::Display;
@@ -540,14 +540,10 @@ fn cmd_run(f: &mut Flags) -> Result<ExitCode, String> {
     let o = &Options::parse(f);
     f.finish()?;
     let ops = ycsb_load(o.ops, o.value, 42);
-    let r = run_inserts_with(
-        config_for(o, o.scheme),
-        kind,
-        &ops,
-        o.value,
-        o.annotations,
-        true,
-    );
+    let mut spec = RunSpec::inserts(config_for(o, o.scheme), kind, &ops, o.value);
+    spec.source = o.annotations;
+    spec.verify = true;
+    let r = run(&spec).single().result;
     println!(
         "{kind} under {} ({} × {} B inserts, verified)",
         o.scheme, o.ops, o.value
@@ -568,14 +564,12 @@ fn cmd_compare(f: &mut Flags) -> Result<ExitCode, String> {
     let o = &Options::parse(f);
     f.finish()?;
     let ops = ycsb_load(o.ops, o.value, 42);
-    let base = run_inserts_with(
-        config_for(o, Scheme::Fg),
-        kind,
-        &ops,
-        o.value,
-        o.annotations,
-        false,
-    );
+    let run_scheme = |s: Scheme| {
+        let mut spec = RunSpec::inserts(config_for(o, s), kind, &ops, o.value);
+        spec.source = o.annotations;
+        run(&spec).single().result
+    };
+    let base = run_scheme(Scheme::Fg);
     println!(
         "{kind}: {} × {} B inserts (speedup and traffic vs FG)",
         o.ops, o.value
@@ -588,7 +582,7 @@ fn cmd_compare(f: &mut Flags) -> Result<ExitCode, String> {
         Scheme::Atom,
         Scheme::Ede,
     ] {
-        let r = run_inserts_with(config_for(o, s), kind, &ops, o.value, o.annotations, false);
+        let r = run_scheme(s);
         println!(
             "  {:<8} {:>12} cycles  {:>5.2}x  {:>9} media B  {:>+6.1}%",
             s.to_string(),
@@ -605,11 +599,18 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
     let o = &Options::parse(f);
     let json = f.flag("--json");
     f.finish()?;
-    use slpmt::bench::runner::{fig08_cells, run_matrix, threads};
+    use slpmt::bench::runner::fig08_cells;
     let ops = ycsb_load(o.ops, o.value, 42);
     let cells = fig08_cells(&IndexKind::ALL);
     let start = std::time::Instant::now();
-    let results = run_matrix(&cells, &ops, o.value, o.annotations, o.latency_ns);
+    let results = par_map_with(&cells, threads(), |c| {
+        let mut spec = c.spec(&ops, o.value);
+        spec.source = o.annotations;
+        if let Some(ns) = o.latency_ns {
+            spec.cfg.pm = spec.cfg.pm.with_write_latency_ns(ns);
+        }
+        run(&spec).single().result
+    });
     let elapsed = start.elapsed();
     let row = 1 + 5; // FG baseline + the five compared schemes
     if json {
@@ -692,8 +693,6 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
 /// the Chrome/Perfetto trace to `--out`, and print the metrics
 /// snapshot folded from the very same records.
 fn cmd_trace(f: &mut Flags) -> Result<ExitCode, String> {
-    use slpmt::workloads::runner::run_inserts_traced;
-
     let scheme = f.hw_scheme(Scheme::Slpmt);
     let kind = f.kind(IndexKind::Hashtable);
     let ops = f.get("--ops", 50usize);
@@ -703,13 +702,10 @@ fn cmd_trace(f: &mut Flags) -> Result<ExitCode, String> {
     f.finish()?;
 
     let stream = ycsb_load(ops, value, seed);
-    let (r, records) = run_inserts_traced(
-        MachineConfig::for_scheme(scheme),
-        kind,
-        &stream,
-        value,
-        AnnotationSource::Manual,
-    );
+    let mut spec = RunSpec::inserts(MachineConfig::for_scheme(scheme), kind, &stream, value);
+    spec.trace = true;
+    let shard = run(&spec).single();
+    let (r, records) = (shard.result, shard.trace);
     dump_trace(&records, &out)?;
     println!(
         "captured {} events: {kind} under {scheme}, {ops} × {value} B inserts (seed {seed})",
@@ -1016,8 +1012,6 @@ fn cmd_mc(f: &mut Flags) -> Result<ExitCode, String> {
 
 /// `slpmt shards`: the share-nothing scaling run.
 fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
-    use slpmt::bench::sharded::run_sharded;
-
     let kind = f.index();
     let scheme = f.hw_scheme(Scheme::Slpmt);
     let ops = f.get("--ops", 1000usize);
@@ -1027,19 +1021,14 @@ fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
     f.finish()?;
 
     let stream = ycsb_load(ops, value, 42);
-    let run = |n: usize| {
-        run_sharded(
-            MachineConfig::for_scheme(scheme),
-            kind,
-            &stream,
-            value,
-            AnnotationSource::Manual,
-            n,
-            false,
-        )
+    let run_shards = |shards: usize| {
+        let mut spec = RunSpec::inserts(MachineConfig::for_scheme(scheme), kind, &stream, value);
+        spec.shards = shards;
+        spec.workers = threads();
+        run(&spec)
     };
-    let base = run(1);
-    let res = run(shards);
+    let base = run_shards(1);
+    let res = run_shards(shards);
     if json {
         let mut w = JsonWriter::new();
         w.begin_obj();
@@ -1067,7 +1056,7 @@ fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
         w.u64(res.merged_traffic().media_bytes());
         w.key("per_shard");
         w.begin_arr();
-        for r in &res.shards {
+        for r in res.shards.iter().map(|s| &s.result) {
             w.begin_obj();
             w.key("commits");
             w.u64(r.stats.tx_commits);
@@ -1082,7 +1071,7 @@ fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     println!("{kind} under {scheme}: {ops} × {value} B inserts across {shards} shard(s)");
-    for (s, r) in res.shards.iter().enumerate() {
+    for (s, r) in res.shards.iter().map(|s| &s.result).enumerate() {
         println!(
             "  shard {s}: {:>6} ops {:>12} cycles",
             r.stats.tx_commits, r.cycles
@@ -1130,7 +1119,7 @@ fn cmd_bench(f: &mut Flags) -> Result<ExitCode, String> {
 /// output — including `--json` — is byte-identical across reruns and
 /// `SLPMT_THREADS` settings.
 fn cmd_ptm(f: &mut Flags) -> Result<ExitCode, String> {
-    use slpmt::bench::runner::{matrix, run_matrix};
+    use slpmt::bench::runner::matrix;
 
     let default: Vec<SchemeKind> = std::iter::once(Scheme::Slpmt.into())
         .chain(SchemeKind::SOFTWARE)
@@ -1144,7 +1133,9 @@ fn cmd_ptm(f: &mut Flags) -> Result<ExitCode, String> {
 
     let stream = ycsb_load(ops, value, 42);
     let cells = matrix(&schemes, &kinds);
-    let results = run_matrix(&cells, &stream, value, AnnotationSource::Manual, None);
+    let results = par_map_with(&cells, threads(), |c| {
+        run(&c.spec(&stream, value)).single().result
+    });
     let per_txn = |s: &MachineStats| match s.tx_commits {
         0 => 0.0,
         txns => s.fences as f64 / txns as f64,
@@ -1234,7 +1225,6 @@ fn cmd_ptm(f: &mut Flags) -> Result<ExitCode, String> {
 /// wall-clock, so output — including `--json` — is bit-identical
 /// across reruns and `SLPMT_THREADS` settings.
 fn cmd_ycsb(f: &mut Flags) -> Result<ExitCode, String> {
-    use slpmt::bench::sharded::run_sharded_mixed;
     use slpmt::bench::sweep::{run_sweep, Points, CLEAN};
     use slpmt::bench::ycsb::{run_ycsb_matrix, sweep_case_of, ycsb_cells, YcsbConfig};
     use slpmt::workloads::crashsweep::{default_plans, EngineTarget};
@@ -1262,16 +1252,13 @@ fn cmd_ycsb(f: &mut Flags) -> Result<ExitCode, String> {
     if shards > 0 {
         for cell in &cells {
             let (load, ops) = ycsb_mix(cfg.load, cfg.ops, cfg.value_size, cfg.seed, &cell.mix);
-            let r = run_sharded_mixed(
-                MachineConfig::for_kind(cell.scheme),
-                cell.kind,
-                &load,
-                &ops,
-                cfg.value_size,
-                AnnotationSource::Manual,
+            let machine = MachineConfig::for_kind(cell.scheme);
+            let r = run(&RunSpec {
+                verify: true,
                 shards,
-                true,
-            );
+                workers: threads(),
+                ..RunSpec::mixed(machine, cell.kind, &load, &ops, cfg.value_size)
+            });
             shard_rows.push((
                 cell.mix.to_string(),
                 cell.scheme.to_string(),
@@ -1496,7 +1483,7 @@ fn cmd_serve(f: &mut Flags) -> Result<ExitCode, String> {
                     cfg.kind = *kind;
                     cfg.mix = *mix;
                     cfg.shards = shards;
-                    rows.push(run_serve(&cfg));
+                    rows.push(run_serve(&cfg, threads()).0);
                 }
             }
         }

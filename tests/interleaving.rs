@@ -12,12 +12,12 @@
 //! nightly exhaustive matrix (all schemes × 2–4 cores × more seeds ×
 //! both scheduler policies).
 
-use slpmt::bench::runner::par_map;
 use slpmt::core::multi::{check_serialized_oracle, gen_programs, run_programs};
 use slpmt::core::{
     MachineConfig, MultiMachine, ProgramSpec, Schedule, Scheme, Signature, StoreKind,
 };
 use slpmt::pmem::PmAddr;
+use slpmt::workloads::runner::{par_map_with, threads};
 
 /// Same Figure-4 coverage rationale as the crash-sweep gate: undo
 /// baseline, the single-feature variants, full SLPMT, line
@@ -67,7 +67,7 @@ fn gate_interleaving_sweep() {
             }
         }
     }
-    let failures: Vec<String> = par_map(&cases, |&(scheme, cores, seed, sched)| {
+    let failures: Vec<String> = par_map_with(&cases, threads(), |&(scheme, cores, seed, sched)| {
         check_case(scheme, cores, seed, sched)
     })
     .into_iter()
@@ -88,7 +88,7 @@ fn gate_skewed_interleaving_sweep() {
             cases.push((scheme, 3, seed, Schedule::weighted(seed * 31 + 7)));
         }
     }
-    let failures: Vec<String> = par_map(&cases, |&(scheme, cores, seed, sched)| {
+    let failures: Vec<String> = par_map_with(&cases, threads(), |&(scheme, cores, seed, sched)| {
         check_case_skewed(scheme, cores, seed, sched, 990)
     })
     .into_iter()
@@ -257,19 +257,20 @@ fn full_interleaving_matrix() {
             }
         }
     }
-    let failures: Vec<String> = par_map(&cases, |&(scheme, cores, seed, sched, skew)| {
-        let mut spec = ProgramSpec::small(cores, seed);
-        spec.txns_per_core = 12;
-        spec.stores_per_txn = 6;
-        spec.shared_skew_milli = skew;
-        let programs = gen_programs(&spec);
-        let (mm, outcome) = run_programs(MachineConfig::for_scheme(scheme), &programs, sched);
-        check_serialized_oracle(&mm, &outcome).err().map(|e| {
-            format!("scheme={scheme} cores={cores} seed={seed} sched={sched} skew={skew}: {e}")
+    let failures: Vec<String> =
+        par_map_with(&cases, threads(), |&(scheme, cores, seed, sched, skew)| {
+            let mut spec = ProgramSpec::small(cores, seed);
+            spec.txns_per_core = 12;
+            spec.stores_per_txn = 6;
+            spec.shared_skew_milli = skew;
+            let programs = gen_programs(&spec);
+            let (mm, outcome) = run_programs(MachineConfig::for_scheme(scheme), &programs, sched);
+            check_serialized_oracle(&mm, &outcome).err().map(|e| {
+                format!("scheme={scheme} cores={cores} seed={seed} sched={sched} skew={skew}: {e}")
+            })
         })
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+        .into_iter()
+        .flatten()
+        .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

@@ -6,7 +6,7 @@
 //! first-class, exactly-reproducible statistics. Drain jitter may only
 //! push the latency tail upward.
 
-use slpmt::bench::serve::run_serve_with;
+use slpmt::bench::serve::run_serve;
 use slpmt::core::{MachineConfig, Scheme};
 use slpmt::kv::admission::{admit, reference_decision, Admission, AdmissionConfig, AdmissionStats};
 use slpmt::kv::service::ServeConfig;
@@ -50,13 +50,13 @@ fn forced_stall_terminates_and_counts_are_exact() {
     // this test *finishing* is the no-deadlock property; the counts
     // must then be exactly reproducible.
     let c = stall_cfg(2_000);
-    let (row, reports) = run_serve_with(&c, 1);
+    let (row, reports) = run_serve(&c, 1);
     assert_eq!(row.requests, row.served + row.shed, "every request decided");
     assert!(row.shed > 0, "forced stall must shed under a tight budget");
     assert!(row.queued > 0, "forced stall must queue some admissions");
     assert_eq!(row.served, reports.iter().map(|r| r.served).sum::<u64>());
     // Exact reproducibility of the counts (same run, same numbers).
-    let (again, _) = run_serve_with(&c, 4);
+    let (again, _) = run_serve(&c, 4);
     assert_eq!(row.shed, again.shed);
     assert_eq!(row.queued, again.queued);
     assert_eq!(row.queued_cycles, again.queued_cycles);
@@ -75,7 +75,7 @@ fn generous_budget_never_sheds() {
     // With an effectively unbounded budget the same stalled device
     // queues but never sheds — admission is work-conserving.
     let c = stall_cfg(100_000_000);
-    let (row, _) = run_serve_with(&c, 1);
+    let (row, _) = run_serve(&c, 1);
     assert_eq!(row.shed, 0, "nothing may be shed with budget to spare");
     assert_eq!(row.served, row.requests);
     assert!(row.queued > 0, "the stall still forces queueing");
@@ -193,7 +193,7 @@ fn p999_is_monotone_in_drain_jitter() {
     for window in [0u64, 4_000, 40_000] {
         let mut c = base.clone();
         c.drain_jitter = window;
-        let (row, _) = run_serve_with(&c, 1);
+        let (row, _) = run_serve(&c, 1);
         assert_eq!(row.served, row.requests, "defaults must not shed");
         assert!(
             row.overall.p999 >= last_p999,

@@ -4,7 +4,7 @@
 //! ingestion must be indistinguishable — response bytes and recovered
 //! durable state — from one-request-at-a-time delivery.
 
-use slpmt::bench::serve::{run_serve_with, ServeRow};
+use slpmt::bench::serve::{run_serve, ServeRow};
 use slpmt::core::Scheme;
 use slpmt::kv::codec::{Codec, Parse};
 use slpmt::kv::service::{
@@ -34,8 +34,8 @@ fn serve_is_byte_identical_across_worker_counts() {
     for mix in [MixSpec::YCSB_A, MixSpec::YCSB_B, MixSpec::YCSB_C] {
         for shards in [1usize, 4] {
             let c = cfg(mix, shards, 42);
-            let (serial, rep1): (ServeRow, _) = run_serve_with(&c, 1);
-            let (fanned, rep4): (ServeRow, _) = run_serve_with(&c, 4);
+            let (serial, rep1): (ServeRow, _) = run_serve(&c, 1);
+            let (fanned, rep4): (ServeRow, _) = run_serve(&c, 4);
             assert_eq!(
                 serial.digest, fanned.digest,
                 "digest drift at {shards} shards"
@@ -57,11 +57,11 @@ fn serve_is_byte_identical_across_worker_counts() {
 #[test]
 fn reruns_are_bit_identical_and_seeds_matter() {
     let c = cfg(MixSpec::YCSB_A, 2, 7);
-    let (a, _) = run_serve_with(&c, 2);
-    let (b, _) = run_serve_with(&c, 2);
+    let (a, _) = run_serve(&c, 2);
+    let (b, _) = run_serve(&c, 2);
     assert_eq!(a.digest, b.digest);
     assert_eq!(a.total_sim_cycles, b.total_sim_cycles);
-    let (other, _) = run_serve_with(&cfg(MixSpec::YCSB_A, 2, 8), 2);
+    let (other, _) = run_serve(&cfg(MixSpec::YCSB_A, 2, 8), 2);
     assert_ne!(a.digest, other.digest, "seed must reshape the stream");
 }
 
@@ -73,8 +73,8 @@ fn open_loop_pacing_keeps_response_bytes() {
     let mut open = closed.clone();
     open.open_loop = true;
     open.mean_gap = 400;
-    let (rc, repc) = run_serve_with(&closed, 2);
-    let (ro, repo) = run_serve_with(&open, 2);
+    let (rc, repc) = run_serve(&closed, 2);
+    let (ro, repo) = run_serve(&open, 2);
     assert_eq!(rc.digest, ro.digest);
     for (a, b) in repc.iter().zip(&repo) {
         assert_eq!(a.responses, b.responses);
@@ -198,8 +198,8 @@ fn serve_long_soak_every_named_mix() {
         let mut c = cfg(mix, 4, 0x50AC_0008);
         c.load = 300;
         c.requests = 3000;
-        let (row1, rep1) = run_serve_with(&c, 1);
-        let (row4, rep4) = run_serve_with(&c, 4);
+        let (row1, rep1) = run_serve(&c, 1);
+        let (row4, rep4) = run_serve(&c, 4);
         assert_eq!(row1.digest, row4.digest, "mix {name}: digest drift");
         assert_eq!(row1.total_sim_cycles, row4.total_sim_cycles, "mix {name}");
         assert_eq!(row1.overall, row4.overall, "mix {name}");
@@ -217,8 +217,8 @@ fn scan_heavy_mix_stays_deterministic() {
     // worker fan-out must still be invisible.
     let mut c = cfg(MixSpec::YCSB_E, 4, 21);
     c.requests = 150;
-    let (a, ra) = run_serve_with(&c, 1);
-    let (b, rb) = run_serve_with(&c, 4);
+    let (a, ra) = run_serve(&c, 1);
+    let (b, rb) = run_serve(&c, 4);
     assert_eq!(a.digest, b.digest);
     for (x, y) in ra.iter().zip(&rb) {
         assert_eq!(x.responses, y.responses);

@@ -7,25 +7,21 @@
 //! goes through the full stack: `PmContext` dispatch, the bench
 //! matrix/sweep drivers, and the streaming recovery oracle.
 
-use slpmt::bench::runner::{matrix, run_matrix_with};
+use slpmt::bench::runner::matrix;
 use slpmt::bench::sweep::{run_sweep, sweep_cases, sweep_cases_mixed, Points, CLEAN};
-use slpmt::core::{PtmFlavor, Scheme, SchemeKind};
+use slpmt::core::{MachineConfig, PtmFlavor, Scheme, SchemeKind};
 use slpmt::workloads::crashsweep::{default_plans, EngineTarget};
-use slpmt::workloads::runner::{run_inserts, IndexKind, RunResult};
+use slpmt::workloads::runner::{par_map_with, run, IndexKind, RunResult, RunSpec};
 use slpmt::workloads::ycsb::MixSpec;
 use slpmt::workloads::ycsb_load;
 
 const SEED: u64 = 42;
 
 fn insert_run(kind: impl Into<SchemeKind>, ops: usize, value: usize) -> RunResult {
-    run_inserts(
-        kind,
-        IndexKind::Hashtable,
-        &ycsb_load(ops, value, SEED),
-        value,
-        slpmt::workloads::AnnotationSource::Manual,
-        true,
-    )
+    let (cfg, ops) = (MachineConfig::for_kind(kind), ycsb_load(ops, value, SEED));
+    let mut spec = RunSpec::inserts(cfg, IndexKind::Hashtable, &ops, value);
+    spec.verify = true;
+    run(&spec).single().result
 }
 
 /// Golden per-transaction commit-fence budgets, measured through the
@@ -112,22 +108,12 @@ fn software_matrix_identical_across_worker_counts() {
         &[IndexKind::Hashtable, IndexKind::Heap],
     );
     let stream = ycsb_load(120, 32, SEED);
-    let serial = run_matrix_with(
-        &cells,
-        1,
-        &stream,
-        32,
-        slpmt::workloads::AnnotationSource::Manual,
-        None,
-    );
-    let parallel = run_matrix_with(
-        &cells,
-        4,
-        &stream,
-        32,
-        slpmt::workloads::AnnotationSource::Manual,
-        None,
-    );
+    let matrix_at = |workers| {
+        par_map_with(&cells, workers, |c| {
+            run(&c.spec(&stream, 32)).single().result
+        })
+    };
+    let (serial, parallel) = (matrix_at(1), matrix_at(4));
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.traffic, b.traffic);

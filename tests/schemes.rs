@@ -2,15 +2,29 @@
 //! benchmark correctly, and the relative orderings the paper reports
 //! hold on this simulator.
 
-use slpmt::core::Scheme;
-use slpmt::workloads::runner::{run_inserts, IndexKind, RunResult};
-use slpmt::workloads::{ycsb_load, AnnotationSource};
+use slpmt::core::{MachineConfig, Scheme};
+use slpmt::workloads::runner::{self, IndexKind, RunResult, RunSpec};
+use slpmt::workloads::{ycsb_load, AnnotationSource, YcsbOp};
 
 const ALL_KINDS: [IndexKind; 8] = IndexKind::ALL;
 
+/// One insert run with `verify` on: it checks invariants and
+/// membership of every inserted key.
+fn verified(
+    scheme: Scheme,
+    kind: IndexKind,
+    ops: &[YcsbOp],
+    value: usize,
+    src: AnnotationSource,
+) -> RunResult {
+    let mut spec = RunSpec::inserts(MachineConfig::for_scheme(scheme), kind, ops, value);
+    spec.source = src;
+    spec.verify = true;
+    runner::run(&spec).single().result
+}
+
 fn run(scheme: Scheme, kind: IndexKind, src: AnnotationSource) -> RunResult {
-    let ops = ycsb_load(120, 64, 11);
-    run_inserts(scheme, kind, &ops, 64, src, true) // verify=true checks invariants + membership
+    verified(scheme, kind, &ycsb_load(120, 64, 11), 64, src)
 }
 
 #[test]
@@ -94,9 +108,9 @@ fn annotations_do_not_change_results() {
             AnnotationSource::Manual,
             AnnotationSource::Compiler,
         ] {
-            // run_inserts(verify=true) already asserts membership of
-            // every inserted key and structural invariants.
-            let _ = run_inserts(Scheme::Slpmt, kind, &ops, 32, src, true);
+            // A verified run already asserts membership of every
+            // inserted key and structural invariants.
+            let _ = verified(Scheme::Slpmt, kind, &ops, 32, src);
         }
     }
 }
