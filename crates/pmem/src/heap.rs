@@ -157,22 +157,46 @@ impl PmHeap {
     /// Addresses in `reachable` that were not live are ignored: the
     /// caller may conservatively pass every pointer it finds.
     pub fn rebuild(&mut self, reachable: &[PmAddr]) -> usize {
-        let keep: std::collections::BTreeSet<u64> = reachable
-            .iter()
-            .map(|a| a.raw())
-            .filter(|a| self.live.contains_key(a))
-            .collect();
-        let doomed: Vec<u64> = self
-            .live
-            .keys()
-            .copied()
-            .filter(|a| !keep.contains(a))
-            .collect();
-        for a in &doomed {
-            let size = self.live.remove(a).expect("doomed allocation is live");
-            self.insert_free(*a, size);
+        let mut doomed = Vec::new();
+        self.classify(reachable, |addr, size, reached| {
+            if !reached {
+                doomed.push((addr.raw(), size));
+            }
+        });
+        for &(a, size) in &doomed {
+            self.live.remove(&a);
+            self.insert_free(a, size);
         }
         doomed.len()
+    }
+
+    /// Classifies `reachable` (any order, duplicates allowed) against
+    /// the live allocations in one address-ordered pass: sorts the
+    /// addresses once, then merge-joins them with the live map. Calls
+    /// `visit(start, size, reached)` for every live allocation in
+    /// address order and returns the number of `reachable` entries that
+    /// are not the start of a live allocation (interior, freed or
+    /// out-of-heap pointers), duplicates included.
+    pub fn classify(
+        &self,
+        reachable: &[PmAddr],
+        mut visit: impl FnMut(PmAddr, u64, bool),
+    ) -> usize {
+        let mut marks: Vec<u64> = reachable.iter().map(|a| a.raw()).collect();
+        marks.sort_unstable();
+        let mut marks = marks.into_iter().peekable();
+        let mut not_live = 0;
+        for (&start, &size) in &self.live {
+            while marks.next_if(|&m| m < start).is_some() {
+                not_live += 1;
+            }
+            let mut reached = false;
+            while marks.next_if_eq(&start).is_some() {
+                reached = true;
+            }
+            visit(PmAddr::new(start), size, reached);
+        }
+        not_live + marks.count()
     }
 }
 

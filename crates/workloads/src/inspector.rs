@@ -10,7 +10,6 @@
 
 use crate::ctx::PmContext;
 use slpmt_pmem::PmAddr;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// One leaked allocation.
@@ -64,26 +63,25 @@ impl fmt::Display for HeapReport {
 }
 
 /// Diffs the heap's live allocations against `reachable` (the
-/// structure's root walk). Does not modify anything — pair with
-/// [`PmContext::gc`] to actually reclaim.
+/// structure's root walk) in one linear merge-join
+/// ([`PmHeap::classify`](slpmt_pmem::PmHeap::classify)). Does not
+/// modify anything — pair with [`PmContext::gc`] to actually reclaim.
 pub fn inspect(ctx: &PmContext, reachable: &[PmAddr]) -> HeapReport {
-    let reach: BTreeSet<u64> = reachable.iter().map(|a| a.raw()).collect();
-    let mut report = HeapReport::default();
-    let mut reachable_allocs = 0;
-    for (addr, bytes) in ctx.heap().iter() {
-        report.live += 1;
-        if reach.contains(&addr.raw()) {
-            reachable_allocs += 1;
+    let (mut live, mut reached_allocs, mut leaks) = (0, 0, Vec::new());
+    let interior_pointers = ctx.heap().classify(reachable, |addr, bytes, reached| {
+        live += 1;
+        if reached {
+            reached_allocs += 1;
         } else {
-            report.leaks.push(Leak { addr, bytes });
+            leaks.push(Leak { addr, bytes });
         }
+    });
+    HeapReport {
+        live,
+        reachable: reached_allocs,
+        leaks,
+        interior_pointers,
     }
-    report.reachable = reachable_allocs;
-    report.interior_pointers = reachable
-        .iter()
-        .filter(|a| !ctx.heap().is_live(**a))
-        .count();
-    report
 }
 
 #[cfg(test)]
