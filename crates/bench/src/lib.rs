@@ -16,11 +16,10 @@
 //! | `fig13`  | compiler vs manual annotations + analysis time |
 //! | `fig14`  | PMKV backends at 256 B and 16 B values |
 //! | `ablation` | design-choice ablations (§V-A demo, speculative logging, buffer) |
-//! | `micro`  | microbenches of the core structures |
 //! | `sim_throughput` | wall-clock simulator throughput (self-benchmark) |
 //!
-//! [`snapshot`] records the `BENCH_<n>.json` performance snapshot
-//! behind `slpmt bench`.
+//! [`snapshot`] records the simulated `BENCH_<n>.json` snapshot behind
+//! `slpmt bench`.
 //!
 //! The operation count defaults to the paper's 1,000 inserts; set
 //! `SLPMT_OPS` to shrink runs (e.g. in CI). Set `SLPMT_CSV=<path>` to
@@ -32,7 +31,6 @@
 
 use slpmt_workloads::{ycsb_load, YcsbOp};
 
-pub mod micro;
 pub mod runner;
 pub mod serve;
 pub mod snapshot;

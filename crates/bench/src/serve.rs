@@ -5,8 +5,7 @@
 //! single-threaded simulation, so the merged reports
 //! are byte-identical to the serial run at any worker count — and
 //! folds the per-shard latency samples into p50/p99/p999 percentiles
-//! of simulated cycles. Wall time appears only as host throughput
-//! colour, never in any simulated figure.
+//! of simulated cycles. No figure is taken from the host clock.
 
 use slpmt_kv::service::{
     digest64, run_shard_service, shard_streams, ServeConfig, ShardServeReport, VERB_CLASSES,
@@ -78,8 +77,6 @@ pub struct ServeRow {
     /// Per-verb percentiles, `VERB_CLASSES` order, absent classes
     /// zeroed.
     pub per_verb: Vec<ServeLatency>,
-    /// Host wall-clock seconds (colour only).
-    pub wall_s: f64,
     /// Simulated requests per simulated second, from the makespan
     /// (cycles at 2 GHz), for quick cross-run comparison.
     pub sim_req_per_s: f64,
@@ -92,18 +89,16 @@ pub struct ServeRow {
 ///
 /// [`threads`]: slpmt_workloads::runner::threads
 pub fn run_serve(cfg: &ServeConfig, workers: usize) -> (ServeRow, Vec<ShardServeReport>) {
-    let start = std::time::Instant::now();
     let (loads, reqs) = shard_streams(cfg);
     let shards: Vec<usize> = (0..cfg.shards.max(1)).collect();
     let reports = par_map_with(&shards, workers, |&s| {
         run_shard_service(cfg, s, &loads[s], &reqs[s])
     });
-    let wall_s = start.elapsed().as_secs_f64();
-    (aggregate(cfg, &reports, wall_s), reports)
+    (aggregate(cfg, &reports), reports)
 }
 
 /// Folds per-shard reports into one [`ServeRow`].
-pub fn aggregate(cfg: &ServeConfig, reports: &[ShardServeReport], wall_s: f64) -> ServeRow {
+pub fn aggregate(cfg: &ServeConfig, reports: &[ShardServeReport]) -> ServeRow {
     let mut overall = Vec::new();
     let mut per_class: Vec<Vec<u64>> = vec![Vec::new(); VERB_CLASSES.len()];
     let mut digest_stream = Vec::with_capacity(reports.len() * 8);
@@ -148,7 +143,6 @@ pub fn aggregate(cfg: &ServeConfig, reports: &[ShardServeReport], wall_s: f64) -
             .iter_mut()
             .map(|v| ServeLatency::from_samples(v))
             .collect(),
-        wall_s,
         sim_req_per_s,
     }
 }

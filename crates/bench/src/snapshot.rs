@@ -1,20 +1,14 @@
-//! The performance snapshot behind `BENCH_<n>.json` (`slpmt bench`,
+//! The simulated snapshot behind `BENCH_<n>.json` (`slpmt bench`,
 //! `scripts/bench.sh`, DESIGN.md §12).
 //!
-//! Times seven hot-path drivers — the scheme×index matrix, the
-//! multi-core engine, the 16-way sharded driver at 1/4/8/16 workers,
-//! the YCSB mix matrix, the KV serve front end, the chaos battery and
-//! the software-PTM baselines — plus the per-op microbenches. Each
-//! phase writes its section of the schema-stable JSON object and its
-//! line of the text report as soon as it is measured. Simulated
-//! columns (cycles, digests, ops/kcycle) are deterministic:
-//! `scripts/bench_gate.py` gates them hard, and [`best_of`] rejects a
-//! run whose reps disagree on them. Wall-clock columns are best of
-//! `reps`, mirroring `scripts/trace_overhead.sh`'s best-of-N
-//! discipline so one noisy run cannot fake a regression.
-
-use std::fmt;
-use std::time::Instant;
+//! Runs seven drivers once each — the scheme×index matrix, the
+//! multi-core engine, the 16-way sharded driver, the YCSB mix matrix,
+//! the KV serve front end, the chaos battery and the software-PTM
+//! baselines. Each phase writes its section of the schema-stable JSON
+//! object and its line of the text report. Every figure is simulated
+//! (cycles, counts, digests), so the snapshot is byte-identical across
+//! reruns and `SLPMT_THREADS` settings, and `scripts/bench_gate.py`
+//! gates it hard. Host speed is measured by `perfbench/` alone.
 
 use slpmt_core::multi::{gen_programs, run_programs};
 use slpmt_core::{MachineConfig, ProgramSpec, Schedule, Scheme, SchemeKind};
@@ -25,7 +19,6 @@ use slpmt_workloads::runner::{par_map_with, run as run_spec, threads, IndexKind,
 use slpmt_workloads::ycsb::MixSpec;
 use slpmt_workloads::ycsb_load;
 
-use crate::micro;
 use crate::runner::{fig08_cells, matrix};
 use crate::serve::run_serve;
 use crate::sweep::run_chaos_sweep;
@@ -44,39 +37,12 @@ pub struct Snapshot {
     pub text: String,
 }
 
-/// Runs `run` `reps` times and returns the fastest wall time with the
-/// last run's result. Every run's `fingerprint` — its deterministic
-/// columns — must agree: a difference across reps is a semantic bug,
-/// not host noise, so it fails the snapshot. Each result is dropped
-/// outside the timed region.
-///
-/// # Panics
-///
-/// Panics if `reps` is 0.
-fn best_of<T, K: PartialEq + fmt::Debug>(
-    what: &str,
-    reps: u32,
-    mut run: impl FnMut() -> T,
-    fingerprint: impl Fn(&T) -> K,
-) -> Result<(f64, T), String> {
-    let mut best = f64::INFINITY;
-    let mut last: Option<(T, K)> = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let result = run();
-        best = best.min(t0.elapsed().as_secs_f64());
-        let print = fingerprint(&result);
-        if let Some((_, prev)) = &last {
-            if *prev != print {
-                return Err(format!(
-                    "{what} diverged across reps: {prev:?} vs {print:?}"
-                ));
-            }
-        }
-        last = Some((result, print));
-    }
-    let (result, _) = last.expect("reps >= 1");
-    Ok((best, result))
+/// FNV-1a over `values`, in order: the digest the matrix and PTM
+/// sections fold their cells' deterministic columns into.
+fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
+    values.into_iter().fold(0xcbf2_9ce4_8422_2325, |d, v| {
+        (d ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Short git revision for tagging snapshots, `unknown` outside a work
@@ -93,14 +59,12 @@ fn git_sha() -> String {
 }
 
 /// Records a snapshot at `ops` operations per phase and `value`-byte
-/// matrix/shard payloads, each timed phase best of `reps`. Fails if a
-/// deterministic column diverges across reps or worker counts, or if
-/// the chaos battery is not clean.
+/// matrix/shard payloads. Fails if the chaos battery is not clean.
 ///
 /// # Panics
 ///
-/// Panics if `reps` is 0 or `value` is not a multiple of 8.
-pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
+/// Panics if `value` is not a multiple of 8.
+pub fn run(ops: usize, value: usize) -> Result<Snapshot, String> {
     let stream = ycsb_load(ops, value, 42);
     let workers = threads();
     let sha = git_sha();
@@ -110,53 +74,43 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
     w.key("command");
     w.string("bench");
     w.key("schema");
-    w.u64(1);
+    w.u64(2);
     w.key("git_sha");
     w.string(&sha);
     w.key("ops");
     w.u64(ops as u64);
     w.key("value_bytes");
     w.u64(value as u64);
-    w.key("reps");
-    w.u64(reps as u64);
-    w.key("host_workers");
-    w.u64(workers as u64);
     text.push(format!(
-        "bench snapshot @ {sha} ({ops} × {value} B inserts, best of {reps} reps)"
+        "bench snapshot @ {sha} ({ops} × {value} B inserts)"
     ));
 
     // Matrix: every fig08 cell once, fanned across the default worker
-    // pool. Sim-throughput = simulated inserts retired per host second.
+    // pool. The digest folds each cell's cycles, media bytes and log
+    // records in cell order.
     let cells = fig08_cells(&IndexKind::ALL);
-    let (matrix_wall, rows) = best_of(
-        "matrix",
-        reps,
-        || {
-            par_map_with(&cells, workers, |c| {
-                run_spec(&c.spec(&stream, value)).single().result
-            })
-        },
-        |rows| rows.iter().map(|r| r.cycles).collect::<Vec<_>>(),
-    )?;
-    let matrix_cells = rows.len();
-    let matrix_sim_ops = (matrix_cells * ops) as f64;
-    let matrix_ops_per_s = matrix_sim_ops / matrix_wall;
+    let rows = par_map_with(&cells, workers, |c| {
+        run_spec(&c.spec(&stream, value)).single().result
+    });
+    let matrix_cycles: u64 = rows.iter().map(|r| r.cycles).sum();
+    let matrix_digest = fnv1a(
+        rows.iter()
+            .flat_map(|r| [r.cycles, r.traffic.media_bytes(), r.traffic.log_records]),
+    );
     w.key("matrix");
     w.begin_obj();
     w.key("cells");
-    w.u64(matrix_cells as u64);
-    w.key("workers");
-    w.u64(workers as u64);
-    w.key("wall_s");
-    w.f64(matrix_wall);
+    w.u64(rows.len() as u64);
     w.key("sim_ops");
-    w.u64(matrix_sim_ops as u64);
-    w.key("sim_ops_per_s");
-    w.f64(matrix_ops_per_s);
+    w.u64((rows.len() * ops) as u64);
+    w.key("total_sim_cycles");
+    w.u64(matrix_cycles);
+    w.key("digest");
+    w.string(&format!("{matrix_digest:016x}"));
     w.end_obj();
     text.push(format!(
-        "  matrix : {matrix_cells} cells in {matrix_wall:.3}s @ {workers} workers \
-         → {matrix_ops_per_s:.0} sim-ops/s"
+        "  matrix : {} cells, {matrix_cycles} total cycles (digest {matrix_digest:016x})",
+        rows.len()
     ));
 
     // Multi-core engine: a fixed 4-core round-robin program mix.
@@ -165,22 +119,12 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
     spec.stores_per_txn = 8;
     let programs = gen_programs(&spec);
     let mc_ops: u64 = programs.iter().map(|p| p.len() as u64).sum();
-    let (mc_wall, (mm, _)) = best_of(
-        "mc",
-        reps,
-        || {
-            run_programs(
-                MachineConfig::for_scheme(Scheme::Slpmt),
-                &programs,
-                Schedule::round_robin(42),
-            )
-        },
-        |(mm, _)| (mm.machine().now(), mm.machine().stats().tx_commits),
-    )?;
+    let (mm, _) = run_programs(
+        MachineConfig::for_scheme(Scheme::Slpmt),
+        &programs,
+        Schedule::round_robin(42),
+    );
     let (mc_cycles, mc_commits) = (mm.machine().now(), mm.machine().stats().tx_commits);
-    // Conflict aborts make commit counts schedule-dependent, so the
-    // throughput metric is trace operations executed per host second.
-    let mc_ops_per_s = mc_ops as f64 / mc_wall;
     w.key("mc");
     w.begin_obj();
     w.key("cores");
@@ -191,44 +135,19 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
     w.u64(mc_ops);
     w.key("sim_cycles");
     w.u64(mc_cycles);
-    w.key("wall_s");
-    w.f64(mc_wall);
-    w.key("sim_ops_per_s");
-    w.f64(mc_ops_per_s);
     w.end_obj();
     text.push(format!(
-        "  mc     : {mc_ops} trace ops ({mc_commits} commits, {mc_cycles} cycles) \
-         in {mc_wall:.3}s → {mc_ops_per_s:.0} sim-ops/s"
+        "  mc     : {mc_ops} trace ops, {mc_commits} commits, {mc_cycles} cycles"
     ));
 
-    // Sharded run: 16 keyspace shards, worker sweep. The simulated
-    // makespan is identical at every worker count (the bit-identity
-    // property the sharded tests pin); only wall-clock moves.
-    let mut scaling = Vec::new();
-    let mut makespan = None;
-    let mut shard_kcycle = 0.0;
+    // Sharded run: 16 keyspace shards. The simulated makespan is the
+    // same at any worker count (the bit-identity the sharded tests pin).
     let cfg = MachineConfig::for_scheme(Scheme::Slpmt);
     let mut spec = RunSpec::inserts(cfg, IndexKind::Hashtable, &stream, value);
     spec.shards = SHARDS;
-    for workers in [1usize, 4, 8, 16] {
-        spec.workers = workers;
-        let (wall, r) = best_of(
-            "sharded makespan",
-            reps,
-            || run_spec(&spec),
-            |r| r.sim_cycles(),
-        )?;
-        if let Some(m) = makespan.filter(|&m| m != r.sim_cycles()) {
-            return Err(format!(
-                "sharded makespan diverged across worker counts: {m} vs {}",
-                r.sim_cycles()
-            ));
-        }
-        makespan = Some(r.sim_cycles());
-        shard_kcycle = r.sim_ops_per_kcycle();
-        scaling.push((workers, wall));
-    }
-    let shard_makespan = makespan.unwrap_or_default();
+    spec.workers = workers;
+    let r = run_spec(&spec);
+    let (shard_makespan, shard_kcycle) = (r.sim_cycles(), r.sim_ops_per_kcycle());
     w.key("shards");
     w.begin_obj();
     w.key("shards");
@@ -237,33 +156,14 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
     w.u64(shard_makespan);
     w.key("sim_ops_per_kcycle");
     w.f64(shard_kcycle);
-    w.key("scaling");
-    w.begin_arr();
+    w.end_obj();
     text.push(format!(
         "  shards : {SHARDS} shards, makespan {shard_makespan} cycles \
          ({shard_kcycle:.3} ops/kcycle)"
     ));
-    for (workers, wall) in scaling {
-        let ops_per_s = ops as f64 / wall;
-        w.begin_obj();
-        w.key("workers");
-        w.u64(workers as u64);
-        w.key("wall_s");
-        w.f64(wall);
-        w.key("ops_per_s");
-        w.f64(ops_per_s);
-        w.end_obj();
-        text.push(format!(
-            "    {workers:>2} workers: {wall:.3}s wall ({ops_per_s:.0} ops/s)"
-        ));
-    }
-    w.end_arr();
-    w.end_obj();
 
     // YCSB mix matrix: the named mixes (A–F + delete-heavy adversaries)
-    // on the reference scheme/index. The summed simulated cycle count
-    // is deterministic — any drift is a semantic change — while
-    // sim-ops/s tracks host throughput of the mixed-op path.
+    // on the reference scheme/index.
     let mixes: Vec<MixSpec> = MixSpec::NAMED.iter().map(|&(_, m)| m).collect();
     let cfg = YcsbConfig {
         load: ops.min(500),
@@ -272,15 +172,8 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
         seed: 42,
     };
     let cells = ycsb_cells(&mixes, &[Scheme::Slpmt], &[IndexKind::Hashtable]);
-    let (ycsb_wall, rows) = best_of(
-        "ycsb cycles",
-        reps,
-        || run_ycsb_matrix(&cells, &cfg, false),
-        |rows| rows.iter().map(|r| r.result.cycles).sum::<u64>(),
-    )?;
+    let rows = run_ycsb_matrix(&cells, &cfg, false);
     let ycsb_cycles: u64 = rows.iter().map(|r| r.result.cycles).sum();
-    let ycsb_sim_ops = (cells.len() * ops) as f64;
-    let ycsb_ops_per_s = ycsb_sim_ops / ycsb_wall;
     w.key("ycsb");
     w.begin_obj();
     w.key("cells");
@@ -291,44 +184,23 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
     w.u64(cfg.ops as u64);
     w.key("value_bytes");
     w.u64(cfg.value_size as u64);
-    w.key("wall_s");
-    w.f64(ycsb_wall);
     w.key("sim_ops");
-    w.u64(ycsb_sim_ops as u64);
-    w.key("sim_ops_per_s");
-    w.f64(ycsb_ops_per_s);
+    w.u64((cells.len() * ops) as u64);
     w.key("total_sim_cycles");
     w.u64(ycsb_cycles);
     w.end_obj();
     text.push(format!(
-        "  ycsb   : {} mix cells in {ycsb_wall:.3}s → {ycsb_ops_per_s:.0} sim-ops/s \
-         ({ycsb_cycles} total cycles)",
+        "  ycsb   : {} mix cells, {ycsb_cycles} total cycles",
         cells.len()
     ));
 
     // KV serve: YCSB-B through the memcached-text facade at 4 shards.
-    // The simulated cycle count and the response digest are
-    // deterministic (the gate checks both); wall time tracks host
-    // throughput of the full parse/admit/dispatch service loop.
     let mut cfg = ServeConfig::new(Scheme::Slpmt, IndexKind::KvBtree, MixSpec::YCSB_B);
     cfg.load = ops.min(500);
     cfg.requests = ops;
     cfg.value_size = SMALL_VALUE;
     cfg.shards = 4;
-    // The wall time is the service loop's own `wall_s`, which excludes
-    // the latency aggregation that `best_of`'s outer timer would see.
-    let mut serve_wall = f64::INFINITY;
-    let (_, row) = best_of(
-        "serve digest/cycles",
-        reps,
-        || {
-            let (row, _) = run_serve(&cfg, workers);
-            serve_wall = serve_wall.min(row.wall_s);
-            row
-        },
-        |row| (row.digest, row.total_sim_cycles),
-    )?;
-    let req_per_s = row.served as f64 / serve_wall;
+    let (row, _) = run_serve(&cfg, workers);
     w.key("serve");
     w.begin_obj();
     w.key("mix");
@@ -355,14 +227,10 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
     w.u64(row.overall.p99);
     w.key("p999");
     w.u64(row.overall.p999);
-    w.key("wall_s");
-    w.f64(serve_wall);
-    w.key("req_per_s");
-    w.f64(req_per_s);
     w.end_obj();
     text.push(format!(
         "  serve  : mix b × {} shards, {} served ({} total cycles, digest {:016x}) \
-         in {serve_wall:.3}s → {req_per_s:.0} req/s [p50 {} p99 {} p999 {}]",
+         [p50 {} p99 {} p999 {}]",
         cfg.shards,
         row.served,
         row.total_sim_cycles,
@@ -373,10 +241,7 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
     ));
 
     // Chaos: the crash-during-serve battery at a fixed modest shape
-    // (its cost scales with points × trace length, not `ops`). The
-    // sweep digest, point counts and contract counters are
-    // deterministic — the gate checks them — while wall time tracks
-    // host throughput of the full serve/recover/retry path.
+    // (its cost scales with points × trace length, not `ops`).
     let cases = chaos_cases(
         &[Scheme::Slpmt, Scheme::SlpmtRedo],
         IndexKind::KvBtree,
@@ -384,16 +249,10 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
         40,
         &[MixSpec::YCSB_A, MixSpec::YCSB_B],
     );
-    let (chaos_wall, report) = best_of(
-        "chaos digest",
-        reps,
-        || run_chaos_sweep(&cases, &[], 4),
-        |r| r.digest,
-    )?;
+    let report = run_chaos_sweep(&cases, &[], 4);
     if !report.is_clean() {
         return Err(format!("chaos bench sweep failed:\n{report}"));
     }
-    let points_per_s = report.points as f64 / chaos_wall;
     w.key("chaos");
     w.begin_obj();
     w.key("cases");
@@ -412,51 +271,31 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
     w.u64(report.totals.scrubbed);
     w.key("digest");
     w.string(&format!("{:016x}", report.digest));
-    w.key("wall_s");
-    w.f64(chaos_wall);
-    w.key("points_per_s");
-    w.f64(points_per_s);
     w.end_obj();
     text.push(format!(
-        "  chaos  : {} points across {} cases ({} strict / {} lossy, digest {:016x}) \
-         in {chaos_wall:.3}s → {points_per_s:.0} points/s",
+        "  chaos  : {} points across {} cases ({} strict / {} lossy, digest {:016x})",
         report.points, report.cases, report.strict, report.lossy, report.digest
     ));
 
     // Software-PTM baselines: the five flavours on the hashtable at a
-    // fixed shape. Cycles, fence counts and the folded digest are all
-    // simulated and deterministic — the gate checks total cycles and
-    // the digest — while wall time tracks host throughput of the
-    // explicit store/flush/fence instruction streams.
+    // fixed shape.
     let ptm_ops = ops.min(500);
     let ptm_stream = ycsb_load(ptm_ops, SMALL_VALUE, 42);
     let cells = matrix(&SchemeKind::SOFTWARE, &[IndexKind::Hashtable]);
-    let (ptm_wall, rows) = best_of(
-        "ptm",
-        reps,
-        || {
-            par_map_with(&cells, workers, |c| {
-                run_spec(&c.spec(&ptm_stream, SMALL_VALUE)).single().result
-            })
-        },
-        |rows| rows.iter().map(|r| r.cycles).collect::<Vec<_>>(),
-    )?;
+    let rows = par_map_with(&cells, workers, |c| {
+        run_spec(&c.spec(&ptm_stream, SMALL_VALUE)).single().result
+    });
     let ptm_cycles: u64 = rows.iter().map(|r| r.cycles).sum();
     let ptm_fences: u64 = rows.iter().map(|r| r.stats.fences).sum();
-    // FNV-1a over each row's deterministic columns, in cell order.
-    let mut ptm_digest = 0xcbf2_9ce4_8422_2325u64;
-    for r in &rows {
-        for v in [
+    let ptm_digest = fnv1a(rows.iter().flat_map(|r| {
+        [
             r.cycles,
             r.stats.fences,
             r.stats.flushes,
             r.traffic.log_bytes,
             r.logical_bytes,
-        ] {
-            ptm_digest = (ptm_digest ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    let ptm_ops_per_s = (cells.len() * ptm_ops) as f64 / ptm_wall;
+        ]
+    }));
     w.key("ptm");
     w.begin_obj();
     w.key("cells");
@@ -471,37 +310,13 @@ pub fn run(ops: usize, value: usize, reps: u32) -> Result<Snapshot, String> {
     w.u64(ptm_fences);
     w.key("digest");
     w.string(&format!("{ptm_digest:016x}"));
-    w.key("wall_s");
-    w.f64(ptm_wall);
-    w.key("sim_ops_per_s");
-    w.f64(ptm_ops_per_s);
     w.end_obj();
     text.push(format!(
         "  ptm    : {} flavour cells, {ptm_cycles} total cycles, {ptm_fences} fences \
-         (digest {ptm_digest:016x}) in {ptm_wall:.3}s → {ptm_ops_per_s:.0} sim-ops/s",
+         (digest {ptm_digest:016x})",
         cells.len()
     ));
 
-    w.key("micro");
-    w.begin_arr();
-    text.push("  micro  :".to_string());
-    for row in micro::run_all(4096, reps) {
-        w.begin_obj();
-        w.key("name");
-        w.string(row.name);
-        w.key("iters");
-        w.u64(row.iters);
-        w.key("sim_cycles_per_op");
-        w.f64(row.sim_cycles_per_op);
-        w.key("host_ns_per_op");
-        w.f64(row.host_ns_per_op);
-        w.end_obj();
-        text.push(format!(
-            "    {:<8} {:>8} iters  {:>10.1} sim-cycles/op  {:>9.1} host-ns/op",
-            row.name, row.iters, row.sim_cycles_per_op, row.host_ns_per_op
-        ));
-    }
-    w.end_arr();
     w.end_obj();
     Ok(Snapshot {
         json: w.finish(),

@@ -1,93 +1,90 @@
 #!/usr/bin/env python3
 """Regression gate between two `slpmt bench --json` snapshots (DESIGN.md §12).
 
-usage: bench_gate.py BASELINE CURRENT MAX_LOSS
+usage: bench_gate.py BASELINE CURRENT
 
-Every section of a snapshot is gated the same way, from one table:
+Every figure of a snapshot is simulated and deterministic, so any
+difference in a hard key is a semantic change, not noise. Every section
+is gated the same way, from one table: its hard keys must be equal
+whenever its shape keys are (a key written `/name` is read from the top
+level). A section whose shape differs is reported and not compared; so
+are a section and a hard key the baseline predates.
 
-* the soft key, a host-throughput figure, fails when CURRENT falls more
-  than MAX_LOSS (a fraction) below BASELINE;
-* the hard keys are simulated and deterministic, so any difference is a
-  semantic change, not noise: they must be equal whenever the section's
-  shape keys are (a key written `/name` is read from the top level).
-
-A section the baseline predates is skipped. Exits 1 if any gate fails.
+Exits 1 if any hard key differs, if a gated section or key is missing
+from CURRENT, or if no hard key was compared at all.
 """
 import json
 import sys
 
-# (section, soft key, soft unit, shape keys, hard-key line,
-#  [(hard keys, what changed)])
+MOVED = "changed — semantics moved"
+
+# (section, shape keys, [(hard keys, what changed)])
 GATES = [
-    ("matrix", "sim_ops_per_s", "sim-ops/s", (), None, []),
-    ("mc", "sim_ops_per_s", "sim-ops/s", ("cores", "sim_ops"),
-     "mc cycles: baseline {b[sim_cycles]}, current {c[sim_cycles]}; "
-     "commits {b[commits]} vs {c[commits]}",
-     [(("sim_cycles",), "simulated cycle count changed — semantics moved"),
-      (("commits",), "commit count changed — semantics moved")]),
-    ("ycsb", "sim_ops_per_s", "sim-ops/s", ("cells", "load", "ops", "value_bytes"),
-     "ycsb cycles: baseline {b[total_sim_cycles]}, current {c[total_sim_cycles]}",
-     [(("total_sim_cycles",), "simulated cycle count changed — semantics moved")]),
-    ("shards", None, None, ("/ops", "/value_bytes"),
-     "shards makespan: baseline {b[makespan_cycles]} cycles, "
-     "current {c[makespan_cycles]} cycles",
-     [(("makespan_cycles",), "simulated makespan changed — semantics moved")]),
-    ("serve", "req_per_s", "req/s", ("mix", "shards", "load", "requests"),
-     "serve cycles: baseline {b[total_sim_cycles]}, current {c[total_sim_cycles]}; "
-     "digest {b[digest]} vs {c[digest]}",
-     [(("total_sim_cycles",), "simulated cycle count changed — semantics moved"),
+    ("matrix", ("cells", "/ops", "/value_bytes"),
+     [(("total_sim_cycles",), f"simulated cycle total {MOVED}"),
+      (("digest",), f"cell digest {MOVED}")]),
+    ("mc", ("cores", "sim_ops"),
+     [(("sim_cycles",), f"simulated cycle count {MOVED}"),
+      (("commits",), f"commit count {MOVED}")]),
+    ("ycsb", ("cells", "load", "ops", "value_bytes"),
+     [(("total_sim_cycles",), f"simulated cycle count {MOVED}")]),
+    ("shards", ("/ops", "/value_bytes"),
+     [(("makespan_cycles",), f"simulated makespan {MOVED}")]),
+    ("serve", ("mix", "shards", "load", "requests"),
+     [(("total_sim_cycles",), f"simulated cycle count {MOVED}"),
       (("digest",), "response digest changed — wire bytes moved")]),
-    ("chaos", "points_per_s", "points/s", ("cases", "points"),
-     "chaos digest: {b[digest]} vs {c[digest]} "
-     "({b[strict]}/{b[lossy]} vs {c[strict]}/{c[lossy]} strict/lossy)",
-     [(("digest",), "sweep digest changed — semantics moved"),
-      (("strict", "lossy"), "point outcomes changed — semantics moved")]),
-    ("ptm", "sim_ops_per_s", "sim-ops/s", ("cells", "ops", "value_bytes"),
-     "ptm cycles: baseline {b[total_sim_cycles]}, current {c[total_sim_cycles]}; "
-     "digest {b[digest]} vs {c[digest]}",
-     [(("total_sim_cycles",), "simulated cycle count changed — semantics moved"),
-      (("digest",), "baseline digest changed — semantics moved")]),
+    ("chaos", ("cases", "points"),
+     [(("digest",), f"sweep digest {MOVED}"),
+      (("strict", "lossy"), f"point outcomes {MOVED}")]),
+    ("ptm", ("cells", "ops", "value_bytes"),
+     [(("total_sim_cycles",), f"simulated cycle count {MOVED}"),
+      (("digest",), f"baseline digest {MOVED}")]),
 ]
 
 
-def main(baseline, current, max_loss):
+def main(baseline, current):
     base = json.load(open(baseline))
     cur = json.load(open(current))
-    max_loss = float(max_loss)
     fail = False
+    compared = 0
 
     def failed(section, what):
         nonlocal fail
         print(f"{section}: {what}", file=sys.stderr)
         fail = True
 
-    for section, soft, unit, shape, line, hard in GATES:
+    for section, shape, hard in GATES:
         if section not in base:
-            print(f"{section:<6} absent from baseline; skipping")
+            print(f"{section}: absent from baseline; skipping")
             continue
         if section not in cur:
             failed(section, "missing from the current snapshot")
             continue
-        b, c = base[section], cur[section]
-        if soft:
-            ratio = c[soft] / b[soft]
-            print(f"{section:<6} baseline {b[soft]:>12.0f} {unit:<9}  "
-                  f"current {c[soft]:>12.0f} {unit:<9}  ratio {ratio:.3f}")
-            if ratio < 1.0 - max_loss:
-                failed(section, f"regressed more than {max_loss:.0%}")
 
         def field(doc, key):
-            return doc[key[1:]] if key.startswith("/") else doc[section][key]
+            return doc.get(key[1:]) if key.startswith("/") else doc[section].get(key)
 
-        if hard and all(field(base, k) == field(cur, k) for k in shape):
-            print(line.format(b=b, c=c))
-            for keys, what in hard:
-                if any(b[k] != c[k] for k in keys):
-                    failed(section, what)
+        if any(field(base, k) != field(cur, k) for k in shape):
+            print(f"{section}: shape differs, hard keys not compared")
+            continue
+        b, c = base[section], cur[section]
+        for keys, what in hard:
+            for k in keys:
+                if k not in c:
+                    failed(section, f"{k} missing from the current snapshot")
+                elif k not in b:
+                    print(f"{section}.{k}: new, absent from baseline; not compared")
+                else:
+                    print(f"{section}.{k}: baseline {b[k]}, current {c[k]}")
+                    compared += 1
+            if any(k in b and k in c and b[k] != c[k] for k in keys):
+                failed(section, what)
+    if not compared:
+        failed("gate", "no hard key was compared")
     return 1 if fail else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 4:
+    if len(sys.argv) != 3:
         sys.exit(__doc__.strip().splitlines()[2])
     sys.exit(main(*sys.argv[1:]))

@@ -278,8 +278,8 @@ impl Flags {
         .unwrap_or(default)
     }
 
-    /// A count that must be at least 1 (`--points`, `--reps`,
-    /// `--shards`): zero would make a sweep vacuous or a run empty.
+    /// A count that must be at least 1 (`--points`, `--shards`): zero
+    /// would make a sweep vacuous or a run empty.
     fn positive<T: FromStr + Copy + PartialOrd + From<u8>>(&mut self, flag: &str, default: T) -> T
     where
         T::Err: Display,
@@ -614,6 +614,8 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
     let elapsed = start.elapsed();
     let row = 1 + 5; // FG baseline + the five compared schemes
     if json {
+        // Deliberately no wall-clock or worker-count field: this object
+        // is diffed byte-for-byte across SLPMT_THREADS values in CI.
         let mut w = JsonWriter::new();
         w.begin_obj();
         w.key("command");
@@ -622,10 +624,6 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
         w.u64(o.ops as u64);
         w.key("value_bytes");
         w.u64(o.value as u64);
-        w.key("workers");
-        w.u64(threads() as u64);
-        w.key("elapsed_s");
-        w.f64(elapsed.as_secs_f64());
         w.key("cells");
         w.begin_arr();
         for (k, chunk) in results.chunks_exact(row).enumerate() {
@@ -1094,15 +1092,14 @@ fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `slpmt bench`: the performance snapshot behind `BENCH_<n>.json`
+/// `slpmt bench`: the simulated snapshot behind `BENCH_<n>.json`
 /// (`scripts/bench.sh`), recorded by [`slpmt::bench::snapshot`].
 fn cmd_bench(f: &mut Flags) -> Result<ExitCode, String> {
     let ops = f.get("--ops", 1000usize);
     let value = f.value(256);
-    let reps = f.positive("--reps", 3u32);
     let json = f.flag("--json");
     f.finish()?;
-    let snapshot = slpmt::bench::snapshot::run(ops, value, reps)?;
+    let snapshot = slpmt::bench::snapshot::run(ops, value)?;
     if json {
         println!("{}", snapshot.json);
     } else {
@@ -1847,8 +1844,8 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "bench",
-        about: "performance snapshot behind BENCH_<n>.json",
-        synopsis: "[--ops N] [--value B] [--reps N] [--json]",
+        about: "simulated snapshot behind BENCH_<n>.json",
+        synopsis: "[--ops N] [--value B] [--json]",
         run: cmd_bench,
     },
 ];
