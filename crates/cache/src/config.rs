@@ -16,14 +16,20 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide into whole sets.
+    /// Panics if the geometry does not divide into whole sets, or if
+    /// the set count is not a power of two (lines map to sets by mask).
     pub fn sets(&self) -> usize {
         let line = slpmt_pmem::LINE_BYTES;
         assert!(
             self.capacity.is_multiple_of(self.ways * line),
             "capacity must be a multiple of ways × line size"
         );
-        self.capacity / (self.ways * line)
+        let sets = self.capacity / (self.ways * line);
+        assert!(
+            sets.is_power_of_two(),
+            "set count {sets} must be a power of two"
+        );
+        sets
     }
 
     /// Total number of lines the level can hold.

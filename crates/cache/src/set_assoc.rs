@@ -54,6 +54,10 @@ impl Entry {
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     sets: Vec<Vec<Entry>>,
+    /// `sets.len() - 1`: the set count is a power of two.
+    set_mask: u64,
+    /// Resident lines across all sets.
+    len: usize,
     tick: u64,
     stats: CacheStats,
 }
@@ -64,7 +68,9 @@ impl SetAssocCache {
         let sets = vec![Vec::with_capacity(geometry.ways); geometry.sets()];
         SetAssocCache {
             geometry,
+            set_mask: sets.len() as u64 - 1,
             sets,
+            len: 0,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -81,7 +87,7 @@ impl SetAssocCache {
     }
 
     fn set_index(&self, line: PmAddr) -> usize {
-        ((line.raw() / LINE_BYTES as u64) % self.sets.len() as u64) as usize
+        ((line.raw() / LINE_BYTES as u64) & self.set_mask) as usize
     }
 
     fn bump(&mut self) -> u64 {
@@ -110,7 +116,11 @@ impl SetAssocCache {
     }
 
     /// Inspects `addr`'s line without touching LRU state or counters.
+    /// Free on an empty level (every level is empty after a crash).
     pub fn peek(&self, addr: PmAddr) -> Option<&Entry> {
+        if self.len == 0 {
+            return None;
+        }
         let line = addr.line();
         self.sets[self.set_index(line)]
             .iter()
@@ -156,6 +166,7 @@ impl SetAssocCache {
             self.stats.evictions += 1;
             Some(set.swap_remove(pos))
         } else {
+            self.len += 1;
             None
         };
         self.sets[idx].push(entry);
@@ -169,6 +180,7 @@ impl SetAssocCache {
         let idx = self.set_index(line);
         let set = &mut self.sets[idx];
         let pos = set.iter().position(|e| e.addr == line)?;
+        self.len -= 1;
         Some(set.swap_remove(pos))
     }
 
@@ -210,16 +222,17 @@ impl SetAssocCache {
         for set in &mut self.sets {
             set.clear();
         }
+        self.len = 0;
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.len
     }
 
     /// `true` when no line is resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 }
 

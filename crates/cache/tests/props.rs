@@ -69,12 +69,38 @@ fn cache_is_a_bounded_map() {
                 }
                 resident.insert(addr.raw(), tag);
             }
+            assert_eq!(
+                cache.peek(addr).map(|e| e.data[0]),
+                Some(tag),
+                "case {case}, step {i}: the line just written is resident"
+            );
             assert!(cache.len() <= geo.lines(), "case {case}");
+            assert_eq!(cache.len(), resident.len(), "case {case}, step {i}");
+            assert_eq!(cache.is_empty(), resident.is_empty(), "case {case}");
         }
         for (&a, &tag) in &resident {
             let e = cache.peek(PmAddr::new(a)).expect("model says resident");
             assert_eq!(e.data[0], tag, "case {case}");
         }
         assert_eq!(cache.len(), resident.len(), "case {case}");
+        cache.clear();
+        assert_eq!(cache.len(), 0, "case {case}: cleared");
+        assert!(cache.is_empty(), "case {case}: cleared");
+        for &a in resident.keys() {
+            assert!(cache.peek(PmAddr::new(a)).is_none(), "case {case}: cleared");
+        }
     }
+}
+
+/// Lines map to sets by mask, so a geometry whose set count is not a
+/// power of two is rejected up front.
+#[test]
+#[should_panic(expected = "power of two")]
+fn non_power_of_two_set_count_rejected() {
+    // 384 B / (2 ways × 64 B) = 3 sets.
+    let _ = SetAssocCache::new(CacheGeometry {
+        capacity: 384,
+        ways: 2,
+        hit_cycles: 1,
+    });
 }

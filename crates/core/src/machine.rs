@@ -698,6 +698,9 @@ impl Machine {
 
     /// Reads `buf.len()` logical bytes starting at `addr`. Untimed.
     pub fn peek_bytes(&self, addr: PmAddr, buf: &mut [u8]) {
+        if buf.is_empty() {
+            return;
+        }
         // Start from the durable image, then overlay cached lines.
         self.dev.image().read(addr, buf);
         let first = addr.line().raw();
@@ -2887,6 +2890,18 @@ mod tests {
         assert_eq!(buf[64], 0xFF);
         assert_eq!(buf[72], 1);
         m.tx_commit();
+    }
+
+    #[test]
+    fn peek_bytes_of_nothing_reads_nothing() {
+        let mut m = machine(Scheme::Slpmt);
+        m.setup_write(A, &[1u8; 64]);
+        for addr in [PmAddr::new(0), A, PmAddr::new(!7)] {
+            m.peek_bytes(addr, &mut []);
+        }
+        let mut buf = [0u8; 8];
+        m.peek_bytes(A, &mut buf);
+        assert_eq!(buf, [1u8; 8]);
     }
 
     #[test]

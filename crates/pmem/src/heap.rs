@@ -33,7 +33,8 @@ use std::collections::BTreeMap;
 pub struct PmHeap {
     base: PmAddr,
     len: u64,
-    /// Free extents keyed by start address → length (coalesced, disjoint).
+    /// Free extents keyed by start address → length: exactly the
+    /// maximal gaps between live allocations (coalesced, disjoint).
     free: BTreeMap<u64, u64>,
     /// Live allocations keyed by start address → length.
     live: BTreeMap<u64, u64>,
@@ -157,17 +158,33 @@ impl PmHeap {
     /// Addresses in `reachable` that were not live are ignored: the
     /// caller may conservatively pass every pointer it finds.
     pub fn rebuild(&mut self, reachable: &[PmAddr]) -> usize {
-        let mut doomed = Vec::new();
-        self.classify(reachable, |addr, size, reached| {
-            if !reached {
-                doomed.push((addr.raw(), size));
+        // Free extents are exactly the gaps between live allocations
+        // (`alloc` splits a hole, `free` coalesces), so one ordered pass
+        // drops the unreached allocations and collects the survivors'
+        // gaps as the new free list: no per-leak coalescing.
+        let mut marks = Marks::new(reachable);
+        let mut gaps = Vec::new();
+        let mut end = self.base.raw();
+        let before = self.live.len();
+        self.live.retain(|&start, &mut size| {
+            let reached = marks.reached(start);
+            if reached {
+                if start > end {
+                    gaps.push((end, start - end));
+                }
+                end = start + size;
             }
+            reached
         });
-        for &(a, size) in &doomed {
-            self.live.remove(&a);
-            self.insert_free(a, size);
+        let reclaimed = before - self.live.len();
+        if reclaimed > 0 {
+            let limit = self.base.raw() + self.len;
+            if limit > end {
+                gaps.push((end, limit - end));
+            }
+            self.free = gaps.into_iter().collect();
         }
-        doomed.len()
+        reclaimed
     }
 
     /// Classifies `reachable` (any order, duplicates allowed) against
@@ -182,21 +199,48 @@ impl PmHeap {
         reachable: &[PmAddr],
         mut visit: impl FnMut(PmAddr, u64, bool),
     ) -> usize {
-        let mut marks: Vec<u64> = reachable.iter().map(|a| a.raw()).collect();
-        marks.sort_unstable();
-        let mut marks = marks.into_iter().peekable();
-        let mut not_live = 0;
+        let mut marks = Marks::new(reachable);
         for (&start, &size) in &self.live {
-            while marks.next_if(|&m| m < start).is_some() {
-                not_live += 1;
-            }
-            let mut reached = false;
-            while marks.next_if_eq(&start).is_some() {
-                reached = true;
-            }
-            visit(PmAddr::new(start), size, reached);
+            visit(PmAddr::new(start), size, marks.reached(start));
         }
-        not_live + marks.count()
+        marks.not_live()
+    }
+}
+
+/// A mark set sorted once, merge-joined against the live allocations
+/// in address order.
+struct Marks {
+    sorted: std::iter::Peekable<std::vec::IntoIter<u64>>,
+    not_live: usize,
+}
+
+impl Marks {
+    fn new(reachable: &[PmAddr]) -> Self {
+        let mut sorted: Vec<u64> = reachable.iter().map(|a| a.raw()).collect();
+        sorted.sort_unstable();
+        Marks {
+            sorted: sorted.into_iter().peekable(),
+            not_live: 0,
+        }
+    }
+
+    /// Whether the live allocation at `start` — later than every start
+    /// asked about before — is marked. Marks passed over on the way are
+    /// not live starts.
+    fn reached(&mut self, start: u64) -> bool {
+        while self.sorted.next_if(|&m| m < start).is_some() {
+            self.not_live += 1;
+        }
+        let mut reached = false;
+        while self.sorted.next_if_eq(&start).is_some() {
+            reached = true;
+        }
+        reached
+    }
+
+    /// Marks that are not live starts, duplicates included.
+    fn not_live(self) -> usize {
+        self.not_live + self.sorted.count()
     }
 }
 

@@ -63,6 +63,40 @@ fn fld(base: PmAddr, i: u64) -> PmAddr {
     base.add(i * 8)
 }
 
+/// The black-heights a subtree supports, one bit mask per colour of
+/// its root: bit `h` set ⇔ black-height `h` is achievable. A black
+/// height needs at least 2^(h-1) - 1 nodes, so 64 bits always suffice.
+#[derive(Debug, Clone, Copy)]
+struct Heights {
+    black: u64,
+    red: u64,
+}
+
+impl Heights {
+    /// The null leaf: black, black-height 1.
+    const NIL: Heights = Heights {
+        black: 1 << 1,
+        red: 0,
+    };
+
+    fn supports(self, color: u64, bh: u64) -> bool {
+        let mask = if color == BLACK { self.black } else { self.red };
+        mask >> bh & 1 == 1
+    }
+}
+
+/// The recolouring DP's memo: node → the heights its subtree supports.
+type Feasible = BTreeMap<u64, Heights>;
+
+/// `n`'s entry in a memo that `Rbtree::feasible` has filled.
+fn feasible_of(memo: &Feasible, n: u64) -> Heights {
+    if n == 0 {
+        Heights::NIL
+    } else {
+        memo[&n]
+    }
+}
+
 /// The durable red-black tree.
 #[derive(Debug, Clone)]
 pub struct Rbtree {
@@ -346,70 +380,58 @@ impl Rbtree {
         }
     }
 
-    /// Black-height dynamic program: the set of black-heights each
-    /// node's subtree supports per colour. `None` means uncolourable.
-    fn feasible(
-        &self,
-        ctx: &PmContext,
-        n: u64,
-        memo: &mut BTreeMap<u64, Vec<(u64, u64)>>,
-    ) -> Vec<(u64, u64)> {
-        if n == 0 {
-            return vec![(BLACK, 1)];
-        }
-        if let Some(v) = memo.get(&n) {
-            return v.clone();
+    /// Black-height dynamic program: fills `memo` with the heights
+    /// each node of `n`'s subtree supports. An empty pair of masks means
+    /// uncolourable.
+    fn feasible(&self, ctx: &PmContext, n: u64, memo: &mut Feasible) {
+        if n == 0 || memo.contains_key(&n) {
+            return;
         }
         let a = PmAddr::new(n);
-        let l = self.feasible(ctx, ctx.peek(fld(a, 1)), memo);
-        let r = self.feasible(ctx, ctx.peek(fld(a, 2)), memo);
-        let mut out = Vec::new();
-        for &(lc, lh) in &l {
-            for &(rc, rh) in &r {
-                if lh != rh {
-                    continue;
-                }
-                // Node black: children any colour.
-                out.push((BLACK, lh + 1));
-                // Node red: both children black.
-                if lc == BLACK && rc == BLACK {
-                    out.push((RED, lh));
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        memo.insert(n, out.clone());
-        out
+        let (l, r) = (ctx.peek(fld(a, 1)), ctx.peek(fld(a, 2)));
+        self.feasible(ctx, l, memo);
+        self.feasible(ctx, r, memo);
+        let (l, r) = (feasible_of(memo, l), feasible_of(memo, r));
+        // Node black: children of any colour and equal height h give
+        // h + 1. Node red: both children black, of equal height h.
+        let both = (l.black | l.red) & (r.black | r.red);
+        memo.insert(
+            n,
+            Heights {
+                black: both << 1,
+                red: l.black & r.black,
+            },
+        );
     }
 
-    /// Assigns a concrete colouring consistent with `feasible`.
-    fn assign_colors(&self, ctx: &mut PmContext, n: u64, color: u64, bh: u64) {
+    /// Assigns a concrete colouring consistent with `memo`, which
+    /// `feasible` has filled for the whole tree. Recovery writes touch
+    /// only colour words, so the shape the memo describes holds
+    /// throughout.
+    fn assign_colors(&self, ctx: &mut PmContext, memo: &Feasible, n: u64, color: u64, bh: u64) {
         if n == 0 {
             return;
         }
         let a = PmAddr::new(n);
         ctx.recovery_write(fld(a, 4), color);
         let child_bh = if color == BLACK { bh - 1 } else { bh };
-        let mut memo = BTreeMap::new();
         for dir in [1u64, 2] {
             let c = ctx.peek(fld(a, dir));
-            let feas = self.feasible(ctx, c, &mut memo);
+            let feas = feasible_of(memo, c);
             // Prefer black children; red only when black is infeasible
             // or the parent is black and red is needed for the height.
             // A red parent forces black children; a black parent
             // prefers black children when feasible.
-            let child_color = if color == RED || feas.contains(&(BLACK, child_bh)) {
+            let child_color = if color == RED || feas.supports(BLACK, child_bh) {
                 BLACK
             } else {
                 RED
             };
-            let choice = (child_color, child_bh);
             debug_assert!(
-                c == 0 || feas.contains(&choice),
+                c == 0 || feas.supports(child_color, child_bh),
                 "recolouring DP inconsistency at node {c:#x}"
             );
-            self.assign_colors(ctx, c, choice.0, choice.1);
+            self.assign_colors(ctx, memo, c, child_color, child_bh);
         }
     }
 
@@ -418,13 +440,15 @@ impl Rbtree {
         if r == 0 {
             return;
         }
-        let mut memo = BTreeMap::new();
-        let feas = self.feasible(ctx, r, &mut memo);
-        let (_, bh) = *feas
-            .iter()
-            .find(|(c, _)| *c == BLACK)
-            .expect("a red-black-insertable shape admits a black root colouring");
-        self.assign_colors(ctx, r, BLACK, bh);
+        let mut memo = Feasible::new();
+        self.feasible(ctx, r, &mut memo);
+        let black = feasible_of(&memo, r).black;
+        assert!(
+            black != 0,
+            "a red-black-insertable shape admits a black root colouring"
+        );
+        // The smallest black-height a black root supports.
+        self.assign_colors(ctx, &memo, r, BLACK, black.trailing_zeros().into());
     }
 
     fn rb_violations(&self, ctx: &PmContext) -> Option<String> {
@@ -805,6 +829,108 @@ mod tests {
             t.insert(&mut ctx, op.key, &op.value);
         }
         t.check_invariants(&ctx).unwrap();
+    }
+
+    impl Rbtree {
+        /// The recolouring DP as it was before the memo was shared: a
+        /// set of (colour, black-height) pairs per node, recomputed for
+        /// both children at every node.
+        fn feasible_pairs(
+            &self,
+            ctx: &PmContext,
+            n: u64,
+            memo: &mut BTreeMap<u64, Vec<(u64, u64)>>,
+        ) -> Vec<(u64, u64)> {
+            if n == 0 {
+                return vec![(BLACK, 1)];
+            }
+            if let Some(v) = memo.get(&n) {
+                return v.clone();
+            }
+            let a = PmAddr::new(n);
+            let l = self.feasible_pairs(ctx, ctx.peek(fld(a, 1)), memo);
+            let r = self.feasible_pairs(ctx, ctx.peek(fld(a, 2)), memo);
+            let mut out = Vec::new();
+            for &(lc, lh) in &l {
+                for &(rc, rh) in &r {
+                    if lh != rh {
+                        continue;
+                    }
+                    out.push((BLACK, lh + 1));
+                    if lc == BLACK && rc == BLACK {
+                        out.push((RED, lh));
+                    }
+                }
+            }
+            out.sort_unstable();
+            out.dedup();
+            memo.insert(n, out.clone());
+            out
+        }
+
+        fn assign_colors_per_node_memo(&self, ctx: &mut PmContext, n: u64, color: u64, bh: u64) {
+            if n == 0 {
+                return;
+            }
+            let a = PmAddr::new(n);
+            ctx.recovery_write(fld(a, 4), color);
+            let child_bh = if color == BLACK { bh - 1 } else { bh };
+            let mut memo = BTreeMap::new();
+            for dir in [1u64, 2] {
+                let c = ctx.peek(fld(a, dir));
+                let feas = self.feasible_pairs(ctx, c, &mut memo);
+                let child_color = if color == RED || feas.contains(&(BLACK, child_bh)) {
+                    BLACK
+                } else {
+                    RED
+                };
+                self.assign_colors_per_node_memo(ctx, c, child_color, child_bh);
+            }
+        }
+
+        fn recolor_tree_per_node_memo(&self, ctx: &mut PmContext) {
+            let r = ctx.peek(fld(self.root, 0));
+            let feas = self.feasible_pairs(ctx, r, &mut BTreeMap::new());
+            let (_, bh) = *feas
+                .iter()
+                .find(|(c, _)| *c == BLACK)
+                .expect("black root colouring");
+            self.assign_colors_per_node_memo(ctx, r, BLACK, bh);
+        }
+    }
+
+    /// Recovery's recolouring, one bit-mask DP shared by the whole walk,
+    /// writes exactly the colours of the per-node-memo reference on
+    /// SLPMT trees of 1–300 keys whose every colour word was lost.
+    #[test]
+    fn shared_memo_recolouring_matches_per_node_reference() {
+        let (mut ctx, mut t) = fresh(AnnotationSource::Manual);
+        for (i, op) in ycsb_load(300, 32, 5).iter().enumerate() {
+            t.insert(&mut ctx, op.key, &op.value);
+            let (mut got, mut want) = (ctx.clone(), ctx.clone());
+            let mut nodes = Vec::new();
+            t.for_each(&ctx, |n| nodes.push(PmAddr::new(n)));
+            for c in [&mut got, &mut want] {
+                c.crash_and_recover();
+                for &n in &nodes {
+                    c.recovery_write(fld(n, 4), RED);
+                }
+            }
+            let mut recovered = t.clone();
+            recovered.recover(&mut got);
+            t.recolor_tree_per_node_memo(&mut want);
+            let keys = i + 1;
+            for &n in &nodes {
+                assert_eq!(
+                    got.peek(fld(n, 4)),
+                    want.peek(fld(n, 4)),
+                    "{keys} keys: colour of node {n}"
+                );
+            }
+            recovered
+                .check_invariants(&got)
+                .unwrap_or_else(|e| panic!("{keys} keys: {e}"));
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! reachable vector against the live map. Here they are compared with
 //! the obvious `BTreeSet` reference on seeded random heaps, over
 //! reachable sets mixing live starts, duplicates, interior pointers,
-//! freed and out-of-heap addresses.
+//! freed and out-of-heap addresses. After GC, first-fit placement must
+//! also match the reference heap's: it is part of trace determinism.
 
 use slpmt::annotate::AnnotationTable;
 use slpmt::core::Scheme;
@@ -42,6 +43,22 @@ fn reference_rebuild(heap: &PmHeap, reachable: &[PmAddr]) -> (PmHeap, usize) {
         heap.free(a);
     }
     (heap, doomed.len())
+}
+
+/// Runs one seeded sequence of `alloc` sizes on copies of both heaps
+/// and asserts every request lands at the same address (or fails on
+/// both).
+fn assert_same_placement(got: &PmHeap, want: &PmHeap, seed: u64, at: &str) {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let (mut got, mut want) = (got.clone(), want.clone());
+    for i in 0..rng.gen_usize(1..120) {
+        let size = rng.gen_range(1..300);
+        assert_eq!(
+            got.alloc(size),
+            want.alloc(size),
+            "{at}: alloc #{i} of {size} B placed differently"
+        );
+    }
 }
 
 /// What a case puts in the reachable set besides live starts.
@@ -151,8 +168,46 @@ fn linear_heap_check_matches_btreeset_reference() {
             format!("{ref_heap:?}"),
             "{at}: free state differs"
         );
+        assert_same_placement(ctx.heap(), &ref_heap, case, &at);
         let after = inspect(&ctx, &reachable);
         assert!(after.is_clean(), "{at}: {after}");
         assert_eq!(after.interior_pointers, expected.interior_pointers, "{at}");
+    }
+}
+
+/// Every other allocation leaks, so each reclaimed one sits between
+/// two survivors (plus, at the ends, the heap boundaries), with some
+/// already-free holes mixed in: GC must rebuild exactly the free
+/// extents that one coalescing `free` per leak leaves, and the next
+/// allocations must land where they land on that reference.
+#[test]
+fn gc_of_alternate_leaks_keeps_first_fit_placement() {
+    for case in 0..100u64 {
+        let mut rng = SimRng::seed_from_u64(0x9c_0000 + case);
+        let mut heap = PmHeap::new(PmAddr::new(0x1_0000), 0x1_0000);
+        let mut allocs: Vec<PmAddr> = (0..rng.gen_usize(1..120))
+            .map_while(|_| heap.alloc(rng.gen_range(1..200)))
+            .collect();
+        // A few holes that are free before GC.
+        allocs.retain(|&a| {
+            let keep = rng.gen_bool(0.85);
+            if !keep {
+                heap.free(a);
+            }
+            keep
+        });
+        let skip = case as usize % 2;
+        let reachable: Vec<PmAddr> = allocs.iter().copied().skip(skip).step_by(2).collect();
+        let at = format!(
+            "case {case} ({} live, {} reached)",
+            allocs.len(),
+            reachable.len()
+        );
+
+        let (ref_heap, ref_reclaimed) = reference_rebuild(&heap, &reachable);
+        assert_eq!(heap.rebuild(&reachable), ref_reclaimed, "{at}");
+        assert_eq!(ref_reclaimed, allocs.len() - reachable.len(), "{at}");
+        assert_eq!(format!("{heap:?}"), format!("{ref_heap:?}"), "{at}");
+        assert_same_placement(&heap, &ref_heap, case, &at);
     }
 }
