@@ -1,9 +1,10 @@
 //! Scheme × index matrices.
 //!
-//! Every figure harness evaluates a matrix of independent simulation
-//! cells — (scheme, index) pairs that share nothing but a read-only
-//! operation stream. Each cell is one [`run`] of its [`Cell::spec`];
-//! harnesses fan the cells across host threads with
+//! `slpmt matrix`, the bench snapshot and the PTM tests evaluate
+//! matrices of independent simulation cells — (scheme, index) pairs
+//! that share nothing but a read-only operation stream. Each cell is
+//! one [`run`] of its [`Cell::spec`]; callers fan the cells across
+//! host threads with
 //! [`par_map_with`], which merges results back **in cell order**, so
 //! a parallel matrix prints byte-identically to a serial one.
 //!
@@ -36,7 +37,7 @@ impl Cell {
 }
 
 /// Cartesian product of `schemes` × `kinds` in row-major (kind-major)
-/// order — the iteration order every figure harness uses. Accepts
+/// order — the iteration order every matrix uses. Accepts
 /// plain [`Scheme`]s or [`SchemeKind`]s.
 pub fn matrix<S: Into<SchemeKind> + Copy>(schemes: &[S], kinds: &[IndexKind]) -> Vec<Cell> {
     let mut cells = Vec::with_capacity(schemes.len() * kinds.len());

@@ -17,10 +17,9 @@
 //! runs share-nothing keyspace shards on `SLPMT_THREADS` host workers
 //! and reports *simulated* scaling (ops per kilocycle of makespan).
 
-use slpmt::cache::{CacheConfig, TxnId};
+use slpmt::cache::TxnId;
 use slpmt::core::{
-    CrashTarget, HardwareOverhead, MachineConfig, MachineStats, PtmFlavor, Scheme, SchemeKind,
-    SweepFailure,
+    CrashTarget, MachineConfig, MachineStats, PtmFlavor, Scheme, SchemeKind, SweepFailure,
 };
 use slpmt::pmem::FaultPlan;
 use slpmt::trace::{export_chrome_trace, JsonWriter, Metrics, TraceRecord};
@@ -518,21 +517,16 @@ fn cmd_schemes(f: &mut Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_overhead(f: &mut Flags) -> Result<ExitCode, String> {
+fn cmd_paper(f: &mut Flags) -> Result<ExitCode, String> {
     f.finish()?;
-    let oh = HardwareOverhead::for_config(&CacheConfig::default());
-    println!("per-core SLPMT storage (§III-D):");
-    println!(
-        "  cache metadata : {} B ({} b/L1 line, {} b/L2 line)",
-        oh.cache_meta_bytes, oh.l1_bits_per_line, oh.l2_bits_per_line
-    );
-    println!("  log buffer     : {} B", oh.log_buffer_bytes);
-    println!("  signatures     : {} B", oh.signature_bytes);
-    println!(
-        "  total          : {:.1} KB (paper: 6.1 KB)",
-        oh.total_bytes() as f64 / 1024.0
-    );
-    Ok(ExitCode::SUCCESS)
+    let figures = slpmt::bench::claims::table();
+    print!("{}", slpmt::bench::claims::markdown(&figures));
+    Ok(exit_code(
+        figures
+            .iter()
+            .flat_map(|fig| &fig.claims)
+            .all(|c| c.check.holds()),
+    ))
 }
 
 fn cmd_run(f: &mut Flags) -> Result<ExitCode, String> {
@@ -1758,10 +1752,10 @@ const COMMANDS: &[Command] = &[
         run: cmd_schemes,
     },
     Command {
-        name: "overhead",
-        about: "§III-D hardware budget",
+        name: "paper",
+        about: "the paper's claim table (markdown, exit 1 if one fails)",
         synopsis: "",
-        run: cmd_overhead,
+        run: cmd_paper,
     },
     Command {
         name: "run",
