@@ -2,10 +2,8 @@
 //!
 //! Every crash battery — engine crash and media-fault sweeps
 //! ([`EngineTarget`](slpmt_workloads::crashsweep::EngineTarget)), the
-//! service boundary
-//! ([`ServiceTarget`](slpmt_kv::ServiceTarget)), crash-during-serve
-//! chaos ([`ChaosTarget`]) and multi-core interleavings
-//! ([`McTarget`](slpmt_core::McTarget)) — is a
+//! service boundary's crash-during-serve chaos ([`ChaosTarget`]) and
+//! multi-core interleavings ([`McTarget`](slpmt_core::McTarget)) — is a
 //! [`CrashTarget`]. This module sweeps any of them over a case × plan
 //! matrix on the [`runner`](crate::runner) worker pool:
 //!

@@ -1,11 +1,11 @@
 //! The crash-sweep contract every battery implements, and the rules
 //! they share.
 //!
-//! Five batteries prove committed-prefix recovery at five layers: the
+//! Three batteries prove committed-prefix recovery at three layers: the
 //! engine crash/fault sweep (`slpmt_workloads::crashsweep`), the
-//! service-boundary sweep (`slpmt_kv::sweep`), the crash-during-serve
-//! chaos battery (`slpmt_kv::chaos`) and the multi-core sweep
-//! ([`multi`](crate::multi)). Each is a [`CrashTarget`]: it counts the
+//! service-boundary crash-during-serve battery (`slpmt_kv::chaos`) and
+//! the multi-core sweep ([`multi`](crate::multi)). Each is a
+//! [`CrashTarget`]: it counts the
 //! persist events of a crash-free run, names the seed of its sampled
 //! crash points, checks an ascending chunk of crash points, and traces
 //! one point. One generic driver (`slpmt_bench::sweep`) owns

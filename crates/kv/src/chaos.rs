@@ -1,12 +1,20 @@
-//! Crash-during-serve chaos harness: mid-request fault injection,
-//! client retry/backoff, and degraded-mode online recovery.
+//! The service-boundary crash battery: crashes and media faults
+//! during serving, client retry/backoff, and degraded-mode online
+//! recovery.
 //!
-//! The service-boundary sweeps ([`crate::sweep`]) prove
-//! committed-prefix durability for a request stream pushed through the
-//! wire path. This module closes the loop the way a deployment would
-//! experience it: the crash lands **while the service is serving
-//! pipelined sessions**, and after the restart the *same clients* come
-//! back and finish their work. One chaos point runs three phases:
+//! The engine-level sweep (`slpmt_workloads::crashsweep`) proves
+//! committed-prefix durability for a mixed trace applied directly to a
+//! [`DurableIndex`](slpmt_workloads::DurableIndex). This module proves
+//! it one layer up, the way a deployment would experience it: every
+//! request travels abstract request → wire encoding → session buffer →
+//! codec parse → dispatch → facade transaction; the crash lands
+//! **while the service is serving pipelined sessions**; recovery goes
+//! through the facade's crash-to-ready sequence ([`KvStore::replay`]
+//! then [`KvStore::rebuild`]); and after the restart the *same
+//! clients* come back and finish their work. The oracle is the
+//! engine's [`StreamingOracle`] (the request stream maps 1:1 onto a
+//! mixed trace), with value checks decoding the facade's
+//! length-prefixed cells. One chaos point runs three phases:
 //!
 //! 1. **Serve until the crash.** Sessions pipeline the whole request
 //!    stream; the worker drains them in arrival order. Every response
@@ -57,7 +65,6 @@ use crate::codec::{reply, Codec, Request};
 use crate::service::{digest64, dispatch, encode_request, take_request, TokenModel};
 use crate::session::{AckJournal, Session};
 use crate::store::{CasOutcome, KvStore};
-use crate::sweep::check_store;
 use slpmt_core::sweep::{attribute_faults, committed_prefix, guarded, panic_message};
 use slpmt_core::{CrashTarget, SchemeKind, SweepReport, TraceRecord};
 use slpmt_pmem::FaultPlan;
@@ -196,44 +203,53 @@ pub enum ChaosOutcome {
     },
 }
 
-/// Runs the case's request stream crash-free through the pipelined
-/// session path, checks the decoded end state against the oracle, and
-/// returns the persist-event count — the chaos domain is `1..=N`.
+/// Runs one chaos point that never crashes — its whole contract,
+/// leak check included — and returns the persist-event count its
+/// phase 1 served: the chaos domain is `1..=N`.
 ///
 /// # Panics
 ///
-/// Panics if the crash-free run already disagrees with the oracle.
+/// Panics if the crash-free run already breaks the contract.
 pub fn count_chaos_events(case: &ChaosCase) -> u64 {
-    match run_chaos_point(case, None, u64::MAX, false) {
-        Ok(ChaosOutcome::Strict(_)) => {}
+    let mut served = 0;
+    match chaos_point(
+        &mut build_store(case),
+        case,
+        None,
+        u64::MAX,
+        false,
+        &mut served,
+    ) {
+        Ok(ChaosOutcome::Strict(_)) => served,
         other => panic!("{case}: crash-free chaos run failed: {other:?}"),
     }
-    // The crash never trips at u64::MAX, so replaying the same path
-    // without the arm gives the same event count; measure it directly.
-    let (_ops, reqs) = chaos_ops(case);
-    let mut store = build_store(case);
-    let ordered = store.scan(0, 0).is_some();
-    let codec = Codec::new(case.value_size);
-    let sessions = case.sessions.max(1);
-    let mut sess: Vec<Session> = (0..sessions as u32).map(Session::new).collect();
-    let mut model = TokenModel::default();
-    let mut wire = Vec::new();
-    for (i, req) in reqs.iter().enumerate() {
-        wire.clear();
-        encode_request(req, &mut model, ordered, &mut wire);
-        sess[session_of(i, sessions) as usize].feed(&wire);
+}
+
+/// Decoded-state check: the store must agree with the oracle's
+/// committed prefix, comparing *decoded payloads* (the facade stores
+/// length-prefixed cells the raw engine oracle cannot compare
+/// directly).
+fn check_store(store: &KvStore, oracle: &StreamingOracle<'_>) -> Result<(), String> {
+    if store.len() != oracle.len() {
+        return Err(format!(
+            "{} keys recovered through the facade, oracle has {}",
+            store.len(),
+            oracle.len()
+        ));
     }
-    for i in 0..reqs.len() {
-        let s = session_of(i, sessions) as usize;
-        let req = match take_request(&mut sess[s], &codec, i as u64) {
-            Ok(Ok(req)) => req,
-            other => panic!("{case}: generated stream must parse cleanly, got {other:?}"),
-        };
-        let mut out = std::mem::take(&mut sess[s].wbuf);
-        dispatch(&mut store, &req, &mut out);
-        sess[s].wbuf = out;
+    for (k, v) in oracle.iter() {
+        match store.peek_value(k) {
+            Some(got) if got == v => {}
+            got => {
+                return Err(format!(
+                    "key {k} decoded as {:?} B, oracle says {} B",
+                    got.map(|g| g.len()),
+                    v.len()
+                ))
+            }
+        }
     }
-    store.machine().persist_event_count()
+    Ok(())
 }
 
 /// Replays one request in the post-restart replay window, applying
@@ -329,17 +345,26 @@ pub fn run_chaos_point(
     k: u64,
     poison_contract: bool,
 ) -> Result<ChaosOutcome, String> {
-    chaos_point(&mut build_store(case), case, plan, k, poison_contract)
+    chaos_point(
+        &mut build_store(case),
+        case,
+        plan,
+        k,
+        poison_contract,
+        &mut 0,
+    )
 }
 
 /// [`run_chaos_point`] on a caller-built store, so the trace capture
-/// path can take the store's records afterwards.
+/// path can take the store's records afterwards. Sets `served` to the
+/// persist-event count at the end of phase 1.
 fn chaos_point(
     store: &mut KvStore,
     case: &ChaosCase,
     plan: Option<&FaultPlan>,
     k: u64,
     poison_contract: bool,
+    served: &mut u64,
 ) -> Result<ChaosOutcome, String> {
     let (ops, reqs) = chaos_ops(case);
     let ordered = store.scan(0, 0).is_some();
@@ -396,6 +421,7 @@ fn chaos_point(
     }
 
     // Phase 2: crash, derive the durable prefix, pin the contract.
+    *served = store.machine().persist_event_count();
     store.crash();
     let marker = store.durable_commit_seq();
     let b = committed_prefix(&op_seq, marker);
@@ -617,7 +643,7 @@ impl CrashTarget for ChaosTarget {
         };
         let plan = (!plan.is_empty()).then_some(plan);
         let mut store = build_store(&case);
-        let _ = guarded(|| chaos_point(&mut store, &case, plan, k, false));
+        let _ = guarded(|| chaos_point(&mut store, &case, plan, k, false, &mut 0));
         store.context_mut().take_trace()
     }
 }
@@ -877,5 +903,6 @@ mod tests {
         assert!(records
             .iter()
             .any(|r| matches!(r.event, Event::ChaosCrashArm { .. })));
+        assert_eq!(records, ChaosTarget.trace(&case, &FaultPlan::NONE, n / 2));
     }
 }

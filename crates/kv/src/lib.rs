@@ -22,9 +22,8 @@
 //! * [`service`] — the deterministic in-process serve loop: seeded
 //!   open-/closed-loop client generators feed sharded single-threaded
 //!   workers; request latency is measured in simulated cycles only.
-//! * [`sweep`] — crash and media-fault batteries driven *through the
-//!   service boundary*, checked against the engine's streaming oracle.
-//! * [`chaos`] — the crash-during-serve chaos harness: mid-request
+//! * [`chaos`] — the service-boundary crash and media-fault battery,
+//!   checked against the engine's streaming oracle: mid-request
 //!   crashes over pipelined sessions, ack-journal restart, seeded
 //!   client retry/backoff, duplicate suppression in the replay
 //!   window, and degraded-mode online recovery behind a background
@@ -43,7 +42,6 @@ pub mod codec;
 pub mod service;
 pub mod session;
 pub mod store;
-pub mod sweep;
 
 pub use admission::{Admission, AdmissionConfig, AdmissionStats};
 pub use chaos::{ChaosCase, ChaosOutcome, ChaosReport, ChaosSweepReport, ChaosTarget};
@@ -53,4 +51,3 @@ pub use service::{
 };
 pub use session::{AckJournal, Session};
 pub use store::{fingerprint, CasOutcome, CellError, HealthState, KvStore};
-pub use sweep::{KvSweepCase, ServiceTarget};

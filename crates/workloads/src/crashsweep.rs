@@ -411,13 +411,14 @@ fn build(case: &SweepCase) -> (PmContext, Box<dyn DurableIndex>) {
 }
 
 /// Runs the case's trace crash-free, checks the end state against the
-/// oracle, and returns the number of persist events the trace
-/// generated — the sweep domain is `0..=N`.
+/// oracle and the heap (a crash-free run must not leak), and returns
+/// the number of persist events the trace generated — the sweep domain
+/// is `0..=N`.
 ///
 /// # Panics
 ///
-/// Panics if the crash-free run already disagrees with the oracle (the
-/// sweep would be meaningless).
+/// Panics if the crash-free run already disagrees with the oracle or
+/// leaks an allocation (the sweep would be meaningless).
 pub fn count_events(case: &SweepCase) -> u64 {
     let ops = trace_ops(case);
     let (mut ctx, mut idx) = build(case);
@@ -428,6 +429,10 @@ pub fn count_events(case: &SweepCase) -> u64 {
     oracle.advance_to(ops.len());
     if let Err(e) = oracle.check(&ctx, idx.as_ref()) {
         panic!("{case}: crash-free run disagrees with the oracle: {e}");
+    }
+    let heap = inspect(&ctx, &idx.reachable(&ctx));
+    if !heap.is_clean() {
+        panic!("{case}: crash-free run leaks: {heap}");
     }
     ctx.machine().persist_event_count()
 }

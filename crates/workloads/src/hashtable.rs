@@ -15,6 +15,8 @@
 //! root:  [0]=buckets  [1]=nbuckets  [2]=size
 //!        [3]=old_buckets [4]=old_nbuckets (previous generation, kept
 //!            for rehash re-execution) [5]=block [6]=block_count
+//!        [7]=old_block (the block holding the previous generation's
+//!            resize copies, 0 for the first generation)
 //! node:  [0]=key [1]=next [2]=value-blob pointer
 //! blob:  value bytes
 //! ```
@@ -23,6 +25,13 @@
 //! allocation at deterministic offsets, so recovery can re-derive
 //! every copied node's address from the durable `block` pointer and
 //! the old generation's iteration order.
+//!
+//! The previous generation stays recorded (words 3, 4 and 7) until the
+//! *redo window* closes: an update or removal, or the next resize,
+//! retires it. The retiring transaction frees its bucket array, its
+//! individually allocated nodes and its block; the frees are deferred
+//! to commit, so a crash before then keeps the generation for rehash
+//! re-execution.
 
 use crate::ctx::{AnnotationSource, PmContext};
 use crate::runner::DurableIndex;
@@ -219,13 +228,72 @@ impl Hashtable {
         for (i, &head) in heads.iter().enumerate() {
             ctx.store(fld(new_arr, i as u64), head, RS_ARRAY);
         }
+        // No update or removal closed the previous window: this resize
+        // retires that generation as it records the new one.
+        self.retire(ctx);
         let root = self.root;
+        let old_block = ctx.load(fld(root, 5));
         ctx.store(fld(root, 3), old_buckets.raw(), RS_OLD_BUCKETS);
         ctx.store(fld(root, 4), old_n, RS_OLD_NB);
+        if old_block != 0 {
+            ctx.store(fld(root, 7), old_block, RS_BLOCK);
+        }
         ctx.store(fld(root, 5), block.raw(), RS_BLOCK);
         ctx.store(fld(root, 6), bi, RS_BLOCK_COUNT);
         ctx.store(fld(root, 0), new_arr.raw(), RS_ROOT_BUCKETS);
         ctx.store(fld(root, 1), new_n, RS_ROOT_NB);
+    }
+
+    /// Frees the generation recorded at root words 3, 4 and 7, if any:
+    /// its bucket array, its individually allocated nodes and the block
+    /// of its resize copies. Runs inside the transaction that
+    /// overwrites or clears those words; the frees apply at commit.
+    fn retire(&self, ctx: &mut PmContext) {
+        let root = self.root;
+        let old = ctx.load(fld(root, 3));
+        if old == 0 {
+            return;
+        }
+        let old = PmAddr::new(old);
+        let old_n = ctx.load(fld(root, 4));
+        for bkt in 0..old_n {
+            let mut cur = ctx.load(fld(old, bkt));
+            while cur != 0 {
+                let node = PmAddr::new(cur);
+                cur = ctx.load(fld(node, 1));
+                // Block residents go with their block (slot 0 shares
+                // the block's start address, so match the size too).
+                if ctx.heap().allocation_size(node) == Some(self.node_bytes()) {
+                    ctx.free(node);
+                }
+            }
+        }
+        ctx.free(old);
+        let old_block = ctx.load(fld(root, 7));
+        if old_block != 0 {
+            ctx.free(PmAddr::new(old_block));
+        }
+    }
+
+    /// Closes the rehash redo window before an update or removal
+    /// rewrites a moved node, which the re-execution recovery would
+    /// clobber: forces the moved data durable, then retires the old
+    /// generation.
+    fn close_window(&self, ctx: &mut PmContext) {
+        use sites::*;
+        let root = self.root;
+        if ctx.peek(fld(root, 3)) == 0 {
+            return;
+        }
+        ctx.drain_lazy();
+        ctx.tx_begin();
+        self.retire(ctx);
+        ctx.store(fld(root, 3), 0, RS_OLD_BUCKETS);
+        ctx.store(fld(root, 4), 0, RS_OLD_NB);
+        if ctx.peek(fld(root, 7)) != 0 {
+            ctx.store(fld(root, 7), 0, RS_BLOCK);
+        }
+        ctx.tx_commit();
     }
 
     /// Walks one generation's chains, calling `f` on each node address.
@@ -279,17 +347,8 @@ impl DurableIndex for Hashtable {
 
     fn remove(&mut self, ctx: &mut PmContext, key: u64) -> bool {
         use sites::*;
-        // A removal may rewrite chain links inside the resize block,
-        // which the rehash re-execution recovery would clobber: close
-        // the redo window first (force the moved data durable, then
-        // retire the old generation).
-        if ctx.peek(fld(self.root, 3)) != 0 {
-            ctx.drain_lazy();
-            ctx.tx_begin();
-            ctx.store(fld(self.root, 3), 0, RS_OLD_BUCKETS);
-            ctx.store(fld(self.root, 4), 0, RS_OLD_NB);
-            ctx.tx_commit();
-        }
+        // A removal may rewrite chain links inside the resize block.
+        self.close_window(ctx);
         ctx.tx_begin();
         let buckets = PmAddr::new(ctx.load(fld(self.root, 0)));
         let n = ctx.load(fld(self.root, 1));
@@ -333,17 +392,9 @@ impl DurableIndex for Hashtable {
     fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool {
         use sites::*;
         assert_eq!(value.len() as u64, self.value_bytes);
-        // Like removal, an update rewrites a moved node's value-blob
-        // pointer inside the resize block; the rehash re-execution
-        // recovery would clobber it back to the retired blob. Close
-        // the redo window first.
-        if ctx.peek(fld(self.root, 3)) != 0 {
-            ctx.drain_lazy();
-            ctx.tx_begin();
-            ctx.store(fld(self.root, 3), 0, RS_OLD_BUCKETS);
-            ctx.store(fld(self.root, 4), 0, RS_OLD_NB);
-            ctx.tx_commit();
-        }
+        // An update rewrites a moved node's value-blob pointer inside
+        // the resize block.
+        self.close_window(ctx);
         ctx.tx_begin();
         let buckets = PmAddr::new(ctx.load(fld(self.root, 0)));
         let n = ctx.load(fld(self.root, 1));
@@ -463,6 +514,10 @@ impl DurableIndex for Hashtable {
             let old_n = ctx.peek(fld(self.root, 4));
             out.push(PmAddr::new(old));
             self.walk(ctx, PmAddr::new(old), old_n, |node| out.push(node));
+            let old_block = ctx.peek(fld(self.root, 7));
+            if old_block != 0 {
+                out.push(PmAddr::new(old_block));
+            }
         }
         out
     }
@@ -503,9 +558,11 @@ impl DurableIndex for Hashtable {
             // be rewritten to the resize-time heads.
             let _ = (heads, new_arr);
             // The old generation is no longer needed: everything it
-            // backs is now durably in the image.
+            // backs is now durably in the image, and the caller's GC
+            // reclaims it.
             ctx.recovery_write(fld(root, 3), 0);
             ctx.recovery_write(fld(root, 4), 0);
+            ctx.recovery_write(fld(root, 7), 0);
         }
         // The size counter is lazily persistent: recount.
         let count = self.len(ctx) as u64;
@@ -518,6 +575,7 @@ mod tests {
     use super::*;
 
     const VS: usize = 32;
+    use crate::inspector::inspect;
     use crate::runner::DurableIndex;
     use crate::ycsb::{value_for, ycsb_load};
     use slpmt_core::Scheme;
@@ -614,6 +672,42 @@ mod tests {
         for op in &ops {
             assert_eq!(ht.value_of(&ctx, op.key).unwrap(), value_for(op.key, 32));
         }
+    }
+
+    #[test]
+    fn retired_generations_are_freed() {
+        let (mut ctx, mut ht) = fresh(AnnotationSource::Manual, VS);
+        let assert_clean = |ctx: &PmContext, ht: &Hashtable, when: &str| {
+            let report = inspect(ctx, &ht.reachable(ctx));
+            assert!(report.is_clean(), "{when}: {report}");
+        };
+        // Resizes at 25, 49 and 97 keys: each one retires the
+        // generation the one before recorded.
+        let ops = ycsb_load(220, 32, 7);
+        for op in &ops[..100] {
+            ht.insert(&mut ctx, op.key, &op.value);
+        }
+        assert_ne!(ctx.peek(fld(ht.root, 7)), 0, "window open over a block");
+        assert_clean(&ctx, &ht, "three resizes");
+        // The first update closes the window and frees the generation.
+        assert!(ht.update(&mut ctx, ops[3].key, &value_for(1, 32)));
+        assert_eq!(ctx.peek(fld(ht.root, 3)), 0, "window closed");
+        assert_clean(&ctx, &ht, "update");
+        for op in &ops[10..20] {
+            assert!(ht.remove(&mut ctx, op.key));
+        }
+        assert_clean(&ctx, &ht, "removals");
+        // A resize over a closed window (at 193 keys), then a removal
+        // that closes the new window.
+        for op in &ops[100..] {
+            ht.insert(&mut ctx, op.key, &op.value);
+        }
+        assert_eq!(ctx.peek(fld(ht.root, 1)), 128, "fourth resize");
+        assert_clean(&ctx, &ht, "resize after close");
+        assert!(ht.remove(&mut ctx, ops[150].key));
+        assert_clean(&ctx, &ht, "second close");
+        ht.check_invariants(&ctx).unwrap();
+        assert_eq!(ht.len(&ctx), 209);
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Crash and media-fault sweeps *through the service facade* (issue 8
-//! satellite): every operation travels request → wire encoding →
-//! codec parse → dispatch → facade transaction before the crash
-//! lands, and recovery goes through the facade's crash-to-ready
-//! sequence (`KvStore::replay` then `rebuild`), driven by the generic
-//! sweep driver (`slpmt::bench::sweep`). The oracle is the engine's
-//! `StreamingOracle`, advanced monotonically over each case so the
-//! whole sweep pays O(trace) model work.
+//! The service-boundary crash battery: crash and media-fault sweeps
+//! through the chaos harness (`slpmt::kv::chaos::ChaosTarget`), driven
+//! by the generic sweep driver (`slpmt::bench::sweep`). Every request
+//! travels request → wire encoding → session buffer → codec parse →
+//! dispatch → facade transaction over 4 pipelined sessions before the
+//! crash lands; recovery goes through the facade's crash-to-ready
+//! sequence; the clients then retry their un-acked tail to
+//! convergence. Each point checks the durable prefix and the converged
+//! state against the engine's `StreamingOracle`, the structure's
+//! invariants and the heap (no allocation may leak).
 //!
 //! The battery samples ≥ 200 crash points across schemes, backends
 //! and mixes, then runs the five-plan media-fault battery at sampled
@@ -14,24 +16,24 @@
 //! fault, strict oracle when nothing was lost).
 
 use slpmt::bench::sweep::{run_sweep, Points, CLEAN};
-use slpmt::core::sweep::guarded;
 use slpmt::core::Scheme;
-use slpmt::kv::sweep::{count_service_events, run_at, service_ops, KvSweepCase, ServiceTarget};
-use slpmt::pmem::FaultPlan;
-use slpmt::workloads::crashsweep::{default_plans, StreamingOracle};
+use slpmt::kv::chaos::{
+    count_chaos_events, poison_caught, run_chaos_point, ChaosCase, ChaosOutcome, ChaosTarget,
+};
+use slpmt::workloads::crashsweep::default_plans;
 use slpmt::workloads::runner::IndexKind;
 use slpmt::workloads::ycsb::MixSpec;
 
 /// The sweep matrix: schemes × backends × mixes chosen to cover the
 /// ordered and unordered dispatch paths, the delete-heavy free path,
 /// and the CAS (read-modify-write) path.
-fn cases() -> Vec<KvSweepCase> {
+fn cases() -> Vec<ChaosCase> {
     vec![
-        KvSweepCase::new(Scheme::Slpmt, IndexKind::KvBtree, 101, 70),
-        KvSweepCase::new(Scheme::Slpmt, IndexKind::Hashtable, 102, 70),
-        KvSweepCase::new(Scheme::Slpmt, IndexKind::KvBtree, 103, 70).with_mix(MixSpec::YCSB_F),
-        KvSweepCase::new(Scheme::Fg, IndexKind::KvBtree, 104, 70).with_mix(MixSpec::DELETE_HEAVY),
-        KvSweepCase::new(Scheme::Slpmt, IndexKind::KvBtree, 105, 60).with_mix(MixSpec::YCSB_E),
+        ChaosCase::new(Scheme::Slpmt, IndexKind::KvBtree, 101, 70),
+        ChaosCase::new(Scheme::Slpmt, IndexKind::Hashtable, 102, 70),
+        ChaosCase::new(Scheme::Slpmt, IndexKind::KvBtree, 103, 70).with_mix(MixSpec::YCSB_F),
+        ChaosCase::new(Scheme::Fg, IndexKind::KvBtree, 104, 70).with_mix(MixSpec::DELETE_HEAVY),
+        ChaosCase::new(Scheme::Slpmt, IndexKind::KvBtree, 105, 60).with_mix(MixSpec::YCSB_E),
     ]
 }
 
@@ -40,7 +42,7 @@ fn service_crash_battery_two_hundred_points() {
     const POINTS_PER_CASE: usize = 48;
     let cases = cases();
     let report = run_sweep(
-        &ServiceTarget,
+        &ChaosTarget,
         &cases,
         &CLEAN,
         Points::Sampled(POINTS_PER_CASE),
@@ -65,13 +67,13 @@ fn service_fault_battery_five_plans() {
     // Two cases through every default plan: the write-heavy CAS mix on
     // the ordered backend and delete churn on the hash backend.
     let fault_cases = [
-        KvSweepCase::new(Scheme::Slpmt, IndexKind::KvBtree, 201, 50).with_mix(MixSpec::YCSB_F),
-        KvSweepCase::new(Scheme::Slpmt, IndexKind::Hashtable, 202, 50)
+        ChaosCase::new(Scheme::Slpmt, IndexKind::KvBtree, 201, 50).with_mix(MixSpec::YCSB_F),
+        ChaosCase::new(Scheme::Slpmt, IndexKind::Hashtable, 202, 50)
             .with_mix(MixSpec::DELETE_HEAVY),
     ];
     let plans = default_plans(0x8EED_FA17);
     assert_eq!(plans.len(), 5, "the battery is defined as five plans");
-    let report = run_sweep(&ServiceTarget, &fault_cases, &plans, Points::Sampled(6));
+    let report = run_sweep(&ChaosTarget, &fault_cases, &plans, Points::Sampled(6));
     assert!(report.points() > 0);
     assert!(
         report.is_clean(),
@@ -82,21 +84,27 @@ fn service_fault_battery_five_plans() {
 
 #[test]
 fn crash_point_failures_would_be_reported() {
-    // Sanity for the harness itself: an oracle advanced beyond the
-    // committed prefix must make the check fail, proving the battery
-    // can actually detect divergence (no vacuous pass).
-    let case = KvSweepCase::new(Scheme::Slpmt, IndexKind::KvBtree, 301, 50);
-    assert!(count_service_events(&case) > 0);
-    let (ops, _) = service_ops(&case);
-    let mut poisoned = StreamingOracle::new(&ops);
-    // Advance the model to the full trace, then crash at the very
-    // first persist event: the recovered store cannot match.
-    poisoned.advance_to(ops.len());
-    let fail = guarded(|| run_at(&case, &FaultPlan::NONE, &mut poisoned, 1));
-    assert!(
-        fail.is_err(),
-        "a maximally advanced oracle must flag an early crash"
-    );
+    // Sanity for the harness itself: a recovered state corrupted
+    // before the oracle check must fail the point, at the first
+    // persist event, mid-stream and at the end, while the same points
+    // pass unpoisoned — the battery can detect divergence (no vacuous
+    // pass).
+    let case = ChaosCase::new(Scheme::Slpmt, IndexKind::KvBtree, 301, 50);
+    let n = count_chaos_events(&case);
+    assert!(n > 0);
+    for k in [1, n / 2, n] {
+        assert!(
+            matches!(
+                run_chaos_point(&case, None, k, false),
+                Ok(ChaosOutcome::Strict(_))
+            ),
+            "{case} @k={k}: the unpoisoned point must hold the contract"
+        );
+        assert!(
+            poison_caught(&case, k),
+            "{case} @k={k}: a poisoned recovered state must fail the check"
+        );
+    }
 }
 
 #[test]
