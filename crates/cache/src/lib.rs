@@ -26,5 +26,5 @@ pub mod stats;
 
 pub use config::{CacheConfig, CacheGeometry};
 pub use meta::{l1_logbits_to_l2, l2_logbits_to_l1, speculative_fill_words, LineMeta, TxnId};
-pub use set_assoc::{Entry, SetAssocCache};
+pub use set_assoc::{Entry, SetAssocCache, Slot};
 pub use stats::CacheStats;

@@ -38,6 +38,19 @@ impl Entry {
     }
 }
 
+/// Where a resident line sits: its set and its way within the set.
+///
+/// A slot stays valid until the next insert into or removal from its
+/// set (an eviction or removal moves the set's last way into the freed
+/// one); accesses to other sets leave it valid. It lets a caller that
+/// has just searched for a line read and write it again without a
+/// second search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    set: usize,
+    way: usize,
+}
+
 /// A set-associative, LRU-replacement cache of 64-byte lines.
 ///
 /// ```
@@ -46,8 +59,10 @@ impl Entry {
 /// let geo = CacheGeometry { capacity: 256, ways: 2, hit_cycles: 4 };
 /// let mut c = SetAssocCache::new(geo);
 /// let e = Entry::new(PmAddr::new(0), [0; 64], LineMeta::clean());
-/// assert!(c.insert(e).is_none());
-/// assert!(c.lookup(PmAddr::new(0)).is_some());
+/// let (filled, victim) = c.insert(e);
+/// assert!(victim.is_none());
+/// assert_eq!(c.lookup(PmAddr::new(0)), Some(filled));
+/// assert_eq!(c.at(filled).addr, PmAddr::new(0));
 /// assert!(c.lookup(PmAddr::new(64)).is_none());
 /// ```
 #[derive(Debug, Clone)]
@@ -65,7 +80,9 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let sets = vec![Vec::with_capacity(geometry.ways); geometry.sets()];
+        // Sets grow on first use, so a fresh `Machine` (one per crash
+        // point) allocates nothing proportional to cache size.
+        let sets = vec![Vec::new(); geometry.sets()];
         SetAssocCache {
             geometry,
             set_mask: sets.len() as u64 - 1,
@@ -96,23 +113,50 @@ impl SetAssocCache {
     }
 
     /// Looks up `addr`'s line, counting a hit or miss and refreshing
-    /// LRU state on a hit.
-    pub fn lookup(&mut self, addr: PmAddr) -> Option<&mut Entry> {
+    /// LRU state on a hit. Returns the line's slot.
+    pub fn lookup(&mut self, addr: PmAddr) -> Option<Slot> {
         let line = addr.line();
         let tick = self.bump();
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        match set.iter_mut().find(|e| e.addr == line) {
-            Some(e) => {
+        let set = self.set_index(line);
+        match self.sets[set]
+            .iter_mut()
+            .enumerate()
+            .find(|(_, e)| e.addr == line)
+        {
+            Some((way, e)) => {
                 e.lru = tick;
                 self.stats.hits += 1;
-                Some(e)
+                Some(Slot { set, way })
             }
             None => {
                 self.stats.misses += 1;
                 None
             }
         }
+    }
+
+    /// Looks up `addr`'s line and removes it, counting the hit or miss
+    /// exactly as [`lookup`](Self::lookup) does: one search where
+    /// `lookup` then [`remove`](Self::remove) would take two.
+    pub fn take(&mut self, addr: PmAddr) -> Option<Entry> {
+        let slot = self.lookup(addr)?;
+        self.len -= 1;
+        Some(self.sets[slot.set].swap_remove(slot.way))
+    }
+
+    /// The line in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot's set has fewer ways than the slot names
+    /// (the slot outlived an insert or removal in its set).
+    pub fn at(&self, slot: Slot) -> &Entry {
+        &self.sets[slot.set][slot.way]
+    }
+
+    /// Like [`at`](Self::at) but mutable; statistics-neutral.
+    pub fn at_mut(&mut self, slot: Slot) -> &mut Entry {
+        &mut self.sets[slot.set][slot.way]
     }
 
     /// Inspects `addr`'s line without touching LRU state or counters.
@@ -140,37 +184,45 @@ impl SetAssocCache {
         self.peek(addr).is_some()
     }
 
-    /// Inserts `entry`, evicting and returning the set's LRU victim if
-    /// the set was full.
+    /// Inserts `entry`, returning the slot it fills and, if the set was
+    /// full, the set's evicted LRU victim.
     ///
     /// # Panics
     ///
     /// Panics if the line is already present — the hierarchy is
     /// exclusive, duplicates indicate a policy bug upstream.
-    pub fn insert(&mut self, mut entry: Entry) -> Option<Entry> {
+    pub fn insert(&mut self, mut entry: Entry) -> (Slot, Option<Entry>) {
         let tick = self.bump();
         let idx = self.set_index(entry.addr);
         let set = &mut self.sets[idx];
-        assert!(
-            !set.iter().any(|e| e.addr == entry.addr),
-            "duplicate insert of line {}",
-            entry.addr
-        );
+        // One pass checks for a duplicate and finds the LRU way.
+        let mut lru_way = 0;
+        let mut oldest = u64::MAX;
+        for (way, e) in set.iter().enumerate() {
+            assert!(
+                e.addr != entry.addr,
+                "duplicate insert of line {}",
+                entry.addr
+            );
+            if e.lru < oldest {
+                oldest = e.lru;
+                lru_way = way;
+            }
+        }
         entry.lru = tick;
         let victim = if set.len() == self.geometry.ways {
-            let (pos, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                .expect("full set has entries");
             self.stats.evictions += 1;
-            Some(set.swap_remove(pos))
+            Some(set.swap_remove(lru_way))
         } else {
             self.len += 1;
             None
         };
-        self.sets[idx].push(entry);
-        victim
+        set.push(entry);
+        let slot = Slot {
+            set: idx,
+            way: set.len() - 1,
+        };
+        (slot, victim)
     }
 
     /// Removes and returns the line containing `addr` (statistics
@@ -272,7 +324,7 @@ mod tests {
         c.insert(entry(2));
         // Touch line 0 so line 2 becomes LRU.
         c.lookup(PmAddr::new(0));
-        let victim = c.insert(entry(4)).expect("set full → eviction");
+        let victim = c.insert(entry(4)).1.expect("set full → eviction");
         assert_eq!(victim.addr, PmAddr::new(2 * 64));
         assert_eq!(c.stats().evictions, 1);
     }
@@ -280,8 +332,8 @@ mod tests {
     #[test]
     fn insert_without_conflict_returns_none() {
         let mut c = SetAssocCache::new(geo(256, 2));
-        assert!(c.insert(entry(0)).is_none());
-        assert!(c.insert(entry(1)).is_none(), "different set");
+        assert!(c.insert(entry(0)).1.is_none());
+        assert!(c.insert(entry(1)).1.is_none(), "different set");
         assert_eq!(c.len(), 2);
     }
 
@@ -321,7 +373,7 @@ mod tests {
         c.insert(entry(2));
         // Peek at line 0 (no LRU refresh) → line 0 remains LRU.
         c.peek(PmAddr::new(0));
-        let victim = c.insert(entry(4)).unwrap();
+        let victim = c.insert(entry(4)).1.unwrap();
         assert_eq!(victim.addr, PmAddr::new(0));
     }
 

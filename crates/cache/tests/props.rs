@@ -3,7 +3,7 @@
 
 use slpmt_cache::{
     l1_logbits_to_l2, l2_logbits_to_l1, speculative_fill_words, CacheGeometry, Entry, LineMeta,
-    SetAssocCache,
+    SetAssocCache, Slot,
 };
 use slpmt_pmem::PmAddr;
 use slpmt_prng::SimRng;
@@ -37,7 +37,11 @@ fn logbit_transforms() {
 /// The set-associative cache behaves like a bounded map: lookups
 /// agree with a model restricted to resident lines, occupancy per
 /// set never exceeds the ways, and every inserted line is either
-/// resident or was explicitly evicted.
+/// resident or was explicitly evicted. A slot names its line until an
+/// insert or removal in its set, whatever happens to other sets, and
+/// `take` is `lookup` then `remove` in one search: a twin cache that
+/// runs the pair wherever this one takes keeps the same counters, the
+/// same resident lines and the same LRU victims.
 #[test]
 fn cache_is_a_bounded_map() {
     for case in 0..64u64 {
@@ -47,19 +51,52 @@ fn cache_is_a_bounded_map() {
             ways: 2,
             hit_cycles: 1,
         };
+        let sets = geo.sets() as u64;
+        let set_of = |a: u64| (a / 64) % sets;
         let mut cache = SetAssocCache::new(geo);
+        let mut twin = cache.clone();
         let mut resident: BTreeMap<u64, u8> = BTreeMap::new();
+        // Slots handed out whose set has not changed since.
+        let mut slots: BTreeMap<u64, Slot> = BTreeMap::new();
         for i in 0..rng.gen_usize(1..200) {
             let addr = PmAddr::new(rng.gen_range(0..64) * 64);
             let tag = i as u8;
-            if cache.lookup(addr).is_some() {
-                let e = cache.peek_mut(addr).unwrap();
-                e.data[0] = tag;
+            if rng.gen_range(0..4) == 0 {
+                let taken = cache.take(addr).map(|e| (e.addr, e.data[0]));
+                let twin_taken = match twin.lookup(addr) {
+                    Some(_) => twin.remove(addr).map(|e| (e.addr, e.data[0])),
+                    None => None,
+                };
+                assert_eq!(taken, twin_taken, "case {case}, step {i}: take");
+                let model = resident.remove(&addr.raw()).map(|t| (addr, t));
+                assert_eq!(taken, model, "case {case}, step {i}: take");
+                if taken.is_some() {
+                    slots.retain(|&a, _| set_of(a) != set_of(addr.raw()));
+                }
+            } else if let Some(slot) = cache.lookup(addr) {
+                assert!(twin.lookup(addr).is_some(), "case {case}, step {i}");
+                let e = cache.at(slot);
+                assert_eq!(
+                    (e.addr, Some(&e.data[0])),
+                    (addr, resident.get(&addr.raw())),
+                    "case {case}, step {i}: at(lookup) is the model's line"
+                );
+                cache.at_mut(slot).data[0] = tag;
+                twin.peek_mut(addr).unwrap().data[0] = tag;
                 resident.insert(addr.raw(), tag);
+                slots.insert(addr.raw(), slot);
             } else {
+                assert!(twin.lookup(addr).is_none(), "case {case}, step {i}");
                 let mut data = [0u8; 64];
                 data[0] = tag;
-                if let Some(victim) = cache.insert(Entry::new(addr, data, LineMeta::clean())) {
+                let (slot, victim) = cache.insert(Entry::new(addr, data, LineMeta::clean()));
+                let (_, twin_victim) = twin.insert(Entry::new(addr, data, LineMeta::clean()));
+                assert_eq!(
+                    victim.as_ref().map(|v| v.addr),
+                    twin_victim.map(|v| v.addr),
+                    "case {case}, step {i}: same LRU victim"
+                );
+                if let Some(victim) = victim {
                     let removed = resident.remove(&victim.addr.raw());
                     assert_eq!(
                         removed,
@@ -68,14 +105,33 @@ fn cache_is_a_bounded_map() {
                     );
                 }
                 resident.insert(addr.raw(), tag);
+                slots.retain(|&a, _| set_of(a) != set_of(addr.raw()));
+                slots.insert(addr.raw(), slot);
             }
             assert_eq!(
                 cache.peek(addr).map(|e| e.data[0]),
-                Some(tag),
-                "case {case}, step {i}: the line just written is resident"
+                resident.get(&addr.raw()).copied(),
+                "case {case}, step {i}: peek sees the line just written or taken"
             );
+            for (&a, &slot) in &slots {
+                let e = cache.at(slot);
+                assert_eq!(
+                    (e.addr.raw(), Some(&e.data[0])),
+                    (a, resident.get(&a)),
+                    "case {case}, step {i}: slot of line {a} outlived other sets' changes"
+                );
+            }
+            assert_eq!(cache.stats(), twin.stats(), "case {case}, step {i}");
+            let lines = |c: &SetAssocCache| {
+                c.iter()
+                    .map(|e| (e.addr.raw(), e.data[0]))
+                    .collect::<BTreeMap<_, _>>()
+            };
+            assert_eq!(lines(&cache), resident, "case {case}, step {i}");
+            assert_eq!(lines(&twin), resident, "case {case}, step {i}");
             assert!(cache.len() <= geo.lines(), "case {case}");
             assert_eq!(cache.len(), resident.len(), "case {case}, step {i}");
+            assert_eq!(twin.len(), resident.len(), "case {case}, step {i}");
             assert_eq!(cache.is_empty(), resident.is_empty(), "case {case}");
         }
         for (&a, &tag) in &resident {
@@ -83,6 +139,15 @@ fn cache_is_a_bounded_map() {
             assert_eq!(e.data[0], tag, "case {case}");
         }
         assert_eq!(cache.len(), resident.len(), "case {case}");
+        // Later victims: fresh lines through every way of every set
+        // evict in the same LRU order from both caches.
+        let mut fill = (cache.clone(), twin.clone());
+        for n in 0..geo.lines() as u64 {
+            let e = Entry::new(PmAddr::new((64 + n) * 64), [0; 64], LineMeta::clean());
+            let v = fill.0.insert(e.clone()).1.map(|v| v.addr);
+            let w = fill.1.insert(e).1.map(|v| v.addr);
+            assert_eq!(v, w, "case {case}: victim of fill {n}");
+        }
         cache.clear();
         assert_eq!(cache.len(), 0, "case {case}: cleared");
         assert!(cache.is_empty(), "case {case}: cleared");

@@ -33,7 +33,7 @@ use crate::stats::MachineStats;
 use crate::txreg::TxnIdRegister;
 use slpmt_cache::{
     l1_logbits_to_l2, l2_logbits_to_l1, speculative_fill_words, CacheConfig, Entry, LineMeta,
-    SetAssocCache, TxnId,
+    SetAssocCache, Slot, TxnId,
 };
 use slpmt_logbuf::{AtomLineBuffer, EdeCombiner, FlushEvent, LogRecord, TieredLogBuffer};
 use slpmt_pmem::addr::{PmAddr, LINE_BYTES, WORD_BYTES};
@@ -871,12 +871,13 @@ impl Machine {
 
     /// Brings the line containing `addr` into L1, charging access
     /// latency and performing eviction cascades with their metadata
-    /// transforms.
-    fn ensure_l1(&mut self, addr: PmAddr) {
+    /// transforms. Returns the line's L1 slot: the rest of the access
+    /// reads and writes the line through it (see [`Self::l1_at`]).
+    fn ensure_l1(&mut self, addr: PmAddr) -> Slot {
         let line = addr.line();
         self.now += self.cfg.caches.l1.hit_cycles;
-        if self.core.l1.lookup(line).is_some() {
-            return;
+        if let Some(slot) = self.core.l1.lookup(line) {
+            return slot;
         }
         if self.multi {
             // Coherence probe: the line may live in another core's
@@ -895,13 +896,11 @@ impl Machine {
                         replicated: false,
                     });
                 });
-                self.insert_l1(e);
-                return;
+                return self.insert_l1(e);
             }
         }
         self.now += self.cfg.caches.l2.hit_cycles;
-        if self.l2.lookup(line).is_some() {
-            let mut e = self.l2.remove(line).expect("looked up");
+        if let Some(mut e) = self.l2.take(line) {
             // Figure 5: replicate each L2 group bit into four L1 bits.
             let replicated = e.meta.log_bits != 0;
             e.meta.log_bits = l2_logbits_to_l1(e.meta.log_bits);
@@ -912,12 +911,10 @@ impl Machine {
                     replicated,
                 });
             });
-            self.insert_l1(e);
-            return;
+            return self.insert_l1(e);
         }
         self.now += self.cfg.caches.l3.hit_cycles;
-        if self.l3.lookup(line).is_some() {
-            let mut e = self.l3.remove(line).expect("looked up");
+        if let Some(mut e) = self.l3.take(line) {
             // L3 keeps no SLPMT metadata: bits re-initialise to zero.
             e.meta = LineMeta::clean();
             self.trace(|t| {
@@ -927,8 +924,7 @@ impl Machine {
                     replicated: false,
                 });
             });
-            self.insert_l1(e);
-            return;
+            return self.insert_l1(e);
         }
         // Redo shadow: a logged line spilled mid-transaction returns
         // dirty and re-owned by the current transaction, keeping its
@@ -942,8 +938,7 @@ impl Machine {
             meta.log_bits = log_bits;
             meta.defer_bits = defer_bits;
             meta.txn_id = self.core.cur.as_ref().map(|c| c.id);
-            self.insert_l1(Entry::new(line, data, meta));
-            return;
+            return self.insert_l1(Entry::new(line, data, meta));
         }
         // LLC miss: fetch from the persistent medium.
         self.now += self.dev.read_cycles();
@@ -955,13 +950,33 @@ impl Machine {
                 replicated: false,
             });
         });
-        self.insert_l1(Entry::new(line, data, LineMeta::clean()));
+        self.insert_l1(Entry::new(line, data, LineMeta::clean()))
     }
 
-    fn insert_l1(&mut self, entry: Entry) {
-        if let Some(victim) = self.core.l1.insert(entry) {
+    /// Fills L1 with `entry` and returns its slot. The eviction cascade
+    /// moves lines between L2, L3 and PM only, so the slot stays valid.
+    fn insert_l1(&mut self, entry: Entry) -> Slot {
+        let (slot, victim) = self.core.l1.insert(entry);
+        if let Some(victim) = victim {
             self.evict_l1_to_l2(victim);
         }
+        slot
+    }
+
+    /// The L1 line in `slot`, which [`Self::ensure_l1`] returned for
+    /// `addr`'s line. Within one access nothing inserts into or removes
+    /// from L1 after `ensure_l1`, so the slot still holds that line.
+    fn l1_at(&self, slot: Slot, addr: PmAddr) -> &Entry {
+        let e = self.core.l1.at(slot);
+        debug_assert_eq!(e.addr, addr.line(), "stale L1 slot");
+        e
+    }
+
+    /// Mutable [`Self::l1_at`].
+    fn l1_at_mut(&mut self, slot: Slot, addr: PmAddr) -> &mut Entry {
+        let e = self.core.l1.at_mut(slot);
+        debug_assert_eq!(e.addr, addr.line(), "stale L1 slot");
+        e
     }
 
     fn evict_l1_to_l2(&mut self, mut victim: Entry) {
@@ -1065,7 +1080,7 @@ impl Machine {
                 });
             }
         });
-        if let Some(victim2) = self.l2.insert(victim) {
+        if let (_, Some(victim2)) = self.l2.insert(victim) {
             self.evict_l2_to_l3(victim2);
         }
     }
@@ -1165,7 +1180,7 @@ impl Machine {
             victim.meta.lazy_pending = false;
         }
         victim.meta = LineMeta::clean();
-        if let Some(victim3) = self.l3.insert(victim) {
+        if let (_, Some(victim3)) = self.l3.insert(victim) {
             // L3 victims are clean by construction: silent drop.
             debug_assert!(!victim3.meta.dirty);
         }
@@ -1265,12 +1280,9 @@ impl Machine {
     /// — must instead force the earlier transaction's deferred lines
     /// durable before overwriting, or an abort would drop the line's
     /// only copy of committed data.
-    fn lazy_checks(&mut self, addr: PmAddr, is_write: bool, will_log: bool) {
-        let tag = self
-            .core
-            .l1
-            .peek(addr)
-            .and_then(|e| (e.meta.lazy_pending).then_some(e.meta.txn_id).flatten());
+    fn lazy_checks(&mut self, slot: Slot, addr: PmAddr, is_write: bool, will_log: bool) {
+        let e = self.l1_at(slot, addr);
+        let tag = e.meta.lazy_pending.then_some(e.meta.txn_id).flatten();
         if let Some(id) = tag {
             let is_cur = self.core.cur.as_ref().is_some_and(|c| c.id == id);
             if is_cur {
@@ -1288,7 +1300,7 @@ impl Machine {
                 // — so takeover is allowed there only when the incoming
                 // store is about to log one; every other store forces
                 // the deferred line durable first.
-                let e = self.core.l1.peek_mut(addr).expect("line resident");
+                let e = self.l1_at_mut(slot, addr);
                 e.meta.lazy_pending = false;
                 e.meta.txn_id = None;
             } else {
@@ -1326,7 +1338,7 @@ impl Machine {
     // ------------------------------------------------------------------
     // Logging
 
-    fn log_store(&mut self, addr: PmAddr, new_bytes: [u8; WORD_BYTES]) {
+    fn log_store(&mut self, slot: Slot, addr: PmAddr, new_bytes: [u8; WORD_BYTES]) {
         let Some(cur) = &self.core.cur else { return };
         let seq = cur.seq;
         let line = addr.line();
@@ -1335,7 +1347,7 @@ impl Machine {
         match self.cfg.features.granularity {
             Granularity::Word => {
                 let (cached, logged, deferred) = {
-                    let e = self.core.l1.peek(line).expect("line resident");
+                    let e = self.l1_at(slot, addr);
                     let mut pre = [0u8; WORD_BYTES];
                     pre.copy_from_slice(&e.data[word * 8..word * 8 + 8]);
                     (pre, e.meta.word_logged(word), e.meta.word_deferred(word))
@@ -1379,12 +1391,7 @@ impl Machine {
                 for ev in self.core.log_path.log(seq, addr.word(), &payload) {
                     self.persist_flush(ev, false);
                 }
-                self.core
-                    .l1
-                    .peek_mut(line)
-                    .expect("line resident")
-                    .meta
-                    .set_word_logged(word);
+                self.l1_at_mut(slot, addr).meta.set_word_logged(word);
                 self.trace(|t| {
                     t.emit(TraceEvent::LogBit {
                         addr: line.raw(),
@@ -1395,7 +1402,7 @@ impl Machine {
             }
             Granularity::Line => {
                 let (mut pre, need, defer_bits) = {
-                    let e = self.core.l1.peek(line).expect("line resident");
+                    let e = self.l1_at(slot, addr);
                     (e.data, e.meta.log_bits == 0, e.meta.defer_bits)
                 };
                 if !need {
@@ -1417,12 +1424,7 @@ impl Machine {
                 for ev in self.core.log_path.log(seq, line, &pre) {
                     self.persist_flush(ev, false);
                 }
-                self.core
-                    .l1
-                    .peek_mut(line)
-                    .expect("line resident")
-                    .meta
-                    .log_bits = 0xFF;
+                self.l1_at_mut(slot, addr).meta.log_bits = 0xFF;
             }
         }
     }
@@ -1440,12 +1442,12 @@ impl Machine {
         self.resolve_conflicts(addr, false);
         self.stats.loads += 1;
         self.now += self.cfg.load_issue_cycles;
-        self.ensure_l1(addr);
-        self.lazy_checks(addr, false, false);
+        let slot = self.ensure_l1(addr);
+        self.lazy_checks(slot, addr, false, false);
         if let Some(cur) = &mut self.core.cur {
             cur.read_set.insert(addr.line().raw());
         }
-        let e = self.core.l1.peek(addr.line()).expect("line resident");
+        let e = self.l1_at(slot, addr);
         let off = addr.offset_in_line();
         let mut b = [0u8; 8];
         b.copy_from_slice(&e.data[off..off + 8]);
@@ -1480,21 +1482,21 @@ impl Machine {
             });
         });
         self.now += self.cfg.store_issue_cycles;
-        self.ensure_l1(addr);
-        self.lazy_checks(addr, true, act.set_log && self.core.cur.is_some());
+        let slot = self.ensure_l1(addr);
+        self.lazy_checks(slot, addr, true, act.set_log && self.core.cur.is_some());
         if self.cfg.battery_backed {
             // Battery mode: a line holding committed-but-unpersisted
             // data must flush before the in-flight transaction
             // overwrites it — at a crash the in-flight line is dropped,
             // so the committed value must already be in the image.
             let flush = {
-                let e = self.core.l1.peek(addr.line()).expect("line resident");
                 let cur_id = self.core.cur.as_ref().map(|c| c.id);
+                let e = self.l1_at(slot, addr);
                 e.meta.dirty && (cur_id.is_none() || e.meta.txn_id != cur_id)
             };
             if flush {
                 let (line, data) = {
-                    let e = self.core.l1.peek_mut(addr.line()).expect("line resident");
+                    let e = self.l1_at_mut(slot, addr);
                     e.meta.dirty = false;
                     e.meta.txn_id = None;
                     (e.addr, e.data)
@@ -1502,11 +1504,11 @@ impl Machine {
                 self.persist_line_async(line, &data);
             }
         } else if self.core.cur.is_some() && act.set_log {
-            self.log_store(addr, bytes);
+            self.log_store(slot, addr, bytes);
         }
         let cur_id = self.core.cur.as_ref().map(|c| c.id);
         let line = addr.line();
-        let e = self.core.l1.peek_mut(line).expect("line resident");
+        let e = self.l1_at_mut(slot, addr);
         if act.set_persist {
             // A persistent store cancels any lazy deferral of the line
             // (§III-C1): the whole line persists at commit.

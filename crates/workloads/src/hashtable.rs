@@ -163,12 +163,17 @@ impl Hashtable {
         b.store_at(RS_COPY_NEXT, bn, 1, Operand::Value(nhead));
         b.store_at(RS_COPY_VALUE, bn, 2, Operand::Value(ov));
         b.store_at(RS_ARRAY, nslot, 1, Operand::Value(bn));
-        b.store_at(RS_ROOT_BUCKETS, root, 3, Operand::Value(newarr));
-        b.store_at(RS_ROOT_NB, root, 4, Operand::Const(16));
-        b.store_at(RS_OLD_BUCKETS, root, 5, Operand::Value(buckets));
-        b.store_at(RS_OLD_NB, root, 6, Operand::Value(n));
-        b.store_at(RS_BLOCK, root, 7, Operand::Value(block));
-        b.store_at(RS_BLOCK_COUNT, root, 8, Operand::Value(size2));
+        // The root words `resize` writes, in its order: the previous
+        // generation (3, 4), the retiring block (7), the new block (5,
+        // 6), then the switch to the new bucket array (0, 1).
+        let old_block = b.load(root, 5);
+        b.store_at(RS_OLD_BUCKETS, root, 3, Operand::Value(buckets));
+        b.store_at(RS_OLD_NB, root, 4, Operand::Value(n));
+        b.store_at(RS_BLOCK, root, 7, Operand::Value(old_block));
+        b.store_at(RS_BLOCK, root, 5, Operand::Value(block));
+        b.store_at(RS_BLOCK_COUNT, root, 6, Operand::Value(size2));
+        b.store_at(RS_ROOT_BUCKETS, root, 0, Operand::Value(newarr));
+        b.store_at(RS_ROOT_NB, root, 1, Operand::Const(16));
         b.build()
     }
 
@@ -746,5 +751,59 @@ mod tests {
     #[test]
     fn ir_is_valid() {
         assert!(Hashtable::ir().validate().is_ok());
+    }
+
+    /// The IR describes the transaction that runs: the root words its
+    /// stores name are the root words an insert that resizes changes.
+    /// The second resize is the one observed, since the first has no
+    /// earlier block to retire into word 7.
+    #[test]
+    fn ir_root_stores_are_the_words_a_resize_changes() {
+        use slpmt_annotate::Inst;
+        let ir = Hashtable::ir();
+        let root = ir
+            .insts
+            .iter()
+            .find_map(|i| match i {
+                Inst::Param {
+                    dst,
+                    kind: ParamKind::PersistentPtr,
+                } => Some(*dst),
+                _ => None,
+            })
+            .expect("root parameter");
+        let ir_words: BTreeSet<u64> = ir
+            .insts
+            .iter()
+            .filter_map(|i| match i {
+                Inst::Store { base, field, .. } if *base == root => Some(u64::from(*field)),
+                _ => None,
+            })
+            .collect();
+        let (mut ctx, mut ht) = fresh(AnnotationSource::Manual, VS);
+        let root_addr = ht.root;
+        let words = |ctx: &PmContext| {
+            (0..9)
+                .map(|w| ctx.peek(fld(root_addr, w)))
+                .collect::<Vec<_>>()
+        };
+        let mut resizes = 0;
+        for op in ycsb_load(200, VS, 3) {
+            let before = words(&ctx);
+            ht.insert(&mut ctx, op.key, &op.value);
+            let after = words(&ctx);
+            if after[1] == before[1] {
+                continue;
+            }
+            resizes += 1;
+            if resizes == 2 {
+                let changed: BTreeSet<u64> = (0..9)
+                    .filter(|&w| before[w as usize] != after[w as usize])
+                    .collect();
+                assert_eq!(ir_words, changed);
+                return;
+            }
+        }
+        panic!("200 inserts resize the table twice");
     }
 }

@@ -31,6 +31,39 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
+// `print!`/`println!` for this file shadow std's. Rust ignores SIGPIPE,
+// so once a reader such as `head` closes stdout every write fails with
+// `BrokenPipe`, which std's macros turn into a panic; `write_stdout`
+// ends the process quietly instead.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes command output to stdout. A closed stdout ends the process
+/// with no message and status 141, the status a shell reports for a
+/// process ended by SIGPIPE: the output was cut short, so the run
+/// claims neither success nor a failed check.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 /// The deterministic dump path for a captured trace: a sanitised stem
 /// under `target/traces/`. The same reproducer tuple always maps to
 /// the same path, so replaying `--at K` overwrites byte-identically.

@@ -134,3 +134,30 @@ fn first_error_in_argument_order_wins() {
     let err = rejects("ycsb --points");
     assert!(err.starts_with("error: --points needs a value"), "{err}");
 }
+
+/// A reader that closes stdout early (`slpmt … | head -n 1`) ends the
+/// run quietly: no panic text and no panic status. The command prints
+/// its header, then about 200 KB — more than a pipe holds — so writes
+/// after the close must fail.
+#[test]
+fn closed_stdout_exits_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_slpmt"))
+        .args("ycsb --mix all --scheme all --workload all --load 10 --ops 10".split(' '))
+        .env("SLPMT_THREADS", "1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn slpmt");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("ycsb matrix:"), "{first}");
+    // The reader is dropped here: stdout's read end is closed.
+    let out = child.wait_with_output().expect("wait for slpmt");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_ne!(out.status.code(), Some(101), "{err}");
+}
