@@ -356,9 +356,10 @@ pub struct Machine {
     txn_seq: u64,
     stats: MachineStats,
     /// Multi-core mode (`crate::multi`): the private contexts of the
-    /// cores that are not currently executing. Empty — and `multi`
-    /// false — on single-core machines, so none of the multi-core
-    /// paths below change single-core behaviour. Boxed on purpose:
+    /// cores that are not currently executing. Empty on single-core
+    /// machines, where every walk over it is a no-op. While other cores
+    /// exist L2 is shared, so the private-domain boundary (see
+    /// [`Self::leave_private_domain`]) moves up to L1→L2. Boxed on purpose:
     /// `switch_core` swaps the active `Box<CoreCtx>` with a parked one
     /// by pointer, never moving the multi-KB context itself.
     #[allow(clippy::vec_box)]
@@ -366,11 +367,6 @@ pub struct Machine {
     /// Parked-core transactions aborted by conflicting accesses, as
     /// `(slot, seq)`, until the multi-core wrapper takes them.
     conflict_aborts: Vec<(usize, u64)>,
-    /// `true` once [`enable_multi`](Self::enable_multi) ran: L2 is
-    /// then shared between cores, which moves the private-domain
-    /// duties (record flush, redo spill, deferred-word pre-image
-    /// capture) from the L2→L3 boundary up to L1→L2.
-    multi: bool,
     /// Test hook: inject a crash at a commit phase.
     commit_crash_point: Option<CommitPhase>,
     /// Reusable commit-path scratch: the per-commit line partition
@@ -433,7 +429,6 @@ impl Machine {
             now: 0,
             parked: Vec::new(),
             conflict_aborts: Vec::new(),
-            multi: false,
             commit_crash_point: None,
             scratch_lazy: Vec::new(),
             scratch_logged: Vec::new(),
@@ -710,10 +705,7 @@ impl Machine {
             let la = PmAddr::new(line);
             let shadow = self.core.redo_shadow.get(&line).map(|(d, _, _)| d);
             let cached = self
-                .core
-                .l1
-                .peek(la)
-                .or_else(|| self.l2.peek(la))
+                .l1_or_l2(la)
                 .or_else(|| self.l3.peek(la))
                 .map(|e| &e.data)
                 .or(shadow)
@@ -879,25 +871,23 @@ impl Machine {
         if let Some(slot) = self.core.l1.lookup(line) {
             return slot;
         }
-        if self.multi {
-            // Coherence probe: the line may live in another core's
-            // private L1. Migrate it here with its metadata intact —
-            // lazy tags keep their meaning across cores (the signature
-            // set and ID register are shared), and open-transaction
-            // lines of other cores never reach this point: the
-            // cross-core conflict check aborts the owner first.
-            let hit = self.parked.iter_mut().find_map(|c| c.l1.migrate_out(line));
-            if let Some(e) = hit {
-                self.now += self.cfg.caches.l2.hit_cycles; // c2c transfer
-                self.trace(|t| {
-                    t.emit(TraceEvent::CacheFetch {
-                        level: 1,
-                        addr: line.raw(),
-                        replicated: false,
-                    });
+        // Coherence probe: the line may live in another core's private
+        // L1. Migrate it here with its metadata intact — lazy tags keep
+        // their meaning across cores (the signature set and ID register
+        // are shared), and open-transaction lines of other cores never
+        // reach this point: the cross-core conflict check aborts the
+        // owner first.
+        let hit = self.parked.iter_mut().find_map(|c| c.l1.migrate_out(line));
+        if let Some(e) = hit {
+            self.now += self.cfg.caches.l2.hit_cycles; // c2c transfer
+            self.trace(|t| {
+                t.emit(TraceEvent::CacheFetch {
+                    level: 1,
+                    addr: line.raw(),
+                    replicated: false,
                 });
-                return self.insert_l1(e);
-            }
+            });
+            return self.insert_l1(e);
         }
         self.now += self.cfg.caches.l2.hit_cycles;
         if let Some(mut e) = self.l2.take(line) {
@@ -979,6 +969,20 @@ impl Machine {
         e
     }
 
+    /// The active core's L1 copy of `addr`'s line, else the L2 copy:
+    /// where the running transaction's lines live. Untimed.
+    fn l1_or_l2(&self, addr: PmAddr) -> Option<&Entry> {
+        self.core.l1.peek(addr).or_else(|| self.l2.peek(addr))
+    }
+
+    /// Mutable [`Self::l1_or_l2`].
+    fn l1_or_l2_mut(&mut self, addr: PmAddr) -> Option<&mut Entry> {
+        self.core
+            .l1
+            .peek_mut(addr)
+            .or_else(|| self.l2.peek_mut(addr))
+    }
+
     fn evict_l1_to_l2(&mut self, mut victim: Entry) {
         // Speculative logging (§III-B1): complete partially-logged
         // groups so the L2 conjunction keeps them marked.
@@ -1014,53 +1018,13 @@ impl Machine {
                 }
             }
         }
-        if self.multi {
-            // L2 is shared between cores, so this is the private-domain
-            // boundary: the duties the single-core hierarchy performs at
-            // L2→L3 — record flush (§III-A), redo spill, deferred-word
-            // pre-image capture — happen here, before other cores can
-            // see (or evict) the line.
-            if let Some(ev) = self.core.log_path.flush_line(victim.addr) {
-                self.persist_flush(ev, false);
-            }
-            if self.cfg.features.discipline == Discipline::Redo
-                && self.core.cur.is_some()
-                && (victim.meta.log_bits != 0 || victim.meta.defer_bits != 0)
-                && victim.meta.dirty
-            {
-                // A logged open-transaction line must not become visible
-                // to the shared hierarchy before the marker. Spilled with
-                // L1-format bits — `ensure_l1` restores them into L1.
-                self.core.redo_shadow.insert(
-                    victim.addr.raw(),
-                    (victim.data, victim.meta.log_bits, victim.meta.defer_bits),
-                );
+        if !self.parked.is_empty() {
+            // L2 is shared between cores: the line leaves the private
+            // domain here, before other cores can see (or evict) it.
+            let Some(v) = self.leave_private_domain(victim) else {
                 return;
-            }
-            if victim.meta.dirty && victim.meta.defer_bits != 0 && self.core.cur.is_some() {
-                // Deferred (lazy log-free) words: log their durable
-                // pre-images so a later steal out of the shared levels
-                // stays repairable (same rule as the L2→L3 path).
-                let seq = self.core.cur.as_ref().expect("checked").seq;
-                let image = self.dev.image().read_line(victim.addr);
-                let mut events = Vec::new();
-                if let LogPath::Tiered(buf) = &mut self.core.log_path {
-                    for w in 0..LINE_BYTES / WORD_BYTES {
-                        if victim.meta.word_deferred(w) {
-                            let mut pre = [0u8; WORD_BYTES];
-                            pre.copy_from_slice(&image[w * 8..w * 8 + 8]);
-                            let rec = LogRecord::new(seq, victim.addr.add((w * 8) as u64), &pre);
-                            self.stats.log_records_created += 1;
-                            events.extend(buf.insert(rec));
-                        }
-                    }
-                    events.extend(buf.drain_all());
-                }
-                for ev in events {
-                    self.persist_flush(ev, true);
-                }
-                victim.meta.defer_bits = 0;
-            }
+            };
+            victim = v;
         }
         // Figure 5: conjunction of each group of four L1 bits.
         let l1_bits = victim.meta.log_bits;
@@ -1085,7 +1049,7 @@ impl Machine {
         }
     }
 
-    fn evict_l2_to_l3(&mut self, mut victim: Entry) {
+    fn evict_l2_to_l3(&mut self, victim: Entry) {
         self.trace(|t| {
             t.emit(TraceEvent::CacheEvict {
                 level: 2,
@@ -1094,6 +1058,35 @@ impl Machine {
                 logged: victim.meta.log_bits != 0,
             });
         });
+        let Some(mut victim) = self.leave_private_domain(victim) else {
+            return;
+        };
+        // Dirty data overflowing the private cache writes back to PM —
+        // the natural path by which lazy data becomes durable.
+        if victim.meta.dirty {
+            if victim.meta.lazy_pending {
+                self.stats.lazy_lines_overflowed += 1;
+            }
+            let data = victim.data;
+            self.signature_persist_check(victim.addr);
+            self.persist_line_async(victim.addr, &data);
+            victim.meta.dirty = false;
+            victim.meta.lazy_pending = false;
+        }
+        victim.meta = LineMeta::clean();
+        if let (_, Some(victim3)) = self.l3.insert(victim) {
+            // L3 victims are clean by construction: silent drop.
+            debug_assert!(!victim3.meta.dirty);
+        }
+    }
+
+    /// The duties of a line leaving the active core's private domain —
+    /// L2→L3 on every machine and, while other cores share L2, L1→L2
+    /// as well: record flush, the battery-backed pre-image (§V-E,
+    /// single-core only), the redo spill and the capture of deferred
+    /// words' pre-images. Returns `None` when the line was spilled to
+    /// the redo shadow instead of moving on.
+    fn leave_private_domain(&mut self, mut victim: Entry) -> Option<Entry> {
         // Before a line's data leaves the private cache, its buffered
         // log records must persist (§III-A).
         if let Some(ev) = self.core.log_path.flush_line(victim.addr) {
@@ -1136,14 +1129,14 @@ impl Machine {
                 victim.addr.raw(),
                 (victim.data, victim.meta.log_bits, victim.meta.defer_bits),
             );
-            return;
+            return None;
         }
-        // An overflowing line may carry deferred (lazy log-free) words
-        // of the open transaction: they have no record and must not be
-        // stolen into PM before the commit marker. Log their *durable*
-        // pre-images first (the image still holds them — the deferral
-        // kept every earlier persist away), so a rollback can repair
-        // the steal below.
+        // A leaving line may carry deferred (lazy log-free) words of the
+        // open transaction: they have no record and must not be stolen
+        // into PM (or exposed to other cores' evictions) before the
+        // commit marker. Log their *durable* pre-images first (the
+        // image still holds them — the deferral kept every earlier
+        // persist away), so a rollback can repair a later steal.
         if victim.meta.dirty && victim.meta.defer_bits != 0 && self.core.cur.is_some() {
             let seq = self.core.cur.as_ref().expect("checked").seq;
             let image = self.dev.image().read_line(victim.addr);
@@ -1158,8 +1151,8 @@ impl Machine {
                         events.extend(buf.insert(rec));
                     }
                 }
-                // The records must be durable before the steal below:
-                // abort and recovery repair from the device log only.
+                // The records must be durable before any steal: abort
+                // and recovery repair from the device log only.
                 events.extend(buf.drain_all());
             }
             for ev in events {
@@ -1167,23 +1160,7 @@ impl Machine {
             }
             victim.meta.defer_bits = 0;
         }
-        // Dirty data overflowing the private cache writes back to PM —
-        // the natural path by which lazy data becomes durable.
-        if victim.meta.dirty {
-            if victim.meta.lazy_pending {
-                self.stats.lazy_lines_overflowed += 1;
-            }
-            let data = victim.data;
-            self.signature_persist_check(victim.addr);
-            self.persist_line_async(victim.addr, &data);
-            victim.meta.dirty = false;
-            victim.meta.lazy_pending = false;
-        }
-        victim.meta = LineMeta::clean();
-        if let (_, Some(victim3)) = self.l3.insert(victim) {
-            // L3 victims are clean by construction: silent drop.
-            debug_assert!(!victim3.meta.dirty);
-        }
+        Some(victim)
     }
 
     // ------------------------------------------------------------------
@@ -1222,10 +1199,7 @@ impl Machine {
         doomed.sort();
         doomed.dedup();
         doomed.retain(|&addr| {
-            self.core
-                .l1
-                .peek(addr)
-                .or_else(|| self.l2.peek(addr))
+            self.l1_or_l2(addr)
                 .or_else(|| self.parked.iter().find_map(|c| c.l1.peek(addr)))
                 .is_some_and(|e| {
                     e.meta.lazy_pending && e.meta.txn_id.is_some_and(|t| freed.contains(&t))
@@ -1239,13 +1213,14 @@ impl Machine {
         });
         for addr in doomed {
             let data = {
-                let e = self
-                    .core
-                    .l1
-                    .peek_mut(addr)
-                    .or_else(|| self.l2.peek_mut(addr))
-                    .or_else(|| self.parked.iter_mut().find_map(|c| c.l1.peek_mut(addr)))
-                    .expect("collected above");
+                let e = match self.l1_or_l2_mut(addr) {
+                    Some(e) => e,
+                    None => self
+                        .parked
+                        .iter_mut()
+                        .find_map(|c| c.l1.peek_mut(addr))
+                        .expect("collected above"),
+                };
                 let d = e.data;
                 e.meta.dirty = false;
                 e.meta.lazy_pending = false;
@@ -1267,19 +1242,21 @@ impl Machine {
     ///   transaction forces that transaction's deferred lines durable
     ///   first (§III-C3): the reader may derive new lazy data from the
     ///   value, and recovery re-derivation must see it durably.
-    /// * A **store** instead *takes over* the line (§III-C1): the
-    ///   deferral is cancelled or re-owned through the normal Table I
-    ///   bit updates, and the undo log captures the pre-image — no
-    ///   immediate persist is required for recoverability.
+    /// * An **undo-logged store** instead *takes over* the line
+    ///   (§III-C1): the deferral is cancelled through the normal
+    ///   Table I bit updates, and the undo log captures the pre-image —
+    ///   no immediate persist is required for recoverability.
     ///
     /// The takeover is only sound when an abort of the *new*
-    /// transaction can restore the lazy value: the undo pre-image
-    /// record is what protects it. A store that creates no pre-image —
-    /// a log-free store (`will_log` false), or any store under the
-    /// redo discipline (redo records hold new values, not pre-images)
-    /// — must instead force the earlier transaction's deferred lines
-    /// durable before overwriting, or an abort would drop the line's
-    /// only copy of committed data.
+    /// transaction can restore the lazy value: the cached line is the
+    /// committed value's only copy, and the undo pre-image record is
+    /// what protects it. A store that creates no pre-image — a
+    /// log-free or lazy store (`will_log` false), or any store under
+    /// the redo discipline (redo records hold new values, not
+    /// pre-images) — must instead force the earlier transaction's
+    /// deferred lines durable before overwriting, on one core and many
+    /// alike, or an abort would drop committed data. This narrows
+    /// §III-C1, which lets any store take the line over (DESIGN §9).
     fn lazy_checks(&mut self, slot: Slot, addr: PmAddr, is_write: bool, will_log: bool) {
         let e = self.l1_at(slot, addr);
         let tag = e.meta.lazy_pending.then_some(e.meta.txn_id).flatten();
@@ -1288,18 +1265,11 @@ impl Machine {
             if is_cur {
                 return;
             }
-            let takeover_sound =
-                !self.multi || (will_log && self.cfg.features.discipline == Discipline::Undo);
+            let takeover_sound = will_log && self.cfg.features.discipline == Discipline::Undo;
             if is_write && takeover_sound {
                 // Ownership conversion (§III-C1): the line leaves the
                 // earlier transaction's custody; the store path re-tags
                 // it and sets the persist bit per its own operands.
-                // With multiple cores the committed value's only copy
-                // is this cached line, and a cross-core abort of the
-                // new owner can only restore it from an undo pre-image
-                // — so takeover is allowed there only when the incoming
-                // store is about to log one; every other store forces
-                // the deferred line durable first.
                 let e = self.l1_at_mut(slot, addr);
                 e.meta.lazy_pending = false;
                 e.meta.txn_id = None;
@@ -1660,12 +1630,7 @@ impl Machine {
             // other core's lines are involved).
             for &raw in &cur.write_set {
                 let addr = PmAddr::new(raw);
-                if let Some(e) = self
-                    .core
-                    .l1
-                    .peek_mut(addr)
-                    .or_else(|| self.l2.peek_mut(addr))
-                {
+                if let Some(e) = self.l1_or_l2_mut(addr) {
                     if e.meta.txn_id == Some(cur.id) {
                         e.meta.persist = false;
                         e.meta.log_bits = 0;
@@ -1696,18 +1661,12 @@ impl Machine {
         lazy_lines.clear();
         for &raw in &cur.write_set {
             let addr = PmAddr::new(raw);
-            if self
-                .core
-                .l1
-                .peek(addr)
-                .or_else(|| self.l2.peek(addr))
-                .is_some_and(|e| {
-                    e.meta.dirty
-                        && !e.meta.persist
-                        && e.meta.txn_id == Some(cur.id)
-                        && !e.meta.lazy_pending
-                })
-            {
+            if self.l1_or_l2(addr).is_some_and(|e| {
+                e.meta.dirty
+                    && !e.meta.persist
+                    && e.meta.txn_id == Some(cur.id)
+                    && !e.meta.lazy_pending
+            }) {
                 lazy_lines.push(addr);
             }
         }
@@ -1732,16 +1691,15 @@ impl Machine {
         free_lines.clear();
         for &raw in &cur.write_set {
             let addr = PmAddr::new(raw);
-            let Some(e) = self.core.l1.peek(addr).or_else(|| self.l2.peek(addr)) else {
+            let Some(e) = self.l1_or_l2(addr) else {
                 continue;
             };
-            // Multi-core: the shared L2 may hold persist-marked lines
-            // of *other* cores' open transactions — commit must only
-            // persist its own (the ID filter is vacuous single-core:
-            // commit clears the bits it sets). Either way only lines
-            // this transaction wrote are candidates, so the write-set
-            // walk sees every line the old full-cache sweep saw.
-            if e.meta.persist && (!self.multi || e.meta.txn_id == Some(cur.id)) {
+            // The shared L2 may hold persist-marked lines of other
+            // cores' open transactions — commit must only persist its
+            // own. Only lines this transaction wrote are candidates, so
+            // the write-set walk sees every line a full-cache sweep
+            // would.
+            if e.meta.persist && e.meta.txn_id == Some(cur.id) {
                 if e.meta.log_bits != 0 {
                     logged_lines.push(addr);
                 } else {
@@ -1775,12 +1733,7 @@ impl Machine {
             // image.
             for &addr in &logged_lines {
                 let (data, log_bits, defer_bits) = {
-                    let e = self
-                        .core
-                        .l1
-                        .peek(addr)
-                        .or_else(|| self.l2.peek(addr))
-                        .expect("commit line resident");
+                    let e = self.l1_or_l2(addr).expect("commit line resident");
                     (e.data, e.meta.log_bits, e.meta.defer_bits)
                 };
                 self.persist_log_free_words_premarker(addr, &data, log_bits, defer_bits);
@@ -1873,12 +1826,7 @@ impl Machine {
             });
         } else {
             for addr in &lazy_lines {
-                let e = self
-                    .core
-                    .l1
-                    .peek_mut(*addr)
-                    .or_else(|| self.l2.peek_mut(*addr))
-                    .expect("lazy line resident");
+                let e = self.l1_or_l2_mut(*addr).expect("lazy line resident");
                 e.meta.lazy_pending = true;
                 e.meta.log_bits = 0;
                 e.meta.defer_bits = 0;
@@ -1965,21 +1913,11 @@ impl Machine {
     fn commit_persist_line(&mut self, addr: PmAddr) -> bool {
         self.signature_persist_check(addr);
         let (data, defer_bits) = {
-            let e = self
-                .core
-                .l1
-                .peek(addr)
-                .or_else(|| self.l2.peek(addr))
-                .expect("commit line resident");
+            let e = self.l1_or_l2(addr).expect("commit line resident");
             (e.data, e.meta.defer_bits)
         };
         if defer_bits == 0 {
-            let e = self
-                .core
-                .l1
-                .peek_mut(addr)
-                .or_else(|| self.l2.peek_mut(addr))
-                .expect("commit line resident");
+            let e = self.l1_or_l2_mut(addr).expect("commit line resident");
             e.meta.persist = false;
             e.meta.dirty = false;
             e.meta.log_bits = 0;
@@ -1995,12 +1933,7 @@ impl Machine {
                 merged[r.clone()].copy_from_slice(&data[r]);
             }
         }
-        let e = self
-            .core
-            .l1
-            .peek_mut(addr)
-            .or_else(|| self.l2.peek_mut(addr))
-            .expect("commit line resident");
+        let e = self.l1_or_l2_mut(addr).expect("commit line resident");
         e.meta.persist = false;
         e.meta.log_bits = 0;
         e.meta.defer_bits = 0;
@@ -2402,7 +2335,7 @@ impl Machine {
     /// story: the failure flush cannot tell cores apart), or with
     /// `cores` outside `1..=4` (one 2-bit transaction context per core).
     pub(crate) fn enable_multi(&mut self, cores: usize) {
-        assert!(!self.multi, "enable_multi called twice");
+        assert!(self.parked.is_empty(), "enable_multi called twice");
         assert!(
             (1..=TxnId::COUNT as usize).contains(&cores),
             "core count {cores} outside 1..={} (one 2-bit transaction \
@@ -2417,10 +2350,6 @@ impl Machine {
             self.now == 0 && self.core.cur.is_none() && self.txn_seq == 0,
             "enable_multi requires a fresh machine"
         );
-        // A single "multi-core" machine has nobody to conflict with;
-        // leaving the flag off keeps it bit-identical to the plain
-        // single-core machine (asserted by the wrapper's tests).
-        self.multi = cores > 1;
         // Tracing enabled before the cores existed: the new private
         // buffers join the shared tracer too.
         for _ in 1..cores {
@@ -2630,7 +2559,10 @@ mod tests {
     }
 
     #[test]
-    fn lazy_store_to_foreign_lazy_line_reowns_it() {
+    fn lazy_store_to_foreign_lazy_line_forces_it_first() {
+        // A lazy store logs no pre-image, so it cannot re-own the line
+        // as §III-C1 has it: an abort would lose the committed 7. The
+        // earlier transaction's line is forced durable instead.
         let mut m = machine(Scheme::Slpmt);
         m.tx_begin();
         m.store_u64(A, 7, StoreKind::lazy_log_free());
@@ -2638,7 +2570,8 @@ mod tests {
         m.tx_begin();
         m.store_u64(A, 9, StoreKind::lazy_log_free());
         m.tx_commit();
-        assert_eq!(m.device().image().read_u64(A), 0, "still deferred");
+        assert_eq!(m.stats().lazy_lines_forced, 1);
+        assert_eq!(m.device().image().read_u64(A), 7, "forced, then deferred");
         assert_eq!(m.peek_u64(A), 9);
         m.drain_lazy();
         assert_eq!(m.device().image().read_u64(A), 9, "newest value persists");

@@ -131,25 +131,92 @@ fn crash_after_abort_does_not_replay_stale_records() {
     );
 }
 
-#[test]
-fn abort_after_takeover_keeps_the_committed_lazy_word() {
-    // Regression: a logged store takes over a line holding an earlier
-    // transaction's committed lazy word (§III-C1). Aborting the new
-    // owner must roll back only its own word: the cached line is the
-    // lazy word's only copy, so invalidating it would lose the word.
-    let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Slpmt));
+/// The schemes with lazy persistency (§III-C): only under these can a
+/// line hold an earlier transaction's committed lazy word.
+const LAZY: [Scheme; 4] = [
+    Scheme::FgLz,
+    Scheme::Slpmt,
+    Scheme::SlpmtCl,
+    Scheme::SlpmtRedo,
+];
+
+/// Commits 55 to `word(0)` with a lazy log-free store, then stores 66
+/// to the sibling word `word(0) + 8` with `kind` in a second
+/// transaction and aborts it — the store takes over the lazy line
+/// (§III-C1). Arms the persist-event crash scheduler at `k` when given.
+fn abort_after_takeover(scheme: Scheme, kind: StoreKind, k: Option<u64>) -> Machine {
+    let mut m = Machine::new(MachineConfig::for_scheme(scheme));
+    if let Some(k) = k {
+        m.arm_crash_at_event(k);
+    }
     let a = word(0);
     m.tx_begin();
     m.store_u64(a, 55, StoreKind::lazy_log_free());
     m.tx_commit();
     m.tx_begin();
-    m.store_u64(a.add(8), 66, StoreKind::Store);
+    m.store_u64(a.add(8), 66, kind);
     m.tx_abort();
-    assert_eq!(m.peek_u64(a), 55, "committed lazy word survives");
-    assert_eq!(m.peek_u64(a.add(8)), 0, "aborted word rolled back");
-    m.drain_lazy();
-    assert_eq!(m.device().image().read_u64(a), 55);
-    assert_eq!(m.device().image().read_u64(a.add(8)), 0);
+    m
+}
+
+#[test]
+fn abort_after_takeover_keeps_the_committed_lazy_word() {
+    // Regression: a store takes over a line holding an earlier
+    // transaction's committed lazy word. Aborting the new owner must
+    // roll back only its own word: the cached line is the lazy word's
+    // only copy. An undo-logged store keeps it in its pre-image; every
+    // other store must force it durable before overwriting the line.
+    let a = word(0);
+    for scheme in LAZY {
+        for kind in StoreKind::ALL {
+            let mut m = abort_after_takeover(scheme, kind, None);
+            let case = format!("{scheme} {kind:?}");
+            assert_eq!(m.peek_u64(a), 55, "{case}: committed lazy word survives");
+            assert_eq!(m.peek_u64(a.add(8)), 0, "{case}: aborted word rolled back");
+            m.drain_lazy();
+            assert_eq!(m.device().image().read_u64(a), 55, "{case}: durable");
+            assert_eq!(m.device().image().read_u64(a.add(8)), 0, "{case}: durable");
+        }
+    }
+}
+
+#[test]
+fn abort_after_takeover_recovers_at_every_persist_event() {
+    // A takeover without an undo pre-image — a log-free store, or any
+    // store under redo — forces the lazy line durable before the store
+    // lands. A crash anywhere in the trace must recover the aborted
+    // word to 0, and the lazy word is durable exactly once the forced
+    // write-back is in the durable prefix.
+    let a = word(0);
+    let cases = [
+        (Scheme::Slpmt, StoreKind::log_free()),
+        (Scheme::Slpmt, StoreKind::lazy_log_free()),
+        (Scheme::SlpmtRedo, StoreKind::Store),
+        (Scheme::SlpmtRedo, StoreKind::log_free()),
+    ];
+    for (scheme, kind) in cases {
+        let twin = abort_after_takeover(scheme, kind, None);
+        assert_eq!(twin.stats().lazy_lines_forced, 1, "{scheme} {kind:?}");
+        // The committing transaction deferred the line, so its first
+        // data persist is the forced write-back.
+        let forced = twin
+            .device()
+            .events()
+            .iter()
+            .position(|e| matches!(e, PersistEvent::DataLine { addr } if *addr == a.line()))
+            .expect("the takeover forces the lazy line") as u64
+            + 1;
+        for k in 0..=twin.persist_event_count() {
+            let mut m = abort_after_takeover(scheme, kind, Some(k));
+            m.crash();
+            m.recover();
+            let image = m.device().image();
+            let case = format!("{scheme} {kind:?} k={k}");
+            let want = if k >= forced { 55 } else { 0 };
+            assert_eq!(image.read_u64(a), want, "{case}: committed lazy word");
+            assert_eq!(image.read_u64(a.add(8)), 0, "{case}: aborted word");
+        }
+    }
 }
 
 /// Persist-event number (1-based) of `seq`'s commit marker.

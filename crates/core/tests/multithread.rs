@@ -75,25 +75,31 @@ fn conflict_after_steal_repairs_the_image() {
 #[test]
 fn conflict_abort_after_takeover_keeps_the_committed_lazy_word() {
     // Regression: the suspended transaction took over a line holding
-    // an earlier transaction's committed lazy word (§III-C1) with a
-    // logged store. The conflict abort must roll back only its own
-    // word: the cached line is the lazy word's only copy.
-    let mut m = machine();
-    m.tx_begin();
-    m.store_u64(A, 55, StoreKind::lazy_log_free());
-    m.tx_commit();
-    m.tx_begin();
-    m.store_u64(A.add(8), 66, StoreKind::Store);
-    let _t2 = m.suspend_txn();
-    m.tx_begin();
-    assert_eq!(m.load_u64(A), 55, "committed lazy word survives");
-    assert_eq!(m.load_u64(A.add(8)), 0, "aborted word rolled back");
-    m.tx_commit();
-    assert_eq!(m.stats().suspended_aborts, 1);
-    assert_eq!(m.peek_u64(A), 55);
-    m.drain_lazy();
-    assert_eq!(m.device().image().read_u64(A), 55);
-    assert_eq!(m.device().image().read_u64(A.add(8)), 0);
+    // an earlier transaction's committed lazy word (§III-C1). The
+    // conflict abort must roll back only its own word: the cached line
+    // is the lazy word's only copy, so a store that logs no pre-image
+    // must have forced it durable first. Suspension is undo-only.
+    for scheme in [Scheme::FgLz, Scheme::Slpmt, Scheme::SlpmtCl] {
+        for kind in StoreKind::ALL {
+            let case = format!("{scheme} {kind:?}");
+            let mut m = Machine::new(MachineConfig::for_scheme(scheme));
+            m.tx_begin();
+            m.store_u64(A, 55, StoreKind::lazy_log_free());
+            m.tx_commit();
+            m.tx_begin();
+            m.store_u64(A.add(8), 66, kind);
+            let _t2 = m.suspend_txn();
+            m.tx_begin();
+            assert_eq!(m.load_u64(A), 55, "{case}: committed lazy word survives");
+            assert_eq!(m.load_u64(A.add(8)), 0, "{case}: aborted word rolled back");
+            m.tx_commit();
+            assert_eq!(m.stats().suspended_aborts, 1, "{case}");
+            assert_eq!(m.peek_u64(A), 55, "{case}");
+            m.drain_lazy();
+            assert_eq!(m.device().image().read_u64(A), 55, "{case}: durable");
+            assert_eq!(m.device().image().read_u64(A.add(8)), 0, "{case}: durable");
+        }
+    }
 }
 
 /// The `conflict_after_steal_repairs_the_image` trace plus a store to
