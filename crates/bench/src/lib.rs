@@ -10,10 +10,6 @@
 //! cells across host threads (`SLPMT_THREADS` overrides the worker
 //! count; results are merged deterministically, so any worker count
 //! prints identical output).
-//!
-//! The one `cargo bench` target, `sim_throughput`, times the simulator
-//! itself on the host; it is the instrument of
-//! `scripts/trace_overhead.sh`.
 
 pub mod claims;
 pub mod runner;

@@ -4,8 +4,6 @@
 //! exports byte-identically, and turning tracing on changes no
 //! simulated result.
 
-#![cfg(not(feature = "no-trace"))]
-
 use slpmt_core::{MachineConfig, Scheme, SchemeKind};
 use slpmt_workloads::runner::{par_map_with, run, threads, IndexKind, RunReport, RunSpec};
 use slpmt_workloads::ycsb::{ycsb_mix, MixSpec};

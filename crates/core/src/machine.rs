@@ -1049,7 +1049,10 @@ impl Machine {
         }
     }
 
-    fn evict_l2_to_l3(&mut self, victim: Entry) {
+    fn evict_l2_to_l3(&mut self, mut victim: Entry) {
+        // `leave_private_domain` takes per-word (L1) log bits: the redo
+        // shadow hands them back to L1 unchanged.
+        victim.meta.log_bits = l2_logbits_to_l1(victim.meta.log_bits);
         self.trace(|t| {
             t.emit(TraceEvent::CacheEvict {
                 level: 2,

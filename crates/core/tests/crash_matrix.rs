@@ -8,7 +8,7 @@
 //! the victim and its committed predecessors.
 
 use slpmt_core::{CommitPhase, Machine, MachineConfig, Scheme, StoreKind};
-use slpmt_pmem::PmAddr;
+use slpmt_pmem::{PersistEvent, PmAddr};
 
 const WORDS: u64 = 12;
 
@@ -83,6 +83,78 @@ fn redo_schemes_discard_before_marker_and_replay_after() {
             check_all(&m, 102, &format!("{scheme} tiny={tiny} after-records"));
             let m = run_matrix_case(scheme, CommitPhase::AfterMarker, tiny);
             check_all(&m, 999, &format!("{scheme} tiny={tiny} after-marker"));
+        }
+    }
+}
+
+/// Word counts of the spilled line: whole and partial 4-word groups.
+const SPILL_WORDS: [u64; 5] = [2, 3, 4, 5, 8];
+
+/// One redo transaction stores 999 into the first `n` words of one
+/// line, loads 512 other lines so the tiny caches spill that line to
+/// the redo shadow, reloads it and commits. Arms the persist-event
+/// crash scheduler at `k` when given, else the commit crash point
+/// after the log-free pass.
+fn redo_spill_case(scheme: Scheme, n: u64, k: Option<u64>) -> Machine {
+    let mut m = Machine::new(MachineConfig::for_scheme(scheme).with_tiny_caches());
+    match k {
+        Some(k) => m.arm_crash_at_event(k),
+        None => m.set_commit_crash_point(Some(CommitPhase::AfterLogFree)),
+    }
+    m.tx_begin();
+    for w in 0..n {
+        m.store_u64(word(0).add(w * 8), 999, StoreKind::Store);
+    }
+    for i in 0..512u64 {
+        m.load_u64(PmAddr::new(0x80000 + i * 64));
+    }
+    m.load_u64(word(0));
+    m.tx_commit();
+    m
+}
+
+#[test]
+fn redo_spill_keeps_every_logged_word_behind_the_marker() {
+    // Regression: the spill at L2→L3 kept the victim's per-group L2 log
+    // bits, and the reload read them back as per-word L1 bits, so the
+    // commit's pre-marker pass persisted logged words as log-free.
+    for scheme in [Scheme::FgRedo, Scheme::SlpmtRedo] {
+        for n in SPILL_WORDS {
+            let mut m = redo_spill_case(scheme, n, None);
+            m.recover();
+            for w in 0..8 {
+                let v = m.device().image().read_u64(word(0).add(w * 8));
+                assert_eq!(v, 0, "{scheme} n={n}: word {w} of an uncommitted txn");
+            }
+        }
+    }
+}
+
+#[test]
+fn redo_spill_recovers_at_every_persist_event() {
+    // The same trace cut at every persist event: each stored word is
+    // durable exactly when the commit marker is.
+    for scheme in [Scheme::FgRedo, Scheme::SlpmtRedo] {
+        for n in SPILL_WORDS {
+            let twin = redo_spill_case(scheme, n, Some(u64::MAX));
+            let marker = twin
+                .device()
+                .events()
+                .iter()
+                .position(|e| matches!(e, PersistEvent::CommitMarker { .. }))
+                .expect("the transaction commits") as u64
+                + 1;
+            for k in 0..=twin.persist_event_count() {
+                let mut m = redo_spill_case(scheme, n, Some(k));
+                m.crash();
+                m.recover();
+                let want = if k >= marker { 999 } else { 0 };
+                for w in 0..8 {
+                    let v = m.device().image().read_u64(word(0).add(w * 8));
+                    let want = if w < n { want } else { 0 };
+                    assert_eq!(v, want, "{scheme} n={n} k={k}: word {w}");
+                }
+            }
         }
     }
 }

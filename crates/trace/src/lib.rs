@@ -11,10 +11,10 @@
 //!
 //! Tracing is **zero-overhead when disabled**: emitters hold an
 //! `Option<`[`TraceHandle`]`>` that is `None` by default, so the hot
-//! path pays a single predictable branch (guarded by the
-//! `sim_throughput` regression check in CI; the `no-trace` features of
-//! the instrumented crates compile the hooks out entirely for the
-//! baseline build).
+//! path pays a single predictable branch (bounded by the nightly
+//! paired perfbench runs of the default against the `no-trace` build;
+//! the `no-trace` features of the instrumented crates compile the hooks
+//! out entirely for that baseline).
 //!
 //! Sinks:
 //!

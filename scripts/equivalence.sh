@@ -5,15 +5,18 @@
 # Every command below prints only simulated figures (no wall-clock,
 # worker-count or host field), so a change that claims not to move the
 # simulation — a host-speed optimisation or a refactor — must leave all
-# of them unchanged. Each command runs with both binaries at
-# SLPMT_THREADS=1 and at 4, and each pair is compared with `cmp`.
+# of them unchanged, and no command may depend on the worker count.
+# Each command runs with both binaries at SLPMT_THREADS=1 and at 4; each
+# parent/change pair is compared with `cmp`, and so is CHANGE_BIN's
+# output at 1 thread against its output at 4.
 #
 # Usage:
 #   scripts/equivalence.sh PARENT_BIN CHANGE_BIN
 #
 # Build the parent in a separate clone (`git clone`, then `cargo build
 # --release` there) and pass its target/release/slpmt as PARENT_BIN.
-# Exits 1 if any pair differs, 2 on a usage error.
+# Passing one binary as both is the determinism check CI runs. Exits 1
+# if any pair differs, 2 on a usage error.
 set -uo pipefail
 
 if [ $# -ne 2 ]; then
@@ -29,7 +32,7 @@ for bin in "$parent" "$change"; do
   fi
 done
 
-# name|arguments, as in the CI determinism steps.
+# name|arguments: the one list of CI's simulated-output commands.
 commands=(
   "faults|faults --ops 12 --points 2 --json"
   "ycsb|ycsb --mix all --load 40 --ops 120 --sweep --points 6 --json"
@@ -69,8 +72,20 @@ for threads in 1 4; do
   done
 done
 
+for entry in "${commands[@]}"; do
+  name=${entry%%|*}
+  [ -f "$out/$name.1.change" ] && [ -f "$out/$name.4.change" ] || continue
+  if cmp -s "$out/$name.1.change" "$out/$name.4.change"; then
+    echo "same  $name (change binary, SLPMT_THREADS=1 vs 4)"
+  else
+    echo "DIFF  $name (change binary, SLPMT_THREADS=1 vs 4)"
+    cmp "$out/$name.1.change" "$out/$name.4.change" | sed 's/^/      /'
+    failed=1
+  fi
+done
+
 if [ "$failed" -ne 0 ]; then
   echo "equivalence: FAILED"
   exit 1
 fi
-echo "equivalence: all ${#commands[@]} commands byte-identical at SLPMT_THREADS=1 and 4"
+echo "equivalence: all ${#commands[@]} commands byte-identical at SLPMT_THREADS=1 and 4, and between them"

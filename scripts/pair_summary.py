@@ -29,11 +29,33 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def main(paths):
+def read_pairs(paths):
+    """Every `raw` line of the given files, parsed."""
     pairs = []
     for path in paths:
         with open(path) as f:
             pairs += [json.loads(line[4:]) for line in f if line.startswith("raw ")]
+    return pairs
+
+
+def compare(pairs, name, higher):
+    """One host metric over the pairs: both sides' quartiles, the
+    per-pair ratios change/parent, the change's wins, and whether its
+    gain is shown (>= 10 pairs, >= 9/10 wins, and a median gap in its
+    favour above the parent's interquartile range)."""
+    pv = [p["parent"][name] for p in pairs]
+    cv = [p["change"][name] for p in pairs]
+    n = len(pairs)
+    wins = sum(1 for a, b in zip(pv, cv) if (b > a if higher else b < a))
+    ratios = [b / a for a, b in zip(pv, cv) if a]
+    pq, cq = quartiles(pv), quartiles(cv)
+    gap = cq[1] - pq[1] if higher else pq[1] - cq[1]
+    shown = n >= 10 and wins * 10 >= 9 * n and gap > pq[2] - pq[0]
+    return pq, cq, ratios, wins, shown
+
+
+def main(paths):
+    pairs = read_pairs(paths)
     if not pairs:
         print("error: no `raw` lines in " + " ".join(paths), file=sys.stderr)
         return 1
@@ -46,18 +68,12 @@ def main(paths):
     for name in HOST:
         if not all(name in p["parent"] and name in p["change"] for p in pairs):
             continue
-        pv = [p["parent"][name] for p in pairs]
-        cv = [p["change"][name] for p in pairs]
         higher = better.get(name, "higher") == "higher"
-        wins = sum(1 for a, b in zip(pv, cv) if (b > a if higher else b < a))
-        ratios = [b / a for a, b in zip(pv, cv) if a]
-        pq, cq = quartiles(pv), quartiles(cv)
-        gap = cq[1] - pq[1] if higher else pq[1] - cq[1]
-        holds = n >= 10 and wins * 10 >= 9 * n and gap > pq[2] - pq[0]
+        pq, cq, ratios, wins, shown = compare(pairs, name, higher)
         fmt = lambda q: f"{q[1]:.4g} ({q[0]:.4g}-{q[2]:.4g})"
         rq = f"{statistics.median(ratios):.3f} [{min(ratios):.3f}, {max(ratios):.3f}]" if ratios else "-"
         print(f"{name:<12} {fmt(pq):>34} {fmt(cq):>34} {rq:>26} {wins:>3}/{n:<2}  "
-              f"{'shown' if holds else 'not shown'}")
+              f"{'shown' if shown else 'not shown'}")
     return 0
 
 

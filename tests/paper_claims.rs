@@ -2,7 +2,7 @@
 //! every claim holds, and EXPERIMENTS.md embeds the current table.
 //!
 //! The table is simulated once per test binary at the paper's 1,000
-//! inserts, whatever `SLPMT_OPS` says. CI runs this file at
+//! inserts and seed 42. CI runs this file at
 //! `SLPMT_THREADS=1` and `4`, so the byte comparison also pins the
 //! table as independent of the worker count.
 
