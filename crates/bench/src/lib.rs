@@ -3,9 +3,8 @@
 //! [`claims`] is the paper's evaluation (§VI: Table I, Figs. 4 and
 //! 8–14, the ablations and two extension experiments) as one gated
 //! claim table; `slpmt paper` prints it and EXPERIMENTS.md embeds it.
-//! [`snapshot`] records the simulated `BENCH_<n>.json` snapshot behind
-//! `slpmt bench`; [`sweep`], [`ycsb`] and [`serve`] drive the crash,
-//! YCSB and service batteries. Every run goes through
+//! [`sweep`], [`ycsb`] and [`serve`] drive the crash, YCSB and service
+//! batteries. Every run goes through
 //! [`slpmt_workloads::runner::run`]; matrices fan their [`runner`]
 //! cells across host threads (`SLPMT_THREADS` overrides the worker
 //! count; results are merged deterministically, so any worker count
@@ -14,7 +13,6 @@
 pub mod claims;
 pub mod runner;
 pub mod serve;
-pub mod snapshot;
 pub mod sweep;
 pub mod ycsb;
 

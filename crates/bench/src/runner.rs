@@ -1,6 +1,6 @@
 //! Scheme × index matrices.
 //!
-//! `slpmt matrix`, the bench snapshot and the PTM tests evaluate
+//! `slpmt matrix`, `slpmt ptm`, the claim table and the PTM tests evaluate
 //! matrices of independent simulation cells — (scheme, index) pairs
 //! that share nothing but a read-only operation stream. Each cell is
 //! one [`run`] of its [`Cell::spec`]; callers fan the cells across

@@ -25,7 +25,7 @@ use slpmt_core::sweep::{panic_message, sample_points};
 use slpmt_core::{CrashTarget, SchemeKind, SweepFailure, SweepReport};
 use slpmt_kv::chaos::{poison_caught, ChaosCase, ChaosSweepReport, ChaosTarget};
 use slpmt_pmem::FaultPlan;
-use slpmt_workloads::crashsweep::{default_plans, SweepCase};
+use slpmt_workloads::crashsweep::SweepCase;
 use slpmt_workloads::runner::IndexKind;
 use slpmt_workloads::runner::{par_map_with, threads};
 use slpmt_workloads::ycsb::MixSpec;
@@ -209,9 +209,9 @@ pub fn sweep_cases_mixed<S: Into<SchemeKind> + Copy>(
 }
 
 /// Runs `points_per_plan` seeded crash points of every chaos case
-/// under a clean crash plus every plan variant (each entry of
-/// `plans`, or [`default_plans`] when `plans` is empty), plus one
-/// poisoned non-vacuity probe per case, across [`threads`] workers.
+/// under a clean crash plus each entry of `plans` (none for a
+/// clean-only sweep), plus one poisoned non-vacuity probe per case,
+/// across [`threads`] workers.
 pub fn run_chaos_sweep(
     cases: &[ChaosCase],
     plans: &[FaultPlan],
@@ -229,11 +229,7 @@ pub fn run_chaos_sweep_with(
 ) -> ChaosSweepReport {
     let _quiet = QuietPanics::new();
     let mut variants = CLEAN.to_vec();
-    if plans.is_empty() {
-        variants.extend(default_plans(cases.first().map_or(0, |c| c.seed)));
-    } else {
-        variants.extend_from_slice(plans);
-    }
+    variants.extend_from_slice(plans);
     let points = Points::Sampled(points_per_plan);
     let sweep = run_sweep_with(&ChaosTarget, cases, &variants, points, workers);
     // One poisoned probe per case, at the median clean crash point.
@@ -259,7 +255,7 @@ mod tests {
     use super::*;
     use slpmt_core::Scheme;
     use slpmt_kv::chaos::chaos_cases;
-    use slpmt_workloads::crashsweep::{count_events, EngineTarget};
+    use slpmt_workloads::crashsweep::{count_events, default_plans, EngineTarget};
 
     #[test]
     fn matrix_is_kind_major_and_complete() {
@@ -346,5 +342,8 @@ mod tests {
         assert_eq!(r1.digest, r2.digest);
         assert_eq!(r1.totals, r2.totals);
         assert_eq!(r1.strict, r2.strict);
+        let r0 = run_chaos_sweep_with(&cases, &[], 2, 1);
+        assert!(r0.is_clean(), "{r0}");
+        assert_eq!(r0.points, 2, "no plans: 2 points × the clean variant");
     }
 }

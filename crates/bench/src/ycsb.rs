@@ -2,9 +2,9 @@
 //! across schemes and index kinds, with per-class simulated-latency
 //! percentiles.
 //!
-//! Three consumers share this module: `slpmt ycsb` (perf matrix +
-//! `--json`), `slpmt bench`'s `ycsb` section (regression-gated
-//! sim-throughput), and the crash/fault gates in `tests/`, which turn
+//! Two consumers share this module: `slpmt ycsb` (perf matrix +
+//! `--json`, pinned by the CLI goldens), and the crash/fault gates in
+//! `tests/`, which turn
 //! the same cells into [`SweepCase`]s and drive the sampled
 //! streaming-oracle crash and media-fault sweeps of [`crate::sweep`].
 //! Everything reported is simulated cycles, so

@@ -16,6 +16,10 @@ scripts/pair_summary.py uses for a gain (>= 9 of 10 pairs, and a median
 gap above the default side's interquartile range), and its median pair
 ratio no-trace/default is above MAX_RATIO. A gap that the runs cannot
 tell from noise therefore never fails it, however large its median.
+Next to the verdict it prints the run's resolution: the smallest gain it
+could show, the default side's interquartile range over its median. The
+bound holds only to that resolution; a run noisier than MAX_RATIO - 1
+cannot enforce it.
 
 Exit 1 when the bound is broken or FILE does not hold exactly PAIRS
 `raw` lines, 2 on a usage error.
@@ -35,12 +39,13 @@ def main(path):
         print(f"trace bound: FAIL: {len(pairs)} `raw` line(s) in {path}, want {PAIRS}",
               file=sys.stderr)
         return 1
-    _, _, ratios, wins, shown = compare(pairs, "ops_per_s", higher=True)
+    (q1, median, q3), _, ratios, wins, shown = compare(pairs, "ops_per_s", higher=True)
     ratio = statistics.median(ratios)
     broken = shown and ratio > MAX_RATIO
     print(f"trace bound: {PAIRS} pairs, no-trace wins {wins}/{PAIRS}, "
           f"median ops_per_s ratio no-trace/default {ratio:.4f} (bound {MAX_RATIO}), "
-          f"gain {'shown' if shown else 'not shown'}: {'FAIL' if broken else 'OK'}")
+          f"gain {'shown' if shown else 'not shown'}: {'FAIL' if broken else 'OK'} "
+          f"(smallest showable gain {(q3 - q1) / median:.2%})")
     return 1 if broken else 0
 
 

@@ -1119,22 +1119,6 @@ fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `slpmt bench`: the simulated snapshot behind `BENCH_<n>.json`
-/// (`scripts/bench.sh`), recorded by [`slpmt::bench::snapshot`].
-fn cmd_bench(f: &mut Flags) -> Result<ExitCode, String> {
-    let ops = f.get("--ops", 1000usize);
-    let value = f.value(256);
-    let json = f.flag("--json");
-    f.finish()?;
-    let snapshot = slpmt::bench::snapshot::run(ops, value)?;
-    if json {
-        println!("{}", snapshot.json);
-    } else {
-        print!("{}", snapshot.text);
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 /// `slpmt ptm`: the software persistent-transaction baseline matrix.
 /// Every PTM flavour (plus the SLPMT hardware reference point) runs
 /// the same insert workload over the selected indexes; each cell
@@ -1489,7 +1473,7 @@ fn cmd_serve(f: &mut Flags) -> Result<ExitCode, String> {
     proto.load = f.get("--load", proto.load);
     proto.requests = f.get("--requests", proto.requests);
     proto.seed = f.get("--seed", proto.seed);
-    proto.sessions = f.get("--sessions", proto.sessions);
+    proto.sessions = f.positive("--sessions", proto.sessions);
     proto.open_loop = f.flag("--open-loop");
     proto.mean_gap = f.get("--gap", proto.mean_gap);
     proto.drain_jitter = f.get("--jitter", proto.drain_jitter);
@@ -1868,12 +1852,6 @@ const COMMANDS: &[Command] = &[
         about: "software-PTM baseline matrix (fences, WAF)",
         synopsis: "[--scheme S|all] [--workload W|all] [--ops N] [--value B] [--json]",
         run: cmd_ptm,
-    },
-    Command {
-        name: "bench",
-        about: "simulated snapshot behind BENCH_<n>.json",
-        synopsis: "[--ops N] [--value B] [--json]",
-        run: cmd_bench,
     },
 ];
 

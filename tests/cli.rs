@@ -55,8 +55,8 @@ fn commands() -> Vec<(String, bool)> {
 #[test]
 fn usage_lists_every_command() {
     let names: Vec<String> = commands().into_iter().map(|(n, _)| n).collect();
-    assert_eq!(names.len(), 15, "{names:?}");
-    for want in ["run", "mc", "chaos", "bench", "ptm"] {
+    assert_eq!(names.len(), 14, "{names:?}");
+    for want in ["run", "mc", "chaos", "ptm"] {
         assert!(names.iter().any(|n| n == want), "{want} missing: {names:?}");
     }
 }
@@ -81,7 +81,6 @@ fn value_must_be_whole_words() {
         "ptm",
         "ycsb",
         "serve",
-        "bench",
     ] {
         let err = rejects(&format!("{cmd} --value 12"));
         assert!(err.contains("--value must be a multiple of 8"), "{err}");
@@ -123,6 +122,13 @@ fn zero_points_is_not_a_clean_sweep() {
         let err = rejects(cmd);
         assert!(err.contains("--points must be at least 1"), "{err}");
     }
+}
+
+#[test]
+fn serve_needs_a_session() {
+    let err = rejects("serve --sessions 0");
+    assert!(err.contains("--sessions must be at least 1"), "{err}");
+    accepts("serve --mix c --sessions 1 --load 20 --requests 40");
 }
 
 #[test]
