@@ -27,8 +27,7 @@ use slpmt_pmem::{PersistEvent, PmAddr, WriteTraffic};
 use slpmt_workloads::runner::{
     par_map_with, run, threads, IndexKind, RunReport, RunResult, RunSpec, ShardRun,
 };
-use slpmt_workloads::ycsb::ycsb_mixed_with_updates;
-use slpmt_workloads::{ycsb_load, AnnotationSource};
+use slpmt_workloads::{ycsb_load, ycsb_mix, AnnotationSource, KeyDist, MixSpec};
 use std::cell::RefCell;
 use std::fmt::{self, Write as _};
 use IndexKind::{Hashtable, KvCtree, Rbtree};
@@ -309,7 +308,16 @@ impl RunCell {
             Some(i) => {
                 let (_, read, update, remove) = MIXES[i];
                 let (n, vs) = (DEFAULT_OPS, self.value);
-                mixed = ycsb_mixed_with_updates(n / 2, n, vs, SEED, read, update, remove);
+                let mix = MixSpec {
+                    read_pct: read,
+                    update_pct: update,
+                    rmw_pct: 0,
+                    scan_pct: 0,
+                    remove_pct: remove,
+                    max_scan_len: 0,
+                    dist: KeyDist::Uniform,
+                };
+                mixed = ycsb_mix(n / 2, n, vs, SEED, &mix);
                 RunSpec {
                     verify: true,
                     ..RunSpec::mixed(cfg, self.kind, &mixed.0, &mixed.1, vs)

@@ -14,11 +14,13 @@
 //!   cache-line-granularity variants of Figure 9.
 //! * [`signature`] — 2048-bit working-set signatures (§III-C3).
 //! * [`txreg`] — the circular transaction-ID register (§III-C2).
-//! * [`machine`] — the simulated core: cache hierarchy + log buffer +
-//!   device, executing loads, stores, transactions, aborts, crashes.
-//! * [`multi`] — N cores sharing one persistence domain under a
-//!   seeded deterministic scheduler, plus the interleaving and
-//!   multi-core crash-sweep oracles.
+//! * [`machine`] — the simulated machine: one or more cores (private
+//!   L1 + log buffer, swapped in by core ID) over a shared cache
+//!   hierarchy and device, executing loads, stores, transactions,
+//!   aborts, crashes.
+//! * [`multi`] — per-core programs run on a multi-core [`Machine`]
+//!   under a seeded deterministic scheduler, plus the interleaving
+//!   and multi-core crash-sweep oracles.
 //! * [`recovery`] — post-crash undo/redo replay.
 //! * [`sweep`] — the [`CrashTarget`] contract every crash battery
 //!   implements, plus the rules they share (committed prefix, fault
@@ -60,8 +62,7 @@ pub mod txreg;
 pub use instr::{BitEffects, StoreKind};
 pub use machine::{CommitPhase, Machine, MachineConfig};
 pub use multi::{
-    McEvent, McOutcome, McSweepCase, McTarget, MultiMachine, ProgramSpec, SchedPolicy, Schedule,
-    TraceOp,
+    McEvent, McOutcome, McSweepCase, McTarget, ProgramSpec, SchedPolicy, Schedule, TraceOp,
 };
 pub use overhead::HardwareOverhead;
 pub use recovery::RecoveryReport;

@@ -275,12 +275,13 @@ struct LazyTxn {
 
 /// One core's private state: its L1, its log buffer, its open
 /// transaction and its redo spill area. The active core's context is
-/// [`Machine::core`]; the others wait in [`Machine::parked`]. Both
-/// sides are boxed, so switching cores exchanges two pointers — no
-/// cache or shadow-map copies on the activation path. Everything else
-/// — L2, L3, the device (WPQ + image + log), the transaction-ID
-/// register and the dependency signatures — is shared by all cores,
-/// exactly the split the paper's §III-D per-core budget implies.
+/// [`Machine::core`]; the others wait in [`Machine::parked`], indexed
+/// by core ID. Both sides are boxed, so switching cores moves two
+/// pointers — no cache or shadow-map copies on the activation path.
+/// Everything else — L2, L3, the device (WPQ + image + log), the
+/// transaction-ID register and the dependency signatures — is shared
+/// by all cores, exactly the split the paper's §III-D per-core budget
+/// implies.
 #[derive(Debug, Clone)]
 pub(crate) struct CoreCtx {
     l1: SetAssocCache,
@@ -328,7 +329,7 @@ enum Victim {
     /// its records were drained at suspension: the log buffer now
     /// belongs to the running transaction.
     Suspended(usize),
-    /// The open transaction of the parked core in this slot.
+    /// The open transaction of the parked core with this ID.
     Parked(usize),
 }
 
@@ -339,8 +340,8 @@ pub struct Machine {
     cfg: MachineConfig,
     now: u64,
     /// The active core's private state — its L1, log buffer, open
-    /// transaction and redo spill area — boxed so a core switch swaps
-    /// one pointer with a parked slot instead of copying the structs.
+    /// transaction and redo spill area — boxed so a core switch moves
+    /// one pointer into [`Self::parked`] instead of copying the structs.
     core: Box<CoreCtx>,
     l2: SetAssocCache,
     l3: SetAssocCache,
@@ -355,17 +356,19 @@ pub struct Machine {
     suspended: Vec<CurTxn>,
     txn_seq: u64,
     stats: MachineStats,
-    /// Multi-core mode (`crate::multi`): the private contexts of the
-    /// cores that are not currently executing. Empty on single-core
-    /// machines, where every walk over it is a no-op. While other cores
-    /// exist L2 is shared, so the private-domain boundary (see
-    /// [`Self::leave_private_domain`]) moves up to L1→L2. Boxed on purpose:
-    /// `switch_core` swaps the active `Box<CoreCtx>` with a parked one
-    /// by pointer, never moving the multi-KB context itself.
+    /// The private contexts of the cores that are not executing,
+    /// indexed by core ID; the active core's entry is `None`. Empty on
+    /// a one-core machine, where every walk over it is a no-op. While
+    /// other cores exist L2 is shared, so the private-domain boundary
+    /// (see [`Self::leave_private_domain`]) moves up to L1→L2. Boxed on
+    /// purpose: [`Self::switch_core`] moves the active `Box<CoreCtx>`
+    /// into its slot by pointer, never moving the multi-KB context.
     #[allow(clippy::vec_box)]
-    parked: Vec<Box<CoreCtx>>,
+    parked: Vec<Option<Box<CoreCtx>>>,
+    /// ID of the core whose context is [`Self::core`].
+    active: usize,
     /// Parked-core transactions aborted by conflicting accesses, as
-    /// `(slot, seq)`, until the multi-core wrapper takes them.
+    /// `(core, seq)`, until [`Self::take_conflict_aborts`] drains them.
     conflict_aborts: Vec<(usize, u64)>,
     /// Test hook: inject a crash at a commit phase.
     commit_crash_point: Option<CommitPhase>,
@@ -428,6 +431,7 @@ impl Machine {
             stats: MachineStats::new(),
             now: 0,
             parked: Vec::new(),
+            active: 0,
             conflict_aborts: Vec::new(),
             commit_crash_point: None,
             scratch_lazy: Vec::new(),
@@ -437,6 +441,39 @@ impl Machine {
             store_actions,
             cfg,
         }
+    }
+
+    /// Builds a machine of `cores` cores over one shared persistence
+    /// domain. Each core has a private context — L1, log buffer, open
+    /// transaction and redo spill area; L2, L3, the device, the
+    /// transaction-ID register and the signatures are shared. Core 0
+    /// starts active ([`Self::switch_core`] selects another); one core
+    /// is exactly [`Self::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with `cores` outside `1..=4` (one 2-bit transaction
+    /// context per core), with battery-backed caches (§V-E has no
+    /// multi-core story: the failure flush cannot tell cores apart), or
+    /// where [`Self::new`] does.
+    pub fn with_cores(cfg: MachineConfig, cores: usize) -> Self {
+        assert!(
+            (1..=TxnId::COUNT as usize).contains(&cores),
+            "core count {cores} outside 1..={} (one 2-bit transaction \
+             context per core)",
+            TxnId::COUNT
+        );
+        assert!(
+            !cfg.battery_backed,
+            "battery-backed caches are single-core only"
+        );
+        let mut m = Machine::new(cfg);
+        if cores > 1 {
+            m.parked = (0..cores)
+                .map(|c| (c != 0).then(|| CoreCtx::new(&m.cfg, None)))
+                .collect();
+        }
+        m
     }
 
     /// Installs a fresh bounded tracer (at most `capacity_per_core`
@@ -453,7 +490,7 @@ impl Machine {
         let h = slpmt_trace::tracer(capacity_per_core);
         self.tracer = Some(h.clone());
         self.dev.set_tracer(Some(h.clone()));
-        for ctx in std::iter::once(&mut self.core).chain(&mut self.parked) {
+        for ctx in std::iter::once(&mut self.core).chain(self.parked.iter_mut().flatten()) {
             ctx.log_path.set_tracer(Some(&h));
         }
         h
@@ -470,16 +507,6 @@ impl Machine {
         match &self.tracer {
             Some(t) => t.borrow_mut().take(),
             None => Vec::new(),
-        }
-    }
-
-    /// Attributes subsequent events to `core` (multi-core wrapper).
-    pub(crate) fn trace_set_core(&self, core: u8) {
-        if cfg!(feature = "no-trace") {
-            return;
-        }
-        if let Some(t) = &self.tracer {
-            t.borrow_mut().set_core(core);
         }
     }
 
@@ -657,38 +684,41 @@ impl Machine {
     /// Panics if `addr` is not word-aligned.
     pub fn peek_u64(&self, addr: PmAddr) -> u64 {
         assert!(addr.is_word_aligned(), "unaligned peek at {addr}");
-        let line = addr.line();
-        let off = addr.offset_in_line();
-        let from_entry = |e: &Entry| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&e.data[off..off + 8]);
-            u64::from_le_bytes(b)
-        };
-        if let Some(e) = self.core.l1.peek(line) {
-            return from_entry(e);
-        }
-        if let Some(e) = self.l2.peek(line) {
-            return from_entry(e);
-        }
-        if let Some(e) = self.l3.peek(line) {
-            return from_entry(e);
-        }
-        if let Some((data, _, _)) = self.core.redo_shadow.get(&line.raw()) {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&data[off..off + 8]);
-            return u64::from_le_bytes(b);
-        }
-        for ctx in &self.parked {
-            if let Some(e) = ctx.l1.peek(line) {
-                return from_entry(e);
-            }
-            if let Some((data, _, _)) = ctx.redo_shadow.get(&line.raw()) {
+        match self.cached_line(addr.line()) {
+            Some(data) => {
+                let off = addr.offset_in_line();
                 let mut b = [0u8; 8];
                 b.copy_from_slice(&data[off..off + 8]);
-                return u64::from_le_bytes(b);
+                u64::from_le_bytes(b)
             }
+            None => self.dev.image().read_u64(addr),
         }
-        self.dev.image().read_u64(addr)
+    }
+
+    /// The newest cached copy of `line`, searched in coherence order:
+    /// the active L1, L2, L3, the active core's redo shadow, then each
+    /// parked core's L1 and shadow in core order. `None` when only the
+    /// persistent image holds the line. Inlined: `peek_u64` runs on the
+    /// service reply check and the recovery oracles.
+    #[inline]
+    fn cached_line(&self, line: PmAddr) -> Option<&[u8; LINE_BYTES]> {
+        if let Some(e) = self.core.l1.peek(line) {
+            return Some(&e.data);
+        }
+        if let Some(e) = self.l2.peek(line) {
+            return Some(&e.data);
+        }
+        if let Some(e) = self.l3.peek(line) {
+            return Some(&e.data);
+        }
+        if let Some((data, _, _)) = self.core.redo_shadow.get(&line.raw()) {
+            return Some(data);
+        }
+        self.parked.iter().flatten().find_map(|c| {
+            c.l1.peek(line)
+                .map(|e| &e.data)
+                .or_else(|| c.redo_shadow.get(&line.raw()).map(|(d, _, _)| d))
+        })
     }
 
     /// Reads `buf.len()` logical bytes starting at `addr`. Untimed.
@@ -702,21 +732,7 @@ impl Machine {
         let last = (addr.raw() + buf.len() as u64 - 1) & !(LINE_BYTES as u64 - 1);
         let mut line = first;
         while line <= last {
-            let la = PmAddr::new(line);
-            let shadow = self.core.redo_shadow.get(&line).map(|(d, _, _)| d);
-            let cached = self
-                .l1_or_l2(la)
-                .or_else(|| self.l3.peek(la))
-                .map(|e| &e.data)
-                .or(shadow)
-                .or_else(|| {
-                    self.parked.iter().find_map(|c| {
-                        c.l1.peek(la)
-                            .map(|e| &e.data)
-                            .or_else(|| c.redo_shadow.get(&line).map(|(d, _, _)| d))
-                    })
-                });
-            if let Some(e) = cached {
+            if let Some(e) = self.cached_line(PmAddr::new(line)) {
                 // Intersect [line, line+64) with [addr, addr+len).
                 let lo = line.max(addr.raw());
                 let hi = (line + LINE_BYTES as u64).min(addr.raw() + buf.len() as u64);
@@ -743,14 +759,7 @@ impl Machine {
         while line < end {
             let la = PmAddr::new(line);
             assert!(
-                self.core.l1.peek(la).is_none()
-                    && self.l2.peek(la).is_none()
-                    && self.l3.peek(la).is_none()
-                    && !self.core.redo_shadow.contains_key(&la.raw())
-                    && self
-                        .parked
-                        .iter()
-                        .all(|c| c.l1.peek(la).is_none() && !c.redo_shadow.contains_key(&la.raw())),
+                self.cached_line(la).is_none(),
                 "setup_write would bypass a cached copy of line {la}"
             );
             line += LINE_BYTES as u64;
@@ -839,9 +848,7 @@ impl Machine {
     /// line must not be cached (recovery runs on a cold machine).
     pub fn persist_line_direct(&mut self, addr: PmAddr, data: &[u8; LINE_BYTES]) {
         debug_assert!(
-            self.core.l1.peek(addr).is_none()
-                && self.l2.peek(addr).is_none()
-                && self.l3.peek(addr).is_none(),
+            self.cached_line(addr.line()).is_none(),
             "persist_line_direct would bypass a cached copy of {addr}"
         );
         self.persist_line_sync(addr.line(), data);
@@ -877,7 +884,11 @@ impl Machine {
         // are shared), and open-transaction lines of other cores never
         // reach this point: the cross-core conflict check aborts the
         // owner first.
-        let hit = self.parked.iter_mut().find_map(|c| c.l1.migrate_out(line));
+        let hit = self
+            .parked
+            .iter_mut()
+            .flatten()
+            .find_map(|c| c.l1.migrate_out(line));
         if let Some(e) = hit {
             self.now += self.cfg.caches.l2.hit_cycles; // c2c transfer
             self.trace(|t| {
@@ -1203,7 +1214,7 @@ impl Machine {
         doomed.dedup();
         doomed.retain(|&addr| {
             self.l1_or_l2(addr)
-                .or_else(|| self.parked.iter().find_map(|c| c.l1.peek(addr)))
+                .or_else(|| self.parked.iter().flatten().find_map(|c| c.l1.peek(addr)))
                 .is_some_and(|e| {
                     e.meta.lazy_pending && e.meta.txn_id.is_some_and(|t| freed.contains(&t))
                 })
@@ -1221,6 +1232,7 @@ impl Machine {
                     None => self
                         .parked
                         .iter_mut()
+                        .flatten()
                         .find_map(|c| c.l1.peek_mut(addr))
                         .expect("collected above"),
                 };
@@ -1993,9 +2005,8 @@ impl Machine {
     /// dropping the shadow and the records suffices.
     fn abort_txn(&mut self, who: Victim) -> u64 {
         let victim = match who {
-            Victim::Own => self.core.cur.take(),
             Victim::Suspended(pos) => Some(self.suspended.swap_remove(pos)),
-            Victim::Parked(slot) => self.parked[slot].cur.take(),
+            Victim::Own | Victim::Parked(_) => self.victim_ctx(who).cur.take(),
         }
         .expect("abort without an open transaction");
         match who {
@@ -2007,11 +2018,11 @@ impl Machine {
                 });
             }),
             Victim::Suspended(_) => self.stats.suspended_aborts += 1,
-            Victim::Parked(slot) => {
+            Victim::Parked(core) => {
                 self.stats.cross_core_aborts += 1;
                 self.trace(|t| {
                     t.emit(TraceEvent::CrossAbort {
-                        victim: slot as u8,
+                        victim: core as u8,
                         txn: victim.seq,
                     });
                 });
@@ -2045,12 +2056,12 @@ impl Machine {
                 .log()
                 .records_of(victim.seq)
                 .any(|r| !r.is_intact());
-        if let Victim::Parked(slot) = who {
+        if let Victim::Parked(core) = who {
             self.stats.cross_core_repair_aborts += u64::from(repair_tainted);
             self.trace(|t| {
                 let records = self.dev.log().records_of(victim.seq).count() + buffered.len();
                 t.emit(TraceEvent::CrossRepair {
-                    victim: slot as u8,
+                    victim: core as u8,
                     records: records.min(u32::MAX as usize) as u32,
                     deferred: repair_tainted,
                 });
@@ -2098,7 +2109,7 @@ impl Machine {
         // Invalidate the victim's cached updates: the L1 it ran on plus
         // the shared levels (lines it evicted while it was active).
         let l1 = match who {
-            Victim::Parked(slot) => &self.parked[slot].l1,
+            Victim::Parked(core) => &self.parked[core].as_ref().expect("victim is parked").l1,
             Victim::Own | Victim::Suspended(_) => &self.core.l1,
         };
         let doomed: Vec<PmAddr> = l1
@@ -2141,7 +2152,7 @@ impl Machine {
     /// The private context holding `who`'s cached state.
     fn victim_ctx(&mut self, who: Victim) -> &mut CoreCtx {
         match who {
-            Victim::Parked(slot) => &mut self.parked[slot],
+            Victim::Parked(core) => self.parked[core].as_mut().expect("victim is parked"),
             Victim::Own | Victim::Suspended(_) => &mut self.core,
         }
     }
@@ -2152,7 +2163,7 @@ impl Machine {
         self.core.l1.invalidate(line);
         self.l2.invalidate(line);
         self.l3.invalidate(line);
-        for ctx in &mut self.parked {
+        for ctx in self.parked.iter_mut().flatten() {
             ctx.l1.invalidate(line);
         }
     }
@@ -2171,24 +2182,24 @@ impl Machine {
         loop {
             let who = if let Some(pos) = self.suspended.iter().position(hits) {
                 Victim::Suspended(pos)
-            } else if let Some(slot) = self
+            } else if let Some(core) = self
                 .parked
                 .iter()
-                .position(|c| c.cur.as_ref().is_some_and(hits))
+                .position(|c| c.as_ref().and_then(|c| c.cur.as_ref()).is_some_and(hits))
             {
                 self.trace(|t| {
                     t.emit(TraceEvent::CrossConflict {
                         addr: addr.raw(),
-                        holder: slot as u8,
+                        holder: core as u8,
                     });
                 });
-                Victim::Parked(slot)
+                Victim::Parked(core)
             } else {
                 return;
             };
             let seq = self.abort_txn(who);
-            if let Victim::Parked(slot) = who {
-                self.conflict_aborts.push((slot, seq));
+            if let Victim::Parked(core) = who {
+                self.conflict_aborts.push((core, seq));
             }
         }
     }
@@ -2312,7 +2323,7 @@ impl Machine {
         self.lazy_txns.clear();
         self.txreg.reset();
         self.suspended.clear();
-        for ctx in std::iter::once(&mut self.core).chain(&mut self.parked) {
+        for ctx in std::iter::once(&mut self.core).chain(self.parked.iter_mut().flatten()) {
             ctx.clear();
         }
     }
@@ -2323,63 +2334,38 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Multi-core support (`crate::multi`)
+    // Multi-core support
 
-    /// Converts a freshly built machine into an `n`-core one: cores
-    /// `1..n` receive private contexts (L1 + log buffer + transaction
-    /// slot + redo spill area) parked alongside; core 0's context is
-    /// the machine's own fields. L2, L3, the device, the transaction-ID
-    /// register and the signature set stay shared.
+    /// Makes `core` the executing core (a no-op when it already is):
+    /// its private context is swapped in, and the device's
+    /// persist-event origin and the tracer's core are stamped with its
+    /// ID. Pure bookkeeping — no cycles, no cache movement: the cores
+    /// run concurrently in reality; the caller interleaves them onto
+    /// one deterministic timeline.
     ///
     /// # Panics
     ///
-    /// Panics when called twice, on a machine that already executed
-    /// anything, with battery-backed caches (§V-E has no multi-core
-    /// story: the failure flush cannot tell cores apart), or with
-    /// `cores` outside `1..=4` (one 2-bit transaction context per core).
-    pub(crate) fn enable_multi(&mut self, cores: usize) {
-        assert!(self.parked.is_empty(), "enable_multi called twice");
-        assert!(
-            (1..=TxnId::COUNT as usize).contains(&cores),
-            "core count {cores} outside 1..={} (one 2-bit transaction \
-             context per core)",
-            TxnId::COUNT
-        );
-        assert!(
-            !self.cfg.battery_backed,
-            "battery-backed caches are single-core only"
-        );
-        assert!(
-            self.now == 0 && self.core.cur.is_none() && self.txn_seq == 0,
-            "enable_multi requires a fresh machine"
-        );
-        // Tracing enabled before the cores existed: the new private
-        // buffers join the shared tracer too.
-        for _ in 1..cores {
-            self.parked
-                .push(CoreCtx::new(&self.cfg, self.tracer.as_ref()));
+    /// Panics if the machine has no core `core`.
+    pub fn switch_core(&mut self, core: usize) {
+        if core == self.active {
+            return;
         }
-    }
-
-    /// Number of parked core contexts (`cores - 1` after
-    /// [`enable_multi`](Self::enable_multi)).
-    pub(crate) fn parked_count(&self) -> usize {
-        self.parked.len()
-    }
-
-    /// Swaps the active core's private state with parked slot `slot`.
-    /// Pure bookkeeping: no cycles, no cache movement — the cores run
-    /// concurrently in reality; the wrapper interleaves them onto one
-    /// deterministic timeline.
-    pub(crate) fn switch_core(&mut self, slot: usize) {
-        // Both contexts are boxed, so this exchanges two pointers —
+        // Both contexts are boxed, so this moves two pointers —
         // activation cost is independent of L1 size or shadow depth.
-        std::mem::swap(&mut self.core, &mut self.parked[slot]);
-    }
-
-    /// Sequence number of the open transaction parked in `slot`.
-    pub(crate) fn parked_cur_seq(&self, slot: usize) -> Option<u64> {
-        self.parked[slot].cur.as_ref().map(|c| c.seq)
+        let ctx = self
+            .parked
+            .get_mut(core)
+            .and_then(Option::take)
+            .unwrap_or_else(|| panic!("core {core} out of range"));
+        self.parked[self.active] = Some(std::mem::replace(&mut self.core, ctx));
+        self.active = core;
+        self.dev.set_event_origin(core as u8);
+        if cfg!(feature = "no-trace") {
+            return;
+        }
+        if let Some(t) = &self.tracer {
+            t.borrow_mut().set_core(core as u8);
+        }
     }
 
     /// Sequence number of the *active* core's open transaction.
@@ -2387,9 +2373,10 @@ impl Machine {
         self.core.cur.as_ref().map(|c| c.seq)
     }
 
-    /// Drains the `(slot, seq)` of every parked-core transaction the
-    /// conflict check aborted since the last call.
-    pub(crate) fn take_conflict_aborts(&mut self) -> Vec<(usize, u64)> {
+    /// Drains the `(core, seq)` of every parked-core transaction that a
+    /// conflicting access aborted since the last call (requester wins,
+    /// §V-C), in abort order.
+    pub fn take_conflict_aborts(&mut self) -> Vec<(usize, u64)> {
         std::mem::take(&mut self.conflict_aborts)
     }
 }

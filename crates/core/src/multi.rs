@@ -15,12 +15,12 @@
 //!   forced durable before the access's update can reach the
 //!   persistence domain, wherever they are cached.
 //!
-//! [`MultiMachine`] multiplexes the cores onto one [`Machine`]: the
-//! active core's private state lives in the machine's own fields and
-//! the rest sit parked; scheduling a core swaps contexts (pure
-//! bookkeeping — the cores run concurrently in reality, the wrapper
-//! serialises them onto one deterministic timeline). Because every
-//! instruction, conflict and persist is driven by a seeded
+//! The cores are one [`Machine`] built by [`Machine::with_cores`]: the
+//! active core's private state is the machine's own context and the
+//! rest sit parked by core ID; [`Machine::switch_core`] swaps contexts
+//! (pure bookkeeping — the cores run concurrently in reality, the
+//! driver serialises them onto one deterministic timeline). Because
+//! every instruction, conflict and persist is driven by a seeded
 //! [`Schedule`], any run — including its persist-event trace and final
 //! image — is replayable from `(program seed, schedule)`.
 //!
@@ -141,207 +141,6 @@ pub enum McEvent {
         /// Whether the winning access was a write.
         is_write: bool,
     },
-}
-
-/// N simulated SLPMT cores over one shared persistence domain.
-///
-/// Every public operation takes the issuing core's index; the wrapper
-/// activates that core (context swap), stamps the device's
-/// persist-event origin, and then executes the operation on the
-/// underlying [`Machine`], whose conflict check aborts any parked
-/// owner of the accessed line (the requester wins); the wrapper
-/// records each victim as a [`McEvent::ConflictAborted`].
-#[derive(Debug)]
-pub struct MultiMachine {
-    m: Machine,
-    cores: usize,
-    active: usize,
-    /// `slot_of[core]` is the parked-context slot holding that core's
-    /// state; [`ACTIVE_SLOT`](Self) marks the active core.
-    slot_of: Vec<usize>,
-    events: Vec<McEvent>,
-}
-
-/// Sentinel slot index marking the active core in `slot_of`.
-const ACTIVE_SLOT: usize = usize::MAX;
-
-impl MultiMachine {
-    /// Builds an `n`-core machine for `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= cores <= 4` (one 2-bit transaction context
-    /// per core), or if `cfg` is battery-backed.
-    pub fn new(cfg: MachineConfig, cores: usize) -> Self {
-        let mut m = Machine::new(cfg);
-        m.enable_multi(cores);
-        debug_assert_eq!(m.parked_count(), cores - 1);
-        let mut slot_of = vec![ACTIVE_SLOT; cores];
-        for (core, slot) in slot_of.iter_mut().enumerate().skip(1) {
-            *slot = core - 1;
-        }
-        MultiMachine {
-            m,
-            cores,
-            active: 0,
-            slot_of,
-            events: Vec::new(),
-        }
-    }
-
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    /// The currently active core.
-    pub fn active_core(&self) -> usize {
-        self.active
-    }
-
-    /// The underlying machine (device, stats, config, peeks).
-    pub fn machine(&self) -> &Machine {
-        &self.m
-    }
-
-    /// Cross-core events observed so far, in occurrence order.
-    pub fn events(&self) -> &[McEvent] {
-        &self.events
-    }
-
-    /// Drains and returns the recorded events.
-    pub fn take_events(&mut self) -> Vec<McEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Enables event tracing on the underlying machine (see
-    /// [`Machine::enable_tracing`]); events are attributed to the
-    /// issuing core.
-    pub fn enable_tracing(&mut self, capacity_per_core: usize) -> slpmt_trace::TraceHandle {
-        self.m.enable_tracing(capacity_per_core)
-    }
-
-    /// Drains and returns the trace captured so far.
-    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
-        self.m.take_trace()
-    }
-
-    /// Makes `core` the active context (no-op when it already is).
-    fn activate(&mut self, core: usize) {
-        assert!(core < self.cores, "core {core} out of range");
-        if core == self.active {
-            return;
-        }
-        let slot = self.slot_of[core];
-        self.m.switch_core(slot);
-        self.slot_of[self.active] = slot;
-        self.slot_of[core] = ACTIVE_SLOT;
-        self.active = core;
-        self.m.device_mut().set_event_origin(core as u8);
-        self.m.trace_set_core(core as u8);
-    }
-
-    /// The core whose context is parked in `slot`.
-    fn core_of_slot(&self, slot: usize) -> usize {
-        self.slot_of
-            .iter()
-            .position(|&s| s == slot)
-            .expect("every parked slot belongs to a core")
-    }
-
-    /// Records the parked transactions the active core's access to
-    /// `addr` aborted (the machine's conflict check; requester wins).
-    fn record_conflicts(&mut self, addr: PmAddr, is_write: bool) {
-        for (slot, seq) in self.m.take_conflict_aborts() {
-            self.events.push(McEvent::ConflictAborted {
-                core: self.core_of_slot(slot),
-                seq,
-                by_core: self.active,
-                line: addr.line().raw(),
-                is_write,
-            });
-        }
-    }
-
-    /// Whether `core` has an open transaction. A transaction that was
-    /// open from the core's point of view but has vanished was aborted
-    /// by a cross-core conflict.
-    pub fn in_txn(&self, core: usize) -> bool {
-        if core == self.active {
-            self.m.in_txn()
-        } else {
-            self.m.parked_cur_seq(self.slot_of[core]).is_some()
-        }
-    }
-
-    /// Opens a transaction on `core`, returning its sequence number.
-    pub fn tx_begin(&mut self, core: usize) -> u64 {
-        self.activate(core);
-        self.m.tx_begin();
-        self.m.cur_seq().expect("transaction just opened")
-    }
-
-    /// Commits `core`'s open transaction, returning its sequence
-    /// number.
-    pub fn tx_commit(&mut self, core: usize) -> u64 {
-        self.activate(core);
-        let seq = self.m.cur_seq().expect("commit without open transaction");
-        self.m.tx_commit();
-        self.events.push(McEvent::Committed { core, seq });
-        seq
-    }
-
-    /// Aborts `core`'s open transaction.
-    pub fn tx_abort(&mut self, core: usize) {
-        self.activate(core);
-        self.m.tx_abort();
-    }
-
-    /// Executes a load on `core`.
-    pub fn load_u64(&mut self, core: usize, addr: PmAddr) -> u64 {
-        self.activate(core);
-        let v = self.m.load_u64(addr);
-        self.record_conflicts(addr, false);
-        v
-    }
-
-    /// Executes a store on `core`.
-    pub fn store_u64(&mut self, core: usize, addr: PmAddr, value: u64, kind: StoreKind) {
-        self.activate(core);
-        self.m.store_u64(addr, value, kind);
-        self.record_conflicts(addr, true);
-    }
-
-    /// Forces every outstanding lazily-persistent line durable
-    /// (machine-wide; the ID register and signatures are shared).
-    pub fn drain_lazy(&mut self) {
-        self.m.drain_lazy();
-    }
-
-    /// Arms the shared device's persist-event crash scheduler.
-    pub fn arm_crash_at_event(&mut self, k: u64) {
-        self.m.arm_crash_at_event(k);
-    }
-
-    /// Whether an armed crash point has tripped.
-    pub fn crash_tripped(&self) -> bool {
-        self.m.crash_tripped()
-    }
-
-    /// Simulates a power failure: every core's volatile state is lost.
-    pub fn crash(&mut self) {
-        self.m.crash();
-    }
-
-    /// Post-crash log replay (shared log, one recovery pass).
-    pub fn recover(&mut self) -> crate::recovery::RecoveryReport {
-        self.m.recover()
-    }
-
-    /// Coherent view of the word at `addr` (caches, then image).
-    pub fn peek_u64(&self, addr: PmAddr) -> u64 {
-        self.m.peek_u64(addr)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -576,14 +375,14 @@ fn run_programs_opts(
     sched: Schedule,
     crash_at: Option<u64>,
     trace_capacity: Option<usize>,
-) -> (MultiMachine, McOutcome) {
+) -> (Machine, McOutcome) {
     let n = programs.len();
-    let mut mm = MultiMachine::new(cfg, n);
+    let mut m = Machine::with_cores(cfg, n);
     if let Some(cap) = trace_capacity {
-        mm.enable_tracing(cap);
+        m.enable_tracing(cap);
     }
     if let Some(k) = crash_at {
-        mm.arm_crash_at_event(k);
+        m.arm_crash_at_event(k);
     }
     let mut rng = SimRng::seed_from_u64(sched.seed ^ 0x006d_6373_6368_6564);
     let weights: Vec<u64> = match sched.policy {
@@ -591,15 +390,18 @@ fn run_programs_opts(
         SchedPolicy::Weighted => (0..n).map(|_| 1 + rng.gen_range(0..4)).collect(),
     };
     let mut pc = vec![0usize; n];
-    let mut open = vec![false; n];
+    // Set when another core's access aborted this core's open
+    // transaction; the core observes it when next scheduled.
+    let mut aborted = vec![false; n];
     let mut cur_seq = vec![0u64; n];
     let mut cur_stores: Vec<Vec<ExecStore>> = vec![Vec::new(); n];
     let mut committed = Vec::new();
     let mut exec_stores = Vec::new();
+    let mut events = Vec::new();
     let mut rr = 0usize;
     let mut crashed = false;
     loop {
-        if mm.crash_tripped() {
+        if m.crash_tripped() {
             crashed = true;
             break;
         }
@@ -627,11 +429,9 @@ fn run_programs_opts(
                 chosen
             }
         };
-        // A transaction this core believes open but the machine no
-        // longer tracks was conflict-aborted: skip to just past the
-        // program's matching Commit (the thread observes the abort and
-        // gives up on the transaction).
-        if open[core] && !mm.in_txn(core) {
+        // The thread observes the abort and gives up on the
+        // transaction: skip to just past the program's matching Commit.
+        if aborted[core] {
             while pc[core] < programs[core].len() {
                 let was_commit = matches!(programs[core][pc[core]], TraceOp::Commit);
                 pc[core] += 1;
@@ -639,22 +439,36 @@ fn run_programs_opts(
                     break;
                 }
             }
-            open[core] = false;
+            aborted[core] = false;
             cur_stores[core].clear();
             continue;
         }
         let op = programs[core][pc[core]];
         pc[core] += 1;
-        match op {
+        m.switch_core(core);
+        let (addr, is_write) = match op {
             TraceOp::Begin => {
-                cur_seq[core] = mm.tx_begin(core);
-                open[core] = true;
+                m.tx_begin();
+                cur_seq[core] = m.cur_seq().expect("transaction just opened");
+                continue;
+            }
+            TraceOp::Commit => {
+                m.tx_commit();
+                let seq = cur_seq[core];
+                events.push(McEvent::Committed { core, seq });
+                committed.push(CommittedTxn {
+                    core,
+                    seq,
+                    stores: std::mem::take(&mut cur_stores[core]),
+                });
+                continue;
             }
             TraceOp::Load { addr } => {
-                mm.load_u64(core, PmAddr::new(addr));
+                m.load_u64(PmAddr::new(addr));
+                (addr, false)
             }
             TraceOp::Store { addr, value, kind } => {
-                mm.store_u64(core, PmAddr::new(addr), value, kind);
+                m.store_u64(PmAddr::new(addr), value, kind);
                 let s = ExecStore {
                     addr,
                     value,
@@ -664,34 +478,37 @@ fn run_programs_opts(
                 };
                 cur_stores[core].push(s);
                 exec_stores.push(s);
+                (addr, true)
             }
-            TraceOp::Commit => {
-                let seq = mm.tx_commit(core);
-                open[core] = false;
-                committed.push(CommittedTxn {
-                    core,
-                    seq,
-                    stores: std::mem::take(&mut cur_stores[core]),
-                });
-            }
+        };
+        // The access's conflict check aborted every parked owner of the
+        // line (requester wins).
+        for (victim, seq) in m.take_conflict_aborts() {
+            aborted[victim] = true;
+            events.push(McEvent::ConflictAborted {
+                core: victim,
+                seq,
+                by_core: core,
+                line: PmAddr::new(addr).line().raw(),
+                is_write,
+            });
         }
     }
     if !crashed {
         // Close the run: outstanding lazily-persistent lines become
         // durable, so the image oracle sees the committed state.
-        mm.drain_lazy();
+        m.drain_lazy();
     }
-    let digest = image_digest(&mm, programs);
     let outcome = McOutcome {
         committed,
         exec_stores,
-        events: mm.take_events(),
-        stats: *mm.machine().stats(),
-        image_digest: digest,
-        now: mm.machine().now(),
+        events,
+        stats: *m.stats(),
+        image_digest: image_digest(&m, programs),
+        now: m.now(),
         crashed,
     };
-    (mm, outcome)
+    (m, outcome)
 }
 
 /// Runs per-core `programs` under `sched`, draining lazy data at the
@@ -700,32 +517,32 @@ pub fn run_programs(
     cfg: MachineConfig,
     programs: &[Vec<TraceOp>],
     sched: Schedule,
-) -> (MultiMachine, McOutcome) {
+) -> (Machine, McOutcome) {
     run_programs_opts(cfg, programs, sched, None, None)
 }
 
 /// [`run_programs`] with event tracing on from the first instruction
 /// (per-core ring capacity `trace_capacity`) and an optionally armed
 /// crash — the capture side of the interleaving sweeps. Drain the
-/// records with [`MultiMachine::take_trace`].
+/// records with [`Machine::take_trace`].
 pub fn run_programs_traced(
     cfg: MachineConfig,
     programs: &[Vec<TraceOp>],
     sched: Schedule,
     crash_at: Option<u64>,
     trace_capacity: usize,
-) -> (MultiMachine, McOutcome) {
+) -> (Machine, McOutcome) {
     run_programs_opts(cfg, programs, sched, crash_at, Some(trace_capacity))
 }
 
 /// `splitmix64` fold over the final image restricted to the program's
 /// line universe.
-fn image_digest(mm: &MultiMachine, programs: &[Vec<TraceOp>]) -> u64 {
+fn image_digest(m: &Machine, programs: &[Vec<TraceOp>]) -> u64 {
     let mut h = 0x736c_706d_745f_6d63u64;
     for line in program_lines(programs) {
         h ^= line;
         splitmix64(&mut h);
-        let data = mm.machine().device().image().read_line(PmAddr::new(line));
+        let data = m.device().image().read_line(PmAddr::new(line));
         for chunk in data.chunks_exact(8) {
             h ^= u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
             splitmix64(&mut h);
@@ -763,7 +580,7 @@ pub fn serialized_reference(outcome: &McOutcome) -> BTreeMap<u64, u64> {
 
 /// Checks the machine's final state against the serialized reference:
 /// for every word the programs wrote, both the coherent view
-/// ([`MultiMachine::peek_u64`]) and the *durable image* must hold the
+/// ([`Machine::peek_u64`]) and the *durable image* must hold the
 /// last committed writer's value (0 if every writer aborted). Words
 /// whose trailing writer was an aborted log-free store are skipped —
 /// see [`OracleReport::words_skipped`].
@@ -771,12 +588,9 @@ pub fn serialized_reference(outcome: &McOutcome) -> BTreeMap<u64, u64> {
 /// # Errors
 ///
 /// Returns a description of the first mismatching word.
-pub fn check_serialized_oracle(
-    mm: &MultiMachine,
-    outcome: &McOutcome,
-) -> Result<OracleReport, String> {
+pub fn check_serialized_oracle(m: &Machine, outcome: &McOutcome) -> Result<OracleReport, String> {
     let committed: BTreeSet<u64> = outcome.committed.iter().map(|t| t.seq).collect();
-    let f = mm.machine().config().features;
+    let f = m.config().features;
     let reference = serialized_reference(outcome);
     // Replay the execution order: per word, the last committed value
     // and whether an aborted log-free store trails it.
@@ -813,14 +627,14 @@ pub fn check_serialized_oracle(
         }
         let expect = last_committed.get(&word).copied().unwrap_or(0);
         let a = PmAddr::new(word);
-        let peeked = mm.peek_u64(a);
+        let peeked = m.peek_u64(a);
         if peeked != expect {
             return Err(format!(
                 "word {word:#x}: coherent view {peeked:#x}, serialized \
                  reference {expect:#x}"
             ));
         }
-        let imaged = mm.machine().device().image().read_u64(a);
+        let imaged = m.device().image().read_u64(a);
         if imaged != expect {
             return Err(format!(
                 "word {word:#x}: durable image {imaged:#x}, serialized \
@@ -917,14 +731,14 @@ impl fmt::Display for McSweepCase {
 /// would be meaningless).
 pub fn mc_count_events(case: &McSweepCase) -> u64 {
     let programs = gen_programs(&case.spec());
-    let (mm, outcome) = run_programs(
+    let (m, outcome) = run_programs(
         MachineConfig::for_scheme(case.scheme),
         &programs,
         case.sched,
     );
-    check_serialized_oracle(&mm, &outcome)
+    check_serialized_oracle(&m, &outcome)
         .unwrap_or_else(|e| panic!("{case}: crash-free run disagrees with the oracle: {e}"));
-    mm.machine().persist_event_count()
+    m.persist_event_count()
 }
 
 /// Replays the case with a crash armed at persist event `k`, recovers,
@@ -952,15 +766,14 @@ pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
     let programs = gen_programs(&case.spec());
     let cfg = MachineConfig::for_scheme(case.scheme);
     let lazy_enabled = cfg.features.lazy;
-    let (mut mm, outcome) = run_programs_opts(cfg, &programs, case.sched, Some(k), None);
-    mm.crash();
+    let (mut m, outcome) = run_programs_opts(cfg, &programs, case.sched, Some(k), None);
+    m.crash();
     // Durable markers decide what counts as committed. Walk the persist
     // trace rather than the live marker map: `truncate_committed`
     // retires fully-persisted markers into a watermark, and a marker
     // that landed torn at the crash boundary must not count.
-    let log = mm.machine().device().log();
-    let durable: BTreeSet<u64> = mm
-        .machine()
+    let log = m.device().log();
+    let durable: BTreeSet<u64> = m
         .device()
         .events()
         .iter()
@@ -969,7 +782,7 @@ pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
             _ => None,
         })
         .collect();
-    mm.recover();
+    m.recover();
     // Admissible values per word, from the durably committed prefix.
     let mut writers: BTreeMap<u64, Vec<(u64, bool)>> = BTreeMap::new();
     for txn in outcome
@@ -984,7 +797,7 @@ pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
     }
     let words: BTreeSet<u64> = outcome.exec_stores.iter().map(|s| s.addr).collect();
     for word in words {
-        let got = mm.machine().device().image().read_u64(PmAddr::new(word));
+        let got = m.device().image().read_u64(PmAddr::new(word));
         let empty = Vec::new();
         let w = writers.get(&word).unwrap_or(&empty);
         let last_eager = w.iter().rposition(|&(_, eager)| eager);
@@ -1016,16 +829,16 @@ pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
 /// the same records.
 pub fn mc_trace_crash_at(case: &McSweepCase, k: u64) -> Vec<TraceRecord> {
     let programs = gen_programs(&case.spec());
-    let (mut mm, _) = run_programs_traced(
+    let (mut m, _) = run_programs_traced(
         MachineConfig::for_scheme(case.scheme),
         &programs,
         case.sched,
         Some(k),
         1 << 20,
     );
-    mm.crash();
-    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mm.recover()));
-    mm.take_trace()
+    m.crash();
+    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.recover()));
+    m.take_trace()
 }
 
 /// The multi-core battery as a [`CrashTarget`]: every point checks
@@ -1083,16 +896,16 @@ mod tests {
     }
 
     #[test]
-    fn single_core_multimachine_matches_plain_machine() {
-        // One core, no conflicts: the wrapper must be an identity
-        // layer over Machine.
+    fn one_core_run_matches_plain_machine() {
+        // One core, no conflicts: the driver's machine must time and
+        // count exactly like a plain one.
         let programs = gen_programs(&ProgramSpec::small(1, 3));
-        let (mm, outcome) = run_programs(MachineConfig::for_scheme(Scheme::Slpmt), &programs, {
+        let (m, outcome) = run_programs(MachineConfig::for_scheme(Scheme::Slpmt), &programs, {
             Schedule::round_robin(0)
         });
         assert!(!outcome.crashed);
         assert_eq!(outcome.stats.cross_core_aborts, 0);
-        check_serialized_oracle(&mm, &outcome).unwrap();
+        check_serialized_oracle(&m, &outcome).unwrap();
 
         let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Slpmt));
         for op in &programs[0] {
@@ -1106,7 +919,7 @@ mod tests {
             }
         }
         m.drain_lazy();
-        assert_eq!(m.now(), outcome.now, "wrapper must not change timing");
+        assert_eq!(m.now(), outcome.now, "the driver must not change timing");
         assert_eq!(*m.stats(), outcome.stats);
     }
 
@@ -1125,7 +938,7 @@ mod tests {
             seed: 5,
         };
         let programs = gen_programs(&spec);
-        let (mm, outcome) = run_programs(
+        let (m, outcome) = run_programs(
             MachineConfig::for_scheme(Scheme::Slpmt),
             &programs,
             Schedule::round_robin(1),
@@ -1138,7 +951,7 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, McEvent::ConflictAborted { .. })));
-        check_serialized_oracle(&mm, &outcome).unwrap();
+        check_serialized_oracle(&m, &outcome).unwrap();
     }
 
     #[test]
@@ -1221,13 +1034,13 @@ mod tests {
     #[test]
     fn event_origins_attribute_cores() {
         let programs = gen_programs(&ProgramSpec::small(2, 13));
-        let (mm, _) = run_programs(
+        let (m, _) = run_programs(
             MachineConfig::for_scheme(Scheme::Fg),
             &programs,
             Schedule::round_robin(0),
         );
-        let origins = mm.machine().device().event_origins();
+        let origins = m.device().event_origins();
         assert!(origins.contains(&0) && origins.contains(&1));
-        assert_eq!(origins.len(), mm.machine().device().events().len());
+        assert_eq!(origins.len(), m.device().events().len());
     }
 }

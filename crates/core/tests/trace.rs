@@ -5,7 +5,7 @@
 
 use slpmt_core::multi::{gen_programs, run_programs, ProgramSpec, Schedule, TraceOp};
 use slpmt_core::{
-    Machine, MachineConfig, MultiMachine, Scheme, StoreKind, TraceEvent, TraceMetrics, TraceRecord,
+    Machine, MachineConfig, Scheme, StoreKind, TraceEvent, TraceMetrics, TraceRecord,
 };
 use slpmt_pmem::PmAddr;
 
@@ -82,31 +82,28 @@ fn disabled_tracing_returns_empty_and_changes_nothing() {
 fn multi_core_events_carry_core_attribution() {
     let spec = ProgramSpec::small(3, 21);
     let programs = gen_programs(&spec);
-    let mut mm = MultiMachine::new(MachineConfig::for_scheme(Scheme::Slpmt), 3);
-    mm.enable_tracing(1 << 16);
+    let mut m = Machine::with_cores(MachineConfig::for_scheme(Scheme::Slpmt), 3);
+    m.enable_tracing(1 << 16);
     for step in 0..programs.iter().map(Vec::len).max().unwrap() {
         for (core, prog) in programs.iter().enumerate() {
             if let Some(op) = prog.get(step) {
-                if mm.in_txn(core) || matches!(op, TraceOp::Begin) {
+                m.switch_core(core);
+                if m.in_txn() || matches!(op, TraceOp::Begin) {
                     match *op {
-                        TraceOp::Begin => {
-                            mm.tx_begin(core);
-                        }
+                        TraceOp::Begin => m.tx_begin(),
                         TraceOp::Load { addr } => {
-                            mm.load_u64(core, PmAddr::new(addr));
+                            m.load_u64(PmAddr::new(addr));
                         }
                         TraceOp::Store { addr, value, kind } => {
-                            mm.store_u64(core, PmAddr::new(addr), value, kind);
+                            m.store_u64(PmAddr::new(addr), value, kind);
                         }
-                        TraceOp::Commit => {
-                            mm.tx_commit(core);
-                        }
+                        TraceOp::Commit => m.tx_commit(),
                     }
                 }
             }
         }
     }
-    let recs = mm.take_trace();
+    let recs = m.take_trace();
     let cores: std::collections::BTreeSet<u8> = recs.iter().map(|r| r.core).collect();
     assert!(cores.len() >= 2, "events from several cores: {cores:?}");
     // Per-core sequence numbers are dense from 0.
@@ -136,13 +133,52 @@ fn tracing_survives_run_programs_when_disabled() {
     // trace drain must stay empty rather than capturing stale state.
     let spec = ProgramSpec::small(2, 9);
     let programs = gen_programs(&spec);
-    let (mut mm, outcome) = run_programs(
+    let (mut m, outcome) = run_programs(
         MachineConfig::for_scheme(Scheme::Slpmt),
         &programs,
         Schedule::round_robin(4),
     );
     assert!(!outcome.crashed);
-    assert!(mm.take_trace().is_empty());
+    assert!(m.take_trace().is_empty());
+}
+
+#[test]
+fn cross_core_events_name_the_victim_core() {
+    // Core 0 holds A in an open transaction; core 2's store to A
+    // aborts it (requester wins). Every cross-core event and the
+    // drained abort must name core 0, not the position its parked
+    // context happens to occupy.
+    let mut m = Machine::with_cores(MachineConfig::for_scheme(Scheme::Slpmt), 3);
+    m.enable_tracing(1 << 16);
+    m.tx_begin();
+    m.store_u64(A, 7, StoreKind::Store);
+    m.switch_core(2);
+    m.tx_begin();
+    m.store_u64(A, 8, StoreKind::Store);
+    m.tx_commit();
+    let aborts = m.take_conflict_aborts();
+    assert_eq!(aborts.len(), 1, "one conflict abort: {aborts:?}");
+    assert_eq!(aborts[0].0, 0, "the abort names the victim core");
+    let recs = m.take_trace();
+    let named: Vec<(&str, u8, u8)> = recs
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::CrossConflict { holder, .. } => Some(("cross_conflict", r.core, holder)),
+            TraceEvent::CrossAbort { victim, .. } => Some(("cross_abort", r.core, victim)),
+            TraceEvent::CrossRepair { victim, .. } => Some(("cross_repair", r.core, victim)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        named,
+        [
+            ("cross_conflict", 2, 0),
+            ("cross_abort", 2, 0),
+            ("cross_repair", 2, 0)
+        ],
+        "(event, issuing core, named core)"
+    );
+    assert_eq!(m.peek_u64(A), 8);
 }
 
 #[test]

@@ -111,9 +111,9 @@ pub struct PmDevice {
     /// records what reached the persistence domain).
     events: Vec<PersistEvent>,
     /// Originating core of each accepted event, parallel to `events`.
-    /// Single-core machines leave every entry 0; a multi-core wrapper
-    /// calls [`set_event_origin`](Self::set_event_origin) at each
-    /// scheduling step so the shared trace stays attributable.
+    /// Single-core machines leave every entry 0; a multi-core machine
+    /// calls [`set_event_origin`](Self::set_event_origin) at each core
+    /// switch so the shared trace stays attributable.
     origins: Vec<u8>,
     /// Core id stamped on the next accepted events.
     origin: u8,

@@ -339,12 +339,12 @@ pub enum Event {
     CrossConflict {
         /// Conflicting word address.
         addr: u64,
-        /// Core slot holding the conflicting transaction.
+        /// Core holding the conflicting transaction.
         holder: u8,
     },
     /// A cross-core conflict aborted the holder's transaction.
     CrossAbort {
-        /// Aborted core slot.
+        /// Core whose transaction was aborted.
         victim: u8,
         /// Aborted transaction sequence number.
         txn: u64,
@@ -352,7 +352,7 @@ pub enum Event {
     /// The aborted transaction's durable damage was repaired (or the
     /// repair was deferred to recovery).
     CrossRepair {
-        /// Aborted core slot.
+        /// Core whose transaction was aborted.
         victim: u8,
         /// Durable records considered for the repair.
         records: u32,

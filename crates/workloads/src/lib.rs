@@ -56,4 +56,4 @@ pub use runner::{
     RunResult, RunSpec, ShardRun,
 };
 pub use sharded::{partition_mixed, partition_ops, shard_of};
-pub use ycsb::{ycsb_load, ycsb_mix, ycsb_mixed, KeyDist, MixSpec, MixedOp, YcsbOp};
+pub use ycsb::{ycsb_load, ycsb_mix, KeyDist, MixSpec, MixedOp, YcsbOp};

@@ -461,62 +461,6 @@ impl KeyDist {
     }
 }
 
-/// Generates a mixed workload in the style of YCSB's run phases: after
-/// a load of `load` keys, `ops` operations follow with the given read
-/// and remove percentages (the remainder are fresh inserts). Reads and
-/// removes target previously inserted, not-yet-removed keys; the mix
-/// is deterministic for a seed. See [`ycsb_mixed_with_updates`] for
-/// mixes that also replace values (YCSB A/B style).
-///
-/// # Panics
-///
-/// Panics if `read_pct + remove_pct > 100` or `value_size` is not a
-/// multiple of 8.
-pub fn ycsb_mixed(
-    load: usize,
-    ops: usize,
-    value_size: usize,
-    seed: u64,
-    read_pct: u8,
-    remove_pct: u8,
-) -> (Vec<YcsbOp>, Vec<MixedOp>) {
-    ycsb_mixed_with_updates(load, ops, value_size, seed, read_pct, 0, remove_pct)
-}
-
-/// [`ycsb_mixed`] with an update share: YCSB A is (50 read / 50
-/// update), YCSB B is (95 read / 5 update). Updates target live keys
-/// with fresh deterministic values.
-///
-/// # Panics
-///
-/// Panics if the percentages exceed 100 or `value_size` is not a
-/// multiple of 8.
-pub fn ycsb_mixed_with_updates(
-    load: usize,
-    ops: usize,
-    value_size: usize,
-    seed: u64,
-    read_pct: u8,
-    update_pct: u8,
-    remove_pct: u8,
-) -> (Vec<YcsbOp>, Vec<MixedOp>) {
-    ycsb_mix(
-        load,
-        ops,
-        value_size,
-        seed,
-        &MixSpec {
-            read_pct,
-            update_pct,
-            rmw_pct: 0,
-            scan_pct: 0,
-            remove_pct,
-            max_scan_len: 0,
-            dist: KeyDist::Uniform,
-        },
-    )
-}
-
 /// Picks a live-set index for one operation under `spec.dist`.
 fn pick_live(
     rng: &mut SimRng,
@@ -663,9 +607,15 @@ mod mixed_tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    /// A uniform-key point mix: reads, blind updates and removes; the
+    /// rest are inserts.
+    pub(super) fn uniform(read: u8, update: u8, remove: u8) -> MixSpec {
+        MixSpec::point(read, update, 0, remove, KeyDist::Uniform)
+    }
+
     #[test]
     fn mixed_ops_respect_liveness() {
-        let (load, ops) = ycsb_mixed(50, 200, 16, 3, 40, 20);
+        let (load, ops) = ycsb_mix(50, 200, 16, 3, &uniform(40, 0, 20));
         let mut live: BTreeSet<u64> = load.iter().map(|o| o.key).collect();
         for op in &ops {
             match op {
@@ -678,7 +628,7 @@ mod mixed_tests {
                 }
                 MixedOp::Update(o) => assert!(live.contains(&o.key), "update of dead key"),
                 MixedOp::Rmw(_) | MixedOp::Scan { .. } => {
-                    unreachable!("ycsb_mixed never emits rmw/scan")
+                    unreachable!("a point mix without rmw never emits rmw/scan")
                 }
             }
         }
@@ -687,32 +637,33 @@ mod mixed_tests {
     #[test]
     fn mixed_is_deterministic() {
         assert_eq!(
-            ycsb_mixed(10, 50, 16, 9, 50, 10),
-            ycsb_mixed(10, 50, 16, 9, 50, 10)
+            ycsb_mix(10, 50, 16, 9, &uniform(50, 0, 10)),
+            ycsb_mix(10, 50, 16, 9, &uniform(50, 0, 10))
         );
     }
 
     #[test]
     fn pure_read_mix_has_no_mutations() {
-        let (_, ops) = ycsb_mixed(20, 100, 16, 1, 100, 0);
+        let (_, ops) = ycsb_mix(20, 100, 16, 1, &uniform(100, 0, 0));
         assert!(ops.iter().all(|o| matches!(o, MixedOp::Read(_))));
     }
 
     #[test]
     #[should_panic(expected = "percentages exceed 100")]
     fn overfull_mix_rejected() {
-        let _ = ycsb_mixed(10, 10, 16, 0, 80, 30);
+        let _ = ycsb_mix(10, 10, 16, 0, &uniform(80, 0, 30));
     }
 }
 
 #[cfg(test)]
 mod update_tests {
+    use super::mixed_tests::uniform;
     use super::*;
     use std::collections::BTreeSet;
 
     #[test]
     fn ycsb_a_style_mix() {
-        let (_, ops) = ycsb_mixed_with_updates(50, 400, 16, 2, 50, 50, 0);
+        let (_, ops) = ycsb_mix(50, 400, 16, 2, &uniform(50, 50, 0));
         let updates = ops
             .iter()
             .filter(|o| matches!(o, MixedOp::Update(_)))
@@ -724,7 +675,7 @@ mod update_tests {
 
     #[test]
     fn updates_carry_fresh_values() {
-        let (_, ops) = ycsb_mixed_with_updates(5, 50, 16, 3, 0, 100, 0);
+        let (_, ops) = ycsb_mix(5, 50, 16, 3, &uniform(0, 100, 0));
         for op in &ops {
             let MixedOp::Update(o) = op else {
                 panic!("pure update mix")
@@ -739,7 +690,7 @@ mod update_tests {
         // whenever key_a ^ key_b == (v_a ^ v_b) << 32. The new payload
         // carries (key, version) verbatim, so all update values in a
         // run are pairwise distinct and distinct from insert values.
-        let (load, ops) = ycsb_mixed_with_updates(40, 400, 16, 8, 0, 60, 20);
+        let (load, ops) = ycsb_mix(40, 400, 16, 8, &uniform(0, 60, 20));
         let mut seen: BTreeSet<Vec<u8>> = load.iter().map(|o| o.value.clone()).collect();
         assert_eq!(seen.len(), 40);
         for op in &ops {

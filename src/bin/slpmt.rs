@@ -944,7 +944,7 @@ fn cmd_mc(f: &mut Flags) -> Result<ExitCode, String> {
     spec.stores_per_txn = case.stores_per_txn;
     spec.shared_skew_milli = case.skew;
     let programs = gen_programs(&spec);
-    let (mm, outcome) = run_programs(
+    let (m, outcome) = run_programs(
         MachineConfig::for_scheme(case.scheme),
         &programs,
         case.sched,
@@ -954,7 +954,7 @@ fn cmd_mc(f: &mut Flags) -> Result<ExitCode, String> {
         .iter()
         .filter(|e| matches!(e, McEvent::ConflictAborted { .. }))
         .count();
-    let oracle = check_serialized_oracle(&mm, &outcome);
+    let oracle = check_serialized_oracle(&m, &outcome);
     if json {
         let mut w = JsonWriter::new();
         w.begin_obj();
@@ -1646,14 +1646,21 @@ fn cmd_chaos(f: &mut Flags) -> Result<ExitCode, String> {
     let seed = f.get("--seed", 42u64);
     let requests = f.get("--requests", 40usize);
     let points = f.positive("--points", 3);
-    let faults: Option<usize> = f.opt("--faults");
+    let defaults = default_plans(seed);
+    let faults = f.checked(
+        "--faults",
+        defaults.len(),
+        |n| n <= defaults.len(),
+        &format!(
+            "must be in 0..={} (the default fault plans)",
+            defaults.len()
+        ),
+    );
     let mut plans: Vec<FaultPlan> = f.all("--plan");
     let json = f.flag("--json");
     f.finish()?;
     if plans.is_empty() {
-        let defaults = default_plans(seed);
-        let n = faults.unwrap_or(defaults.len()).min(defaults.len());
-        plans = defaults[..n].to_vec();
+        plans = defaults[..faults].to_vec();
     }
 
     let cases = chaos_cases(&schemes, kind, seed, requests, &mixes);

@@ -132,6 +132,12 @@ fn serve_needs_a_session() {
 }
 
 #[test]
+fn chaos_faults_stay_within_the_default_plans() {
+    let err = rejects("chaos --faults 9");
+    assert!(err.contains("--faults must be in 0..=5"), "{err}");
+}
+
+#[test]
 fn first_error_in_argument_order_wins() {
     let err = rejects("matrix --bogus --ops x");
     assert!(err.starts_with("error: unknown option --bogus"), "{err}");

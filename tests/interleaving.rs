@@ -13,9 +13,7 @@
 //! both scheduler policies).
 
 use slpmt::core::multi::{check_serialized_oracle, gen_programs, run_programs};
-use slpmt::core::{
-    MachineConfig, MultiMachine, ProgramSpec, Schedule, Scheme, Signature, StoreKind,
-};
+use slpmt::core::{Machine, MachineConfig, ProgramSpec, Schedule, Scheme, Signature, StoreKind};
 use slpmt::pmem::PmAddr;
 use slpmt::workloads::runner::{par_map_with, threads};
 
@@ -50,8 +48,8 @@ fn check_case_skewed(
     let mut spec = ProgramSpec::small(cores, seed);
     spec.shared_skew_milli = skew;
     let programs = gen_programs(&spec);
-    let (mm, outcome) = run_programs(MachineConfig::for_scheme(scheme), &programs, sched);
-    check_serialized_oracle(&mm, &outcome).err().map(|e| {
+    let (m, outcome) = run_programs(MachineConfig::for_scheme(scheme), &programs, sched);
+    check_serialized_oracle(&m, &outcome).err().map(|e| {
         format!("scheme={scheme} cores={cores} seed={seed} sched={sched} skew={skew}: {e}")
     })
 }
@@ -156,32 +154,33 @@ fn schedules_with_different_seeds_interleave_differently() {
 /// conflicting update becomes durable).
 #[test]
 fn cross_core_write_forces_dependent_lazy_line() {
-    let mut mm = MultiMachine::new(MachineConfig::for_scheme(Scheme::Slpmt), 2);
+    let mut m = Machine::with_cores(MachineConfig::for_scheme(Scheme::Slpmt), 2);
     let a = PmAddr::new(0x5000); // lazily-persistent update
     let b = PmAddr::new(0x6000); // its read dependency
-    mm.tx_begin(0);
-    assert_eq!(mm.load_u64(0, b), 0);
-    mm.store_u64(0, a, 7, StoreKind::lazy_log_free());
-    mm.tx_commit(0);
+    m.tx_begin();
+    assert_eq!(m.load_u64(b), 0);
+    m.store_u64(a, 7, StoreKind::lazy_log_free());
+    m.tx_commit();
     // Committed but deferred: the update is visible coherently, not
     // durably.
-    assert_eq!(mm.peek_u64(a), 7);
-    assert_eq!(mm.machine().device().image().read_u64(a), 0);
-    assert_eq!(mm.machine().stats().lazy_lines_deferred, 1);
+    assert_eq!(m.peek_u64(a), 7);
+    assert_eq!(m.device().image().read_u64(a), 0);
+    assert_eq!(m.stats().lazy_lines_deferred, 1);
 
     // Core 1 overwrites the dependency. Persisting b while a's
     // transaction read b could leak an inconsistent (a=0, b=9) state
     // to PM, so the signature hit must force a durable first.
-    mm.tx_begin(1);
-    mm.store_u64(1, b, 9, StoreKind::Store);
-    mm.tx_commit(1);
+    m.switch_core(1);
+    m.tx_begin();
+    m.store_u64(b, 9, StoreKind::Store);
+    m.tx_commit();
     assert_eq!(
-        mm.machine().device().image().read_u64(a),
+        m.device().image().read_u64(a),
         7,
         "deferred line not forced"
     );
-    assert_eq!(mm.machine().device().image().read_u64(b), 9);
-    let stats = mm.machine().stats();
+    assert_eq!(m.device().image().read_u64(b), 9);
+    let stats = m.stats();
     assert!(stats.signature_hits >= 1, "no signature hit recorded");
     assert!(stats.lazy_lines_forced >= 1, "no forced lazy line recorded");
 }
@@ -192,7 +191,7 @@ fn cross_core_write_forces_dependent_lazy_line() {
 /// a false negative).
 #[test]
 fn signature_false_positive_forces_unrelated_line() {
-    let mut mm = MultiMachine::new(MachineConfig::for_scheme(Scheme::Slpmt), 2);
+    let mut m = Machine::with_cores(MachineConfig::for_scheme(Scheme::Slpmt), 2);
     let a = PmAddr::new(0x5000);
     let read_base = 0x2_0000u64;
     let n_reads = 200u64;
@@ -200,19 +199,15 @@ fn signature_false_positive_forces_unrelated_line() {
     // then commits one lazy update. Mirror the inserts locally so we
     // can brute-force an aliasing address.
     let mut sig = Signature::new();
-    mm.tx_begin(0);
+    m.tx_begin();
     for i in 0..n_reads {
         let r = PmAddr::new(read_base + i * 64);
-        mm.load_u64(0, r);
+        m.load_u64(r);
         sig.insert(r);
     }
-    mm.store_u64(0, a, 7, StoreKind::lazy_log_free());
-    mm.tx_commit(0);
-    assert_eq!(
-        mm.machine().device().image().read_u64(a),
-        0,
-        "still deferred"
-    );
+    m.store_u64(a, 7, StoreKind::lazy_log_free());
+    m.tx_commit();
+    assert_eq!(m.device().image().read_u64(a), 0, "still deferred");
 
     // An address far outside everything the test touched that still
     // tests positive: with ~400 of 2048 bits set and two hash probes,
@@ -222,15 +217,16 @@ fn signature_false_positive_forces_unrelated_line() {
         .find(|&c| sig.maybe_contains(c))
         .expect("no aliasing line within the candidate range");
 
-    mm.tx_begin(1);
-    mm.store_u64(1, alias, 99, StoreKind::Store);
-    mm.tx_commit(1);
+    m.switch_core(1);
+    m.tx_begin();
+    m.store_u64(alias, 99, StoreKind::Store);
+    m.tx_commit();
     assert_eq!(
-        mm.machine().device().image().read_u64(a),
+        m.device().image().read_u64(a),
         7,
         "false-positive signature hit must still force the deferred line"
     );
-    assert!(mm.machine().stats().signature_hits >= 1);
+    assert!(m.stats().signature_hits >= 1);
 }
 
 /// Nightly exhaustive matrix: every scheme × 2–4 cores × 8 program
@@ -264,8 +260,8 @@ fn full_interleaving_matrix() {
             spec.stores_per_txn = 6;
             spec.shared_skew_milli = skew;
             let programs = gen_programs(&spec);
-            let (mm, outcome) = run_programs(MachineConfig::for_scheme(scheme), &programs, sched);
-            check_serialized_oracle(&mm, &outcome).err().map(|e| {
+            let (m, outcome) = run_programs(MachineConfig::for_scheme(scheme), &programs, sched);
+            check_serialized_oracle(&m, &outcome).err().map(|e| {
                 format!("scheme={scheme} cores={cores} seed={seed} sched={sched} skew={skew}: {e}")
             })
         })
