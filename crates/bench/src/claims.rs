@@ -333,17 +333,19 @@ impl RunCell {
 /// Fig. 4's logged line; the log-free line is the next one.
 const FIG4_LINE: u64 = 0x10000;
 
-/// Runs `body` as one committed SLPMT transaction on a fresh machine
-/// and returns its cycles, media bytes and persist events. These
+/// Runs `body` as one committed SLPMT transaction on a fresh, traced
+/// machine and returns its cycles, media bytes and persist events (read
+/// back from the trace; tracing moves no simulated figure). These
 /// transactions take microseconds and no two figures share one, so
 /// they run inline rather than as cells.
 fn committed_txn(body: impl FnOnce(&mut Machine)) -> (u64, u64, Vec<PersistEvent>) {
     let mut m = Machine::new(MachineConfig::for_scheme(Slpmt));
+    m.enable_tracing(1 << 16);
     m.tx_begin();
     body(&mut m);
     m.tx_commit();
     let bytes = m.device().traffic().media_bytes();
-    (m.now(), bytes, m.device().events().to_vec())
+    (m.now(), bytes, m.device().persist_history())
 }
 
 /// The reports the figures read, and which cells they read.

@@ -35,11 +35,13 @@ use slpmt_cache::{
     l1_logbits_to_l2, l2_logbits_to_l1, speculative_fill_words, CacheConfig, Entry, LineMeta,
     SetAssocCache, Slot, TxnId,
 };
-use slpmt_logbuf::{AtomLineBuffer, EdeCombiner, FlushEvent, LogRecord, TieredLogBuffer};
+use slpmt_logbuf::{
+    packed_lines, AtomLineBuffer, EdeCombiner, FlushEvent, LogRecord, TieredLogBuffer,
+};
 use slpmt_pmem::addr::{PmAddr, LINE_BYTES, WORD_BYTES};
-use slpmt_pmem::{PayloadBuf, PmConfig, PmDevice};
+use slpmt_pmem::{LogFlushEntry, PayloadBuf, PmConfig, PmDevice};
 use slpmt_trace::{CommitStage, Event as TraceEvent, TraceHandle, TraceRecord, Tracer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Commit-sequence phases at which a test may inject a power failure
 /// (see [`Machine::set_commit_crash_point`]). The phases correspond to
@@ -171,23 +173,6 @@ impl LogPath {
         }
     }
 
-    /// Buffers one undo/redo record: a word record (tiered, EDE) or a
-    /// whole-line pre-image (tiered, ATOM). Returns the flushes it
-    /// forced.
-    fn log(&mut self, seq: u64, addr: PmAddr, payload: &[u8]) -> Vec<FlushEvent> {
-        match self {
-            LogPath::Tiered(buf) => buf.insert(LogRecord::new(seq, addr, payload)),
-            LogPath::Atom(buf) => {
-                let pre = payload.try_into().expect("ATOM logs at line granularity");
-                buf.insert_line(seq, addr, pre).into_iter().collect()
-            }
-            LogPath::Ede(e) => {
-                let pre = payload.try_into().expect("EDE logs at word granularity");
-                e.log_word(seq, addr, pre).into_iter().collect()
-            }
-        }
-    }
-
     /// Drains every buffered record into one flush (commit, switch).
     fn drain(&mut self) -> Option<FlushEvent> {
         match self {
@@ -231,9 +216,66 @@ struct CurTxn {
     /// Core-local 2-bit ID.
     id: TxnId,
     /// Lines read (for the working-set signature).
-    read_set: BTreeSet<u64>,
+    read_set: LineList,
     /// Lines written.
-    write_set: BTreeSet<u64>,
+    write_set: LineList,
+}
+
+impl CurTxn {
+    /// Sorts both line sets, so the conflict check can search them
+    /// while the transaction waits parked or suspended.
+    fn seal(&mut self) {
+        self.read_set.seal();
+        self.write_set.seal();
+    }
+}
+
+/// A transaction's read or write set: line addresses appended in
+/// access order, skipping a repeat of the last line, then sorted and
+/// deduplicated once by [`seal`](Self::seal) — at commit, or when the
+/// transaction is parked or suspended — before anything searches or
+/// walks it. The buffer is reused across transactions.
+#[derive(Debug, Clone, Default)]
+struct LineList {
+    lines: Vec<u64>,
+    /// Set when an append broke ascending order since the last seal.
+    unsorted: bool,
+}
+
+impl LineList {
+    #[inline]
+    fn push(&mut self, line: u64) {
+        match self.lines.last() {
+            Some(&last) if last == line => {}
+            last => {
+                self.unsorted |= last.is_some_and(|&l| l > line);
+                self.lines.push(line);
+            }
+        }
+    }
+
+    fn seal(&mut self) {
+        if self.unsorted {
+            self.lines.sort_unstable();
+            self.lines.dedup();
+            self.unsorted = false;
+        }
+    }
+
+    /// The lines in ascending order; the list must be sealed.
+    fn sorted(&self) -> &[u64] {
+        debug_assert!(!self.unsorted, "line list read before it was sealed");
+        &self.lines
+    }
+
+    fn contains(&self, line: u64) -> bool {
+        self.sorted().binary_search(&line).is_ok()
+    }
+
+    fn clear(&mut self) {
+        self.lines.clear();
+        self.unsorted = false;
+    }
 }
 
 /// Precomputed per-store-flavour action for one scheme configuration:
@@ -380,6 +422,9 @@ pub struct Machine {
     scratch_lazy: Vec<PmAddr>,
     scratch_logged: Vec<PmAddr>,
     scratch_free: Vec<PmAddr>,
+    /// Emptied read/write-set buffers of the last committed or
+    /// aborted transaction, taken by the next `tx_begin`.
+    spare_sets: (LineList, LineList),
     /// Event tracing (`slpmt-trace`): `None` — the default — keeps
     /// every hook down to a single branch; `enable_tracing` installs a
     /// shared handle here, in the device and in every log buffer.
@@ -437,6 +482,7 @@ impl Machine {
             scratch_lazy: Vec::new(),
             scratch_logged: Vec::new(),
             scratch_free: Vec::new(),
+            spare_sets: Default::default(),
             tracer: None,
             store_actions,
             cfg,
@@ -855,13 +901,48 @@ impl Machine {
     }
 
     fn persist_flush(&mut self, ev: FlushEvent, sync: bool) {
-        let budget = self.cfg.pm.wpq_accept_cycles * ev.lines;
-        let accepted = self.dev.persist_log_pack(self.now, &ev.entries);
+        self.persist_pack(&ev.entries, ev.lines, sync);
+    }
+
+    /// Persists one packed batch of `lines` WPQ slots; see
+    /// [`Self::persist_flush`].
+    fn persist_pack(&mut self, entries: &[LogFlushEntry], lines: u64, sync: bool) {
+        let budget = self.cfg.pm.wpq_accept_cycles * lines;
+        let accepted = self.dev.persist_log_pack(self.now, entries);
         if sync {
             self.now = accepted;
         } else {
             let stall = accepted.saturating_sub(self.now + budget);
             self.now += stall;
+        }
+    }
+
+    /// Buffers one undo/redo record of the active core's open
+    /// transaction — a word record (tiered, EDE) or a whole-line
+    /// pre-image (tiered, ATOM) — and persists whatever the log path
+    /// releases. EDE's bufferless record goes out as a one-entry pack
+    /// straight from the stack.
+    fn log_record(&mut self, seq: u64, addr: PmAddr, payload: &[u8]) {
+        self.stats.log_records_created += 1;
+        match &mut self.core.log_path {
+            LogPath::Tiered(buf) => {
+                // Empty (no allocation) unless a full tier drained.
+                for ev in buf.insert(LogRecord::new(seq, addr, payload)) {
+                    self.persist_flush(ev, false);
+                }
+            }
+            LogPath::Atom(buf) => {
+                let pre = payload.try_into().expect("ATOM logs at line granularity");
+                if let Some(ev) = buf.insert_line(seq, addr, pre) {
+                    self.persist_flush(ev, false);
+                }
+            }
+            LogPath::Ede(e) => {
+                let pre = payload.try_into().expect("EDE logs at word granularity");
+                let rec = e.log_word(seq, addr, pre);
+                let lines = packed_lines(rec.media_bytes());
+                self.persist_pack(&[rec.into_flush_entry()], lines, false);
+            }
         }
     }
 
@@ -1364,18 +1445,12 @@ impl Machine {
                             _ => unreachable!("redo requires the tiered buffer"),
                         };
                         if !patched {
-                            self.stats.log_records_created += 1;
-                            for ev in self.core.log_path.log(seq, addr.word(), &payload) {
-                                self.persist_flush(ev, false);
-                            }
+                            self.log_record(seq, addr.word(), &payload);
                         }
                     }
                     return;
                 }
-                self.stats.log_records_created += 1;
-                for ev in self.core.log_path.log(seq, addr.word(), &payload) {
-                    self.persist_flush(ev, false);
-                }
+                self.log_record(seq, addr.word(), &payload);
                 self.l1_at_mut(slot, addr).meta.set_word_logged(word);
                 self.trace(|t| {
                     t.emit(TraceEvent::LogBit {
@@ -1405,10 +1480,7 @@ impl Machine {
                         }
                     }
                 }
-                self.stats.log_records_created += 1;
-                for ev in self.core.log_path.log(seq, line, &pre) {
-                    self.persist_flush(ev, false);
-                }
+                self.log_record(seq, line, &pre);
                 self.l1_at_mut(slot, addr).meta.log_bits = 0xFF;
             }
         }
@@ -1430,7 +1502,7 @@ impl Machine {
         let slot = self.ensure_l1(addr);
         self.lazy_checks(slot, addr, false, false);
         if let Some(cur) = &mut self.core.cur {
-            cur.read_set.insert(addr.line().raw());
+            cur.read_set.push(addr.line().raw());
         }
         let e = self.l1_at(slot, addr);
         let off = addr.offset_in_line();
@@ -1516,7 +1588,7 @@ impl Machine {
         let off = addr.offset_in_line();
         e.data[off..off + 8].copy_from_slice(&bytes);
         if let Some(cur) = &mut self.core.cur {
-            cur.write_set.insert(line.raw());
+            cur.write_set.push(line.raw());
         }
     }
 
@@ -1588,11 +1660,12 @@ impl Machine {
                 id: id.raw(),
             });
         });
+        let (read_set, write_set) = std::mem::take(&mut self.spare_sets);
         self.core.cur = Some(CurTxn {
             seq: self.txn_seq,
             id,
-            read_set: BTreeSet::new(),
-            write_set: BTreeSet::new(),
+            read_set,
+            write_set,
         });
         self.stats.tx_begins += 1;
         self.now += self.cfg.tx_begin_cycles;
@@ -1605,11 +1678,12 @@ impl Machine {
     ///
     /// Panics if no transaction is open.
     pub fn tx_commit(&mut self) {
-        let cur = self
+        let mut cur = self
             .core
             .cur
             .take()
             .expect("commit without an open transaction");
+        cur.write_set.seal();
         let commit_start = self.now;
         let redo = self.cfg.features.discipline == Discipline::Redo;
         self.trace(|t| t.emit(TraceEvent::CommitBegin { txn: cur.seq }));
@@ -1643,7 +1717,7 @@ impl Machine {
             // walking the write set finds every tagged line without
             // sweeping both caches (battery mode is single-core, so no
             // other core's lines are involved).
-            for &raw in &cur.write_set {
+            for &raw in cur.write_set.sorted() {
                 let addr = PmAddr::new(raw);
                 if let Some(e) = self.l1_or_l2_mut(addr) {
                     if e.meta.txn_id == Some(cur.id) {
@@ -1664,6 +1738,7 @@ impl Machine {
             });
             self.stats.commit_stall_cycles += self.now - commit_start;
             self.stats.tx_commits += 1;
+            self.recycle_sets(cur);
             return;
         }
 
@@ -1674,7 +1749,7 @@ impl Machine {
         //    ascending address order — instead of sweeping L1 + L2.
         let mut lazy_lines = std::mem::take(&mut self.scratch_lazy);
         lazy_lines.clear();
-        for &raw in &cur.write_set {
+        for &raw in cur.write_set.sorted() {
             let addr = PmAddr::new(raw);
             if self.l1_or_l2(addr).is_some_and(|e| {
                 e.meta.dirty
@@ -1704,7 +1779,7 @@ impl Machine {
         logged_lines.clear();
         let mut free_lines = std::mem::take(&mut self.scratch_free);
         free_lines.clear();
-        for &raw in &cur.write_set {
+        for &raw in cur.write_set.sorted() {
             let addr = PmAddr::new(raw);
             let Some(e) = self.l1_or_l2(addr) else {
                 continue;
@@ -1847,8 +1922,18 @@ impl Machine {
                 e.meta.defer_bits = 0;
                 self.stats.lazy_lines_deferred += 1;
             }
+            // The signature covers the lines read but not written, in
+            // ascending order.
+            cur.read_set.seal();
+            let read_only = || {
+                cur.read_set
+                    .sorted()
+                    .iter()
+                    .copied()
+                    .filter(|&l| !cur.write_set.contains(l))
+            };
             let mut sig = Signature::new();
-            for &l in cur.read_set.difference(&cur.write_set) {
+            for l in read_only() {
                 sig.insert(PmAddr::new(l));
             }
             self.trace(|t| {
@@ -1858,7 +1943,7 @@ impl Machine {
                 t.emit(TraceEvent::SigInsert {
                     txn: cur.seq,
                     id: cur.id.raw(),
-                    lines: cur.read_set.difference(&cur.write_set).copied().collect(),
+                    lines: read_only().collect(),
                 });
             });
             let mut lines = lazy_lines.clone();
@@ -1878,6 +1963,15 @@ impl Machine {
         self.scratch_lazy = lazy_lines;
         self.scratch_logged = logged_lines;
         self.scratch_free = free_lines;
+        self.recycle_sets(cur);
+    }
+
+    /// Keeps a finished transaction's line-set buffers for the next
+    /// `tx_begin`.
+    fn recycle_sets(&mut self, mut done: CurTxn) {
+        done.read_set.clear();
+        done.write_set.clear();
+        self.spare_sets = (done.read_set, done.write_set);
     }
 
     /// Redo commit, pre-marker phase: persists the *log-free* words of
@@ -2146,7 +2240,9 @@ impl Machine {
         }
         self.txreg.retire_clean(victim.id);
         self.stats.tx_aborts += 1;
-        victim.seq
+        let seq = victim.seq;
+        self.recycle_sets(victim);
+        seq
     }
 
     /// The private context holding `who`'s cached state.
@@ -2178,7 +2274,7 @@ impl Machine {
     fn resolve_conflicts(&mut self, addr: PmAddr, is_write: bool) {
         let line = addr.line().raw();
         let hits =
-            |t: &CurTxn| t.write_set.contains(&line) || (is_write && t.read_set.contains(&line));
+            |t: &CurTxn| t.write_set.contains(line) || (is_write && t.read_set.contains(line));
         loop {
             let who = if let Some(pos) = self.suspended.iter().position(hits) {
                 Victim::Suspended(pos)
@@ -2240,13 +2336,14 @@ impl Machine {
              failure flush cannot distinguish a suspended transaction's \
              uncommitted lines from committed ones"
         );
-        let cur = self
+        let mut cur = self
             .core
             .cur
             .take()
             .expect("no open transaction to suspend");
         self.context_switch();
         let seq = cur.seq;
+        cur.seal();
         self.suspended.push(cur);
         seq
     }
@@ -2337,11 +2434,11 @@ impl Machine {
     // Multi-core support
 
     /// Makes `core` the executing core (a no-op when it already is):
-    /// its private context is swapped in, and the device's
-    /// persist-event origin and the tracer's core are stamped with its
-    /// ID. Pure bookkeeping — no cycles, no cache movement: the cores
-    /// run concurrently in reality; the caller interleaves them onto
-    /// one deterministic timeline.
+    /// its private context is swapped in, and the tracer's core is
+    /// stamped with its ID (so every persist record names the core
+    /// that issued it). Pure bookkeeping — no cycles, no cache
+    /// movement: the cores run concurrently in reality; the caller
+    /// interleaves them onto one deterministic timeline.
     ///
     /// # Panics
     ///
@@ -2349,6 +2446,9 @@ impl Machine {
     pub fn switch_core(&mut self, core: usize) {
         if core == self.active {
             return;
+        }
+        if let Some(cur) = &mut self.core.cur {
+            cur.seal();
         }
         // Both contexts are boxed, so this moves two pointers —
         // activation cost is independent of L1 size or shadow depth.
@@ -2359,7 +2459,6 @@ impl Machine {
             .unwrap_or_else(|| panic!("core {core} out of range"));
         self.parked[self.active] = Some(std::mem::replace(&mut self.core, ctx));
         self.active = core;
-        self.dev.set_event_origin(core as u8);
         if cfg!(feature = "no-trace") {
             return;
         }

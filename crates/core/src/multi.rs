@@ -741,6 +741,10 @@ pub fn mc_count_events(case: &McSweepCase) -> u64 {
     m.persist_event_count()
 }
 
+/// Per-core trace ring capacity of the traced multi-core runs: far
+/// above what a sweep case emits, so no record is ever dropped.
+const MC_TRACE_CAPACITY: usize = 1 << 20;
+
 /// Replays the case with a crash armed at persist event `k`, recovers,
 /// and checks every program word against its *admissible* value set:
 ///
@@ -766,19 +770,21 @@ pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
     let programs = gen_programs(&case.spec());
     let cfg = MachineConfig::for_scheme(case.scheme);
     let lazy_enabled = cfg.features.lazy;
-    let (mut m, outcome) = run_programs_opts(cfg, &programs, case.sched, Some(k), None);
+    // Traced, so the persist history can be read back after the crash.
+    let (mut m, outcome) =
+        run_programs_opts(cfg, &programs, case.sched, Some(k), Some(MC_TRACE_CAPACITY));
     m.crash();
     // Durable markers decide what counts as committed. Walk the persist
-    // trace rather than the live marker map: `truncate_committed`
+    // history rather than the live marker map: `truncate_committed`
     // retires fully-persisted markers into a watermark, and a marker
     // that landed torn at the crash boundary must not count.
     let log = m.device().log();
     let durable: BTreeSet<u64> = m
         .device()
-        .events()
-        .iter()
+        .persist_history()
+        .into_iter()
         .filter_map(|e| match e {
-            PersistEvent::CommitMarker { txn } if log.marker_usable(*txn) => Some(*txn),
+            PersistEvent::CommitMarker { txn } if log.marker_usable(txn) => Some(txn),
             _ => None,
         })
         .collect();
@@ -834,7 +840,7 @@ pub fn mc_trace_crash_at(case: &McSweepCase, k: u64) -> Vec<TraceRecord> {
         &programs,
         case.sched,
         Some(k),
-        1 << 20,
+        MC_TRACE_CAPACITY,
     );
     m.crash();
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.recover()));
@@ -1034,13 +1040,21 @@ mod tests {
     #[test]
     fn event_origins_attribute_cores() {
         let programs = gen_programs(&ProgramSpec::small(2, 13));
-        let (m, _) = run_programs(
+        let (mut m, _) = run_programs_traced(
             MachineConfig::for_scheme(Scheme::Fg),
             &programs,
             Schedule::round_robin(0),
+            None,
+            MC_TRACE_CAPACITY,
         );
-        let origins = m.device().event_origins();
+        let history = m.device().persist_history();
+        let origins: Vec<u8> = m
+            .take_trace()
+            .into_iter()
+            .filter(|r| matches!(r.event, slpmt_trace::Event::Persist { .. }))
+            .map(|r| r.core)
+            .collect();
         assert!(origins.contains(&0) && origins.contains(&1));
-        assert_eq!(origins.len(), m.device().events().len());
+        assert_eq!(origins.len(), history.len());
     }
 }

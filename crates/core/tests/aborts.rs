@@ -146,9 +146,7 @@ const LAZY: [Scheme; 4] = [
 /// (§III-C1). Arms the persist-event crash scheduler at `k` when given.
 fn abort_after_takeover(scheme: Scheme, kind: StoreKind, k: Option<u64>) -> Machine {
     let mut m = Machine::new(MachineConfig::for_scheme(scheme));
-    if let Some(k) = k {
-        m.arm_crash_at_event(k);
-    }
+    arm_or_trace(&mut m, k);
     let a = word(0);
     m.tx_begin();
     m.store_u64(a, 55, StoreKind::lazy_log_free());
@@ -201,7 +199,7 @@ fn abort_after_takeover_recovers_at_every_persist_event() {
         // data persist is the forced write-back.
         let forced = twin
             .device()
-            .events()
+            .persist_history()
             .iter()
             .position(|e| matches!(e, PersistEvent::DataLine { addr } if *addr == a.line()))
             .expect("the takeover forces the lazy line") as u64
@@ -219,11 +217,23 @@ fn abort_after_takeover_recovers_at_every_persist_event() {
     }
 }
 
+/// Arms the persist-event crash scheduler at `k`, or — for the
+/// crash-free twin, whose persist history the test reads back — turns
+/// tracing on.
+fn arm_or_trace(m: &mut Machine, k: Option<u64>) {
+    match k {
+        Some(k) => m.arm_crash_at_event(k),
+        None => {
+            m.enable_tracing(1 << 20);
+        }
+    }
+}
+
 /// Persist-event number (1-based) of `seq`'s commit marker.
 fn marker_event(m: &Machine, seq: u64) -> u64 {
     let pos = m
         .device()
-        .events()
+        .persist_history()
         .iter()
         .position(|e| matches!(e, PersistEvent::CommitMarker { txn } if *txn == seq))
         .expect("the later transaction commits");
@@ -236,9 +246,7 @@ fn marker_event(m: &Machine, seq: u64) -> u64 {
 fn abort_after_steal(k: Option<u64>) -> (Machine, u64) {
     let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Fg).with_tiny_caches());
     m.setup_write(word(0), &7u64.to_le_bytes());
-    if let Some(k) = k {
-        m.arm_crash_at_event(k);
-    }
+    arm_or_trace(&mut m, k);
     m.tx_begin();
     m.store_u64(word(0), 999, StoreKind::Store);
     for i in 0..512u64 {

@@ -94,10 +94,14 @@ const SPILL_WORDS: [u64; 5] = [2, 3, 4, 5, 8];
 /// line, loads 512 other lines so the tiny caches spill that line to
 /// the redo shadow, reloads it and commits. Arms the persist-event
 /// crash scheduler at `k` when given, else the commit crash point
-/// after the log-free pass.
+/// after the log-free pass. `k = u64::MAX` is the crash-free twin: it
+/// traces instead, so its persist history can be read back.
 fn redo_spill_case(scheme: Scheme, n: u64, k: Option<u64>) -> Machine {
     let mut m = Machine::new(MachineConfig::for_scheme(scheme).with_tiny_caches());
     match k {
+        Some(u64::MAX) => {
+            m.enable_tracing(1 << 20);
+        }
         Some(k) => m.arm_crash_at_event(k),
         None => m.set_commit_crash_point(Some(CommitPhase::AfterLogFree)),
     }
@@ -139,7 +143,7 @@ fn redo_spill_recovers_at_every_persist_event() {
             let twin = redo_spill_case(scheme, n, Some(u64::MAX));
             let marker = twin
                 .device()
-                .events()
+                .persist_history()
                 .iter()
                 .position(|e| matches!(e, PersistEvent::CommitMarker { .. }))
                 .expect("the transaction commits") as u64

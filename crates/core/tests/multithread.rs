@@ -109,8 +109,12 @@ fn conflict_abort_after_takeover_keeps_the_committed_lazy_word() {
 fn conflict_after_steal(k: Option<u64>) -> (Machine, u64) {
     let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Slpmt).with_tiny_caches());
     m.setup_write(A, &5u64.to_le_bytes());
-    if let Some(k) = k {
-        m.arm_crash_at_event(k);
+    match k {
+        Some(k) => m.arm_crash_at_event(k),
+        // The crash-free twin: its persist history is read back.
+        None => {
+            m.enable_tracing(1 << 20);
+        }
     }
     m.tx_begin();
     m.store_u64(A, 99, StoreKind::Store);
@@ -136,7 +140,7 @@ fn conflict_after_steal_recovers_at_every_persist_event() {
     assert_eq!(twin.stats().suspended_aborts, 1);
     let marker = twin
         .device()
-        .events()
+        .persist_history()
         .iter()
         .position(|e| matches!(e, PersistEvent::CommitMarker { txn } if *txn == winner))
         .expect("the winner commits") as u64

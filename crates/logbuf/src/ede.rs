@@ -21,9 +21,9 @@ use slpmt_pmem::addr::{PmAddr, WORD_BYTES};
 /// use slpmt_logbuf::EdeCombiner;
 /// use slpmt_pmem::PmAddr;
 /// let mut e = EdeCombiner::new();
-/// let ev = e.log_word(1, PmAddr::new(0), [7; 8]).unwrap();
-/// assert_eq!(ev.entries.len(), 1);
-/// assert_eq!(ev.entries[0].payload.len(), 8);
+/// let rec = e.log_word(1, PmAddr::new(0), [7; 8]);
+/// assert_eq!(rec.payload.len(), 8);
+/// assert_eq!(rec.media_bytes(), 16);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EdeCombiner {
@@ -46,22 +46,17 @@ impl EdeCombiner {
         false
     }
 
-    /// Logs the pre-image of one word, emitting the record
-    /// immediately.
+    /// Logs the pre-image of one word and returns its record, which
+    /// the caller persists immediately as a one-record pack (there is
+    /// no buffer to hold it).
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not word-aligned.
-    pub fn log_word(
-        &mut self,
-        txn: u64,
-        addr: PmAddr,
-        pre_image: [u8; WORD_BYTES],
-    ) -> Option<FlushEvent> {
+    pub fn log_word(&mut self, txn: u64, addr: PmAddr, pre_image: [u8; WORD_BYTES]) -> LogRecord {
         assert!(addr.is_word_aligned(), "EDE logs whole words");
         self.emitted += 1;
-        let rec = LogRecord::new(txn, addr, &pre_image);
-        Some(crate::record::flush_event(vec![rec]))
+        LogRecord::new(txn, addr, &pre_image)
     }
 
     /// Emits pending state — a no-op for the bufferless path.
@@ -87,9 +82,9 @@ mod tests {
     fn every_word_emits_a_record() {
         let mut e = EdeCombiner::new();
         for w in 0..8u64 {
-            let ev = e.log_word(1, PmAddr::new(w * 8), [w as u8; 8]).unwrap();
-            assert_eq!(ev.entries.len(), 1);
-            assert_eq!(ev.media_bytes(), 16);
+            let rec = e.log_word(1, PmAddr::new(w * 8), [w as u8; 8]);
+            assert_eq!(rec.addr, PmAddr::new(w * 8));
+            assert_eq!(rec.media_bytes(), 16);
         }
         assert_eq!(e.emitted(), 8);
     }
@@ -100,11 +95,7 @@ mod tests {
         // where the tiered buffer coalesces them into one 72 B record.
         let mut e = EdeCombiner::new();
         let total: u64 = (0..8u64)
-            .map(|w| {
-                e.log_word(1, PmAddr::new(w * 8), [0; 8])
-                    .unwrap()
-                    .media_bytes()
-            })
+            .map(|w| e.log_word(1, PmAddr::new(w * 8), [0; 8]).media_bytes())
             .sum();
         assert_eq!(total, 128);
     }

@@ -18,15 +18,17 @@ use crate::wpq::{WpqPush, WritePendingQueue};
 use slpmt_trace::{Event as TraceEvent, PersistKind, TraceHandle};
 use std::collections::BTreeSet;
 
-/// One entry of the device's persist-event trace, in acceptance order.
-/// Tests use the trace to assert persist-ordering disciplines
+/// One accepted durable-state mutation. The device keeps no history of
+/// them: each is emitted to the trace sink as a `Persist` record, and
+/// [`PmDevice::persist_history`] reads the stream back, in acceptance
+/// order. Tests use it to assert persist-ordering disciplines
 /// (Figure 4): e.g. that a logged line's undo records are accepted
 /// before the line's data.
 ///
 /// Every variant is one *numbered* durable-state mutation: the index
-/// of an event in the trace (1-based) is the value the crash scheduler
-/// ([`PmDevice::arm_crash_at_event`]) counts, so a crash state is
-/// always an exact prefix of this trace.
+/// of an event in the stream (1-based) is the value the crash
+/// scheduler ([`PmDevice::arm_crash_at_event`]) counts, so a crash
+/// state is always an exact prefix of the stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistEvent {
     /// A data cache line was accepted by the WPQ.
@@ -107,18 +109,8 @@ pub struct PmDevice {
     /// into 64-byte media lines; bytes landing in the line already in
     /// flight at the tail are absorbed for free.
     log_tail: u64,
-    /// Persist events in acceptance order (survives crash — the trace
-    /// records what reached the persistence domain).
-    events: Vec<PersistEvent>,
-    /// Originating core of each accepted event, parallel to `events`.
-    /// Single-core machines leave every entry 0; a multi-core machine
-    /// calls [`set_event_origin`](Self::set_event_origin) at each core
-    /// switch so the shared trace stays attributable.
-    origins: Vec<u8>,
-    /// Core id stamped on the next accepted events.
-    origin: u8,
-    /// Total persist events ever accepted (monotonic across crashes;
-    /// `events` is cleared by nothing, so this equals `events.len()`).
+    /// Total persist events ever accepted (monotonic across crashes).
+    /// The events themselves live only in the trace sink.
     event_count: u64,
     /// Armed crash point: after `k` total events have been accepted,
     /// every further durable mutation is dropped (the power failed
@@ -161,9 +153,6 @@ impl PmDevice {
             traffic: WriteTraffic::new(),
             log: LogRegion::new(),
             log_tail: 0,
-            events: Vec::new(),
-            origins: Vec::new(),
-            origin: 0,
             event_count: 0,
             crash_at_event: None,
             crash_tripped: false,
@@ -240,23 +229,65 @@ impl PmDevice {
         }
     }
 
-    /// The persist-event trace, in acceptance order.
-    pub fn events(&self) -> &[PersistEvent] {
-        &self.events
-    }
-
-    /// Originating core of each accepted event (parallel to
-    /// [`events`](Self::events); all zeros on single-core machines).
-    pub fn event_origins(&self) -> &[u8] {
-        &self.origins
-    }
-
-    /// Sets the core id stamped on subsequently accepted events. A
-    /// multi-core front end calls this whenever it switches the active
-    /// core, so every entry of the shared, globally-numbered persist
-    /// trace remains attributable to the core that issued it.
-    pub fn set_event_origin(&mut self, core: u8) {
-        self.origin = core;
+    /// Every persist event accepted since construction, in acceptance
+    /// order, read back from the trace sink's `Persist` records (the
+    /// device keeps no history of its own). The core that issued each
+    /// event is the record's `core`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the whole stream is in the trace: a tracer must
+    /// be installed before the first persist (and tracing compiled
+    /// in), the sink must have dropped no record, and it must hold
+    /// exactly [`event_count`](Self::event_count) `Persist` records
+    /// (none drained by a `take`). A check can therefore never pass on
+    /// a truncated history.
+    pub fn persist_history(&self) -> Vec<PersistEvent> {
+        let tracer = self
+            .tracer
+            .as_ref()
+            .filter(|_| !cfg!(feature = "no-trace"))
+            .expect("the persist history is read from the trace: enable tracing before the first persist");
+        let t = tracer.borrow();
+        assert_eq!(
+            t.dropped(),
+            0,
+            "the trace dropped records, so the persist history is incomplete: raise its capacity"
+        );
+        let events: Vec<PersistEvent> = t
+            .records()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::Persist {
+                    kind,
+                    addr,
+                    len,
+                    txn,
+                    ..
+                } => Some(match kind {
+                    PersistKind::Data => PersistEvent::DataLine {
+                        addr: PmAddr::new(addr),
+                    },
+                    PersistKind::Record => PersistEvent::LogRecord {
+                        txn,
+                        addr: PmAddr::new(addr),
+                        len: len as usize,
+                    },
+                    PersistKind::Marker => PersistEvent::CommitMarker { txn },
+                    PersistKind::Truncate => PersistEvent::LogTruncate,
+                }),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            events.len() as u64,
+            self.event_count,
+            "the trace holds {} of the device's {} persist events: tracing must be on \
+             from the first persist and the trace must not be drained",
+            events.len(),
+            self.event_count
+        );
+        events
     }
 
     /// Total persist events accepted since construction. Event indices
@@ -319,18 +350,16 @@ impl PmDevice {
     /// armed crash trips, all further mutations are dropped. With a
     /// tearing [`FaultPlan`], the crash-boundary event `k` itself
     /// lands *partially*, at 8-byte word granularity.
-    fn accept(&mut self, event: PersistEvent) -> Admission {
+    fn accept(&mut self, event: &PersistEvent) -> Admission {
         if let Some(k) = self.crash_at_event {
             if self.event_count >= k {
                 self.crash_tripped = true;
                 return Admission::Dropped;
             }
             if self.plan.tear && self.event_count + 1 == k {
-                if let Some((lo, hi)) = tear_range(&event) {
+                if let Some((lo, hi)) = tear_range(event) {
                     self.event_count += 1;
-                    self.trace_accepted(&event, true);
-                    self.events.push(event);
-                    self.origins.push(self.origin);
+                    self.trace_accepted(event, true);
                     // Power failed *during* event k: the prefix of the
                     // persist landed, nothing later can.
                     self.crash_tripped = true;
@@ -345,9 +374,7 @@ impl PmDevice {
             }
         }
         self.event_count += 1;
-        self.trace_accepted(&event, false);
-        self.events.push(event);
-        self.origins.push(self.origin);
+        self.trace_accepted(event, false);
         Admission::Full
     }
 
@@ -436,7 +463,7 @@ impl PmDevice {
     /// Panics if `addr` is not line-aligned.
     pub fn persist_line(&mut self, now: u64, addr: PmAddr, data: &[u8; LINE_BYTES]) -> u64 {
         self.trace_clock(now);
-        match self.accept(PersistEvent::DataLine { addr }) {
+        match self.accept(&PersistEvent::DataLine { addr }) {
             Admission::Dropped => now,
             Admission::Full => {
                 let push = self.wpq.push(now);
@@ -480,7 +507,7 @@ impl PmDevice {
             // Each record is its own persist event: a crash may land
             // between two records of the same pack — or *inside* one,
             // when a tearing fault plan is armed.
-            match self.accept(PersistEvent::LogRecord {
+            match self.accept(&PersistEvent::LogRecord {
                 txn: e.txn,
                 addr: e.addr,
                 len: e.payload.len(),
@@ -544,7 +571,7 @@ impl PmDevice {
     /// detectable at either word. Returns the acceptance cycle.
     pub fn persist_commit_marker(&mut self, now: u64, txn: u64) -> u64 {
         self.trace_clock(now);
-        match self.accept(PersistEvent::CommitMarker { txn }) {
+        match self.accept(&PersistEvent::CommitMarker { txn }) {
             Admission::Dropped => now,
             admission => {
                 match admission {
@@ -567,7 +594,7 @@ impl PmDevice {
     pub fn truncate_log(&mut self) {
         // Head updates are single-word and untearable, so the gate
         // only ever answers Full or Dropped here.
-        if self.accept(PersistEvent::LogTruncate) == Admission::Full {
+        if self.accept(&PersistEvent::LogTruncate) == Admission::Full {
             self.log.truncate_committed();
         }
     }
@@ -576,7 +603,7 @@ impl PmDevice {
     /// reset). A numbered persist event, like
     /// [`truncate_log`](Self::truncate_log).
     pub fn reset_log(&mut self) {
-        if self.accept(PersistEvent::LogTruncate) == Admission::Full {
+        if self.accept(&PersistEvent::LogTruncate) == Admission::Full {
             self.log.reset();
         }
     }
@@ -682,6 +709,14 @@ mod tests {
         PmDevice::new(PmConfig::default().with_capacity(1 << 20))
     }
 
+    /// A device whose persist stream goes to a trace of `capacity`
+    /// records.
+    fn traced_dev(capacity: usize) -> PmDevice {
+        let mut d = dev();
+        d.set_tracer(Some(slpmt_trace::tracer(capacity)));
+        d
+    }
+
     #[test]
     fn persist_line_updates_image_and_traffic() {
         let mut d = dev();
@@ -773,16 +808,91 @@ mod tests {
     }
 
     #[test]
-    fn events_are_numbered_monotonically() {
-        let mut d = dev();
+    fn accepted_events_are_numbered_monotonically() {
+        let mut d = traced_dev(64);
         assert_eq!(d.event_count(), 0);
         d.persist_line(0, PmAddr::new(0), &[1u8; 64]);
         assert_eq!(d.event_count(), 1);
         d.persist_commit_marker(0, 1);
         d.truncate_log();
         assert_eq!(d.event_count(), 3);
-        assert_eq!(d.events().len(), 3);
-        assert_eq!(d.events()[2], PersistEvent::LogTruncate);
+        assert_eq!(
+            d.persist_history(),
+            vec![
+                PersistEvent::DataLine {
+                    addr: PmAddr::new(0)
+                },
+                PersistEvent::CommitMarker { txn: 1 },
+                PersistEvent::LogTruncate,
+            ]
+        );
+    }
+
+    #[test]
+    fn history_reads_back_records_and_their_cores() {
+        let mut d = traced_dev(64);
+        d.persist_log_pack(
+            0,
+            &[LogFlushEntry {
+                txn: 4,
+                addr: PmAddr::new(64),
+                payload: PayloadBuf::from_slice(&[1; 16]),
+            }],
+        );
+        d.tracer.as_ref().unwrap().borrow_mut().set_core(1);
+        d.reset_log();
+        assert_eq!(
+            d.persist_history(),
+            vec![
+                PersistEvent::LogRecord {
+                    txn: 4,
+                    addr: PmAddr::new(64),
+                    len: 16
+                },
+                PersistEvent::LogTruncate,
+            ]
+        );
+        let cores: Vec<u8> = d
+            .tracer
+            .as_ref()
+            .unwrap()
+            .borrow()
+            .records()
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::Persist { .. }))
+            .map(|r| r.core)
+            .collect();
+        assert_eq!(cores, vec![0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "enable tracing before the first persist")]
+    fn history_needs_a_tracer() {
+        let mut d = dev();
+        d.persist_line(0, PmAddr::new(0), &[1u8; 64]);
+        d.persist_history();
+    }
+
+    #[test]
+    #[should_panic(expected = "the trace dropped records")]
+    fn history_refuses_a_trace_that_dropped_records() {
+        // Each data persist emits three records (persist, WPQ enqueue,
+        // drain): four persists overflow a 10-record ring.
+        let mut d = traced_dev(10);
+        for i in 0..4u64 {
+            d.persist_line(0, PmAddr::new(i * 64), &[1u8; 64]);
+        }
+        d.persist_history();
+    }
+
+    #[test]
+    #[should_panic(expected = "the trace holds 1 of the device's 2 persist events")]
+    fn history_refuses_a_tracer_installed_late() {
+        let mut d = dev();
+        d.persist_line(0, PmAddr::new(0), &[1u8; 64]);
+        d.set_tracer(Some(slpmt_trace::tracer(64)));
+        d.persist_line(0, PmAddr::new(64), &[1u8; 64]);
+        d.persist_history();
     }
 
     #[test]
@@ -886,7 +996,7 @@ mod tests {
 
     #[test]
     fn torn_marker_is_uncommitted_but_traced() {
-        let mut d = dev();
+        let mut d = traced_dev(64);
         d.set_fault_plan(FaultPlan {
             tear: true,
             tear_word: Some(1),
@@ -897,7 +1007,11 @@ mod tests {
         assert!(d.crash_tripped());
         assert!(!d.log().is_committed(5));
         assert!(!d.log().marker_usable(5));
-        assert_eq!(d.events().len(), 1, "torn marker appears in the trace");
+        assert_eq!(
+            d.persist_history(),
+            vec![PersistEvent::CommitMarker { txn: 5 }],
+            "torn marker appears in the trace"
+        );
     }
 
     #[test]

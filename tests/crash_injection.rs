@@ -166,6 +166,10 @@ fn torn_marker_leaves_txn_uncommitted_in_every_discipline() {
         let run = |tear: Option<(u8, u64)>| -> Machine {
             let mut m = machine(scheme);
             m.setup_write(A, &5u64.to_le_bytes());
+            if tear.is_none() {
+                // The twin: its persist history is read back below.
+                m.enable_tracing(1 << 16);
+            }
             if let Some((w, k)) = tear {
                 m.set_fault_plan(FaultPlan {
                     seed: 7,
@@ -184,7 +188,7 @@ fn torn_marker_leaves_txn_uncommitted_in_every_discipline() {
         let twin = run(None);
         let marker_k = twin
             .device()
-            .events()
+            .persist_history()
             .iter()
             .position(|e| matches!(e, PersistEvent::CommitMarker { .. }))
             .expect("commit persists a marker") as u64

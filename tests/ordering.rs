@@ -1,5 +1,6 @@
 //! Figure 4 persist-ordering assertions, checked against the device's
-//! persist-event trace.
+//! persist history (read back from the trace, so every machine here
+//! traces from its first instruction).
 //!
 //! Undo discipline: within a transaction's persist window (its first
 //! log record up to its commit marker), the *data* of a logged line
@@ -16,7 +17,7 @@ use std::collections::BTreeMap;
 /// window, `DataLine(L)` events for lines T logs must come after T's
 /// first record for L.
 fn assert_undo_windows(m: &Machine) {
-    let events = m.device().events();
+    let events = m.device().persist_history();
     // Find each txn's window and first-record-per-line map.
     let mut window_start: BTreeMap<u64, usize> = BTreeMap::new();
     let mut window_end: BTreeMap<u64, usize> = BTreeMap::new();
@@ -64,7 +65,7 @@ fn assert_undo_windows(m: &Machine) {
 
 /// Marker-after-records check, valid for every scheme.
 fn assert_markers_follow_records(m: &Machine) {
-    let events = m.device().events();
+    let events = m.device().persist_history();
     let mut last_record: BTreeMap<u64, usize> = BTreeMap::new();
     for (i, e) in events.iter().enumerate() {
         match e {
@@ -81,9 +82,19 @@ fn assert_markers_follow_records(m: &Machine) {
     }
 }
 
+/// Per-core trace capacity: far above what any test here emits.
+const TRACE_CAPACITY: usize = 1 << 20;
+
+/// A fresh machine tracing from its first instruction.
+fn traced(cfg: MachineConfig) -> Machine {
+    let mut m = Machine::new(cfg);
+    m.enable_tracing(TRACE_CAPACITY);
+    m
+}
+
 #[test]
 fn simple_commit_orders_log_before_data() {
-    let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Fg));
+    let mut m = traced(MachineConfig::for_scheme(Scheme::Fg));
     m.tx_begin();
     for i in 0..16u64 {
         m.store_u64(PmAddr::new(0x10000 + i * 8), i, StoreKind::Store);
@@ -97,7 +108,7 @@ fn simple_commit_orders_log_before_data() {
 fn stolen_lines_are_ordered_too() {
     // Tiny caches force mid-transaction overflow: even then, a line's
     // log records must beat its data to the persistence domain.
-    let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Fg).with_tiny_caches());
+    let mut m = traced(MachineConfig::for_scheme(Scheme::Fg).with_tiny_caches());
     m.tx_begin();
     for i in 0..256u64 {
         m.store_u64(PmAddr::new(0x10000 + i * 64), i, StoreKind::Store);
@@ -109,7 +120,7 @@ fn stolen_lines_are_ordered_too() {
 #[test]
 fn ordering_holds_across_many_transactions_and_schemes() {
     for scheme in [Scheme::Fg, Scheme::Atom, Scheme::Ede, Scheme::FgCl] {
-        let mut m = Machine::new(MachineConfig::for_scheme(scheme).with_tiny_caches());
+        let mut m = traced(MachineConfig::for_scheme(scheme).with_tiny_caches());
         for t in 0..32u64 {
             m.tx_begin();
             for i in 0..8u64 {
@@ -125,7 +136,7 @@ fn ordering_holds_across_many_transactions_and_schemes() {
 
 #[test]
 fn selective_logging_keeps_marker_ordering() {
-    let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Slpmt).with_tiny_caches());
+    let mut m = traced(MachineConfig::for_scheme(Scheme::Slpmt).with_tiny_caches());
     for t in 0..24u64 {
         m.tx_begin();
         let base = PmAddr::new(0x10000 + (t % 32) * 256);
@@ -144,6 +155,7 @@ fn workload_level_ordering() {
     use slpmt::workloads::{ycsb_load, AnnotationSource, PmContext};
     for kind in [IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::KvBtree] {
         let mut ctx = PmContext::new(Scheme::Slpmt, slpmt::annotate::AnnotationTable::new());
+        ctx.enable_tracing(TRACE_CAPACITY);
         let mut idx = kind.build(&mut ctx, 32, AnnotationSource::Manual);
         for op in ycsb_load(80, 32, 3) {
             idx.insert(&mut ctx, op.key, &op.value);
@@ -154,6 +166,7 @@ fn workload_level_ordering() {
     // workload level too.
     for kind in [IndexKind::Hashtable, IndexKind::KvBtree] {
         let mut ctx = PmContext::new(Scheme::Fg, slpmt::annotate::AnnotationTable::new());
+        ctx.enable_tracing(TRACE_CAPACITY);
         let mut idx = kind.build(&mut ctx, 32, AnnotationSource::None);
         for op in ycsb_load(80, 32, 3) {
             idx.insert(&mut ctx, op.key, &op.value);
