@@ -470,7 +470,9 @@ pub fn table() -> Vec<Figure> {
         .collect()
 }
 
-/// The tables as markdown: one `###` section per figure.
+/// The tables as markdown: one `###` section per figure. The last
+/// column is a row's declared [`Status`] when its check holds and ✗
+/// when it fails.
 pub fn markdown(figures: &[Figure]) -> String {
     let mut out = String::new();
     for (i, f) in figures.iter().enumerate() {
@@ -481,7 +483,13 @@ pub fn markdown(figures: &[Figure]) -> String {
         let _ = writeln!(out, "| metric | paper | measured | accepts | |");
         let _ = writeln!(out, "|---|---|---|---|---|");
         for c in &f.claims {
-            let (m, p, v, k, s) = (&c.metric, &c.paper, &c.measured, &c.check, c.status);
+            let (m, p, v, k) = (&c.metric, &c.paper, &c.measured, &c.check);
+            // A failing check reads ✗ whatever its declared status.
+            let s = if k.holds() {
+                c.status.to_string()
+            } else {
+                "✗".into()
+            };
             let _ = writeln!(out, "| {m} | {p} | {v} | {k} | {s} |");
         }
         let plural = if f.cells == 1 { "" } else { "s" };
@@ -894,4 +902,30 @@ fn sharded(r: &Runs) -> Vec<Claim> {
     [(Slpmt, Hashtable), (Fg, Hashtable), (Slpmt, Rbtree)]
         .map(scaling)
         .into()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failing_row_renders_a_cross() {
+        let figure = Figure {
+            name: "Figure 0 — rendering",
+            claims: vec![
+                claim!(Holds, "holds", "1"; equal("a", "a"); "a"),
+                claim!(Holds, "fails", "1"; equal("b", "a"); "b"),
+                claim!(Approx, "fails too", "1"; at_least([0.5], 1.0); "0.5"),
+            ],
+            cells: 1,
+            cycles: 10,
+        };
+        let table = markdown(&[figure]);
+        assert!(table.contains("| holds | 1 | a | = a | ✓ |"), "{table}");
+        assert!(table.contains("| fails | 1 | b | = a | ✗ |"), "{table}");
+        assert!(
+            table.contains("| fails too | 1 | 0.5 | ≥ 1 | ✗ |"),
+            "{table}"
+        );
+    }
 }

@@ -228,28 +228,35 @@ pub fn count_chaos_events(case: &ChaosCase) -> u64 {
 /// Decoded-state check: the store must agree with the oracle's
 /// committed prefix, comparing *decoded payloads* (the facade stores
 /// length-prefixed cells the raw engine oracle cannot compare
-/// directly).
+/// directly). One walk of the index, then the oracle's sorted merge
+/// ([`StreamingOracle::first_mismatch`]).
 fn check_store(store: &KvStore, oracle: &StreamingOracle<'_>) -> Result<(), String> {
-    if store.len() != oracle.len() {
+    let mut entries = Vec::with_capacity(oracle.len());
+    store.for_each_entry(&mut |k, a| entries.push((k, a)));
+    if entries.len() != oracle.len() {
         return Err(format!(
             "{} keys recovered through the facade, oracle has {}",
-            store.len(),
+            entries.len(),
             oracle.len()
         ));
     }
-    for (k, v) in oracle.iter() {
-        match store.peek_value(k) {
-            Some(got) if got == v => {}
-            got => {
-                return Err(format!(
-                    "key {k} decoded as {:?} B, oracle says {} B",
-                    got.map(|g| g.len()),
-                    v.len()
-                ))
-            }
-        }
-    }
-    Ok(())
+    let ctx = store.context();
+    let mut cell = vec![0u8; store.cell_size()];
+    let mismatch = oracle.first_mismatch(&mut entries, |addr, want| {
+        ctx.peek_bytes(addr, &mut cell);
+        KvStore::payload(&cell) == want
+    });
+    let Some((k, got, want)) = mismatch else {
+        return Ok(());
+    };
+    let got = got.map(|addr| {
+        ctx.peek_bytes(addr, &mut cell);
+        KvStore::payload(&cell).len()
+    });
+    Err(format!(
+        "key {k} decoded as {got:?} B, oracle says {} B",
+        want.len()
+    ))
 }
 
 /// Replays one request in the post-restart replay window, applying
@@ -853,6 +860,39 @@ mod tests {
             poison_caught(&case, k.max(1)),
             "deliberately corrupted state must fail the oracle check"
         );
+    }
+
+    #[test]
+    fn store_check_names_a_wrong_and_a_missing_payload() {
+        let mut store = KvStore::open(Scheme::Slpmt, IndexKind::Heap, 16);
+        let write = |key: u64| {
+            MixedOp::Insert(slpmt_workloads::YcsbOp {
+                key,
+                value: vec![key as u8; 8],
+            })
+        };
+        let ops: Vec<MixedOp> = (2..=5).map(write).collect();
+        for k in 2..=5 {
+            store.set(k, &[k as u8; 8]);
+        }
+        let full = |ops| {
+            let mut oracle = StreamingOracle::new(ops);
+            oracle.advance_to(4);
+            oracle
+        };
+        check_store(&store, &full(&ops)).unwrap();
+        let mut wrong = ops.clone();
+        if let MixedOp::Insert(o) = &mut wrong[1] {
+            o.value[0] ^= 1;
+        }
+        let err = check_store(&store, &full(&wrong)).unwrap_err();
+        assert_eq!(err, "key 3 decoded as Some(8) B, oracle says 8 B");
+        // Same count, a key swapped for one that sorts first: the
+        // missing key is named.
+        store.delete(4);
+        store.set(1, b"extra");
+        let err = check_store(&store, &full(&ops)).unwrap_err();
+        assert_eq!(err, "key 4 decoded as None B, oracle says 8 B");
     }
 
     #[test]

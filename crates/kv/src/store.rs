@@ -203,11 +203,19 @@ impl KvStore {
     /// degraded value is observable rather than fatal; callers that
     /// must distinguish use [`decode_cell`](Self::decode_cell).
     pub fn decode(cell: &[u8]) -> Vec<u8> {
-        match Self::decode_cell(cell) {
-            Ok(v) => v,
-            Err(CellError::Short { .. }) => Vec::new(),
-            Err(CellError::BadLength { .. }) => cell[8..].to_vec(),
-        }
+        Self::payload(cell).to_vec()
+    }
+
+    /// The payload [`decode`](Self::decode) returns, borrowed from the
+    /// cell instead of copied.
+    pub fn payload(cell: &[u8]) -> &[u8] {
+        let Some(prefix) = cell.get(..8) else {
+            return &[];
+        };
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(prefix);
+        let len = u64::from_le_bytes(raw).min(cell.len() as u64 - 8);
+        &cell[8..8 + len as usize]
     }
 
     // ------------------------------------------------------------------
@@ -275,6 +283,12 @@ impl KvStore {
     /// Untimed decoded lookup (invariant checkers, oracles).
     pub fn peek_value(&self, key: u64) -> Option<Vec<u8>> {
         self.idx.value_of(&self.ctx, key).map(|c| Self::decode(&c))
+    }
+
+    /// Calls `f(key, cell address)` once per live key, in one walk of
+    /// the index (untimed; see `DurableIndex::for_each_entry`).
+    pub fn for_each_entry(&self, f: &mut dyn FnMut(u64, PmAddr)) {
+        self.idx.for_each_entry(&self.ctx, f);
     }
 
     /// Number of live keys (untimed).

@@ -408,10 +408,6 @@ impl DurableIndex for AvlTree {
         None
     }
 
-    fn contains(&self, ctx: &PmContext, key: u64) -> bool {
-        self.value_of(ctx, key).is_some()
-    }
-
     fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
         let mut cur = ctx.peek(fld(self.root, 0));
         while cur != 0 {
@@ -425,6 +421,13 @@ impl DurableIndex for AvlTree {
             cur = ctx.peek(fld(a, if key < k { 1 } else { 2 }));
         }
         None
+    }
+
+    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
+        self.for_each(ctx, |n| {
+            let a = PmAddr::new(n);
+            f(ctx.peek(fld(a, 0)), fld(a, 4));
+        });
     }
 
     fn len(&self, ctx: &PmContext) -> usize {

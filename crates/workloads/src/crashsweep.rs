@@ -10,7 +10,8 @@
 //!
 //! 1. [`count_events`] runs a fixed seeded workload trace once and
 //!    returns how many persist events `N` it generates (sanity-checking
-//!    the crash-free end state against a volatile oracle on the way).
+//!    the crash-free end state's invariants and a volatile oracle on
+//!    the way).
 //! 2. [`run_at`] replays the identical trace with a [`FaultPlan`] armed
 //!    and the device set to crash at event `k` (see
 //!    `slpmt_core::Machine::arm_crash_at_event`): events `1..=k` are
@@ -75,7 +76,7 @@ use slpmt_annotate::AnnotationTable;
 use slpmt_core::sweep::{attribute_faults, committed_prefix, guarded, panic_message};
 use slpmt_core::{CrashTarget, Scheme, SchemeKind, TraceRecord};
 use slpmt_pmem::fault::mix64;
-use slpmt_pmem::FaultPlan;
+use slpmt_pmem::{FaultPlan, PmAddr};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -231,7 +232,8 @@ pub fn trace_ops(case: &SweepCase) -> Vec<MixedOp> {
     all
 }
 
-fn apply(idx: &mut dyn DurableIndex, ctx: &mut PmContext, op: &MixedOp) {
+/// Applies one trace operation to `idx`, as every sweep replay does.
+pub fn apply(idx: &mut dyn DurableIndex, ctx: &mut PmContext, op: &MixedOp) {
     match op {
         MixedOp::Insert(o) => idx.insert(ctx, o.key, &o.value),
         MixedOp::Read(k) => {
@@ -379,26 +381,64 @@ impl<'a> StreamingOracle<'a> {
 
     /// Checks a recovered structure against the modelled prefix: same
     /// key count, every key mapped to its exact payload.
+    ///
+    /// One [`for_each_entry`](DurableIndex::for_each_entry) walk
+    /// collects the structure's `(key, value address)` pairs; the
+    /// count is compared with the model's, and the pairs, sorted, are
+    /// merge-joined against the key-ordered model with one
+    /// `peek_bytes` per key into a reused buffer. Linear in the live
+    /// keys (plus the sort) for every index.
     pub fn check(&self, ctx: &PmContext, idx: &dyn DurableIndex) -> Result<(), String> {
         let b = self.applied;
-        if idx.len(ctx) != self.model.len() {
+        let mut entries = Vec::with_capacity(self.model.len());
+        idx.for_each_entry(ctx, &mut |k, a| entries.push((k, a)));
+        if entries.len() != self.model.len() {
             return Err(format!(
                 "{} keys recovered, oracle has {} after {b} committed ops",
-                idx.len(ctx),
+                entries.len(),
                 self.model.len()
             ));
         }
-        for (key, value) in self.iter() {
-            let got = idx.value_of(ctx, key);
-            if got.as_deref() != Some(value) {
-                return Err(format!(
-                    "key {key} recovered as {:?}, oracle says {:?} (b={b})",
-                    got.map(|v| v.len()),
-                    value.len()
-                ));
+        let mut buf = Vec::new();
+        let mismatch = self.first_mismatch(&mut entries, |addr, want| {
+            buf.resize(want.len(), 0);
+            ctx.peek_bytes(addr, &mut buf);
+            buf == want
+        });
+        match mismatch {
+            None => Ok(()),
+            Some((key, got, want)) => Err(format!(
+                "key {key} recovered as {:?}, oracle says {:?} (b={b})",
+                got.map(|_| want.len()),
+                want.len()
+            )),
+        }
+    }
+
+    /// Merge-joins a structure's `(key, value address)` entries (any
+    /// order; sorted here) against the key-ordered model and returns
+    /// the first model key that has no entry, or whose value
+    /// `same(address, expected payload)` rejects, with that entry's
+    /// address and the expected payload. Entries for keys the model
+    /// lacks (extra or repeated keys) are passed over: at equal counts
+    /// each one leaves a model key without an entry, and that key is
+    /// reported — the first one in key order, as a per-key lookup loop
+    /// would find it.
+    pub fn first_mismatch(
+        &self,
+        entries: &mut [(u64, PmAddr)],
+        mut same: impl FnMut(PmAddr, &[u8]) -> bool,
+    ) -> Option<(u64, Option<PmAddr>, &'a [u8])> {
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        let mut rest = entries.iter().peekable();
+        for (key, want) in self.iter() {
+            while rest.next_if(|&&(k, _)| k < key).is_some() {}
+            match rest.next_if(|&&(k, _)| k == key) {
+                Some(&(_, addr)) if same(addr, want) => {}
+                got => return Some((key, got.map(|&(_, a)| a), want)),
             }
         }
-        Ok(())
+        None
     }
 }
 
@@ -410,20 +450,25 @@ fn build(case: &SweepCase) -> (PmContext, Box<dyn DurableIndex>) {
     (ctx, idx)
 }
 
-/// Runs the case's trace crash-free, checks the end state against the
-/// oracle and the heap (a crash-free run must not leak), and returns
-/// the number of persist events the trace generated — the sweep domain
-/// is `0..=N`.
+/// Runs the case's trace crash-free, checks the end state's structure
+/// invariants (the oracle's entry walk does not check key placement),
+/// the oracle and the heap (a crash-free run must not leak), and
+/// returns the number of persist events the trace generated — the
+/// sweep domain is `0..=N`.
 ///
 /// # Panics
 ///
-/// Panics if the crash-free run already disagrees with the oracle or
-/// leaks an allocation (the sweep would be meaningless).
+/// Panics if the crash-free run already breaks an invariant, disagrees
+/// with the oracle or leaks an allocation (the sweep would be
+/// meaningless).
 pub fn count_events(case: &SweepCase) -> u64 {
     let ops = trace_ops(case);
     let (mut ctx, mut idx) = build(case);
     for op in &ops {
         apply(idx.as_mut(), &mut ctx, op);
+    }
+    if let Err(e) = idx.check_invariants(&ctx) {
+        panic!("{case}: crash-free run breaks an invariant: {e}");
     }
     let mut oracle = StreamingOracle::new(&ops);
     oracle.advance_to(ops.len());

@@ -444,10 +444,6 @@ impl DurableIndex for Hashtable {
         None
     }
 
-    fn contains(&self, ctx: &PmContext, key: u64) -> bool {
-        self.value_of(ctx, key).is_some()
-    }
-
     fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
         let buckets = PmAddr::new(ctx.peek(fld(self.root, 0)));
         let n = ctx.peek(fld(self.root, 1));
@@ -463,6 +459,14 @@ impl DurableIndex for Hashtable {
             cur = ctx.peek(fld(node, 1));
         }
         None
+    }
+
+    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
+        let buckets = PmAddr::new(ctx.peek(fld(self.root, 0)));
+        let n = ctx.peek(fld(self.root, 1));
+        self.walk(ctx, buckets, n, |node| {
+            f(ctx.peek(fld(node, 0)), PmAddr::new(ctx.peek(fld(node, 2))));
+        });
     }
 
     fn len(&self, ctx: &PmContext) -> usize {

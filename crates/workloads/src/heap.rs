@@ -327,10 +327,6 @@ impl DurableIndex for MaxHeap {
         None
     }
 
-    fn contains(&self, ctx: &PmContext, key: u64) -> bool {
-        self.value_of(ctx, key).is_some()
-    }
-
     fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
         let arr = PmAddr::new(ctx.peek(fld(self.root, 0)));
         let count = ctx.peek(fld(self.root, 2));
@@ -343,6 +339,17 @@ impl DurableIndex for MaxHeap {
             }
         }
         None
+    }
+
+    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
+        let arr = PmAddr::new(ctx.peek(fld(self.root, 0)));
+        let count = ctx.peek(fld(self.root, 2));
+        for i in 0..count {
+            f(
+                ctx.peek(entry(arr, i)),
+                PmAddr::new(ctx.peek(entry(arr, i).add(8))),
+            );
+        }
     }
 
     fn len(&self, ctx: &PmContext) -> usize {

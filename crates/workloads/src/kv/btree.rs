@@ -450,10 +450,6 @@ impl DurableIndex for BtreeKv {
         None
     }
 
-    fn contains(&self, ctx: &PmContext, key: u64) -> bool {
-        self.value_of(ctx, key).is_some()
-    }
-
     fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
         let mut n = ctx.peek(fld(self.root, 0));
         if n == 0 {
@@ -482,6 +478,16 @@ impl DurableIndex for BtreeKv {
             }
             n = ctx.peek(slot_at(a, i));
         }
+    }
+
+    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
+        self.for_each_node(ctx, |a, leaf| {
+            if leaf {
+                for i in 0..ctx.peek(fld(a, 0)) {
+                    f(ctx.peek(key_at(a, i)), PmAddr::new(ctx.peek(slot_at(a, i))));
+                }
+            }
+        });
     }
 
     fn len(&self, ctx: &PmContext) -> usize {

@@ -292,10 +292,6 @@ impl DurableIndex for CtreeKv {
         None
     }
 
-    fn contains(&self, ctx: &PmContext, key: u64) -> bool {
-        self.value_of(ctx, key).is_some()
-    }
-
     fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
         let mut n = ctx.peek(fld(self.root, 0));
         if n == 0 {
@@ -317,22 +313,26 @@ impl DurableIndex for CtreeKv {
         }
     }
 
-    fn len(&self, ctx: &PmContext) -> usize {
-        let mut count = 0;
+    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
         let r = ctx.peek(fld(self.root, 0));
         if r == 0 {
-            return 0;
+            return;
         }
         let mut stack = vec![r];
         while let Some(n) = stack.pop() {
             let a = PmAddr::new(n);
             if ctx.peek(fld(a, 0)) == 0 {
-                count += 1;
+                f(ctx.peek(fld(a, 1)), PmAddr::new(ctx.peek(fld(a, 2))));
             } else {
                 stack.push(ctx.peek(fld(a, 2)));
                 stack.push(ctx.peek(fld(a, 3)));
             }
         }
+    }
+
+    fn len(&self, ctx: &PmContext) -> usize {
+        let mut count = 0;
+        self.for_each_entry(ctx, &mut |_, _| count += 1);
         count
     }
 

@@ -413,10 +413,6 @@ impl DurableIndex for RtreeKv {
         }
     }
 
-    fn contains(&self, ctx: &PmContext, key: u64) -> bool {
-        self.value_of(ctx, key).is_some()
-    }
-
     fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
         let mut n = ctx.peek(fld(self.root, 0));
         if n == 0 {
@@ -450,6 +446,18 @@ impl DurableIndex for RtreeKv {
             }
             consumed += 1;
         }
+    }
+
+    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
+        self.walk(ctx, |key_nibs, node, terminal| {
+            if !terminal {
+                return;
+            }
+            let blob = ctx.peek(fld(node, 2));
+            if blob != 0 {
+                f(pack(key_nibs), PmAddr::new(blob));
+            }
+        });
     }
 
     fn len(&self, ctx: &PmContext) -> usize {

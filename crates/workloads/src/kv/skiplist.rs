@@ -279,10 +279,6 @@ impl DurableIndex for SkiplistKv {
         Some(v)
     }
 
-    fn contains(&self, ctx: &PmContext, key: u64) -> bool {
-        self.value_of(ctx, key).is_some()
-    }
-
     fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
         let mut cur = ctx.peek(fld(self.head, 3));
         while cur != 0 {
@@ -302,13 +298,18 @@ impl DurableIndex for SkiplistKv {
         None
     }
 
-    fn len(&self, ctx: &PmContext) -> usize {
-        let mut count = 0;
+    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
         let mut cur = ctx.peek(fld(self.head, 3));
         while cur != 0 {
-            count += 1;
-            cur = ctx.peek(next_at(PmAddr::new(cur), 0));
+            let node = PmAddr::new(cur);
+            f(ctx.peek(fld(node, 0)), PmAddr::new(ctx.peek(fld(node, 2))));
+            cur = ctx.peek(next_at(node, 0));
         }
+    }
+
+    fn len(&self, ctx: &PmContext) -> usize {
+        let mut count = 0;
+        self.for_each_entry(ctx, &mut |_, _| count += 1);
         count
     }
 

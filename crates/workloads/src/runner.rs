@@ -17,9 +17,10 @@ use std::sync::Mutex;
 ///
 /// `insert` runs one durable transaction per call (the YCSB-load
 /// operation granularity). The untimed methods (`contains`,
-/// `value_of`, `len`, `check_invariants`, `reachable`) inspect logical
-/// state via peeks; `recover` repairs the structure after
-/// [`PmContext::crash_and_recover`] replayed the undo log.
+/// `value_of`, `for_each_entry`, `len`, `check_invariants`,
+/// `reachable`) inspect logical state via peeks; `recover` repairs
+/// the structure after [`PmContext::crash_and_recover`] replayed the
+/// undo log.
 pub trait DurableIndex {
     /// Benchmark name as figures print it.
     fn name(&self) -> &'static str;
@@ -45,10 +46,20 @@ pub trait DurableIndex {
     fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool;
 
     /// Whether `key` is present (untimed).
-    fn contains(&self, ctx: &PmContext, key: u64) -> bool;
+    fn contains(&self, ctx: &PmContext, key: u64) -> bool {
+        self.value_of(ctx, key).is_some()
+    }
 
     /// The value bytes stored for `key`, if present (untimed).
     fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>>;
+
+    /// Calls `f(key, value address)` once for every present key, in
+    /// one walk of the structure (untimed; order is the structure's
+    /// own). The value bytes at the address are what
+    /// [`value_of`](Self::value_of) returns for the key. The walk does
+    /// not descend search paths, so it checks no placement rule:
+    /// [`check_invariants`](Self::check_invariants) does.
+    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr));
 
     /// Number of keys present (untimed).
     fn len(&self, ctx: &PmContext) -> usize;

@@ -1,0 +1,144 @@
+//! Host time of each step of a crash point's recovery path.
+//!
+//! Runs the shape of perfbench's `crash-recover` workload — SLPMT,
+//! SLPMT-redo, FG and the undo/redo software PTMs over hashtable,
+//! rbtree and kv-btree, each on a delete-heavy trace of 64 load
+//! inserts and 128 mixed operations with 32-byte values, 12 seeded
+//! crash points per case and 16 rounds (2,880 points) — and reads the
+//! clock between the steps of each point's recovery path, `crash`
+//! through the oracle check. The replay to the crash point is not
+//! timed. Prints the mean host µs per point of each step and its share
+//! of the whole; every point must pass its check.
+//!
+//! ```sh
+//! cargo run --release --example recovery_steps
+//! ```
+
+use slpmt::annotate::AnnotationTable;
+use slpmt::core::sweep::{committed_prefix, sample_points};
+use slpmt::core::{MachineConfig, PtmFlavor, Scheme, SchemeKind};
+use slpmt::workloads::crashsweep::apply;
+use slpmt::workloads::runner::{DurableIndex, IndexKind};
+use slpmt::workloads::{
+    inspect, ycsb_mix, AnnotationSource, MixSpec, MixedOp, PmContext, StreamingOracle,
+};
+use slpmt_prng::splitmix64;
+use std::time::Instant;
+
+const SCHEMES: [SchemeKind; 5] = [
+    SchemeKind::Hardware(Scheme::Slpmt),
+    SchemeKind::Hardware(Scheme::SlpmtRedo),
+    SchemeKind::Hardware(Scheme::Fg),
+    SchemeKind::Software(PtmFlavor::UndoLog),
+    SchemeKind::Software(PtmFlavor::RedoLog),
+];
+const INDEXES: [IndexKind; 3] = [IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::KvBtree];
+const LOAD: usize = 64;
+const OPS: usize = 128;
+const VALUE: usize = 32;
+const POINTS: usize = 12;
+const ROUNDS: u64 = 16;
+
+const STEPS: [&str; 9] = [
+    "`crash`",
+    "log replay (`PmContext::recover`)",
+    "`DurableIndex::recover`",
+    "`reachable`",
+    "`inspect`, before GC",
+    "`gc`",
+    "`check_invariants`",
+    "`inspect`, after GC",
+    "`StreamingOracle::check`",
+];
+
+/// Builds the case and replays `ops`, until persist event `k` trips
+/// the armed crash when there is one; returns the state and each
+/// operation's last transaction sequence number.
+fn replay(
+    scheme: SchemeKind,
+    kind: IndexKind,
+    ops: &[MixedOp],
+    crash_at: Option<u64>,
+) -> (PmContext, Box<dyn DurableIndex>, Vec<u64>) {
+    let mut ctx = PmContext::with_config(MachineConfig::for_kind(scheme), AnnotationTable::new());
+    let mut idx = kind.build(&mut ctx, VALUE, AnnotationSource::Manual);
+    if let Some(k) = crash_at {
+        ctx.machine_mut().arm_crash_at_event(k);
+    }
+    let mut op_seq = Vec::with_capacity(ops.len());
+    for op in ops {
+        apply(idx.as_mut(), &mut ctx, op);
+        op_seq.push(ctx.txn_seq());
+        if ctx.machine().crash_tripped() {
+            break;
+        }
+    }
+    (ctx, idx, op_seq)
+}
+
+fn main() {
+    let mut ns = [0u128; STEPS.len()];
+    let mut points = 0u64;
+    for round in 0..ROUNDS {
+        let mut state = 42 ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let seed = splitmix64(&mut state);
+        let (load, mixed) = ycsb_mix(LOAD, OPS, VALUE, seed, &MixSpec::DELETE_HEAVY);
+        let mut ops: Vec<MixedOp> = load.into_iter().map(MixedOp::Insert).collect();
+        ops.extend(mixed);
+        for (c, (kind, scheme)) in INDEXES
+            .iter()
+            .flat_map(|&k| SCHEMES.iter().map(move |&s| (k, s)))
+            .enumerate()
+        {
+            let events = replay(scheme, kind, &ops, None)
+                .0
+                .machine()
+                .persist_event_count();
+            let mut oracle = StreamingOracle::new(&ops);
+            for k in sample_points(seed ^ c as u64, events, POINTS) {
+                let (mut ctx, mut idx, op_seq) = replay(scheme, kind, &ops, Some(k));
+                let mut lap = Instant::now();
+                let mut step = |i: usize| {
+                    let now = Instant::now();
+                    ns[i] += (now - lap).as_nanos();
+                    lap = now;
+                };
+                ctx.crash();
+                step(0);
+                let b = committed_prefix(&op_seq, ctx.durable_commit_seq());
+                ctx.recover();
+                step(1);
+                idx.recover(&mut ctx);
+                step(2);
+                let reachable = idx.reachable(&ctx);
+                step(3);
+                inspect(&ctx, &reachable);
+                step(4);
+                ctx.gc(&reachable);
+                step(5);
+                let invariants = idx.check_invariants(&ctx);
+                step(6);
+                let clean = inspect(&ctx, &reachable).is_clean();
+                step(7);
+                oracle.advance_to(b);
+                let verdict = oracle.check(&ctx, idx.as_ref());
+                step(8);
+                let case = format!("{scheme} {kind} seed={seed} k={k}");
+                invariants.unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert!(clean, "{case}: leaks after GC");
+                verdict.unwrap_or_else(|e| panic!("{case}: {e}"));
+                points += 1;
+            }
+        }
+    }
+    let total: u128 = ns.iter().sum();
+    let us = |t: u128| t as f64 / 1e3 / points as f64;
+    println!("{points} crash points, mean host µs per point\n");
+    println!("| step | µs | share |");
+    println!("|---|---|---|");
+    for (name, &t) in STEPS.iter().zip(&ns) {
+        let share = 100.0 * t as f64 / total as f64;
+        println!("| {name} | {:.2} | {share:.1}% |", us(t));
+    }
+    println!("| whole operation | {:.2} | |", us(total));
+}
