@@ -15,7 +15,7 @@
 //! ```
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::DurableIndex;
+use crate::runner::{DurableIndex, Load, Reader};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -245,7 +245,33 @@ impl DurableIndex for AvlTree {
     }
 
     fn scan_range(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Option<Vec<(u64, Vec<u8>)>> {
-        Some(crate::runner::RangeIndex::scan(self, ctx, lo, hi))
+        let mut out = Vec::new();
+        let mut stack = vec![(ctx.load(fld(self.root, 0)), false)];
+        while let Some((n, expanded)) = stack.pop() {
+            if n == 0 {
+                continue;
+            }
+            let a = PmAddr::new(n);
+            if expanded {
+                let k = ctx.load(fld(a, 0));
+                if (lo..=hi).contains(&k) {
+                    let mut v = vec![0u8; (self.value_words * 8) as usize];
+                    ctx.load_bytes(fld(a, 4), &mut v);
+                    out.push((k, v));
+                }
+                continue;
+            }
+            ctx.compute(CMP_COST);
+            let k = ctx.load(fld(a, 0));
+            if k < hi {
+                stack.push((ctx.load(fld(a, 2)), false));
+            }
+            stack.push((n, true));
+            if k > lo {
+                stack.push((ctx.load(fld(a, 1)), false));
+            }
+        }
+        Some(out)
     }
 
     fn insert(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) {
@@ -392,33 +418,18 @@ impl DurableIndex for AvlTree {
         false
     }
 
-    fn get(&mut self, ctx: &mut PmContext, key: u64) -> Option<Vec<u8>> {
-        let mut cur = ctx.load(fld(self.root, 0));
+    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+        let mut cur = r.load(fld(self.root, 0));
         while cur != 0 {
-            ctx.compute(CMP_COST);
+            r.compute(CMP_COST);
             let a = PmAddr::new(cur);
-            let k = ctx.load(fld(a, 0));
+            let k = r.load(fld(a, 0));
             if k == key {
                 let mut v = vec![0u8; (self.value_words * 8) as usize];
-                ctx.load_bytes(fld(a, 4), &mut v);
+                r.load_bytes(fld(a, 4), &mut v);
                 return Some(v);
             }
-            cur = ctx.load(fld(a, if key < k { 1 } else { 2 }));
-        }
-        None
-    }
-
-    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
-        let mut cur = ctx.peek(fld(self.root, 0));
-        while cur != 0 {
-            let a = PmAddr::new(cur);
-            let k = ctx.peek(fld(a, 0));
-            if k == key {
-                let mut v = vec![0u8; (self.value_words * 8) as usize];
-                ctx.peek_bytes(fld(a, 4), &mut v);
-                return Some(v);
-            }
-            cur = ctx.peek(fld(a, if key < k { 1 } else { 2 }));
+            cur = r.load(fld(a, if key < k { 1 } else { 2 }));
         }
         None
     }
@@ -469,38 +480,6 @@ impl DurableIndex for AvlTree {
         fix(ctx, r);
         let count = self.len(ctx) as u64;
         ctx.recovery_write(fld(self.root, 1), count);
-    }
-}
-
-impl crate::runner::RangeIndex for AvlTree {
-    fn scan(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::new();
-        let mut stack = vec![(ctx.load(fld(self.root, 0)), false)];
-        while let Some((n, expanded)) = stack.pop() {
-            if n == 0 {
-                continue;
-            }
-            let a = PmAddr::new(n);
-            if expanded {
-                let k = ctx.load(fld(a, 0));
-                if (lo..=hi).contains(&k) {
-                    let mut v = vec![0u8; (self.value_words * 8) as usize];
-                    ctx.load_bytes(fld(a, 4), &mut v);
-                    out.push((k, v));
-                }
-                continue;
-            }
-            ctx.compute(CMP_COST);
-            let k = ctx.load(fld(a, 0));
-            if k < hi {
-                stack.push((ctx.load(fld(a, 2)), false));
-            }
-            stack.push((n, true));
-            if k > lo {
-                stack.push((ctx.load(fld(a, 1)), false));
-            }
-        }
-        out
     }
 }
 

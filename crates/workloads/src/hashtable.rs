@@ -34,7 +34,7 @@
 //! re-execution.
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::DurableIndex;
+use crate::runner::{DurableIndex, Load, Reader};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 use std::collections::BTreeSet;
@@ -425,38 +425,21 @@ impl DurableIndex for Hashtable {
         false
     }
 
-    fn get(&mut self, ctx: &mut PmContext, key: u64) -> Option<Vec<u8>> {
-        let buckets = PmAddr::new(ctx.load(fld(self.root, 0)));
-        let n = ctx.load(fld(self.root, 1));
-        ctx.compute(HASH_COST);
-        let mut cur = ctx.load(fld(buckets, hash(key, n)));
+    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+        let buckets = PmAddr::new(r.load(fld(self.root, 0)));
+        let n = r.load(fld(self.root, 1));
+        r.compute(HASH_COST);
+        let mut cur = r.load(fld(buckets, hash(key, n)));
         while cur != 0 {
             let node = PmAddr::new(cur);
-            ctx.compute(CMP_COST_RM);
-            if ctx.load(fld(node, 0)) == key {
-                let blob = PmAddr::new(ctx.load(fld(node, 2)));
+            r.compute(CMP_COST_RM);
+            if r.load(fld(node, 0)) == key {
+                let blob = PmAddr::new(r.load(fld(node, 2)));
                 let mut val = vec![0u8; self.value_bytes as usize];
-                ctx.load_bytes(blob, &mut val);
+                r.load_bytes(blob, &mut val);
                 return Some(val);
             }
-            cur = ctx.load(fld(node, 1));
-        }
-        None
-    }
-
-    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
-        let buckets = PmAddr::new(ctx.peek(fld(self.root, 0)));
-        let n = ctx.peek(fld(self.root, 1));
-        let mut cur = ctx.peek(fld(buckets, hash(key, n)));
-        while cur != 0 {
-            let node = PmAddr::new(cur);
-            if ctx.peek(fld(node, 0)) == key {
-                let blob = PmAddr::new(ctx.peek(fld(node, 2)));
-                let mut val = vec![0u8; self.value_bytes as usize];
-                ctx.peek_bytes(blob, &mut val);
-                return Some(val);
-            }
-            cur = ctx.peek(fld(node, 1));
+            cur = r.load(fld(node, 1));
         }
         None
     }

@@ -18,7 +18,7 @@
 //! ```
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::DurableIndex;
+use crate::runner::{DurableIndex, Load, Reader};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -312,29 +312,15 @@ impl DurableIndex for MaxHeap {
         false
     }
 
-    fn get(&mut self, ctx: &mut PmContext, key: u64) -> Option<Vec<u8>> {
-        let arr = PmAddr::new(ctx.load(fld(self.root, 0)));
-        let count = ctx.load(fld(self.root, 2));
+    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+        let arr = PmAddr::new(r.load(fld(self.root, 0)));
+        let count = r.load(fld(self.root, 2));
         for i in 0..count {
-            ctx.compute(CMP_COST);
-            if ctx.load(entry(arr, i)) == key {
-                let blob = PmAddr::new(ctx.load(entry(arr, i).add(8)));
+            r.compute(CMP_COST);
+            if r.load(entry(arr, i)) == key {
+                let blob = PmAddr::new(r.load(entry(arr, i).add(8)));
                 let mut v = vec![0u8; self.value_bytes as usize];
-                ctx.load_bytes(blob, &mut v);
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
-        let arr = PmAddr::new(ctx.peek(fld(self.root, 0)));
-        let count = ctx.peek(fld(self.root, 2));
-        for i in 0..count {
-            if ctx.peek(entry(arr, i)) == key {
-                let blob = PmAddr::new(ctx.peek(entry(arr, i).add(8)));
-                let mut v = vec![0u8; self.value_bytes as usize];
-                ctx.peek_bytes(blob, &mut v);
+                r.load_bytes(blob, &mut v);
                 return Some(v);
             }
         }

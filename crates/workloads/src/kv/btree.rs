@@ -15,7 +15,7 @@
 //! ```
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::DurableIndex;
+use crate::runner::{DurableIndex, Load, Reader};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -203,7 +203,7 @@ impl BtreeKv {
     /// First index whose key exceeds `key` — the descent child for
     /// internal nodes and the insert position for leaves (separator
     /// equality descends right, where B+-style leaf keys live).
-    fn find_idx(&self, ctx: &mut PmContext, n: PmAddr, key: u64) -> u64 {
+    fn find_idx(&self, ctx: &mut impl Load, n: PmAddr, key: u64) -> u64 {
         let nk = ctx.load(fld(n, 0));
         let mut i = 0;
         while i < nk {
@@ -297,7 +297,52 @@ impl DurableIndex for BtreeKv {
     }
 
     fn scan_range(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Option<Vec<(u64, Vec<u8>)>> {
-        Some(crate::runner::RangeIndex::scan(self, ctx, lo, hi))
+        let mut out = Vec::new();
+        let r = ctx.load(fld(self.root, 0));
+        if r == 0 {
+            return Some(out);
+        }
+        // DFS in key order, pruning children whose separator window
+        // cannot intersect [lo, hi].
+        let mut stack = vec![(r, u64::MIN, u64::MAX)];
+        let mut ordered: Vec<(u64, Vec<u8>)> = Vec::new();
+        while let Some((n, nlo, nhi)) = stack.pop() {
+            if nhi < lo || nlo > hi {
+                continue;
+            }
+            let a = PmAddr::new(n);
+            let nk = ctx.load(fld(a, 0));
+            if ctx.load(fld(a, 1)) == 1 {
+                for i in 0..nk {
+                    ctx.compute(CMP_COST);
+                    let k = ctx.load(key_at(a, i));
+                    if (lo..=hi).contains(&k) {
+                        let blob = PmAddr::new(ctx.load(slot_at(a, i)));
+                        let mut v = vec![0u8; self.value_bytes as usize];
+                        ctx.load_bytes(blob, &mut v);
+                        ordered.push((k, v));
+                    }
+                }
+                continue;
+            }
+            // Push children right-to-left so the walk emits in order.
+            let mut bounds = Vec::with_capacity(nk as usize + 1);
+            for i in 0..=nk {
+                let clo = if i == 0 {
+                    nlo
+                } else {
+                    ctx.load(key_at(a, i - 1))
+                };
+                let chi = if i == nk { nhi } else { ctx.load(key_at(a, i)) };
+                bounds.push((ctx.load(slot_at(a, i)), clo, chi));
+            }
+            for b in bounds.into_iter().rev() {
+                stack.push(b);
+            }
+        }
+        out.append(&mut ordered);
+        out.sort_by_key(|(k, _)| *k);
+        Some(out)
     }
 
     fn insert(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) {
@@ -427,57 +472,27 @@ impl DurableIndex for BtreeKv {
         false
     }
 
-    fn get(&mut self, ctx: &mut PmContext, key: u64) -> Option<Vec<u8>> {
-        let r = ctx.load(fld(self.root, 0));
-        if r == 0 {
+    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+        let root = r.load(fld(self.root, 0));
+        if root == 0 {
             return None;
         }
-        let mut n = PmAddr::new(r);
-        while ctx.load(fld(n, 1)) != 1 {
-            let idx = self.find_idx(ctx, n, key);
-            n = PmAddr::new(ctx.load(slot_at(n, idx)));
+        let mut n = PmAddr::new(root);
+        while r.load(fld(n, 1)) != 1 {
+            let idx = self.find_idx(r, n, key);
+            n = PmAddr::new(r.load(slot_at(n, idx)));
         }
-        let nk = ctx.load(fld(n, 0));
+        let nk = r.load(fld(n, 0));
         for i in 0..nk {
-            ctx.compute(CMP_COST);
-            if ctx.load(key_at(n, i)) == key {
-                let blob = PmAddr::new(ctx.load(slot_at(n, i)));
+            r.compute(CMP_COST);
+            if r.load(key_at(n, i)) == key {
+                let blob = PmAddr::new(r.load(slot_at(n, i)));
                 let mut v = vec![0u8; self.value_bytes as usize];
-                ctx.load_bytes(blob, &mut v);
+                r.load_bytes(blob, &mut v);
                 return Some(v);
             }
         }
         None
-    }
-
-    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
-        let mut n = ctx.peek(fld(self.root, 0));
-        if n == 0 {
-            return None;
-        }
-        loop {
-            let a = PmAddr::new(n);
-            let nk = ctx.peek(fld(a, 0));
-            let leaf = ctx.peek(fld(a, 1)) == 1;
-            if leaf {
-                for i in 0..nk {
-                    if ctx.peek(key_at(a, i)) == key {
-                        let blob = PmAddr::new(ctx.peek(slot_at(a, i)));
-                        let mut v = vec![0u8; self.value_bytes as usize];
-                        ctx.peek_bytes(blob, &mut v);
-                        return Some(v);
-                    }
-                }
-                return None;
-            }
-            // Descend right on separator equality (B+-style leaves hold
-            // the separator key).
-            let mut i = 0;
-            while i < nk && key >= ctx.peek(key_at(a, i)) {
-                i += 1;
-            }
-            n = ctx.peek(slot_at(a, i));
-        }
     }
 
     fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
@@ -532,57 +547,6 @@ impl DurableIndex for BtreeKv {
         // Only the size counter is lazily persistent: recount.
         let count = self.len(ctx) as u64;
         ctx.recovery_write(fld(self.root, 1), count);
-    }
-}
-
-impl crate::runner::RangeIndex for BtreeKv {
-    fn scan(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::new();
-        let r = ctx.load(fld(self.root, 0));
-        if r == 0 {
-            return out;
-        }
-        // DFS in key order, pruning children whose separator window
-        // cannot intersect [lo, hi].
-        let mut stack = vec![(r, u64::MIN, u64::MAX)];
-        let mut ordered: Vec<(u64, Vec<u8>)> = Vec::new();
-        while let Some((n, nlo, nhi)) = stack.pop() {
-            if nhi < lo || nlo > hi {
-                continue;
-            }
-            let a = PmAddr::new(n);
-            let nk = ctx.load(fld(a, 0));
-            if ctx.load(fld(a, 1)) == 1 {
-                for i in 0..nk {
-                    ctx.compute(CMP_COST);
-                    let k = ctx.load(key_at(a, i));
-                    if (lo..=hi).contains(&k) {
-                        let blob = PmAddr::new(ctx.load(slot_at(a, i)));
-                        let mut v = vec![0u8; self.value_bytes as usize];
-                        ctx.load_bytes(blob, &mut v);
-                        ordered.push((k, v));
-                    }
-                }
-                continue;
-            }
-            // Push children right-to-left so the walk emits in order.
-            let mut bounds = Vec::with_capacity(nk as usize + 1);
-            for i in 0..=nk {
-                let clo = if i == 0 {
-                    nlo
-                } else {
-                    ctx.load(key_at(a, i - 1))
-                };
-                let chi = if i == nk { nhi } else { ctx.load(key_at(a, i)) };
-                bounds.push((ctx.load(slot_at(a, i)), clo, chi));
-            }
-            for b in bounds.into_iter().rev() {
-                stack.push(b);
-            }
-        }
-        out.append(&mut ordered);
-        out.sort_by_key(|(k, _)| *k);
-        out
     }
 }
 

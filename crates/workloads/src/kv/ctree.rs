@@ -17,7 +17,7 @@
 //! ```
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::DurableIndex;
+use crate::runner::{DurableIndex, Load, Reader};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -125,8 +125,8 @@ impl CtreeKv {
         leaf
     }
 
-    /// Finds the closest leaf for `key` (timed descent).
-    fn closest_leaf(&self, ctx: &mut PmContext, key: u64) -> PmAddr {
+    /// Finds the closest leaf for `key`.
+    fn closest_leaf(&self, ctx: &mut impl Load, key: u64) -> PmAddr {
         let mut n = PmAddr::new(ctx.load(fld(self.root, 0)));
         loop {
             if ctx.load(fld(n, 0)) == 0 {
@@ -145,7 +145,31 @@ impl DurableIndex for CtreeKv {
     }
 
     fn scan_range(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Option<Vec<(u64, Vec<u8>)>> {
-        Some(crate::runner::RangeIndex::scan(self, ctx, lo, hi))
+        // MSB-first crit-bit tries are ordered: an in-order DFS (0-bit
+        // child first) emits keys in ascending order.
+        let mut out = Vec::new();
+        let r = ctx.load(fld(self.root, 0));
+        if r == 0 {
+            return Some(out);
+        }
+        let mut stack = vec![r];
+        while let Some(n) = stack.pop() {
+            let a = PmAddr::new(n);
+            if ctx.load(fld(a, 0)) == 0 {
+                let k = ctx.load(fld(a, 1));
+                if (lo..=hi).contains(&k) {
+                    let blob = PmAddr::new(ctx.load(fld(a, 2)));
+                    let mut v = vec![0u8; self.value_bytes as usize];
+                    ctx.load_bytes(blob, &mut v);
+                    out.push((k, v));
+                }
+                continue;
+            }
+            ctx.compute(CMP_COST);
+            stack.push(ctx.load(fld(a, 3)));
+            stack.push(ctx.load(fld(a, 2)));
+        }
+        Some(out)
     }
 
     fn insert(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) {
@@ -277,40 +301,18 @@ impl DurableIndex for CtreeKv {
         true
     }
 
-    fn get(&mut self, ctx: &mut PmContext, key: u64) -> Option<Vec<u8>> {
-        let r = ctx.load(fld(self.root, 0));
-        if r == 0 {
+    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+        if r.load(fld(self.root, 0)) == 0 {
             return None;
         }
-        let leaf = self.closest_leaf(ctx, key);
-        if ctx.load(fld(leaf, 1)) == key {
-            let blob = PmAddr::new(ctx.load(fld(leaf, 2)));
+        let leaf = self.closest_leaf(r, key);
+        if r.load(fld(leaf, 1)) == key {
+            let blob = PmAddr::new(r.load(fld(leaf, 2)));
             let mut v = vec![0u8; self.value_bytes as usize];
-            ctx.load_bytes(blob, &mut v);
+            r.load_bytes(blob, &mut v);
             return Some(v);
         }
         None
-    }
-
-    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
-        let mut n = ctx.peek(fld(self.root, 0));
-        if n == 0 {
-            return None;
-        }
-        loop {
-            let a = PmAddr::new(n);
-            if ctx.peek(fld(a, 0)) == 0 {
-                if ctx.peek(fld(a, 1)) == key {
-                    let blob = PmAddr::new(ctx.peek(fld(a, 2)));
-                    let mut v = vec![0u8; self.value_bytes as usize];
-                    ctx.peek_bytes(blob, &mut v);
-                    return Some(v);
-                }
-                return None;
-            }
-            let bit = ctx.peek(fld(a, 1));
-            n = ctx.peek(fld(a, 2 + bit_of(key, bit)));
-        }
     }
 
     fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
@@ -338,17 +340,20 @@ impl DurableIndex for CtreeKv {
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
         // Crit-bit indices strictly increase along every path, and each
-        // leaf must be reachable by following its own key's bits.
+        // leaf must be reachable by following its own key's bits: its
+        // key agrees with every bit its path fixes (`mask` marks them,
+        // `bits` holds their values).
         let r = ctx.peek(fld(self.root, 0));
         let mut count = 0usize;
         if r != 0 {
-            let mut stack = vec![(r, 0u64, false)]; // (node, min bit, bound active)
-            while let Some((n, min_bit, active)) = stack.pop() {
+            // (node, min bit, bound active, mask, bits)
+            let mut stack = vec![(r, 0u64, false, 0u64, 0u64)];
+            while let Some((n, min_bit, active, mask, bits)) = stack.pop() {
                 let a = PmAddr::new(n);
                 if ctx.peek(fld(a, 0)) == 0 {
                     count += 1;
                     let key = ctx.peek(fld(a, 1));
-                    if self.value_of(ctx, key).is_none() {
+                    if key & mask != bits {
                         return Err(format!("leaf key {key} not reachable by its own bits"));
                     }
                     continue;
@@ -360,8 +365,9 @@ impl DurableIndex for CtreeKv {
                 if bit > 63 {
                     return Err(format!("crit-bit {bit} out of range"));
                 }
-                stack.push((ctx.peek(fld(a, 2)), bit, true));
-                stack.push((ctx.peek(fld(a, 3)), bit, true));
+                let m = 1u64 << (63 - bit);
+                stack.push((ctx.peek(fld(a, 2)), bit, true, mask | m, bits));
+                stack.push((ctx.peek(fld(a, 3)), bit, true, mask | m, bits | m));
             }
         }
         let size = ctx.peek(fld(self.root, 1));
@@ -394,36 +400,6 @@ impl DurableIndex for CtreeKv {
     fn recover(&mut self, ctx: &mut PmContext) {
         let count = self.len(ctx) as u64;
         ctx.recovery_write(fld(self.root, 1), count);
-    }
-}
-
-impl crate::runner::RangeIndex for CtreeKv {
-    fn scan(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
-        // MSB-first crit-bit tries are ordered: an in-order DFS (0-bit
-        // child first) emits keys in ascending order.
-        let mut out = Vec::new();
-        let r = ctx.load(fld(self.root, 0));
-        if r == 0 {
-            return out;
-        }
-        let mut stack = vec![r];
-        while let Some(n) = stack.pop() {
-            let a = PmAddr::new(n);
-            if ctx.load(fld(a, 0)) == 0 {
-                let k = ctx.load(fld(a, 1));
-                if (lo..=hi).contains(&k) {
-                    let blob = PmAddr::new(ctx.load(fld(a, 2)));
-                    let mut v = vec![0u8; self.value_bytes as usize];
-                    ctx.load_bytes(blob, &mut v);
-                    out.push((k, v));
-                }
-                continue;
-            }
-            ctx.compute(CMP_COST);
-            stack.push(ctx.load(fld(a, 3)));
-            stack.push(ctx.load(fld(a, 2)));
-        }
-        out
     }
 }
 
@@ -494,6 +470,23 @@ mod tests {
         for op in &ops {
             assert_eq!(t.value_of(&ctx, op.key).unwrap(), value_for(op.key, 32));
         }
+    }
+
+    #[test]
+    fn swapped_children_are_unreachable_by_their_bits() {
+        let (mut ctx, mut t) = fresh(AnnotationSource::Manual);
+        for op in ycsb_load(40, 32, 5) {
+            t.insert(&mut ctx, op.key, &op.value);
+        }
+        ctx.crash_and_recover();
+        t.recover(&mut ctx);
+        t.check_invariants(&ctx).unwrap();
+        let r = PmAddr::new(ctx.peek(fld(t.root, 0)));
+        let (left, right) = (ctx.peek(fld(r, 2)), ctx.peek(fld(r, 3)));
+        ctx.recovery_write(fld(r, 2), right);
+        ctx.recovery_write(fld(r, 3), left);
+        let err = t.check_invariants(&ctx).unwrap_err();
+        assert!(err.ends_with("not reachable by its own bits"), "{err}");
     }
 
     #[test]

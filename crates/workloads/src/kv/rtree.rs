@@ -19,7 +19,7 @@
 //! ```
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::DurableIndex;
+use crate::runner::{DurableIndex, Load, Reader};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -171,7 +171,52 @@ impl DurableIndex for RtreeKv {
     }
 
     fn scan_range(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Option<Vec<(u64, Vec<u8>)>> {
-        Some(crate::runner::RangeIndex::scan(self, ctx, lo, hi))
+        // DFS in nibble order; a node whose consumed-prefix key window
+        // is disjoint from [lo, hi] is pruned.
+        let mut out = Vec::new();
+        let r = ctx.load(fld(self.root, 0));
+        if r == 0 {
+            return Some(out);
+        }
+        // (node, partial key value, nibbles consumed)
+        let mut stack: Vec<(u64, u64, u64)> = vec![(r, 0, 0)];
+        while let Some((n, partial, consumed)) = stack.pop() {
+            let a = PmAddr::new(n);
+            let plen = ctx.load(fld(a, 0));
+            let prefix = ctx.load(fld(a, 1));
+            let mut value = partial;
+            for i in 0..plen {
+                ctx.compute(NIBBLE_COST);
+                value = (value << 4) | prefix_nibble(prefix, i);
+            }
+            let depth = consumed + plen;
+            let rem = (KEY_NIBBLES - depth) * 4;
+            let window_lo = if rem == 64 { 0 } else { value << rem };
+            let window_hi = if rem == 64 {
+                u64::MAX
+            } else {
+                window_lo | ((1u64 << rem) - 1)
+            };
+            if window_hi < lo || window_lo > hi {
+                continue;
+            }
+            if depth == KEY_NIBBLES {
+                let blob = ctx.load(fld(a, 2));
+                if blob != 0 {
+                    let mut v = vec![0u8; self.value_bytes as usize];
+                    ctx.load_bytes(PmAddr::new(blob), &mut v);
+                    out.push((value, v));
+                }
+                continue;
+            }
+            for nib in (0..16u64).rev() {
+                let c = ctx.load(child_at(a, nib));
+                if c != 0 {
+                    stack.push((c, (value << 4) | nib, depth + 1));
+                }
+            }
+        }
+        Some(out)
     }
 
     fn insert(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) {
@@ -378,52 +423,18 @@ impl DurableIndex for RtreeKv {
         }
     }
 
-    fn get(&mut self, ctx: &mut PmContext, key: u64) -> Option<Vec<u8>> {
-        let r = ctx.load(fld(self.root, 0));
-        if r == 0 {
+    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+        let root = r.load(fld(self.root, 0));
+        if root == 0 {
             return None;
         }
         let mut consumed = 0u64;
-        let mut cur = PmAddr::new(r);
+        let mut cur = PmAddr::new(root);
         loop {
-            let plen = ctx.load(fld(cur, 0));
-            let prefix = ctx.load(fld(cur, 1));
+            let plen = r.load(fld(cur, 0));
+            let prefix = r.load(fld(cur, 1));
             for i in 0..plen {
-                ctx.compute(NIBBLE_COST);
-                if nibble(key, consumed + i) != prefix_nibble(prefix, i) {
-                    return None;
-                }
-            }
-            consumed += plen;
-            if consumed == KEY_NIBBLES {
-                let blob = ctx.load(fld(cur, 2));
-                if blob == 0 {
-                    return None;
-                }
-                let mut v = vec![0u8; self.value_bytes as usize];
-                ctx.load_bytes(PmAddr::new(blob), &mut v);
-                return Some(v);
-            }
-            let c = ctx.load(child_at(cur, nibble(key, consumed)));
-            if c == 0 {
-                return None;
-            }
-            consumed += 1;
-            cur = PmAddr::new(c);
-        }
-    }
-
-    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
-        let mut n = ctx.peek(fld(self.root, 0));
-        if n == 0 {
-            return None;
-        }
-        let mut consumed = 0u64;
-        loop {
-            let a = PmAddr::new(n);
-            let plen = ctx.peek(fld(a, 0));
-            let prefix = ctx.peek(fld(a, 1));
-            for i in 0..plen {
+                r.compute(NIBBLE_COST);
                 if consumed + i >= KEY_NIBBLES
                     || nibble(key, consumed + i) != prefix_nibble(prefix, i)
                 {
@@ -432,37 +443,38 @@ impl DurableIndex for RtreeKv {
             }
             consumed += plen;
             if consumed == KEY_NIBBLES {
-                let blob = ctx.peek(fld(a, 2));
+                let blob = r.load(fld(cur, 2));
                 if blob == 0 {
                     return None;
                 }
                 let mut v = vec![0u8; self.value_bytes as usize];
-                ctx.peek_bytes(PmAddr::new(blob), &mut v);
+                r.load_bytes(PmAddr::new(blob), &mut v);
                 return Some(v);
             }
-            n = ctx.peek(child_at(a, nibble(key, consumed)));
-            if n == 0 {
+            let c = r.load(child_at(cur, nibble(key, consumed)));
+            if c == 0 {
                 return None;
             }
             consumed += 1;
+            cur = PmAddr::new(c);
         }
     }
 
     fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
-        self.walk(ctx, |key_nibs, node, terminal| {
+        self.walk(ctx, |key, _, node, terminal| {
             if !terminal {
                 return;
             }
             let blob = ctx.peek(fld(node, 2));
             if blob != 0 {
-                f(pack(key_nibs), PmAddr::new(blob));
+                f(key, PmAddr::new(blob));
             }
         });
     }
 
     fn len(&self, ctx: &PmContext) -> usize {
         let mut count = 0;
-        self.walk(ctx, |_, _, terminal| {
+        self.walk(ctx, |_, _, _, terminal| {
             if terminal {
                 count += 1;
             }
@@ -471,27 +483,23 @@ impl DurableIndex for RtreeKv {
     }
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
-        // Every terminal node's reconstructed key must round-trip
-        // through `value_of`, and path depths must not exceed the key
-        // length.
+        // Path depths must not exceed the key length, and every
+        // terminal's key must be found by a lookup. The walk builds each
+        // key from the prefixes and child slots that lookup follows, so
+        // the lookup can only miss on a zero value blob.
         let mut err = None;
         let mut count = 0usize;
-        self.walk(ctx, |key_nibs, _node, terminal| {
+        self.walk(ctx, |key, depth, node, terminal| {
             if err.is_some() {
                 return;
             }
-            if key_nibs.len() as u64 > KEY_NIBBLES {
-                err = Some(format!("path longer than key: {} nibbles", key_nibs.len()));
+            if depth > KEY_NIBBLES {
+                err = Some(format!("path longer than key: {depth} nibbles"));
                 return;
             }
             if terminal {
                 count += 1;
-                if key_nibs.len() as u64 != KEY_NIBBLES {
-                    err = Some(format!("terminal at depth {} nibbles", key_nibs.len()));
-                    return;
-                }
-                let key = pack(key_nibs);
-                if self.value_of(ctx, key).is_none() {
+                if ctx.peek(fld(node, 2)) == 0 {
                     err = Some(format!("key {key:#x} not reachable by its own nibbles"));
                 }
             }
@@ -508,7 +516,7 @@ impl DurableIndex for RtreeKv {
 
     fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
         let mut out = vec![self.root];
-        self.walk(ctx, |_, node, terminal| {
+        self.walk(ctx, |_, _, node, terminal| {
             out.push(node);
             if terminal {
                 let blob = ctx.peek(fld(node, 2));
@@ -527,84 +535,34 @@ impl DurableIndex for RtreeKv {
 }
 
 impl RtreeKv {
-    /// Depth-first walk; `f(path_nibbles, node, is_terminal)`.
-    fn walk(&self, ctx: &PmContext, mut f: impl FnMut(&[u64], PmAddr, bool)) {
+    /// Depth-first walk; `f(key, depth, node, is_terminal)`, where
+    /// `key` packs the `depth` nibbles on the path to `node`
+    /// right-aligned, so a terminal's `key` is its full key.
+    fn walk(&self, ctx: &PmContext, mut f: impl FnMut(u64, u64, PmAddr, bool)) {
         let r = ctx.peek(fld(self.root, 0));
         if r == 0 {
             return;
         }
-        let mut stack: Vec<(u64, Vec<u64>)> = vec![(r, Vec::new())];
-        while let Some((n, mut path)) = stack.pop() {
+        let mut stack = vec![(r, 0u64, 0u64)];
+        while let Some((n, mut key, mut depth)) = stack.pop() {
             let a = PmAddr::new(n);
             let plen = ctx.peek(fld(a, 0));
             let prefix = ctx.peek(fld(a, 1));
             for i in 0..plen {
-                path.push(prefix_nibble(prefix, i));
+                key = (key << 4) | prefix_nibble(prefix, i);
             }
-            let terminal = path.len() as u64 == KEY_NIBBLES;
-            f(&path, a, terminal);
+            depth += plen;
+            let terminal = depth == KEY_NIBBLES;
+            f(key, depth, a, terminal);
             if !terminal {
                 for nib in 0..16u64 {
                     let c = ctx.peek(child_at(a, nib));
                     if c != 0 {
-                        let mut p = path.clone();
-                        p.push(nib);
-                        stack.push((c, p));
+                        stack.push((c, (key << 4) | nib, depth + 1));
                     }
                 }
             }
         }
-    }
-}
-
-impl crate::runner::RangeIndex for RtreeKv {
-    fn scan(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
-        // DFS in nibble order; a node whose consumed-prefix key window
-        // is disjoint from [lo, hi] is pruned.
-        let mut out = Vec::new();
-        let r = ctx.load(fld(self.root, 0));
-        if r == 0 {
-            return out;
-        }
-        // (node, partial key value, nibbles consumed)
-        let mut stack: Vec<(u64, u64, u64)> = vec![(r, 0, 0)];
-        while let Some((n, partial, consumed)) = stack.pop() {
-            let a = PmAddr::new(n);
-            let plen = ctx.load(fld(a, 0));
-            let prefix = ctx.load(fld(a, 1));
-            let mut value = partial;
-            for i in 0..plen {
-                ctx.compute(NIBBLE_COST);
-                value = (value << 4) | prefix_nibble(prefix, i);
-            }
-            let depth = consumed + plen;
-            let rem = (KEY_NIBBLES - depth) * 4;
-            let window_lo = if rem == 64 { 0 } else { value << rem };
-            let window_hi = if rem == 64 {
-                u64::MAX
-            } else {
-                window_lo | ((1u64 << rem) - 1)
-            };
-            if window_hi < lo || window_lo > hi {
-                continue;
-            }
-            if depth == KEY_NIBBLES {
-                let blob = ctx.load(fld(a, 2));
-                if blob != 0 {
-                    let mut v = vec![0u8; self.value_bytes as usize];
-                    ctx.load_bytes(PmAddr::new(blob), &mut v);
-                    out.push((value, v));
-                }
-                continue;
-            }
-            for nib in (0..16u64).rev() {
-                let c = ctx.load(child_at(a, nib));
-                if c != 0 {
-                    stack.push((c, (value << 4) | nib, depth + 1));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -683,6 +641,26 @@ mod tests {
         for op in &ops {
             assert_eq!(t.value_of(&ctx, op.key).unwrap(), value_for(op.key, 32));
         }
+    }
+
+    #[test]
+    fn terminal_without_a_blob_is_unreachable() {
+        let (mut ctx, mut t) = fresh(AnnotationSource::Manual);
+        for op in ycsb_load(40, 32, 5) {
+            t.insert(&mut ctx, op.key, &op.value);
+        }
+        ctx.crash_and_recover();
+        t.recover(&mut ctx);
+        t.check_invariants(&ctx).unwrap();
+        let mut victim = None;
+        t.walk(&ctx, |_, _, node, terminal| {
+            if terminal {
+                victim.get_or_insert(node);
+            }
+        });
+        ctx.recovery_write(fld(victim.expect("a terminal"), 2), 0);
+        let err = t.check_invariants(&ctx).unwrap_err();
+        assert!(err.ends_with("not reachable by its own nibbles"), "{err}");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! can re-derive every tower without trusting lazily-persistent state.
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::DurableIndex;
+use crate::runner::{DurableIndex, Load, Reader};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -147,8 +147,8 @@ impl SkiplistKv {
         }
     }
 
-    /// Finds the predecessor of `key` at every level (timed).
-    fn predecessors(&self, ctx: &mut PmContext, key: u64) -> [PmAddr; MAX_LEVEL as usize] {
+    /// Finds the predecessor of `key` at every level.
+    fn predecessors(&self, ctx: &mut impl Load, key: u64) -> [PmAddr; MAX_LEVEL as usize] {
         let mut preds = [self.head; MAX_LEVEL as usize];
         let mut cur = self.head;
         for level in (0..MAX_LEVEL).rev() {
@@ -175,7 +175,23 @@ impl DurableIndex for SkiplistKv {
     }
 
     fn scan_range(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Option<Vec<(u64, Vec<u8>)>> {
-        Some(crate::runner::RangeIndex::scan(self, ctx, lo, hi))
+        // Towers find the range start; level 0 streams it.
+        let preds = self.predecessors(ctx, lo);
+        let mut out = Vec::new();
+        let mut cur = ctx.load(next_at(preds[0], 0));
+        while cur != 0 {
+            let node = PmAddr::new(cur);
+            let k = ctx.load(fld(node, 0));
+            if k > hi {
+                break;
+            }
+            let blob = PmAddr::new(ctx.load(fld(node, 2)));
+            let mut v = vec![0u8; self.value_bytes as usize];
+            ctx.load_bytes(blob, &mut v);
+            out.push((k, v));
+            cur = ctx.load(next_at(node, 0));
+        }
+        Some(out)
     }
 
     fn insert(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) {
@@ -263,39 +279,20 @@ impl DurableIndex for SkiplistKv {
         true
     }
 
-    fn get(&mut self, ctx: &mut PmContext, key: u64) -> Option<Vec<u8>> {
-        let preds = self.predecessors(ctx, key);
-        let cand = ctx.load(next_at(preds[0], 0));
+    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+        let preds = self.predecessors(r, key);
+        let cand = r.load(next_at(preds[0], 0));
         if cand == 0 {
             return None;
         }
         let node = PmAddr::new(cand);
-        if ctx.load(fld(node, 0)) != key {
+        if r.load(fld(node, 0)) != key {
             return None;
         }
-        let blob = PmAddr::new(ctx.load(fld(node, 2)));
+        let blob = PmAddr::new(r.load(fld(node, 2)));
         let mut v = vec![0u8; self.value_bytes as usize];
-        ctx.load_bytes(blob, &mut v);
+        r.load_bytes(blob, &mut v);
         Some(v)
-    }
-
-    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
-        let mut cur = ctx.peek(fld(self.head, 3));
-        while cur != 0 {
-            let node = PmAddr::new(cur);
-            let k = ctx.peek(fld(node, 0));
-            if k == key {
-                let blob = PmAddr::new(ctx.peek(fld(node, 2)));
-                let mut v = vec![0u8; self.value_bytes as usize];
-                ctx.peek_bytes(blob, &mut v);
-                return Some(v);
-            }
-            if k > key {
-                return None;
-            }
-            cur = ctx.peek(next_at(node, 0));
-        }
-        None
     }
 
     fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
@@ -404,28 +401,6 @@ impl DurableIndex for SkiplistKv {
     }
 }
 
-impl crate::runner::RangeIndex for SkiplistKv {
-    fn scan(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
-        // Towers find the range start; level 0 streams it.
-        let preds = self.predecessors(ctx, lo);
-        let mut out = Vec::new();
-        let mut cur = ctx.load(next_at(preds[0], 0));
-        while cur != 0 {
-            let node = PmAddr::new(cur);
-            let k = ctx.load(fld(node, 0));
-            if k > hi {
-                break;
-            }
-            let blob = PmAddr::new(ctx.load(fld(node, 2)));
-            let mut v = vec![0u8; self.value_bytes as usize];
-            ctx.load_bytes(blob, &mut v);
-            out.push((k, v));
-            cur = ctx.load(next_at(node, 0));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,8 +453,7 @@ mod tests {
         }
         let before = ctx.machine().stats().loads;
         let probe = ycsb_load(300, 32, 2)[150].key;
-        let mut t2 = t.clone();
-        assert!(t2.get(&mut ctx, probe).is_some());
+        assert!(t.get(&mut ctx, probe).is_some());
         let loads = ctx.machine().stats().loads - before;
         assert!(
             loads < 150,

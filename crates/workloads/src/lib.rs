@@ -52,8 +52,8 @@ pub use crashsweep::{StreamingOracle, SweepCase, SweepFailure};
 pub use ctx::{AnnotationSource, PmContext};
 pub use inspector::{inspect, HeapReport};
 pub use runner::{
-    DurableIndex, IndexKind, LatencySummary, MixLatencies, RangeIndex, RunOps, RunReport,
-    RunResult, RunSpec, ShardRun,
+    DurableIndex, IndexKind, LatencySummary, MixLatencies, RunOps, RunReport, RunResult, RunSpec,
+    ShardRun,
 };
 pub use sharded::{partition_mixed, partition_ops, shard_of};
 pub use ycsb::{ycsb_load, ycsb_mix, KeyDist, MixSpec, MixedOp, YcsbOp};

@@ -13,10 +13,68 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// The reads of a point lookup, in one of two modes: timed through
+/// the simulated cache hierarchy ([`PmContext::load`],
+/// [`PmContext::load_bytes`], [`PmContext::compute`]) or untimed
+/// ([`PmContext::peek`], [`PmContext::peek_bytes`], compute charges
+/// dropped). [`DurableIndex::lookup`] is written once against it.
+pub enum Reader<'a> {
+    /// Timed loads and compute charges.
+    Timed(&'a mut PmContext),
+    /// Untimed peeks; compute is free.
+    Peek(&'a PmContext),
+}
+
+/// What a search reads: words, byte runs and compute charges. A
+/// [`PmContext`] reads timed; a [`Reader`] in either mode. Search
+/// helpers shared by lookups and updates are generic over it.
+pub trait Load {
+    /// Reads the word at `addr`.
+    fn load(&mut self, addr: PmAddr) -> u64;
+    /// Reads `buf.len()` bytes at `addr`.
+    fn load_bytes(&mut self, addr: PmAddr, buf: &mut [u8]);
+    /// Charges `cycles` of compute.
+    fn compute(&mut self, cycles: u64);
+}
+
+impl Load for PmContext {
+    fn load(&mut self, addr: PmAddr) -> u64 {
+        PmContext::load(self, addr)
+    }
+    fn load_bytes(&mut self, addr: PmAddr, buf: &mut [u8]) {
+        PmContext::load_bytes(self, addr, buf);
+    }
+    fn compute(&mut self, cycles: u64) {
+        PmContext::compute(self, cycles);
+    }
+}
+
+impl Load for Reader<'_> {
+    fn load(&mut self, addr: PmAddr) -> u64 {
+        match self {
+            Reader::Timed(ctx) => ctx.load(addr),
+            Reader::Peek(ctx) => ctx.peek(addr),
+        }
+    }
+    fn load_bytes(&mut self, addr: PmAddr, buf: &mut [u8]) {
+        match self {
+            Reader::Timed(ctx) => ctx.load_bytes(addr, buf),
+            Reader::Peek(ctx) => ctx.peek_bytes(addr, buf),
+        }
+    }
+    fn compute(&mut self, cycles: u64) {
+        if let Reader::Timed(ctx) = self {
+            ctx.compute(cycles);
+        }
+    }
+}
+
 /// A durable key-value index evaluated by the paper.
 ///
 /// `insert` runs one durable transaction per call (the YCSB-load
-/// operation granularity). The untimed methods (`contains`,
+/// operation granularity). The one point lookup, [`lookup`](Self::lookup),
+/// runs timed as [`get`](Self::get) and untimed as
+/// [`value_of`](Self::value_of). The untimed methods (`contains`,
 /// `value_of`, `for_each_entry`, `len`, `check_invariants`,
 /// `reachable`) inspect logical state via peeks; `recover` repairs
 /// the structure after [`PmContext::crash_and_recover`] replayed the
@@ -34,9 +92,15 @@ pub trait DurableIndex {
     /// frees themselves defer to commit.
     fn remove(&mut self, ctx: &mut PmContext, key: u64) -> bool;
 
+    /// The value bytes stored for `key`, if present, with every read
+    /// and compute charge going through `r`.
+    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>>;
+
     /// Timed lookup: reads run through the simulated cache hierarchy
     /// (no transaction needed — reads are non-mutating).
-    fn get(&mut self, ctx: &mut PmContext, key: u64) -> Option<Vec<u8>>;
+    fn get(&self, ctx: &mut PmContext, key: u64) -> Option<Vec<u8>> {
+        self.lookup(&mut Reader::Timed(ctx), key)
+    }
 
     /// Replaces `key`'s value in one durable transaction, returning
     /// whether the key was present. The PM-friendly copy-on-write
@@ -50,8 +114,14 @@ pub trait DurableIndex {
         self.value_of(ctx, key).is_some()
     }
 
-    /// The value bytes stored for `key`, if present (untimed).
-    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>>;
+    /// The value bytes stored for `key`, if present: the untimed
+    /// [`get`](Self::get). Like `get`, it is valid on a recovered
+    /// structure: after a crash, call it once [`recover`](Self::recover)
+    /// has rebuilt the lazily-persistent search state (the skiplist's
+    /// towers).
+    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
+        self.lookup(&mut Reader::Peek(ctx), key)
+    }
 
     /// Calls `f(key, value address)` once for every present key, in
     /// one walk of the structure (untimed; order is the structure's
@@ -86,23 +156,14 @@ pub trait DurableIndex {
     /// counters) from what is durable.
     fn recover(&mut self, ctx: &mut PmContext);
 
-    /// Timed range scan for `lo..=hi` when the index is ordered
-    /// (`None` otherwise — hash-style indexes can't serve ranges, and
-    /// mixed runners degrade their scans to point lookups). Ordered
-    /// structures override this to delegate to
-    /// [`RangeIndex::scan`], making scans reachable through the
-    /// `dyn DurableIndex` the drivers hold.
+    /// Timed range scan: every `(key, value)` with `lo <= key <= hi`,
+    /// in key order, when the index is ordered (`None` otherwise —
+    /// hash-style indexes can't serve ranges, and mixed runners
+    /// degrade their scans to point lookups).
     fn scan_range(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Option<Vec<(u64, Vec<u8>)>> {
         let _ = (ctx, lo, hi);
         None
     }
-}
-
-/// Ordered indexes additionally support timed range scans.
-pub trait RangeIndex: DurableIndex {
-    /// Returns every `(key, value)` with `lo <= key <= hi`, in key
-    /// order, reading through the simulated cache hierarchy.
-    fn scan(&mut self, ctx: &mut PmContext, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)>;
 }
 
 /// Which index a run instantiates.

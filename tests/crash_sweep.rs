@@ -7,11 +7,11 @@
 //! reproducible `(scheme, workload, seed, k)` tuples; re-run one with
 //! `slpmt crashsweep --scheme S --ops N --at K`.
 //!
-//! The un-ignored tests are the PR gate: a scheme subset × three
-//! workloads at a trace size that keeps the whole file comfortably
+//! The un-ignored tests are the PR gate: a scheme subset × every
+//! index at a trace size that keeps the whole file comfortably
 //! inside the CI budget (the sweep fans across `SLPMT_THREADS`
 //! workers). The `#[ignore]`d test is the nightly exhaustive matrix:
-//! all ten schemes, ≥50-transaction traces.
+//! all ten schemes × every index, ≥50-transaction traces.
 
 use slpmt::bench::sweep::{run_sweep, run_sweep_with, sweep_cases, Points, CLEAN};
 use slpmt::core::multi::mc_count_events;
@@ -35,11 +35,9 @@ const GATE_SCHEMES: [Scheme; 7] = [
     Scheme::SlpmtRedo,
 ];
 
-const GATE_KINDS: [IndexKind; 3] = [IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::Heap];
-
 #[test]
 fn gate_sweep_every_persist_event() {
-    let cases = sweep_cases(&GATE_SCHEMES, &GATE_KINDS, SEED, 12);
+    let cases = sweep_cases(&GATE_SCHEMES, &IndexKind::ALL, SEED, 12);
     let report = run_sweep(&EngineTarget, &cases, &CLEAN, Points::Exhaustive);
     assert!(report.points() > 0);
     assert!(report.is_clean(), "{report}");
@@ -134,14 +132,14 @@ fn full_mc_sweep_all_schemes() {
     assert!(report.is_clean(), "{report}");
 }
 
-/// Nightly exhaustive matrix: all ten schemes × three workloads, ≥50
+/// Nightly exhaustive matrix: all ten schemes × every index, ≥50
 /// operations per trace, every persist event. Run with
 /// `cargo test --release --test crash_sweep -- --ignored`.
 #[test]
 #[ignore = "exhaustive matrix; run nightly or on demand"]
 fn full_sweep_all_schemes() {
     use slpmt::workloads::crashsweep::SWEEP_SCHEMES;
-    let cases = sweep_cases(&SWEEP_SCHEMES, &GATE_KINDS, SEED, 50);
+    let cases = sweep_cases(&SWEEP_SCHEMES, &IndexKind::ALL, SEED, 50);
     let report = run_sweep(&EngineTarget, &cases, &CLEAN, Points::Exhaustive);
     println!("{report}");
     assert!(report.is_clean(), "{report}");
@@ -155,7 +153,7 @@ fn full_sweep_all_schemes() {
 fn full_sweep_multiple_seeds() {
     use slpmt::workloads::crashsweep::SWEEP_SCHEMES;
     for seed in [1, 7, 99, 1234] {
-        let cases = sweep_cases(&SWEEP_SCHEMES, &GATE_KINDS, seed, 30);
+        let cases = sweep_cases(&SWEEP_SCHEMES, &IndexKind::ALL, seed, 30);
         let report = run_sweep(&EngineTarget, &cases, &CLEAN, Points::Exhaustive);
         println!("seed {seed}: {report}");
         assert!(report.is_clean(), "seed {seed}: {report}");

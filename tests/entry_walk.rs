@@ -4,6 +4,9 @@
 //! * Equivalence: on seeded delete-heavy traces, every index's walk
 //!   yields exactly the keys `value_of` finds, each once, with the
 //!   bytes `value_of` returns.
+//! * One lookup, two modes: on the same traces, the untimed
+//!   `value_of` returns what the timed `get` returns, and moves no
+//!   clock, counter or persist event.
 //! * Non-vacuity: `StreamingOracle::check` rejects a flipped value
 //!   byte, a missing key, an extra key, both at once, and a walk that
 //!   yields one key twice at the correct count — each with its
@@ -13,7 +16,7 @@ use slpmt::annotate::AnnotationTable;
 use slpmt::core::Scheme;
 use slpmt::pmem::PmAddr;
 use slpmt::workloads::crashsweep::{apply, trace_ops, StreamingOracle, SweepCase};
-use slpmt::workloads::runner::{DurableIndex, IndexKind};
+use slpmt::workloads::runner::{DurableIndex, IndexKind, Reader};
 use slpmt::workloads::{AnnotationSource, MixSpec, MixedOp, PmContext};
 use std::collections::BTreeSet;
 
@@ -81,6 +84,40 @@ fn entry_walk_yields_exactly_the_keys_value_of_finds() {
 }
 
 #[test]
+fn value_of_is_get_without_timing() {
+    for kind in IndexKind::ALL {
+        for seed in [3, 17, 40] {
+            let (ops, ctx, idx) = run(kind, seed);
+            // Every live key, every removed key, and a few never seen.
+            let mut keys: BTreeSet<u64> = entries(&ctx, idx.as_ref())
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect();
+            keys.extend(ops.iter().filter_map(|op| match op {
+                MixedOp::Remove(k) => Some(*k),
+                _ => None,
+            }));
+            keys.extend([0, 1, u64::MAX]);
+            let m = ctx.machine();
+            let (now, stats, events) = (m.now(), *m.stats(), m.persist_event_count());
+            let mut timed = ctx.clone();
+            for &k in &keys {
+                let got = idx.get(&mut timed, k);
+                assert_eq!(idx.value_of(&ctx, k), got, "{kind} seed {seed} key {k}");
+            }
+            assert!(
+                timed.machine().now() > now,
+                "{kind} seed {seed}: get is timed"
+            );
+            let m = ctx.machine();
+            assert_eq!(m.now(), now, "{kind} seed {seed}");
+            assert_eq!(*m.stats(), stats, "{kind} seed {seed}");
+            assert_eq!(m.persist_event_count(), events, "{kind} seed {seed}");
+        }
+    }
+}
+
+#[test]
 fn check_rejects_a_flipped_value_byte() {
     for kind in IndexKind::ALL {
         let (mut ops, ctx, idx) = run(kind, 5);
@@ -140,14 +177,11 @@ impl DurableIndex for RepeatsAKey<'_> {
     fn remove(&mut self, _: &mut PmContext, _: u64) -> bool {
         unreachable!("read-only wrapper")
     }
-    fn get(&mut self, _: &mut PmContext, _: u64) -> Option<Vec<u8>> {
-        unreachable!("read-only wrapper")
-    }
     fn update(&mut self, _: &mut PmContext, _: u64, _: &[u8]) -> bool {
         unreachable!("read-only wrapper")
     }
-    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
-        self.0.value_of(ctx, key)
+    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+        self.0.lookup(r, key)
     }
     fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
         let mut all = entries(ctx, self.0);

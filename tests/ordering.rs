@@ -2,34 +2,38 @@
 //! persist history (read back from the trace, so every machine here
 //! traces from its first instruction).
 //!
-//! Undo discipline: within a transaction's persist window (its first
-//! log record up to its commit marker), the *data* of a logged line
-//! must not reach the persistence domain before the transaction's
-//! first log record for that line — and the commit marker must follow
-//! every record. Log-free lines may persist at any point.
+//! Undo discipline: within a transaction's persist window (just after
+//! the previous transaction's commit marker up to its own), the *data*
+//! of a logged line must not reach the persistence domain before the
+//! transaction's first log record for that line — and the commit
+//! marker must follow every record. Log-free lines may persist at any
+//! point.
 
 use slpmt::core::{Machine, MachineConfig, Scheme, StoreKind};
 use slpmt::pmem::{PersistEvent, PmAddr};
 use std::collections::BTreeMap;
 
 /// Per-transaction window check (for schemes without lazy persistency,
-/// where no foreign forced persist can interleave): inside txn T's
-/// window, `DataLine(L)` events for lines T logs must come after T's
-/// first record for L.
+/// where no foreign forced persist can interleave and transactions
+/// persist one after another): inside txn T's window, which opens just
+/// after the commit marker before T's first record, `DataLine(L)`
+/// events for lines T logs must come after T's first record for L.
 fn assert_undo_windows(m: &Machine) {
     let events = m.device().persist_history();
     // Find each txn's window and first-record-per-line map.
     let mut window_start: BTreeMap<u64, usize> = BTreeMap::new();
     let mut window_end: BTreeMap<u64, usize> = BTreeMap::new();
     let mut first_record: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+    let mut after_marker = 0;
     for (i, e) in events.iter().enumerate() {
         match e {
             PersistEvent::LogRecord { txn, addr, .. } => {
-                window_start.entry(*txn).or_insert(i);
+                window_start.entry(*txn).or_insert(after_marker);
                 first_record.entry((*txn, addr.line().raw())).or_insert(i);
             }
             PersistEvent::CommitMarker { txn } => {
                 window_end.insert(*txn, i);
+                after_marker = i + 1;
             }
             PersistEvent::DataLine { .. } | PersistEvent::LogTruncate => {}
         }

@@ -5,24 +5,33 @@
 
 use slpmt::annotate::AnnotationTable;
 use slpmt::core::Scheme;
-use slpmt::workloads::avl::AvlTree;
-use slpmt::workloads::kv::btree::BtreeKv;
-use slpmt::workloads::kv::ctree::CtreeKv;
-use slpmt::workloads::kv::rtree::RtreeKv;
-use slpmt::workloads::kv::skiplist::SkiplistKv;
-use slpmt::workloads::rbtree::Rbtree;
-use slpmt::workloads::runner::{DurableIndex, RangeIndex};
+use slpmt::workloads::runner::{DurableIndex, IndexKind};
 use slpmt::workloads::{ycsb_load, AnnotationSource, PmContext};
 use slpmt_prng::SimRng;
 use std::collections::BTreeMap;
 
-fn check_against_oracle<I: RangeIndex>(
-    mut idx: I,
-    mut ctx: PmContext,
-    n: usize,
-    seed: u64,
-    ranges: &[(u64, u64)],
-) {
+/// The indexes that serve range scans.
+const ORDERED: [IndexKind; 6] = [
+    IndexKind::Rbtree,
+    IndexKind::Avl,
+    IndexKind::KvBtree,
+    IndexKind::KvCtree,
+    IndexKind::KvRtree,
+    IndexKind::KvSkiplist,
+];
+
+fn build(kind: IndexKind) -> (PmContext, Box<dyn DurableIndex>) {
+    let mut ctx = PmContext::new(Scheme::Slpmt, AnnotationTable::new());
+    let idx = kind.build(&mut ctx, 16, AnnotationSource::Manual);
+    (ctx, idx)
+}
+
+fn scan(idx: &mut dyn DurableIndex, ctx: &mut PmContext, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
+    idx.scan_range(ctx, lo, hi).expect("ordered index scans")
+}
+
+fn check_against_oracle(kind: IndexKind, n: usize, seed: u64, ranges: &[(u64, u64)]) {
+    let (mut ctx, mut idx) = build(kind);
     let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     for op in ycsb_load(n, 16, seed) {
         idx.insert(&mut ctx, op.key, &op.value);
@@ -30,7 +39,7 @@ fn check_against_oracle<I: RangeIndex>(
     }
     for &(a, b) in ranges {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let got = idx.scan(&mut ctx, lo, hi);
+        let got = scan(idx.as_mut(), &mut ctx, lo, hi);
         let want: Vec<(u64, Vec<u8>)> = oracle
             .range(lo..=hi)
             .map(|(k, v)| (*k, v.clone()))
@@ -38,7 +47,7 @@ fn check_against_oracle<I: RangeIndex>(
         assert_eq!(&got, &want, "{} range [{}, {}]", idx.name(), lo, hi);
     }
     // Full scan covers everything, in order.
-    let all = idx.scan(&mut ctx, u64::MIN, u64::MAX);
+    let all = scan(idx.as_mut(), &mut ctx, u64::MIN, u64::MAX);
     assert_eq!(all.len(), oracle.len());
     assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
 }
@@ -52,41 +61,14 @@ fn ordered_indexes_scan_like_the_oracle() {
         let ranges: Vec<(u64, u64)> = (0..rng.gen_usize(1..6))
             .map(|_| (rng.next_u64(), rng.next_u64()))
             .collect();
-        let which = rng.gen_usize(0..6);
-        let mut ctx = PmContext::new(Scheme::Slpmt, AnnotationTable::new());
-        match which {
-            0 => {
-                let idx = Rbtree::new(&mut ctx, 16, AnnotationSource::Manual);
-                check_against_oracle(idx, ctx, n, seed, &ranges);
-            }
-            1 => {
-                let idx = AvlTree::new(&mut ctx, 16, AnnotationSource::Manual);
-                check_against_oracle(idx, ctx, n, seed, &ranges);
-            }
-            2 => {
-                let idx = BtreeKv::new(&mut ctx, 16, AnnotationSource::Manual);
-                check_against_oracle(idx, ctx, n, seed, &ranges);
-            }
-            3 => {
-                let idx = CtreeKv::new(&mut ctx, 16, AnnotationSource::Manual);
-                check_against_oracle(idx, ctx, n, seed, &ranges);
-            }
-            4 => {
-                let idx = RtreeKv::new(&mut ctx, 16, AnnotationSource::Manual);
-                check_against_oracle(idx, ctx, n, seed, &ranges);
-            }
-            _ => {
-                let idx = SkiplistKv::new(&mut ctx, 16, AnnotationSource::Manual);
-                check_against_oracle(idx, ctx, n, seed, &ranges);
-            }
-        }
+        let kind = ORDERED[rng.gen_usize(0..ORDERED.len())];
+        check_against_oracle(kind, n, seed, &ranges);
     }
 }
 
 #[test]
 fn scans_survive_crash_recovery() {
-    let mut ctx = PmContext::new(Scheme::Slpmt, AnnotationTable::new());
-    let mut idx = SkiplistKv::new(&mut ctx, 16, AnnotationSource::Manual);
+    let (mut ctx, mut idx) = build(IndexKind::KvSkiplist);
     let ops = ycsb_load(100, 16, 5);
     let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     for op in &ops {
@@ -96,27 +78,29 @@ fn scans_survive_crash_recovery() {
     ctx.crash_and_recover();
     idx.recover(&mut ctx);
     ctx.gc(&idx.reachable(&ctx));
-    let all = idx.scan(&mut ctx, u64::MIN, u64::MAX);
+    let all = scan(idx.as_mut(), &mut ctx, u64::MIN, u64::MAX);
     let want: Vec<(u64, Vec<u8>)> = oracle.iter().map(|(k, v)| (*k, v.clone())).collect();
     assert_eq!(all, want);
 }
 
 #[test]
 fn tight_and_empty_ranges() {
-    let mut ctx = PmContext::new(Scheme::Slpmt, AnnotationTable::new());
-    let mut idx = BtreeKv::new(&mut ctx, 16, AnnotationSource::Manual);
+    let (mut ctx, mut idx) = build(IndexKind::KvBtree);
     let ops = ycsb_load(50, 16, 6);
     for op in &ops {
         idx.insert(&mut ctx, op.key, &op.value);
     }
     let k = ops[25].key;
-    assert_eq!(idx.scan(&mut ctx, k, k), vec![(k, ops[25].value.clone())]);
+    assert_eq!(
+        scan(idx.as_mut(), &mut ctx, k, k),
+        vec![(k, ops[25].value.clone())]
+    );
     // A hole between two adjacent keys is empty.
     let mut keys: Vec<u64> = ops.iter().map(|o| o.key).collect();
     keys.sort_unstable();
     for w in keys.windows(2) {
         if w[1] - w[0] > 2 {
-            assert!(idx.scan(&mut ctx, w[0] + 1, w[1] - 1).is_empty());
+            assert!(scan(idx.as_mut(), &mut ctx, w[0] + 1, w[1] - 1).is_empty());
             break;
         }
     }
