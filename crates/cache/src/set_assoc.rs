@@ -269,9 +269,17 @@ impl SetAssocCache {
         self.sets.iter_mut().flatten()
     }
 
-    /// Drops every entry (e.g. simulated power loss).
+    /// Drops every entry (e.g. simulated power loss). Returns at once
+    /// on an empty level and stops after the set holding the last
+    /// resident line, so a crash costs what the caches held, not the
+    /// number of sets.
     pub fn clear(&mut self) {
+        let mut left = self.len;
         for set in &mut self.sets {
+            if left == 0 {
+                break;
+            }
+            left -= set.len();
             set.clear();
         }
         self.len = 0;
@@ -390,6 +398,32 @@ mod tests {
         assert!(c.iter().all(|e| e.meta.persist));
         c.clear();
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn clear_reaches_the_last_set_and_skips_emptied_ones() {
+        // 4 sets × 2 ways. Line 1 sits in set 1 and is then removed,
+        // so set 1 is empty; lines 3 and 7 fill the last set.
+        let mut c = SetAssocCache::new(geo(512, 2));
+        for line in [1, 3, 7] {
+            c.insert(entry(line));
+        }
+        assert!(c.remove(PmAddr::new(64)).is_some());
+        assert_eq!(c.len(), 2);
+        c.clear();
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.iter().count(), 0);
+        for line in 0..8 {
+            assert!(c.peek(PmAddr::new(line * 64)).is_none(), "line {line}");
+            assert!(c.peek_mut(PmAddr::new(line * 64)).is_none(), "line {line}");
+        }
+        // Clearing an empty level is a no-op, and the sets refill.
+        c.clear();
+        for line in [3, 7, 1] {
+            assert!(c.insert(entry(line)).1.is_none());
+        }
+        assert_eq!(c.len(), 3);
+        assert!(c.lookup(PmAddr::new(7 * 64)).is_some());
     }
 
     #[test]

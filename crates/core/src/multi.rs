@@ -37,7 +37,7 @@ use crate::machine::{Machine, MachineConfig};
 use crate::scheme::Scheme;
 use crate::stats::MachineStats;
 use crate::sweep::{guarded, CrashTarget};
-use slpmt_pmem::{FaultPlan, PersistEvent, PmAddr};
+use slpmt_pmem::{FaultPlan, PmAddr};
 use slpmt_prng::{splitmix64, SimRng, Zipf};
 use slpmt_trace::TraceRecord;
 use std::collections::{BTreeMap, BTreeSet};
@@ -770,24 +770,10 @@ pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
     let programs = gen_programs(&case.spec());
     let cfg = MachineConfig::for_scheme(case.scheme);
     let lazy_enabled = cfg.features.lazy;
-    // Traced, so the persist history can be read back after the crash.
-    let (mut m, outcome) =
-        run_programs_opts(cfg, &programs, case.sched, Some(k), Some(MC_TRACE_CAPACITY));
+    let (mut m, outcome) = run_programs_opts(cfg, &programs, case.sched, Some(k), None);
     m.crash();
-    // Durable markers decide what counts as committed. Walk the persist
-    // history rather than the live marker map: `truncate_committed`
-    // retires fully-persisted markers into a watermark, and a marker
-    // that landed torn at the crash boundary must not count.
-    let log = m.device().log();
-    let durable: BTreeSet<u64> = m
-        .device()
-        .persist_history()
-        .into_iter()
-        .filter_map(|e| match e {
-            PersistEvent::CommitMarker { txn } if log.marker_usable(txn) => Some(txn),
-            _ => None,
-        })
-        .collect();
+    // Durable markers decide what counts as committed.
+    let durable = durable_commits(&m, &outcome);
     m.recover();
     // Admissible values per word, from the durably committed prefix.
     let mut writers: BTreeMap<u64, Vec<(u64, bool)>> = BTreeMap::new();
@@ -825,6 +811,24 @@ pub fn mc_run_crash_at(case: &McSweepCase, k: u64) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Sequence numbers of the committed transactions whose commit marker
+/// landed whole before the crash. Every commit persists one marker, in
+/// commit order, and an armed crash admits a prefix of the persist
+/// events, so these are the first
+/// [`markers_landed`](slpmt_pmem::LogRegion::markers_landed) commits of
+/// the run — whether their markers are still live in the log or were
+/// retired by truncation, which the live marker map alone cannot tell
+/// apart from a marker that never landed.
+fn durable_commits(m: &Machine, outcome: &McOutcome) -> BTreeSet<u64> {
+    let landed = m.device().log().markers_landed() as usize;
+    outcome
+        .committed
+        .iter()
+        .take(landed)
+        .map(|t| t.seq)
+        .collect()
 }
 
 /// Replays the machine-level sequence of [`mc_run_crash_at`] — run
@@ -879,6 +883,7 @@ impl CrashTarget for McTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slpmt_pmem::PersistEvent;
 
     #[test]
     fn programs_are_deterministic() {
@@ -1018,6 +1023,44 @@ mod tests {
         assert!(
             s_max / s_total > 2.0 * u_max / u_total,
             "skewed peak {s_max}/{s_total} not hotter than uniform {u_max}/{u_total}"
+        );
+    }
+
+    /// The untraced oracle's durable set equals the commit markers the
+    /// traced persist history shows landing untorn, at every crash
+    /// point of one sweep cell.
+    #[test]
+    fn landed_markers_match_the_traced_persist_history() {
+        let case = McSweepCase::new(Scheme::SlpmtRedo, 2, 7, Schedule::weighted(3));
+        let programs = gen_programs(&case.spec());
+        let cfg = MachineConfig::for_scheme(case.scheme);
+        let n = mc_count_events(&case);
+        let mut sizes = BTreeSet::new();
+        for k in 0..=n {
+            let (mut m, outcome) = run_programs_traced(
+                cfg.clone(),
+                &programs,
+                case.sched,
+                Some(k),
+                MC_TRACE_CAPACITY,
+            );
+            m.crash();
+            let log = m.device().log();
+            let traced: BTreeSet<u64> = m
+                .device()
+                .persist_history()
+                .into_iter()
+                .filter_map(|e| match e {
+                    PersistEvent::CommitMarker { txn } if log.marker_usable(txn) => Some(txn),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(durable_commits(&m, &outcome), traced, "{case} k={k}");
+            sizes.insert(traced.len());
+        }
+        assert!(
+            sizes.len() > 2,
+            "the sweep crosses several commits: {sizes:?}"
         );
     }
 

@@ -15,6 +15,7 @@
 //! property the simulator's reproducible traces rely on.
 
 use crate::addr::{PmAddr, WORD_BYTES};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// First-fit allocator over a persistent address range.
@@ -156,7 +157,8 @@ impl PmHeap {
     /// interrupted transaction).
     ///
     /// Addresses in `reachable` that were not live are ignored: the
-    /// caller may conservatively pass every pointer it finds.
+    /// caller may conservatively pass every pointer it finds, in any
+    /// order (ascending input is merged without a sort).
     pub fn rebuild(&mut self, reachable: &[PmAddr]) -> usize {
         // Free extents are exactly the gaps between live allocations
         // (`alloc` splits a hole, `free` coalesces), so one ordered pass
@@ -189,7 +191,8 @@ impl PmHeap {
 
     /// Classifies `reachable` (any order, duplicates allowed) against
     /// the live allocations in one address-ordered pass: sorts the
-    /// addresses once, then merge-joins them with the live map. Calls
+    /// addresses unless they are already ascending, then merge-joins
+    /// them with the live map. Calls
     /// `visit(start, size, reached)` for every live allocation in
     /// address order and returns the number of `reachable` entries that
     /// are not the start of a live allocation (interior, freed or
@@ -207,19 +210,29 @@ impl PmHeap {
     }
 }
 
-/// A mark set sorted once, merge-joined against the live allocations
-/// in address order.
-struct Marks {
-    sorted: std::iter::Peekable<std::vec::IntoIter<u64>>,
+/// A mark set in ascending order, merge-joined against the live
+/// allocations in address order. Ascending input (what a structure's
+/// root walk hands the inspector and the GC) is borrowed as is; only
+/// unsorted input is copied and sorted.
+struct Marks<'a> {
+    sorted: Cow<'a, [PmAddr]>,
+    /// Marks before `next` have been passed over.
+    next: usize,
     not_live: usize,
 }
 
-impl Marks {
-    fn new(reachable: &[PmAddr]) -> Self {
-        let mut sorted: Vec<u64> = reachable.iter().map(|a| a.raw()).collect();
-        sorted.sort_unstable();
+impl<'a> Marks<'a> {
+    fn new(reachable: &'a [PmAddr]) -> Self {
+        let sorted = if reachable.is_sorted() {
+            Cow::Borrowed(reachable)
+        } else {
+            let mut owned = reachable.to_vec();
+            owned.sort_unstable();
+            Cow::Owned(owned)
+        };
         Marks {
-            sorted: sorted.into_iter().peekable(),
+            sorted,
+            next: 0,
             not_live: 0,
         }
     }
@@ -228,19 +241,20 @@ impl Marks {
     /// asked about before — is marked. Marks passed over on the way are
     /// not live starts.
     fn reached(&mut self, start: u64) -> bool {
-        while self.sorted.next_if(|&m| m < start).is_some() {
-            self.not_live += 1;
-        }
-        let mut reached = false;
-        while self.sorted.next_if_eq(&start).is_some() {
-            reached = true;
-        }
-        reached
+        let rest = &self.sorted[self.next..];
+        let below = rest.iter().take_while(|m| m.raw() < start).count();
+        let at = rest[below..]
+            .iter()
+            .take_while(|m| m.raw() == start)
+            .count();
+        self.next += below + at;
+        self.not_live += below;
+        at > 0
     }
 
     /// Marks that are not live starts, duplicates included.
     fn not_live(self) -> usize {
-        self.not_live + self.sorted.count()
+        self.not_live + self.sorted.len() - self.next
     }
 }
 

@@ -169,6 +169,9 @@ pub struct LogRegion {
     /// survives marker retirement (see
     /// [`max_committed_seq`](Self::max_committed_seq)).
     retired_committed: u64,
+    /// Commit markers that landed whole over the region's life (see
+    /// [`markers_landed`](Self::markers_landed)).
+    markers_landed: u64,
 }
 
 impl LogRegion {
@@ -239,6 +242,17 @@ impl LogRegion {
     /// persisted).
     pub fn mark_committed(&mut self, txn: u64) {
         self.markers.insert(txn, MarkerState::Valid);
+        self.markers_landed += 1;
+    }
+
+    /// How many commit markers landed whole over the region's life,
+    /// whether still live or retired by truncation since; torn markers
+    /// do not count, and `reset` keeps the count. Each commit persists
+    /// one marker and an armed crash admits a prefix of the persist
+    /// events, so after a crash these are the markers of the first
+    /// `markers_landed` commits in commit order.
+    pub fn markers_landed(&self) -> u64 {
+        self.markers_landed
     }
 
     /// Records a commit marker whose persist tore after `word` 8-byte
@@ -524,6 +538,7 @@ mod tests {
         log.append(1, PmAddr::new(0), &[1; 8]);
         log.mark_committed_torn(1, 0);
         assert!(!log.is_committed(1));
+        assert_eq!(log.markers_landed(), 0, "a torn marker did not land");
         assert!(!log.marker_usable(1));
         assert_eq!(log.marker_state(1), Some(MarkerState::Torn(0)));
         assert_eq!(log.uncommitted_rev().count(), 1, "txn rolls back");
@@ -552,6 +567,7 @@ mod tests {
         assert_eq!(log.max_committed_seq(), 3);
         log.reset();
         assert_eq!(log.max_committed_seq(), 3, "watermark survives reset");
+        assert_eq!(log.markers_landed(), 2, "retired markers still count");
         assert_eq!(log.committed_txns().count(), 0);
     }
 

@@ -460,6 +460,7 @@ impl DurableIndex for AvlTree {
     fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
         let mut out = vec![self.root];
         self.for_each(ctx, |n| out.push(PmAddr::new(n)));
+        out.sort_unstable();
         out
     }
 

@@ -326,6 +326,15 @@ impl PmContext {
         }
     }
 
+    /// Reads the `N` logical words at `addr` without timing, in one
+    /// [`peek_bytes`](Self::peek_bytes): the untimed walks read a whole
+    /// node at once rather than one [`peek`](Self::peek) per field.
+    pub fn peek_words<const N: usize>(&self, addr: PmAddr) -> [u64; N] {
+        let mut bytes = [[0u8; 8]; N];
+        self.peek_bytes(addr, bytes.as_flattened_mut());
+        bytes.map(u64::from_le_bytes)
+    }
+
     /// Recovery-time write: directly repairs the persistent image.
     /// Only meaningful after a crash (caches empty).
     pub fn recovery_write(&mut self, addr: PmAddr, value: u64) {

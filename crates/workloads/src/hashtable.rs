@@ -37,7 +37,6 @@ use crate::ctx::{AnnotationSource, PmContext};
 use crate::runner::{DurableIndex, Load, Reader};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
-use std::collections::BTreeSet;
 
 /// Store sites of the insert (and embedded resize) transaction.
 pub mod sites {
@@ -93,6 +92,49 @@ fn fld(base: PmAddr, i: u64) -> PmAddr {
 
 fn hash(key: u64, nbuckets: u64) -> u64 {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) % nbuckets
+}
+
+/// Bucket heads one untimed read of the bucket array fetches.
+const HEADS_PER_READ: usize = 64;
+
+/// The `n` bucket heads of the array at `buckets`, in bucket order,
+/// read untimed [`HEADS_PER_READ`] words at a time.
+struct Heads<'a> {
+    ctx: &'a PmContext,
+    buckets: PmAddr,
+    n: u64,
+    next: u64,
+    block: [[u8; 8]; HEADS_PER_READ],
+}
+
+impl<'a> Heads<'a> {
+    fn new(ctx: &'a PmContext, buckets: PmAddr, n: u64) -> Self {
+        Heads {
+            ctx,
+            buckets,
+            n,
+            next: 0,
+            block: [[0; 8]; HEADS_PER_READ],
+        }
+    }
+}
+
+impl Iterator for Heads<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.next == self.n {
+            return None;
+        }
+        let i = self.next as usize % HEADS_PER_READ;
+        if i == 0 {
+            let len = (self.n - self.next).min(HEADS_PER_READ as u64) as usize;
+            let block = self.block[..len].as_flattened_mut();
+            self.ctx.peek_bytes(fld(self.buckets, self.next), block);
+        }
+        self.next += 1;
+        Some(u64::from_le_bytes(self.block[i]))
+    }
 }
 
 /// The durable chained hash table.
@@ -301,14 +343,15 @@ impl Hashtable {
         ctx.tx_commit();
     }
 
-    /// Walks one generation's chains, calling `f` on each node address.
-    fn walk(&self, ctx: &PmContext, buckets: PmAddr, n: u64, mut f: impl FnMut(PmAddr)) {
-        for bkt in 0..n {
-            let mut cur = ctx.peek(fld(buckets, bkt));
+    /// Walks one generation's chains, calling `f(node, [key, next,
+    /// value-blob pointer])` on each node; every node is read once.
+    fn walk(&self, ctx: &PmContext, buckets: PmAddr, n: u64, mut f: impl FnMut(PmAddr, [u64; 3])) {
+        for mut cur in Heads::new(ctx, buckets, n) {
             let mut guard = 0;
             while cur != 0 {
-                f(PmAddr::new(cur));
-                cur = ctx.peek(fld(PmAddr::new(cur), 1));
+                let node = ctx.peek_words(PmAddr::new(cur));
+                f(PmAddr::new(cur), node);
+                cur = node[1];
                 guard += 1;
                 assert!(guard < 1_000_000, "cycle in hashtable chain");
             }
@@ -445,72 +488,71 @@ impl DurableIndex for Hashtable {
     }
 
     fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
-        let buckets = PmAddr::new(ctx.peek(fld(self.root, 0)));
-        let n = ctx.peek(fld(self.root, 1));
-        self.walk(ctx, buckets, n, |node| {
-            f(ctx.peek(fld(node, 0)), PmAddr::new(ctx.peek(fld(node, 2))));
+        let [buckets, n] = ctx.peek_words(self.root);
+        self.walk(ctx, PmAddr::new(buckets), n, |_, [key, _, vptr]| {
+            f(key, PmAddr::new(vptr));
         });
     }
 
     fn len(&self, ctx: &PmContext) -> usize {
-        let buckets = PmAddr::new(ctx.peek(fld(self.root, 0)));
-        let n = ctx.peek(fld(self.root, 1));
+        let [buckets, n] = ctx.peek_words(self.root);
         let mut count = 0;
-        self.walk(ctx, buckets, n, |_| count += 1);
+        self.walk(ctx, PmAddr::new(buckets), n, |_, _| count += 1);
         count
     }
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
-        let buckets = PmAddr::new(ctx.peek(fld(self.root, 0)));
-        let n = ctx.peek(fld(self.root, 1));
-        if n == 0 || buckets.raw() == 0 {
+        let [buckets, n, size] = ctx.peek_words(self.root);
+        if n == 0 || buckets == 0 {
             return Err("root not initialised".into());
         }
-        let mut seen = BTreeSet::new();
-        for bkt in 0..n {
-            let mut cur = ctx.peek(fld(buckets, bkt));
+        let mut count = 0usize;
+        for (bkt, head) in (0..).zip(Heads::new(ctx, PmAddr::new(buckets), n)) {
+            // Brent's cycle detection: `mark` is the node at the last
+            // power-of-two step of the chain, so a cycle brings the walk
+            // back to it within twice the cycle's reach. A node linked
+            // from another bucket's chain fails the bucket check first.
+            let (mut cur, mut mark, mut steps, mut power) = (head, 0, 0u64, 1u64);
             while cur != 0 {
-                if !seen.insert(cur) {
-                    return Err(format!("node {cur:#x} appears twice (cycle or cross-link)"));
-                }
-                let node = PmAddr::new(cur);
-                let key = ctx.peek(fld(node, 0));
+                let [key, next, _] = ctx.peek_words(PmAddr::new(cur));
                 if hash(key, n) != bkt {
                     return Err(format!("key {key} in wrong bucket {bkt}"));
                 }
-                cur = ctx.peek(fld(node, 1));
+                count += 1;
+                steps += 1;
+                if steps == power {
+                    (mark, power, steps) = (cur, power * 2, 0);
+                }
+                cur = next;
+                if cur == mark {
+                    return Err(format!("node {cur:#x} appears twice (cycle or cross-link)"));
+                }
             }
         }
-        let size = ctx.peek(fld(self.root, 2));
-        if size as usize != seen.len() {
-            return Err(format!("size counter {size} != node count {}", seen.len()));
+        if size as usize != count {
+            return Err(format!("size counter {size} != node count {count}"));
         }
         Ok(())
     }
 
     fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
-        let mut out = vec![self.root];
-        let buckets = PmAddr::new(ctx.peek(fld(self.root, 0)));
-        let n = ctx.peek(fld(self.root, 1));
-        out.push(buckets);
-        self.walk(ctx, buckets, n, |node| {
+        let [buckets, n, _, old, old_n, block, _, old_block] = ctx.peek_words(self.root);
+        let mut out = vec![self.root, PmAddr::new(buckets)];
+        self.walk(ctx, PmAddr::new(buckets), n, |node, [_, _, vptr]| {
             out.push(node);
-            out.push(PmAddr::new(ctx.peek(fld(node, 2))));
+            out.push(PmAddr::new(vptr));
         });
-        let block = ctx.peek(fld(self.root, 5));
         if block != 0 {
             out.push(PmAddr::new(block));
         }
-        let old = ctx.peek(fld(self.root, 3));
         if old != 0 {
-            let old_n = ctx.peek(fld(self.root, 4));
             out.push(PmAddr::new(old));
-            self.walk(ctx, PmAddr::new(old), old_n, |node| out.push(node));
-            let old_block = ctx.peek(fld(self.root, 7));
+            self.walk(ctx, PmAddr::new(old), old_n, |node, _| out.push(node));
             if old_block != 0 {
                 out.push(PmAddr::new(old_block));
             }
         }
+        out.sort_unstable();
         out
     }
 
@@ -530,9 +572,7 @@ impl DurableIndex for Hashtable {
             let mut heads = vec![0u64; new_n as usize];
             let mut bi = 0u64;
             let mut copies: Vec<(PmAddr, u64, u64, u64)> = Vec::new();
-            self.walk(ctx, old_buckets, old_n, |node| {
-                let k = ctx.peek(fld(node, 0));
-                let vptr = ctx.peek(fld(node, 2));
+            self.walk(ctx, old_buckets, old_n, |_, [k, _, vptr]| {
                 let nh = hash(k, new_n) as usize;
                 let copy = block.add(bi * self.node_bytes());
                 bi += 1;
@@ -571,11 +611,66 @@ mod tests {
     use crate::runner::DurableIndex;
     use crate::ycsb::{value_for, ycsb_load};
     use slpmt_core::Scheme;
+    use std::collections::BTreeSet;
 
     fn fresh(source: AnnotationSource, value_size: usize) -> (PmContext, Hashtable) {
         let mut ctx = PmContext::new(Scheme::Slpmt, AnnotationTable::new());
         let ht = Hashtable::new(&mut ctx, value_size, source);
         (ctx, ht)
+    }
+
+    /// A recovered table of 40 keys whose caches are empty, and the
+    /// nodes of its longest chain in chain order.
+    fn recovered_longest_chain() -> (PmContext, Hashtable, Vec<u64>) {
+        let (mut ctx, mut ht) = fresh(AnnotationSource::Manual, VS);
+        for op in ycsb_load(40, 32, 7) {
+            ht.insert(&mut ctx, op.key, &op.value);
+        }
+        ctx.crash_and_recover();
+        ht.recover(&mut ctx);
+        ht.check_invariants(&ctx).unwrap();
+        let [buckets, n] = ctx.peek_words(ht.root);
+        let mut longest = Vec::new();
+        for head in Heads::new(&ctx, PmAddr::new(buckets), n) {
+            let mut chain = Vec::new();
+            let mut cur = head;
+            while cur != 0 {
+                chain.push(cur);
+                cur = ctx.peek(fld(PmAddr::new(cur), 1));
+            }
+            if chain.len() > longest.len() {
+                longest = chain;
+            }
+        }
+        (ctx, ht, longest)
+    }
+
+    #[test]
+    fn node_linked_to_itself_appears_twice() {
+        let (mut ctx, ht, chain) = recovered_longest_chain();
+        let node = chain[0];
+        ctx.recovery_write(fld(PmAddr::new(node), 1), node);
+        let err = ht.check_invariants(&ctx).unwrap_err();
+        assert_eq!(
+            err,
+            format!("node {node:#x} appears twice (cycle or cross-link)")
+        );
+    }
+
+    #[test]
+    fn chain_tail_linked_to_its_head_appears_twice() {
+        let (mut ctx, ht, chain) = recovered_longest_chain();
+        assert!(chain.len() >= 3, "a chain of {} nodes", chain.len());
+        let tail = *chain.last().unwrap();
+        ctx.recovery_write(fld(PmAddr::new(tail), 1), chain[0]);
+        let err = ht.check_invariants(&ctx).unwrap_err();
+        assert!(
+            err.ends_with("appears twice (cycle or cross-link)"),
+            "{err}"
+        );
+        assert!(chain
+            .iter()
+            .any(|n| err.starts_with(&format!("node {n:#x} "))));
     }
 
     #[test]

@@ -369,6 +369,7 @@ impl DurableIndex for MaxHeap {
         for i in 0..count {
             out.push(PmAddr::new(ctx.peek(entry(arr, i).add(8))));
         }
+        out.sort_unstable();
         out
     }
 

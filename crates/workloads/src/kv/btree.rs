@@ -68,6 +68,17 @@ fn slot_at(n: PmAddr, i: u64) -> PmAddr {
 
 const NODE_WORDS: u64 = 17;
 
+/// A node's words, read untimed in one go.
+type NodeWords = [u64; NODE_WORDS as usize];
+
+/// A node's key count (clamped to the node's capacity, so a corrupt
+/// count cannot index past it; `check_node` reports such a count),
+/// keys and slots.
+fn parts(node: &NodeWords) -> (usize, &[u64], &[u64]) {
+    let nk = node[0].min(MAX_KEYS) as usize;
+    (nk, &node[2..9], &node[9..])
+}
+
 /// The B-tree KV backend.
 #[derive(Debug, Clone)]
 pub struct BtreeKv {
@@ -227,22 +238,21 @@ impl BtreeKv {
         leaf_depth: &mut Option<usize>,
         count: &mut usize,
     ) -> Result<(), String> {
-        let a = PmAddr::new(n);
-        let nk = ctx.peek(fld(a, 0));
-        if nk > MAX_KEYS {
-            return Err(format!("node {n:#x} has {nk} keys"));
+        let node: NodeWords = ctx.peek_words(PmAddr::new(n));
+        if node[0] > MAX_KEYS {
+            return Err(format!("node {n:#x} has {} keys", node[0]));
         }
-        let leaf = ctx.peek(fld(a, 1)) == 1;
+        let (nk, keys, slots) = parts(&node);
+        let leaf = node[1] == 1;
         let mut prev = lo;
-        for i in 0..nk {
-            let k = ctx.peek(key_at(a, i));
+        for &k in &keys[..nk] {
             if k < prev || k > hi {
                 return Err(format!("key {k} out of order in node {n:#x}"));
             }
             prev = k;
         }
         if leaf {
-            *count += nk as usize;
+            *count += nk;
             match leaf_depth {
                 Some(d) if *d != depth => {
                     return Err(format!("leaf depth {depth} != {d}"));
@@ -251,24 +261,20 @@ impl BtreeKv {
                 _ => {}
             }
         } else {
-            for i in 0..=nk {
-                let c = ctx.peek(slot_at(a, i));
+            for (i, &c) in slots[..=nk].iter().enumerate() {
                 if c == 0 {
                     return Err(format!("missing child {i} in internal node {n:#x}"));
                 }
-                let clo = if i == 0 {
-                    lo
-                } else {
-                    ctx.peek(key_at(a, i - 1))
-                };
-                let chi = if i == nk { hi } else { ctx.peek(key_at(a, i)) };
+                let clo = if i == 0 { lo } else { keys[i - 1] };
+                let chi = if i == nk { hi } else { keys[i] };
                 self.check_node(ctx, c, clo, chi, depth + 1, leaf_depth, count)?;
             }
         }
         Ok(())
     }
 
-    fn for_each_node(&self, ctx: &PmContext, mut f: impl FnMut(PmAddr, bool)) {
+    /// Calls `f(node, words)` for every node, reading each node once.
+    fn for_each_node(&self, ctx: &PmContext, mut f: impl FnMut(PmAddr, &NodeWords)) {
         let r = ctx.peek(fld(self.root, 0));
         if r == 0 {
             return;
@@ -276,16 +282,11 @@ impl BtreeKv {
         let mut stack = vec![r];
         while let Some(n) = stack.pop() {
             let a = PmAddr::new(n);
-            let leaf = ctx.peek(fld(a, 1)) == 1;
-            f(a, leaf);
-            if !leaf {
-                let nk = ctx.peek(fld(a, 0));
-                for i in 0..=nk {
-                    let c = ctx.peek(slot_at(a, i));
-                    if c != 0 {
-                        stack.push(c);
-                    }
-                }
+            let node: NodeWords = ctx.peek_words(a);
+            f(a, &node);
+            if node[1] != 1 {
+                let (nk, _, slots) = parts(&node);
+                stack.extend(slots[..=nk].iter().filter(|&&c| c != 0));
             }
         }
     }
@@ -305,7 +306,6 @@ impl DurableIndex for BtreeKv {
         // DFS in key order, pruning children whose separator window
         // cannot intersect [lo, hi].
         let mut stack = vec![(r, u64::MIN, u64::MAX)];
-        let mut ordered: Vec<(u64, Vec<u8>)> = Vec::new();
         while let Some((n, nlo, nhi)) = stack.pop() {
             if nhi < lo || nlo > hi {
                 continue;
@@ -320,13 +320,14 @@ impl DurableIndex for BtreeKv {
                         let blob = PmAddr::new(ctx.load(slot_at(a, i)));
                         let mut v = vec![0u8; self.value_bytes as usize];
                         ctx.load_bytes(blob, &mut v);
-                        ordered.push((k, v));
+                        out.push((k, v));
                     }
                 }
                 continue;
             }
-            // Push children right-to-left so the walk emits in order.
-            let mut bounds = Vec::with_capacity(nk as usize + 1);
+            // Children load left to right, then flip on the stack so the
+            // leftmost pops first: leaves come out in key order.
+            let first = stack.len();
             for i in 0..=nk {
                 let clo = if i == 0 {
                     nlo
@@ -334,14 +335,10 @@ impl DurableIndex for BtreeKv {
                     ctx.load(key_at(a, i - 1))
                 };
                 let chi = if i == nk { nhi } else { ctx.load(key_at(a, i)) };
-                bounds.push((ctx.load(slot_at(a, i)), clo, chi));
+                stack.push((ctx.load(slot_at(a, i)), clo, chi));
             }
-            for b in bounds.into_iter().rev() {
-                stack.push(b);
-            }
+            stack[first..].reverse();
         }
-        out.append(&mut ordered);
-        out.sort_by_key(|(k, _)| *k);
         Some(out)
     }
 
@@ -496,10 +493,11 @@ impl DurableIndex for BtreeKv {
     }
 
     fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
-        self.for_each_node(ctx, |a, leaf| {
-            if leaf {
-                for i in 0..ctx.peek(fld(a, 0)) {
-                    f(ctx.peek(key_at(a, i)), PmAddr::new(ctx.peek(slot_at(a, i))));
+        self.for_each_node(ctx, |_, node| {
+            if node[1] == 1 {
+                let (nk, keys, slots) = parts(node);
+                for (&k, &v) in keys[..nk].iter().zip(slots) {
+                    f(k, PmAddr::new(v));
                 }
             }
         });
@@ -507,9 +505,9 @@ impl DurableIndex for BtreeKv {
 
     fn len(&self, ctx: &PmContext) -> usize {
         let mut count = 0;
-        self.for_each_node(ctx, |a, leaf| {
-            if leaf {
-                count += ctx.peek(fld(a, 0)) as usize;
+        self.for_each_node(ctx, |_, node| {
+            if node[1] == 1 {
+                count += parts(node).0;
             }
         });
         count
@@ -531,15 +529,14 @@ impl DurableIndex for BtreeKv {
 
     fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
         let mut out = vec![self.root];
-        self.for_each_node(ctx, |a, leaf| {
+        self.for_each_node(ctx, |a, node| {
             out.push(a);
-            if leaf {
-                let nk = ctx.peek(fld(a, 0));
-                for i in 0..nk {
-                    out.push(PmAddr::new(ctx.peek(slot_at(a, i))));
-                }
+            if node[1] == 1 {
+                let (nk, _, slots) = parts(node);
+                out.extend(slots[..nk].iter().map(|&v| PmAddr::new(v)));
             }
         });
+        out.sort_unstable();
         out
     }
 

@@ -394,6 +394,7 @@ impl DurableIndex for CtreeKv {
                 stack.push(ctx.peek(fld(a, 3)));
             }
         }
+        out.sort_unstable();
         out
     }
 

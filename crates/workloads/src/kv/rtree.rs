@@ -525,6 +525,7 @@ impl DurableIndex for RtreeKv {
                 }
             }
         });
+        out.sort_unstable();
         out
     }
 

@@ -371,6 +371,7 @@ impl DurableIndex for SkiplistKv {
             out.push(PmAddr::new(ctx.peek(fld(node, 2))));
             cur = ctx.peek(next_at(node, 0));
         }
+        out.sort_unstable();
         out
     }
 

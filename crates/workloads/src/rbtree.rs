@@ -63,6 +63,50 @@ fn fld(base: PmAddr, i: u64) -> PmAddr {
     base.add(i * 8)
 }
 
+/// Node `n`'s header words `[key, left, right, parent, color]`, read
+/// untimed in one go.
+fn peek_node(ctx: &PmContext, n: u64) -> [u64; 5] {
+    ctx.peek_words(PmAddr::new(n))
+}
+
+/// Checks `n`'s subtree in one depth-first walk, reading each node's
+/// header once, and returns its black height; adds its nodes to
+/// `nodes`. Keys must lie in `[lo, hi]`, each parent pointer must name
+/// `parent`, a red node's children must be black, and both subtrees of
+/// a node must share a black height.
+fn check_subtree(
+    ctx: &PmContext,
+    n: u64,
+    (lo, hi): (u64, u64),
+    parent: u64,
+    parent_red: bool,
+    nodes: &mut usize,
+) -> Result<u64, String> {
+    if n == 0 {
+        return Ok(1);
+    }
+    *nodes += 1;
+    let [key, l, r, p, c] = peek_node(ctx, n);
+    if key < lo || key > hi {
+        return Err(format!("BST violation: key {key} outside [{lo}, {hi}]"));
+    }
+    if p != parent {
+        return Err(format!(
+            "parent pointer of {n:#x} is {p:#x}, expected {parent:#x}"
+        ));
+    }
+    if c == RED && parent_red {
+        return Err(format!("red-red violation at {parent:#x}"));
+    }
+    let red = c == RED;
+    let lb = check_subtree(ctx, l, (lo, key.saturating_sub(1)), n, red, nodes)?;
+    let rb = check_subtree(ctx, r, (key.saturating_add(1), hi), n, red, nodes)?;
+    if lb != rb {
+        return Err(format!("black-height mismatch at {n:#x}"));
+    }
+    Ok(lb + if c == BLACK { 1 } else { 0 })
+}
+
 /// The black-heights a subtree supports, one bit mask per colour of
 /// its root: bit `h` set ⇔ black-height `h` is achievable. A black
 /// height needs at least 2^(h-1) - 1 nodes, so 64 bits always suffice.
@@ -353,30 +397,17 @@ impl Rbtree {
 
     // Untimed helpers --------------------------------------------------
 
-    fn peek_node(&self, ctx: &PmContext, n: u64) -> Option<(u64, u64, u64, u64, u64)> {
-        if n == 0 {
-            return None;
-        }
-        let a = PmAddr::new(n);
-        Some((
-            ctx.peek(fld(a, 0)), // key
-            ctx.peek(fld(a, 1)), // left
-            ctx.peek(fld(a, 2)), // right
-            ctx.peek(fld(a, 3)), // parent
-            ctx.peek(fld(a, 4)), // color
-        ))
-    }
-
-    fn for_each(&self, ctx: &PmContext, mut f: impl FnMut(u64)) {
+    /// Calls `f(node, header)` for every node, reading each header once.
+    fn for_each(&self, ctx: &PmContext, mut f: impl FnMut(u64, [u64; 5])) {
         let mut stack = vec![ctx.peek(fld(self.root, 0))];
         while let Some(n) = stack.pop() {
             if n == 0 {
                 continue;
             }
-            f(n);
-            let a = PmAddr::new(n);
-            stack.push(ctx.peek(fld(a, 1)));
-            stack.push(ctx.peek(fld(a, 2)));
+            let node = peek_node(ctx, n);
+            f(n, node);
+            stack.push(node[1]);
+            stack.push(node[2]);
         }
     }
 
@@ -387,8 +418,7 @@ impl Rbtree {
         if n == 0 || memo.contains_key(&n) {
             return;
         }
-        let a = PmAddr::new(n);
-        let (l, r) = (ctx.peek(fld(a, 1)), ctx.peek(fld(a, 2)));
+        let [l, r] = ctx.peek_words(fld(PmAddr::new(n), 1));
         self.feasible(ctx, l, memo);
         self.feasible(ctx, r, memo);
         let (l, r) = (feasible_of(memo, l), feasible_of(memo, r));
@@ -415,8 +445,8 @@ impl Rbtree {
         let a = PmAddr::new(n);
         ctx.recovery_write(fld(a, 4), color);
         let child_bh = if color == BLACK { bh - 1 } else { bh };
-        for dir in [1u64, 2] {
-            let c = ctx.peek(fld(a, dir));
+        let children: [u64; 2] = ctx.peek_words(fld(a, 1));
+        for c in children {
             let feas = feasible_of(memo, c);
             // Prefer black children; red only when black is infeasible
             // or the parent is black and red is needed for the height.
@@ -451,38 +481,16 @@ impl Rbtree {
         self.assign_colors(ctx, &memo, r, BLACK, black.trailing_zeros().into());
     }
 
-    fn rb_violations(&self, ctx: &PmContext) -> Option<String> {
+    /// Checks the whole tree in one [`check_subtree`] walk plus a black
+    /// root; returns the node count.
+    fn violations(&self, ctx: &PmContext) -> Result<usize, String> {
         let r = ctx.peek(fld(self.root, 0));
-        if r == 0 {
-            return None;
+        let mut count = 0;
+        check_subtree(ctx, r, (u64::MIN, u64::MAX), 0, false, &mut count)?;
+        if r != 0 && peek_node(ctx, r)[4] == RED {
+            return Err("root is red".into());
         }
-        if ctx.peek(fld(PmAddr::new(r), 4)) == RED {
-            return Some("root is red".into());
-        }
-        // Iterative check: red-red and black-height balance.
-        fn bh(ctx: &PmContext, n: u64) -> Result<u64, String> {
-            if n == 0 {
-                return Ok(1);
-            }
-            let a = PmAddr::new(n);
-            let c = ctx.peek(fld(a, 4));
-            let l = ctx.peek(fld(a, 1));
-            let rt = ctx.peek(fld(a, 2));
-            if c == RED {
-                for ch in [l, rt] {
-                    if ch != 0 && ctx.peek(fld(PmAddr::new(ch), 4)) == RED {
-                        return Err(format!("red-red violation at {n:#x}"));
-                    }
-                }
-            }
-            let lb = bh(ctx, l)?;
-            let rb = bh(ctx, rt)?;
-            if lb != rb {
-                return Err(format!("black-height mismatch at {n:#x}"));
-            }
-            Ok(lb + if c == BLACK { 1 } else { 0 })
-        }
-        bh(ctx, r).err()
+        Ok(count)
     }
 }
 
@@ -671,52 +679,28 @@ impl DurableIndex for Rbtree {
     }
 
     fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
-        self.for_each(ctx, |n| {
-            let a = PmAddr::new(n);
-            f(ctx.peek(fld(a, 0)), fld(a, 5));
-        });
+        self.for_each(ctx, |n, [key, ..]| f(key, fld(PmAddr::new(n), 5)));
     }
 
     fn len(&self, ctx: &PmContext) -> usize {
         let mut count = 0;
-        self.for_each(ctx, |_| count += 1);
+        self.for_each(ctx, |_, _| count += 1);
         count
     }
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
-        // BST order + parent-pointer consistency.
-        let mut stack = vec![(ctx.peek(fld(self.root, 0)), u64::MIN, u64::MAX, 0u64)];
-        let mut count = 0usize;
-        while let Some((n, lo, hi, expect_parent)) = stack.pop() {
-            if n == 0 {
-                continue;
-            }
-            count += 1;
-            let (key, l, r, p, _c) = self.peek_node(ctx, n).expect("non-null");
-            if key < lo || key > hi {
-                return Err(format!("BST violation: key {key} outside [{lo}, {hi}]"));
-            }
-            if p != expect_parent {
-                return Err(format!(
-                    "parent pointer of {n:#x} is {p:#x}, expected {expect_parent:#x}"
-                ));
-            }
-            stack.push((l, lo, key.saturating_sub(1), n));
-            stack.push((r, key.saturating_add(1), hi, n));
-        }
+        let count = self.violations(ctx)?;
         let size = ctx.peek(fld(self.root, 1));
         if size as usize != count {
             return Err(format!("size {size} != node count {count}"));
-        }
-        if let Some(v) = self.rb_violations(ctx) {
-            return Err(v);
         }
         Ok(())
     }
 
     fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
         let mut out = vec![self.root];
-        self.for_each(ctx, |n| out.push(PmAddr::new(n)));
+        self.for_each(ctx, |n, _| out.push(PmAddr::new(n)));
+        out.sort_unstable();
         out
     }
 
@@ -730,14 +714,20 @@ impl DurableIndex for Rbtree {
                 continue;
             }
             count += 1;
-            let a = PmAddr::new(n);
-            ctx.recovery_write(fld(a, 3), parent);
-            stack.push((ctx.peek(fld(a, 1)), n));
-            stack.push((ctx.peek(fld(a, 2)), n));
+            let [_, l, r, p, _] = peek_node(ctx, n);
+            // Only a lost lazy update needs a write.
+            if p != parent {
+                ctx.recovery_write(fld(PmAddr::new(n), 3), parent);
+            }
+            stack.push((l, n));
+            stack.push((r, n));
         }
         ctx.recovery_write(fld(self.root, 1), count);
-        // Recolour only if deferred colour updates were lost.
-        if self.rb_violations(ctx).is_some() {
+        // Recolour only if deferred colour updates were lost: parent
+        // pointers were just rebuilt, so a violation is a colour one
+        // unless the shape is broken, which `check_invariants` reports
+        // either way (recolouring reads only the shape).
+        if self.violations(ctx).is_err() {
             self.recolor_tree(ctx);
         }
     }
@@ -811,6 +801,73 @@ mod tests {
             t.insert(&mut ctx, op.key, &op.value);
         }
         t.check_invariants(&ctx).unwrap();
+    }
+
+    /// A recovered tree of 120 keys whose caches are empty, so
+    /// `recovery_write` can corrupt it.
+    fn recovered() -> (PmContext, Rbtree) {
+        let (mut ctx, mut t) = fresh(AnnotationSource::Manual);
+        for op in ycsb_load(120, 32, 6) {
+            t.insert(&mut ctx, op.key, &op.value);
+        }
+        ctx.crash_and_recover();
+        t.recover(&mut ctx);
+        t.check_invariants(&ctx).unwrap();
+        (ctx, t)
+    }
+
+    /// A red node with a child, and that child.
+    fn red_with_child(ctx: &PmContext, t: &Rbtree) -> (u64, u64) {
+        let mut found = None;
+        t.for_each(ctx, |n, [_, l, r, _, c]| {
+            if c == RED && found.is_none() {
+                found = [l, r].into_iter().find(|&ch| ch != 0).map(|ch| (n, ch));
+            }
+        });
+        found.expect("a red node with a child")
+    }
+
+    #[test]
+    fn swapped_children_break_bst_order() {
+        let (mut ctx, t) = recovered();
+        let r = PmAddr::new(ctx.peek(fld(t.root, 0)));
+        let [l, rt] = ctx.peek_words(fld(r, 1));
+        ctx.recovery_write(fld(r, 1), rt);
+        ctx.recovery_write(fld(r, 2), l);
+        let err = t.check_invariants(&ctx).unwrap_err();
+        assert!(err.starts_with("BST violation: key "), "{err}");
+    }
+
+    #[test]
+    fn wrong_parent_pointer_is_reported() {
+        let (mut ctx, t) = recovered();
+        let r = ctx.peek(fld(t.root, 0));
+        let l = peek_node(&ctx, r)[1];
+        ctx.recovery_write(fld(PmAddr::new(l), 3), l);
+        let err = t.check_invariants(&ctx).unwrap_err();
+        assert_eq!(
+            err,
+            format!("parent pointer of {l:#x} is {l:#x}, expected {r:#x}")
+        );
+    }
+
+    #[test]
+    fn red_child_under_red_node_is_reported() {
+        let (mut ctx, t) = recovered();
+        let (red, child) = red_with_child(&ctx, &t);
+        ctx.recovery_write(fld(PmAddr::new(child), 4), RED);
+        let err = t.check_invariants(&ctx).unwrap_err();
+        assert_eq!(err, format!("red-red violation at {red:#x}"));
+    }
+
+    #[test]
+    fn blackened_red_node_unbalances_black_height() {
+        let (mut ctx, t) = recovered();
+        let (red, _) = red_with_child(&ctx, &t);
+        let parent = peek_node(&ctx, red)[3];
+        ctx.recovery_write(fld(PmAddr::new(red), 4), BLACK);
+        let err = t.check_invariants(&ctx).unwrap_err();
+        assert_eq!(err, format!("black-height mismatch at {parent:#x}"));
     }
 
     impl Rbtree {
@@ -891,7 +948,7 @@ mod tests {
             t.insert(&mut ctx, op.key, &op.value);
             let (mut got, mut want) = (ctx.clone(), ctx.clone());
             let mut nodes = Vec::new();
-            t.for_each(&ctx, |n| nodes.push(PmAddr::new(n)));
+            t.for_each(&ctx, |n, _| nodes.push(PmAddr::new(n)));
             for c in [&mut got, &mut want] {
                 c.crash_and_recover();
                 for &n in &nodes {

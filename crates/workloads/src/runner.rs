@@ -148,7 +148,9 @@ pub trait DurableIndex {
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String>;
 
     /// Every heap allocation reachable from the structure's roots
-    /// (input to the post-crash GC).
+    /// (input to the post-crash GC), in ascending address order, so
+    /// [`inspect`](crate::inspect) and [`PmContext::gc`] merge it with
+    /// the heap's live map without sorting it again.
     fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr>;
 
     /// Post-crash, post-undo-replay structure recovery: rebuild

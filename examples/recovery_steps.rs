@@ -8,7 +8,8 @@
 //! clock between the steps of each point's recovery path, `crash`
 //! through the oracle check. The replay to the crash point is not
 //! timed. Prints the mean host µs per point of each step and its share
-//! of the whole; every point must pass its check.
+//! of the whole, then the same means for each (scheme, index) case;
+//! every point must pass its check.
 //!
 //! ```sh
 //! cargo run --release --example recovery_steps
@@ -38,6 +39,8 @@ const OPS: usize = 128;
 const VALUE: usize = 32;
 const POINTS: usize = 12;
 const ROUNDS: u64 = 16;
+
+const CASES: usize = SCHEMES.len() * INDEXES.len();
 
 const STEPS: [&str; 9] = [
     "`crash`",
@@ -76,9 +79,23 @@ fn replay(
     (ctx, idx, op_seq)
 }
 
+/// Column heads of the per-case table, one per step.
+const SHORT: [&str; 9] = [
+    "crash",
+    "replay",
+    "recover",
+    "reachable",
+    "inspect",
+    "gc",
+    "check",
+    "inspect",
+    "oracle",
+];
+
 fn main() {
-    let mut ns = [0u128; STEPS.len()];
-    let mut points = 0u64;
+    let mut ns = [[0u128; STEPS.len()]; CASES];
+    let mut points = [0u64; CASES];
+    let mut names = vec![String::new(); CASES];
     for round in 0..ROUNDS {
         let mut state = 42 ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let seed = splitmix64(&mut state);
@@ -90,6 +107,8 @@ fn main() {
             .flat_map(|&k| SCHEMES.iter().map(move |&s| (k, s)))
             .enumerate()
         {
+            names[c] = format!("{scheme} {kind}");
+            let ns = &mut ns[c];
             let events = replay(scheme, kind, &ops, None)
                 .0
                 .machine()
@@ -127,18 +146,28 @@ fn main() {
                 invariants.unwrap_or_else(|e| panic!("{case}: {e}"));
                 assert!(clean, "{case}: leaks after GC");
                 verdict.unwrap_or_else(|e| panic!("{case}: {e}"));
-                points += 1;
+                points[c] += 1;
             }
         }
     }
-    let total: u128 = ns.iter().sum();
-    let us = |t: u128| t as f64 / 1e3 / points as f64;
-    println!("{points} crash points, mean host µs per point\n");
+    let steps: [u128; STEPS.len()] = std::array::from_fn(|i| ns.iter().map(|c| c[i]).sum());
+    let total: u128 = steps.iter().sum();
+    let all: u64 = points.iter().sum();
+    let us = |t: u128, n: u64| t as f64 / 1e3 / n as f64;
+    println!("{all} crash points, mean host µs per point\n");
     println!("| step | µs | share |");
     println!("|---|---|---|");
-    for (name, &t) in STEPS.iter().zip(&ns) {
+    for (name, &t) in STEPS.iter().zip(&steps) {
         let share = 100.0 * t as f64 / total as f64;
-        println!("| {name} | {:.2} | {share:.1}% |", us(t));
+        println!("| {name} | {:.2} | {share:.1}% |", us(t, all));
     }
-    println!("| whole operation | {:.2} | |", us(total));
+    println!("| whole operation | {:.2} | |", us(total, all));
+    println!("\nPer case, mean host µs per point (steps in the order above)\n");
+    println!("| case | {} | whole |", SHORT.join(" | "));
+    println!("|---|{}---|", "---|".repeat(SHORT.len()));
+    for ((name, case), &n) in names.iter().zip(&ns).zip(&points) {
+        let cells: Vec<String> = case.iter().map(|&t| format!("{:.2}", us(t, n))).collect();
+        let whole = us(case.iter().sum(), n);
+        println!("| {name} | {} | {whole:.2} |", cells.join(" | "));
+    }
 }

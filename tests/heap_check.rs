@@ -211,3 +211,68 @@ fn gc_of_alternate_leaks_keeps_first_fit_placement() {
         assert_same_placement(&heap, &ref_heap, case, &at);
     }
 }
+
+/// Every index hands the heap check its reachable set in ascending
+/// address order, on the live structure at a crash point and again
+/// after crash and recovery; and the check does not depend on that
+/// order: a shuffled copy gives `inspect` the same report and `gc` the
+/// same reclaim count and heap as the ascending list.
+#[test]
+fn reachable_is_ascending_and_the_check_is_order_free() {
+    use slpmt::core::MachineConfig;
+    use slpmt::workloads::crashsweep::apply;
+    use slpmt::workloads::runner::IndexKind;
+    use slpmt::workloads::{ycsb_mix, AnnotationSource, MixSpec, MixedOp};
+
+    let mut reclaimed_total = 0;
+    for (i, kind) in IndexKind::ALL.into_iter().enumerate() {
+        let seed = 0x5eed_0000 + i as u64;
+        let (load, mixed) = ycsb_mix(24, 48, 16, seed, &MixSpec::DELETE_HEAVY);
+        let mut ops: Vec<MixedOp> = load.into_iter().map(MixedOp::Insert).collect();
+        ops.extend(mixed);
+        let build = |crash_at: Option<u64>| {
+            let cfg = MachineConfig::for_scheme(Scheme::Slpmt);
+            let mut ctx = PmContext::with_config(cfg, AnnotationTable::new());
+            let mut idx = kind.build(&mut ctx, 16, AnnotationSource::Manual);
+            if let Some(k) = crash_at {
+                ctx.machine_mut().arm_crash_at_event(k);
+            }
+            for op in &ops {
+                apply(idx.as_mut(), &mut ctx, op);
+                if ctx.machine().crash_tripped() {
+                    break;
+                }
+            }
+            (ctx, idx)
+        };
+        let events = build(None).0.machine().persist_event_count();
+        let mut rng = SimRng::seed_from_u64(seed);
+        for k in [events / 4, events / 2, 3 * events / 4] {
+            let at = format!("{kind} k={k}");
+            let (mut ctx, mut idx) = build(Some(k));
+            assert!(idx.reachable(&ctx).is_sorted(), "{at}: before the crash");
+            ctx.crash();
+            ctx.recover();
+            idx.recover(&mut ctx);
+            let reachable = idx.reachable(&ctx);
+            assert!(reachable.is_sorted(), "{at}: after recovery");
+            let mut shuffled = reachable.clone();
+            rng.shuffle(&mut shuffled);
+            assert_eq!(inspect(&ctx, &shuffled), inspect(&ctx, &reachable), "{at}");
+            let mut other = ctx.clone();
+            let reclaimed = ctx.gc(&reachable);
+            assert_eq!(other.gc(&shuffled), reclaimed, "{at}");
+            assert_eq!(
+                format!("{:?}", other.heap()),
+                format!("{:?}", ctx.heap()),
+                "{at}"
+            );
+            assert!(inspect(&ctx, &shuffled).is_clean(), "{at}");
+            reclaimed_total += reclaimed;
+        }
+    }
+    assert!(
+        reclaimed_total > 0,
+        "some crash point leaked, so GC had work"
+    );
+}
