@@ -18,9 +18,11 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
 /// `(name, arguments)` of every pinned command. The first eight are
-/// small shapes of each simulated-output command; the last seven are
+/// small shapes of each simulated-output command; the next seven are
 /// the paper-size runs of the matrix, multi-core, sharded, YCSB, serve,
-/// chaos and software-PTM drivers.
+/// chaos and software-PTM drivers; the last runs every YCSB mix on
+/// every index, so each index's update, read-modify-write, read and
+/// scan paths are pinned.
 const COMMANDS: &[(&str, &str)] = &[
     ("faults", "faults --ops 12 --points 2 --json"),
     (
@@ -57,6 +59,10 @@ const COMMANDS: &[(&str, &str)] = &[
     (
         "ptm-hashtable",
         "ptm --workload hashtable --ops 500 --value 32 --json",
+    ),
+    (
+        "ycsb-indexes",
+        "ycsb --mix all --workload all --load 100 --ops 300 --json",
     ),
 ];
 
