@@ -10,40 +10,7 @@
 use slpmt_kv::service::{
     digest64, run_shard_service, shard_streams, ServeConfig, ShardServeReport, VERB_CLASSES,
 };
-use slpmt_workloads::runner::par_map_with;
-
-/// Simulated-cycle latency percentiles for one request class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeLatency {
-    /// Samples aggregated.
-    pub count: u64,
-    /// Median.
-    pub p50: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// 99.9th percentile.
-    pub p999: u64,
-    /// Worst observed.
-    pub max: u64,
-}
-
-impl ServeLatency {
-    /// Nearest-rank percentiles over the samples (sorted in place).
-    pub fn from_samples(samples: &mut [u64]) -> Self {
-        if samples.is_empty() {
-            return ServeLatency::default();
-        }
-        samples.sort_unstable();
-        let pick = |num: usize, den: usize| samples[(samples.len() - 1) * num / den];
-        ServeLatency {
-            count: samples.len() as u64,
-            p50: pick(50, 100),
-            p99: pick(99, 100),
-            p999: pick(999, 1000),
-            max: *samples.last().unwrap(),
-        }
-    }
-}
+use slpmt_workloads::runner::{par_map_with, LatencySummary};
 
 /// One aggregated serve run.
 #[derive(Debug, Clone)]
@@ -73,10 +40,10 @@ pub struct ServeRow {
     /// byte-identity fingerprint CI diffs across worker counts.
     pub digest: u64,
     /// All-verb latency percentiles.
-    pub overall: ServeLatency,
+    pub overall: LatencySummary,
     /// Per-verb percentiles, `VERB_CLASSES` order, absent classes
     /// zeroed.
-    pub per_verb: Vec<ServeLatency>,
+    pub per_verb: Vec<LatencySummary>,
     /// Simulated requests per simulated second, from the makespan
     /// (cycles at 2 GHz), for quick cross-run comparison.
     pub sim_req_per_s: f64,
@@ -138,10 +105,10 @@ pub fn aggregate(cfg: &ServeConfig, reports: &[ShardServeReport]) -> ServeRow {
         wpq_stall_cycles,
         response_bytes,
         digest: digest64(&digest_stream),
-        overall: ServeLatency::from_samples(&mut overall),
+        overall: LatencySummary::from_samples(&mut overall),
         per_verb: per_class
             .iter_mut()
-            .map(|v| ServeLatency::from_samples(v))
+            .map(|v| LatencySummary::from_samples(v))
             .collect(),
         sim_req_per_s,
     }
@@ -187,20 +154,5 @@ mod tests {
         assert!(l.p50 > 0, "request latency cannot be free");
         let sampled: u64 = row.per_verb.iter().map(|v| v.count).sum();
         assert_eq!(sampled, row.served);
-    }
-
-    #[test]
-    fn latency_math() {
-        let mut s = vec![5, 1, 9, 3, 7];
-        let l = ServeLatency::from_samples(&mut s);
-        assert_eq!((l.count, l.p50, l.max), (5, 5, 9));
-        // Nearest-rank on 5 samples: index 4*99/100 = 3.
-        assert_eq!(l.p99, 7);
-        assert_eq!(l.p999, 7);
-        let mut empty = Vec::new();
-        assert_eq!(
-            ServeLatency::from_samples(&mut empty),
-            ServeLatency::default()
-        );
     }
 }

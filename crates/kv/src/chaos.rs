@@ -62,7 +62,7 @@
 //! one [`poison_caught`] probe per case.
 
 use crate::codec::{reply, Codec, Request};
-use crate::service::{digest64, dispatch, encode_request, take_request, TokenModel};
+use crate::service::{digest64, dispatch, encode_request, take_request, Spans, TokenModel};
 use crate::session::{AckJournal, Session};
 use crate::store::{CasOutcome, KvStore};
 use slpmt_core::sweep::{attribute_faults, committed_prefix, guarded, panic_message};
@@ -375,18 +375,12 @@ fn chaos_point(
 ) -> Result<ChaosOutcome, String> {
     let (ops, reqs) = chaos_ops(case);
     let ordered = store.scan(0, 0).is_some();
-    let handle = (case.trace_capacity > 0).then(|| store.enable_tracing(case.trace_capacity));
-    let tracing = handle.is_some() && store.machine().trace_enabled();
+    let spans = Spans::new(store, case.trace_capacity);
     if let Some(p) = plan {
         store.machine_mut().set_fault_plan(*p);
     }
     store.machine_mut().arm_crash_at_event(k);
-    if tracing {
-        if let Some(h) = &handle {
-            h.borrow_mut()
-                .emit_at(store.now(), Event::ChaosCrashArm { k });
-        }
-    }
+    spans.emit(store, Event::ChaosCrashArm { k });
 
     // Phase 1: pipelined ingestion, then serve until the crash trips.
     let codec = Codec::new(case.value_size);
@@ -469,16 +463,12 @@ fn chaos_point(
     }));
     rebuilt.map_err(|p| format!("structure recovery panicked: {}", panic_message(&*p)))??;
     store.begin_degraded_window(&report);
-    if tracing {
-        if let Some(h) = &handle {
-            h.borrow_mut().emit_at(
-                store.now(),
-                Event::DegradedBegin {
-                    poisoned: store.scrub_pending() as u32,
-                },
-            );
-        }
-    }
+    spans.emit(
+        store,
+        Event::DegradedBegin {
+            poisoned: store.scrub_pending() as u32,
+        },
+    );
     let mut oracle = StreamingOracle::new(&ops);
     oracle.advance_to(b);
     if poison_contract {
@@ -496,17 +486,13 @@ fn chaos_point(
     let mut rsess: Vec<Session> = (0..sessions as u32)
         .map(|s| Session::rebuilt(s, journal.watermark(s), sent[s as usize]))
         .collect();
-    if tracing {
-        if let Some(h) = &handle {
-            h.borrow_mut().emit_at(
-                store.now(),
-                Event::ServiceRestart {
-                    sessions: sessions as u32,
-                    acked: journal.total(),
-                },
-            );
-        }
-    }
+    spans.emit(
+        store,
+        Event::ServiceRestart {
+            sessions: sessions as u32,
+            acked: journal.total(),
+        },
+    );
     // The client-side token model is deterministic, so re-encoding the
     // full stream reproduces the pre-crash wire bytes exactly; only
     // the un-acked tail is re-fed.
@@ -568,16 +554,12 @@ fn chaos_point(
     while !store.ready() {
         store.scrub_step(8);
     }
-    if tracing {
-        if let Some(h) = &handle {
-            h.borrow_mut().emit_at(
-                store.now(),
-                Event::DegradedEnd {
-                    scrubbed: store.scrubbed() as u32,
-                },
-            );
-        }
-    }
+    spans.emit(
+        store,
+        Event::DegradedEnd {
+            scrubbed: store.scrubbed() as u32,
+        },
+    );
     oracle.advance_to(ops.len());
     check_store(store, &oracle)
         .map_err(|e| format!("converged state: {e} (acked={acked_global}, b={b})"))?;

@@ -23,7 +23,7 @@ use crate::admission::{admit, Admission, AdmissionConfig, AdmissionStats};
 use crate::codec::{reply, Codec, Request};
 use crate::session::Session;
 use crate::store::{fingerprint, CasOutcome, KvStore};
-use slpmt_core::{MachineConfig, SchemeKind};
+use slpmt_core::{MachineConfig, SchemeKind, TraceHandle};
 use slpmt_pmem::PmConfig;
 use slpmt_prng::splitmix64;
 use slpmt_trace::{Event, RequestVerb};
@@ -33,7 +33,7 @@ use slpmt_workloads::{
 };
 use std::collections::BTreeMap;
 
-/// Latency classes, indexed by [`class_of`] (matches
+/// Latency classes, indexed by the serve loop's `sample_class` (matches
 /// `KvRequest::verb` labels).
 pub const VERB_CLASSES: [&str; 6] = ["get", "gets", "set", "cas", "delete", "scan"];
 
@@ -127,11 +127,6 @@ pub fn write_stats(out: &mut Vec<u8>, h: &HealthSnapshot) {
     Codec::write_stat(out, "scrubbed", h.scrubbed);
     Codec::write_stat(out, "scrub_pending", h.scrub_pending);
     Codec::write_line(out, reply::END);
-}
-
-/// Index of a verb label in [`VERB_CLASSES`].
-pub fn class_of(verb: &str) -> usize {
-    VERB_CLASSES.iter().position(|v| *v == verb).unwrap_or(0)
 }
 
 /// One serve run's configuration.
@@ -349,6 +344,26 @@ fn trace_verb(req: &Request) -> RequestVerb {
     }
 }
 
+/// Span tracing of one store: the machine's trace handle while tracing
+/// is on, so each emit site is one call.
+pub(crate) struct Spans(Option<TraceHandle>);
+
+impl Spans {
+    /// Turns tracing on with `capacity` records per core; off at 0 or
+    /// when the build compiles tracing out.
+    pub(crate) fn new(store: &mut KvStore, capacity: usize) -> Spans {
+        let handle = (capacity > 0).then(|| store.enable_tracing(capacity));
+        Spans(handle.filter(|_| store.machine().trace_enabled()))
+    }
+
+    /// Records `event` at the store's current cycle, if tracing is on.
+    pub(crate) fn emit(&self, store: &KvStore, event: Event) {
+        if let Some(h) = &self.0 {
+            h.borrow_mut().emit_at(store.now(), event);
+        }
+    }
+}
+
 fn sample_class(req: &Request) -> usize {
     match req {
         Request::Get {
@@ -439,8 +454,7 @@ pub fn run_shard_service(
             .machine_mut()
             .set_wpq_drain_jitter(cfg.drain_jitter, jseed);
     }
-    let handle = (cfg.trace_capacity > 0).then(|| store.enable_tracing(cfg.trace_capacity));
-    let tracing = handle.is_some() && store.machine().trace_enabled();
+    let spans = Spans::new(&mut store, cfg.trace_capacity);
 
     // Load phase (pre-measurement) + client token model seeding.
     let mut model = TokenModel::default();
@@ -498,19 +512,15 @@ pub fn run_shard_service(
                 // session stream stays in sync, then refused.
                 let _ = sess[s].next_request(&codec);
                 Codec::write_line(&mut sess[s].wbuf, reply::SERVER_ERROR_BUSY);
-                if tracing {
-                    if let Some(h) = &handle {
-                        h.borrow_mut().emit_at(
-                            store.now(),
-                            Event::RequestEnd {
-                                session: sid,
-                                req: i as u64,
-                                queued,
-                                shed: true,
-                            },
-                        );
-                    }
-                }
+                spans.emit(
+                    &store,
+                    Event::RequestEnd {
+                        session: sid,
+                        req: i as u64,
+                        queued,
+                        shed: true,
+                    },
+                );
             }
             Admission::Admit { queued } => {
                 let parsed = match take_request(&mut sess[s], &codec, i as u64) {
@@ -526,36 +536,28 @@ pub fn run_shard_service(
                 };
                 match parsed {
                     Ok(req) => {
-                        if tracing {
-                            if let Some(h) = &handle {
-                                h.borrow_mut().emit_at(
-                                    store.now(),
-                                    Event::RequestBegin {
-                                        session: sid,
-                                        req: i as u64,
-                                        verb: trace_verb(&req),
-                                    },
-                                );
-                            }
-                        }
+                        spans.emit(
+                            &store,
+                            Event::RequestBegin {
+                                session: sid,
+                                req: i as u64,
+                                verb: trace_verb(&req),
+                            },
+                        );
                         let mut out = std::mem::take(&mut sess[s].wbuf);
                         dispatch(&mut store, &req, &mut out);
                         sess[s].wbuf = out;
                         served += 1;
                         samples[sample_class(&req)].push(store.now() - arrival);
-                        if tracing {
-                            if let Some(h) = &handle {
-                                h.borrow_mut().emit_at(
-                                    store.now(),
-                                    Event::RequestEnd {
-                                        session: sid,
-                                        req: i as u64,
-                                        queued,
-                                        shed: false,
-                                    },
-                                );
-                            }
-                        }
+                        spans.emit(
+                            &store,
+                            Event::RequestEnd {
+                                session: sid,
+                                req: i as u64,
+                                queued,
+                                shed: false,
+                            },
+                        );
                     }
                     Err(line) => Codec::write_line(&mut sess[s].wbuf, &line),
                 }

@@ -15,7 +15,7 @@
 //! ```
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::{DurableIndex, Load, Reader};
+use crate::runner::{DurableIndex, Load, Reader, ValueAt, Visit};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -198,19 +198,6 @@ impl AvlTree {
             self.rotate(ctx, n, 0)
         } else {
             n
-        }
-    }
-
-    fn for_each(&self, ctx: &PmContext, mut f: impl FnMut(u64)) {
-        let mut stack = vec![ctx.peek(fld(self.root, 0))];
-        while let Some(n) = stack.pop() {
-            if n == 0 {
-                continue;
-            }
-            f(n);
-            let a = PmAddr::new(n);
-            stack.push(ctx.peek(fld(a, 1)));
-            stack.push(ctx.peek(fld(a, 2)));
         }
     }
 
@@ -398,53 +385,37 @@ impl DurableIndex for AvlTree {
         true
     }
 
-    fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool {
-        use sites::*;
-        assert_eq!(value.len() as u64, self.value_words * 8);
-        ctx.tx_begin();
-        let mut cur = ctx.load(fld(self.root, 0));
-        while cur != 0 {
-            ctx.compute(CMP_COST);
-            let a = PmAddr::new(cur);
-            let k = ctx.load(fld(a, 0));
-            if k == key {
-                ctx.store_bytes(fld(a, 4), value, UPD_VALUE);
-                ctx.tx_commit();
-                return true;
-            }
-            cur = ctx.load(fld(a, if key < k { 1 } else { 2 }));
-        }
-        ctx.tx_commit();
-        false
-    }
-
-    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+    fn locate(&self, r: &mut Reader<'_>, key: u64) -> Option<ValueAt> {
         let mut cur = r.load(fld(self.root, 0));
         while cur != 0 {
             r.compute(CMP_COST);
             let a = PmAddr::new(cur);
             let k = r.load(fld(a, 0));
             if k == key {
-                let mut v = vec![0u8; (self.value_words * 8) as usize];
-                r.load_bytes(fld(a, 4), &mut v);
-                return Some(v);
+                return Some(ValueAt::Inline {
+                    at: fld(a, 4),
+                    len: self.value_words * 8,
+                    site: sites::UPD_VALUE,
+                });
             }
             cur = r.load(fld(a, if key < k { 1 } else { 2 }));
         }
         None
     }
 
-    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
-        self.for_each(ctx, |n| {
-            let a = PmAddr::new(n);
-            f(ctx.peek(fld(a, 0)), fld(a, 4));
-        });
-    }
-
-    fn len(&self, ctx: &PmContext) -> usize {
-        let mut count = 0;
-        self.for_each(ctx, |_| count += 1);
-        count
+    fn walk(&self, ctx: &PmContext, f: &mut dyn FnMut(Visit)) {
+        f(Visit::Block(self.root));
+        let mut stack = vec![ctx.peek(fld(self.root, 0))];
+        while let Some(n) = stack.pop() {
+            if n == 0 {
+                continue;
+            }
+            let [key, l, r] = ctx.peek_words(PmAddr::new(n));
+            f(Visit::Block(PmAddr::new(n)));
+            f(Visit::Entry(key, fld(PmAddr::new(n), 4)));
+            stack.push(l);
+            stack.push(r);
+        }
     }
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
@@ -455,13 +426,6 @@ impl DurableIndex for AvlTree {
             return Err(format!("size {size} != node count {count}"));
         }
         Ok(())
-    }
-
-    fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
-        let mut out = vec![self.root];
-        self.for_each(ctx, |n| out.push(PmAddr::new(n)));
-        out.sort_unstable();
-        out
     }
 
     fn recover(&mut self, ctx: &mut PmContext) {

@@ -34,7 +34,7 @@
 //! re-execution.
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::{DurableIndex, Load, Reader};
+use crate::runner::{update_value, DurableIndex, Load, Reader, ValueAt, Visit};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -345,7 +345,7 @@ impl Hashtable {
 
     /// Walks one generation's chains, calling `f(node, [key, next,
     /// value-blob pointer])` on each node; every node is read once.
-    fn walk(&self, ctx: &PmContext, buckets: PmAddr, n: u64, mut f: impl FnMut(PmAddr, [u64; 3])) {
+    fn nodes(&self, ctx: &PmContext, buckets: PmAddr, n: u64, mut f: impl FnMut(PmAddr, [u64; 3])) {
         for mut cur in Heads::new(ctx, buckets, n) {
             let mut guard = 0;
             while cur != 0 {
@@ -438,37 +438,14 @@ impl DurableIndex for Hashtable {
     }
 
     fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool {
-        use sites::*;
-        assert_eq!(value.len() as u64, self.value_bytes);
         // An update rewrites a moved node's value-blob pointer inside
         // the resize block.
         self.close_window(ctx);
-        ctx.tx_begin();
-        let buckets = PmAddr::new(ctx.load(fld(self.root, 0)));
-        let n = ctx.load(fld(self.root, 1));
-        ctx.compute(HASH_COST);
-        let mut cur = ctx.load(fld(buckets, hash(key, n)));
-        while cur != 0 {
-            let node = PmAddr::new(cur);
-            ctx.compute(CMP_COST_RM);
-            if ctx.load(fld(node, 0)) == key {
-                // Copy-on-write: fresh blob (log-free), logged pointer
-                // swap, retire the old blob.
-                let old = ctx.load(fld(node, 2));
-                let blob = ctx.alloc(self.value_bytes);
-                ctx.store_bytes(blob, value, NODE_VALUE);
-                ctx.store(fld(node, 2), blob.raw(), UPD_VPTR);
-                ctx.free(PmAddr::new(old));
-                ctx.tx_commit();
-                return true;
-            }
-            cur = ctx.load(fld(node, 1));
-        }
-        ctx.tx_commit();
-        false
+        update_value(self, ctx, key, value)
     }
 
-    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+    fn locate(&self, r: &mut Reader<'_>, key: u64) -> Option<ValueAt> {
+        use sites::*;
         let buckets = PmAddr::new(r.load(fld(self.root, 0)));
         let n = r.load(fld(self.root, 1));
         r.compute(HASH_COST);
@@ -477,28 +454,35 @@ impl DurableIndex for Hashtable {
             let node = PmAddr::new(cur);
             r.compute(CMP_COST_RM);
             if r.load(fld(node, 0)) == key {
-                let blob = PmAddr::new(r.load(fld(node, 2)));
-                let mut val = vec![0u8; self.value_bytes as usize];
-                r.load_bytes(blob, &mut val);
-                return Some(val);
+                let vptr = fld(node, 2);
+                return ValueAt::blob(r, vptr, self.value_bytes, NODE_VALUE, UPD_VPTR);
             }
             cur = r.load(fld(node, 1));
         }
         None
     }
 
-    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
-        let [buckets, n] = ctx.peek_words(self.root);
-        self.walk(ctx, PmAddr::new(buckets), n, |_, [key, _, vptr]| {
-            f(key, PmAddr::new(vptr));
+    fn walk(&self, ctx: &PmContext, f: &mut dyn FnMut(Visit)) {
+        let [buckets, n, _, old, old_n, block, _, old_block] = ctx.peek_words(self.root);
+        f(Visit::Block(self.root));
+        f(Visit::Block(PmAddr::new(buckets)));
+        self.nodes(ctx, PmAddr::new(buckets), n, |node, [key, _, vptr]| {
+            f(Visit::Block(node));
+            f(Visit::Block(PmAddr::new(vptr)));
+            f(Visit::Entry(key, PmAddr::new(vptr)));
         });
-    }
-
-    fn len(&self, ctx: &PmContext) -> usize {
-        let [buckets, n] = ctx.peek_words(self.root);
-        let mut count = 0;
-        self.walk(ctx, PmAddr::new(buckets), n, |_, _| count += 1);
-        count
+        if block != 0 {
+            f(Visit::Block(PmAddr::new(block)));
+        }
+        if old != 0 {
+            f(Visit::Block(PmAddr::new(old)));
+            self.nodes(ctx, PmAddr::new(old), old_n, |node, _| {
+                f(Visit::Block(node))
+            });
+            if old_block != 0 {
+                f(Visit::Block(PmAddr::new(old_block)));
+            }
+        }
     }
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
@@ -535,27 +519,6 @@ impl DurableIndex for Hashtable {
         Ok(())
     }
 
-    fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
-        let [buckets, n, _, old, old_n, block, _, old_block] = ctx.peek_words(self.root);
-        let mut out = vec![self.root, PmAddr::new(buckets)];
-        self.walk(ctx, PmAddr::new(buckets), n, |node, [_, _, vptr]| {
-            out.push(node);
-            out.push(PmAddr::new(vptr));
-        });
-        if block != 0 {
-            out.push(PmAddr::new(block));
-        }
-        if old != 0 {
-            out.push(PmAddr::new(old));
-            self.walk(ctx, PmAddr::new(old), old_n, |node, _| out.push(node));
-            if old_block != 0 {
-                out.push(PmAddr::new(old_block));
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     fn recover(&mut self, ctx: &mut PmContext) {
         let root = self.root;
         let old = ctx.peek(fld(root, 3));
@@ -572,7 +535,7 @@ impl DurableIndex for Hashtable {
             let mut heads = vec![0u64; new_n as usize];
             let mut bi = 0u64;
             let mut copies: Vec<(PmAddr, u64, u64, u64)> = Vec::new();
-            self.walk(ctx, old_buckets, old_n, |_, [k, _, vptr]| {
+            self.nodes(ctx, old_buckets, old_n, |_, [k, _, vptr]| {
                 let nh = hash(k, new_n) as usize;
                 let copy = block.add(bi * self.node_bytes());
                 bi += 1;

@@ -18,7 +18,7 @@
 //! ```
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::{DurableIndex, Load, Reader};
+use crate::runner::{DurableIndex, Load, Reader, ValueAt, Visit};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -290,56 +290,28 @@ impl DurableIndex for MaxHeap {
         true
     }
 
-    fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool {
-        use sites::*;
-        assert_eq!(value.len() as u64, self.value_bytes);
-        ctx.tx_begin();
-        let arr = PmAddr::new(ctx.load(fld(self.root, 0)));
-        let count = ctx.load(fld(self.root, 2));
-        for i in 0..count {
-            ctx.compute(CMP_COST);
-            if ctx.load(entry(arr, i)) == key {
-                let old = ctx.load(entry(arr, i).add(8));
-                let blob = ctx.alloc(self.value_bytes);
-                ctx.store_bytes(blob, value, VALUE);
-                ctx.store(entry(arr, i).add(8), blob.raw(), UPD_VPTR);
-                ctx.free(PmAddr::new(old));
-                ctx.tx_commit();
-                return true;
-            }
-        }
-        ctx.tx_commit();
-        false
-    }
-
-    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+    fn locate(&self, r: &mut Reader<'_>, key: u64) -> Option<ValueAt> {
         let arr = PmAddr::new(r.load(fld(self.root, 0)));
         let count = r.load(fld(self.root, 2));
         for i in 0..count {
             r.compute(CMP_COST);
             if r.load(entry(arr, i)) == key {
-                let blob = PmAddr::new(r.load(entry(arr, i).add(8)));
-                let mut v = vec![0u8; self.value_bytes as usize];
-                r.load_bytes(blob, &mut v);
-                return Some(v);
+                let vptr = entry(arr, i).add(8);
+                return ValueAt::blob(r, vptr, self.value_bytes, sites::VALUE, sites::UPD_VPTR);
             }
         }
         None
     }
 
-    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
-        let arr = PmAddr::new(ctx.peek(fld(self.root, 0)));
-        let count = ctx.peek(fld(self.root, 2));
+    fn walk(&self, ctx: &PmContext, f: &mut dyn FnMut(Visit)) {
+        let [arr, _, count] = ctx.peek_words(self.root);
+        f(Visit::Block(self.root));
+        f(Visit::Block(PmAddr::new(arr)));
         for i in 0..count {
-            f(
-                ctx.peek(entry(arr, i)),
-                PmAddr::new(ctx.peek(entry(arr, i).add(8))),
-            );
+            let [key, vptr] = ctx.peek_words(entry(PmAddr::new(arr), i));
+            f(Visit::Block(PmAddr::new(vptr)));
+            f(Visit::Entry(key, PmAddr::new(vptr)));
         }
-    }
-
-    fn len(&self, ctx: &PmContext) -> usize {
-        ctx.peek(fld(self.root, 2)) as usize
     }
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
@@ -360,17 +332,6 @@ impl DurableIndex for MaxHeap {
             }
         }
         Ok(())
-    }
-
-    fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
-        let arr = PmAddr::new(ctx.peek(fld(self.root, 0)));
-        let count = ctx.peek(fld(self.root, 2));
-        let mut out = vec![self.root, arr];
-        for i in 0..count {
-            out.push(PmAddr::new(ctx.peek(entry(arr, i).add(8))));
-        }
-        out.sort_unstable();
-        out
     }
 
     fn recover(&mut self, _ctx: &mut PmContext) {

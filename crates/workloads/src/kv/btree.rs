@@ -15,7 +15,7 @@
 //! ```
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::{DurableIndex, Load, Reader};
+use crate::runner::{DurableIndex, Load, Reader, ValueAt, Visit};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -272,24 +272,6 @@ impl BtreeKv {
         }
         Ok(())
     }
-
-    /// Calls `f(node, words)` for every node, reading each node once.
-    fn for_each_node(&self, ctx: &PmContext, mut f: impl FnMut(PmAddr, &NodeWords)) {
-        let r = ctx.peek(fld(self.root, 0));
-        if r == 0 {
-            return;
-        }
-        let mut stack = vec![r];
-        while let Some(n) = stack.pop() {
-            let a = PmAddr::new(n);
-            let node: NodeWords = ctx.peek_words(a);
-            f(a, &node);
-            if node[1] != 1 {
-                let (nk, _, slots) = parts(&node);
-                stack.extend(slots[..=nk].iter().filter(|&&c| c != 0));
-            }
-        }
-    }
 }
 
 impl DurableIndex for BtreeKv {
@@ -438,38 +420,7 @@ impl DurableIndex for BtreeKv {
         true
     }
 
-    fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool {
-        use sites::*;
-        assert_eq!(value.len() as u64, self.value_bytes);
-        ctx.tx_begin();
-        let r = ctx.load(fld(self.root, 0));
-        if r == 0 {
-            ctx.tx_commit();
-            return false;
-        }
-        let mut n = PmAddr::new(r);
-        while ctx.load(fld(n, 1)) != 1 {
-            let idx = self.find_idx(ctx, n, key);
-            n = PmAddr::new(ctx.load(slot_at(n, idx)));
-        }
-        let nk = ctx.load(fld(n, 0));
-        for i in 0..nk {
-            ctx.compute(CMP_COST);
-            if ctx.load(key_at(n, i)) == key {
-                let old = ctx.load(slot_at(n, i));
-                let blob = ctx.alloc(self.value_bytes);
-                ctx.store_bytes(blob, value, VALUE);
-                ctx.store(slot_at(n, i), blob.raw(), UPD_VPTR);
-                ctx.free(PmAddr::new(old));
-                ctx.tx_commit();
-                return true;
-            }
-        }
-        ctx.tx_commit();
-        false
-    }
-
-    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+    fn locate(&self, r: &mut Reader<'_>, key: u64) -> Option<ValueAt> {
         let root = r.load(fld(self.root, 0));
         if root == 0 {
             return None;
@@ -483,34 +434,31 @@ impl DurableIndex for BtreeKv {
         for i in 0..nk {
             r.compute(CMP_COST);
             if r.load(key_at(n, i)) == key {
-                let blob = PmAddr::new(r.load(slot_at(n, i)));
-                let mut v = vec![0u8; self.value_bytes as usize];
-                r.load_bytes(blob, &mut v);
-                return Some(v);
+                let vptr = slot_at(n, i);
+                return ValueAt::blob(r, vptr, self.value_bytes, sites::VALUE, sites::UPD_VPTR);
             }
         }
         None
     }
 
-    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
-        self.for_each_node(ctx, |_, node| {
+    fn walk(&self, ctx: &PmContext, f: &mut dyn FnMut(Visit)) {
+        // Each node is read once, whole.
+        f(Visit::Block(self.root));
+        let r = ctx.peek(fld(self.root, 0));
+        let mut stack = if r == 0 { vec![] } else { vec![r] };
+        while let Some(n) = stack.pop() {
+            f(Visit::Block(PmAddr::new(n)));
+            let node: NodeWords = ctx.peek_words(PmAddr::new(n));
+            let (nk, keys, slots) = parts(&node);
             if node[1] == 1 {
-                let (nk, keys, slots) = parts(node);
                 for (&k, &v) in keys[..nk].iter().zip(slots) {
-                    f(k, PmAddr::new(v));
+                    f(Visit::Block(PmAddr::new(v)));
+                    f(Visit::Entry(k, PmAddr::new(v)));
                 }
+            } else {
+                stack.extend(slots[..=nk].iter().filter(|&&c| c != 0));
             }
-        });
-    }
-
-    fn len(&self, ctx: &PmContext) -> usize {
-        let mut count = 0;
-        self.for_each_node(ctx, |_, node| {
-            if node[1] == 1 {
-                count += parts(node).0;
-            }
-        });
-        count
+        }
     }
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
@@ -525,19 +473,6 @@ impl DurableIndex for BtreeKv {
             return Err(format!("size {size} != key count {count}"));
         }
         Ok(())
-    }
-
-    fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
-        let mut out = vec![self.root];
-        self.for_each_node(ctx, |a, node| {
-            out.push(a);
-            if node[1] == 1 {
-                let (nk, _, slots) = parts(node);
-                out.extend(slots[..nk].iter().map(|&v| PmAddr::new(v)));
-            }
-        });
-        out.sort_unstable();
-        out
     }
 
     fn recover(&mut self, ctx: &mut PmContext) {

@@ -17,7 +17,7 @@
 //! ```
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::{DurableIndex, Load, Reader};
+use crate::runner::{DurableIndex, Load, Reader, ValueAt, Visit};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -278,64 +278,35 @@ impl DurableIndex for CtreeKv {
         true
     }
 
-    fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool {
-        use sites::*;
-        assert_eq!(value.len() as u64, self.value_bytes);
-        ctx.tx_begin();
-        let r = ctx.load(fld(self.root, 0));
-        if r == 0 {
-            ctx.tx_commit();
-            return false;
-        }
-        let leaf = self.closest_leaf(ctx, key);
-        if ctx.load(fld(leaf, 1)) != key {
-            ctx.tx_commit();
-            return false;
-        }
-        let old = ctx.load(fld(leaf, 2));
-        let blob = ctx.alloc(self.value_bytes);
-        ctx.store_bytes(blob, value, VALUE);
-        ctx.store(fld(leaf, 2), blob.raw(), UPD_VPTR);
-        ctx.free(PmAddr::new(old));
-        ctx.tx_commit();
-        true
-    }
-
-    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+    fn locate(&self, r: &mut Reader<'_>, key: u64) -> Option<ValueAt> {
         if r.load(fld(self.root, 0)) == 0 {
             return None;
         }
         let leaf = self.closest_leaf(r, key);
-        if r.load(fld(leaf, 1)) == key {
-            let blob = PmAddr::new(r.load(fld(leaf, 2)));
-            let mut v = vec![0u8; self.value_bytes as usize];
-            r.load_bytes(blob, &mut v);
-            return Some(v);
+        if r.load(fld(leaf, 1)) != key {
+            return None;
         }
-        None
+        let vptr = fld(leaf, 2);
+        ValueAt::blob(r, vptr, self.value_bytes, sites::VALUE, sites::UPD_VPTR)
     }
 
-    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
+    fn walk(&self, ctx: &PmContext, f: &mut dyn FnMut(Visit)) {
+        f(Visit::Block(self.root));
         let r = ctx.peek(fld(self.root, 0));
-        if r == 0 {
-            return;
-        }
-        let mut stack = vec![r];
+        let mut stack = if r == 0 { vec![] } else { vec![r] };
         while let Some(n) = stack.pop() {
             let a = PmAddr::new(n);
-            if ctx.peek(fld(a, 0)) == 0 {
-                f(ctx.peek(fld(a, 1)), PmAddr::new(ctx.peek(fld(a, 2))));
+            f(Visit::Block(a));
+            // Leaf: [0, key, blob]; internal: [1, bit, left, right].
+            let [internal, w1, w2] = ctx.peek_words(a);
+            if internal == 0 {
+                f(Visit::Block(PmAddr::new(w2)));
+                f(Visit::Entry(w1, PmAddr::new(w2)));
             } else {
-                stack.push(ctx.peek(fld(a, 2)));
+                stack.push(w2);
                 stack.push(ctx.peek(fld(a, 3)));
             }
         }
-    }
-
-    fn len(&self, ctx: &PmContext) -> usize {
-        let mut count = 0;
-        self.for_each_entry(ctx, &mut |_, _| count += 1);
-        count
     }
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
@@ -375,27 +346,6 @@ impl DurableIndex for CtreeKv {
             return Err(format!("size {size} != leaf count {count}"));
         }
         Ok(())
-    }
-
-    fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
-        let mut out = vec![self.root];
-        let r = ctx.peek(fld(self.root, 0));
-        if r == 0 {
-            return out;
-        }
-        let mut stack = vec![r];
-        while let Some(n) = stack.pop() {
-            let a = PmAddr::new(n);
-            out.push(a);
-            if ctx.peek(fld(a, 0)) == 0 {
-                out.push(PmAddr::new(ctx.peek(fld(a, 2))));
-            } else {
-                stack.push(ctx.peek(fld(a, 2)));
-                stack.push(ctx.peek(fld(a, 3)));
-            }
-        }
-        out.sort_unstable();
-        out
     }
 
     fn recover(&mut self, ctx: &mut PmContext) {

@@ -19,7 +19,7 @@
 //! ```
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::{DurableIndex, Load, Reader};
+use crate::runner::{DurableIndex, Load, Reader, ValueAt, Visit};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -378,52 +378,7 @@ impl DurableIndex for RtreeKv {
         true
     }
 
-    fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool {
-        use sites::*;
-        assert_eq!(value.len() as u64, self.value_bytes);
-        ctx.tx_begin();
-        let r = ctx.load(fld(self.root, 0));
-        if r == 0 {
-            ctx.tx_commit();
-            return false;
-        }
-        let mut consumed = 0u64;
-        let mut cur = PmAddr::new(r);
-        loop {
-            let plen = ctx.load(fld(cur, 0));
-            let prefix = ctx.load(fld(cur, 1));
-            for i in 0..plen {
-                ctx.compute(NIBBLE_COST);
-                if nibble(key, consumed + i) != prefix_nibble(prefix, i) {
-                    ctx.tx_commit();
-                    return false;
-                }
-            }
-            consumed += plen;
-            if consumed == KEY_NIBBLES {
-                let old = ctx.load(fld(cur, 2));
-                if old == 0 {
-                    ctx.tx_commit();
-                    return false;
-                }
-                let blob = ctx.alloc(self.value_bytes);
-                ctx.store_bytes(blob, value, VALUE);
-                ctx.store(fld(cur, 2), blob.raw(), UPD_VPTR);
-                ctx.free(PmAddr::new(old));
-                ctx.tx_commit();
-                return true;
-            }
-            let c = ctx.load(child_at(cur, nibble(key, consumed)));
-            if c == 0 {
-                ctx.tx_commit();
-                return false;
-            }
-            consumed += 1;
-            cur = PmAddr::new(c);
-        }
-    }
-
-    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+    fn locate(&self, r: &mut Reader<'_>, key: u64) -> Option<ValueAt> {
         let root = r.load(fld(self.root, 0));
         if root == 0 {
             return None;
@@ -443,13 +398,8 @@ impl DurableIndex for RtreeKv {
             }
             consumed += plen;
             if consumed == KEY_NIBBLES {
-                let blob = r.load(fld(cur, 2));
-                if blob == 0 {
-                    return None;
-                }
-                let mut v = vec![0u8; self.value_bytes as usize];
-                r.load_bytes(PmAddr::new(blob), &mut v);
-                return Some(v);
+                let vptr = fld(cur, 2);
+                return ValueAt::blob(r, vptr, self.value_bytes, sites::VALUE, sites::UPD_VPTR);
             }
             let c = r.load(child_at(cur, nibble(key, consumed)));
             if c == 0 {
@@ -460,26 +410,16 @@ impl DurableIndex for RtreeKv {
         }
     }
 
-    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
-        self.walk(ctx, |key, _, node, terminal| {
-            if !terminal {
-                return;
-            }
-            let blob = ctx.peek(fld(node, 2));
+    fn walk(&self, ctx: &PmContext, f: &mut dyn FnMut(Visit)) {
+        f(Visit::Block(self.root));
+        self.for_each_node(ctx, |key, _, node, terminal| {
+            f(Visit::Block(node));
+            let blob = if terminal { ctx.peek(fld(node, 2)) } else { 0 };
             if blob != 0 {
-                f(key, PmAddr::new(blob));
+                f(Visit::Block(PmAddr::new(blob)));
+                f(Visit::Entry(key, PmAddr::new(blob)));
             }
         });
-    }
-
-    fn len(&self, ctx: &PmContext) -> usize {
-        let mut count = 0;
-        self.walk(ctx, |_, _, _, terminal| {
-            if terminal {
-                count += 1;
-            }
-        });
-        count
     }
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
@@ -489,7 +429,7 @@ impl DurableIndex for RtreeKv {
         // the lookup can only miss on a zero value blob.
         let mut err = None;
         let mut count = 0usize;
-        self.walk(ctx, |key, depth, node, terminal| {
+        self.for_each_node(ctx, |key, depth, node, terminal| {
             if err.is_some() {
                 return;
             }
@@ -514,21 +454,6 @@ impl DurableIndex for RtreeKv {
         Ok(())
     }
 
-    fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
-        let mut out = vec![self.root];
-        self.walk(ctx, |_, _, node, terminal| {
-            out.push(node);
-            if terminal {
-                let blob = ctx.peek(fld(node, 2));
-                if blob != 0 {
-                    out.push(PmAddr::new(blob));
-                }
-            }
-        });
-        out.sort_unstable();
-        out
-    }
-
     fn recover(&mut self, ctx: &mut PmContext) {
         let count = self.len(ctx) as u64;
         ctx.recovery_write(fld(self.root, 1), count);
@@ -539,7 +464,7 @@ impl RtreeKv {
     /// Depth-first walk; `f(key, depth, node, is_terminal)`, where
     /// `key` packs the `depth` nibbles on the path to `node`
     /// right-aligned, so a terminal's `key` is its full key.
-    fn walk(&self, ctx: &PmContext, mut f: impl FnMut(u64, u64, PmAddr, bool)) {
+    fn for_each_node(&self, ctx: &PmContext, mut f: impl FnMut(u64, u64, PmAddr, bool)) {
         let r = ctx.peek(fld(self.root, 0));
         if r == 0 {
             return;
@@ -654,7 +579,7 @@ mod tests {
         t.recover(&mut ctx);
         t.check_invariants(&ctx).unwrap();
         let mut victim = None;
-        t.walk(&ctx, |_, _, node, terminal| {
+        t.for_each_node(&ctx, |_, _, node, terminal| {
             if terminal {
                 victim.get_or_insert(node);
             }

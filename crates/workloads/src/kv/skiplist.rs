@@ -24,7 +24,7 @@
 //! can re-derive every tower without trusting lazily-persistent state.
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::{DurableIndex, Load, Reader};
+use crate::runner::{DurableIndex, Load, Reader, ValueAt, Visit};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 
@@ -255,31 +255,7 @@ impl DurableIndex for SkiplistKv {
         true
     }
 
-    fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool {
-        use sites::*;
-        assert_eq!(value.len() as u64, self.value_bytes);
-        ctx.tx_begin();
-        let preds = self.predecessors(ctx, key);
-        let cand = ctx.load(next_at(preds[0], 0));
-        if cand == 0 {
-            ctx.tx_commit();
-            return false;
-        }
-        let node = PmAddr::new(cand);
-        if ctx.load(fld(node, 0)) != key {
-            ctx.tx_commit();
-            return false;
-        }
-        let old = ctx.load(fld(node, 2));
-        let blob = ctx.alloc(self.value_bytes);
-        ctx.store_bytes(blob, value, VALUE);
-        ctx.store(fld(node, 2), blob.raw(), UPD_VPTR);
-        ctx.free(PmAddr::new(old));
-        ctx.tx_commit();
-        true
-    }
-
-    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+    fn locate(&self, r: &mut Reader<'_>, key: u64) -> Option<ValueAt> {
         let preds = self.predecessors(r, key);
         let cand = r.load(next_at(preds[0], 0));
         if cand == 0 {
@@ -289,25 +265,22 @@ impl DurableIndex for SkiplistKv {
         if r.load(fld(node, 0)) != key {
             return None;
         }
-        let blob = PmAddr::new(r.load(fld(node, 2)));
-        let mut v = vec![0u8; self.value_bytes as usize];
-        r.load_bytes(blob, &mut v);
-        Some(v)
+        let vptr = fld(node, 2);
+        ValueAt::blob(r, vptr, self.value_bytes, sites::VALUE, sites::UPD_VPTR)
     }
 
-    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
-        let mut cur = ctx.peek(fld(self.head, 3));
+    fn walk(&self, ctx: &PmContext, f: &mut dyn FnMut(Visit)) {
+        f(Visit::Block(self.root));
+        f(Visit::Block(self.head));
+        let mut cur = ctx.peek(next_at(self.head, 0));
         while cur != 0 {
             let node = PmAddr::new(cur);
-            f(ctx.peek(fld(node, 0)), PmAddr::new(ctx.peek(fld(node, 2))));
-            cur = ctx.peek(next_at(node, 0));
+            let [key, _, blob, next] = ctx.peek_words(node);
+            f(Visit::Block(node));
+            f(Visit::Block(PmAddr::new(blob)));
+            f(Visit::Entry(key, PmAddr::new(blob)));
+            cur = next;
         }
-    }
-
-    fn len(&self, ctx: &PmContext) -> usize {
-        let mut count = 0;
-        self.for_each_entry(ctx, &mut |_, _| count += 1);
-        count
     }
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
@@ -360,19 +333,6 @@ impl DurableIndex for SkiplistKv {
             return Err(format!("size {size} != node count {}", level0.len()));
         }
         Ok(())
-    }
-
-    fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
-        let mut out = vec![self.root, self.head];
-        let mut cur = ctx.peek(fld(self.head, 3));
-        while cur != 0 {
-            let node = PmAddr::new(cur);
-            out.push(node);
-            out.push(PmAddr::new(ctx.peek(fld(node, 2))));
-            cur = ctx.peek(next_at(node, 0));
-        }
-        out.sort_unstable();
-        out
     }
 
     fn recover(&mut self, ctx: &mut PmContext) {

@@ -19,7 +19,7 @@
 //! ```
 
 use crate::ctx::{AnnotationSource, PmContext};
-use crate::runner::{DurableIndex, Load, Reader};
+use crate::runner::{DurableIndex, Load, Reader, ValueAt, Visit};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
 use std::collections::BTreeMap;
@@ -640,52 +640,30 @@ impl DurableIndex for Rbtree {
         true
     }
 
-    fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool {
-        use sites::*;
-        assert_eq!(value.len() as u64, self.value_words * 8);
-        ctx.tx_begin();
-        let mut cur = ctx.load(fld(self.root, 0));
-        while cur != 0 {
-            ctx.compute(CMP_COST);
-            let a = PmAddr::new(cur);
-            let k = ctx.load(fld(a, 0));
-            if k == key {
-                // In-place overwrite: the undo log captures the old
-                // value, so a crash rolls the update back atomically.
-                ctx.store_bytes(fld(a, 5), value, UPD_VALUE);
-                ctx.tx_commit();
-                return true;
-            }
-            cur = self.child(ctx, a, if key < k { 0 } else { 1 });
-        }
-        ctx.tx_commit();
-        false
-    }
-
-    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>> {
+    fn locate(&self, r: &mut Reader<'_>, key: u64) -> Option<ValueAt> {
         let mut cur = r.load(fld(self.root, 0));
         while cur != 0 {
             r.compute(CMP_COST);
             let a = PmAddr::new(cur);
             let k = r.load(fld(a, 0));
             if k == key {
-                let mut v = vec![0u8; (self.value_words * 8) as usize];
-                r.load_bytes(fld(a, 5), &mut v);
-                return Some(v);
+                return Some(ValueAt::Inline {
+                    at: fld(a, 5),
+                    len: self.value_words * 8,
+                    site: sites::UPD_VALUE,
+                });
             }
             cur = self.child(r, a, if key < k { 0 } else { 1 });
         }
         None
     }
 
-    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
-        self.for_each(ctx, |n, [key, ..]| f(key, fld(PmAddr::new(n), 5)));
-    }
-
-    fn len(&self, ctx: &PmContext) -> usize {
-        let mut count = 0;
-        self.for_each(ctx, |_, _| count += 1);
-        count
+    fn walk(&self, ctx: &PmContext, f: &mut dyn FnMut(Visit)) {
+        f(Visit::Block(self.root));
+        self.for_each(ctx, |n, [key, ..]| {
+            f(Visit::Block(PmAddr::new(n)));
+            f(Visit::Entry(key, fld(PmAddr::new(n), 5)));
+        });
     }
 
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String> {
@@ -695,13 +673,6 @@ impl DurableIndex for Rbtree {
             return Err(format!("size {size} != node count {count}"));
         }
         Ok(())
-    }
-
-    fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
-        let mut out = vec![self.root];
-        self.for_each(ctx, |n, _| out.push(PmAddr::new(n)));
-        out.sort_unstable();
-        out
     }
 
     fn recover(&mut self, ctx: &mut PmContext) {

@@ -6,6 +6,7 @@
 use crate::ctx::{AnnotationSource, PmContext};
 use crate::sharded::{partition_mixed, partition_ops};
 use crate::ycsb::{MixedOp, YcsbOp};
+use slpmt_annotate::SiteId;
 use slpmt_core::{MachineConfig, MachineStats, SchemeKind};
 use slpmt_pmem::{PmAddr, WriteTraffic, LINE_BYTES};
 use slpmt_ptm::PtmTraffic;
@@ -13,11 +14,13 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The reads of a point lookup, in one of two modes: timed through
-/// the simulated cache hierarchy ([`PmContext::load`],
-/// [`PmContext::load_bytes`], [`PmContext::compute`]) or untimed
-/// ([`PmContext::peek`], [`PmContext::peek_bytes`], compute charges
-/// dropped). [`DurableIndex::lookup`] is written once against it.
+/// The reads of a point descent ([`DurableIndex::locate`]), in one of
+/// two modes: timed through the simulated cache hierarchy
+/// ([`PmContext::load`], [`PmContext::load_bytes`],
+/// [`PmContext::compute`]) or untimed ([`PmContext::peek`],
+/// [`PmContext::peek_bytes`], compute charges dropped). The timed mode
+/// serves `get` and `update`, the untimed one `value_of` and
+/// `contains`.
 pub enum Reader<'a> {
     /// Timed loads and compute charges.
     Timed(&'a mut PmContext),
@@ -69,16 +72,143 @@ impl Load for Reader<'_> {
     }
 }
 
+/// Where [`DurableIndex::locate`] found a key's value, and how an
+/// update rewrites it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueAt {
+    /// `len` value bytes inside the key's node at `at`. An update
+    /// overwrites them in place through `site`; the undo log captures
+    /// the old bytes, so a crash rolls the update back atomically.
+    Inline {
+        /// First value byte.
+        at: PmAddr,
+        /// Value length in bytes.
+        len: u64,
+        /// Store site of the in-place overwrite.
+        site: SiteId,
+    },
+    /// A `len`-byte value blob at `blob`, named by the pointer word at
+    /// `ptr`. An update is the paper's Pattern 1 copy-on-write: a fresh
+    /// blob written log-free through `blob_site`, the logged pointer
+    /// swapped through `ptr_site`, the old blob freed at commit. A
+    /// crash either keeps the old blob (pointer rolled back, fresh blob
+    /// leaks to GC) or the new one.
+    Blob {
+        /// The pointer word.
+        ptr: PmAddr,
+        /// The blob it names.
+        blob: PmAddr,
+        /// Value length in bytes.
+        len: u64,
+        /// Store site of the fresh blob's bytes.
+        blob_site: SiteId,
+        /// Store site of the pointer swap.
+        ptr_site: SiteId,
+    },
+}
+
+impl ValueAt {
+    /// Loads the blob pointer at `ptr` through `r`: the blob's
+    /// [`ValueAt::Blob`], or `None` when the pointer is null.
+    pub(crate) fn blob(
+        r: &mut impl Load,
+        ptr: PmAddr,
+        len: u64,
+        blob_site: SiteId,
+        ptr_site: SiteId,
+    ) -> Option<ValueAt> {
+        let blob = r.load(ptr);
+        (blob != 0).then_some(ValueAt::Blob {
+            ptr,
+            blob: PmAddr::new(blob),
+            len,
+            blob_site,
+            ptr_site,
+        })
+    }
+
+    /// The first value byte and the value length.
+    fn bytes(self) -> (PmAddr, u64) {
+        match self {
+            ValueAt::Inline { at, len, .. } => (at, len),
+            ValueAt::Blob { blob, len, .. } => (blob, len),
+        }
+    }
+
+    /// Reads the value bytes through `r`.
+    fn read(self, r: &mut impl Load) -> Vec<u8> {
+        let (at, len) = self.bytes();
+        let mut v = vec![0u8; len as usize];
+        r.load_bytes(at, &mut v);
+        v
+    }
+
+    /// Replaces the value with `value` inside the caller's transaction.
+    fn write(self, ctx: &mut PmContext, value: &[u8]) {
+        let (_, len) = self.bytes();
+        assert_eq!(value.len() as u64, len, "value size fixed at creation");
+        match self {
+            ValueAt::Inline { at, site, .. } => ctx.store_bytes(at, value, site),
+            ValueAt::Blob {
+                ptr,
+                blob,
+                blob_site,
+                ptr_site,
+                ..
+            } => {
+                let fresh = ctx.alloc(len);
+                ctx.store_bytes(fresh, value, blob_site);
+                ctx.store(ptr, fresh.raw(), ptr_site);
+                ctx.free(blob);
+            }
+        }
+    }
+}
+
+/// One step of [`DurableIndex::walk`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visit {
+    /// A heap allocation the structure owns.
+    Block(PmAddr),
+    /// A present key and the address of its value bytes.
+    Entry(u64, PmAddr),
+}
+
+/// The body of [`DurableIndex::update`]: one durable transaction that
+/// descends to `key` timed ([`DurableIndex::locate`]) and, when the key
+/// is present, rewrites its value ([`ValueAt`]). A miss commits its
+/// empty transaction. Returns whether the key was present.
+pub(crate) fn update_value<I: DurableIndex + ?Sized>(
+    idx: &I,
+    ctx: &mut PmContext,
+    key: u64,
+    value: &[u8],
+) -> bool {
+    ctx.tx_begin();
+    let at = idx.locate(&mut Reader::Timed(ctx), key);
+    if let Some(at) = at {
+        at.write(ctx, value);
+    }
+    ctx.tx_commit();
+    at.is_some()
+}
+
 /// A durable key-value index evaluated by the paper.
 ///
-/// `insert` runs one durable transaction per call (the YCSB-load
-/// operation granularity). The one point lookup, [`lookup`](Self::lookup),
-/// runs timed as [`get`](Self::get) and untimed as
-/// [`value_of`](Self::value_of). The untimed methods (`contains`,
-/// `value_of`, `for_each_entry`, `len`, `check_invariants`,
-/// `reachable`) inspect logical state via peeks; `recover` repairs
-/// the structure after [`PmContext::crash_and_recover`] replayed the
-/// undo log.
+/// Each index writes two things once: its point descent,
+/// [`locate`](Self::locate), and its structure walk,
+/// [`walk`](Self::walk). The point operations are defaults over
+/// `locate`: [`get`](Self::get) runs it timed and reads the value,
+/// [`value_of`](Self::value_of) and [`contains`](Self::contains) run it
+/// untimed, and [`update`](Self::update) runs it timed inside a
+/// transaction and rewrites the value it finds. The untimed observers
+/// [`for_each_entry`](Self::for_each_entry), [`len`](Self::len) and
+/// [`reachable`](Self::reachable) are defaults over `walk`.
+///
+/// `insert` and `remove` run one durable transaction per call (the
+/// YCSB-load operation granularity). `check_invariants` inspects the
+/// structure via peeks; `recover` repairs it after
+/// [`PmContext::crash_and_recover`] replayed the undo log.
 pub trait DurableIndex {
     /// Benchmark name as figures print it.
     fn name(&self) -> &'static str;
@@ -92,52 +222,19 @@ pub trait DurableIndex {
     /// frees themselves defer to commit.
     fn remove(&mut self, ctx: &mut PmContext, key: u64) -> bool;
 
-    /// The value bytes stored for `key`, if present, with every read
-    /// and compute charge going through `r`.
-    fn lookup(&self, r: &mut Reader<'_>, key: u64) -> Option<Vec<u8>>;
+    /// Descends to `key`'s value, with every read and compute charge
+    /// going through `r`, and returns where it lives, or `None` when
+    /// the key is absent. A blob index loads the value pointer too and
+    /// reports a null one as absent. The descent reads no value bytes.
+    fn locate(&self, r: &mut Reader<'_>, key: u64) -> Option<ValueAt>;
 
-    /// Timed lookup: reads run through the simulated cache hierarchy
-    /// (no transaction needed — reads are non-mutating).
-    fn get(&self, ctx: &mut PmContext, key: u64) -> Option<Vec<u8>> {
-        self.lookup(&mut Reader::Timed(ctx), key)
-    }
-
-    /// Replaces `key`'s value in one durable transaction, returning
-    /// whether the key was present. The PM-friendly copy-on-write
-    /// idiom: write a fresh blob log-free, swap the (logged) pointer,
-    /// free the old blob — a crash either keeps the old blob (pointer
-    /// rolled back, fresh blob leaks to GC) or the new one.
-    fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool;
-
-    /// Whether `key` is present (untimed).
-    fn contains(&self, ctx: &PmContext, key: u64) -> bool {
-        self.value_of(ctx, key).is_some()
-    }
-
-    /// The value bytes stored for `key`, if present: the untimed
-    /// [`get`](Self::get). Like `get`, it is valid on a recovered
-    /// structure: after a crash, call it once [`recover`](Self::recover)
-    /// has rebuilt the lazily-persistent search state (the skiplist's
-    /// towers).
-    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
-        self.lookup(&mut Reader::Peek(ctx), key)
-    }
-
-    /// Calls `f(key, value address)` once for every present key, in
-    /// one walk of the structure (untimed; order is the structure's
-    /// own). The value bytes at the address are what
-    /// [`value_of`](Self::value_of) returns for the key. The walk does
-    /// not descend search paths, so it checks no placement rule:
+    /// Calls `f` once with [`Visit::Block`] for every heap allocation
+    /// the structure owns (roots included) and once with
+    /// [`Visit::Entry`] for every present key, in one untimed walk in
+    /// the structure's own order. The walk does not descend search
+    /// paths, so it checks no placement rule:
     /// [`check_invariants`](Self::check_invariants) does.
-    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr));
-
-    /// Number of keys present (untimed).
-    fn len(&self, ctx: &PmContext) -> usize;
-
-    /// `true` when the index holds no keys.
-    fn is_empty(&self, ctx: &PmContext) -> bool {
-        self.len(ctx) == 0
-    }
+    fn walk(&self, ctx: &PmContext, f: &mut dyn FnMut(Visit));
 
     /// Structure-specific invariants (chain integrity, BST/RB/AVL
     /// properties, heap order, …).
@@ -147,16 +244,83 @@ pub trait DurableIndex {
     /// Returns a human-readable description of the first violation.
     fn check_invariants(&self, ctx: &PmContext) -> Result<(), String>;
 
-    /// Every heap allocation reachable from the structure's roots
-    /// (input to the post-crash GC), in ascending address order, so
-    /// [`inspect`](crate::inspect) and [`PmContext::gc`] merge it with
-    /// the heap's live map without sorting it again.
-    fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr>;
-
     /// Post-crash, post-undo-replay structure recovery: rebuild
     /// lazily-persistent data (parent pointers, heights, moved data,
     /// counters) from what is durable.
     fn recover(&mut self, ctx: &mut PmContext);
+
+    /// Timed lookup: reads run through the simulated cache hierarchy
+    /// (no transaction needed — reads are non-mutating).
+    fn get(&self, ctx: &mut PmContext, key: u64) -> Option<Vec<u8>> {
+        let mut r = Reader::Timed(ctx);
+        self.locate(&mut r, key).map(|at| at.read(&mut r))
+    }
+
+    /// Replaces `key`'s value in one durable transaction, returning
+    /// whether the key was present: the timed [`locate`](Self::locate)
+    /// and the rewrite [`ValueAt`] describes. A miss commits its empty
+    /// transaction.
+    fn update(&mut self, ctx: &mut PmContext, key: u64, value: &[u8]) -> bool {
+        update_value(self, ctx, key, value)
+    }
+
+    /// Whether `key` is present (untimed).
+    fn contains(&self, ctx: &PmContext, key: u64) -> bool {
+        self.locate(&mut Reader::Peek(ctx), key).is_some()
+    }
+
+    /// The value bytes stored for `key`, if present: the untimed
+    /// [`get`](Self::get). Like `get`, it is valid on a recovered
+    /// structure: after a crash, call it once [`recover`](Self::recover)
+    /// has rebuilt the lazily-persistent search state (the skiplist's
+    /// towers).
+    fn value_of(&self, ctx: &PmContext, key: u64) -> Option<Vec<u8>> {
+        let mut r = Reader::Peek(ctx);
+        self.locate(&mut r, key).map(|at| at.read(&mut r))
+    }
+
+    /// Calls `f(key, value address)` once for every present key: the
+    /// [`Visit::Entry`] steps of [`walk`](Self::walk). The value bytes
+    /// at the address are what [`value_of`](Self::value_of) returns
+    /// for the key.
+    fn for_each_entry(&self, ctx: &PmContext, f: &mut dyn FnMut(u64, PmAddr)) {
+        self.walk(ctx, &mut |v| {
+            if let Visit::Entry(key, at) = v {
+                f(key, at);
+            }
+        });
+    }
+
+    /// Number of keys present (untimed).
+    fn len(&self, ctx: &PmContext) -> usize {
+        let mut count = 0;
+        self.walk(ctx, &mut |v| {
+            count += usize::from(matches!(v, Visit::Entry(..)))
+        });
+        count
+    }
+
+    /// `true` when the index holds no keys.
+    fn is_empty(&self, ctx: &PmContext) -> bool {
+        self.len(ctx) == 0
+    }
+
+    /// Every heap allocation reachable from the structure's roots (the
+    /// [`Visit::Block`] steps of [`walk`](Self::walk), input to the
+    /// post-crash GC), in ascending address order, so
+    /// [`inspect`](crate::inspect) and [`PmContext::gc`] merge it with
+    /// the heap's live map without sorting it again. A block the walk
+    /// meets twice is listed twice.
+    fn reachable(&self, ctx: &PmContext) -> Vec<PmAddr> {
+        let mut out = Vec::new();
+        self.walk(ctx, &mut |v| {
+            if let Visit::Block(a) = v {
+                out.push(a);
+            }
+        });
+        out.sort_unstable();
+        out
+    }
 
     /// Timed range scan: every `(key, value)` with `lo <= key <= hi`,
     /// in key order, when the index is ordered (`None` otherwise —
@@ -575,7 +739,7 @@ fn run_shard(spec: &RunSpec<'_>, load: &[YcsbOp], ops: &[MixedOp]) -> ShardRun {
             stats: *ctx.machine().stats(),
         },
         lat: MixLatencies {
-            classes: samples.map(LatencySummary::from_samples),
+            classes: samples.map(|mut s| LatencySummary::from_samples(&mut s)),
         },
         trace,
     }
@@ -673,32 +837,40 @@ fn apply_mixed(
 /// reporting.
 pub const OP_CLASSES: [&str; 6] = ["read", "insert", "update", "remove", "rmw", "scan"];
 
-/// Percentile summary of one operation class's simulated latencies.
+/// Nearest-rank percentile summary of one class's simulated
+/// latencies: an operation class of a run, or a request class of a
+/// serve run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
-    /// Number of operations observed.
+    /// Number of samples observed.
     pub count: u64,
-    /// Median simulated cycles per operation.
+    /// Median simulated cycles.
     pub p50: u64,
-    /// 99th-percentile simulated cycles per operation.
+    /// 99th-percentile simulated cycles.
     pub p99: u64,
-    /// Worst observed operation, in cycles.
+    /// 99.9th-percentile simulated cycles.
+    pub p999: u64,
+    /// Worst observed sample, in cycles.
     pub max: u64,
     /// Total simulated cycles across the class.
     pub total: u64,
 }
 
 impl LatencySummary {
-    fn from_samples(mut samples: Vec<u64>) -> LatencySummary {
+    /// Nearest-rank percentiles over the samples (sorted in place): the
+    /// `p`-th percentile is sample `(count - 1) * p` (as a fraction)
+    /// rounded down.
+    pub fn from_samples(samples: &mut [u64]) -> LatencySummary {
         if samples.is_empty() {
             return LatencySummary::default();
         }
         samples.sort_unstable();
-        let pct = |p: u64| samples[((samples.len() - 1) as u64 * p / 100) as usize];
+        let pick = |num: usize, den: usize| samples[(samples.len() - 1) * num / den];
         LatencySummary {
             count: samples.len() as u64,
-            p50: pct(50),
-            p99: pct(99),
+            p50: pick(50, 100),
+            p99: pick(99, 100),
+            p999: pick(999, 1000),
             max: *samples.last().unwrap(),
             total: samples.iter().sum(),
         }
@@ -797,6 +969,20 @@ mod tests {
             let out = par_map_with(&items, workers, |&x| x * x);
             assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn latency_math() {
+        let mut s = vec![5, 1, 9, 3, 7];
+        let l = LatencySummary::from_samples(&mut s);
+        assert_eq!((l.count, l.p50, l.max, l.total), (5, 5, 9, 25));
+        // Nearest-rank on 5 samples: index 4*99/100 = 3.
+        assert_eq!(l.p99, 7);
+        assert_eq!(l.p999, 7);
+        assert_eq!(
+            LatencySummary::from_samples(&mut []),
+            LatencySummary::default()
+        );
     }
 
     #[test]

@@ -1555,7 +1555,7 @@ fn cmd_serve(f: &mut Flags) -> Result<ExitCode, String> {
             w.key("latency");
             w.begin_obj();
             w.key("overall");
-            let lat_obj = |w: &mut JsonWriter, l: &slpmt::bench::serve::ServeLatency| {
+            let lat_obj = |w: &mut JsonWriter, l: &slpmt::workloads::LatencySummary| {
                 w.begin_obj();
                 w.key("count");
                 w.u64(l.count);
@@ -1607,7 +1607,7 @@ fn cmd_serve(f: &mut Flags) -> Result<ExitCode, String> {
                 row.makespan_cycles,
                 row.digest
             );
-            let print_lat = |name: &str, l: &slpmt::bench::serve::ServeLatency| {
+            let print_lat = |name: &str, l: &slpmt::workloads::LatencySummary| {
                 println!(
                     "      {name:<8} n={:<6} p50={:<6} p99={:<6} p999={:<6} max={}",
                     l.count, l.p50, l.p99, l.p999, l.max
