@@ -1,13 +1,21 @@
-//! Golden record of the CLI's simulated output.
+//! Golden record of the CLI's output.
 //!
-//! Every command below prints only simulated figures (cycles, counts,
-//! digests; no wall-clock, worker-count or host field). Each runs once
-//! at `SLPMT_THREADS=1` and once at `4`, and both outputs must equal
-//! `tests/golden/<name>.json` byte for byte. A change that claims not
-//! to move the simulation (a host-speed optimisation or a refactor)
-//! therefore passes without touching the goldens.
+//! Every `--json` command below prints only simulated figures (cycles,
+//! counts, digests; no wall-clock, worker-count or host field). Each
+//! command runs once at `SLPMT_THREADS=1` and once at `4`, in a fresh
+//! temporary working directory (so trace files never land in the
+//! repository), and both outputs must equal `tests/golden/<name>.json`
+//! (`--json` commands) or `tests/golden/<name>.txt` (text output) byte
+//! for byte. A change that claims not to move the simulation (a
+//! host-speed optimisation or a refactor) therefore passes without
+//! touching the goldens.
 //!
-//! A golden file holds one JSON array element per line (`},{` is split
+//! Text output carries three host fields, which [`mask`] replaces
+//! before comparing: the worker count and the elapsed seconds in
+//! `matrix`'s header, and the trailing `(N.NNs)` line of `crashsweep`
+//! and `faults`. Nothing else is masked.
+//!
+//! A JSON golden holds one array element per line (`},{` is split
 //! after the comma), so a moved cell shows up as one changed line in a
 //! diff. When a change is meant to move simulated output, regenerate
 //! with `SLPMT_BLESS=1 cargo test --test golden_outputs` and review the
@@ -20,9 +28,11 @@ use std::process::{Child, Command, Stdio};
 /// `(name, arguments)` of every pinned command. The first eight are
 /// small shapes of each simulated-output command; the next seven are
 /// the paper-size runs of the matrix, multi-core, sharded, YCSB, serve,
-/// chaos and software-PTM drivers; the last runs every YCSB mix on
+/// chaos and software-PTM drivers; the sixteenth runs every YCSB mix on
 /// every index, so each index's update, read-modify-write, read and
-/// scan paths are pinned.
+/// scan paths are pinned; the seventeenth adds `ycsb`'s sharded pass and
+/// media-fault battery. The rest pin one small shape of each command's
+/// text output.
 const COMMANDS: &[(&str, &str)] = &[
     ("faults", "faults --ops 12 --points 2 --json"),
     (
@@ -64,14 +74,53 @@ const COMMANDS: &[(&str, &str)] = &[
         "ycsb-indexes",
         "ycsb --mix all --workload all --load 100 --ops 300 --json",
     ),
+    (
+        "ycsb-shards",
+        "ycsb --mix b --load 40 --ops 120 --sweep --faults --points 2 --shards 2 --json",
+    ),
+    ("schemes", "schemes"),
+    ("run", "run hashtable --ops 50"),
+    ("compare", "compare heap --ops 50"),
+    ("matrix", "matrix --ops 20"),
+    ("trace", "trace --ops 20 --out trace-out.json"),
+    ("crashsweep", "crashsweep --ops 4"),
+    ("faults", "faults --ops 12 --points 2"),
+    ("mc", "mc --cores 3 --seed 5 --sched weighted:9"),
+    ("mc-crash-at", "mc --cores 2 --seed 5 --crash-at 40"),
+    ("shards", "shards hashtable --ops 300 --shards 4"),
+    (
+        "ycsb-shards",
+        "ycsb --mix b --load 40 --ops 120 --sweep --faults --points 2 --shards 2",
+    ),
+    ("serve", "serve --load 100 --requests 300"),
+    ("chaos", "chaos --requests 30 --points 2"),
+    ("ptm", "ptm --ops 100"),
 ];
 
 /// Host worker counts every command runs at.
 const THREADS: [&str; 2] = ["1", "4"];
 
-fn spawn(args: &str, threads: &str) -> Child {
+/// The golden file `name`'s output is compared with: `.json` for a
+/// `--json` command, `.txt` for text output.
+fn golden_file(name: &str, args: &str) -> String {
+    let ext = if args.contains("--json") {
+        "json"
+    } else {
+        "txt"
+    };
+    format!("tests/golden/{name}.{ext}")
+}
+
+/// Runs `slpmt args` in a fresh, empty working directory named after
+/// the golden `file` and the thread count.
+fn spawn(file: &str, args: &str, threads: &str) -> Child {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("{}-t{threads}", file.replace('/', "-")));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the working directory");
     Command::new(env!("CARGO_BIN_EXE_slpmt"))
         .args(args.split_whitespace())
+        .current_dir(dir)
         .env("SLPMT_THREADS", threads)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -79,18 +128,45 @@ fn spawn(args: &str, threads: &str) -> Child {
         .expect("spawn slpmt")
 }
 
-/// The command's stdout, one JSON array element per line.
-fn output(name: &str, child: Child, threads: &str) -> String {
+/// Masks the three host fields of text output: `matrix`'s header ends
+/// `, <workers> worker(s), <secs>s`, and `crashsweep` and `faults` end
+/// on a `(<secs>s)` line.
+fn mask(text: &str) -> String {
+    text.split_inclusive('\n')
+        .map(|line| {
+            let body = line.trim_end_matches('\n');
+            let end = &line[body.len()..];
+            if body.starts_with("scheme × index matrix:") {
+                let cut = body.rsplitn(3, ", ").last().unwrap_or(body);
+                format!("{cut}, * worker(s), *s{end}")
+            } else if body.starts_with('(')
+                && body.ends_with("s)")
+                && body[1..body.len() - 2].parse::<f64>().is_ok()
+            {
+                format!("(*s){end}")
+            } else {
+                line.to_string()
+            }
+        })
+        .collect()
+}
+
+/// The command's stdout: for JSON one array element per line, for text
+/// with its host fields masked.
+fn output(file: &str, child: Child, threads: &str) -> String {
     let out = child.wait_with_output().expect("wait for slpmt");
     assert!(
         out.status.success(),
-        "{name} (SLPMT_THREADS={threads}) exited {:?}:\n{}",
+        "{file} (SLPMT_THREADS={threads}) exited {:?}:\n{}",
         out.status.code(),
         String::from_utf8_lossy(&out.stderr)
     );
-    String::from_utf8(out.stdout)
-        .expect("UTF-8 output")
-        .replace("},{", "},\n{")
+    let text = String::from_utf8(out.stdout).expect("UTF-8 output");
+    if file.ends_with(".json") {
+        text.replace("},{", "},\n{")
+    } else {
+        mask(&text)
+    }
 }
 
 /// `None` if `got` equals `want`, else where they first differ.
@@ -115,18 +191,29 @@ fn first_difference(want: &str, got: &str) -> Option<String> {
 }
 
 #[test]
+fn masking_replaces_only_the_host_fields() {
+    let text = "scheme × index matrix: 48 cells, 20 × 256 B inserts, 4 worker(s), 0.06s\n\
+                cell cycles\n(0.11s)\n(seed 42)\n  (3 more failure(s) not auto-captured)\n";
+    assert_eq!(
+        mask(text),
+        "scheme × index matrix: 48 cells, 20 × 256 B inserts, * worker(s), *s\n\
+         cell cycles\n(*s)\n(seed 42)\n  (3 more failure(s) not auto-captured)\n"
+    );
+}
+
+#[test]
 fn cli_output_matches_goldens_at_every_thread_count() {
     let bless = std::env::var("SLPMT_BLESS").is_ok();
     let mut failures = Vec::new();
     let mut blessed = Vec::new();
     for &(name, args) in COMMANDS {
-        let children: Vec<Child> = THREADS.iter().map(|t| spawn(args, t)).collect();
+        let file = golden_file(name, args);
+        let children: Vec<Child> = THREADS.iter().map(|t| spawn(&file, args, t)).collect();
         let outs: Vec<String> = children
             .into_iter()
             .zip(THREADS)
-            .map(|(child, t)| output(name, child, t))
+            .map(|(child, t)| output(&file, child, t))
             .collect();
-        let file = format!("tests/golden/{name}.json");
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(&file);
         if bless {
             match first_difference(&outs[0], &outs[1]) {
