@@ -3,9 +3,9 @@
 use std::fmt;
 
 /// Declares [`MachineStats`] from one list of `(doc, field)` counters:
-/// the struct, [`MachineStats::counters`] (the `--json` key order) and
-/// [`MachineStats::accumulate`] all expand from it, so adding a counter
-/// is one line here.
+/// the struct, [`MachineStats::counters`] (the `--json` key order),
+/// [`MachineStats::accumulate`] and the `--json` stats object all
+/// expand from it, so adding a counter is one line here.
 macro_rules! machine_stats {
     ($($(#[doc = $doc:literal])+ $field:ident,)+) => {
         /// Counters accumulated by [`Machine`](crate::Machine) during a run.
@@ -25,6 +25,14 @@ macro_rules! machine_stats {
             /// per-worker runs; field-wise, order-independent).
             pub fn accumulate(&mut self, other: &MachineStats) {
                 $(self.$field += other.$field;)+
+            }
+        }
+
+        /// The CLI's `--json` stats object: every counter, keyed by
+        /// field name, in declaration order.
+        impl slpmt_trace::ToJson for MachineStats {
+            fn write_json(&self, w: &mut slpmt_trace::JsonWriter) {
+                slpmt_trace::json::Obj(self.counters().collect()).write_json(w);
             }
         }
     };

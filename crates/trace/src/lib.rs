@@ -36,7 +36,7 @@ pub mod perfetto;
 pub mod tracer;
 
 pub use event::{CommitStage, Component, Event, PersistKind, RecoveryStage, RequestVerb};
-pub use json::JsonWriter;
+pub use json::{JsonWriter, ToJson};
 pub use metrics::Metrics;
 pub use perfetto::export_chrome_trace;
 pub use tracer::{tracer, TraceHandle, TraceRecord, Tracer};

@@ -17,15 +17,18 @@
 //! runs share-nothing keyspace shards on `SLPMT_THREADS` host workers
 //! and reports *simulated* scaling (ops per kilocycle of makespan).
 
+use slpmt::bench::serve::ServeRow;
 use slpmt::cache::TxnId;
 use slpmt::core::{
-    CrashTarget, MachineConfig, MachineStats, PtmFlavor, Scheme, SchemeKind, SweepFailure,
+    CrashTarget, MachineConfig, PtmFlavor, Scheme, SchemeKind, SweepFailure, SweepReport,
 };
+use slpmt::kv::service::VERB_CLASSES;
 use slpmt::pmem::FaultPlan;
-use slpmt::trace::{export_chrome_trace, JsonWriter, Metrics, TraceRecord};
+use slpmt::trace::json::{Fields, Obj};
+use slpmt::trace::{export_chrome_trace, json_obj, Metrics, ToJson, TraceRecord};
 use slpmt::workloads::runner::{par_map_with, run, threads, IndexKind, RunSpec};
 use slpmt::workloads::ycsb::MixSpec;
-use slpmt::workloads::{ycsb_load, AnnotationSource};
+use slpmt::workloads::{ycsb_load, AnnotationSource, LatencySummary, YcsbOp};
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -170,16 +173,43 @@ fn exit_code(clean: bool) -> ExitCode {
     }
 }
 
-/// Emits every [`MachineStats`] counter under `key` in the current
-/// JSON object (the machine-readable twin of `MachineStats::summary`).
-fn json_stats(w: &mut JsonWriter, key: &str, s: &MachineStats) {
-    w.key(key);
-    w.begin_obj();
-    for (name, v) in s.counters() {
-        w.key(name);
-        w.u64(v);
+/// Prints one `--json` object on one line.
+fn print_json(value: impl ToJson) {
+    println!("{}", value.to_json());
+}
+
+/// `Display` forms of `items`, for JSON arrays of names.
+fn names<T: Display>(items: impl IntoIterator<Item = T>) -> Vec<String> {
+    items.into_iter().map(|x| x.to_string()).collect()
+}
+
+/// A `ycsb` per-class latency object.
+fn ycsb_latency(s: &LatencySummary) -> Fields<'static> {
+    json_obj! {
+        "count": s.count,
+        "p50": s.p50,
+        "p99": s.p99,
+        "max": s.max,
+        "total": s.total,
     }
-    w.end_obj();
+}
+
+/// `serve`'s latency classes: `overall`, then each verb class that saw
+/// a request.
+fn serve_classes(row: &ServeRow) -> impl Iterator<Item = (&'static str, &LatencySummary)> {
+    let verbs = VERB_CLASSES.into_iter().zip(&row.per_verb);
+    std::iter::once(("overall", &row.overall)).chain(verbs.filter(|(_, l)| l.count > 0))
+}
+
+/// A `serve` latency object.
+fn serve_latency(l: &LatencySummary) -> Fields<'static> {
+    json_obj! {
+        "count": l.count,
+        "p50": l.p50,
+        "p99": l.p99,
+        "p999": l.p999,
+        "max": l.max,
+    }
 }
 
 /// One command's flags, split in a single pass against its synopsis
@@ -481,14 +511,24 @@ impl Options {
             latency_ns: f.opt("--latency"),
         }
     }
-}
 
-fn config_for(o: &Options, scheme: Scheme) -> MachineConfig {
-    let mut cfg = MachineConfig::for_scheme(scheme);
-    if let Some(ns) = o.latency_ns {
-        cfg.pm = cfg.pm.with_write_latency_ns(ns);
+    /// The insert run of `ops` on `kind` under `scheme`, with the
+    /// flags' value size, annotation source and PM write latency.
+    fn spec<'a>(
+        &self,
+        scheme: impl Into<SchemeKind>,
+        kind: IndexKind,
+        ops: &'a [YcsbOp],
+    ) -> RunSpec<'a> {
+        let mut cfg = MachineConfig::for_kind(scheme);
+        if let Some(ns) = self.latency_ns {
+            cfg.pm = cfg.pm.with_write_latency_ns(ns);
+        }
+        RunSpec {
+            source: self.annotations,
+            ..RunSpec::inserts(cfg, kind, ops, self.value)
+        }
     }
-    cfg
 }
 
 /// The workload set `crashsweep` and `faults` default to; their
@@ -567,9 +607,10 @@ fn cmd_run(f: &mut Flags) -> Result<ExitCode, String> {
     let o = &Options::parse(f);
     f.finish()?;
     let ops = ycsb_load(o.ops, o.value, 42);
-    let mut spec = RunSpec::inserts(config_for(o, o.scheme), kind, &ops, o.value);
-    spec.source = o.annotations;
-    spec.verify = true;
+    let spec = RunSpec {
+        verify: true,
+        ..o.spec(o.scheme, kind, &ops)
+    };
     let r = run(&spec).single().result;
     println!(
         "{kind} under {} ({} × {} B inserts, verified)",
@@ -591,11 +632,7 @@ fn cmd_compare(f: &mut Flags) -> Result<ExitCode, String> {
     let o = &Options::parse(f);
     f.finish()?;
     let ops = ycsb_load(o.ops, o.value, 42);
-    let run_scheme = |s: Scheme| {
-        let mut spec = RunSpec::inserts(config_for(o, s), kind, &ops, o.value);
-        spec.source = o.annotations;
-        run(&spec).single().result
-    };
+    let run_scheme = |s: Scheme| run(&o.spec(s, kind, &ops)).single().result;
     let base = run_scheme(Scheme::Fg);
     println!(
         "{kind}: {} × {} B inserts (speedup and traffic vs FG)",
@@ -631,57 +668,35 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
     let cells = fig08_cells(&IndexKind::ALL);
     let start = std::time::Instant::now();
     let results = par_map_with(&cells, threads(), |c| {
-        let mut spec = c.spec(&ops, o.value);
-        spec.source = o.annotations;
-        if let Some(ns) = o.latency_ns {
-            spec.cfg.pm = spec.cfg.pm.with_write_latency_ns(ns);
-        }
-        run(&spec).single().result
+        run(&o.spec(c.scheme, c.kind, &ops)).single().result
     });
     let elapsed = start.elapsed();
-    let row = 1 + 5; // FG baseline + the five compared schemes
+    // Each index's chunk is its FG baseline and the five compared
+    // schemes; a row is (result, speedup vs that FG, write amplification).
+    let rows: Vec<_> = results
+        .chunks_exact(1 + 5)
+        .flat_map(|chunk| chunk.iter().map(|r| (r, r.speedup_vs(&chunk[0]), r.waf())))
+        .collect();
     if json {
         // Deliberately no wall-clock or worker-count field: this object
         // is diffed byte-for-byte across SLPMT_THREADS values in CI.
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.key("command");
-        w.string("matrix");
-        w.key("ops");
-        w.u64(o.ops as u64);
-        w.key("value_bytes");
-        w.u64(o.value as u64);
-        w.key("cells");
-        w.begin_arr();
-        for (k, chunk) in results.chunks_exact(row).enumerate() {
-            let base = &chunk[0];
-            for r in chunk {
-                w.begin_obj();
-                w.key("workload");
-                w.string(&IndexKind::ALL[k].to_string());
-                w.key("scheme");
-                w.string(&r.scheme.to_string());
-                w.key("cycles");
-                w.u64(r.cycles);
-                w.key("speedup_vs_fg");
-                w.f64(r.speedup_vs(base));
-                w.key("media_bytes");
-                w.u64(r.traffic.media_bytes());
-                w.key("data_lines");
-                w.u64(r.traffic.data_lines);
-                w.key("log_records");
-                w.u64(r.traffic.log_records);
-                w.key("logical_bytes");
-                w.u64(r.logical_bytes);
-                w.key("waf");
-                w.f64(r.waf());
-                json_stats(&mut w, "stats", &r.stats);
-                w.end_obj();
-            }
-        }
-        w.end_arr();
-        w.end_obj();
-        println!("{}", w.finish());
+        print_json(json_obj! {
+            "command": "matrix",
+            "ops": o.ops,
+            "value_bytes": o.value,
+            "cells": rows.iter().map(|&(r, speedup, waf)| json_obj! {
+                "workload": r.kind.to_string(),
+                "scheme": r.scheme.to_string(),
+                "cycles": r.cycles,
+                "speedup_vs_fg": speedup,
+                "media_bytes": r.traffic.media_bytes(),
+                "data_lines": r.traffic.data_lines,
+                "log_records": r.traffic.log_records,
+                "logical_bytes": r.logical_bytes,
+                "waf": waf,
+                "stats": &r.stats,
+            }).collect::<Vec<_>>(),
+        });
         return Ok(ExitCode::SUCCESS);
     }
     println!(
@@ -696,20 +711,16 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
         "{:<18} {:>12} {:>8} {:>12} {:>10} {:>7}",
         "cell", "cycles", "vs FG", "media B", "log recs", "waf"
     );
-    for (k, chunk) in results.chunks_exact(row).enumerate() {
-        let kind = IndexKind::ALL[k];
-        let base = &chunk[0];
-        for r in chunk {
-            println!(
-                "{:<18} {:>12} {:>7.2}x {:>12} {:>10} {:>7.2}",
-                format!("{kind}/{}", r.scheme),
-                r.cycles,
-                r.speedup_vs(base),
-                r.traffic.media_bytes(),
-                r.traffic.log_records,
-                r.waf(),
-            );
-        }
+    for &(r, speedup, waf) in &rows {
+        println!(
+            "{:<18} {:>12} {:>7.2}x {:>12} {:>10} {:>7.2}",
+            format!("{}/{}", r.kind, r.scheme),
+            r.cycles,
+            speedup,
+            r.traffic.media_bytes(),
+            r.traffic.log_records,
+            waf,
+        );
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -851,50 +862,25 @@ fn cmd_faults(f: &mut Flags) -> Result<ExitCode, String> {
         name,
     )?;
     if json {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.key("command");
-        w.string("faults");
-        w.key("seed");
-        w.u64(seed);
-        w.key("ops");
-        w.u64(ops as u64);
-        w.key("points_per_case");
-        w.u64(points as u64);
-        w.key("cases");
-        w.u64(report.cases as u64);
-        w.key("points");
-        w.u64(report.points() as u64);
-        w.key("clean");
-        w.bool(report.is_clean());
-        w.key("failures");
-        w.begin_arr();
-        for (i, fail) in report.failures.iter().enumerate() {
-            let b = &fail.case;
-            w.begin_obj();
-            w.key("scheme");
-            w.string(&b.scheme.to_string());
-            w.key("workload");
-            w.string(&b.kind.to_string());
-            w.key("seed");
-            w.u64(b.seed);
-            w.key("ops");
-            w.u64(b.ops as u64);
-            w.key("plan");
-            w.string(&fail.plan.to_string());
-            w.key("k");
-            w.u64(fail.k.unwrap_or(0));
-            w.key("detail");
-            w.string(&fail.detail);
-            if let Some(path) = captured.get(i) {
-                w.key("trace");
-                w.string(&path.display().to_string());
-            }
-            w.end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
-        println!("{}", w.finish());
+        print_json(json_obj! {
+            "command": "faults",
+            "seed": seed,
+            "ops": ops,
+            "points_per_case": points,
+            "cases": report.cases,
+            "points": report.points(),
+            "clean": report.is_clean(),
+            "failures": report.failures.iter().enumerate().map(|(i, fail)| json_obj! {
+                "scheme": fail.case.scheme.to_string(),
+                "workload": fail.case.kind.to_string(),
+                "seed": fail.case.seed,
+                "ops": fail.case.ops,
+                "plan": fail.plan.to_string(),
+                "k": fail.k.unwrap_or(0),
+                "detail": &fail.detail,
+                "trace": captured.get(i).map(|path| path.display().to_string()),
+            }).collect::<Vec<_>>(),
+        });
     } else {
         println!("({:.2}s)", start.elapsed().as_secs_f64());
     }
@@ -955,42 +941,25 @@ fn cmd_mc(f: &mut Flags) -> Result<ExitCode, String> {
         .filter(|e| matches!(e, McEvent::ConflictAborted { .. }))
         .count();
     let oracle = check_serialized_oracle(&m, &outcome);
+    let digest = format!("{:#018x}", outcome.image_digest);
     if json {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.key("command");
-        w.string("mc");
-        w.key("scheme");
-        w.string(&case.scheme.to_string());
-        w.key("cores");
-        w.u64(case.cores as u64);
-        w.key("seed");
-        w.u64(case.seed);
-        w.key("sched");
-        w.string(&case.sched.to_string());
-        w.key("txns_per_core");
-        w.u64(case.txns_per_core as u64);
-        w.key("stores_per_txn");
-        w.u64(case.stores_per_txn as u64);
-        w.key("skew_milli");
-        w.u64(case.skew as u64);
-        w.key("committed");
-        w.u64(outcome.committed.len() as u64);
-        w.key("cross_core_aborts");
-        w.u64(aborts as u64);
-        w.key("cycles");
-        w.u64(outcome.now);
-        w.key("image_digest");
-        w.string(&format!("{:#018x}", outcome.image_digest));
-        w.key("oracle_ok");
-        w.bool(oracle.is_ok());
-        if let Err(e) = &oracle {
-            w.key("oracle_error");
-            w.string(e);
-        }
-        json_stats(&mut w, "stats", &outcome.stats);
-        w.end_obj();
-        println!("{}", w.finish());
+        print_json(json_obj! {
+            "command": "mc",
+            "scheme": case.scheme.to_string(),
+            "cores": case.cores,
+            "seed": case.seed,
+            "sched": case.sched.to_string(),
+            "txns_per_core": case.txns_per_core,
+            "stores_per_txn": case.stores_per_txn,
+            "skew_milli": case.skew,
+            "committed": outcome.committed.len(),
+            "cross_core_aborts": aborts,
+            "cycles": outcome.now,
+            "image_digest": &digest,
+            "oracle_ok": oracle.is_ok(),
+            "oracle_error": oracle.as_ref().err(),
+            "stats": &outcome.stats,
+        });
         return Ok(exit_code(oracle.is_ok()));
     }
     println!(
@@ -1003,7 +972,7 @@ fn cmd_mc(f: &mut Flags) -> Result<ExitCode, String> {
         aborts
     );
     println!("  cycles        : {}", outcome.now);
-    println!("  image digest  : {:#018x}", outcome.image_digest);
+    println!("  image digest  : {digest}");
     for e in &outcome.events {
         match e {
             McEvent::Committed { core, seq } => println!("  core {core} committed txn {seq}"),
@@ -1054,45 +1023,29 @@ fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
     };
     let base = run_shards(1);
     let res = run_shards(shards);
+    let kcycle = res.sim_ops_per_kcycle();
+    let speedup = kcycle / base.sim_ops_per_kcycle();
+    let media_bytes = res.merged_traffic().media_bytes();
+    let stats = res.merged_stats();
     if json {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.key("command");
-        w.string("shards");
-        w.key("workload");
-        w.string(&kind.to_string());
-        w.key("scheme");
-        w.string(&scheme.to_string());
-        w.key("ops");
-        w.u64(ops as u64);
-        w.key("value_bytes");
-        w.u64(value as u64);
-        w.key("shards");
-        w.u64(shards as u64);
-        w.key("makespan_cycles");
-        w.u64(res.sim_cycles());
-        w.key("total_cycles");
-        w.u64(res.total_cycles());
-        w.key("sim_ops_per_kcycle");
-        w.f64(res.sim_ops_per_kcycle());
-        w.key("speedup_vs_1_shard");
-        w.f64(res.sim_ops_per_kcycle() / base.sim_ops_per_kcycle());
-        w.key("media_bytes");
-        w.u64(res.merged_traffic().media_bytes());
-        w.key("per_shard");
-        w.begin_arr();
-        for r in res.shards.iter().map(|s| &s.result) {
-            w.begin_obj();
-            w.key("commits");
-            w.u64(r.stats.tx_commits);
-            w.key("cycles");
-            w.u64(r.cycles);
-            w.end_obj();
-        }
-        w.end_arr();
-        json_stats(&mut w, "stats", &res.merged_stats());
-        w.end_obj();
-        println!("{}", w.finish());
+        print_json(json_obj! {
+            "command": "shards",
+            "workload": kind.to_string(),
+            "scheme": scheme.to_string(),
+            "ops": ops,
+            "value_bytes": value,
+            "shards": shards,
+            "makespan_cycles": res.sim_cycles(),
+            "total_cycles": res.total_cycles(),
+            "sim_ops_per_kcycle": kcycle,
+            "speedup_vs_1_shard": speedup,
+            "media_bytes": media_bytes,
+            "per_shard": res.shards.iter().map(|s| json_obj! {
+                "commits": s.result.stats.tx_commits,
+                "cycles": s.result.cycles,
+            }).collect::<Vec<_>>(),
+            "stats": &stats,
+        });
         return Ok(ExitCode::SUCCESS);
     }
     println!("{kind} under {scheme}: {ops} × {value} B inserts across {shards} shard(s)");
@@ -1106,16 +1059,9 @@ fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
         "  makespan      : {} cycles (slowest shard)",
         res.sim_cycles()
     );
-    println!(
-        "  sim throughput: {:.3} ops/kcycle ({:.2}x vs 1 shard)",
-        res.sim_ops_per_kcycle(),
-        res.sim_ops_per_kcycle() / base.sim_ops_per_kcycle()
-    );
-    println!(
-        "  media traffic : {} B across shards",
-        res.merged_traffic().media_bytes()
-    );
-    println!("  {}", res.merged_stats().summary());
+    println!("  sim throughput: {kcycle:.3} ops/kcycle ({speedup:.2}x vs 1 shard)");
+    println!("  media traffic : {media_bytes} B across shards");
+    println!("  {}", stats.summary());
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1144,59 +1090,42 @@ fn cmd_ptm(f: &mut Flags) -> Result<ExitCode, String> {
     let results = par_map_with(&cells, threads(), |c| {
         run(&c.spec(&stream, value)).single().result
     });
-    let per_txn = |s: &MachineStats| match s.tx_commits {
-        0 => 0.0,
-        txns => s.fences as f64 / txns as f64,
-    };
+    // (result, write amplification, fences per committed transaction)
+    let rows: Vec<_> = results
+        .iter()
+        .map(|r| {
+            let per_txn = match r.stats.tx_commits {
+                0 => 0.0,
+                txns => r.stats.fences as f64 / txns as f64,
+            };
+            (r, r.waf(), per_txn)
+        })
+        .collect();
 
     if json {
         // Deliberately no wall-clock or worker-count field: this object
         // is diffed byte-for-byte across SLPMT_THREADS values in CI.
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.key("command");
-        w.string("ptm");
-        w.key("schema");
-        w.u64(1);
-        w.key("ops");
-        w.u64(ops as u64);
-        w.key("value_bytes");
-        w.u64(value as u64);
-        w.key("rows");
-        w.begin_arr();
-        for r in &results {
-            w.begin_obj();
-            w.key("scheme");
-            w.string(&r.scheme.to_string());
-            w.key("workload");
-            w.string(&r.kind.to_string());
-            w.key("sim_cycles");
-            w.u64(r.cycles);
-            w.key("txns");
-            w.u64(r.stats.tx_commits);
-            w.key("fences");
-            w.u64(r.stats.fences);
-            w.key("flushes");
-            w.u64(r.stats.flushes);
-            w.key("fence_stall_cycles");
-            w.u64(r.stats.fence_stall_cycles);
-            w.key("data_bytes");
-            w.u64(r.traffic.data_bytes);
-            w.key("log_bytes");
-            w.u64(r.traffic.log_bytes);
-            w.key("log_records");
-            w.u64(r.traffic.log_records);
-            w.key("logical_bytes");
-            w.u64(r.logical_bytes);
-            w.key("waf");
-            w.f64(r.waf());
-            w.key("fences_per_txn");
-            w.f64(per_txn(&r.stats));
-            w.end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
-        println!("{}", w.finish());
+        print_json(json_obj! {
+            "command": "ptm",
+            "schema": 1,
+            "ops": ops,
+            "value_bytes": value,
+            "rows": rows.iter().map(|&(r, waf, per_txn)| json_obj! {
+                "scheme": r.scheme.to_string(),
+                "workload": r.kind.to_string(),
+                "sim_cycles": r.cycles,
+                "txns": r.stats.tx_commits,
+                "fences": r.stats.fences,
+                "flushes": r.stats.flushes,
+                "fence_stall_cycles": r.stats.fence_stall_cycles,
+                "data_bytes": r.traffic.data_bytes,
+                "log_bytes": r.traffic.log_bytes,
+                "log_records": r.traffic.log_records,
+                "logical_bytes": r.logical_bytes,
+                "waf": waf,
+                "fences_per_txn": per_txn,
+            }).collect::<Vec<_>>(),
+        });
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -1210,16 +1139,16 @@ fn cmd_ptm(f: &mut Flags) -> Result<ExitCode, String> {
         "{:<22} {:>12} {:>8} {:>7} {:>8} {:>10} {:>7}",
         "cell", "cycles", "fences", "f/txn", "flushes", "log B", "waf"
     );
-    for r in &results {
+    for &(r, waf, per_txn) in &rows {
         println!(
             "{:<22} {:>12} {:>8} {:>7.2} {:>8} {:>10} {:>7.2}",
             format!("{}/{}", r.kind, r.scheme),
             r.cycles,
             r.stats.fences,
-            per_txn(&r.stats),
+            per_txn,
             r.stats.flushes,
             r.traffic.log_bytes,
-            r.waf(),
+            waf,
         );
     }
     Ok(ExitCode::SUCCESS)
@@ -1255,8 +1184,9 @@ fn cmd_ycsb(f: &mut Flags) -> Result<ExitCode, String> {
     let rows = run_ycsb_matrix(&cells, &cfg, true);
 
     // Optional sharded pass: the same mixes through the keyspace-
-    // sharded driver, one run per (mix, scheme, kind) cell.
-    let mut shard_rows: Vec<(String, String, String, u64, f64)> = Vec::new();
+    // sharded driver, one run per (mix, scheme, kind) cell, as
+    // (cell, makespan cycles, ops per kilocycle).
+    let mut shard_rows = Vec::new();
     if shards > 0 {
         for cell in &cells {
             let (load, ops) = ycsb_mix(cfg.load, cfg.ops, cfg.value_size, cfg.seed, &cell.mix);
@@ -1267,13 +1197,7 @@ fn cmd_ycsb(f: &mut Flags) -> Result<ExitCode, String> {
                 workers: threads(),
                 ..RunSpec::mixed(machine, cell.kind, &load, &ops, cfg.value_size)
             });
-            shard_rows.push((
-                cell.mix.to_string(),
-                cell.scheme.to_string(),
-                cell.kind.to_string(),
-                r.sim_cycles(),
-                r.sim_ops_per_kcycle(),
-            ));
+            shard_rows.push((cell, r.sim_cycles(), r.sim_ops_per_kcycle()));
         }
     }
 
@@ -1286,116 +1210,51 @@ fn cmd_ycsb(f: &mut Flags) -> Result<ExitCode, String> {
         let plans = default_plans(cases.first().map_or(0, |c| c.seed));
         run_sweep(&EngineTarget, &cases, &plans, points)
     });
+    let wafs: Vec<f64> = rows.iter().map(|row| row.result.waf()).collect();
 
     if json {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.key("command");
-        w.string("ycsb");
-        w.key("schema");
-        w.u64(1);
-        w.key("load");
-        w.u64(cfg.load as u64);
-        w.key("ops");
-        w.u64(cfg.ops as u64);
-        w.key("value_bytes");
-        w.u64(cfg.value_size as u64);
-        w.key("seed");
-        w.u64(cfg.seed);
-        w.key("rows");
-        w.begin_arr();
-        for row in &rows {
-            w.begin_obj();
-            w.key("mix");
-            w.string(&row.cell.mix.to_string());
-            w.key("spec");
-            w.string(&row.cell.mix.to_string());
-            w.key("scheme");
-            w.string(&row.cell.scheme.to_string());
-            w.key("workload");
-            w.string(&row.cell.kind.to_string());
-            w.key("sim_cycles");
-            w.u64(row.result.cycles);
-            w.key("data_bytes");
-            w.u64(row.result.traffic.data_bytes);
-            w.key("log_bytes");
-            w.u64(row.result.traffic.log_bytes);
-            w.key("fences");
-            w.u64(row.result.stats.fences);
-            w.key("flushes");
-            w.u64(row.result.stats.flushes);
-            w.key("logical_bytes");
-            w.u64(row.result.logical_bytes);
-            w.key("waf");
-            w.f64(row.result.waf());
-            w.key("latencies");
-            w.begin_obj();
-            for (name, s) in row.lat.present() {
-                w.key(name);
-                w.begin_obj();
-                w.key("count");
-                w.u64(s.count);
-                w.key("p50");
-                w.u64(s.p50);
-                w.key("p99");
-                w.u64(s.p99);
-                w.key("max");
-                w.u64(s.max);
-                w.key("total");
-                w.u64(s.total);
-                w.end_obj();
+        let sweep_json = |report: &SweepReport<_, _>| {
+            json_obj! {
+                "points": report.points(),
+                "cases": report.cases,
+                "clean": report.is_clean(),
+                "failures": names(&report.failures),
             }
-            w.end_obj();
-            w.end_obj();
-        }
-        w.end_arr();
-        if !shard_rows.is_empty() {
-            w.key("shards");
-            w.begin_obj();
-            w.key("shards");
-            w.u64(shards as u64);
-            w.key("rows");
-            w.begin_arr();
-            for (mix, scheme, kind, makespan, kcycle) in &shard_rows {
-                w.begin_obj();
-                w.key("mix");
-                w.string(mix);
-                w.key("scheme");
-                w.string(scheme);
-                w.key("workload");
-                w.string(kind);
-                w.key("makespan_cycles");
-                w.u64(*makespan);
-                w.key("sim_ops_per_kcycle");
-                w.f64(*kcycle);
-                w.end_obj();
-            }
-            w.end_arr();
-            w.end_obj();
-        }
-        for (key, report) in [
-            ("crash_sweep", &sweep_report),
-            ("fault_sweep", &fault_report),
-        ] {
-            let Some(report) = report else { continue };
-            w.key(key);
-            w.begin_obj();
-            w.key("points");
-            w.u64(report.points() as u64);
-            w.key("cases");
-            w.u64(report.cases as u64);
-            w.key("clean");
-            w.bool(report.is_clean());
-            w.key("failures");
-            w.begin_arr();
-            for fail in &report.failures {
-                w.string(&fail.to_string());
-            }
-            w.end_arr();
-            w.end_obj();
-        }
-        w.end_obj();
-        println!("{}", w.finish());
+        };
+        print_json(json_obj! {
+            "command": "ycsb",
+            "schema": 1,
+            "load": cfg.load,
+            "ops": cfg.ops,
+            "value_bytes": cfg.value_size,
+            "seed": cfg.seed,
+            "rows": rows.iter().zip(&wafs).map(|(row, &waf)| json_obj! {
+                "mix": row.cell.mix.to_string(),
+                "spec": row.cell.mix.to_string(),
+                "scheme": row.cell.scheme.to_string(),
+                "workload": row.cell.kind.to_string(),
+                "sim_cycles": row.result.cycles,
+                "data_bytes": row.result.traffic.data_bytes,
+                "log_bytes": row.result.traffic.log_bytes,
+                "fences": row.result.stats.fences,
+                "flushes": row.result.stats.flushes,
+                "logical_bytes": row.result.logical_bytes,
+                "waf": waf,
+                "latencies": Obj(row.lat.present().map(|(n, s)| (n, ycsb_latency(s))).collect()),
+            }).collect::<Vec<_>>(),
+            "shards": (shards > 0).then(|| json_obj! {
+                "shards": shards,
+                "rows": shard_rows.iter().map(|&(cell, makespan, kcycle)| json_obj! {
+                    "mix": cell.mix.to_string(),
+                    "scheme": cell.scheme.to_string(),
+                    "workload": cell.kind.to_string(),
+                    "makespan_cycles": makespan,
+                    "sim_ops_per_kcycle": kcycle,
+                }).collect::<Vec<_>>(),
+            }),
+            "crash_sweep": sweep_report.as_ref().map(sweep_json),
+            "fault_sweep": fault_report.as_ref().map(sweep_json),
+        });
     } else {
         println!(
             "ycsb matrix: {} cell(s) ({} load + {} ops, {} B values, seed {})",
@@ -1405,15 +1264,14 @@ fn cmd_ycsb(f: &mut Flags) -> Result<ExitCode, String> {
             cfg.value_size,
             cfg.seed
         );
-        for row in &rows {
+        for (row, waf) in rows.iter().zip(&wafs) {
             println!(
-                "  {:<18} {:<10} {:<10} {:>9} cycles  {:>7} fences  waf {:.2}",
+                "  {:<18} {:<10} {:<10} {:>9} cycles  {:>7} fences  waf {waf:.2}",
                 row.cell.mix.to_string(),
                 row.cell.scheme.to_string(),
                 row.cell.kind.to_string(),
                 row.result.cycles,
                 row.result.stats.fences,
-                row.result.waf()
             );
             for (name, s) in row.lat.present() {
                 println!(
@@ -1422,10 +1280,13 @@ fn cmd_ycsb(f: &mut Flags) -> Result<ExitCode, String> {
                 );
             }
         }
-        for (mix, scheme, kind, makespan, kcycle) in &shard_rows {
+        for (cell, makespan, kcycle) in &shard_rows {
             println!(
-                "  shards={shards} {mix:<14} {scheme:<10} {kind:<10} makespan {makespan} \
-                 cycles ({kcycle:.3} ops/kcycle)"
+                "  shards={shards} {:<14} {:<10} {:<10} makespan {makespan} \
+                 cycles ({kcycle:.3} ops/kcycle)",
+                cell.mix.to_string(),
+                cell.scheme.to_string(),
+                cell.kind.to_string(),
             );
         }
         if let Some(report) = &sweep_report {
@@ -1450,7 +1311,7 @@ fn cmd_ycsb(f: &mut Flags) -> Result<ExitCode, String> {
 /// any host worker count.
 fn cmd_serve(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::bench::serve::run_serve;
-    use slpmt::kv::service::{ServeConfig, VERB_CLASSES};
+    use slpmt::kv::service::ServeConfig;
 
     let mut proto = ServeConfig::new(Scheme::Slpmt, IndexKind::KvBtree, MixSpec::YCSB_A);
     let default_mixes = [MixSpec::YCSB_A, MixSpec::YCSB_B, MixSpec::YCSB_C];
@@ -1481,6 +1342,7 @@ fn cmd_serve(f: &mut Flags) -> Result<ExitCode, String> {
     let json = f.flag("--json");
     f.finish()?;
 
+    // (response digest, row)
     let mut rows = Vec::new();
     for scheme in &schemes {
         for kind in &kinds {
@@ -1491,97 +1353,43 @@ fn cmd_serve(f: &mut Flags) -> Result<ExitCode, String> {
                     cfg.kind = *kind;
                     cfg.mix = *mix;
                     cfg.shards = shards;
-                    rows.push(run_serve(&cfg, threads()).0);
+                    let row = run_serve(&cfg, threads()).0;
+                    rows.push((format!("{:016x}", row.digest), row));
                 }
             }
         }
     }
 
     if json {
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.key("command");
-        w.string("serve");
-        w.key("schema");
-        w.u64(1);
-        w.key("load");
-        w.u64(proto.load as u64);
-        w.key("requests");
-        w.u64(proto.requests as u64);
-        w.key("value_bytes");
-        w.u64(proto.value_size as u64);
-        w.key("seed");
-        w.u64(proto.seed);
-        w.key("sessions");
-        w.u64(proto.sessions as u64);
-        w.key("open_loop");
-        w.bool(proto.open_loop);
-        w.key("mean_gap");
-        w.u64(proto.mean_gap);
-        w.key("drain_jitter");
-        w.u64(proto.drain_jitter);
-        w.key("rows");
-        w.begin_arr();
-        for row in &rows {
-            w.begin_obj();
-            w.key("mix");
-            w.string(&row.cfg.mix.to_string());
-            w.key("scheme");
-            w.string(&row.cfg.scheme.to_string());
-            w.key("workload");
-            w.string(&row.cfg.kind.to_string());
-            w.key("shards");
-            w.u64(row.cfg.shards as u64);
-            w.key("requests");
-            w.u64(row.requests);
-            w.key("served");
-            w.u64(row.served);
-            w.key("shed");
-            w.u64(row.shed);
-            w.key("queued");
-            w.u64(row.queued);
-            w.key("queued_cycles");
-            w.u64(row.queued_cycles);
-            w.key("total_sim_cycles");
-            w.u64(row.total_sim_cycles);
-            w.key("makespan_cycles");
-            w.u64(row.makespan_cycles);
-            w.key("wpq_stall_cycles");
-            w.u64(row.wpq_stall_cycles);
-            w.key("response_bytes");
-            w.u64(row.response_bytes);
-            w.key("digest");
-            w.string(&format!("{:016x}", row.digest));
-            w.key("latency");
-            w.begin_obj();
-            w.key("overall");
-            let lat_obj = |w: &mut JsonWriter, l: &slpmt::workloads::LatencySummary| {
-                w.begin_obj();
-                w.key("count");
-                w.u64(l.count);
-                w.key("p50");
-                w.u64(l.p50);
-                w.key("p99");
-                w.u64(l.p99);
-                w.key("p999");
-                w.u64(l.p999);
-                w.key("max");
-                w.u64(l.max);
-                w.end_obj();
-            };
-            lat_obj(&mut w, &row.overall);
-            for (class, lat) in VERB_CLASSES.iter().zip(&row.per_verb) {
-                if lat.count > 0 {
-                    w.key(class);
-                    lat_obj(&mut w, lat);
-                }
-            }
-            w.end_obj();
-            w.end_obj();
-        }
-        w.end_arr();
-        w.end_obj();
-        println!("{}", w.finish());
+        print_json(json_obj! {
+            "command": "serve",
+            "schema": 1,
+            "load": proto.load,
+            "requests": proto.requests,
+            "value_bytes": proto.value_size,
+            "seed": proto.seed,
+            "sessions": proto.sessions,
+            "open_loop": proto.open_loop,
+            "mean_gap": proto.mean_gap,
+            "drain_jitter": proto.drain_jitter,
+            "rows": rows.iter().map(|(digest, row)| json_obj! {
+                "mix": row.cfg.mix.to_string(),
+                "scheme": row.cfg.scheme.to_string(),
+                "workload": row.cfg.kind.to_string(),
+                "shards": row.cfg.shards,
+                "requests": row.requests,
+                "served": row.served,
+                "shed": row.shed,
+                "queued": row.queued,
+                "queued_cycles": row.queued_cycles,
+                "total_sim_cycles": row.total_sim_cycles,
+                "makespan_cycles": row.makespan_cycles,
+                "wpq_stall_cycles": row.wpq_stall_cycles,
+                "response_bytes": row.response_bytes,
+                "digest": digest,
+                "latency": Obj(serve_classes(row).map(|(n, l)| (n, serve_latency(l))).collect()),
+            }).collect::<Vec<_>>(),
+        });
     } else {
         println!(
             "serve matrix: {} cell(s) ({} load + {} requests, {} B values, seed {}, {} sessions)",
@@ -1592,10 +1400,10 @@ fn cmd_serve(f: &mut Flags) -> Result<ExitCode, String> {
             proto.seed,
             proto.sessions
         );
-        for row in &rows {
+        for (digest, row) in &rows {
             println!(
                 "  {:<14} {:<10} {:<10} shards={:<2} served {}/{} (shed {}, queued {}) \
-                 makespan {} cycles digest {:016x}",
+                 makespan {} cycles digest {digest}",
                 row.cfg.mix.to_string(),
                 row.cfg.scheme.to_string(),
                 row.cfg.kind.to_string(),
@@ -1605,19 +1413,12 @@ fn cmd_serve(f: &mut Flags) -> Result<ExitCode, String> {
                 row.shed,
                 row.queued,
                 row.makespan_cycles,
-                row.digest
             );
-            let print_lat = |name: &str, l: &slpmt::workloads::LatencySummary| {
+            for (name, l) in serve_classes(row) {
                 println!(
                     "      {name:<8} n={:<6} p50={:<6} p99={:<6} p999={:<6} max={}",
                     l.count, l.p50, l.p99, l.p999, l.max
                 );
-            };
-            print_lat("overall", &row.overall);
-            for (class, lat) in VERB_CLASSES.iter().zip(&row.per_verb) {
-                if lat.count > 0 {
-                    print_lat(class, lat);
-                }
             }
         }
     }
@@ -1673,78 +1474,40 @@ fn cmd_chaos(f: &mut Flags) -> Result<ExitCode, String> {
         );
     }
     let report = run_chaos_sweep(&cases, &plans, points);
+    let digest = format!("{:016x}", report.digest);
     if json {
         // Deliberately no wall-clock field: this object is diffed
         // byte-for-byte across SLPMT_THREADS values in CI.
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.key("command");
-        w.string("chaos");
-        w.key("schema");
-        w.u64(1);
-        w.key("seed");
-        w.u64(seed);
-        w.key("requests");
-        w.u64(requests as u64);
-        w.key("points_per_plan");
-        w.u64(points as u64);
-        w.key("plans");
-        w.u64(plans.len() as u64);
-        w.key("workload");
-        w.string(&kind.to_string());
-        w.key("mixes");
-        w.begin_arr();
-        for m in &mixes {
-            w.string(&m.to_string());
-        }
-        w.end_arr();
-        w.key("schemes");
-        w.begin_arr();
-        for s in &schemes {
-            w.string(&s.to_string());
-        }
-        w.end_arr();
-        w.key("cases");
-        w.u64(report.cases as u64);
-        w.key("points");
-        w.u64(report.points as u64);
-        w.key("strict");
-        w.u64(report.strict as u64);
-        w.key("lossy");
-        w.u64(report.lossy as u64);
-        w.key("lost_lines");
-        w.u64(report.lost_lines);
-        w.key("acked");
-        w.u64(report.totals.acked);
-        w.key("durable");
-        w.u64(report.totals.durable);
-        w.key("retried");
-        w.u64(report.totals.retried);
-        w.key("suppressed");
-        w.u64(report.totals.suppressed);
-        w.key("refused_writes");
-        w.u64(report.totals.refused_writes);
-        w.key("scrubbed");
-        w.u64(report.totals.scrubbed);
-        w.key("poison_checked");
-        w.u64(report.poison_checked as u64);
-        w.key("poison_caught");
-        w.u64(report.poison_caught as u64);
-        w.key("digest");
-        w.string(&format!("{:016x}", report.digest));
-        w.key("clean");
-        w.bool(report.is_clean());
-        w.key("failures");
-        w.begin_arr();
-        for fail in &report.failures {
-            w.string(fail);
-        }
-        w.end_arr();
-        w.end_obj();
-        println!("{}", w.finish());
+        print_json(json_obj! {
+            "command": "chaos",
+            "schema": 1,
+            "seed": seed,
+            "requests": requests,
+            "points_per_plan": points,
+            "plans": plans.len(),
+            "workload": kind.to_string(),
+            "mixes": names(&mixes),
+            "schemes": names(&schemes),
+            "cases": report.cases,
+            "points": report.points,
+            "strict": report.strict,
+            "lossy": report.lossy,
+            "lost_lines": report.lost_lines,
+            "acked": report.totals.acked,
+            "durable": report.totals.durable,
+            "retried": report.totals.retried,
+            "suppressed": report.totals.suppressed,
+            "refused_writes": report.totals.refused_writes,
+            "scrubbed": report.totals.scrubbed,
+            "poison_checked": report.poison_checked,
+            "poison_caught": report.poison_caught,
+            "digest": &digest,
+            "clean": report.is_clean(),
+            "failures": &report.failures,
+        });
     } else {
         print!("{report}");
-        println!("  digest {:016x}", report.digest);
+        println!("  digest {digest}");
     }
     Ok(exit_code(report.is_clean()))
 }
