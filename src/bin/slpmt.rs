@@ -340,8 +340,8 @@ impl Flags {
         .unwrap_or(default)
     }
 
-    /// A count that must be at least 1 (`--points`, `--shards`): zero
-    /// would make a sweep vacuous or a run empty.
+    /// A count that must be at least 1 (`--ops`, `--points`,
+    /// `--shards`): zero would make a sweep vacuous or a run empty.
     fn positive<T: FromStr + Copy + PartialOrd + From<u8>>(&mut self, flag: &str, default: T) -> T
     where
         T::Err: Display,
@@ -503,7 +503,7 @@ impl Options {
     fn parse(f: &mut Flags) -> Options {
         Options {
             scheme: f.hw_scheme(Scheme::Slpmt),
-            ops: f.get("--ops", 1000),
+            ops: f.positive("--ops", 1000),
             value: f.value(256),
             annotations: f
                 .last("--annotations", parse_annotations)
@@ -544,7 +544,7 @@ fn sweep_flags(f: &mut Flags, ops: usize) -> (Vec<SchemeKind>, Vec<IndexKind>, u
         f.schemes(&schemes, &SchemeKind::REGISTRY),
         f.kinds(&SWEEP_KINDS, &SWEEP_KINDS),
         f.get("--seed", 42),
-        f.get("--ops", ops),
+        f.positive("--ops", ops),
     )
 }
 
@@ -731,7 +731,7 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
 fn cmd_trace(f: &mut Flags) -> Result<ExitCode, String> {
     let scheme = f.hw_scheme(Scheme::Slpmt);
     let kind = f.kind(IndexKind::Hashtable);
-    let ops = f.get("--ops", 50usize);
+    let ops = f.positive("--ops", 50usize);
     let value = f.value(64);
     let seed = f.get("--seed", 42u64);
     let out = f.get("--out", PathBuf::from("trace.json"));
@@ -823,6 +823,9 @@ fn cmd_faults(f: &mut Flags) -> Result<ExitCode, String> {
         )
     };
     if let Some(k) = at {
+        if json {
+            return Err("--json does not apply to a --plan P --at K replay".into());
+        }
         // Reproduce one failure tuple verbatim.
         let (&scheme, &kind, &plan) = match (&schemes[..], &kinds[..], &plans[..]) {
             ([s], [w], [p]) => (s, w, p),
@@ -913,6 +916,9 @@ fn cmd_mc(f: &mut Flags) -> Result<ExitCode, String> {
     f.finish()?;
 
     if let Some(k) = crash_at {
+        if json {
+            return Err("--json does not apply to a --crash-at K replay".into());
+        }
         return replay_point(
             &McTarget,
             &case,
@@ -1008,7 +1014,7 @@ fn cmd_mc(f: &mut Flags) -> Result<ExitCode, String> {
 fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
     let kind = f.index();
     let scheme = f.hw_scheme(Scheme::Slpmt);
-    let ops = f.get("--ops", 1000usize);
+    let ops = f.positive("--ops", 1000usize);
     let value = f.value(256);
     let shards = f.positive("--shards", 4);
     let json = f.flag("--json");
@@ -1080,7 +1086,7 @@ fn cmd_ptm(f: &mut Flags) -> Result<ExitCode, String> {
         .collect();
     let schemes = f.schemes(&default, &SchemeKind::REGISTRY);
     let kinds = f.kinds(&[IndexKind::Hashtable], &IndexKind::ALL);
-    let ops = f.get("--ops", 500usize);
+    let ops = f.positive("--ops", 500usize);
     let value = f.value(64);
     let json = f.flag("--json");
     f.finish()?;
@@ -1173,7 +1179,7 @@ fn cmd_ycsb(f: &mut Flags) -> Result<ExitCode, String> {
     let schemes = f.schemes(&[Scheme::Slpmt.into()], &SchemeKind::REGISTRY);
     let kinds = f.kinds(&[IndexKind::Hashtable], &IndexKind::ALL);
     cfg.load = f.get("--load", cfg.load);
-    cfg.ops = f.get("--ops", cfg.ops);
+    cfg.ops = f.positive("--ops", cfg.ops);
     cfg.seed = f.get("--seed", cfg.seed);
     let points = f.positive("--points", 50);
     let shards = f.get("--shards", 0usize);

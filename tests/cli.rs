@@ -125,6 +125,36 @@ fn zero_points_is_not_a_clean_sweep() {
 }
 
 #[test]
+fn zero_ops_is_not_a_clean_sweep_or_an_empty_run() {
+    for cmd in [
+        "faults --ops 0",
+        "faults --ops 0 --json",
+        "crashsweep --ops 0",
+        "compare heap --ops 0",
+        "run hashtable --ops 0",
+        "matrix --ops 0 --json",
+        "shards hashtable --ops 0 --json",
+        "trace --ops 0",
+        "ptm --ops 0",
+        "ycsb --ops 0",
+    ] {
+        let err = rejects(cmd);
+        assert!(err.contains("--ops must be at least 1"), "{err}");
+    }
+}
+
+#[test]
+fn single_point_replays_reject_json() {
+    for cmd in [
+        "mc --crash-at 5 --json",
+        "faults --scheme slpmt --workload hashtable --plan s1:t1:p0:f0:j0 --at 3 --json",
+    ] {
+        let err = rejects(cmd);
+        assert!(err.contains("--json does not apply"), "{err}");
+    }
+}
+
+#[test]
 fn serve_needs_a_session() {
     let err = rejects("serve --sessions 0");
     assert!(err.contains("--sessions must be at least 1"), "{err}");
