@@ -14,7 +14,8 @@
 //! * Pinned observers: on seeded delete-heavy traces, crash-free and
 //!   after crash and recovery at three persist events, every index's
 //!   `reachable`, entry walk, `len` and `contains` give recorded
-//!   digests.
+//!   digests; so does the hashtable right after the trace's load, with
+//!   its rehash window open.
 
 use slpmt::annotate::AnnotationTable;
 use slpmt::core::Scheme;
@@ -26,26 +27,31 @@ use std::collections::BTreeSet;
 
 const VALUE: usize = 32;
 
+/// Inserts in each trace's load phase.
+const LOAD: usize = 40;
+
 /// A delete-heavy trace of `kind`, run crash-free.
 fn run(kind: IndexKind, seed: u64) -> (Vec<MixedOp>, PmContext, Box<dyn DurableIndex>) {
-    run_until(kind, seed, None)
+    run_until(kind, seed, None, usize::MAX)
 }
 
-/// [`run`], or with a crash armed at persist event `k`: the trace stops
-/// once the crash trips, and the power stays on.
+/// The first `limit` operations of [`run`]'s trace, or with a crash
+/// armed at persist event `k`: the trace stops once the crash trips,
+/// and the power stays on. Returns the whole trace.
 fn run_until(
     kind: IndexKind,
     seed: u64,
     crash_at: Option<u64>,
+    limit: usize,
 ) -> (Vec<MixedOp>, PmContext, Box<dyn DurableIndex>) {
-    let case = SweepCase::with_mix(Scheme::Slpmt, kind, seed, 40, 120, MixSpec::DELETE_HEAVY);
+    let case = SweepCase::with_mix(Scheme::Slpmt, kind, seed, LOAD, 120, MixSpec::DELETE_HEAVY);
     let ops = trace_ops(&case);
     let mut ctx = PmContext::new(Scheme::Slpmt, AnnotationTable::new());
     let mut idx = kind.build(&mut ctx, VALUE, AnnotationSource::Manual);
     if let Some(k) = crash_at {
         ctx.machine_mut().arm_crash_at_event(k);
     }
-    for op in &ops {
+    for op in ops.iter().take(limit) {
         apply(idx.as_mut(), &mut ctx, op);
         if ctx.machine().crash_tripped() {
             break;
@@ -286,25 +292,45 @@ fn observe(ops: &[MixedOp], ctx: &PmContext, idx: &dyn DurableIndex) -> Observed
 /// The observers of every index on a seeded delete-heavy trace: once
 /// crash-free (`k = 0` in the table), then after crash, log replay and
 /// `recover` at a quarter, half and three quarters of the trace's
-/// persist events.
-fn observations() -> Vec<(IndexKind, u64, Observed)> {
+/// persist events. The hashtable adds one state (`hashtable after
+/// load`, `k = 0`) right after the trace's load: its resize at 25 keys
+/// leaves the rehash window open there, so the walk must cover the old
+/// generation's nodes too.
+fn observations() -> Vec<(String, u64, Observed)> {
     let mut out = Vec::new();
     for kind in IndexKind::ALL {
         let (ops, ctx, idx) = run(kind, 23);
-        out.push((kind, 0, observe(&ops, &ctx, idx.as_ref())));
+        out.push((kind.to_string(), 0, observe(&ops, &ctx, idx.as_ref())));
+        if kind == IndexKind::Hashtable {
+            let (ops, ctx, idx) = run_until(kind, 23, None, LOAD);
+            let mut root = None;
+            idx.walk(&ctx, &mut |v| {
+                if let (None, Visit::Block(a)) = (root, v) {
+                    root = Some(a);
+                }
+            });
+            let root = root.expect("the walk visits the root first");
+            let [_, _, _, old] = ctx.peek_words(root);
+            assert_ne!(old, 0, "rehash window open after the load");
+            out.push((
+                format!("{kind} after load"),
+                0,
+                observe(&ops, &ctx, idx.as_ref()),
+            ));
+        }
         let events = ctx.machine().persist_event_count();
         for k in [events / 4, events / 2, 3 * events / 4] {
-            let (ops, mut ctx, mut idx) = run_until(kind, 23, Some(k));
+            let (ops, mut ctx, mut idx) = run_until(kind, 23, Some(k), usize::MAX);
             ctx.crash();
             ctx.recover();
             idx.recover(&mut ctx);
-            out.push((kind, k, observe(&ops, &ctx, idx.as_ref())));
+            out.push((kind.to_string(), k, observe(&ops, &ctx, idx.as_ref())));
         }
     }
     out
 }
 
-/// `(index, k, [reachable, for_each_entry, len, contains])` for every
+/// `(state, k, [reachable, for_each_entry, len, contains])` for every
 /// state [`observations`] visits, in its order.
 const PINNED: &[(&str, u64, [u64; 4])] = &[
     (
@@ -315,6 +341,16 @@ const PINNED: &[(&str, u64, [u64; 4])] = &[
             0x2e13c8fde4f6c2f6,
             30,
             0x5ceeb452ff2714c5,
+        ],
+    ),
+    (
+        "hashtable after load",
+        0,
+        [
+            0x9f7ecae086a42bce,
+            0x7165a68e2592d783,
+            40,
+            0xc73a63be44822a65,
         ],
     ),
     (
@@ -634,7 +670,7 @@ fn untimed_observers_match_their_recorded_digests() {
     let got = observations();
     assert_eq!(got.len(), PINNED.len());
     for ((kind, k, seen), &(name, at, want)) in got.into_iter().zip(PINNED) {
-        assert_eq!((kind.to_string().as_str(), k), (name, at));
+        assert_eq!((kind.as_str(), k), (name, at));
         for ((method, g), w) in seen.into_iter().zip(want) {
             assert_eq!(g, w, "{kind} k={k}: {method} moved");
         }
