@@ -13,7 +13,7 @@
 //! and that the embedded copy is current.
 //!
 //! A ✓ claim reproduces the paper: its band is the paper's value or
-//! range widened by 10 % ([`near`]), or the qualitative claim written
+//! range widened by 10 % (`near`), or the qualitative claim written
 //! as a predicate. A ≈ claim holds in direction only: its check is
 //! that direction, and EXPERIMENTS.md explains the magnitude gap.
 //! Each figure's table ends with its cell count and the cells' summed

@@ -6,7 +6,7 @@
 //! family, the streaming recovery oracle. What this crate adds is the
 //! *service boundary* a real PM deployment exposes:
 //!
-//! * [`store`] — [`KvStore`](store::KvStore), a clean
+//! * [`store`] — [`KvStore`], a clean
 //!   `get`/`set`/`delete`/`cas`/`scan` facade over one simulated
 //!   machine that owns transaction demarcation, value encoding into
 //!   the persistent heap, and crash-to-ready recovery.

@@ -12,7 +12,7 @@
 //! caller fans the shards across.
 //!
 //! CAS tokens are derivable from durable state
-//! ([`fingerprint`](crate::store::fingerprint) of the current value),
+//! ([`fingerprint`] of the current value),
 //! and the trace is deterministic — so the closed-loop generator
 //! *knows* each key's current token at encode time and emits `cas`
 //! commands that carry it, the way a real client would after a `gets`.

@@ -35,7 +35,7 @@
 //! the recovered structure must equal a `BTreeMap` oracle after
 //! exactly `b` operations: same length, every key mapped to its exact
 //! value, structure invariants intact, and the heap clean after the
-//! leak GC ([`inspect`](crate::inspector::inspect)-verified).
+//! leak GC ([`inspect`]-verified).
 //!
 //! ### Media faults
 //!
