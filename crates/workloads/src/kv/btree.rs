@@ -476,8 +476,24 @@ impl DurableIndex for BtreeKv {
     }
 
     fn recover(&mut self, ctx: &mut PmContext) {
-        // Only the size counter is lazily persistent: recount.
-        let count = self.len(ctx) as u64;
+        // Only the size counter is lazily persistent: recount from each
+        // node's two header words (key count, leaf flag), reading child
+        // slots of internal nodes only. Counts are clamped as in `walk`.
+        let mut count = 0;
+        let mut stack = vec![ctx.peek(fld(self.root, 0))];
+        while let Some(n) = stack.pop() {
+            if n == 0 {
+                continue;
+            }
+            let [nk, leaf] = ctx.peek_words(PmAddr::new(n));
+            let nk = nk.min(MAX_KEYS);
+            if leaf == 1 {
+                count += nk;
+            } else {
+                let slots: [u64; 8] = ctx.peek_words(slot_at(PmAddr::new(n), 0));
+                stack.extend(&slots[..=nk as usize]);
+            }
+        }
         ctx.recovery_write(fld(self.root, 1), count);
     }
 }

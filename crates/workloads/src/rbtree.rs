@@ -22,7 +22,6 @@ use crate::ctx::{AnnotationSource, PmContext};
 use crate::runner::{DurableIndex, Load, Reader, ValueAt, Visit};
 use slpmt_annotate::{Annotation, AnnotationTable, Operand, ParamKind, TxnIr, TxnIrBuilder};
 use slpmt_pmem::PmAddr;
-use std::collections::BTreeMap;
 
 /// Store sites of the insert transaction.
 pub mod sites {
@@ -117,28 +116,40 @@ struct Heights {
 }
 
 impl Heights {
-    /// The null leaf: black, black-height 1.
-    const NIL: Heights = Heights {
-        black: 1 << 1,
-        red: 0,
-    };
-
     fn supports(self, color: u64, bh: u64) -> bool {
         let mask = if color == BLACK { self.black } else { self.red };
         mask >> bh & 1 == 1
     }
 }
 
-/// The recolouring DP's memo: node → the heights its subtree supports.
-type Feasible = BTreeMap<u64, Heights>;
+/// Null child index in recovery's walk.
+const NONE: usize = usize::MAX;
 
-/// `n`'s entry in a memo that `Rbtree::feasible` has filled.
-fn feasible_of(memo: &Feasible, n: u64) -> Heights {
-    if n == 0 {
-        Heights::NIL
-    } else {
-        memo[&n]
-    }
+/// A node as recovery's walk saw it: its address, durable colour and
+/// children's walk indices ([`NONE`] for null), then, from the reverse
+/// pass, its subtree's durable black height and the heights its
+/// subtree supports.
+#[derive(Debug, Clone, Copy)]
+struct Walked {
+    n: u64,
+    color: u64,
+    kids: [usize; 2],
+    bh: u64,
+    heights: Heights,
+}
+
+impl Walked {
+    /// The null leaf: black, black-height 1.
+    const NIL: Walked = Walked {
+        n: 0,
+        color: BLACK,
+        kids: [NONE; 2],
+        bh: 1,
+        heights: Heights {
+            black: 1 << 1,
+            red: 0,
+        },
+    };
 }
 
 /// The durable red-black tree.
@@ -411,76 +422,6 @@ impl Rbtree {
         }
     }
 
-    /// Black-height dynamic program: fills `memo` with the heights
-    /// each node of `n`'s subtree supports. An empty pair of masks means
-    /// uncolourable.
-    fn feasible(&self, ctx: &PmContext, n: u64, memo: &mut Feasible) {
-        if n == 0 || memo.contains_key(&n) {
-            return;
-        }
-        let [l, r] = ctx.peek_words(fld(PmAddr::new(n), 1));
-        self.feasible(ctx, l, memo);
-        self.feasible(ctx, r, memo);
-        let (l, r) = (feasible_of(memo, l), feasible_of(memo, r));
-        // Node black: children of any colour and equal height h give
-        // h + 1. Node red: both children black, of equal height h.
-        let both = (l.black | l.red) & (r.black | r.red);
-        memo.insert(
-            n,
-            Heights {
-                black: both << 1,
-                red: l.black & r.black,
-            },
-        );
-    }
-
-    /// Assigns a concrete colouring consistent with `memo`, which
-    /// `feasible` has filled for the whole tree. Recovery writes touch
-    /// only colour words, so the shape the memo describes holds
-    /// throughout.
-    fn assign_colors(&self, ctx: &mut PmContext, memo: &Feasible, n: u64, color: u64, bh: u64) {
-        if n == 0 {
-            return;
-        }
-        let a = PmAddr::new(n);
-        ctx.recovery_write(fld(a, 4), color);
-        let child_bh = if color == BLACK { bh - 1 } else { bh };
-        let children: [u64; 2] = ctx.peek_words(fld(a, 1));
-        for c in children {
-            let feas = feasible_of(memo, c);
-            // Prefer black children; red only when black is infeasible
-            // or the parent is black and red is needed for the height.
-            // A red parent forces black children; a black parent
-            // prefers black children when feasible.
-            let child_color = if color == RED || feas.supports(BLACK, child_bh) {
-                BLACK
-            } else {
-                RED
-            };
-            debug_assert!(
-                c == 0 || feas.supports(child_color, child_bh),
-                "recolouring DP inconsistency at node {c:#x}"
-            );
-            self.assign_colors(ctx, memo, c, child_color, child_bh);
-        }
-    }
-
-    fn recolor_tree(&self, ctx: &mut PmContext) {
-        let r = ctx.peek(fld(self.root, 0));
-        if r == 0 {
-            return;
-        }
-        let mut memo = Feasible::new();
-        self.feasible(ctx, r, &mut memo);
-        let black = feasible_of(&memo, r).black;
-        assert!(
-            black != 0,
-            "a red-black-insertable shape admits a black root colouring"
-        );
-        // The smallest black-height a black root supports.
-        self.assign_colors(ctx, &memo, r, BLACK, black.trailing_zeros().into());
-    }
-
     /// Checks the whole tree in one [`check_subtree`] walk plus a black
     /// root; returns the node count.
     fn violations(&self, ctx: &PmContext) -> Result<usize, String> {
@@ -676,30 +617,81 @@ impl DurableIndex for Rbtree {
     }
 
     fn recover(&mut self, ctx: &mut PmContext) {
-        // Rebuild parent pointers (lazy) from the durable shape.
-        let r = ctx.peek(fld(self.root, 0));
-        let mut stack = vec![(r, 0u64)];
-        let mut count = 0u64;
-        while let Some((n, parent)) = stack.pop() {
+        // One pre-order walk reads each header once, rewrites the lazy
+        // parent pointers that differ and records the shape; each stack
+        // entry carries its parent, its slot in the parent's entry and
+        // its key bounds.
+        let [r, size] = ctx.peek_words(self.root);
+        // The durable size only sizes the buffer; the walk recounts.
+        let mut nodes: Vec<Walked> = Vec::with_capacity(size.min(1 << 16) as usize);
+        let mut stack = vec![(r, 0, NONE, 0, (u64::MIN, u64::MAX))];
+        let mut valid = true;
+        while let Some((n, parent, at, side, (lo, hi))) = stack.pop() {
             if n == 0 {
                 continue;
             }
-            count += 1;
-            let [_, l, r, p, _] = peek_node(ctx, n);
-            // Only a lost lazy update needs a write.
+            let [key, l, r, p, color] = peek_node(ctx, n);
             if p != parent {
                 ctx.recovery_write(fld(PmAddr::new(n), 3), parent);
             }
-            stack.push((l, n));
-            stack.push((r, n));
+            valid &= (lo..=hi).contains(&key);
+            let i = nodes.len();
+            if let Some(up) = nodes.get_mut(at) {
+                up.kids[side] = i;
+            }
+            stack.push((r, n, i, 1, (key.saturating_add(1), hi)));
+            stack.push((l, n, i, 0, (lo, key.saturating_sub(1))));
+            nodes.push(Walked {
+                n,
+                color,
+                ..Walked::NIL
+            });
         }
-        ctx.recovery_write(fld(self.root, 1), count);
-        // Recolour only if deferred colour updates were lost: parent
-        // pointers were just rebuilt, so a violation is a colour one
-        // unless the shape is broken, which `check_invariants` reports
-        // either way (recolouring reads only the shape).
-        if self.violations(ctx).is_err() {
-            self.recolor_tree(ctx);
+        if size != nodes.len() as u64 {
+            ctx.recovery_write(fld(self.root, 1), nodes.len() as u64);
+        }
+        // Children follow their parent in the walk, so a reverse pass
+        // meets both subtrees before their root. It checks the durable
+        // colouring (no red-red, equal black heights) and fills the
+        // black-height DP: a black node takes children of any colour and
+        // equal height h to h + 1; a red one needs both black.
+        for i in (0..nodes.len()).rev() {
+            let [l, r] = nodes[i].kids.map(|k| *nodes.get(k).unwrap_or(&Walked::NIL));
+            let node = &mut nodes[i];
+            valid &= l.bh == r.bh && !(node.color == RED && (l.color == RED || r.color == RED));
+            node.bh = l.bh + u64::from(node.color == BLACK);
+            let (l, r) = (l.heights, r.heights);
+            node.heights = Heights {
+                black: ((l.black | l.red) & (r.black | r.red)) << 1,
+                red: l.black & r.black,
+            };
+        }
+        let Some(root) = nodes.first() else {
+            return;
+        };
+        if valid && root.color != RED {
+            return;
+        }
+        // Lost deferred colours: recolour top-down from a black root at
+        // the smallest black height it supports. A red parent forces
+        // black children; a black one prefers black when feasible.
+        let black = root.heights.black;
+        assert!(black != 0, "no black-root colouring fits the shape");
+        let mut want = vec![(BLACK, 0); nodes.len()];
+        want[0].1 = black.trailing_zeros().into();
+        for (i, node) in nodes.iter().enumerate() {
+            let (color, bh) = want[i];
+            if node.color != color {
+                ctx.recovery_write(fld(PmAddr::new(node.n), 4), color);
+            }
+            let child_bh = if color == BLACK { bh - 1 } else { bh };
+            for k in node.kids.into_iter().filter(|&k| k != NONE) {
+                let feas = nodes[k].heights;
+                let is_black = color == RED || feas.supports(BLACK, child_bh);
+                let child = if is_black { BLACK } else { RED };
+                debug_assert!(feas.supports(child, child_bh), "DP inconsistency");
+                want[k] = (child, child_bh);
+            }
         }
     }
 }
@@ -709,6 +701,7 @@ mod tests {
     use super::*;
     use crate::ycsb::{value_for, ycsb_load};
     use slpmt_core::Scheme;
+    use std::collections::BTreeMap;
 
     fn fresh(source: AnnotationSource) -> (PmContext, Rbtree) {
         let mut ctx = PmContext::new(Scheme::Slpmt, AnnotationTable::new());
@@ -941,6 +934,94 @@ mod tests {
                 .check_invariants(&got)
                 .unwrap_or_else(|e| panic!("{keys} keys: {e}"));
         }
+    }
+
+    /// The black height of `n`'s subtree under the node headers in
+    /// `img`, or `None` if its colours break a red-black rule.
+    fn colour_height(img: &BTreeMap<u64, Vec<u64>>, n: u64, parent_red: bool) -> Option<u64> {
+        if n == 0 {
+            return Some(1);
+        }
+        let (l, r, c) = (img[&n][1], img[&n][2], img[&n][4]);
+        if c == RED && parent_red {
+            return None;
+        }
+        let lb = colour_height(img, l, c == RED)?;
+        let rb = colour_height(img, r, c == RED)?;
+        (lb == rb).then_some(lb + u64::from(c == BLACK))
+    }
+
+    /// Recovery writes only what the crash lost. A short delete-heavy
+    /// trace crashes at every persist event; across `recover`, every
+    /// word of every reachable block must stay, except the root's count
+    /// and, where parents and colours are lazy (SLPMT, SLPMT-redo),
+    /// each node's parent and colour. A valid durable colouring is
+    /// kept; an invalid one becomes the per-node-memo reference's.
+    #[test]
+    fn recovery_writes_only_what_was_lost() {
+        use crate::crashsweep::apply;
+        use crate::ycsb::{ycsb_mix, MixSpec, MixedOp};
+        let (load, mixed) = ycsb_mix(12, 24, 32, 11, &MixSpec::DELETE_HEAVY);
+        let ops: Vec<MixedOp> = load.into_iter().map(MixedOp::Insert).chain(mixed).collect();
+        let mut recoloured = 0;
+        for scheme in [Scheme::Fg, Scheme::Slpmt, Scheme::SlpmtRedo] {
+            let lazy = scheme != Scheme::Fg;
+            let replay = |crash_at: Option<u64>| {
+                let mut ctx = PmContext::new(scheme, AnnotationTable::new());
+                let mut t = Rbtree::new(&mut ctx, 32, AnnotationSource::Manual);
+                if let Some(k) = crash_at {
+                    ctx.machine_mut().arm_crash_at_event(k);
+                }
+                for op in &ops {
+                    apply(&mut t, &mut ctx, op);
+                    if ctx.machine().crash_tripped() {
+                        break;
+                    }
+                }
+                (ctx, t)
+            };
+            let events = replay(None).0.machine().persist_event_count();
+            for k in 0..events {
+                let (mut ctx, mut t) = replay(Some(k));
+                ctx.crash();
+                ctx.recover();
+                let blocks = t.reachable(&ctx);
+                let (root, value_words) = (t.root, t.value_words);
+                let words = |ctx: &PmContext| -> BTreeMap<u64, Vec<u64>> {
+                    let len = |b| if b == root { 2 } else { 5 + value_words };
+                    let block = |b: PmAddr| (0..len(b)).map(|i| ctx.peek(fld(b, i))).collect();
+                    blocks.iter().map(|&b| (b.raw(), block(b))).collect()
+                };
+                let before = words(&ctx);
+                let r = ctx.peek(fld(t.root, 0));
+                let valid =
+                    r == 0 || before[&r][4] != RED && colour_height(&before, r, false).is_some();
+                let mut want = ctx.clone();
+                t.recolor_tree_per_node_memo(&mut want);
+                t.recover(&mut ctx);
+                let at = format!("{scheme} k={k}");
+                t.check_invariants(&ctx)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                for ((&b, old), new) in before.iter().zip(words(&ctx).values()) {
+                    let node = b != root.raw();
+                    for (i, (o, n)) in old.iter().zip(new).enumerate() {
+                        let lost = if node {
+                            lazy && (i == 3 || i == 4)
+                        } else {
+                            i == 1
+                        };
+                        assert!(o == n || lost, "{at}: word {i} of {b:#x}: {o} -> {n}");
+                    }
+                    if node {
+                        let reference = want.peek(fld(PmAddr::new(b), 4));
+                        let colour = if valid { old[4] } else { reference };
+                        assert_eq!(new[4], colour, "{at}: colour of {b:#x}");
+                    }
+                }
+                recoloured += usize::from(!valid);
+            }
+        }
+        assert!(recoloured > 0, "no crash point lost a colour");
     }
 
     #[test]

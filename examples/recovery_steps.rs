@@ -8,7 +8,9 @@
 //! clock between the steps of each point's recovery path, `crash`
 //! through the oracle check. The replay to the crash point is not
 //! timed. Prints the mean host µs per point of each step and its share
-//! of the whole, then the same means for each (scheme, index) case;
+//! of the whole, then the same means for each (scheme, index) case with
+//! the case's p99 for the whole operation and how many of the slowest
+//! 1% of all points it holds, so a tail names the case it came from;
 //! every point must pass its check.
 //!
 //! ```sh
@@ -95,6 +97,8 @@ const SHORT: [&str; 9] = [
 fn main() {
     let mut ns = [[0u128; STEPS.len()]; CASES];
     let mut points = [0u64; CASES];
+    // Each point's whole operation, ns, per case.
+    let mut wholes = vec![Vec::new(); CASES];
     let mut names = vec![String::new(); CASES];
     for round in 0..ROUNDS {
         let mut state = 42 ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -116,7 +120,8 @@ fn main() {
             let mut oracle = StreamingOracle::new(&ops);
             for k in sample_points(seed ^ c as u64, events, POINTS) {
                 let (mut ctx, mut idx, op_seq) = replay(scheme, kind, &ops, Some(k));
-                let mut lap = Instant::now();
+                let start = Instant::now();
+                let mut lap = start;
                 let mut step = |i: usize| {
                     let now = Instant::now();
                     ns[i] += (now - lap).as_nanos();
@@ -142,6 +147,7 @@ fn main() {
                 oracle.advance_to(b);
                 let verdict = oracle.check(&ctx, idx.as_ref());
                 step(8);
+                wholes[c].push((lap - start).as_nanos());
                 let case = format!("{scheme} {kind} seed={seed} k={k}");
                 invariants.unwrap_or_else(|e| panic!("{case}: {e}"));
                 assert!(clean, "{case}: leaks after GC");
@@ -162,12 +168,40 @@ fn main() {
         println!("| {name} | {:.2} | {share:.1}% |", us(t, all));
     }
     println!("| whole operation | {:.2} | |", us(total, all));
-    println!("\nPer case, mean host µs per point (steps in the order above)\n");
-    println!("| case | {} | whole |", SHORT.join(" | "));
-    println!("|---|{}---|", "---|".repeat(SHORT.len()));
-    for ((name, case), &n) in names.iter().zip(&ns).zip(&points) {
+    // Nearest-rank p99 of a case's points, and the case of each of the
+    // slowest 1% of all points.
+    let p99 = |ts: &mut Vec<u128>| {
+        ts.sort_unstable();
+        ts[(ts.len() * 99).div_ceil(100) - 1]
+    };
+    let mut tail: Vec<(u128, usize)> = (wholes.iter().enumerate())
+        .flat_map(|(c, ts)| ts.iter().map(move |&t| (t, c)))
+        .collect();
+    tail.sort_unstable_by(|a, b| b.cmp(a));
+    tail.truncate(tail.len().div_ceil(100));
+    let mut in_tail = [0usize; CASES];
+    for &(_, c) in &tail {
+        in_tail[c] += 1;
+    }
+    println!(
+        "\nPer case, mean host µs per point (steps in the order above), the whole \
+         operation's p99 µs, and how many of the {} slowest points (1%) the case holds\n",
+        tail.len()
+    );
+    println!(
+        "| case | {} | whole | p99 | slowest 1% |",
+        SHORT.join(" | ")
+    );
+    println!("|---|{}---|---|---|", "---|".repeat(SHORT.len()));
+    for (c, (name, case)) in names.iter().zip(&ns).enumerate() {
+        let n = points[c];
         let cells: Vec<String> = case.iter().map(|&t| format!("{:.2}", us(t, n))).collect();
         let whole = us(case.iter().sum(), n);
-        println!("| {name} | {} | {whole:.2} |", cells.join(" | "));
+        let tail_us = us(p99(&mut wholes[c]), 1);
+        println!(
+            "| {name} | {} | {whole:.2} | {tail_us:.2} | {} |",
+            cells.join(" | "),
+            in_tail[c]
+        );
     }
 }

@@ -341,7 +341,8 @@ impl Flags {
     }
 
     /// A count that must be at least 1 (`--ops`, `--points`,
-    /// `--shards`): zero would make a sweep vacuous or a run empty.
+    /// `--shards`, `--txns`, `--requests`, …): zero would make a sweep
+    /// or an oracle check vacuous, or a run empty.
     fn positive<T: FromStr + Copy + PartialOrd + From<u8>>(&mut self, flag: &str, default: T) -> T
     where
         T::Err: Display,
@@ -907,8 +908,8 @@ fn cmd_mc(f: &mut Flags) -> Result<ExitCode, String> {
     );
     case.seed = f.get("--seed", case.seed);
     case.sched = f.last("--sched", parse_sched).unwrap_or(case.sched);
-    case.txns_per_core = f.get("--txns", case.txns_per_core);
-    case.stores_per_txn = f.get("--stores", case.stores_per_txn);
+    case.txns_per_core = f.positive("--txns", case.txns_per_core);
+    case.stores_per_txn = f.positive("--stores", case.stores_per_txn);
     // 0 is uniform; the zipfian sampler needs a skew in (0, 1).
     case.skew = f.checked("--skew", case.skew, |s| s <= 999, "must be in 0..=999");
     let crash_at: Option<u64> = f.opt("--crash-at");
@@ -1338,7 +1339,7 @@ fn cmd_serve(f: &mut Flags) -> Result<ExitCode, String> {
         })
         .unwrap_or_else(|| vec![1, 4]);
     proto.load = f.get("--load", proto.load);
-    proto.requests = f.get("--requests", proto.requests);
+    proto.requests = f.positive("--requests", proto.requests);
     proto.seed = f.get("--seed", proto.seed);
     proto.sessions = f.positive("--sessions", proto.sessions);
     proto.open_loop = f.flag("--open-loop");
@@ -1451,7 +1452,7 @@ fn cmd_chaos(f: &mut Flags) -> Result<ExitCode, String> {
     );
     let kind = f.kind(IndexKind::KvBtree);
     let seed = f.get("--seed", 42u64);
-    let requests = f.get("--requests", 40usize);
+    let requests = f.positive("--requests", 40usize);
     let points = f.positive("--points", 3);
     let defaults = default_plans(seed);
     let faults = f.checked(

@@ -144,6 +144,30 @@ fn zero_ops_is_not_a_clean_sweep_or_an_empty_run() {
 }
 
 #[test]
+fn zero_transactions_is_not_a_passing_oracle() {
+    let err = rejects("mc --txns 0 --json");
+    assert!(err.contains("--txns must be at least 1"), "{err}");
+}
+
+#[test]
+fn zero_stores_is_not_a_passing_oracle() {
+    let err = rejects("mc --stores 0");
+    assert!(err.contains("--stores must be at least 1"), "{err}");
+}
+
+#[test]
+fn zero_requests_is_not_an_empty_serve_cell() {
+    let err = rejects("serve --requests 0");
+    assert!(err.contains("--requests must be at least 1"), "{err}");
+}
+
+#[test]
+fn zero_requests_is_not_a_clean_chaos_sweep() {
+    let err = rejects("chaos --requests 0 --json");
+    assert!(err.contains("--requests must be at least 1"), "{err}");
+}
+
+#[test]
 fn single_point_replays_reject_json() {
     for cmd in [
         "mc --crash-at 5 --json",
