@@ -58,8 +58,8 @@
 //!   produces the same report (checked by `tests/fault_properties.rs`).
 //!
 //! Failures print as `crashsweep FAIL scheme=… workload=… seed=…
-//! ops=… [plan=…] k=…`, replayable via `slpmt crashsweep --at K` or
-//! `slpmt faults --plan P --at K`.
+//! ops=… [plan=…] k=…`, replayable via `slpmt faults --at K`, plus
+//! `--plan P` when the line names a plan.
 //!
 //! Battery-backed configurations (§V-E) are *not* swept: with the
 //! caches inside the persistence domain, the state a power failure

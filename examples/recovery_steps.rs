@@ -11,7 +11,11 @@
 //! of the whole, then the same means for each (scheme, index) case with
 //! the case's p99 for the whole operation and how many of the slowest
 //! 1% of all points it holds, so a tail names the case it came from;
-//! every point must pass its check.
+//! every point must pass its check. Last, for each hashtable case, the
+//! share of its points, and of its points among the slowest 1%, whose
+//! rehash window is open after log replay: the root's word 3 (the old
+//! generation) is non-zero, so `DurableIndex::recover` re-executes a
+//! rehash. That one word read is timed with `DurableIndex::recover`.
 //!
 //! ```sh
 //! cargo run --release --example recovery_steps
@@ -20,8 +24,9 @@
 use slpmt::annotate::AnnotationTable;
 use slpmt::core::sweep::{committed_prefix, sample_points};
 use slpmt::core::{MachineConfig, PtmFlavor, Scheme, SchemeKind};
+use slpmt::pmem::PmAddr;
 use slpmt::workloads::crashsweep::apply;
-use slpmt::workloads::runner::{DurableIndex, IndexKind};
+use slpmt::workloads::runner::{DurableIndex, IndexKind, Visit};
 use slpmt::workloads::{
     inspect, ycsb_mix, AnnotationSource, MixSpec, MixedOp, PmContext, StreamingOracle,
 };
@@ -81,6 +86,17 @@ fn replay(
     (ctx, idx, op_seq)
 }
 
+/// The structure's root: the first block its walk visits.
+fn root(ctx: &PmContext, idx: &dyn DurableIndex) -> PmAddr {
+    let mut root = None;
+    idx.walk(ctx, &mut |v| {
+        if let (None, Visit::Block(a)) = (root, v) {
+            root = Some(a);
+        }
+    });
+    root.expect("the walk visits the root first")
+}
+
 /// Column heads of the per-case table, one per step.
 const SHORT: [&str; 9] = [
     "crash",
@@ -97,7 +113,8 @@ const SHORT: [&str; 9] = [
 fn main() {
     let mut ns = [[0u128; STEPS.len()]; CASES];
     let mut points = [0u64; CASES];
-    // Each point's whole operation, ns, per case.
+    // Each point's whole operation, ns, and whether its rehash window
+    // was open, per case.
     let mut wholes = vec![Vec::new(); CASES];
     let mut names = vec![String::new(); CASES];
     for round in 0..ROUNDS {
@@ -113,10 +130,10 @@ fn main() {
         {
             names[c] = format!("{scheme} {kind}");
             let ns = &mut ns[c];
-            let events = replay(scheme, kind, &ops, None)
-                .0
-                .machine()
-                .persist_event_count();
+            let (ctx, idx, _) = replay(scheme, kind, &ops, None);
+            let events = ctx.machine().persist_event_count();
+            // The build allocates the root, so every replay shares it.
+            let table = (kind == IndexKind::Hashtable).then(|| root(&ctx, idx.as_ref()));
             let mut oracle = StreamingOracle::new(&ops);
             for k in sample_points(seed ^ c as u64, events, POINTS) {
                 let (mut ctx, mut idx, op_seq) = replay(scheme, kind, &ops, Some(k));
@@ -132,6 +149,7 @@ fn main() {
                 let b = committed_prefix(&op_seq, ctx.durable_commit_seq());
                 ctx.recover();
                 step(1);
+                let open = table.is_some_and(|r| ctx.peek_words::<4>(r)[3] != 0);
                 idx.recover(&mut ctx);
                 step(2);
                 let reachable = idx.reachable(&ctx);
@@ -147,7 +165,7 @@ fn main() {
                 oracle.advance_to(b);
                 let verdict = oracle.check(&ctx, idx.as_ref());
                 step(8);
-                wholes[c].push((lap - start).as_nanos());
+                wholes[c].push(((lap - start).as_nanos(), open));
                 let case = format!("{scheme} {kind} seed={seed} k={k}");
                 invariants.unwrap_or_else(|e| panic!("{case}: {e}"));
                 assert!(clean, "{case}: leaks after GC");
@@ -170,18 +188,20 @@ fn main() {
     println!("| whole operation | {:.2} | |", us(total, all));
     // Nearest-rank p99 of a case's points, and the case of each of the
     // slowest 1% of all points.
-    let p99 = |ts: &mut Vec<u128>| {
+    let p99 = |ts: &mut Vec<(u128, bool)>| {
         ts.sort_unstable();
-        ts[(ts.len() * 99).div_ceil(100) - 1]
+        ts[(ts.len() * 99).div_ceil(100) - 1].0
     };
-    let mut tail: Vec<(u128, usize)> = (wholes.iter().enumerate())
-        .flat_map(|(c, ts)| ts.iter().map(move |&t| (t, c)))
+    let mut tail: Vec<(u128, usize, bool)> = (wholes.iter().enumerate())
+        .flat_map(|(c, ts)| ts.iter().map(move |&(t, open)| (t, c, open)))
         .collect();
     tail.sort_unstable_by(|a, b| b.cmp(a));
     tail.truncate(tail.len().div_ceil(100));
     let mut in_tail = [0usize; CASES];
-    for &(_, c) in &tail {
+    let mut open_in_tail = [0usize; CASES];
+    for &(_, c, open) in &tail {
         in_tail[c] += 1;
+        open_in_tail[c] += usize::from(open);
     }
     println!(
         "\nPer case, mean host µs per point (steps in the order above), the whole \
@@ -203,5 +223,23 @@ fn main() {
             cells.join(" | "),
             in_tail[c]
         );
+    }
+    println!(
+        "\nHashtable cases: points whose rehash window is open after log replay, \
+         among all the case's points and among its points in the slowest 1%\n"
+    );
+    println!("| case | all points | slowest 1% |");
+    println!("|---|---|---|");
+    let share =
+        |n: usize, of: usize| format!("{n}/{of} ({:.0}%)", 100.0 * n as f64 / of.max(1) as f64);
+    for (c, name) in names.iter().enumerate() {
+        if name.ends_with(" hashtable") {
+            let open = wholes[c].iter().filter(|&&(_, open)| open).count();
+            println!(
+                "| {name} | {} | {} |",
+                share(open, wholes[c].len()),
+                share(open_in_tail[c], in_tail[c])
+            );
+        }
     }
 }

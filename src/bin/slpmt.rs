@@ -4,13 +4,14 @@
 //! one table, `COMMANDS`; `slpmt` with no (or an unknown) command
 //! prints it via `usage()`. Each command's synopsis is also its flag
 //! spec for the one parser, `Flags`, so the help text cannot drift
-//! from what is accepted.
+//! from what is accepted. Every argument is a flag.
 //!
 //! `matrix` and the sweeps fan their cells across worker threads (one
 //! per available core; override with SLPMT_THREADS, where 1 forces a
 //! serial run); the merged output is identical for any worker count.
-//! `crashsweep --at K` replays exactly one failing
-//! `(scheme, workload, seed, k)` tuple from a sweep report; `mc`
+//! `faults [--plan P] --at K` replays exactly one failing
+//! `(scheme, workload, seed, k)` tuple from a sweep report (no `--plan`
+//! is the clean crash); `mc`
 //! replays one `(scheme, cores, seed, schedule)` interleaving tuple
 //! from an interleaving-sweep report (`--crash-at K` additionally arms
 //! a crash at persist event K and oracle-checks recovery). `shards`
@@ -28,7 +29,7 @@ use slpmt::trace::json::{Fields, Obj};
 use slpmt::trace::{export_chrome_trace, json_obj, Metrics, ToJson, TraceRecord};
 use slpmt::workloads::runner::{par_map_with, run, threads, IndexKind, RunSpec};
 use slpmt::workloads::ycsb::MixSpec;
-use slpmt::workloads::{ycsb_load, AnnotationSource, LatencySummary, YcsbOp};
+use slpmt::workloads::{ycsb_load, AnnotationSource, LatencySummary};
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -218,9 +219,6 @@ fn serve_latency(l: &LatencySummary) -> Fields<'static> {
 /// reports the first one in argument order — the message a
 /// left-to-right parse stops at — whatever order the getters run in.
 struct Flags {
-    /// The `<index>` positional, for commands whose synopsis starts
-    /// with it.
-    index: Option<IndexKind>,
     /// `(position, flag, value)` per given flag; a getter takes the
     /// entries it reads, so whatever is left at `finish` is unknown.
     given: Vec<(usize, String, String)>,
@@ -230,23 +228,14 @@ struct Flags {
 
 impl Flags {
     /// Splits `args` into flags by `synopsis` (a [`Command::synopsis`]):
-    /// `[--flag X]` takes a value, `[--flag]` is a switch, and a leading
-    /// `<index>` is a required index name. `None` when that positional
-    /// is missing or unknown.
-    fn parse(synopsis: &str, args: &[String]) -> Option<Flags> {
-        let mut args = args.iter();
-        let index = if synopsis.starts_with("<index>") {
-            Some(args.next().and_then(|k| parse_kind(k))?)
-        } else {
-            None
-        };
+    /// `[--flag X]` takes a value and `[--flag]` is a switch.
+    fn parse(synopsis: &str, args: &[String]) -> Flags {
         let mut flags = Flags {
-            index,
             given: Vec::new(),
             errors: Vec::new(),
         };
         let tokens: Vec<&str> = synopsis.split_whitespace().collect();
-        let mut args = args.enumerate();
+        let mut args = args.iter().enumerate();
         while let Some((pos, flag)) = args.next() {
             let named = flag.starts_with("--");
             if named && tokens.contains(&format!("[{flag}]").as_str()) {
@@ -264,12 +253,7 @@ impl Flags {
                 flags.errors.push((pos, format!("unknown option {flag}")));
             }
         }
-        Some(flags)
-    }
-
-    /// The `<index>` positional.
-    fn index(&self) -> IndexKind {
-        self.index.expect("dispatch parsed the <index> positional")
+        flags
     }
 
     /// Every value given for `flag`, in order, each mapped by `parse`;
@@ -491,64 +475,6 @@ fn parse_annotations(v: &str) -> Result<AnnotationSource, String> {
     }
 }
 
-/// The flags `run`, `compare` and `matrix` share.
-struct Options {
-    scheme: Scheme,
-    ops: usize,
-    value: usize,
-    annotations: AnnotationSource,
-    latency_ns: Option<u64>,
-}
-
-impl Options {
-    fn parse(f: &mut Flags) -> Options {
-        Options {
-            scheme: f.hw_scheme(Scheme::Slpmt),
-            ops: f.positive("--ops", 1000),
-            value: f.value(256),
-            annotations: f
-                .last("--annotations", parse_annotations)
-                .unwrap_or(AnnotationSource::Manual),
-            latency_ns: f.opt("--latency"),
-        }
-    }
-
-    /// The insert run of `ops` on `kind` under `scheme`, with the
-    /// flags' value size, annotation source and PM write latency.
-    fn spec<'a>(
-        &self,
-        scheme: impl Into<SchemeKind>,
-        kind: IndexKind,
-        ops: &'a [YcsbOp],
-    ) -> RunSpec<'a> {
-        let mut cfg = MachineConfig::for_kind(scheme);
-        if let Some(ns) = self.latency_ns {
-            cfg.pm = cfg.pm.with_write_latency_ns(ns);
-        }
-        RunSpec {
-            source: self.annotations,
-            ..RunSpec::inserts(cfg, kind, ops, self.value)
-        }
-    }
-}
-
-/// The workload set `crashsweep` and `faults` default to; their
-/// `--workload all` keeps it.
-const SWEEP_KINDS: [IndexKind; 3] = [IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::Heap];
-
-/// The flags `crashsweep` and `faults` share: schemes, workloads,
-/// seed and ops.
-fn sweep_flags(f: &mut Flags, ops: usize) -> (Vec<SchemeKind>, Vec<IndexKind>, u64, usize) {
-    use slpmt::workloads::crashsweep::SWEEP_SCHEMES;
-    let schemes: Vec<SchemeKind> = SWEEP_SCHEMES.iter().map(|&s| s.into()).collect();
-    (
-        f.schemes(&schemes, &SchemeKind::REGISTRY),
-        f.kinds(&SWEEP_KINDS, &SWEEP_KINDS),
-        f.get("--seed", 42),
-        f.positive("--ops", ops),
-    )
-}
-
 fn cmd_schemes(f: &mut Flags) -> Result<ExitCode, String> {
     f.finish()?;
     println!(
@@ -603,79 +529,58 @@ fn cmd_paper(f: &mut Flags) -> Result<ExitCode, String> {
     ))
 }
 
-fn cmd_run(f: &mut Flags) -> Result<ExitCode, String> {
-    let kind = f.index();
-    let o = &Options::parse(f);
-    f.finish()?;
-    let ops = ycsb_load(o.ops, o.value, 42);
-    let spec = RunSpec {
-        verify: true,
-        ..o.spec(o.scheme, kind, &ops)
-    };
-    let r = run(&spec).single().result;
-    println!(
-        "{kind} under {} ({} × {} B inserts, verified)",
-        o.scheme, o.ops, o.value
-    );
-    println!("  cycles        : {}", r.cycles);
-    println!(
-        "  media traffic : {} B ({} data lines, {} log records)",
-        r.traffic.media_bytes(),
-        r.traffic.data_lines,
-        r.traffic.log_records
-    );
-    println!("{}", r.stats);
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_compare(f: &mut Flags) -> Result<ExitCode, String> {
-    let kind = f.index();
-    let o = &Options::parse(f);
-    f.finish()?;
-    let ops = ycsb_load(o.ops, o.value, 42);
-    let run_scheme = |s: Scheme| run(&o.spec(s, kind, &ops)).single().result;
-    let base = run_scheme(Scheme::Fg);
-    println!(
-        "{kind}: {} × {} B inserts (speedup and traffic vs FG)",
-        o.ops, o.value
-    );
-    for s in [
-        Scheme::Fg,
-        Scheme::FgLg,
-        Scheme::FgLz,
-        Scheme::Slpmt,
-        Scheme::Atom,
-        Scheme::Ede,
-    ] {
-        let r = run_scheme(s);
-        println!(
-            "  {:<8} {:>12} cycles  {:>5.2}x  {:>9} media B  {:>+6.1}%",
-            s.to_string(),
-            r.cycles,
-            r.speedup_vs(&base),
-            r.traffic.media_bytes(),
-            -r.traffic_reduction_vs(&base) * 100.0,
-        );
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
+/// `slpmt matrix`: Fig. 8's grid. Each selected index runs under FG,
+/// the baseline every row's speedup is against, and then each selected
+/// hardware scheme in registry order. Every cell is verified.
 fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
-    let o = &Options::parse(f);
+    use slpmt::bench::runner::matrix;
+
+    let hardware: Vec<Scheme> = SchemeKind::REGISTRY
+        .into_iter()
+        .filter_map(SchemeKind::hardware)
+        .collect();
+    // By default Fig. 8's five: FG+LG, FG+LZ, SLPMT, ATOM and EDE.
+    let picked = f.pick(
+        "--scheme",
+        "scheme",
+        &hardware[1..6],
+        Some(&hardware),
+        |v| SchemeKind::parse(v).and_then(SchemeKind::hardware),
+    );
+    let kinds = f.kinds(&IndexKind::ALL, &IndexKind::ALL);
+    let ops = f.positive("--ops", 1000usize);
+    let value = f.value(256);
+    let source = f
+        .last("--annotations", parse_annotations)
+        .unwrap_or(AnnotationSource::Manual);
+    let latency_ns: Option<u64> = f.opt("--latency");
     let json = f.flag("--json");
     f.finish()?;
-    use slpmt::bench::runner::fig08_cells;
-    let ops = ycsb_load(o.ops, o.value, 42);
-    let cells = fig08_cells(&IndexKind::ALL);
+
+    let schemes: Vec<Scheme> = hardware
+        .into_iter()
+        .filter(|s| *s == Scheme::Fg || picked.contains(s))
+        .collect();
+    let stream = ycsb_load(ops, value, 42);
+    let cells = matrix(&schemes, &kinds);
     let start = std::time::Instant::now();
     let results = par_map_with(&cells, threads(), |c| {
-        run(&o.spec(c.scheme, c.kind, &ops)).single().result
+        let mut spec = c.spec(&stream, value);
+        if let Some(ns) = latency_ns {
+            spec.cfg.pm = spec.cfg.pm.with_write_latency_ns(ns);
+        }
+        let spec = RunSpec {
+            source,
+            verify: true,
+            ..spec
+        };
+        run(&spec).single().result
     });
     let elapsed = start.elapsed();
-    // Each index's chunk is its FG baseline and the five compared
-    // schemes; a row is (result, speedup vs that FG, write amplification).
+    // Each index's chunk starts with its FG baseline; a row is
+    // (result, speedup vs that FG, write amplification).
     let rows: Vec<_> = results
-        .chunks_exact(1 + 5)
+        .chunks_exact(schemes.len())
         .flat_map(|chunk| chunk.iter().map(|r| (r, r.speedup_vs(&chunk[0]), r.waf())))
         .collect();
     if json {
@@ -683,8 +588,8 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
         // is diffed byte-for-byte across SLPMT_THREADS values in CI.
         print_json(json_obj! {
             "command": "matrix",
-            "ops": o.ops,
-            "value_bytes": o.value,
+            "ops": ops,
+            "value_bytes": value,
             "cells": rows.iter().map(|&(r, speedup, waf)| json_obj! {
                 "workload": r.kind.to_string(),
                 "scheme": r.scheme.to_string(),
@@ -701,10 +606,8 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
     println!(
-        "scheme × index matrix: {} cells, {} × {} B inserts, {} worker(s), {:.2}s",
+        "scheme × index matrix: {} cells, {ops} × {value} B inserts, {} worker(s), {:.2}s",
         cells.len(),
-        o.ops,
-        o.value,
         threads(),
         elapsed.as_secs_f64(),
     );
@@ -757,61 +660,30 @@ fn cmd_trace(f: &mut Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `slpmt crashsweep`: the exhaustive persist-event crash sweep, or a
-/// single reproduced `(scheme, workload, seed, k)` point with `--at`.
-fn cmd_crashsweep(f: &mut Flags) -> Result<ExitCode, String> {
-    use slpmt::bench::sweep::{run_sweep, sweep_cases, Points, CLEAN};
-    use slpmt::workloads::crashsweep::{count_events, EngineTarget, SweepCase};
-
-    let (schemes, kinds, seed, ops) = sweep_flags(f, 50);
-    let at: Option<u64> = f.opt("--at");
-    f.finish()?;
-
-    let name = |c: &SweepCase, _: &FaultPlan, k: u64| {
-        format!("crashsweep-{}-{}-s{}-k{k}", c.scheme, c.kind, c.seed)
-    };
-    if let Some(k) = at {
-        // Reproduce one tuple: exactly one scheme and workload.
-        let (&scheme, &kind) = match (&schemes[..], &kinds[..]) {
-            ([s], [w]) => (s, w),
-            _ => return Err("--at needs exactly one --scheme and one --workload".into()),
-        };
-        let case = SweepCase::new(scheme, kind, seed, ops);
-        return replay_point(
-            &EngineTarget,
-            &case,
-            &FaultPlan::NONE,
-            k,
-            "recovered to the oracle state",
-            name,
-        );
-    }
-
-    let cases = sweep_cases(&schemes, &kinds, seed, ops);
-    let total: u64 = cases.iter().map(count_events).sum();
-    println!(
-        "sweeping {} case(s), {} persist events total (seed {seed}, {ops} ops) ...",
-        cases.len(),
-        total
-    );
-    let start = std::time::Instant::now();
-    let report = run_sweep(&EngineTarget, &cases, &CLEAN, Points::Exhaustive);
-    print!("crash {report}");
-    capture_failures(&EngineTarget, &report.failures, "--at K", false, name)?;
-    println!("({:.2}s)", start.elapsed().as_secs_f64());
-    Ok(exit_code(report.is_clean()))
-}
-
-/// `slpmt faults`: the media-fault sweep — seeded crash points under
-/// torn-write / poison / bit-flip / jitter plans — or a single
-/// reproduced `(scheme, workload, seed, k, plan)` point with
-/// `--plan … --at …`.
+/// `slpmt faults`: the persist-event crash sweep under media-fault
+/// plans (torn writes, poison, bit flips, jitter; `--plan s0` is the
+/// clean crash) at seeded crash points, or at every point with
+/// `--points all`; or one reproduced `(scheme, workload, seed, k,
+/// plan)` point with `[--plan P] --at K`, where no plan is the clean
+/// crash.
 fn cmd_faults(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::bench::sweep::{run_sweep, sweep_cases, Points};
-    use slpmt::workloads::crashsweep::{default_plans, EngineTarget, SweepCase};
+    use slpmt::workloads::crashsweep::{default_plans, EngineTarget, SweepCase, SWEEP_SCHEMES};
 
-    let (schemes, kinds, seed, ops) = sweep_flags(f, 20);
-    let points = f.positive("--points", 2);
+    let schemes: Vec<SchemeKind> = SWEEP_SCHEMES.iter().map(|&s| s.into()).collect();
+    let schemes = f.schemes(&schemes, &SchemeKind::REGISTRY);
+    let default_kinds = [IndexKind::Hashtable, IndexKind::Rbtree, IndexKind::Heap];
+    let kinds = f.kinds(&default_kinds, &IndexKind::ALL);
+    let seed = f.get("--seed", 42);
+    let ops = f.positive("--ops", 20);
+    let points = f
+        .last("--points", |v| match v.parse() {
+            _ if v.eq_ignore_ascii_case("all") => Ok(Points::Exhaustive),
+            Ok(0) => Err("--points must be at least 1".to_string()),
+            Ok(n) => Ok(Points::Sampled(n)),
+            Err(e) => Err(format!("--points: {e}")),
+        })
+        .unwrap_or(Points::Sampled(2));
     let mut plans: Vec<FaultPlan> = f.all("--plan");
     let at: Option<u64> = f.opt("--at");
     let json = f.flag("--json");
@@ -825,43 +697,47 @@ fn cmd_faults(f: &mut Flags) -> Result<ExitCode, String> {
     };
     if let Some(k) = at {
         if json {
-            return Err("--json does not apply to a --plan P --at K replay".into());
+            return Err("--json does not apply to an --at K replay".into());
         }
-        // Reproduce one failure tuple verbatim.
-        let (&scheme, &kind, &plan) = match (&schemes[..], &kinds[..], &plans[..]) {
-            ([s], [w], [p]) => (s, w, p),
-            _ => return Err("--at needs exactly one --scheme, --workload and --plan".into()),
+        // Reproduce one failure tuple verbatim: a clean failure line
+        // prints no plan.
+        let (&scheme, &kind, plan) = match (&schemes[..], &kinds[..], &plans[..]) {
+            ([s], [w], []) => (s, w, FaultPlan::NONE),
+            ([s], [w], [p]) => (s, w, *p),
+            _ => return Err("--at needs one --scheme, one --workload, at most one --plan".into()),
+        };
+        let held = if plan.is_empty() {
+            "recovered to the oracle state"
+        } else {
+            "degradation rules held"
         };
         let case = SweepCase::new(scheme, kind, seed, ops);
-        return replay_point(
-            &EngineTarget,
-            &case,
-            &plan,
-            k,
-            "degradation rules held",
-            name,
-        );
+        return replay_point(&EngineTarget, &case, &plan, k, held, name);
     }
 
     if plans.is_empty() {
         plans = default_plans(seed);
     }
     let cases = sweep_cases(&schemes, &kinds, seed, ops);
+    let (per_case, each) = match points {
+        Points::Sampled(n) => (Some(n), format!("{n} crash point(s)")),
+        Points::Exhaustive => (None, "every crash point".to_string()),
+    };
     if !json {
         println!(
-            "fault-sweeping {} cell(s) × {points} crash point(s) (seed {seed}, {ops} ops) ...",
+            "fault-sweeping {} cell(s) × {each} (seed {seed}, {ops} ops) ...",
             cases.len() * plans.len()
         );
     }
     let start = std::time::Instant::now();
-    let report = run_sweep(&EngineTarget, &cases, &plans, Points::Sampled(points));
+    let report = run_sweep(&EngineTarget, &cases, &plans, points);
     if !json {
         print!("fault {report}");
     }
     let captured = capture_failures(
         &EngineTarget,
         &report.failures,
-        "--plan P --at K",
+        "[--plan P] --at K",
         json,
         name,
     )?;
@@ -870,7 +746,7 @@ fn cmd_faults(f: &mut Flags) -> Result<ExitCode, String> {
             "command": "faults",
             "seed": seed,
             "ops": ops,
-            "points_per_case": points,
+            "points_per_case": per_case,
             "cases": report.cases,
             "points": report.points(),
             "clean": report.is_clean(),
@@ -1013,7 +889,7 @@ fn cmd_mc(f: &mut Flags) -> Result<ExitCode, String> {
 
 /// `slpmt shards`: the share-nothing scaling run.
 fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
-    let kind = f.index();
+    let kind = f.kind(IndexKind::Hashtable);
     let scheme = f.hw_scheme(Scheme::Slpmt);
     let ops = f.positive("--ops", 1000usize);
     let value = f.value(256);
@@ -1519,14 +1395,6 @@ fn cmd_chaos(f: &mut Flags) -> Result<ExitCode, String> {
     Ok(exit_code(report.is_clean()))
 }
 
-/// The `--scheme`/`--workload`/`--ops`/`--value` flags of `run`,
-/// `compare` and `matrix` ([`Options`]).
-macro_rules! insert_flags {
-    () => {
-        "[--scheme S] [--ops N] [--value B] [--annotations manual|compiler|none] [--latency NS]"
-    };
-}
-
 /// One `slpmt` subcommand. The synopsis is both the help text and the
 /// flag spec [`Flags::parse`] splits arguments by.
 struct Command {
@@ -1552,21 +1420,10 @@ const COMMANDS: &[Command] = &[
         run: cmd_paper,
     },
     Command {
-        name: "run",
-        about: "run YCSB-load inserts",
-        synopsis: concat!("<index> ", insert_flags!()),
-        run: cmd_run,
-    },
-    Command {
-        name: "compare",
-        about: "all schemes side by side",
-        synopsis: concat!("<index> ", insert_flags!()),
-        run: cmd_compare,
-    },
-    Command {
         name: "matrix",
-        about: "full scheme × index matrix (parallel)",
-        synopsis: concat!(insert_flags!(), " [--json]"),
+        about: "scheme × index matrix of verified inserts (parallel)",
+        synopsis: "[--scheme S|all] [--workload W|all] [--ops N] [--value B] \
+                   [--annotations manual|compiler|none] [--latency NS] [--json]",
         run: cmd_matrix,
     },
     Command {
@@ -1576,15 +1433,9 @@ const COMMANDS: &[Command] = &[
         run: cmd_trace,
     },
     Command {
-        name: "crashsweep",
-        about: "exhaustive persist-event crash sweep",
-        synopsis: "[--scheme S|all] [--workload W|all] [--seed N] [--ops N] [--at K]",
-        run: cmd_crashsweep,
-    },
-    Command {
         name: "faults",
-        about: "media-fault sweep (tear/poison/flip/jitter)",
-        synopsis: "[--scheme S|all] [--workload W|all] [--seed N] [--ops N] [--points N] \
+        about: "crash sweep: clean (--plan s0) or media faults (tear/poison/flip/jitter)",
+        synopsis: "[--scheme S|all] [--workload W|all] [--seed N] [--ops N] [--points N|all] \
                    [--plan s<seed>:t<0|1>[:w<word>]:p<n>:f<n>:j<n>] [--at K] [--json]",
         run: cmd_faults,
     },
@@ -1598,7 +1449,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "shards",
         about: "keyspace-sharded scaling run",
-        synopsis: "<index> [--scheme S] [--ops N] [--value B] [--shards N] [--json]",
+        synopsis: "[--workload W] [--scheme S] [--ops N] [--value B] [--shards N] [--json]",
         run: cmd_shards,
     },
     Command {
@@ -1641,7 +1492,7 @@ fn usage() -> ExitCode {
         }
     }
     eprintln!(
-        "--plan is repeatable (`--plan P --at K` replays one point); sweep failures\n\
+        "--plan is repeatable (`[--plan P] --at K` replays one point); sweep failures\n\
          auto-dump traces to target/traces/\n\
          indices: {}",
         IndexKind::ALL.map(|k| k.to_string()).join(", ")
@@ -1657,9 +1508,7 @@ fn main() -> ExitCode {
     else {
         return usage();
     };
-    let Some(mut flags) = Flags::parse(cmd.synopsis, &args[1..]) else {
-        return usage();
-    };
+    let mut flags = Flags::parse(cmd.synopsis, &args[1..]);
     (cmd.run)(&mut flags).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         ExitCode::FAILURE

@@ -32,52 +32,90 @@ fn accepts(cmd: &str) {
     assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
 }
 
-/// `(name, needs <index>)` for every command, read from the usage
-/// text the command table generates.
-fn commands() -> Vec<(String, bool)> {
+/// Every command's name, read from the usage text the command table
+/// generates.
+fn commands() -> Vec<String> {
     let out = slpmt(&[]);
     assert_eq!(out.status.code(), Some(1));
-    let usage = String::from_utf8_lossy(&out.stderr).into_owned();
-    let names: Vec<String> = usage
+    String::from_utf8_lossy(&out.stderr)
         .lines()
         .filter(|l| l.starts_with("  ") && !l.starts_with("    "))
         .map(|l| l.split_whitespace().next().unwrap_or_default().to_string())
-        .collect();
-    names
-        .into_iter()
-        .map(|name| {
-            let positional = usage.contains(&format!("    {name} <index>"));
-            (name, positional)
-        })
         .collect()
 }
 
 #[test]
 fn usage_lists_every_command() {
-    let names: Vec<String> = commands().into_iter().map(|(n, _)| n).collect();
-    assert_eq!(names.len(), 14, "{names:?}");
-    for want in ["run", "mc", "chaos", "ptm"] {
+    let names = commands();
+    assert_eq!(names.len(), 11, "{names:?}");
+    for want in ["matrix", "faults", "mc", "chaos", "ptm"] {
         assert!(names.iter().any(|n| n == want), "{want} missing: {names:?}");
     }
 }
 
 #[test]
 fn every_command_rejects_an_unknown_flag() {
-    for (name, positional) in commands() {
-        let index = if positional { "hashtable" } else { "" };
-        let err = rejects(&format!("{name} {index} --no-such-flag"));
+    for name in commands() {
+        let err = rejects(&format!("{name} --no-such-flag"));
         assert!(err.contains("unknown option --no-such-flag"), "{err}");
     }
 }
 
 #[test]
+fn every_argument_is_a_flag() {
+    for cmd in ["shards hashtable", "matrix heap"] {
+        let err = rejects(cmd);
+        assert!(err.contains("unknown option "), "{err}");
+    }
+}
+
+/// `workload/scheme` of every cell of a `matrix --json` object.
+fn matrix_cells(cmd: &str) -> Vec<String> {
+    let args: Vec<&str> = cmd.split_whitespace().collect();
+    let out = slpmt(&args);
+    assert_eq!(out.status.code(), Some(0), "{args:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    text.split("{\"workload\":\"")
+        .skip(1)
+        .map(|cell| {
+            let (workload, rest) = cell.split_once('"').unwrap();
+            let scheme = rest.split("\"scheme\":\"").nth(1).unwrap();
+            format!("{workload}/{}", &scheme[..scheme.find('"').unwrap()])
+        })
+        .collect()
+}
+
+#[test]
+fn matrix_honours_scheme_and_workload() {
+    assert_eq!(
+        matrix_cells("matrix --workload heap --scheme atom --ops 20 --json"),
+        ["heap/FG", "heap/ATOM"]
+    );
+    let atom = matrix_cells("matrix --scheme atom --ops 20 --json");
+    assert_eq!(atom.len(), 2 * 8, "{atom:?}");
+    assert_ne!(atom, matrix_cells("matrix --ops 20 --json"));
+    let all = matrix_cells("matrix --workload avl --scheme all --ops 20 --json");
+    assert_eq!(all.len(), 10, "{all:?}");
+    assert_eq!(all[0], "avl/FG");
+    let err = rejects("matrix --scheme undolog");
+    assert!(err.contains("unknown scheme undolog"), "{err}");
+}
+
+#[test]
+fn faults_sweeps_every_point_with_all() {
+    accepts("faults --plan s0 --points all --scheme slpmt --workload heap --ops 3");
+    let err = rejects("faults --points x");
+    assert!(err.contains("--points"), "{err}");
+}
+
+#[test]
 fn value_must_be_whole_words() {
     for cmd in [
-        "run hashtable",
-        "compare hashtable",
+        "matrix --workload hashtable --scheme slpmt",
+        "matrix --workload hashtable",
         "matrix",
         "trace",
-        "shards hashtable",
+        "shards --workload hashtable",
         "ptm",
         "ycsb",
         "serve",
@@ -129,11 +167,11 @@ fn zero_ops_is_not_a_clean_sweep_or_an_empty_run() {
     for cmd in [
         "faults --ops 0",
         "faults --ops 0 --json",
-        "crashsweep --ops 0",
-        "compare heap --ops 0",
-        "run hashtable --ops 0",
+        "faults --plan s0 --points all --ops 0",
+        "matrix --workload heap --ops 0",
+        "matrix --workload hashtable --scheme slpmt --ops 0",
         "matrix --ops 0 --json",
-        "shards hashtable --ops 0 --json",
+        "shards --workload hashtable --ops 0 --json",
         "trace --ops 0",
         "ptm --ops 0",
         "ycsb --ops 0",

@@ -5,7 +5,7 @@
 //! `slpmt::workloads::crashsweep` for the crash-state model and the
 //! oracle, and `slpmt::bench::sweep` for the driver. Failures print
 //! reproducible `(scheme, workload, seed, k)` tuples; re-run one with
-//! `slpmt crashsweep --scheme S --ops N --at K`.
+//! `slpmt faults --scheme S --workload W --seed N --ops N --at K`.
 //!
 //! The un-ignored tests are the PR gate: a scheme subset × every
 //! index at a trace size that keeps the whole file comfortably

@@ -12,8 +12,8 @@
 //!
 //! Text output carries three host fields, which [`mask`] replaces
 //! before comparing: the worker count and the elapsed seconds in
-//! `matrix`'s header, and the trailing `(N.NNs)` line of `crashsweep`
-//! and `faults`. Nothing else is masked.
+//! `matrix`'s header, and the trailing `(N.NNs)` line of a `faults`
+//! sweep. Nothing else is masked.
 //!
 //! A JSON golden holds one array element per line (`},{` is split
 //! after the comma), so a moved cell shows up as one changed line in a
@@ -31,8 +31,10 @@ use std::process::{Child, Command, Stdio};
 /// chaos and software-PTM drivers; the sixteenth runs every YCSB mix on
 /// every index, so each index's update, read-modify-write, read and
 /// scan paths are pinned; the seventeenth adds `ycsb`'s sharded pass and
-/// media-fault battery. The rest pin one small shape of each command's
-/// text output.
+/// media-fault battery; the eighteenth is one `matrix` cell, with its
+/// stats, next to its FG row. The rest pin one small shape of each
+/// command's text output, plus an index's slice of `matrix`, the clean
+/// exhaustive `faults` sweep and a clean `faults --at K` replay.
 const COMMANDS: &[(&str, &str)] = &[
     ("faults", "faults --ops 12 --points 2 --json"),
     (
@@ -43,7 +45,10 @@ const COMMANDS: &[(&str, &str)] = &[
     ("chaos", "chaos --requests 30 --points 2 --json"),
     ("ptm", "ptm --workload all --ops 200 --json"),
     ("mc", "mc --cores 3 --seed 5 --sched weighted:9 --json"),
-    ("shards", "shards hashtable --ops 300 --shards 4 --json"),
+    (
+        "shards",
+        "shards --workload hashtable --ops 300 --shards 4 --json",
+    ),
     ("matrix", "matrix --ops 60 --json"),
     ("matrix-1000", "matrix --ops 1000 --value 256 --json"),
     (
@@ -52,7 +57,7 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     (
         "shards-16",
-        "shards hashtable --ops 1000 --value 256 --shards 16 --json",
+        "shards --workload hashtable --ops 1000 --value 256 --shards 16 --json",
     ),
     (
         "ycsb-mixes",
@@ -78,16 +83,23 @@ const COMMANDS: &[(&str, &str)] = &[
         "ycsb-shards",
         "ycsb --mix b --load 40 --ops 120 --sweep --faults --points 2 --shards 2 --json",
     ),
+    (
+        "matrix-run",
+        "matrix --workload hashtable --scheme slpmt --ops 50 --json",
+    ),
     ("schemes", "schemes"),
-    ("run", "run hashtable --ops 50"),
-    ("compare", "compare heap --ops 50"),
+    ("matrix-heap", "matrix --workload heap --ops 50"),
     ("matrix", "matrix --ops 20"),
     ("trace", "trace --ops 20 --out trace-out.json"),
-    ("crashsweep", "crashsweep --ops 4"),
+    ("faults-clean", "faults --plan s0 --points all --ops 4"),
     ("faults", "faults --ops 12 --points 2"),
+    (
+        "faults-replay",
+        "faults --scheme slpmt --workload rbtree --ops 12 --at 7",
+    ),
     ("mc", "mc --cores 3 --seed 5 --sched weighted:9"),
     ("mc-crash-at", "mc --cores 2 --seed 5 --crash-at 40"),
-    ("shards", "shards hashtable --ops 300 --shards 4"),
+    ("shards", "shards --workload hashtable --ops 300 --shards 4"),
     (
         "ycsb-shards",
         "ycsb --mix b --load 40 --ops 120 --sweep --faults --points 2 --shards 2",
@@ -129,8 +141,8 @@ fn spawn(file: &str, args: &str, threads: &str) -> Child {
 }
 
 /// Masks the three host fields of text output: `matrix`'s header ends
-/// `, <workers> worker(s), <secs>s`, and `crashsweep` and `faults` end
-/// on a `(<secs>s)` line.
+/// `, <workers> worker(s), <secs>s`, and a `faults` sweep ends on a
+/// `(<secs>s)` line.
 fn mask(text: &str) -> String {
     text.split_inclusive('\n')
         .map(|line| {

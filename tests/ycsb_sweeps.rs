@@ -11,7 +11,7 @@
 //! chunk of sampled crash points, never rebuilt per point.
 //!
 //! Failures print reproducible `(scheme, workload, seed, k, mix)`
-//! tuples; replay one with `slpmt crashsweep --scheme S --workload W
+//! tuples; replay one with `slpmt faults --scheme S --workload W
 //! --seed N --at K` after switching the case to the same mix, or
 //! through `slpmt ycsb --mix M --scheme S --workload W --sweep`.
 
