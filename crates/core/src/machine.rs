@@ -724,6 +724,8 @@ impl Machine {
 
     /// Reads the current *logical* value of a word: the newest copy in
     /// any cache level, falling back to the persistent image. Untimed.
+    /// On a cold machine (see [`Self::peek_bytes`]) it reads the image
+    /// after one look at the empty L1.
     ///
     /// # Panics
     ///
@@ -745,11 +747,15 @@ impl Machine {
     /// the active L1, L2, L3, the active core's redo shadow, then each
     /// parked core's L1 and shadow in core order. `None` when only the
     /// persistent image holds the line. Inlined: `peek_u64` runs on the
-    /// service reply check and the recovery oracles.
+    /// service reply check and the recovery oracles. The cold test
+    /// comes after the L1 miss, so an L1 hit pays nothing for it.
     #[inline]
     fn cached_line(&self, line: PmAddr) -> Option<&[u8; LINE_BYTES]> {
         if let Some(e) = self.core.l1.peek(line) {
             return Some(&e.data);
+        }
+        if self.is_cold() {
+            return None;
         }
         if let Some(e) = self.l2.peek(line) {
             return Some(&e.data);
@@ -767,13 +773,33 @@ impl Machine {
         })
     }
 
+    /// Whether no volatile copy of any line can exist: the L1, L2 and
+    /// L3 are empty, the redo shadow is empty, and so are every parked
+    /// core's L1 and shadow. Every [`Self::crash`] leaves the machine
+    /// cold, and recovery writes only the image, so the post-crash
+    /// walks read the image alone.
+    fn is_cold(&self) -> bool {
+        let private_empty = |c: &CoreCtx| c.l1.is_empty() && c.redo_shadow.is_empty();
+        private_empty(&self.core)
+            && self.l2.is_empty()
+            && self.l3.is_empty()
+            && self.parked.iter().flatten().all(|c| private_empty(c))
+    }
+
     /// Reads `buf.len()` logical bytes starting at `addr`. Untimed.
+    /// Reads the persistent image, then overlays each line's newest
+    /// cached copy, unless the machine is cold (no cache level or redo
+    /// shadow holds a line, as after a crash), when the image alone is
+    /// the logical state.
     pub fn peek_bytes(&self, addr: PmAddr, buf: &mut [u8]) {
         if buf.is_empty() {
             return;
         }
         // Start from the durable image, then overlay cached lines.
         self.dev.image().read(addr, buf);
+        if self.is_cold() {
+            return;
+        }
         let first = addr.line().raw();
         let last = (addr.raw() + buf.len() as u64 - 1) & !(LINE_BYTES as u64 - 1);
         let mut line = first;
@@ -2913,6 +2939,48 @@ mod tests {
         assert_eq!(buf[0], 1);
         assert_eq!(buf[64], 0xFF);
         assert_eq!(buf[72], 1);
+        m.tx_commit();
+    }
+
+    #[test]
+    fn peeks_read_the_image_after_a_crash() {
+        let mut m = machine(Scheme::Slpmt);
+        m.setup_write(A, &[1u8; 128]);
+        m.tx_begin();
+        m.store_u64(A, 7, StoreKind::Store);
+        m.store_u64(A.add(64), 9, StoreKind::Store);
+        m.tx_commit();
+        m.tx_begin();
+        m.store_u64(A.add(8), 11, StoreKind::Store);
+        m.crash();
+        assert!(m.is_cold());
+        let (mut peeked, mut image) = ([0u8; 128], [0u8; 128]);
+        m.peek_bytes(A, &mut peeked);
+        m.device().image().read(A, &mut image);
+        assert_eq!(peeked, image);
+        for w in 0..16 {
+            let at = A.add(8 * w);
+            assert_eq!(m.peek_u64(at), m.device().image().read_u64(at), "{at}");
+        }
+    }
+
+    #[test]
+    fn peeks_see_a_parked_cores_dirty_line() {
+        let mut m = Machine::with_cores(MachineConfig::for_scheme(Scheme::Slpmt), 2);
+        m.setup_write(A, &[1u8; 64]);
+        m.switch_core(1);
+        m.tx_begin();
+        m.store_u64(A, 0xABCD, StoreKind::Store);
+        m.switch_core(0);
+        // Only the parked core's L1 holds the line; the image is stale.
+        assert!(m.core.l1.is_empty() && m.l2.is_empty() && m.l3.is_empty());
+        assert_eq!(m.device().image().read_u64(A), 0x0101_0101_0101_0101);
+        assert_eq!(m.peek_u64(A), 0xABCD);
+        let mut buf = [0u8; 16];
+        m.peek_bytes(A, &mut buf);
+        assert_eq!(buf[..8], 0xABCDu64.to_le_bytes());
+        assert_eq!(buf[8..], [1u8; 8]);
+        m.switch_core(1);
         m.tx_commit();
     }
 

@@ -288,13 +288,13 @@ mod tests {
     #[test]
     fn failure_lines_print_the_plan_only_when_armed() {
         let mut fail = SweepFailure {
-            label: "crashsweep",
+            label: "faults",
             case: "scheme=SLPMT",
             plan: FaultPlan::NONE,
             k: Some(7),
             detail: "boom".into(),
         };
-        assert_eq!(fail.to_string(), "crashsweep FAIL scheme=SLPMT k=7: boom");
+        assert_eq!(fail.to_string(), "faults FAIL scheme=SLPMT k=7: boom");
         fail.plan.poison_lines = 1;
         assert!(fail.to_string().contains(" plan="));
         fail.k = None;

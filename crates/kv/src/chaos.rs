@@ -228,8 +228,9 @@ pub fn count_chaos_events(case: &ChaosCase) -> u64 {
 /// Decoded-state check: the store must agree with the oracle's
 /// committed prefix, comparing *decoded payloads* (the facade stores
 /// length-prefixed cells the raw engine oracle cannot compare
-/// directly). One walk of the index, then the oracle's sorted merge
-/// ([`StreamingOracle::first_mismatch`]).
+/// directly). One walk of the index, then the oracle's entry check
+/// ([`StreamingOracle::first_mismatch`]: an unsorted pass, and a sorted
+/// merge only when that pass fails).
 fn check_store(store: &KvStore, oracle: &StreamingOracle<'_>) -> Result<(), String> {
     let mut entries = Vec::with_capacity(oracle.len());
     store.for_each_entry(&mut |k, a| entries.push((k, a)));

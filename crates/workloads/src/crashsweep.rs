@@ -32,10 +32,13 @@
 //! transaction has a durable marker ([`committed_prefix`]). Auxiliary
 //! transactions an operation runs *before* its main one (a hashtable
 //! update closing a redo window, a resize) are membership-neutral, so
-//! the recovered structure must equal a `BTreeMap` oracle after
-//! exactly `b` operations: same length, every key mapped to its exact
-//! value, structure invariants intact, and the heap clean after the
-//! leak GC ([`inspect`]-verified).
+//! the recovered structure must equal the [`StreamingOracle`]'s model
+//! after exactly `b` operations: same length, every key mapped to its
+//! exact value, structure invariants intact, and the heap clean after
+//! the leak GC ([`inspect`]-verified). The model gives each of the
+//! trace's keys a dense slot once per trace, so advancing it costs one
+//! array write per operation, and a recovered structure that is right
+//! is confirmed in one unsorted pass over its entries.
 //!
 //! ### Media faults
 //!
@@ -57,7 +60,7 @@
 //!   report the loss honestly; the same `(case, plan, k)` always
 //!   produces the same report (checked by `tests/fault_properties.rs`).
 //!
-//! Failures print as `crashsweep FAIL scheme=… workload=… seed=…
+//! Failures print as `faults FAIL scheme=… workload=… seed=…
 //! ops=… [plan=…] k=…`, replayable via `slpmt faults --at K`, plus
 //! `--plan P` when the line names a plan.
 //!
@@ -77,7 +80,6 @@ use slpmt_core::sweep::{attribute_faults, committed_prefix, guarded, panic_messa
 use slpmt_core::{CrashTarget, Scheme, SchemeKind, TraceRecord};
 use slpmt_pmem::fault::mix64;
 use slpmt_pmem::{FaultPlan, PmAddr};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -275,6 +277,14 @@ pub fn apply(idx: &mut dyn DurableIndex, ctx: &mut PmContext, op: &MixedOp) {
 /// themselves deterministic recomputations of `value_for` /
 /// [`update_value_for`](crate::ycsb::update_value_for)).
 ///
+/// The model is dense, laid out once per trace by [`new`](Self::new):
+/// each distinct key the trace writes or removes gets a slot, its rank
+/// among those keys, every operation records its key's slot, and a
+/// key → slot open-addressing table (multiplicative hashing, linear
+/// probing, at most half full) serves lookups of arbitrary keys.
+/// Advancing is one array write per operation, and walking the slots
+/// in order walks the keys in order.
+///
 /// Total cost of a whole sweep is O(n) model mutations regardless of
 /// the number of crash points — [`work`](StreamingOracle::work)
 /// exposes the applied-operation counter so tests can pin the
@@ -285,20 +295,99 @@ pub fn apply(idx: &mut dyn DurableIndex, ctx: &mut PmContext, op: &MixedOp) {
 pub struct StreamingOracle<'a> {
     ops: &'a [MixedOp],
     applied: usize,
-    /// key → index in `ops` of the operation whose value is current.
-    model: BTreeMap<u64, u32>,
+    /// The distinct keys the trace writes or removes, ascending; a
+    /// key's slot is its index here.
+    keys: Vec<u64>,
+    /// Each operation's slot, [`NO_SLOT`] for reads and scans.
+    op_slot: Vec<u32>,
+    /// key → slot + 1, or 0 for an empty bucket; a power-of-two
+    /// capacity of at least twice the key count.
+    table: Vec<u32>,
+    /// Right shift taking a multiplied key to a `table` bucket.
+    shift: u32,
+    /// slot → index + 1 in `ops` of the operation whose value is
+    /// current, or 0 when the key is absent.
+    model: Vec<u32>,
+    /// Number of non-zero `model` slots.
+    live: usize,
     work: u64,
+}
+
+/// The slot of an operation that writes or removes no key.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The key an operation writes or removes, if any.
+fn written_key(op: &MixedOp) -> Option<u64> {
+    match op {
+        MixedOp::Insert(o) | MixedOp::Update(o) | MixedOp::Rmw(o) => Some(o.key),
+        MixedOp::Remove(k) => Some(*k),
+        MixedOp::Read(_) | MixedOp::Scan { .. } => None,
+    }
+}
+
+/// The payload written by the operation a non-zero model entry names.
+fn payload(ops: &[MixedOp], entry: u32) -> &[u8] {
+    match &ops[entry as usize - 1] {
+        MixedOp::Insert(o) | MixedOp::Update(o) | MixedOp::Rmw(o) => o.value.as_slice(),
+        _ => unreachable!("model points at a non-writing op"),
+    }
 }
 
 impl<'a> StreamingOracle<'a> {
     /// A fresh oracle over a trace, positioned before any operation.
+    /// Sorts the trace's keys and builds their slot table: build one
+    /// per trace, not per crash point.
     pub fn new(ops: &'a [MixedOp]) -> Self {
         assert!(u32::try_from(ops.len()).is_ok(), "trace too long");
-        StreamingOracle {
+        let mut keys: Vec<u64> = ops.iter().filter_map(written_key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let op_slot = ops
+            .iter()
+            .map(|op| match written_key(op) {
+                Some(k) => keys
+                    .binary_search(&k)
+                    .expect("every written key is sorted in") as u32,
+                None => NO_SLOT,
+            })
+            .collect();
+        let capacity = (2 * keys.len()).next_power_of_two().max(2);
+        let mut oracle = StreamingOracle {
             ops,
             applied: 0,
-            model: BTreeMap::new(),
+            model: vec![0; keys.len()],
+            keys,
+            op_slot,
+            table: vec![0; capacity],
+            shift: 64 - capacity.trailing_zeros(),
+            live: 0,
             work: 0,
+        };
+        for slot in 0..oracle.keys.len() {
+            let mut b = oracle.bucket(oracle.keys[slot]);
+            while oracle.table[b] != 0 {
+                b = (b + 1) & (capacity - 1);
+            }
+            oracle.table[b] = slot as u32 + 1;
+        }
+        oracle
+    }
+
+    /// The home bucket of `key` in the slot table.
+    fn bucket(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot of `key`, or `None` when the trace never writes it.
+    fn slot(&self, key: u64) -> Option<usize> {
+        let mask = self.table.len() - 1;
+        let mut b = self.bucket(key);
+        loop {
+            match self.table[b] {
+                0 => return None,
+                s if self.keys[s as usize - 1] == key => return Some(s as usize - 1),
+                _ => b = (b + 1) & mask,
+            }
         }
     }
 
@@ -332,51 +421,45 @@ impl<'a> StreamingOracle<'a> {
             self.applied
         );
         assert!(b <= self.ops.len(), "prefix beyond trace end");
-        while self.applied < b {
-            let i = self.applied;
-            match &self.ops[i] {
-                MixedOp::Insert(o) | MixedOp::Update(o) | MixedOp::Rmw(o) => {
-                    self.model.insert(o.key, i as u32);
-                    self.work += 1;
-                }
-                MixedOp::Remove(k) => {
-                    self.model.remove(k);
-                    self.work += 1;
-                }
-                MixedOp::Read(_) | MixedOp::Scan { .. } => {}
+        for i in self.applied..b {
+            let slot = self.op_slot[i];
+            if slot == NO_SLOT {
+                continue;
             }
-            self.applied = i + 1;
+            let entry = &mut self.model[slot as usize];
+            let was_live = *entry != 0;
+            *entry = match self.ops[i] {
+                MixedOp::Remove(_) => 0,
+                _ => i as u32 + 1,
+            };
+            self.live = self.live + usize::from(*entry != 0) - usize::from(was_live);
+            self.work += 1;
         }
+        self.applied = b;
     }
 
     /// Number of live keys in the modelled prefix.
     pub fn len(&self) -> usize {
-        self.model.len()
+        self.live
     }
 
     /// Whether the modelled prefix has no live keys.
     pub fn is_empty(&self) -> bool {
-        self.model.is_empty()
+        self.live == 0
     }
 
     /// The expected payload of `key`, borrowed from the trace.
     pub fn expected(&self, key: u64) -> Option<&'a [u8]> {
-        self.model.get(&key).map(|&i| match &self.ops[i as usize] {
-            MixedOp::Insert(o) | MixedOp::Update(o) | MixedOp::Rmw(o) => o.value.as_slice(),
-            _ => unreachable!("model points at a non-writing op"),
-        })
+        let entry = self.model[self.slot(key)?];
+        (entry != 0).then(|| payload(self.ops, entry))
     }
 
     /// Iterates `(key, expected payload)` in key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &'a [u8])> + '_ {
         let ops = self.ops;
-        self.model.iter().map(move |(&k, &i)| {
-            let v = match &ops[i as usize] {
-                MixedOp::Insert(o) | MixedOp::Update(o) | MixedOp::Rmw(o) => o.value.as_slice(),
-                _ => unreachable!("model points at a non-writing op"),
-            };
-            (k, v)
-        })
+        (self.keys.iter().zip(&self.model))
+            .filter(|&(_, &entry)| entry != 0)
+            .map(move |(&k, &entry)| (k, payload(ops, entry)))
     }
 
     /// Checks a recovered structure against the modelled prefix: same
@@ -384,19 +467,19 @@ impl<'a> StreamingOracle<'a> {
     ///
     /// One [`for_each_entry`](DurableIndex::for_each_entry) walk
     /// collects the structure's `(key, value address)` pairs; the
-    /// count is compared with the model's, and the pairs, sorted, are
-    /// merge-joined against the key-ordered model with one
-    /// `peek_bytes` per key into a reused buffer. Linear in the live
-    /// keys (plus the sort) for every index.
+    /// count is compared with the model's, and
+    /// [`first_mismatch`](Self::first_mismatch) compares each pair's
+    /// value with one `peek_bytes` into a reused buffer. Linear in the
+    /// live keys for every index when the structure is right.
     pub fn check(&self, ctx: &PmContext, idx: &dyn DurableIndex) -> Result<(), String> {
         let b = self.applied;
-        let mut entries = Vec::with_capacity(self.model.len());
+        let mut entries = Vec::with_capacity(self.live);
         idx.for_each_entry(ctx, &mut |k, a| entries.push((k, a)));
-        if entries.len() != self.model.len() {
+        if entries.len() != self.live {
             return Err(format!(
                 "{} keys recovered, oracle has {} after {b} committed ops",
                 entries.len(),
-                self.model.len()
+                self.live
             ));
         }
         let mut buf = Vec::new();
@@ -415,20 +498,29 @@ impl<'a> StreamingOracle<'a> {
         }
     }
 
-    /// Merge-joins a structure's `(key, value address)` entries (any
-    /// order; sorted here) against the key-ordered model and returns
-    /// the first model key that has no entry, or whose value
-    /// `same(address, expected payload)` rejects, with that entry's
-    /// address and the expected payload. Entries for keys the model
-    /// lacks (extra or repeated keys) are passed over: at equal counts
-    /// each one leaves a model key without an entry, and that key is
-    /// reported — the first one in key order, as a per-key lookup loop
-    /// would find it.
+    /// Compares a structure's `(key, value address)` entries (any
+    /// order) with the model and returns the first model key, in key
+    /// order, that has no entry, or whose value `same(address,
+    /// expected payload)` rejects, with that entry's address and the
+    /// expected payload.
+    ///
+    /// A first pass takes the entries as they come: with as many
+    /// entries as live keys, if each one names a live key no earlier
+    /// entry named and `same` accepts its value, every live key is
+    /// matched once and there is no mismatch. Otherwise the entries
+    /// are sorted and merge-joined against the key-ordered model.
+    /// Entries for keys the model lacks (extra or repeated keys) are
+    /// passed over: at equal counts each one leaves a model key
+    /// without an entry, and that key is reported — the first one in
+    /// key order, as a per-key lookup loop would find it.
     pub fn first_mismatch(
         &self,
         entries: &mut [(u64, PmAddr)],
         mut same: impl FnMut(PmAddr, &[u8]) -> bool,
     ) -> Option<(u64, Option<PmAddr>, &'a [u8])> {
+        if entries.len() == self.live && self.each_matches_once(entries, &mut same) {
+            return None;
+        }
         entries.sort_unstable_by_key(|&(k, _)| k);
         let mut rest = entries.iter().peekable();
         for (key, want) in self.iter() {
@@ -439,6 +531,29 @@ impl<'a> StreamingOracle<'a> {
             }
         }
         None
+    }
+
+    /// The unsorted pass of [`first_mismatch`](Self::first_mismatch):
+    /// whether every entry names a live key that no earlier entry
+    /// named, with a value `same` accepts.
+    fn each_matches_once(
+        &self,
+        entries: &[(u64, PmAddr)],
+        same: &mut impl FnMut(PmAddr, &[u8]) -> bool,
+    ) -> bool {
+        let mut seen = vec![0u64; self.keys.len().div_ceil(64)];
+        entries.iter().all(|&(key, addr)| {
+            let Some(slot) = self.slot(key) else {
+                return false;
+            };
+            let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+            let entry = self.model[slot];
+            if entry == 0 || seen[word] & bit != 0 {
+                return false;
+            }
+            seen[word] |= bit;
+            same(addr, payload(self.ops, entry))
+        })
     }
 }
 
@@ -609,7 +724,7 @@ pub struct EngineTarget;
 impl CrashTarget for EngineTarget {
     type Case = SweepCase;
     type Outcome = ();
-    const LABEL: &'static str = "crashsweep";
+    const LABEL: &'static str = "faults";
 
     fn count(&self, case: &SweepCase) -> u64 {
         count_events(case)
@@ -635,6 +750,7 @@ impl CrashTarget for EngineTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn trace_is_deterministic_and_mutates_enough() {
@@ -693,6 +809,131 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The sort-and-merge `first_mismatch` ran before its unsorted
+    /// pass, against a model rebuilt from scratch for the prefix.
+    fn reference_mismatch<'a>(
+        ops: &'a [MixedOp],
+        b: usize,
+        entries: &mut [(u64, PmAddr)],
+        mut same: impl FnMut(PmAddr, &[u8]) -> bool,
+    ) -> Option<(u64, Option<PmAddr>, &'a [u8])> {
+        let mut model: BTreeMap<u64, &'a [u8]> = BTreeMap::new();
+        for op in &ops[..b] {
+            match op {
+                MixedOp::Insert(o) | MixedOp::Update(o) | MixedOp::Rmw(o) => {
+                    model.insert(o.key, &o.value);
+                }
+                MixedOp::Remove(k) => {
+                    model.remove(k);
+                }
+                MixedOp::Read(_) | MixedOp::Scan { .. } => {}
+            }
+        }
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        let mut rest = entries.iter().peekable();
+        for (&key, &want) in &model {
+            while rest.next_if(|&&(k, _)| k < key).is_some() {}
+            match rest.next_if(|&&(k, _)| k == key) {
+                Some(&(_, addr)) if same(addr, want) => {}
+                got => return Some((key, got.map(|&(_, a)| a), want)),
+            }
+        }
+        None
+    }
+
+    type Entries = Vec<(u64, PmAddr)>;
+
+    #[test]
+    fn first_mismatch_matches_the_sorted_merge_reference() {
+        let mut rng = slpmt_prng::SimRng::seed_from_u64(0x0AC1E);
+        let (mut compared, mut mismatches) = (0, 0);
+        for seed in 0..6 {
+            let case = SweepCase::with_mix(
+                Scheme::Fg,
+                IndexKind::Hashtable,
+                seed,
+                24,
+                96,
+                MixSpec::DELETE_HEAVY,
+            );
+            let ops = trace_ops(&case);
+            let traced: Vec<u64> = ops.iter().filter_map(written_key).collect();
+            let outside = loop {
+                let k = rng.next_u64();
+                if !traced.contains(&k) {
+                    break k;
+                }
+            };
+            let mut oracle = StreamingOracle::new(&ops);
+            let n = ops.len();
+            for b in [0, 1, n / 4, n / 2, 3 * n / 4, n - 1, n] {
+                oracle.advance_to(b);
+                // An entry's address names a cell; cell 0 holds no
+                // payload of the trace.
+                let mut cells: Vec<&[u8]> = vec![b"wrong"];
+                let mut good = Vec::new();
+                for (k, v) in oracle.iter() {
+                    good.push((k, PmAddr::new(8 * cells.len() as u64)));
+                    cells.push(v);
+                }
+                let wrong = PmAddr::new(0);
+                let live = good.len();
+                let removed = ops[..b].iter().find_map(|op| match op {
+                    MixedOp::Remove(k) if oracle.expected(*k).is_none() => Some(*k),
+                    _ => None,
+                });
+                // Two distinct entries to edit (one when only one exists).
+                let i = rng.gen_usize(0..live.max(1));
+                let j = (i + 1 + rng.gen_usize(0..live.max(2) - 1)) % live.max(1);
+                let mut variants: Vec<(&str, Entries)> = Vec::new();
+                let mut edit = |name, f: &mut dyn FnMut(&mut Entries)| {
+                    let mut v = good.clone();
+                    f(&mut v);
+                    rng.shuffle(&mut v);
+                    variants.push((name, v));
+                };
+                edit("correct", &mut |_| {});
+                if live > 0 {
+                    edit("missing", &mut |v| {
+                        v.remove(i);
+                    });
+                    edit("outside, replacing", &mut |v| v[i].0 = outside);
+                    edit("repeated", &mut |v| v[i] = v[j]);
+                    for (name, at) in [("smallest", 0), ("middle", live / 2), ("largest", live - 1)]
+                    {
+                        edit(name, &mut |v| v[at].1 = wrong);
+                    }
+                    edit("smallest and largest", &mut |v| {
+                        v[0].1 = wrong;
+                        v[live - 1].1 = wrong;
+                    });
+                    if let Some(r) = removed {
+                        edit("removed, replacing", &mut |v| v[i].0 = r);
+                    }
+                }
+                edit("outside, added", &mut |v| v.push((outside, PmAddr::new(8))));
+                if let Some(r) = removed {
+                    edit("removed, added", &mut |v| v.push((r, PmAddr::new(8))));
+                }
+                let same = |addr: PmAddr, want: &[u8]| cells[(addr.raw() / 8) as usize] == want;
+                for (name, v) in &variants {
+                    let got = oracle.first_mismatch(&mut v.clone(), same);
+                    let want = reference_mismatch(&ops, b, &mut v.clone(), same);
+                    assert_eq!(got, want, "seed {seed} b={b}: {name}");
+                    if *name == "correct" {
+                        assert_eq!(got, None, "seed {seed} b={b}");
+                    }
+                    compared += 1;
+                    mismatches += usize::from(got.is_some());
+                }
+            }
+        }
+        assert!(
+            compared > 300 && mismatches > 200,
+            "{compared} {mismatches}"
+        );
     }
 
     #[test]
@@ -777,7 +1018,7 @@ mod tests {
             detail: "boom".into(),
         };
         let line = f.to_string();
-        assert!(line.starts_with("crashsweep FAIL "));
+        assert!(line.starts_with("faults FAIL "));
         assert!(line.contains("scheme=SLPMT"));
         assert!(line.contains("workload=heap"));
         assert!(line.contains("seed=42"));

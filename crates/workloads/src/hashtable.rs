@@ -559,8 +559,11 @@ impl DurableIndex for Hashtable {
             ctx.recovery_write(fld(root, 4), 0);
             ctx.recovery_write(fld(root, 7), 0);
         }
-        // The size counter is lazily persistent: recount.
-        let count = self.len(ctx) as u64;
+        // The size counter is lazily persistent: recount the current
+        // generation (the old one, if any, is retired above).
+        let [buckets, n] = ctx.peek_words(root);
+        let mut count = 0u64;
+        self.nodes(ctx, PmAddr::new(buckets), n, |_, _| count += 1);
         ctx.recovery_write(fld(root, 2), count);
     }
 }

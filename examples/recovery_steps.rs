@@ -6,9 +6,11 @@
 //! inserts and 128 mixed operations with 32-byte values, 12 seeded
 //! crash points per case and 16 rounds (2,880 points) — and reads the
 //! clock between the steps of each point's recovery path, `crash`
-//! through the oracle check. The replay to the crash point is not
-//! timed. Prints the mean host µs per point of each step and its share
-//! of the whole, then the same means for each (scheme, index) case with
+//! through the oracle check, with the oracle's model advance to the
+//! committed prefix timed apart from its check of the recovered
+//! entries. The replay to the crash point is not timed. Prints the
+//! mean host µs per point of each step and its share of the whole,
+//! then the same means for each (scheme, index) case with
 //! the case's p99 for the whole operation and how many of the slowest
 //! 1% of all points it holds, so a tail names the case it came from;
 //! every point must pass its check. Last, for each hashtable case, the
@@ -49,7 +51,7 @@ const ROUNDS: u64 = 16;
 
 const CASES: usize = SCHEMES.len() * INDEXES.len();
 
-const STEPS: [&str; 9] = [
+const STEPS: [&str; 10] = [
     "`crash`",
     "log replay (`PmContext::recover`)",
     "`DurableIndex::recover`",
@@ -58,6 +60,7 @@ const STEPS: [&str; 9] = [
     "`gc`",
     "`check_invariants`",
     "`inspect`, after GC",
+    "`StreamingOracle::advance_to`",
     "`StreamingOracle::check`",
 ];
 
@@ -98,7 +101,7 @@ fn root(ctx: &PmContext, idx: &dyn DurableIndex) -> PmAddr {
 }
 
 /// Column heads of the per-case table, one per step.
-const SHORT: [&str; 9] = [
+const SHORT: [&str; 10] = [
     "crash",
     "replay",
     "recover",
@@ -107,6 +110,7 @@ const SHORT: [&str; 9] = [
     "gc",
     "check",
     "inspect",
+    "advance",
     "oracle",
 ];
 
@@ -163,8 +167,9 @@ fn main() {
                 let clean = inspect(&ctx, &reachable).is_clean();
                 step(7);
                 oracle.advance_to(b);
-                let verdict = oracle.check(&ctx, idx.as_ref());
                 step(8);
+                let verdict = oracle.check(&ctx, idx.as_ref());
+                step(9);
                 wholes[c].push(((lap - start).as_nanos(), open));
                 let case = format!("{scheme} {kind} seed={seed} k={k}");
                 invariants.unwrap_or_else(|e| panic!("{case}: {e}"));
