@@ -229,8 +229,8 @@ pub fn count_chaos_events(case: &ChaosCase) -> u64 {
 /// committed prefix, comparing *decoded payloads* (the facade stores
 /// length-prefixed cells the raw engine oracle cannot compare
 /// directly). One walk of the index, then the oracle's entry check
-/// ([`StreamingOracle::first_mismatch`]: an unsorted pass, and a sorted
-/// merge only when that pass fails).
+/// ([`StreamingOracle::first_mismatch`]: entries scattered into the
+/// model's key-ordered slots, no sort).
 fn check_store(store: &KvStore, oracle: &StreamingOracle<'_>) -> Result<(), String> {
     let mut entries = Vec::with_capacity(oracle.len());
     store.for_each_entry(&mut |k, a| entries.push((k, a)));
@@ -243,7 +243,7 @@ fn check_store(store: &KvStore, oracle: &StreamingOracle<'_>) -> Result<(), Stri
     }
     let ctx = store.context();
     let mut cell = vec![0u8; store.cell_size()];
-    let mismatch = oracle.first_mismatch(&mut entries, |addr, want| {
+    let mismatch = oracle.first_mismatch(&entries, |addr, want| {
         ctx.peek_bytes(addr, &mut cell);
         KvStore::payload(&cell) == want
     });

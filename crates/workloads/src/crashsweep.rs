@@ -36,9 +36,9 @@
 //! after exactly `b` operations: same length, every key mapped to its
 //! exact value, structure invariants intact, and the heap clean after
 //! the leak GC ([`inspect`]-verified). The model gives each of the
-//! trace's keys a dense slot once per trace, so advancing it costs one
-//! array write per operation, and a recovered structure that is right
-//! is confirmed in one unsorted pass over its entries.
+//! trace's keys a dense slot, its rank, once per trace, so advancing it
+//! costs one array write per operation, and the recovered entries are
+//! compared by scattering them into slots, with no sort.
 //!
 //! ### Media faults
 //!
@@ -279,11 +279,9 @@ pub fn apply(idx: &mut dyn DurableIndex, ctx: &mut PmContext, op: &MixedOp) {
 ///
 /// The model is dense, laid out once per trace by [`new`](Self::new):
 /// each distinct key the trace writes or removes gets a slot, its rank
-/// among those keys, every operation records its key's slot, and a
-/// key → slot open-addressing table (multiplicative hashing, linear
-/// probing, at most half full) serves lookups of arbitrary keys.
-/// Advancing is one array write per operation, and walking the slots
-/// in order walks the keys in order.
+/// among those keys (found by binary search), and every operation
+/// records its key's slot. Advancing is one array write per operation,
+/// and walking the slots in order walks the keys in order.
 ///
 /// Total cost of a whole sweep is O(n) model mutations regardless of
 /// the number of crash points — [`work`](StreamingOracle::work)
@@ -300,11 +298,6 @@ pub struct StreamingOracle<'a> {
     keys: Vec<u64>,
     /// Each operation's slot, [`NO_SLOT`] for reads and scans.
     op_slot: Vec<u32>,
-    /// key → slot + 1, or 0 for an empty bucket; a power-of-two
-    /// capacity of at least twice the key count.
-    table: Vec<u32>,
-    /// Right shift taking a multiplied key to a `table` bucket.
-    shift: u32,
     /// slot → index + 1 in `ops` of the operation whose value is
     /// current, or 0 when the key is absent.
     model: Vec<u32>,
@@ -335,8 +328,8 @@ fn payload(ops: &[MixedOp], entry: u32) -> &[u8] {
 
 impl<'a> StreamingOracle<'a> {
     /// A fresh oracle over a trace, positioned before any operation.
-    /// Sorts the trace's keys and builds their slot table: build one
-    /// per trace, not per crash point.
+    /// Sorts the trace's keys and gives each operation its key's slot:
+    /// build one per trace, not per crash point.
     pub fn new(ops: &'a [MixedOp]) -> Self {
         assert!(u32::try_from(ops.len()).is_ok(), "trace too long");
         let mut keys: Vec<u64> = ops.iter().filter_map(written_key).collect();
@@ -351,44 +344,20 @@ impl<'a> StreamingOracle<'a> {
                 None => NO_SLOT,
             })
             .collect();
-        let capacity = (2 * keys.len()).next_power_of_two().max(2);
-        let mut oracle = StreamingOracle {
+        StreamingOracle {
             ops,
             applied: 0,
             model: vec![0; keys.len()],
             keys,
             op_slot,
-            table: vec![0; capacity],
-            shift: 64 - capacity.trailing_zeros(),
             live: 0,
             work: 0,
-        };
-        for slot in 0..oracle.keys.len() {
-            let mut b = oracle.bucket(oracle.keys[slot]);
-            while oracle.table[b] != 0 {
-                b = (b + 1) & (capacity - 1);
-            }
-            oracle.table[b] = slot as u32 + 1;
         }
-        oracle
-    }
-
-    /// The home bucket of `key` in the slot table.
-    fn bucket(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
     /// The slot of `key`, or `None` when the trace never writes it.
     fn slot(&self, key: u64) -> Option<usize> {
-        let mask = self.table.len() - 1;
-        let mut b = self.bucket(key);
-        loop {
-            match self.table[b] {
-                0 => return None,
-                s if self.keys[s as usize - 1] == key => return Some(s as usize - 1),
-                _ => b = (b + 1) & mask,
-            }
-        }
+        self.keys.binary_search(&key).ok()
     }
 
     /// The trace this oracle models.
@@ -483,7 +452,7 @@ impl<'a> StreamingOracle<'a> {
             ));
         }
         let mut buf = Vec::new();
-        let mismatch = self.first_mismatch(&mut entries, |addr, want| {
+        let mismatch = self.first_mismatch(&entries, |addr, want| {
             buf.resize(want.len(), 0);
             ctx.peek_bytes(addr, &mut buf);
             buf == want
@@ -504,56 +473,45 @@ impl<'a> StreamingOracle<'a> {
     /// expected payload)` rejects, with that entry's address and the
     /// expected payload.
     ///
-    /// A first pass takes the entries as they come: with as many
-    /// entries as live keys, if each one names a live key no earlier
-    /// entry named and `same` accepts its value, every live key is
-    /// matched once and there is no mismatch. Otherwise the entries
-    /// are sorted and merge-joined against the key-ordered model.
-    /// Entries for keys the model lacks (extra or repeated keys) are
-    /// passed over: at equal counts each one leaves a model key
-    /// without an entry, and that key is reported — the first one in
-    /// key order, as a per-key lookup loop would find it.
+    /// One pass scatters the entries into their keys' slots: the first
+    /// entry naming a live key has its value judged by `same`, and
+    /// entries the model has no live key for (extra or removed keys,
+    /// the second entry of a repeated key) are passed over. When as
+    /// many values were accepted as there are live keys, every live key
+    /// is matched and there is no mismatch. Otherwise the slots are
+    /// walked in key order (slots are ranks, so nothing is sorted) to
+    /// the first live key without an accepted entry. At equal counts
+    /// each passed-over entry leaves such a key, and that key is
+    /// reported — the first one in key order, as a per-key lookup loop
+    /// would find it.
     pub fn first_mismatch(
         &self,
-        entries: &mut [(u64, PmAddr)],
+        entries: &[(u64, PmAddr)],
         mut same: impl FnMut(PmAddr, &[u8]) -> bool,
     ) -> Option<(u64, Option<PmAddr>, &'a [u8])> {
-        if entries.len() == self.live && self.each_matches_once(entries, &mut same) {
+        // slot → whether `same` accepted the value of the first entry
+        // naming that slot's live key; `None` while no entry has.
+        let mut verdict: Vec<Option<bool>> = vec![None; self.keys.len()];
+        let mut accepted = 0;
+        for &(key, addr) in entries {
+            let Some(slot) = self.slot(key) else { continue };
+            let entry = self.model[slot];
+            if entry != 0 && verdict[slot].is_none() {
+                let ok = same(addr, payload(self.ops, entry));
+                accepted += usize::from(ok);
+                verdict[slot] = Some(ok);
+            }
+        }
+        if accepted == self.live {
             return None;
         }
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        let mut rest = entries.iter().peekable();
-        for (key, want) in self.iter() {
-            while rest.next_if(|&&(k, _)| k < key).is_some() {}
-            match rest.next_if(|&&(k, _)| k == key) {
-                Some(&(_, addr)) if same(addr, want) => {}
-                got => return Some((key, got.map(|&(_, a)| a), want)),
-            }
-        }
-        None
-    }
-
-    /// The unsorted pass of [`first_mismatch`](Self::first_mismatch):
-    /// whether every entry names a live key that no earlier entry
-    /// named, with a value `same` accepts.
-    fn each_matches_once(
-        &self,
-        entries: &[(u64, PmAddr)],
-        same: &mut impl FnMut(PmAddr, &[u8]) -> bool,
-    ) -> bool {
-        let mut seen = vec![0u64; self.keys.len().div_ceil(64)];
-        entries.iter().all(|&(key, addr)| {
-            let Some(slot) = self.slot(key) else {
-                return false;
-            };
-            let (word, bit) = (slot / 64, 1u64 << (slot % 64));
-            let entry = self.model[slot];
-            if entry == 0 || seen[word] & bit != 0 {
-                return false;
-            }
-            seen[word] |= bit;
-            same(addr, payload(self.ops, entry))
-        })
+        let slot = (0..self.keys.len())
+            .find(|&s| self.model[s] != 0 && verdict[s] != Some(true))
+            .expect("a live key without an accepted entry");
+        let key = self.keys[slot];
+        let got = verdict[slot].and_then(|_| entries.iter().find(|&&(k, _)| k == key));
+        let want = payload(self.ops, self.model[slot]);
+        Some((key, got.map(|&(_, a)| a), want))
     }
 }
 
@@ -811,8 +769,8 @@ mod tests {
         }
     }
 
-    /// The sort-and-merge `first_mismatch` ran before its unsorted
-    /// pass, against a model rebuilt from scratch for the prefix.
+    /// The sort-and-merge `first_mismatch` ran before the dense slots,
+    /// against a model rebuilt from scratch for the prefix.
     fn reference_mismatch<'a>(
         ops: &'a [MixedOp],
         b: usize,
@@ -919,7 +877,7 @@ mod tests {
                 }
                 let same = |addr: PmAddr, want: &[u8]| cells[(addr.raw() / 8) as usize] == want;
                 for (name, v) in &variants {
-                    let got = oracle.first_mismatch(&mut v.clone(), same);
+                    let got = oracle.first_mismatch(v, same);
                     let want = reference_mismatch(&ops, b, &mut v.clone(), same);
                     assert_eq!(got, want, "seed {seed} b={b}: {name}");
                     if *name == "correct" {
