@@ -15,6 +15,11 @@
 //! `matrix`'s header, and the trailing `(N.NNs)` line of a `faults`
 //! sweep. Nothing else is masked.
 //!
+//! Two text commands also write a Chrome trace under `target/traces/`
+//! in their working directory ([`TRACES`]); each trace must equal
+//! `tests/golden/trace-<name>.json` at both thread counts, which pins
+//! the Perfetto export byte for byte.
+//!
 //! A JSON golden holds one array element per line (`},{` is split
 //! after the comma), so a moved cell shows up as one changed line in a
 //! diff. When a change is meant to move simulated output, regenerate
@@ -109,6 +114,17 @@ const COMMANDS: &[(&str, &str)] = &[
     ("ptm", "ptm --ops 100"),
 ];
 
+/// `(name, trace file)`: the command of [`COMMANDS`] named `name`
+/// writes `target/traces/<trace file>` in its working directory, and the
+/// file is compared with `tests/golden/trace-<name>.json`.
+const TRACES: &[(&str, &str)] = &[
+    (
+        "faults-replay",
+        "faultsweep-slpmt-rbtree-s42-ps0-t0-p0-f0-j0-k7.json",
+    ),
+    ("mc-crash-at", "mc-slpmt-c2-s5-rr-42-k40.json"),
+];
+
 /// Host worker counts every command runs at.
 const THREADS: [&str; 2] = ["1", "4"];
 
@@ -123,11 +139,17 @@ fn golden_file(name: &str, args: &str) -> String {
     format!("tests/golden/{name}.{ext}")
 }
 
+/// The working directory of the command whose golden is `file`, at
+/// `threads` workers.
+fn work_dir(file: &str, threads: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("{}-t{threads}", file.replace('/', "-")))
+}
+
 /// Runs `slpmt args` in a fresh, empty working directory named after
 /// the golden `file` and the thread count.
 fn spawn(file: &str, args: &str, threads: &str) -> Child {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("{}-t{threads}", file.replace('/', "-")));
+    let dir = work_dir(file, threads);
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create the working directory");
     Command::new(env!("CARGO_BIN_EXE_slpmt"))
@@ -175,10 +197,15 @@ fn output(file: &str, child: Child, threads: &str) -> String {
     );
     let text = String::from_utf8(out.stdout).expect("UTF-8 output");
     if file.ends_with(".json") {
-        text.replace("},{", "},\n{")
+        one_element_per_line(&text)
     } else {
         mask(&text)
     }
+}
+
+/// JSON text with one array element per line.
+fn one_element_per_line(json: &str) -> String {
+    json.replace("},{", "},\n{")
 }
 
 /// `None` if `got` equals `want`, else where they first differ.
@@ -218,6 +245,8 @@ fn cli_output_matches_goldens_at_every_thread_count() {
     let bless = std::env::var("SLPMT_BLESS").is_ok();
     let mut failures = Vec::new();
     let mut blessed = Vec::new();
+    // `(golden file, command, output at each thread count)`.
+    let mut runs: Vec<(String, String, Vec<String>)> = Vec::new();
     for &(name, args) in COMMANDS {
         let file = golden_file(name, args);
         let children: Vec<Child> = THREADS.iter().map(|t| spawn(&file, args, t)).collect();
@@ -226,12 +255,31 @@ fn cli_output_matches_goldens_at_every_thread_count() {
             .zip(THREADS)
             .map(|(child, t)| output(&file, child, t))
             .collect();
+        if let Some((_, trace)) = TRACES.iter().find(|(n, _)| *n == name) {
+            let traces = THREADS
+                .iter()
+                .map(|t| {
+                    let path = work_dir(&file, t).join("target/traces").join(trace);
+                    let text = std::fs::read_to_string(&path)
+                        .unwrap_or_else(|e| panic!("`slpmt {args}` wrote no {trace}: {e}"));
+                    one_element_per_line(&text)
+                })
+                .collect();
+            runs.push((
+                format!("tests/golden/trace-{name}.json"),
+                args.to_string(),
+                traces,
+            ));
+        }
+        runs.push((file, args.to_string(), outs));
+    }
+    for (file, args, outs) in runs {
         let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(&file);
         if bless {
             match first_difference(&outs[0], &outs[1]) {
                 None => blessed.push((path, outs[0].clone())),
                 Some(at) => failures.push(format!(
-                    "{name} (`slpmt {args}`): SLPMT_THREADS=1 and 4 differ at {at}"
+                    "{file} (`slpmt {args}`): SLPMT_THREADS=1 and 4 differ at {at}"
                 )),
             }
             continue;
