@@ -60,7 +60,7 @@ pub mod sweep;
 pub mod txreg;
 
 pub use instr::{BitEffects, StoreKind};
-pub use machine::{CommitPhase, Machine, MachineConfig};
+pub use machine::{Machine, MachineConfig};
 pub use multi::{
     McEvent, McOutcome, McSweepCase, McTarget, ProgramSpec, SchedPolicy, Schedule, TraceOp,
 };
@@ -68,6 +68,7 @@ pub use overhead::HardwareOverhead;
 pub use recovery::RecoveryReport;
 pub use scheme::{Discipline, Granularity, PtmFlavor, Scheme, SchemeFeatures, SchemeKind};
 pub use signature::{Signature, SIGNATURE_BITS};
+pub use slpmt_trace::CommitStage;
 pub use slpmt_trace::{Event as TraceEvent, Metrics as TraceMetrics, TraceHandle, TraceRecord};
 pub use stats::MachineStats;
 pub use sweep::{CrashTarget, SweepFailure, SweepReport};

@@ -301,7 +301,7 @@ fn covered_lines(rec: &PersistedRecord) -> impl Iterator<Item = u64> {
 
 #[cfg(test)]
 mod tests {
-    use crate::machine::CommitPhase;
+    use crate::CommitStage;
     use crate::{Machine, MachineConfig, Scheme, StoreKind};
     use slpmt_pmem::PmAddr;
 
@@ -362,7 +362,7 @@ mod tests {
         m.store_u64(A, 99, StoreKind::Store);
         // Crash after data persisted but before the marker: the
         // transaction must roll back.
-        m.set_commit_crash_point(Some(CommitPhase::AfterData));
+        m.set_commit_crash_point(Some(CommitStage::Data));
         m.tx_commit();
         assert_eq!(m.device().image().read_u64(A), 99, "data persisted");
         let report = m.recover();
@@ -375,7 +375,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Fg));
         m.tx_begin();
         m.store_u64(A, 99, StoreKind::Store);
-        m.set_commit_crash_point(Some(CommitPhase::AfterMarker));
+        m.set_commit_crash_point(Some(CommitStage::Marker));
         m.tx_commit();
         let report = m.recover();
         assert_eq!(report.undo_applied, 0);
@@ -447,7 +447,7 @@ mod tests {
         m.store_u64(A.add(8), 100, StoreKind::Store);
         // Crash after the marker but before the in-place write-back:
         // the redo-replay window.
-        m.set_commit_crash_point(Some(CommitPhase::AfterMarker));
+        m.set_commit_crash_point(Some(CommitStage::Marker));
         m.tx_commit();
         assert_eq!(m.device().image().read_u64(A), 5, "write-back not done");
         let report = m.recover();
@@ -464,7 +464,7 @@ mod tests {
         m.setup_write(A, &5u64.to_le_bytes());
         m.tx_begin();
         m.store_u64(A, 99, StoreKind::Store);
-        m.set_commit_crash_point(Some(CommitPhase::AfterRecords));
+        m.set_commit_crash_point(Some(CommitStage::Records));
         m.tx_commit();
         let report = m.recover();
         assert_eq!(report.redo_applied, 0);
@@ -478,7 +478,7 @@ mod tests {
         m.store_u64(A, 1, StoreKind::Store);
         m.store_u64(A, 2, StoreKind::Store); // overwrites the record
         m.store_u64(A, 3, StoreKind::Store);
-        m.set_commit_crash_point(Some(CommitPhase::AfterMarker));
+        m.set_commit_crash_point(Some(CommitStage::Marker));
         m.tx_commit();
         m.recover();
         assert_eq!(m.device().image().read_u64(A), 3, "final value replayed");
@@ -490,7 +490,7 @@ mod tests {
         m.tx_begin();
         m.store_u64(A, 1, StoreKind::Store); // logged
         m.store_u64(A.add(64), 2, StoreKind::log_free());
-        m.set_commit_crash_point(Some(CommitPhase::AfterLogFree));
+        m.set_commit_crash_point(Some(CommitStage::LogFree));
         m.tx_commit();
         // Crash right after the log-free lines persisted: the logged
         // data never reached PM and no record is durable.

@@ -4,158 +4,211 @@
 //! `slpmt-pmem` in the dependency graph, so it cannot name `PmAddr`).
 //! Variants are grouped by the mechanism they observe; see the field
 //! docs for the exact semantics of each payload.
+//!
+//! Every event is declared once, in the `events!` table below: its
+//! variant, export name, track ([`Component`]) and documented fields.
+//! The table generates [`Event`], [`Event::name`], [`Event::component`]
+//! and [`Event::fields`], the field list the Perfetto exporter writes.
 
+use crate::json::{Fields, JsonWriter, Obj, ToJson};
+use crate::json_obj;
 use std::fmt;
 
-/// Commit persist-ordering stage (Fig. 4); mirrors
-/// `slpmt_core::CommitPhase` without depending on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CommitStage {
-    /// Log-free data lines persisted (redo only — they carry no
-    /// records, so they must land before the marker).
-    LogFree,
-    /// All log records drained and durable.
-    Records,
-    /// Logged data lines persisted in place (undo only).
-    Data,
-    /// The commit marker is durable; the transaction is committed.
-    Marker,
+/// A fieldless enum whose every value has a short stable label, the
+/// form exports write it in.
+macro_rules! labelled {
+    ($(#[doc = $doc:literal])+ $enum:ident {
+        $($(#[doc = $vdoc:literal])+ $variant:ident = $label:literal,)+
+    }) => {
+        $(#[doc = $doc])+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        pub enum $enum {
+            $($(#[doc = $vdoc])+ $variant,)+
+        }
+
+        impl $enum {
+            /// Every value, in declaration order.
+            pub const ALL: &'static [$enum] = &[$($enum::$variant,)+];
+
+            /// Short stable label used by exports.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($enum::$variant => $label,)+
+                }
+            }
+        }
+
+        impl ToJson for $enum {
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.string(self.label());
+            }
+        }
+    };
 }
 
-impl CommitStage {
-    /// Short stable label used by exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            CommitStage::LogFree => "log-free",
-            CommitStage::Records => "records",
-            CommitStage::Data => "data",
-            CommitStage::Marker => "marker",
-        }
+labelled! {
+    /// Commit persist-ordering stage (Fig. 4). Reaching a stage means
+    /// it just completed; a test may inject a power failure there (see
+    /// `slpmt_core::Machine::set_commit_crash_point`).
+    CommitStage {
+        /// Redo only: the log-free data lines persisted, before any
+        /// record (they carry no records, so they must land before the
+        /// marker).
+        LogFree = "log-free",
+        /// All log records drained and durable (undo: before any data
+        /// line; redo: before the marker).
+        Records = "records",
+        /// Undo only: the logged data lines persisted in place, before
+        /// the marker — the roll-back window.
+        Data = "data",
+        /// The commit marker is durable; the transaction is committed
+        /// (undo: everything durable; redo: the write-back has not
+        /// happened — the redo-replay window).
+        Marker = "marker",
     }
 }
 
-/// A recovery phase (validate / truncate / skip / replay / salvage /
-/// scrub).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RecoveryStage {
-    /// CRC + sequence validation of every durable record and marker.
-    Validate,
-    /// Torn tail records truncated before replay.
-    Truncate,
-    /// Corrupt (bit-flipped) records skipped by replay.
-    Skip,
-    /// Undo/redo record replay against the durable image.
-    Replay,
-    /// Poisoned lines re-materialised from intact log records.
-    Salvage,
-    /// Unsalvageable poisoned lines scrubbed to zeros.
-    Scrub,
-}
-
-impl RecoveryStage {
-    /// Short stable label used by exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            RecoveryStage::Validate => "validate",
-            RecoveryStage::Truncate => "truncate",
-            RecoveryStage::Skip => "skip",
-            RecoveryStage::Replay => "replay",
-            RecoveryStage::Salvage => "salvage",
-            RecoveryStage::Scrub => "scrub",
-        }
+labelled! {
+    /// A recovery phase (validate / truncate / skip / replay / salvage /
+    /// scrub).
+    RecoveryStage {
+        /// CRC + sequence validation of every durable record and marker.
+        Validate = "validate",
+        /// Torn tail records truncated before replay.
+        Truncate = "truncate",
+        /// Corrupt (bit-flipped) records skipped by replay.
+        Skip = "skip",
+        /// Undo/redo record replay against the durable image.
+        Replay = "replay",
+        /// Poisoned lines re-materialised from intact log records.
+        Salvage = "salvage",
+        /// Unsalvageable poisoned lines scrubbed to zeros.
+        Scrub = "scrub",
     }
 }
 
-/// What kind of durable mutation a [`Event::Persist`] records; mirrors
-/// the device's `PersistEvent` discriminants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PersistKind {
-    /// A 64-byte data line accepted by the WPQ.
-    Data,
-    /// A log record appended to the durable log.
-    Record,
-    /// A commit marker.
-    Marker,
-    /// A log head-pointer advance (truncate / reset).
-    Truncate,
-}
-
-impl PersistKind {
-    /// Short stable label used by exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            PersistKind::Data => "data",
-            PersistKind::Record => "record",
-            PersistKind::Marker => "marker",
-            PersistKind::Truncate => "truncate",
-        }
+labelled! {
+    /// What kind of durable mutation a [`Event::Persist`] records; mirrors
+    /// the device's `PersistEvent` discriminants.
+    PersistKind {
+        /// A 64-byte data line accepted by the WPQ.
+        Data = "data",
+        /// A log record appended to the durable log.
+        Record = "record",
+        /// A commit marker.
+        Marker = "marker",
+        /// A log head-pointer advance (truncate / reset).
+        Truncate = "truncate",
     }
 }
 
-/// Verb of a service-level request span; mirrors the `slpmt-kv`
-/// memcached-text subset without depending on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RequestVerb {
-    /// Point read.
-    Get,
-    /// Point read returning a CAS token.
-    Gets,
-    /// Unconditional store (insert or replace).
-    Set,
-    /// Conditional store against a CAS token.
-    Cas,
-    /// Key removal.
-    Delete,
-    /// Range scan.
-    Scan,
-    /// Service-health query (`stats`).
-    Stats,
-}
-
-impl RequestVerb {
-    /// Short stable label used by exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            RequestVerb::Get => "get",
-            RequestVerb::Gets => "gets",
-            RequestVerb::Set => "set",
-            RequestVerb::Cas => "cas",
-            RequestVerb::Delete => "delete",
-            RequestVerb::Scan => "scan",
-            RequestVerb::Stats => "stats",
-        }
+labelled! {
+    /// Verb of a service-level request span; mirrors the `slpmt-kv`
+    /// memcached-text subset without depending on it.
+    RequestVerb {
+        /// Point read.
+        Get = "get",
+        /// Point read returning a CAS token.
+        Gets = "gets",
+        /// Unconditional store (insert or replace).
+        Set = "set",
+        /// Conditional store against a CAS token.
+        Cas = "cas",
+        /// Key removal.
+        Delete = "delete",
+        /// Range scan.
+        Scan = "scan",
+        /// Service-health query (`stats`).
+        Stats = "stats",
     }
 }
 
-/// Which track of the export an event belongs to: the issuing core, or
-/// one of the shared device components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Component {
-    /// Core-private pipeline activity (stores, caches, commit, IDs).
-    Core,
-    /// The volatile tiered log buffer.
-    LogBuffer,
-    /// The write pending queue.
-    Wpq,
-    /// The persistent medium (accepted durable mutations).
-    Pm,
-    /// The lazy-persistency signature array.
-    Signature,
-    /// Post-crash recovery.
-    Recovery,
-    /// The KV service front end (request spans, admission decisions).
-    Service,
+labelled! {
+    /// Which track of the export an event belongs to: the issuing core, or
+    /// one of the shared device components (in track order).
+    Component {
+        /// Core-private pipeline activity (stores, caches, commit, IDs).
+        Core = "core",
+        /// The write pending queue.
+        Wpq = "WPQ",
+        /// The volatile tiered log buffer.
+        LogBuffer = "log buffer",
+        /// The persistent medium (accepted durable mutations).
+        Pm = "pm",
+        /// The lazy-persistency signature array.
+        Signature = "signatures",
+        /// Post-crash recovery.
+        Recovery = "recovery",
+        /// The KV service front end (request spans, admission decisions).
+        Service = "service",
+    }
 }
 
-/// One traced occurrence somewhere in the simulated pipeline.
-///
-/// Payload integers are sized for the quantities the simulator can
-/// actually produce (tier indices fit `u8`, record lengths `u16`, …);
-/// addresses are raw byte addresses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
+/// One field of an event's export: `key: value` under the field's own
+/// name, or the field list its `=> export` expression gives.
+macro_rules! export_field {
+    ($fields:ident, $field:ident) => {
+        $fields.field(stringify!($field), $field)
+    };
+    ($fields:ident, $field:ident => $export:expr) => {
+        $fields.splice($export)
+    };
+}
+
+/// The event table: each entry is `Variant = "export name" @ Component`
+/// and its documented fields; a field exported other than as its value
+/// names the field list it exports after `=>`.
+macro_rules! events {
+    ($(
+        $(#[doc = $doc:literal])+
+        $variant:ident = $name:literal @ $component:ident {
+            $($(#[doc = $fdoc:literal])+ $field:ident: $ty:ty $(=> $export:expr)?,)*
+        },
+    )+) => {
+        /// One traced occurrence somewhere in the simulated pipeline.
+        ///
+        /// Payload integers are sized for the quantities the simulator can
+        /// actually produce (tier indices fit `u8`, record lengths `u16`, …);
+        /// addresses are raw byte addresses.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Event {
+            $($(#[doc = $doc])+ $variant {
+                $($(#[doc = $fdoc])+ $field: $ty,)*
+            },)+
+        }
+
+        impl Event {
+            /// Stable short name used by exports.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $name,)+
+                }
+            }
+
+            /// Which export track the event belongs to.
+            pub fn component(&self) -> Component {
+                match self {
+                    $(Event::$variant { .. } => Component::$component,)+
+                }
+            }
+
+            /// The event's exported fields, in declaration order.
+            pub fn fields(&self) -> Fields<'_> {
+                match self {
+                    $(Event::$variant { $($field,)* } => {
+                        let fields = Fields::default();
+                        $(let fields = export_field!(fields, $field $(=> $export)?);)*
+                        fields
+                    })+
+                }
+            }
+        }
+    };
+}
+
+events! {
     /// A store-family instruction issued, with its `storeT` operands.
-    StoreIssue {
+    StoreIssue = "store_issue" @ Core {
         /// Word-aligned target address.
         addr: u64,
         /// `log` operand after degrade rules (is the word logged?).
@@ -167,7 +220,7 @@ pub enum Event {
         honoured: bool,
     },
     /// A per-word log bit was set in the L1 metadata.
-    LogBit {
+    LogBit = "log_bit" @ Core {
         /// Line-aligned address of the cached line.
         addr: u64,
         /// Word index (0..8) within the line.
@@ -177,7 +230,7 @@ pub enum Event {
     },
     /// Log bits narrowed L1→L2 on eviction: the per-word bits conjoin
     /// into per-32-byte-group bits (Fig. 5).
-    LogBitConj {
+    LogBitConj = "log_bit_conj" @ Core {
         /// Line-aligned address of the evicted line.
         addr: u64,
         /// Per-word L1 log bits before the transform.
@@ -186,7 +239,7 @@ pub enum Event {
         l2_bits: u8,
     },
     /// A record was appended to a log-buffer tier.
-    TierAppend {
+    TierAppend = "tier_append" @ LogBuffer {
         /// Tier index (0..4), by record size class.
         tier: u8,
         /// Record start address.
@@ -195,7 +248,7 @@ pub enum Event {
         len: u16,
     },
     /// Two buddy records coalesced into the next tier up.
-    TierCoalesce {
+    TierCoalesce = "tier_coalesce" @ LogBuffer {
         /// Destination tier of the merged record.
         tier: u8,
         /// Merged record start address.
@@ -204,7 +257,7 @@ pub enum Event {
         len: u16,
     },
     /// A record left the buffer towards the device.
-    TierDrain {
+    TierDrain = "tier_drain" @ LogBuffer {
         /// Tier the record drained from.
         tier: u8,
         /// Record start address.
@@ -216,19 +269,20 @@ pub enum Event {
         overflow: bool,
     },
     /// Post-mutation occupancy snapshot of the four tiers.
-    TierOccupancy {
+    TierOccupancy = "tier_occupancy" @ LogBuffer {
         /// Records held per tier (each ≤ the 8-entry tier capacity).
-        lens: [u8; 4],
+        /// Exported as one key per tier, `t0`–`t3`.
+        lens: [u8; 4] => Obj(["t0", "t1", "t2", "t3"].into_iter().zip(*lens).collect()),
     },
     /// A pack of records was flushed to the device together.
-    LogPack {
+    LogPack = "log_pack" @ LogBuffer {
         /// Records in the pack.
         records: u16,
         /// Total durable bytes (payload + tags).
         bytes: u32,
     },
     /// A line was evicted from a cache level.
-    CacheEvict {
+    CacheEvict = "cache_evict" @ Core {
         /// Level the line left (1, 2 or 3).
         level: u8,
         /// Line-aligned address.
@@ -239,7 +293,7 @@ pub enum Event {
         logged: bool,
     },
     /// A line was fetched into L1.
-    CacheFetch {
+    CacheFetch = "cache_fetch" @ Core {
         /// Level that served the fetch (2, 3, or 4 for the medium).
         level: u8,
         /// Line-aligned address.
@@ -249,20 +303,20 @@ pub enum Event {
         replicated: bool,
     },
     /// The WPQ accepted an entry.
-    WpqEnqueue {
+    WpqEnqueue = "wpq_enqueue" @ Wpq {
         /// Queue occupancy right after acceptance.
         depth: u8,
         /// Cycles the requester stalled on a full queue.
         stall: u32,
     },
     /// The entry accepted last will have fully drained at `at`.
-    WpqDrainComplete {
+    WpqDrainComplete = "wpq_drain_complete" @ Wpq {
         /// Simulated cycle the drain completes.
         at: u64,
     },
     /// A durable mutation was accepted by the device (one entry of the
     /// numbered persist-event trace).
-    Persist {
+    Persist = "persist" @ Pm {
         /// What kind of mutation.
         kind: PersistKind,
         /// Target address (0 for markers and truncates).
@@ -275,60 +329,61 @@ pub enum Event {
         torn: bool,
     },
     /// Commit started for `txn`.
-    CommitBegin {
+    CommitBegin = "commit_begin" @ Core {
         /// Transaction sequence number.
         txn: u64,
     },
     /// A commit persist-ordering stage completed.
-    CommitStageDone {
+    CommitStageDone = "commit_stage" @ Core {
         /// Transaction sequence number.
         txn: u64,
         /// The stage that just finished.
         stage: CommitStage,
     },
     /// Commit finished for `txn`.
-    CommitEnd {
+    CommitEnd = "commit_end" @ Core {
         /// Transaction sequence number.
         txn: u64,
     },
     /// A transaction aborted.
-    Abort {
+    Abort = "abort" @ Core {
         /// Transaction sequence number.
         txn: u64,
     },
     /// A 2-bit lazy transaction ID was allocated.
-    TxnIdAlloc {
+    TxnIdAlloc = "txn_id_alloc" @ Core {
         /// Transaction sequence number.
         txn: u64,
         /// The allocated 2-bit ID.
         id: u8,
     },
     /// A lazy transaction ID was retired (all deferred lines durable).
-    TxnIdRetire {
+    TxnIdRetire = "txn_id_retire" @ Core {
         /// Transaction sequence number.
         txn: u64,
         /// The retired 2-bit ID.
         id: u8,
     },
     /// A signature was inserted for a lazily-committed transaction.
-    SigInsert {
+    SigInsert = "sig_insert" @ Signature {
         /// Transaction sequence number.
         txn: u64,
         /// Its 2-bit ID.
         id: u8,
         /// Exact line addresses the signature summarises — ground
-        /// truth for the aggregator's false-positive rate.
-        lines: Vec<u64>,
+        /// truth for the aggregator's false-positive rate. Exported as
+        /// its length.
+        lines: Vec<u64> => json_obj! { "lines": lines.len() },
     },
     /// A later access matched a live signature, forcing persistence.
-    SigHit {
+    SigHit = "sig_hit" @ Signature {
         /// The probing line address.
         addr: u64,
         /// ID of the (newest) matching signature.
         id: u8,
     },
     /// Deferred lines were forced durable (conflict or ID recycling).
-    SigForcedPersist {
+    SigForcedPersist = "sig_forced_persist" @ Signature {
         /// Transaction ID whose lines were forced.
         id: u8,
         /// Lines persisted by the force.
@@ -336,14 +391,14 @@ pub enum Event {
     },
     /// A cross-core access conflicted with another core's open
     /// transaction (requester wins, §V-C).
-    CrossConflict {
+    CrossConflict = "cross_conflict" @ Core {
         /// Conflicting word address.
         addr: u64,
         /// Core holding the conflicting transaction.
         holder: u8,
     },
     /// A cross-core conflict aborted the holder's transaction.
-    CrossAbort {
+    CrossAbort = "cross_abort" @ Core {
         /// Core whose transaction was aborted.
         victim: u8,
         /// Aborted transaction sequence number.
@@ -351,7 +406,7 @@ pub enum Event {
     },
     /// The aborted transaction's durable damage was repaired (or the
     /// repair was deferred to recovery).
-    CrossRepair {
+    CrossRepair = "cross_repair" @ Core {
         /// Core whose transaction was aborted.
         victim: u8,
         /// Durable records considered for the repair.
@@ -361,7 +416,7 @@ pub enum Event {
         deferred: bool,
     },
     /// A recovery phase completed.
-    Recovery {
+    Recovery = "recovery" @ Recovery {
         /// The phase.
         stage: RecoveryStage,
         /// Phase-specific count (records validated, replayed, lines
@@ -371,7 +426,7 @@ pub enum Event {
     /// A service-level request started executing on a worker (stamped
     /// after the admission decision, so the span covers service time,
     /// not queueing).
-    RequestBegin {
+    RequestBegin = "request_begin" @ Service {
         /// Originating session.
         session: u32,
         /// Request index within the shard's stream.
@@ -381,7 +436,7 @@ pub enum Event {
     },
     /// A service-level request finished (or was shed by admission —
     /// shed requests produce no `RequestBegin`).
-    RequestEnd {
+    RequestEnd = "request_end" @ Service {
         /// Originating session.
         session: u32,
         /// Request index within the shard's stream.
@@ -394,13 +449,13 @@ pub enum Event {
     },
     /// A chaos harness armed a crash at persist event `k` while the
     /// service was live (the span between arming and the trip).
-    ChaosCrashArm {
+    ChaosCrashArm = "chaos_crash_arm" @ Service {
         /// The armed persist-event number.
         k: u64,
     },
     /// The service restarted after a crash: sessions were rebuilt and
     /// the un-acked request tail is about to replay.
-    ServiceRestart {
+    ServiceRestart = "service_restart" @ Service {
         /// Sessions rebuilt from their ack watermarks.
         sessions: u32,
         /// Total responses acked (flushed) across sessions pre-crash.
@@ -409,92 +464,15 @@ pub enum Event {
     /// The degraded serve window opened: reads are served, writes
     /// answer `SERVER_ERROR recovering` until the poison set is
     /// scrubbed.
-    DegradedBegin {
+    DegradedBegin = "degraded_begin" @ Service {
         /// Poisoned lines queued for the background scrub.
         poisoned: u32,
     },
     /// The degraded window closed; the store is fully ready again.
-    DegradedEnd {
+    DegradedEnd = "degraded_end" @ Service {
         /// Lines scrubbed during the window.
         scrubbed: u32,
     },
-}
-
-impl Event {
-    /// Stable short name used by exports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::StoreIssue { .. } => "store_issue",
-            Event::LogBit { .. } => "log_bit",
-            Event::LogBitConj { .. } => "log_bit_conj",
-            Event::TierAppend { .. } => "tier_append",
-            Event::TierCoalesce { .. } => "tier_coalesce",
-            Event::TierDrain { .. } => "tier_drain",
-            Event::TierOccupancy { .. } => "tier_occupancy",
-            Event::LogPack { .. } => "log_pack",
-            Event::CacheEvict { .. } => "cache_evict",
-            Event::CacheFetch { .. } => "cache_fetch",
-            Event::WpqEnqueue { .. } => "wpq_enqueue",
-            Event::WpqDrainComplete { .. } => "wpq_drain_complete",
-            Event::Persist { .. } => "persist",
-            Event::CommitBegin { .. } => "commit_begin",
-            Event::CommitStageDone { .. } => "commit_stage",
-            Event::CommitEnd { .. } => "commit_end",
-            Event::Abort { .. } => "abort",
-            Event::TxnIdAlloc { .. } => "txn_id_alloc",
-            Event::TxnIdRetire { .. } => "txn_id_retire",
-            Event::SigInsert { .. } => "sig_insert",
-            Event::SigHit { .. } => "sig_hit",
-            Event::SigForcedPersist { .. } => "sig_forced_persist",
-            Event::CrossConflict { .. } => "cross_conflict",
-            Event::CrossAbort { .. } => "cross_abort",
-            Event::CrossRepair { .. } => "cross_repair",
-            Event::Recovery { .. } => "recovery",
-            Event::RequestBegin { .. } => "request_begin",
-            Event::RequestEnd { .. } => "request_end",
-            Event::ChaosCrashArm { .. } => "chaos_crash_arm",
-            Event::ServiceRestart { .. } => "service_restart",
-            Event::DegradedBegin { .. } => "degraded_begin",
-            Event::DegradedEnd { .. } => "degraded_end",
-        }
-    }
-
-    /// Which export track the event belongs to.
-    pub fn component(&self) -> Component {
-        match self {
-            Event::StoreIssue { .. }
-            | Event::LogBit { .. }
-            | Event::LogBitConj { .. }
-            | Event::CacheEvict { .. }
-            | Event::CacheFetch { .. }
-            | Event::CommitBegin { .. }
-            | Event::CommitStageDone { .. }
-            | Event::CommitEnd { .. }
-            | Event::Abort { .. }
-            | Event::TxnIdAlloc { .. }
-            | Event::TxnIdRetire { .. }
-            | Event::CrossConflict { .. }
-            | Event::CrossAbort { .. }
-            | Event::CrossRepair { .. } => Component::Core,
-            Event::TierAppend { .. }
-            | Event::TierCoalesce { .. }
-            | Event::TierDrain { .. }
-            | Event::TierOccupancy { .. }
-            | Event::LogPack { .. } => Component::LogBuffer,
-            Event::WpqEnqueue { .. } | Event::WpqDrainComplete { .. } => Component::Wpq,
-            Event::Persist { .. } => Component::Pm,
-            Event::SigInsert { .. } | Event::SigHit { .. } | Event::SigForcedPersist { .. } => {
-                Component::Signature
-            }
-            Event::Recovery { .. } => Component::Recovery,
-            Event::RequestBegin { .. }
-            | Event::RequestEnd { .. }
-            | Event::ChaosCrashArm { .. }
-            | Event::ServiceRestart { .. }
-            | Event::DegradedBegin { .. }
-            | Event::DegradedEnd { .. } => Component::Service,
-        }
-    }
 }
 
 impl fmt::Display for Event {
@@ -517,6 +495,7 @@ mod tests {
         assert_eq!(a.name(), "tier_append");
         assert_eq!(a.component(), Component::LogBuffer);
         assert_eq!(a.to_string(), "tier_append");
+        assert_eq!(a.fields().to_json(), r#"{"tier":0,"addr":64,"len":8}"#);
     }
 
     #[test]
@@ -524,5 +503,6 @@ mod tests {
         assert_eq!(CommitStage::Marker.label(), "marker");
         assert_eq!(RecoveryStage::Salvage.label(), "salvage");
         assert_eq!(PersistKind::Record.label(), "record");
+        assert_eq!(RequestVerb::Gets.to_json(), r#""gets""#);
     }
 }

@@ -1,14 +1,14 @@
 //! A minimal, dependency-free JSON writer.
 //!
-//! The workspace bakes in no serialisation dependency, so both the
-//! Perfetto exporter and the CLI's `--json` output hand-emit JSON
-//! through this writer. Output is deterministic: keys are written in
-//! call order and numbers format via the standard integer/float
-//! formatters.
+//! The workspace bakes in no serialisation dependency, so the Perfetto
+//! exporter and the CLI's `--json` output both write JSON through this
+//! module. Output is deterministic: keys are written in field order and
+//! numbers format via the standard integer/float formatters.
 //!
-//! The CLI writes its objects as field lists: [`json_obj!`](crate::json_obj)
-//! takes `"key": value` pairs, one per line, and every value is a
-//! [`ToJson`].
+//! Both write their objects as field lists: [`json_obj!`](crate::json_obj)
+//! takes `"key": value` pairs, one per line, every value is a
+//! [`ToJson`], and an event's exported fields come from its entry in
+//! the event table ([`Event::fields`](crate::Event::fields)).
 
 use std::fmt::Write as _;
 
@@ -260,6 +260,14 @@ impl<'a> Fields<'a> {
     /// Appends `key: value`.
     pub fn field(mut self, key: &'static str, value: impl ToJson + 'a) -> Self {
         self.0.push((key, Box::new(value)));
+        self
+    }
+
+    /// Appends every field of `other`, in order.
+    pub fn splice<V: ToJson + 'a>(mut self, other: Obj<V>) -> Self {
+        for (key, value) in other.0 {
+            self = self.field(key, value);
+        }
         self
     }
 }

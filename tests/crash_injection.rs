@@ -3,7 +3,7 @@
 //! device, crash-during-recovery idempotence, and signature
 //! false-positive behaviour.
 
-use slpmt::core::{CommitPhase, Machine, MachineConfig, Scheme, Signature, StoreKind};
+use slpmt::core::{CommitStage, Machine, MachineConfig, Scheme, Signature, StoreKind};
 use slpmt::pmem::{FaultPlan, MarkerState, PersistEvent, PmAddr};
 
 const A: PmAddr = PmAddr::new(0x10000);
@@ -25,11 +25,7 @@ fn battery(scheme: Scheme) -> Machine {
 #[test]
 fn undo_accepts_its_phases() {
     let mut m = machine(Scheme::Fg);
-    for p in [
-        CommitPhase::AfterRecords,
-        CommitPhase::AfterData,
-        CommitPhase::AfterMarker,
-    ] {
+    for p in [CommitStage::Records, CommitStage::Data, CommitStage::Marker] {
         m.set_commit_crash_point(Some(p));
     }
     m.set_commit_crash_point(None);
@@ -38,16 +34,16 @@ fn undo_accepts_its_phases() {
 #[test]
 #[should_panic(expected = "never visited")]
 fn undo_rejects_after_log_free() {
-    machine(Scheme::Fg).set_commit_crash_point(Some(CommitPhase::AfterLogFree));
+    machine(Scheme::Fg).set_commit_crash_point(Some(CommitStage::LogFree));
 }
 
 #[test]
 fn redo_accepts_its_phases() {
     let mut m = machine(Scheme::FgRedo);
     for p in [
-        CommitPhase::AfterLogFree,
-        CommitPhase::AfterRecords,
-        CommitPhase::AfterMarker,
+        CommitStage::LogFree,
+        CommitStage::Records,
+        CommitStage::Marker,
     ] {
         m.set_commit_crash_point(Some(p));
     }
@@ -56,21 +52,21 @@ fn redo_accepts_its_phases() {
 #[test]
 #[should_panic(expected = "never visited")]
 fn redo_rejects_after_data() {
-    machine(Scheme::FgRedo).set_commit_crash_point(Some(CommitPhase::AfterData));
+    machine(Scheme::FgRedo).set_commit_crash_point(Some(CommitStage::Data));
 }
 
 #[test]
 fn battery_accepts_records_and_marker() {
     let mut m = battery(Scheme::Slpmt);
-    m.set_commit_crash_point(Some(CommitPhase::AfterRecords));
-    m.set_commit_crash_point(Some(CommitPhase::AfterMarker));
+    m.set_commit_crash_point(Some(CommitStage::Records));
+    m.set_commit_crash_point(Some(CommitStage::Marker));
 }
 
 #[test]
 #[should_panic(expected = "never visited")]
 fn battery_rejects_data_phase() {
     // Battery commit persists no data lines (§V-E).
-    battery(Scheme::Slpmt).set_commit_crash_point(Some(CommitPhase::AfterData));
+    battery(Scheme::Slpmt).set_commit_crash_point(Some(CommitStage::Data));
 }
 
 // -------------------------------------------------------------------
@@ -83,7 +79,7 @@ fn recovery_replay_counts_in_device_traffic() {
     m.setup_write(A, &5u64.to_le_bytes());
     m.tx_begin();
     m.store_u64(A, 99, StoreKind::Store);
-    m.set_commit_crash_point(Some(CommitPhase::AfterData));
+    m.set_commit_crash_point(Some(CommitStage::Data));
     m.tx_commit();
     let data_before = m.device().traffic().data_lines;
     let events_before = m.device().event_count();
@@ -115,7 +111,7 @@ fn undo_recovery_crash_is_idempotent() {
     m.tx_begin();
     m.store_u64(A, 99, StoreKind::Store);
     m.store_u64(B, 100, StoreKind::Store);
-    m.set_commit_crash_point(Some(CommitPhase::AfterData));
+    m.set_commit_crash_point(Some(CommitStage::Data));
     m.tx_commit();
     // First recovery attempt dies after its first replay persist:
     // every later durable mutation (more replays, the log reset) is
@@ -140,7 +136,7 @@ fn redo_recovery_crash_is_idempotent() {
     m.tx_begin();
     m.store_u64(A, 99, StoreKind::Store);
     m.store_u64(B, 100, StoreKind::Store);
-    m.set_commit_crash_point(Some(CommitPhase::AfterMarker));
+    m.set_commit_crash_point(Some(CommitStage::Marker));
     m.tx_commit();
     m.arm_crash_at_event(m.device().event_count() + 1);
     let _ = m.recover();
