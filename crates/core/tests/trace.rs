@@ -209,3 +209,57 @@ fn recovery_emits_stage_events() {
     let line = report.to_string();
     assert!(line.contains(&format!("undo {}", report.undo_applied)));
 }
+
+#[test]
+fn every_abort_is_traced_and_retires_its_id() {
+    // One abort of each victim kind: the running transaction's own, a
+    // switched-out thread's (a conflicting store aborts it) and a
+    // parked core's (a cross-core conflict aborts it).
+    let mut m = Machine::with_cores(MachineConfig::for_scheme(Scheme::Slpmt), 2);
+    m.enable_tracing(1 << 16);
+    m.tx_begin();
+    m.store_u64(A, 1, StoreKind::Store);
+    m.tx_abort();
+    m.tx_begin();
+    m.store_u64(A, 2, StoreKind::Store);
+    m.suspend_txn();
+    m.tx_begin();
+    m.store_u64(A, 3, StoreKind::lazy_logged());
+    m.tx_commit();
+    m.tx_begin();
+    m.store_u64(A.add(64), 4, StoreKind::Store);
+    m.switch_core(1);
+    m.tx_begin();
+    m.store_u64(A.add(64), 5, StoreKind::Store);
+    m.tx_commit();
+    m.drain_lazy();
+    let stats = *m.stats();
+    assert_eq!(
+        (
+            stats.tx_aborts,
+            stats.suspended_aborts,
+            stats.cross_core_aborts
+        ),
+        (3, 1, 1),
+        "one abort of each kind"
+    );
+    let recs = m.take_trace();
+    assert_eq!(TraceMetrics::from_records(&recs).aborts, stats.tx_aborts);
+    let mut live = std::collections::BTreeSet::new();
+    for r in &recs {
+        match r.event {
+            TraceEvent::TxnIdAlloc { txn, id } => assert!(live.insert((txn, id))),
+            TraceEvent::TxnIdRetire { txn, id } => {
+                assert!(
+                    live.remove(&(txn, id)),
+                    "txn {txn} retired ID {id} it never held"
+                )
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        live.is_empty(),
+        "(txn, ID) allocated, never retired: {live:?}"
+    );
+}
