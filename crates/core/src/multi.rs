@@ -883,6 +883,7 @@ impl CrashTarget for McTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(not(feature = "no-trace"))]
     use slpmt_pmem::PersistEvent;
 
     #[test]
@@ -1029,6 +1030,7 @@ mod tests {
     /// The untraced oracle's durable set equals the commit markers the
     /// traced persist history shows landing untorn, at every crash
     /// point of one sweep cell.
+    #[cfg(not(feature = "no-trace"))]
     #[test]
     fn landed_markers_match_the_traced_persist_history() {
         let case = McSweepCase::new(Scheme::SlpmtRedo, 2, 7, Schedule::weighted(3));
@@ -1080,6 +1082,7 @@ mod tests {
         mc_run_crash_at(&case, n).unwrap();
     }
 
+    #[cfg(not(feature = "no-trace"))]
     #[test]
     fn event_origins_attribute_cores() {
         let programs = gen_programs(&ProgramSpec::small(2, 13));

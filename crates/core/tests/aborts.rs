@@ -2,7 +2,9 @@
 //! after mid-transaction steals.
 
 use slpmt_core::{Machine, MachineConfig, Scheme, StoreKind};
-use slpmt_pmem::{PersistEvent, PmAddr};
+#[cfg(not(feature = "no-trace"))]
+use slpmt_pmem::PersistEvent;
+use slpmt_pmem::PmAddr;
 
 const WORDS: u64 = 10;
 
@@ -178,6 +180,7 @@ fn abort_after_takeover_keeps_the_committed_lazy_word() {
     }
 }
 
+#[cfg(not(feature = "no-trace"))]
 #[test]
 fn abort_after_takeover_recovers_at_every_persist_event() {
     // A takeover without an undo pre-image — a log-free store, or any
@@ -230,6 +233,7 @@ fn arm_or_trace(m: &mut Machine, k: Option<u64>) {
 }
 
 /// Persist-event number (1-based) of `seq`'s commit marker.
+#[cfg(not(feature = "no-trace"))]
 fn marker_event(m: &Machine, seq: u64) -> u64 {
     let pos = m
         .device()
@@ -243,6 +247,7 @@ fn marker_event(m: &Machine, seq: u64) -> u64 {
 /// The `crash_after_abort_does_not_replay_stale_records` trace, with
 /// the persist-event crash scheduler armed at `k` when given. Returns
 /// the machine and the later transaction's sequence number.
+#[cfg(not(feature = "no-trace"))]
 fn abort_after_steal(k: Option<u64>) -> (Machine, u64) {
     let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Fg).with_tiny_caches());
     m.setup_write(word(0), &7u64.to_le_bytes());
@@ -260,6 +265,7 @@ fn abort_after_steal(k: Option<u64>) -> (Machine, u64) {
     (m, later)
 }
 
+#[cfg(not(feature = "no-trace"))]
 #[test]
 fn abort_after_steal_recovers_at_every_persist_event() {
     // The abort repairs through the event-gated persist path, so a

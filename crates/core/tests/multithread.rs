@@ -4,7 +4,9 @@
 //! suspended transactions as unfinished.
 
 use slpmt_core::{Machine, MachineConfig, Scheme, StoreKind};
-use slpmt_pmem::{PersistEvent, PmAddr};
+#[cfg(not(feature = "no-trace"))]
+use slpmt_pmem::PersistEvent;
+use slpmt_pmem::PmAddr;
 
 const A: PmAddr = PmAddr::new(0x10000);
 const B: PmAddr = PmAddr::new(0x20000);
@@ -106,6 +108,7 @@ fn conflict_abort_after_takeover_keeps_the_committed_lazy_word() {
 /// `B` in the winning transaction, with the persist-event crash
 /// scheduler armed at `k` when given. Returns the machine and the
 /// winner's sequence number.
+#[cfg(not(feature = "no-trace"))]
 fn conflict_after_steal(k: Option<u64>) -> (Machine, u64) {
     let mut m = Machine::new(MachineConfig::for_scheme(Scheme::Slpmt).with_tiny_caches());
     m.setup_write(A, &5u64.to_le_bytes());
@@ -130,6 +133,7 @@ fn conflict_after_steal(k: Option<u64>) -> (Machine, u64) {
     (m, winner)
 }
 
+#[cfg(not(feature = "no-trace"))]
 #[test]
 fn conflict_after_steal_recovers_at_every_persist_event() {
     // The conflict abort repairs through the event-gated persist path,

@@ -909,6 +909,7 @@ mod tests {
         assert_eq!(store.peek_value(2).as_deref(), Some(&b"bbbb"[..]));
     }
 
+    #[cfg(not(feature = "no-trace"))]
     #[test]
     fn chaos_spans_are_traced() {
         let mut case = base(5, 40);

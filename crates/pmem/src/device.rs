@@ -711,6 +711,7 @@ mod tests {
 
     /// A device whose persist stream goes to a trace of `capacity`
     /// records.
+    #[cfg(not(feature = "no-trace"))]
     fn traced_dev(capacity: usize) -> PmDevice {
         let mut d = dev();
         d.set_tracer(Some(slpmt_trace::tracer(capacity)));
@@ -807,6 +808,7 @@ mod tests {
         d.persist_log_pack(0, &[]);
     }
 
+    #[cfg(not(feature = "no-trace"))]
     #[test]
     fn accepted_events_are_numbered_monotonically() {
         let mut d = traced_dev(64);
@@ -828,6 +830,7 @@ mod tests {
         );
     }
 
+    #[cfg(not(feature = "no-trace"))]
     #[test]
     fn history_reads_back_records_and_their_cores() {
         let mut d = traced_dev(64);
@@ -873,6 +876,7 @@ mod tests {
         d.persist_history();
     }
 
+    #[cfg(not(feature = "no-trace"))]
     #[test]
     #[should_panic(expected = "the trace dropped records")]
     fn history_refuses_a_trace_that_dropped_records() {
@@ -885,6 +889,7 @@ mod tests {
         d.persist_history();
     }
 
+    #[cfg(not(feature = "no-trace"))]
     #[test]
     #[should_panic(expected = "the trace holds 1 of the device's 2 persist events")]
     fn history_refuses_a_tracer_installed_late() {
@@ -994,6 +999,7 @@ mod tests {
         }
     }
 
+    #[cfg(not(feature = "no-trace"))]
     #[test]
     fn torn_marker_is_uncommitted_but_traced() {
         let mut d = traced_dev(64);
