@@ -1,17 +1,16 @@
 //! Scheme × index matrices.
 //!
-//! `slpmt matrix`, `slpmt ptm`, the claim table and the PTM tests evaluate
-//! matrices of independent simulation cells — (scheme, index) pairs
-//! that share nothing but a read-only operation stream. Each cell is
-//! one [`run`] of its [`Cell::spec`]; callers fan the cells across
-//! host threads with
-//! [`par_map_with`], which merges results back **in cell order**, so
-//! a parallel matrix prints byte-identically to a serial one.
+//! `slpmt matrix`, the claim table and the PTM tests evaluate matrices
+//! of independent simulation cells — (scheme, index) pairs that share
+//! nothing but a read-only operation stream. Each cell is one [`run`]
+//! of its [`Cell::spec`]; callers fan the cells across host threads
+//! with [`par_map_with`], which merges results back **in cell order**,
+//! so a parallel matrix prints byte-identically to a serial one.
 //!
 //! [`run`]: slpmt_workloads::runner::run
 //! [`par_map_with`]: slpmt_workloads::runner::par_map_with
 
-use slpmt_core::{MachineConfig, Scheme, SchemeKind};
+use slpmt_core::{MachineConfig, SchemeKind};
 use slpmt_workloads::runner::{IndexKind, RunSpec};
 use slpmt_workloads::YcsbOp;
 
@@ -38,7 +37,7 @@ impl Cell {
 
 /// Cartesian product of `schemes` × `kinds` in row-major (kind-major)
 /// order — the iteration order every matrix uses. Accepts
-/// plain [`Scheme`]s or [`SchemeKind`]s.
+/// plain [`Scheme`](slpmt_core::Scheme)s or [`SchemeKind`]s.
 pub fn matrix<S: Into<SchemeKind> + Copy>(schemes: &[S], kinds: &[IndexKind]) -> Vec<Cell> {
     let mut cells = Vec::with_capacity(schemes.len() * kinds.len());
     for &kind in kinds {
@@ -52,25 +51,10 @@ pub fn matrix<S: Into<SchemeKind> + Copy>(schemes: &[S], kinds: &[IndexKind]) ->
     cells
 }
 
-/// Convenience for the CLI and self-benchmark: the full Figure-8-style
-/// matrix (FG baseline plus every scheme) over the given kinds.
-pub fn fig08_cells(kinds: &[IndexKind]) -> Vec<Cell> {
-    matrix(
-        &[
-            Scheme::Fg,
-            Scheme::FgLg,
-            Scheme::FgLz,
-            Scheme::Slpmt,
-            Scheme::Atom,
-            Scheme::Ede,
-        ],
-        kinds,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slpmt_core::Scheme;
 
     #[test]
     fn matrix_is_kind_major() {

@@ -3,9 +3,20 @@
 //! identical — same order, same cycles, same traffic, same
 //! machine-event counters — to a serial run.
 
-use slpmt_bench::runner::{fig08_cells, Cell};
+use slpmt_bench::runner::{self, Cell};
+use slpmt_core::Scheme;
 use slpmt_workloads::runner::{par_map_with, run, IndexKind, RunResult};
 use slpmt_workloads::{ycsb_load, YcsbOp};
+
+/// Fig. 8's six schemes: the FG baseline, then each one it is compared with.
+const FIG8: [Scheme; 6] = [
+    Scheme::Fg,
+    Scheme::FgLg,
+    Scheme::FgLz,
+    Scheme::Slpmt,
+    Scheme::Atom,
+    Scheme::Ede,
+];
 
 /// Every cell's insert run of `ops`, at `latency_ns` when set, across
 /// `workers` host threads.
@@ -27,7 +38,7 @@ fn matrix(
 #[test]
 fn parallel_matrix_matches_serial_exactly() {
     let ops = ycsb_load(60, 64, 42);
-    let cells = fig08_cells(&[IndexKind::Hashtable, IndexKind::Rbtree]);
+    let cells = runner::matrix(&FIG8, &[IndexKind::Hashtable, IndexKind::Rbtree]);
     let serial = matrix(&cells, 1, &ops, None);
     for workers in [2, 3, 8] {
         let parallel = matrix(&cells, workers, &ops, None);
@@ -49,7 +60,7 @@ fn parallel_matrix_matches_serial_exactly() {
 #[test]
 fn latency_override_reaches_every_cell() {
     let ops = ycsb_load(30, 64, 42);
-    let cells = fig08_cells(&[IndexKind::Hashtable]);
+    let cells = runner::matrix(&FIG8, &[IndexKind::Hashtable]);
     let fast = matrix(&cells, 2, &ops, Some(100));
     let slow = matrix(&cells, 2, &ops, Some(2000));
     for (f, s) in fast.iter().zip(&slow) {

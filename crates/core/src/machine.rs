@@ -2366,23 +2366,6 @@ impl Machine {
         self.now += 3000; // schedule-in
     }
 
-    /// Aborts the suspended transaction `seq` — the conflict-resolution
-    /// path when the running thread collides with a switched-out one
-    /// (§V-C "detect and resolve the conflicts when a thread is
-    /// switched out"; requester wins).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not suspended.
-    pub fn abort_suspended(&mut self, seq: u64) {
-        let pos = self
-            .suspended
-            .iter()
-            .position(|t| t.seq == seq)
-            .unwrap_or_else(|| panic!("no suspended transaction {seq}"));
-        self.abort_txn(Victim::Suspended(pos));
-    }
-
     /// Forces every outstanding lazy transaction's deferred data
     /// durable (the "run four empty transactions" effect of §III-C4,
     /// exposed directly for tests and checkpoints).

@@ -109,13 +109,6 @@ impl HealthSnapshot {
             scrub_pending: store.scrub_pending() as u64,
         }
     }
-
-    /// Overlays a worker's admission statistics.
-    pub fn with_admission(mut self, stats: &AdmissionStats) -> Self {
-        self.shed = stats.shed;
-        self.queued = stats.queued;
-        self
-    }
 }
 
 /// Writes the `stats` response: one `STAT` line per counter, then

@@ -328,11 +328,6 @@ impl PmDevice {
             .set_drain_jitter(plan.jitter as u64, mix64(plan.seed ^ 0x6A77));
     }
 
-    /// The installed media-fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Disarms a pending persist-event crash without crashing.
     pub fn disarm_crash(&mut self) {
         self.crash_at_event = None;
@@ -693,11 +688,6 @@ impl PmDevice {
     /// the plan bit-flipped at the last armed crash (sorted, deduped).
     pub fn fault_flipped_lines(&self) -> &[u64] {
         &self.fault_flipped
-    }
-
-    /// Consumes the device returning its durable state (image and log).
-    pub fn into_durable_state(self) -> (PmSpace, LogRegion) {
-        (self.image, self.log)
     }
 }
 

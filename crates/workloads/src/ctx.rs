@@ -121,11 +121,6 @@ impl PmContext {
         &mut self.machine
     }
 
-    /// The scheme kind this context simulates.
-    pub fn scheme_kind(&self) -> SchemeKind {
-        self.machine.config().kind()
-    }
-
     /// The software PTM runtime, when one is active.
     pub fn soft(&self) -> Option<&SoftState> {
         self.soft.as_ref()
@@ -339,11 +334,6 @@ impl PmContext {
     /// Only meaningful after a crash (caches empty).
     pub fn recovery_write(&mut self, addr: PmAddr, value: u64) {
         self.machine.setup_write(addr, &value.to_le_bytes());
-    }
-
-    /// Recovery-time byte write.
-    pub fn recovery_write_bytes(&mut self, addr: PmAddr, data: &[u8]) {
-        self.machine.setup_write(addr, data);
     }
 
     /// Out-of-band setup allocation + initialisation: allocates and

@@ -7,7 +7,7 @@ use crate::ctx::{AnnotationSource, PmContext};
 use crate::sharded::{partition_mixed, partition_ops};
 use crate::ycsb::{MixedOp, YcsbOp};
 use slpmt_annotate::SiteId;
-use slpmt_core::{MachineConfig, MachineStats, SchemeKind};
+use slpmt_core::{MachineConfig, SchemeKind};
 use slpmt_pmem::{PmAddr, WriteTraffic, LINE_BYTES};
 use slpmt_ptm::PtmTraffic;
 use std::fmt;
@@ -624,20 +624,17 @@ impl RunReport {
         self.total_ops as f64 * 1000.0 / makespan as f64
     }
 
-    /// Machine counters summed over shards (order-independent).
-    pub fn merged_stats(&self) -> MachineStats {
-        let mut out = MachineStats::new();
-        for s in &self.shards {
-            out.accumulate(&s.result.stats);
-        }
-        out
-    }
-
-    /// PM write traffic summed over shards (order-independent).
-    pub fn merged_traffic(&self) -> WriteTraffic {
-        let mut out = WriteTraffic::new();
-        for s in &self.shards {
-            out += s.result.traffic;
+    /// The run as one result: cycles are the makespan, and traffic,
+    /// logical bytes and machine counters are summed over shards
+    /// (order-independent). A single-shard run's result is its shard's.
+    pub fn merged(&self) -> RunResult {
+        let (first, rest) = self.shards.split_first().expect("at least one shard");
+        let mut out = first.result.clone();
+        for r in rest.iter().map(|s| &s.result) {
+            out.cycles = out.cycles.max(r.cycles);
+            out.traffic += r.traffic;
+            out.logical_bytes += r.logical_bytes;
+            out.stats.accumulate(&r.stats);
         }
         out
     }

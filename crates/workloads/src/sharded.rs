@@ -154,7 +154,7 @@ mod tests {
         let (a, b) = (run(&spec), run(&spec));
         assert_eq!(a.total_ops, 120);
         assert_eq!(a.sim_cycles(), b.sim_cycles());
-        assert_eq!(a.merged_stats(), b.merged_stats());
+        assert_eq!(a.merged().stats, b.merged().stats);
     }
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
         });
         assert_eq!(res.total_ops, 48);
         assert_eq!(res.shards.len(), 3);
-        assert!(res.merged_stats().tx_commits >= 48);
+        assert!(res.merged().stats.tx_commits >= 48);
         assert!(res.sim_cycles() > 0);
         assert!(res.sim_cycles() <= res.total_cycles());
     }

@@ -14,9 +14,9 @@
 //! is the clean crash); `mc`
 //! replays one `(scheme, cores, seed, schedule)` interleaving tuple
 //! from an interleaving-sweep report (`--crash-at K` additionally arms
-//! a crash at persist event K and oracle-checks recovery). `shards`
-//! runs share-nothing keyspace shards on `SLPMT_THREADS` host workers
-//! and reports *simulated* scaling (ops per kilocycle of makespan).
+//! a crash at persist event K and oracle-checks recovery). `matrix
+//! --shards N` runs each cell as N share-nothing keyspace shards and
+//! reports its makespan, the slowest shard's simulated cycles.
 
 use slpmt::bench::serve::ServeRow;
 use slpmt::cache::TxnId;
@@ -531,22 +531,15 @@ fn cmd_paper(f: &mut Flags) -> Result<ExitCode, String> {
 
 /// `slpmt matrix`: Fig. 8's grid. Each selected index runs under FG,
 /// the baseline every row's speedup is against, and then each selected
-/// hardware scheme in registry order. Every cell is verified.
+/// scheme, hardware or software PTM, in registry order. `--shards N`
+/// splits each cell's keys across N private machines; a cell's cycles
+/// are then its makespan. Every cell is verified.
 fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
     use slpmt::bench::runner::matrix;
 
-    let hardware: Vec<Scheme> = SchemeKind::REGISTRY
-        .into_iter()
-        .filter_map(SchemeKind::hardware)
-        .collect();
+    let registry = SchemeKind::REGISTRY;
     // By default Fig. 8's five: FG+LG, FG+LZ, SLPMT, ATOM and EDE.
-    let picked = f.pick(
-        "--scheme",
-        "scheme",
-        &hardware[1..6],
-        Some(&hardware),
-        |v| SchemeKind::parse(v).and_then(SchemeKind::hardware),
-    );
+    let picked = f.schemes(&registry[1..6], &registry);
     let kinds = f.kinds(&IndexKind::ALL, &IndexKind::ALL);
     let ops = f.positive("--ops", 1000usize);
     let value = f.value(256);
@@ -554,29 +547,34 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
         .last("--annotations", parse_annotations)
         .unwrap_or(AnnotationSource::Manual);
     let latency_ns: Option<u64> = f.opt("--latency");
+    let shards = f.positive("--shards", 1usize);
     let json = f.flag("--json");
     f.finish()?;
 
-    let schemes: Vec<Scheme> = hardware
+    let schemes: Vec<SchemeKind> = registry
         .into_iter()
-        .filter(|s| *s == Scheme::Fg || picked.contains(s))
+        .filter(|s| *s == Scheme::Fg.into() || picked.contains(s))
         .collect();
     let stream = ycsb_load(ops, value, 42);
     let cells = matrix(&schemes, &kinds);
+    // Cells take the host workers first; a cell's shards share the rest.
+    let workers = (threads() / cells.len()).max(1);
     let start = std::time::Instant::now();
-    let results = par_map_with(&cells, threads(), |c| {
+    let reports = par_map_with(&cells, threads(), |c| {
         let mut spec = c.spec(&stream, value);
         if let Some(ns) = latency_ns {
             spec.cfg.pm = spec.cfg.pm.with_write_latency_ns(ns);
         }
-        let spec = RunSpec {
+        run(&RunSpec {
             source,
             verify: true,
+            shards,
+            workers,
             ..spec
-        };
-        run(&spec).single().result
+        })
     });
     let elapsed = start.elapsed();
+    let results: Vec<_> = reports.iter().map(|r| r.merged()).collect();
     // Each index's chunk starts with its FG baseline; a row is
     // (result, speedup vs that FG, write amplification).
     let rows: Vec<_> = results
@@ -590,7 +588,7 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
             "command": "matrix",
             "ops": ops,
             "value_bytes": value,
-            "cells": rows.iter().map(|&(r, speedup, waf)| json_obj! {
+            "cells": rows.iter().zip(&reports).map(|(&(r, speedup, waf), rep)| json_obj! {
                 "workload": r.kind.to_string(),
                 "scheme": r.scheme.to_string(),
                 "cycles": r.cycles,
@@ -598,15 +596,25 @@ fn cmd_matrix(f: &mut Flags) -> Result<ExitCode, String> {
                 "media_bytes": r.traffic.media_bytes(),
                 "data_lines": r.traffic.data_lines,
                 "log_records": r.traffic.log_records,
+                "log_bytes": r.traffic.log_bytes,
                 "logical_bytes": r.logical_bytes,
                 "waf": waf,
+                "per_shard": (shards > 1).then(|| rep.shards.iter().map(|s| json_obj! {
+                    "commits": s.result.stats.tx_commits,
+                    "cycles": s.result.cycles,
+                }).collect::<Vec<_>>()),
                 "stats": &r.stats,
             }).collect::<Vec<_>>(),
         });
         return Ok(ExitCode::SUCCESS);
     }
+    let sharded = if shards > 1 {
+        format!(", {shards} shards")
+    } else {
+        String::new()
+    };
     println!(
-        "scheme × index matrix: {} cells, {ops} × {value} B inserts, {} worker(s), {:.2}s",
+        "scheme × index matrix: {} cells, {ops} × {value} B inserts{sharded}, {} worker(s), {:.2}s",
         cells.len(),
         threads(),
         elapsed.as_secs_f64(),
@@ -885,156 +893,6 @@ fn cmd_mc(f: &mut Flags) -> Result<ExitCode, String> {
             ExitCode::FAILURE
         }
     })
-}
-
-/// `slpmt shards`: the share-nothing scaling run.
-fn cmd_shards(f: &mut Flags) -> Result<ExitCode, String> {
-    let kind = f.kind(IndexKind::Hashtable);
-    let scheme = f.hw_scheme(Scheme::Slpmt);
-    let ops = f.positive("--ops", 1000usize);
-    let value = f.value(256);
-    let shards = f.positive("--shards", 4);
-    let json = f.flag("--json");
-    f.finish()?;
-
-    let stream = ycsb_load(ops, value, 42);
-    let run_shards = |shards: usize| {
-        let mut spec = RunSpec::inserts(MachineConfig::for_scheme(scheme), kind, &stream, value);
-        spec.shards = shards;
-        spec.workers = threads();
-        run(&spec)
-    };
-    let base = run_shards(1);
-    let res = run_shards(shards);
-    let kcycle = res.sim_ops_per_kcycle();
-    let speedup = kcycle / base.sim_ops_per_kcycle();
-    let media_bytes = res.merged_traffic().media_bytes();
-    let stats = res.merged_stats();
-    if json {
-        print_json(json_obj! {
-            "command": "shards",
-            "workload": kind.to_string(),
-            "scheme": scheme.to_string(),
-            "ops": ops,
-            "value_bytes": value,
-            "shards": shards,
-            "makespan_cycles": res.sim_cycles(),
-            "total_cycles": res.total_cycles(),
-            "sim_ops_per_kcycle": kcycle,
-            "speedup_vs_1_shard": speedup,
-            "media_bytes": media_bytes,
-            "per_shard": res.shards.iter().map(|s| json_obj! {
-                "commits": s.result.stats.tx_commits,
-                "cycles": s.result.cycles,
-            }).collect::<Vec<_>>(),
-            "stats": &stats,
-        });
-        return Ok(ExitCode::SUCCESS);
-    }
-    println!("{kind} under {scheme}: {ops} × {value} B inserts across {shards} shard(s)");
-    for (s, r) in res.shards.iter().map(|s| &s.result).enumerate() {
-        println!(
-            "  shard {s}: {:>6} ops {:>12} cycles",
-            r.stats.tx_commits, r.cycles
-        );
-    }
-    println!(
-        "  makespan      : {} cycles (slowest shard)",
-        res.sim_cycles()
-    );
-    println!("  sim throughput: {kcycle:.3} ops/kcycle ({speedup:.2}x vs 1 shard)");
-    println!("  media traffic : {media_bytes} B across shards");
-    println!("  {}", stats.summary());
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `slpmt ptm`: the software persistent-transaction baseline matrix.
-/// Every PTM flavour (plus the SLPMT hardware reference point) runs
-/// the same insert workload over the selected indexes; each cell
-/// reports simulated cycles, fence and flush counts, log traffic and
-/// the write-amplification factor. Every column is simulated, so
-/// output — including `--json` — is byte-identical across reruns and
-/// `SLPMT_THREADS` settings.
-fn cmd_ptm(f: &mut Flags) -> Result<ExitCode, String> {
-    use slpmt::bench::runner::matrix;
-
-    let default: Vec<SchemeKind> = std::iter::once(Scheme::Slpmt.into())
-        .chain(SchemeKind::SOFTWARE)
-        .collect();
-    let schemes = f.schemes(&default, &SchemeKind::REGISTRY);
-    let kinds = f.kinds(&[IndexKind::Hashtable], &IndexKind::ALL);
-    let ops = f.positive("--ops", 500usize);
-    let value = f.value(64);
-    let json = f.flag("--json");
-    f.finish()?;
-
-    let stream = ycsb_load(ops, value, 42);
-    let cells = matrix(&schemes, &kinds);
-    let results = par_map_with(&cells, threads(), |c| {
-        run(&c.spec(&stream, value)).single().result
-    });
-    // (result, write amplification, fences per committed transaction)
-    let rows: Vec<_> = results
-        .iter()
-        .map(|r| {
-            let per_txn = match r.stats.tx_commits {
-                0 => 0.0,
-                txns => r.stats.fences as f64 / txns as f64,
-            };
-            (r, r.waf(), per_txn)
-        })
-        .collect();
-
-    if json {
-        // Deliberately no wall-clock or worker-count field: this object
-        // is diffed byte-for-byte across SLPMT_THREADS values in CI.
-        print_json(json_obj! {
-            "command": "ptm",
-            "schema": 1,
-            "ops": ops,
-            "value_bytes": value,
-            "rows": rows.iter().map(|&(r, waf, per_txn)| json_obj! {
-                "scheme": r.scheme.to_string(),
-                "workload": r.kind.to_string(),
-                "sim_cycles": r.cycles,
-                "txns": r.stats.tx_commits,
-                "fences": r.stats.fences,
-                "flushes": r.stats.flushes,
-                "fence_stall_cycles": r.stats.fence_stall_cycles,
-                "data_bytes": r.traffic.data_bytes,
-                "log_bytes": r.traffic.log_bytes,
-                "log_records": r.traffic.log_records,
-                "logical_bytes": r.logical_bytes,
-                "waf": waf,
-                "fences_per_txn": per_txn,
-            }).collect::<Vec<_>>(),
-        });
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    println!(
-        "ptm matrix: {} cell(s), {} × {} B inserts",
-        cells.len(),
-        ops,
-        value
-    );
-    println!(
-        "{:<22} {:>12} {:>8} {:>7} {:>8} {:>10} {:>7}",
-        "cell", "cycles", "fences", "f/txn", "flushes", "log B", "waf"
-    );
-    for &(r, waf, per_txn) in &rows {
-        println!(
-            "{:<22} {:>12} {:>8} {:>7.2} {:>8} {:>10} {:>7.2}",
-            format!("{}/{}", r.kind, r.scheme),
-            r.cycles,
-            r.stats.fences,
-            per_txn,
-            r.stats.flushes,
-            r.traffic.log_bytes,
-            waf,
-        );
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 /// `slpmt ycsb`: the named-mix perf matrix — YCSB A–F plus the
@@ -1409,7 +1267,7 @@ struct Command {
 const COMMANDS: &[Command] = &[
     Command {
         name: "schemes",
-        about: "list hardware designs",
+        about: "list the hardware designs and software PTMs",
         synopsis: "",
         run: cmd_schemes,
     },
@@ -1423,7 +1281,7 @@ const COMMANDS: &[Command] = &[
         name: "matrix",
         about: "scheme × index matrix of verified inserts (parallel)",
         synopsis: "[--scheme S|all] [--workload W|all] [--ops N] [--value B] \
-                   [--annotations manual|compiler|none] [--latency NS] [--json]",
+                   [--annotations manual|compiler|none] [--latency NS] [--shards N] [--json]",
         run: cmd_matrix,
     },
     Command {
@@ -1447,12 +1305,6 @@ const COMMANDS: &[Command] = &[
         run: cmd_mc,
     },
     Command {
-        name: "shards",
-        about: "keyspace-sharded scaling run",
-        synopsis: "[--workload W] [--scheme S] [--ops N] [--value B] [--shards N] [--json]",
-        run: cmd_shards,
-    },
-    Command {
         name: "ycsb",
         about: "named-mix matrix (A–F, delete-heavy, …)",
         synopsis: "[--mix M|all] [--scheme S|all] [--workload W|all] [--load N] [--ops N] \
@@ -1474,12 +1326,6 @@ const COMMANDS: &[Command] = &[
                    [--requests N] [--points N] [--faults N] \
                    [--plan s<seed>:t<0|1>[:w<word>]:p<n>:f<n>:j<n>] [--json]",
         run: cmd_chaos,
-    },
-    Command {
-        name: "ptm",
-        about: "software-PTM baseline matrix (fences, WAF)",
-        synopsis: "[--scheme S|all] [--workload W|all] [--ops N] [--value B] [--json]",
-        run: cmd_ptm,
     },
 ];
 

@@ -47,9 +47,12 @@ fn commands() -> Vec<String> {
 #[test]
 fn usage_lists_every_command() {
     let names = commands();
-    assert_eq!(names.len(), 11, "{names:?}");
-    for want in ["matrix", "faults", "mc", "chaos", "ptm"] {
+    assert_eq!(names.len(), 9, "{names:?}");
+    for want in ["matrix", "faults", "mc", "chaos"] {
         assert!(names.iter().any(|n| n == want), "{want} missing: {names:?}");
+    }
+    for gone in ["ptm", "shards"] {
+        assert!(!names.iter().any(|n| n == gone), "{gone} listed: {names:?}");
     }
 }
 
@@ -63,7 +66,7 @@ fn every_command_rejects_an_unknown_flag() {
 
 #[test]
 fn every_argument_is_a_flag() {
-    for cmd in ["shards hashtable", "matrix heap"] {
+    for cmd in ["trace hashtable", "matrix heap"] {
         let err = rejects(cmd);
         assert!(err.contains("unknown option "), "{err}");
     }
@@ -95,10 +98,67 @@ fn matrix_honours_scheme_and_workload() {
     assert_eq!(atom.len(), 2 * 8, "{atom:?}");
     assert_ne!(atom, matrix_cells("matrix --ops 20 --json"));
     let all = matrix_cells("matrix --workload avl --scheme all --ops 20 --json");
-    assert_eq!(all.len(), 10, "{all:?}");
+    assert_eq!(all.len(), 15, "{all:?}");
     assert_eq!(all[0], "avl/FG");
-    let err = rejects("matrix --scheme undolog");
-    assert!(err.contains("unknown scheme undolog"), "{err}");
+    assert_eq!(
+        matrix_cells("matrix --workload avl --scheme undolog --ops 20 --json"),
+        ["avl/FG", "avl/UNDOLOG"]
+    );
+    let err = rejects("matrix --scheme nosuch");
+    assert!(err.contains("unknown scheme nosuch"), "{err}");
+}
+
+/// `slpmt args` at 1 worker: its stdout, after asserting exit 0.
+fn stdout_of(cmd: &str) -> String {
+    let args: Vec<&str> = cmd.split_whitespace().collect();
+    let out = slpmt(&args);
+    assert_eq!(out.status.code(), Some(0), "{args:?}");
+    String::from_utf8(out.stdout).expect("UTF-8 output")
+}
+
+#[test]
+fn one_shard_is_the_unsharded_matrix() {
+    let cmd = "matrix --workload heap --scheme slpmt --ops 30 --json";
+    assert_eq!(stdout_of(&format!("{cmd} --shards 1")), stdout_of(cmd));
+}
+
+/// The integer after `"key":` in `text`, for each occurrence.
+fn numbers(text: &str, key: &str) -> Vec<u64> {
+    text.split(&format!("\"{key}\":"))
+        .skip(1)
+        .map(|rest| {
+            let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+            rest[..end].parse().unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn a_sharded_cell_is_its_slowest_shard() {
+    let text = stdout_of("matrix --workload hashtable --scheme slpmt --ops 40 --shards 4 --json");
+    let cells: Vec<&str> = text.split("{\"workload\":").skip(1).collect();
+    assert_eq!(cells.len(), 2, "{text}");
+    for cell in cells {
+        let (head, stats) = cell.split_once("\"stats\":").expect("a stats object");
+        let (_, shards) = head.split_once("\"per_shard\":").expect("a per_shard list");
+        let cycles = numbers(shards, "cycles");
+        assert_eq!(cycles.len(), 4, "{cell}");
+        assert_eq!(numbers(head, "cycles")[0], *cycles.iter().max().unwrap());
+        assert_eq!(numbers(shards, "commits").iter().sum::<u64>(), 40);
+        assert_eq!(numbers(stats, "tx_commits"), [40]);
+    }
+}
+
+#[test]
+fn retired_commands_and_zero_shards_are_refused() {
+    let err = rejects("matrix --shards 0");
+    assert!(err.contains("--shards must be at least 1"), "{err}");
+    for cmd in ["ptm", "shards"] {
+        let out = slpmt(&[cmd]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {err}");
+        assert!(err.starts_with("usage: slpmt"), "{cmd}: {err}");
+    }
 }
 
 #[test]
@@ -115,8 +175,8 @@ fn value_must_be_whole_words() {
         "matrix --workload hashtable",
         "matrix",
         "trace",
-        "shards --workload hashtable",
-        "ptm",
+        "matrix --workload hashtable --shards 4",
+        "matrix --scheme all",
         "ycsb",
         "serve",
     ] {
@@ -171,9 +231,9 @@ fn zero_ops_is_not_a_clean_sweep_or_an_empty_run() {
         "matrix --workload heap --ops 0",
         "matrix --workload hashtable --scheme slpmt --ops 0",
         "matrix --ops 0 --json",
-        "shards --workload hashtable --ops 0 --json",
+        "matrix --workload hashtable --scheme slpmt --shards 4 --ops 0 --json",
         "trace --ops 0",
-        "ptm --ops 0",
+        "matrix --scheme all --ops 0",
         "ycsb --ops 0",
     ] {
         let err = rejects(cmd);

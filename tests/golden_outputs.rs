@@ -31,14 +31,16 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
 /// `(name, arguments)` of every pinned command. The first eight are
-/// small shapes of each simulated-output command; the next seven are
-/// the paper-size runs of the matrix, multi-core, sharded, YCSB, serve,
-/// chaos and software-PTM drivers; the sixteenth runs every YCSB mix on
-/// every index, so each index's update, read-modify-write, read and
-/// scan paths are pinned; the seventeenth adds `ycsb`'s sharded pass and
-/// media-fault battery; the eighteenth is one `matrix` cell, with its
-/// stats, next to its FG row. The rest pin one small shape of each
-/// command's text output, plus an index's slice of `matrix`, the clean
+/// small shapes of each simulated-output command, `matrix` among them
+/// with every scheme and with four shards; the next seven are the
+/// paper-size runs of the matrix, multi-core, 16-shard matrix, YCSB,
+/// serve, chaos and every-scheme matrix; the sixteenth runs every YCSB
+/// mix on every index, so each index's update, read-modify-write, read
+/// and scan paths are pinned; the seventeenth adds `ycsb`'s sharded
+/// pass and media-fault battery; the eighteenth is one `matrix` cell,
+/// with its stats, next to its FG row. The rest pin one small shape of
+/// each command's text output, plus an index's slice of `matrix`,
+/// `matrix` with every scheme and with four shards, the clean
 /// exhaustive `faults` sweep and a clean `faults --at K` replay.
 const COMMANDS: &[(&str, &str)] = &[
     ("faults", "faults --ops 12 --points 2 --json"),
@@ -48,11 +50,14 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     ("serve", "serve --load 100 --requests 300 --json"),
     ("chaos", "chaos --requests 30 --points 2 --json"),
-    ("ptm", "ptm --workload all --ops 200 --json"),
+    (
+        "matrix-ptm",
+        "matrix --scheme all --workload all --ops 200 --value 64 --json",
+    ),
     ("mc", "mc --cores 3 --seed 5 --sched weighted:9 --json"),
     (
-        "shards",
-        "shards --workload hashtable --ops 300 --shards 4 --json",
+        "matrix-shards",
+        "matrix --workload hashtable --scheme slpmt --ops 300 --shards 4 --json",
     ),
     ("matrix", "matrix --ops 60 --json"),
     ("matrix-1000", "matrix --ops 1000 --value 256 --json"),
@@ -61,8 +66,8 @@ const COMMANDS: &[(&str, &str)] = &[
         "mc --cores 4 --seed 42 --sched rr:42 --txns 64 --stores 8 --json",
     ),
     (
-        "shards-16",
-        "shards --workload hashtable --ops 1000 --value 256 --shards 16 --json",
+        "matrix-shards-16",
+        "matrix --workload hashtable --scheme slpmt --ops 1000 --shards 16 --json",
     ),
     (
         "ycsb-mixes",
@@ -77,8 +82,8 @@ const COMMANDS: &[(&str, &str)] = &[
         "chaos --mix a,b --requests 40 --points 4 --json",
     ),
     (
-        "ptm-hashtable",
-        "ptm --workload hashtable --ops 500 --value 32 --json",
+        "matrix-ptm-hashtable",
+        "matrix --scheme all --workload hashtable --ops 500 --value 32 --json",
     ),
     (
         "ycsb-indexes",
@@ -104,14 +109,20 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     ("mc", "mc --cores 3 --seed 5 --sched weighted:9"),
     ("mc-crash-at", "mc --cores 2 --seed 5 --crash-at 40"),
-    ("shards", "shards --workload hashtable --ops 300 --shards 4"),
+    (
+        "matrix-shards",
+        "matrix --workload hashtable --scheme slpmt --ops 300 --shards 4",
+    ),
     (
         "ycsb-shards",
         "ycsb --mix b --load 40 --ops 120 --sweep --faults --points 2 --shards 2",
     ),
     ("serve", "serve --load 100 --requests 300"),
     ("chaos", "chaos --requests 30 --points 2"),
-    ("ptm", "ptm --ops 100"),
+    (
+        "matrix-ptm",
+        "matrix --scheme all --workload hashtable --ops 100 --value 64",
+    ),
 ];
 
 /// `(name, trace file)`: the command of [`COMMANDS`] named `name`
